@@ -205,18 +205,3 @@ def infinitesimal_intertwiner(f: Poly) -> Poly:
 
 def _coeffs_exact(f: Poly) -> bool:
     return all(isinstance(c, (int, Fraction, QC)) for c in f.coeffs)
-
-
-def poly_star_with(f: Poly, g_fn, g_derivs, tau, w):
-    """(f *_tau g)(w) for polynomial f and smooth g given by derivative callables.
-
-    g_derivs[k](w) must return the k-th derivative; only k <= deg f are used.
-    """
-    acc = f(w) * g_fn(w)
-    scale = 1
-    fk = f
-    for k in range(1, f.degree + 1):
-        fk = fk.deriv()
-        scale = scale * tau / (2 * k)
-        acc = acc + scale * fk(w) * g_derivs[k](w)
-    return acc

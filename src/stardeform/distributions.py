@@ -17,13 +17,13 @@ which makes the delta law  transform(delta(x-a)) = delta_*(a-w)  hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Poly, intertwine
 from .errors import DomainError, QuadratureFailure
-from .quadrature import gaussian_halfwidth, integrate_segment, integrate_segment_refined
+from .quadrature import (gaussian_halfwidth, integrate_gaussian_window, integrate_segment,
+                         integrate_segment_refined)
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 
 TWO_PI = 2 * math.pi
@@ -65,27 +65,19 @@ def _osc_halfline(tau, a, w_grid, side: int, t_weight=None):
     """integral over the half-line (side=+1: t in (-inf,0]; -1: [0,inf)) of
     w(t) e^{-t^2 tau/4} e^{it(a+w)} dt for each w in the grid.
 
-    Im a shifts the Gaussian peak off t=0; the cutoff solves
-    rate*T^2 - |Im a| T = log(1/tol) so the shifted tail is still below tol."""
-    tau_c, a_c = complex(tau), complex(a)
+    Im a shifts the Gaussian peak off t=0, so the window widens by it; the
+    panels resolve both the e^{itw} oscillation and the growth from Im a."""
+    a_c = complex(a)
     ws = np.asarray([complex(w) for w in w_grid])
-    rate = tau_c.real / 4
-    g = abs(a_c.imag)
-    logtol = math.log(1e16)
-    T = (g + math.sqrt(g * g + 4 * rate * logtol)) / (2 * rate)
-    # resolve both the e^{itw} oscillation and growth from Im a
     osc = max(float(np.abs(ws + a_c).max()), abs(a_c.imag) + 1.0)
-    n_panels = max(24, int(2 * osc * T / math.pi) + 8)
 
     def f(t):
-        base = np.exp(-t * t * tau_c / 4 + 1j * np.multiply.outer(ws + a_c, t))
+        base = np.exp(1j * np.multiply.outer(ws + a_c, t))
         if t_weight is not None:
             base = base * t_weight(t)
         return base
 
-    if side > 0:
-        return integrate_segment(f, -T, 0.0, n_panels)
-    return integrate_segment(f, 0.0, T, n_panels)
+    return integrate_gaussian_window(f, tau, -side, osc, shift=a_c.imag)
 
 
 def sided_inverse(a, side: str, tau, w_grid):
@@ -134,24 +126,18 @@ def delta_difference_residual(a, tau, w_grid) -> float:
 
 # ------------------------------------------------------------- transforms
 
-def tempered_transform(f_hat, tau, w_grid, t_growth: float = 0.0):
+def tempered_transform(f_hat, tau, w_grid):
     """(2pi)^{-1/2} integral f_hat(t) e^{-t^2 tau/4} e^{-itw} dt on the grid.
 
-    f_hat is vectorized; t_growth bounds its exponential growth rate (the
-    truncation widens accordingly)."""
+    f_hat is vectorized."""
     _check_tau(tau)
-    tau_c = complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
-    rate = tau_c.real / 4
-    T = gaussian_halfwidth(rate) + 2 * t_growth / tau_c.real
-    osc = float(np.abs(ws).max()) + t_growth + 1.0
-    n_panels = max(24, int(2 * osc * T / math.pi) + 8)
 
     def f(t):
-        return f_hat(t)[None, :] * np.exp(-t * t * tau_c / 4
-                                          - 1j * np.multiply.outer(ws, t))
+        return f_hat(t)[None, :] * np.exp(-1j * np.multiply.outer(ws, t))
 
-    return integrate_segment(f, -T, T, n_panels) / math.sqrt(TWO_PI)
+    val = integrate_gaussian_window(f, tau, 0, float(np.abs(ws).max()) + 1.0)
+    return val / math.sqrt(TWO_PI)
 
 
 def slowly_increasing_transform(f, tau, w_grid, tol: float = 1e-13, breakpoints=()):
@@ -204,18 +190,12 @@ def heaviside_y_fourier(tau, w_grid):
     """Independent route: Y = 1/2 + (1/pi) integral_0^inf sin(tw)/t e^{-t^2 tau/4} dt.
 
     sin(tw)/t is written w * sinc(tw/pi) to stay finite at t = 0."""
-    tau_c = complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
-    rate = tau_c.real / 4
-    T = gaussian_halfwidth(rate)
-    osc = float(np.abs(ws).max()) + 1.0
-    n_panels = max(24, int(2 * osc * T / math.pi) + 8)
 
     def f(t):
-        tw = np.multiply.outer(ws, t)
-        return ws[:, None] * np.sinc(tw / math.pi) * np.exp(-t * t * tau_c / 4)
+        return ws[:, None] * np.sinc(np.multiply.outer(ws, t) / math.pi)
 
-    val = integrate_segment(f, 0.0, T, n_panels)
+    val = integrate_gaussian_window(f, tau, +1, float(np.abs(ws).max()) + 1.0)
     return 0.5 + val / math.pi
 
 
@@ -311,22 +291,15 @@ def principal_value_inverse(m: int, tau, w_grid):
         (i/2) integral (it)^{m-1}/(m-1)! sgn(t) e^{-t^2 tau/4} e^{-itw} dt.
     """
     _check_tau(tau)
-    tau_c = complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
-    rate = tau_c.real / 4
-    T = gaussian_halfwidth(rate)
     osc = float(np.abs(ws).max()) + 1.0
-    n_panels = max(24, int(2 * osc * T / math.pi) + 8)
 
-    def half(sign):
-        def f(t):
-            wgt = (1j * t) ** (m - 1) / math.factorial(m - 1)
-            return wgt * np.exp(-t * t * tau_c / 4 - 1j * np.multiply.outer(ws, t))
-        if sign > 0:
-            return integrate_segment(f, 0.0, T, n_panels)
-        return integrate_segment(f, -T, 0.0, n_panels)
+    def f(t):
+        wgt = (1j * t) ** (m - 1) / math.factorial(m - 1)
+        return wgt * np.exp(-1j * np.multiply.outer(ws, t))
 
-    return 0.5j * (half(+1) - half(-1))
+    return 0.5j * (integrate_gaussian_window(f, tau, +1, osc)
+                   - integrate_gaussian_window(f, tau, -1, osc))
 
 
 # ---------------------------------------------------------- periodic combs

@@ -1,4 +1,4 @@
-"""Exact arithmetic support: rational-complex scalars and small exact polynomial helpers.
+"""Exact arithmetic support: rational-complex scalars and sparse Laurent polynomials.
 
 QC is a complex number with Fraction real and imaginary parts.  It interoperates
 with int and Fraction, so generic code written for +,-,*,/ runs unchanged over
@@ -8,6 +8,7 @@ QC, float complex, or mpmath scalars.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Union
 
 _Rat = Union[int, Fraction]
@@ -115,100 +116,101 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-QC_I = QC(0, 1)
+def _accumulate(out: dict, key, v: QC) -> None:
+    """out[key] += v, dropping the key when the sum cancels."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = v
+        return
+    s = cur + v
+    if s:
+        out[key] = s
+    else:
+        del out[key]
 
 
-def as_exact(x) -> QC:
-    """Coerce int/Fraction/QC/(re,im) pair to QC."""
-    if isinstance(x, QC):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QC(x)
-    if isinstance(x, tuple) and len(x) == 2:
-        return QC(x[0], x[1])
-    raise TypeError(f"cannot represent {x!r} exactly")
+class SparseLaurent:
+    """Exact Laurent polynomial in several symbols with QC coefficients.
 
-
-class LaurentPoly2:
-    """Exact Laurent polynomial in two symbols (z, u) with QC coefficients.
-
-    Exponents may be negative.  Used for surface calculus where functions of
-    (z, tau) restrict to the surface tau = 1/z.
+    terms maps an exponent tuple (one integer per symbol, negative allowed) to
+    a nonzero QC; the zero element has no terms.  Arithmetic keeps the class
+    of its left operand, so subclasses that add named evaluation stay closed.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict[(i, j)] -> QC, monomial z^i u^j
         self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                v = v if isinstance(v, QC) else QC(v)
-                if v:
-                    self.terms[k] = v
+        for k, v in (terms or {}).items():
+            v = v if isinstance(v, QC) else QC(v)
+            if v:
+                self.terms[k] = v
 
-    @staticmethod
-    def mono(c, i=0, j=0) -> "LaurentPoly2":
-        return LaurentPoly2({(i, j): as_exact(c)})
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """An element over terms that are already QC and nonzero."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, QC(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentPoly2(out)
+            _accumulate(out, k, v)
+        return self._wrap(out)
 
     def __sub__(self, other):
-        return self + other * -1
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _accumulate(out, k, -v)
+        return self._wrap(out)
 
     def __mul__(self, other):
+        if isinstance(other, SparseLaurent):
+            out = {}
+            for k1, v1 in self.terms.items():
+                for k2, v2 in other.terms.items():
+                    _accumulate(out, tuple(map(add, k1, k2)), v1 * v2)
+            return self._wrap(out)
         if isinstance(other, (int, Fraction, QC)):
-            c = as_exact(other)
-            return LaurentPoly2({k: v * c for k, v in self.terms.items()})
-        out = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, QC(0)) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentPoly2(out)
+            return self.scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def d_first(self) -> "LaurentPoly2":
-        """Partial derivative in the first symbol."""
-        out = {}
-        for (i, j), v in self.terms.items():
-            if i != 0:
-                out[(i - 1, j)] = v * i
-        return LaurentPoly2(out)
+    def scale(self, c):
+        c = c if isinstance(c, QC) else QC(c)
+        if not c:
+            return self._wrap({})
+        return self._wrap({k: v * c for k, v in self.terms.items()})
 
-    def restrict_second_to_inverse(self) -> dict:
-        """Substitute u = z^{-1}; returns dict exponent->QC in z."""
+    def d(self, axis: int):
+        """Partial derivative in symbol `axis`."""
         out = {}
-        for (i, j), v in self.terms.items():
-            e = i - j
-            s = out.get(e, QC(0)) + v
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
+        for k, v in self.terms.items():
+            e = k[axis]
+            if e:
+                out[k[:axis] + (e - 1,) + k[axis + 1:]] = v * e
+        return self._wrap(out)
+
+    def restrict_inverse(self, axis: int, onto: int):
+        """Substitute symbol `axis` by the inverse of symbol `onto`; the
+        exponent of `axis` becomes 0 (a ring endomorphism)."""
+        if axis == onto:
+            raise ValueError("a symbol cannot be replaced by its own inverse")
+        out = {}
+        for k, v in self.terms.items():
+            nk = list(k)
+            nk[onto] -= nk[axis]
+            nk[axis] = 0
+            _accumulate(out, tuple(nk), v)
+        return self._wrap(out)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly2) and self.terms == other.terms
+        return isinstance(other, SparseLaurent) and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly2(0)"
-        bits = [f"({v!r})*z^{i}*u^{j}" for (i, j), v in sorted(self.terms.items())]
-        return " + ".join(bits)
+        return f"{type(self).__name__}({self.terms!r})"

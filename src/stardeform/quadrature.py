@@ -1,4 +1,5 @@
-"""Composite Gauss-Legendre quadrature over segments and polylines.
+"""Composite Gauss-Legendre quadrature over segments, and the Gaussian-window
+kernel for oscillatory integrals against e^{-t^2 tau/4}.
 
 tau is complex throughout the package, so fixed classical rules (Hermite,
 Laguerre weights) do not apply; panels over explicitly truncated intervals
@@ -7,11 +8,15 @@ with analytic tail bounds are used instead.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureFailure
+
+
+_LOG_WINDOW_TOL = math.log(1e16)
 
 
 @lru_cache(maxsize=None)
@@ -30,13 +35,6 @@ def integrate_segment(f, a, b, n_panels: int = 8, n_nodes: int = 16):
     pts = a + (b - a) * ts
     vals = f(pts)
     return (b - a) * np.sum(vals * ws, axis=-1)
-
-
-def integrate_polyline(f, waypoints, n_panels: int = 8, n_nodes: int = 16):
-    total = 0.0 + 0.0j
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        total = total + integrate_segment(f, a, b, n_panels, n_nodes)
-    return total
 
 
 def integrate_segment_refined(f, a, b, tol: float = 1e-12, n_nodes: int = 16,
@@ -62,34 +60,25 @@ def gaussian_halfwidth(re_inv_scale: float, tol: float = 1e-16) -> float:
     return float(np.sqrt(np.log(1.0 / tol) / re_inv_scale))
 
 
-def fourier_gaussian_integral(g, tau, w_max: float, tol: float = 1e-16,
-                              n_nodes: int = 16):
-    """Integral over the real line of g(t) * exp(-t^2 tau / 4).
+def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0):
+    """Integral of f(t) e^{-t^2 tau/4} over t >= 0 (side=+1), t <= 0 (side=-1)
+    or the whole line (side=0); f is vectorized over its last axis.
 
-    g is vectorized and may oscillate like exp(i t w) with |w| <= w_max;
-    panel count scales with |w|*T so the oscillation is resolved.
+    The window is cut at the T solving rate*T^2 - |shift|*T = log(1e16),
+    rate = Re tau/4, so a factor of f growing like e^{|shift| |t|} still leaves
+    a tail below 1e-16.  max(24, int(2 osc T/pi) + 8) panels resolve an
+    oscillation e^{i osc t} with at least four panels per wavelength.
     """
-    rate = (complex(tau) / 4.0).real
-    T = gaussian_halfwidth(rate, tol)
-    # >= 4 panels per oscillation wavelength, and at least 16 overall
-    n_panels = max(16, int(2.0 * w_max * T / np.pi) + 8)
+    tau_c = complex(tau)
+    rate = tau_c.real / 4
+    if rate <= 0:
+        raise QuadratureFailure("nonpositive Gaussian decay rate")
+    g = abs(shift)
+    T = (g + math.sqrt(g * g + 4 * rate * _LOG_WINDOW_TOL)) / (2 * rate)
+    n_panels = max(24, int(2 * osc * T / math.pi) + 8)
 
-    def f(t):
-        return g(t) * np.exp(-t * t * complex(tau) / 4.0)
+    def windowed(t):
+        return f(t) * np.exp(-t * t * tau_c / 4)
 
-    return integrate_segment(f, -T, T, n_panels, n_nodes)
-
-
-def fourier_gaussian_halfline(g, tau, w_max: float, side: int, tol: float = 1e-16,
-                              n_nodes: int = 16):
-    """Same as fourier_gaussian_integral but over [0, inf) (side=+1) or (-inf, 0]."""
-    rate = (complex(tau) / 4.0).real
-    T = gaussian_halfwidth(rate, tol)
-    n_panels = max(16, int(2.0 * w_max * T / np.pi) + 8)
-
-    def f(t):
-        return g(t) * np.exp(-t * t * complex(tau) / 4.0)
-
-    if side > 0:
-        return integrate_segment(f, 0.0, T, n_panels, n_nodes)
-    return integrate_segment(f, -T, 0.0, n_panels, n_nodes)
+    return integrate_segment(windowed, 0.0 if side > 0 else -T, 0.0 if side < 0 else T,
+                             n_panels)

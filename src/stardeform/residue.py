@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Poly
 from .errors import DegenerateBoundary, NodeCountError, PathError, SingularPoint
-from .exact import QC, LaurentPoly2
+from .exact import SparseLaurent
 from .numeric import cabs, cexp, csqrt
 from .starexp import GaussPoly, quadexp_star, star_poly_gauss
 
@@ -33,13 +33,6 @@ def sqrt_minus_tau(tau):
     normalized (so real positive tau lands above the cut, giving +i sqrt(tau))."""
     z = -complex(tau)
     return cmath.sqrt(complex(z.real, z.imag + 0.0))
-
-
-def quad_exp_z(z, nu, tau, w):
-    """:e_*^{z(nu + w^2-element)}: = e^{z nu} (1-z tau)^{-1/2} e^{z w^2/(1-z tau)},
-    principal branch."""
-    denom = 1 - z * tau
-    return cexp(z * nu) / csqrt(denom) * cexp(z * w * w / denom)
 
 
 def laurent_series_coefficient(k: int, nu, tau, w, tol: float = 1e-18):
@@ -299,112 +292,50 @@ def _continued_sqrt_along(vals):
 
 # -------------------------------------------------------- covariant calculus
 
-def parallel_polynomial(k: int, m: int) -> LaurentPoly2:
+def parallel_polynomial(k: int, m: int) -> SparseLaurent:
     """f_{k,m}(z, tau) = (m+k) z^m - m tau^k z^{m+k}; in the kernel of the
-    surface derivative (z-slot partial restricted to tau = 1/z)."""
-    return LaurentPoly2({(m, 0): QC(m + k)}) - LaurentPoly2({(m + k, k): QC(m)})
+    surface derivative (z-slot partial restricted to tau = 1/z).  Axes: (z, tau)."""
+    return SparseLaurent({(m, 0): m + k}) - SparseLaurent({(m + k, k): m})
 
 
-def surface_derivative_exact(f: LaurentPoly2) -> dict:
+def surface_derivative_exact(f: SparseLaurent) -> dict:
     """d/dz in the z slot, then restrict tau = 1/z; exact Laurent dict in z."""
-    return f.d_first().restrict_second_to_inverse()
+    return {e: v for (e, _), v in f.d(0).restrict_inverse(1, 0).terms.items()}
 
 
-class NDict:
-    """Exact Laurent polynomial over integer exponent tuples (z, w, nu)."""
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for kx, v in (terms or {}).items():
-            v = v if isinstance(v, QC) else QC(v)
-            if v:
-                self.terms[kx] = v
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for kx, v in other.terms.items():
-            s = out.get(kx, QC(0)) + v
-            if s:
-                out[kx] = s
-            else:
-                out.pop(kx, None)
-        return NDict(out)
-
-    def __sub__(self, other):
-        return self + other * QC(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QC)):
-            c = other if isinstance(other, QC) else QC(other)
-            return NDict({kx: v * c for kx, v in self.terms.items()})
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                kx = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(kx, QC(0)) + v1 * v2
-                if s:
-                    out[kx] = s
-                else:
-                    out.pop(kx, None)
-        return NDict(out)
-
-    __rmul__ = __mul__
-
-    def d(self, axis: int) -> "NDict":
-        out = {}
-        for kx, v in self.terms.items():
-            if kx[axis]:
-                nk = list(kx)
-                nk[axis] -= 1
-                out[tuple(nk)] = v * kx[axis]
-        return NDict(out)
-
-    def shift(self, axis: int, by: int) -> "NDict":
-        out = {}
-        for kx, v in self.terms.items():
-            nk = list(kx)
-            nk[axis] += by
-            out[tuple(nk)] = v
-        return NDict(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def diffeqevol_exact_defect(k: int, q_max: int = 8) -> NDict:
+def diffeqevol_exact_defect(k: int, q_max: int = 8) -> SparseLaurent:
     """Exact symbolic defect of the covariant evolution equation for a_{2k-1}.
 
     Writing a = gamma(z,w) S(z,w,nu) with the envelope rules
         d_z gamma = (nu - w^2 + 1/(2z)) gamma,   d_w gamma = -2 z w gamma,
     the surface derivative of a minus the product (nu + w-element^2) * a reduces
-    to gamma * [defect]; the returned dict is that defect (empty = identity
+    to gamma * [defect]; the returned element is that defect (zero = identity
     exact at every truncation order).  Axes: (z, w, nu)."""
     # S = sum_q (-1)^q /(q!(k+q)!) z^{2q} w^{2q} nu^{k+q}
-    S = NDict()
-    for q in range(max(0, -k), q_max + 1):
-        c = QC(Fraction((-1) ** q, math.factorial(q) * math.factorial(k + q)))
-        S = S + NDict({(2 * q, 2 * q, k + q): c})
+    S = SparseLaurent({(2 * q, 2 * q, k + q):
+                       Fraction((-1) ** q, math.factorial(q) * math.factorial(k + q))
+                       for q in range(max(0, -k), q_max + 1)})
 
-    nu = NDict({(0, 0, 1): QC(1)})
-    w2 = NDict({(0, 2, 0): QC(1)})
-    half_zinv = NDict({(-1, 0, 0): QC(Fraction(1, 2))})
-    quarter_zinv2 = NDict({(-2, 0, 0): QC(Fraction(1, 4))})
+    nu = SparseLaurent({(0, 0, 1): 1})
+    w2 = SparseLaurent({(0, 2, 0): 1})
+    half_zinv = SparseLaurent({(-1, 0, 0): Fraction(1, 2)})
+    quarter_zinv2 = SparseLaurent({(-2, 0, 0): Fraction(1, 4)})
 
     dS_z = S.d(0)
     dS_w = S.d(1)
     d2S_w = dS_w.d(1)
-    dg = nu - w2 + half_zinv                   # d_z gamma / gamma
-    gw = NDict({(1, 1, 0): QC(-2)})            # d_w gamma / gamma
-    gww = NDict({(1, 0, 0): QC(-2)}) + NDict({(2, 2, 0): QC(4)})  # d_w^2 gamma/gamma
+    dg = nu - w2 + half_zinv                              # d_z gamma / gamma
+    gw = SparseLaurent({(1, 1, 0): -2})                   # d_w gamma / gamma
+    gww = SparseLaurent({(1, 0, 0): -2, (2, 2, 0): 4})    # d_w^2 gamma / gamma
 
     # surface derivative: (d_z + (1/4z^2) d_w^2) applied to gamma*S, over gamma
-    lhs = dg * S + dS_z + quarter_zinv2 * (gww * S + QC(2) * gw * dS_w + d2S_w)
+    lhs = dg * S + dS_z + quarter_zinv2 * (gww * S + 2 * gw * dS_w + d2S_w)
 
     # product side: (nu + w^2 + tau/2) A + tau w A' + (tau^2/4) A'' with tau = 1/z
     tau_half = half_zinv
     rhs = (nu + w2 + tau_half) * S \
-        + NDict({(-1, 1, 0): QC(1)}) * (gw * S + dS_w) \
-        + quarter_zinv2 * (gww * S + QC(2) * gw * dS_w + d2S_w)
+        + SparseLaurent({(-1, 1, 0): 1}) * (gw * S + dS_w) \
+        + quarter_zinv2 * (gww * S + 2 * gw * dS_w + d2S_w)
     return lhs - rhs
 
 

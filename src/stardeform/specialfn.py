@@ -29,7 +29,7 @@ import numpy as np
 from .core import Poly, star_product, w_star_power
 from .errors import QuadratureFailure, TruncationFailure
 from .exact import QC
-from .quadrature import integrate_segment, integrate_segment_refined
+from .quadrature import integrate_segment_refined
 
 SQRT2 = math.sqrt(2.0)
 
@@ -289,14 +289,6 @@ def bessel_addition_residual(a, b, tau, w_grid, N: int = 8, n_s: int = 128) -> f
 
 # ---------------------------------------------------------------- Legendre
 
-def _t_expansion_coeff(n: int, c1, c2):
-    """[t^n] exp(c1 t + c2 t^2) = sum_j c2^j c1^(n-2j) / (j! (n-2j)!)."""
-    acc = 0.0
-    for j in range(n // 2 + 1):
-        acc = acc + c2 ** j * c1 ** (n - 2 * j) / (math.factorial(j) * math.factorial(n - 2 * j))
-    return acc
-
-
 def legendre_star(N: int, a, tau, w_grid, tol: float = 1e-11):
     """P_n(w + a, tau) for n = 0..N on the grid; Re tau < 0.
 
@@ -381,7 +373,7 @@ def laguerre_star(N: int, tau) -> list:
 
     t-coefficients of (1-t tau)^{-1/2} exp(t x/(1-t tau)); d^n/dx^n L_n = 1.
     """
-    if complex(tau) == 0:
+    if tau == 0:
         raise ValueError("tau must be nonzero")
     out = []
     for n in range(N + 1):

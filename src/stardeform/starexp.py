@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .core import Poly
 from .errors import SingularPoint, SingularProduct
-from .exact import QC
 from .numeric import cabs, cexp, csqrt
 
 SINGULAR_MARGIN = 1e-6
@@ -49,9 +48,6 @@ class GaussPoly:
 
     def scaled(self, c) -> "GaussPoly":
         return replace(self, pref=self.pref * c)
-
-    def times_poly(self, p: Poly) -> "GaussPoly":
-        return replace(self, poly=self.poly * p)
 
     def shift_arg(self, c) -> "GaussPoly":
         """Replace w by w + c."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -15,81 +15,36 @@ order gives (n - l)); checks below state the order they use explicitly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import TruncationOverflow
-from .exact import QC
+from .exact import QC, SparseLaurent
 
 
-class CoeffRing:
-    """Exact ring element: dict (gamma, nu, w2, zinv) exponents -> QC, where
+class CoeffRing(SparseLaurent):
+    """Exact ring element: exponents (gamma, nu, w2, zinv) -> QC, where
     zinv stands for 1/tau and gamma for the transcendental envelope unit."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        for k, v in (terms or {}).items():
-            v = v if isinstance(v, QC) else QC(v)
-            if v:
-                self.terms[k] = v
-
-    @staticmethod
-    def scalar(c) -> "CoeffRing":
-        return CoeffRing({(0, 0, 0, 0): c})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, QC(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return CoeffRing(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(k, QC(0)) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return CoeffRing(out)
-
-    def scale(self, c) -> "CoeffRing":
-        c = c if isinstance(c, QC) else QC(c)
-        return CoeffRing({k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffRing) and self.terms == other.terms
+    @classmethod
+    def scalar(cls, c) -> "CoeffRing":
+        return cls({(0, 0, 0, 0): c})
 
     def evaluate(self, tau, nu, w) -> complex:
         """Numeric substitution; gamma evaluates through the principal branch."""
         from .residue import sqrt_minus_tau
 
         tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
-        import cmath
         gamma = cmath.exp(nu_c / tau_c - w_c * w_c / tau_c) / sqrt_minus_tau(tau_c)
         acc = 0j
         for (g, p, q, r), v in self.terms.items():
             acc += v.to_complex() * gamma ** g * nu_c ** p * (w_c * w_c) ** q \
                 * tau_c ** (-r)
         return acc
-
-    def __repr__(self):
-        return f"CoeffRing({self.terms!r})"
 
 
 def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:

@@ -9,7 +9,7 @@ import pytest
 
 from stardeform.core import Poly
 from stardeform.errors import DegenerateBoundary, PathError
-from stardeform.exact import QC, LaurentPoly2
+from stardeform.exact import QC, SparseLaurent
 from stardeform.residue import (LaurentObj, closed_contour_vanishing, covariant_derivative,
                                 covariant_evolution_residual, covariant_evolution_solve,
                                 diffeqevol_exact_defect, eigen_equation_poly, even_coefficient_contour,
@@ -156,7 +156,7 @@ def test_parallel_polynomials_exact_kernel():
     f = parallel_polynomial(2, 1) * parallel_polynomial(-1, 3)
     assert surface_derivative_exact(f) == {}
     # negative control: plain z^2 tau is not parallel
-    g = LaurentPoly2({(2, 1): QC(1)})
+    g = SparseLaurent({(2, 1): QC(1)})
     assert surface_derivative_exact(g) != {}
 
 

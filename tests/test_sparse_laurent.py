@@ -1,0 +1,88 @@
+"""Exact sparse Laurent polynomials: ring laws, derivative and restriction,
+over generated elements in 2-4 symbols with negative exponents."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stardeform.exact import QC, SparseLaurent
+from stardeform.vertex import CoeffRing
+
+RATS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+QCS = st.builds(QC, RATS, RATS)
+
+
+def elements(nvars: int):
+    keys = st.tuples(*[st.integers(-3, 3)] * nvars)
+    return st.dictionaries(keys, QCS, max_size=4).map(SparseLaurent)
+
+
+def ring(count: int):
+    """count elements of one ring, plus its number of symbols."""
+    return st.integers(2, 4).flatmap(
+        lambda n: st.tuples(st.just(n), *[elements(n)] * count))
+
+
+def canonical(x: SparseLaurent) -> bool:
+    return all(isinstance(v, QC) and v for v in x.terms.values())
+
+
+@settings(deadline=None)
+@given(ring(3))
+def test_product_commutative_associative_distributive(case):
+    _, x, y, z = case
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert canonical(x * (y + z))
+
+
+@settings(deadline=None)
+@given(ring(1))
+def test_difference_with_itself_is_empty(case):
+    _, x = case
+    diff = x - x
+    assert diff.is_zero() and diff.terms == {}
+    assert (x * 0).terms == {}
+
+
+@settings(deadline=None)
+@given(ring(2), st.data())
+def test_derivative_leibniz(case, data):
+    n, x, y = case
+    axis = data.draw(st.integers(0, n - 1))
+    assert (x * y).d(axis) == x.d(axis) * y + x * y.d(axis)
+    assert canonical((x * y).d(axis))
+
+
+@settings(deadline=None)
+@given(ring(2), st.data())
+def test_restrict_inverse_is_ring_homomorphism(case, data):
+    n, x, y = case
+    axis, onto = data.draw(st.permutations(range(n)))[:2]
+
+    def r(e):
+        return e.restrict_inverse(axis, onto)
+
+    assert r(x * y) == r(x) * r(y)
+    assert r(x + y) == r(x) + r(y)
+    assert r(x.scale(QC(2, -1))) == r(x).scale(QC(2, -1))
+    assert all(k[axis] == 0 for k in r(x).terms)
+    assert canonical(r(x * y))
+
+
+def test_restrict_inverse_monomial():
+    # z^2 u^3 with u = 1/z -> z^-1
+    e = SparseLaurent({(2, 3): Fraction(1, 2)})
+    assert e.restrict_inverse(1, 0) == SparseLaurent({(-1, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        e.restrict_inverse(0, 0)
+
+
+def test_coefficient_ring_arithmetic_stays_in_subclass():
+    a = CoeffRing.scalar(3)
+    b = CoeffRing({(1, 0, 2, 1): QC(1, 1)})
+    for r in (a + b, a - b, a * b, 2 * b, b * QC(2), b.scale(-1), b.d(2),
+              b.restrict_inverse(3, 1)):
+        assert isinstance(r, CoeffRing)

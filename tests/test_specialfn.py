@@ -3,6 +3,7 @@ the independent oracles."""
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from stardeform.cli import main
 from stardeform.core import Poly
 from stardeform.exact import QC
 from stardeform.specialfn import (BesselTable, bessel_addition_residual, bessel_generating_fft,
@@ -188,6 +190,43 @@ def test_laguerre_low_orders():
     assert tab[0] == Poly.const(Fraction(1))
     # L_1 = x + tau/2 evaluated at tau=-1
     assert tab[1] == Poly([Fraction(-1, 2), Fraction(1)])
+
+
+def _laguerre_pochhammer(n: int, tau: Fraction) -> list:
+    """x^k coefficient of L_n: (k + 1/2)_(n-k) tau^(n-k) / ((n-k)! k!)."""
+    out = []
+    for k in range(n + 1):
+        m = n - k
+        poch = Fraction(1)
+        for i in range(m):
+            poch *= Fraction(2 * k + 1, 2) + i
+        out.append(poch * tau ** m / (math.factorial(m) * math.factorial(k)))
+    return out
+
+
+def _parse_x_poly(text: str) -> dict:
+    """'1/2x^2 + -3/2x + 3/8' -> {2: 1/2, 1: -3/2, 0: 3/8}."""
+    out = {}
+    for term in text.split(" + "):
+        coeff, x, power = re.fullmatch(r"(-?[0-9/]*)(x(?:\^([0-9]+))?)?", term).groups()
+        k = int(power) if power else (1 if x else 0)
+        out[k] = Fraction(coeff + "1" if coeff in ("", "-") else coeff)
+    return out
+
+
+def test_laguerre_exact_scalar_and_cli_table(capsys):
+    tab = laguerre_star(6, QC(-1))
+    want = [_laguerre_pochhammer(n, Fraction(-1)) for n in range(7)]
+    for n, p in enumerate(tab):
+        assert p.degree == n
+        assert all(p.coeffs[k] == QC(c) for k, c in enumerate(want[n]))
+    assert main(["table", "laguerre", "6"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows[0] == "n,polynomial_in_x" and len(rows) == 8
+    for n, row in enumerate(rows[1:]):
+        idx, poly = row.split(",", 1)
+        assert int(idx) == n
+        assert _parse_x_poly(poly.strip('"')) == {k: c for k, c in enumerate(want[n]) if c}
 
 
 def test_laguerre_top_derivative_normalization():
