@@ -15,12 +15,13 @@ import re
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .core import Poly, star_product
 from .errors import DomainError, StarDeformError
 from .exact import QC
-from .numeric import env_precision_digits, mp_scalar
+from .numeric import env_precision_digits
 from .verify import RunConfig, run_suite
 
 SCHEMA = 1
@@ -237,8 +238,12 @@ def _exact_poly_str(p: Poly) -> str:
 
 
 def cmd_eval(args) -> int:
-    digits = env_precision_digits()
-    tau_c = parse_scalar(args.tau)
+    try:
+        digits = env_precision_digits()
+        tau_c = parse_scalar(args.tau)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     try:
         f = parse_poly(args.f)
         g = parse_poly(args.g)
@@ -255,11 +260,10 @@ def cmd_eval(args) -> int:
         print(_exact_poly_str(result).replace("x", "w"))
         return 0
     if digits:
-        tau = mp_scalar(tau_c.real, tau_c.imag, digits)
-        f = f.map_coeffs(lambda c: mp_scalar(complex(c).real, complex(c).imag))
-        g = g.map_coeffs(lambda c: mp_scalar(complex(c).real, complex(c).imag))
-        result = star_product(f, g, tau)
-        print(" + ".join(f"({c})w^{k}" for k, c in enumerate(result.coeffs) if c != 0))
+        with mpmath.workdps(digits):
+            to_mp = lambda c: mpmath.mpc(complex(c).real, complex(c).imag)  # noqa: E731
+            result = star_product(f.map_coeffs(to_mp), g.map_coeffs(to_mp), to_mp(tau_c))
+            print(" + ".join(f"({c})w^{k}" for k, c in enumerate(result.coeffs) if c != 0))
         return 0
     result = star_product(f, g, tau_c)
     print(poly_to_str(result))
@@ -276,9 +280,10 @@ def cmd_theta(args) -> int:
         rows = []
         for w in grid:
             if digits:
-                val = theta_eval(args.kind, mp_scalar(w, 0.0, digits),
-                                 mp_scalar(tau.real, tau.imag), tol=10.0 ** (-digits + 4))
-                val = complex(val)
+                with mpmath.workdps(digits):
+                    val = complex(theta_eval(args.kind, mpmath.mpc(w, 0.0),
+                                             mpmath.mpc(tau.real, tau.imag),
+                                             tol=10.0 ** (-digits + 4)))
             else:
                 val = theta_eval(args.kind, float(w), tau)
             resid = quasi_periodicity_residual(args.kind, float(w), tau)
@@ -294,12 +299,13 @@ def cmd_theta(args) -> int:
 def cmd_residue(args) -> int:
     from .residue import laurent_coeff_closed, residue_contour
 
-    tau = parse_scalar(args.tau)
-    nu = parse_scalar(args.nu)
     try:
-        closed = laurent_coeff_closed(args.k, nu, tau, parse_scalar(args.w))
-        contour = residue_contour(args.k, nu, tau, parse_scalar(args.w),
-                                  radius=args.radius, n_nodes=args.nodes)
+        tau, nu, w = parse_scalar(args.tau), parse_scalar(args.nu), parse_scalar(args.w)
+        closed = laurent_coeff_closed(args.k, nu, tau, w)
+        contour = residue_contour(args.k, nu, tau, w, radius=args.radius, n_nodes=args.nodes)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except StarDeformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

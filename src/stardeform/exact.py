@@ -1,13 +1,15 @@
 """Exact arithmetic support: rational-complex scalars and sparse Laurent polynomials.
 
-QC is a complex number with Fraction real and imaginary parts.  It interoperates
-with int and Fraction, so generic code written for +,-,*,/ runs unchanged over
-QC, float complex, or mpmath scalars.
+QC is a complex number with rational real and imaginary parts, stored as a
+Gaussian integer over one positive denominator.  It interoperates with int and
+Fraction, so generic code written for +,-,*,/ runs unchanged over QC, float
+complex, or mpmath scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add
 from typing import Union
 
@@ -15,65 +17,98 @@ _Rat = Union[int, Fraction]
 
 
 class QC:
-    """Rational-complex number (exact)."""
+    """Rational-complex number (exact), (a + b i)/d in canonical form.
 
-    __slots__ = ("re", "im")
+    a, b and d are Python ints with d > 0 and gcd(a, b, d) == 1, so every value
+    has exactly one representation and equality is equality of the triples;
+    zero is (0, 0, 1).  Each result is normalised with one gcd.  re and im are
+    read-only Fractions; a real QC hashes like the equal int or Fraction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: _Rat = 0, im: _Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        rd, id_ = re.denominator, im.denominator
+        g = gcd(rd, id_)
+        self._a = re.numerator * (id_ // g)
+        self._b = im.numerator * (rd // g)
+        self._d = rd // g * id_
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, QC):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QC(x)
+        if isinstance(x, int):
+            return _new(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _new(x.numerator, 0, x.denominator)
         return NotImplemented
 
     def __add__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QC(self.re + o.re, self.im + o.im)
+        d = self._d
+        if d == o._d:
+            return _canonical(self._a + o._a, self._b + o._b, d)
+        od = o._d
+        return _canonical(self._a * od + o._a * d, self._b * od + o._b * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QC(self.re - o.re, self.im - o.im)
+        d = self._d
+        if d == o._d:
+            return _canonical(self._a - o._a, self._b - o._b, d)
+        od = o._d
+        return _canonical(self._a * od - o._a * d, self._b * od - o._b * d, d * od)
 
     def __rsub__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QC(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _canonical(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a, b, c, e = self._a, self._b, o._a, o._b
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero QC")
-        return QC((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
+        od = o._d
+        return _canonical((a * c + b * e) * od, (b * c - a * e) * od, self._d * n)
 
     def __rtruediv__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return o / self
@@ -93,27 +128,46 @@ class QC:
         return out
 
     def __eq__(self, other):
-        o = QC._coerce(other)
+        o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(self.re)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self._b:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
+
+
+def _new(a: int, b: int, d: int) -> QC:
+    """QC from a triple already in canonical form."""
+    q = object.__new__(QC)
+    q._a, q._b, q._d = a, b, d
+    return q
+
+
+def _canonical(a: int, b: int, d: int) -> QC:
+    """QC of (a + b i)/d for d > 0, dividing out gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    q = object.__new__(QC)
+    q._a, q._b, q._d = a, b, d
+    return q
 
 
 def _accumulate(out: dict, key, v: QC) -> None:

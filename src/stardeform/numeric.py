@@ -2,7 +2,8 @@
 
 All analytic kernels are written against plain arithmetic plus the few
 transcendental calls below, so they run over float complex (cmath) or
-mpmath.mpc (extended precision selected via digits / STARDEFORM_PRECISION).
+mpmath.mpc (extended precision selected via STARDEFORM_PRECISION; callers scope
+it with mpmath.workdps, the library never sets mpmath.mp.dps).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import os
 
 import mpmath
 
+from .errors import DomainError
 from .exact import QC
 
 
@@ -64,14 +66,10 @@ def env_precision_digits() -> int | None:
     raw = os.environ.get("STARDEFORM_PRECISION")
     if not raw:
         return None
-    d = int(raw)
+    try:
+        d = int(raw)
+    except ValueError:
+        d = 0
     if d <= 0:
-        raise ValueError("STARDEFORM_PRECISION must be a positive integer")
+        raise DomainError(f"STARDEFORM_PRECISION must be a positive integer, got {raw!r}")
     return d
-
-
-def mp_scalar(re: float, im: float = 0.0, digits: int | None = None):
-    """mpmath complex scalar at the requested precision."""
-    if digits:
-        mpmath.mp.dps = digits
-    return mpmath.mpc(re, im)

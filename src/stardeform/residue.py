@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Poly
-from .errors import DegenerateBoundary, NodeCountError, PathError, SingularPoint
+from .errors import DegenerateBoundary, DomainError, NodeCountError, PathError, SingularPoint
 from .exact import SparseLaurent
 from .numeric import cabs, cexp, csqrt
 from .starexp import GaussPoly, quadexp_star, star_poly_gauss
@@ -60,6 +60,8 @@ def laurent_series_coefficient(k: int, nu, tau, w, tol: float = 1e-18):
 def laurent_coeff_closed(k: int, nu, tau, w):
     """a_{2k-1}(nu, tau, w) in closed form (principal sqrt(-tau))."""
     tau_c = complex(tau)
+    if tau_c == 0:
+        raise DomainError("tau must be nonzero")
     pref = cexp(complex(nu) / tau_c - complex(w) ** 2 / tau_c) / sqrt_minus_tau(tau_c)
     return pref * laurent_series_coefficient(k, nu, tau, w)
 
@@ -108,9 +110,13 @@ def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256,
     The integrand is evaluated through the z-form with the substitution
     1 - z tau = -s^2 tau, which is single valued in s (the double cover
     trivializes the cut); sqrt(-tau) is principal."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not radius > 0:
+        raise DomainError("radius must be positive")
+    if n_nodes < 1:
+        raise DomainError("n_nodes must be positive")
     tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
+    if tau_c == 0:
+        raise DomainError("tau must be nonzero")
 
     def value(n):
         s = _contour_nodes(radius, n)

@@ -156,3 +156,47 @@ def test_conjecture_runs():
 
 def test_main_callable_directly():
     assert main(["numbers", "--euler", "2"]) == 0
+
+
+def assert_config_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("args", [["--tau", "0,0"], ["--nodes", "0"]])
+def test_residue_bad_input_exit_two(args, capsys):
+    assert_config_error(capsys, main(["residue", *args]))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+@pytest.mark.parametrize("args", [["theta"], ["eval", "star", "--f", "w", "--g", "w"]])
+def test_bad_precision_exit_two(raw, args, monkeypatch, capsys):
+    monkeypatch.setenv("STARDEFORM_PRECISION", raw)
+    assert_config_error(capsys, main(args))
+
+
+THETA_30_DIGITS = """\
+w,re_theta,im_theta,quasi_periodicity_residual
+-1,7.412126821797882e-01,1.687960331306710e-01,2.23772604565590481e-16
+-0.5,1.355262612310729e+00,-1.769644913075203e-01,4.47545209131180962e-16
+0,1.630393113277644e+00,-3.858092741471967e-01,0.00000000000000000e+00
+0.5,1.355262612310729e+00,-1.769644913075203e-01,2.23772604565590481e-16
+1,7.412126821797882e-01,1.687960331306710e-01,1.14439169963055936e-16
+"""
+
+
+def test_precision_is_scoped_not_global(monkeypatch, capsys):
+    """Extended precision applies inside the command only; mpmath.mp.dps is
+    left as it was and the printed values are unchanged."""
+    import mpmath
+    monkeypatch.setenv("STARDEFORM_PRECISION", "30")
+    before = mpmath.mp.dps
+    assert main(["theta", "--tau", "1,0.5", "--w-grid=-1,1,5"]) == 0
+    assert mpmath.mp.dps == before
+    assert capsys.readouterr().out == THETA_30_DIGITS
+    assert main(["eval", "star", "--f", "w", "--g", "w", "--tau", "0.1,0"]) == 0
+    assert mpmath.mp.dps == before
+    assert capsys.readouterr().out == \
+        "((0.0500000000000000027755575615629 + 0.0j))w^0 + ((1.0 + 0.0j))w^2\n"

@@ -1,0 +1,186 @@
+"""Exact rational-complex scalar QC against a Fraction-pair oracle.
+
+The oracle is the arithmetic QC had when it stored its real and imaginary
+parts as two Fractions.  Operands are generated as int, Fraction or QC on
+either side; every result must equal the oracle's, be in canonical form
+(a + b i)/d with d > 0 and gcd(a, b, d) == 1, and hash like equal values.
+"""
+
+import math
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stardeform.core import Poly
+from stardeform.exact import QC
+
+RATS = st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=60),
+                 st.integers(-10 ** 20, 10 ** 20).map(lambda n: Fraction(n, 10 ** 12 + 39)))
+PAIRS = st.tuples(RATS, RATS)
+NONZERO = PAIRS.filter(any)
+
+
+def scalars(pairs=PAIRS):
+    """(operand, oracle pair): a QC, or an int or Fraction with zero imaginary part."""
+    as_qc = pairs.map(lambda p: (QC(*p), p))
+    as_frac = pairs.map(lambda p: (p[0], (p[0], Fraction(0))))
+    as_int = st.integers(-10 ** 6, 10 ** 6).map(lambda n: (n, (Fraction(n), Fraction(0))))
+    return st.one_of(as_qc, as_frac, as_int)
+
+
+def o_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def o_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def o_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def o_div(x, y):
+    d = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d)
+
+
+def o_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = o_mul(out, x)
+    return o_div((Fraction(1), Fraction(0)), out) if n < 0 else out
+
+
+def o_repr(x):
+    return f"QC({x[0]})" if x[1] == 0 else f"QC({x[0]}, {x[1]})"
+
+
+def o_complex(x):
+    return complex(x[0]) + 1j * complex(x[1])
+
+
+def assert_matches(q, pair):
+    """q is a canonical QC with the oracle's value and representation."""
+    assert isinstance(q, QC)
+    a, b, d = q._a, q._b, q._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (q.re, q.im) == pair
+    assert repr(q) == o_repr(pair)
+    assert repr(q.to_complex()) == repr(o_complex(pair))
+
+
+@settings(deadline=None, max_examples=300)
+@given(scalars(), scalars())
+def test_ring_operations_match_oracle(xs, ys):
+    (x, px), (y, py) = xs, ys
+    if not isinstance(x, QC) and not isinstance(y, QC):
+        x = QC(x)
+    assert_matches(x + y, o_add(px, py))
+    assert_matches(x - y, o_sub(px, py))
+    assert_matches(x * y, o_mul(px, py))
+    if any(py):
+        assert_matches(x / y, o_div(px, py))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@settings(deadline=None)
+@given(NONZERO.map(lambda p: (QC(*p), p)), scalars().filter(lambda s: any(s[1])))
+def test_division_matches_oracle_both_sides(xs, ys):
+    """x / y for a nonzero QC x and any nonzero y, and y / x the other way round."""
+    (x, px), (y, py) = xs, ys
+    assert_matches(x / y, o_div(px, py))
+    assert_matches(y / x, o_div(py, px))
+
+
+@settings(deadline=None)
+@given(NONZERO, st.integers(-5, 7))
+def test_power_matches_oracle(p, n):
+    assert_matches(QC(*p) ** n, o_pow(p, n))
+
+
+@settings(deadline=None)
+@given(scalars(), scalars())
+def test_equality_bool_and_hash(xs, ys):
+    (x, px), (y, py) = xs, ys
+    q = x if isinstance(x, QC) else QC(x)
+    assert (q == y) == (px == py)
+    assert (y == q) == (px == py)
+    assert bool(q) == any(px)
+    if px == py:
+        assert hash(q) == hash(y)
+
+
+@settings(deadline=None)
+@given(PAIRS, NONZERO)
+def test_equal_values_hash_equal(p, r):
+    """A value reached by different routes has one representation and one hash."""
+    x, y = QC(*p), QC(*r)
+    z = (x * y) / y
+    assert (z._a, z._b, z._d) == (x._a, x._b, x._d)
+    assert z == x and hash(z) == hash(x)
+    s = (x + y) - y
+    assert s == x and hash(s) == hash(x)
+
+
+@given(RATS)
+def test_real_hash_matches_int_and_fraction(r):
+    assert hash(QC(r)) == hash(r)
+    assert QC(r) == r and r == QC(r)
+    n = r.numerator
+    assert hash(QC(n)) == hash(n)
+
+
+def test_hash_contract_in_containers():
+    assert QC(3) == 3 and hash(QC(3)) == hash(3)
+    assert len({QC(1), 1}) == 1
+    assert len({QC(Fraction(1, 2)), Fraction(1, 2), QC(Fraction(2, 4))}) == 1
+    assert Poly([1]) == Poly([QC(1)]) and hash(Poly([1])) == hash(Poly([QC(1)]))
+    assert {QC(2, 1): "x"}[QC(Fraction(4, 2), Fraction(3, 3))] == "x"
+
+
+@given(PAIRS)
+def test_conjugate_and_negation(p):
+    q = QC(*p)
+    assert_matches(q.conjugate(), (p[0], -p[1]))
+    assert_matches(-q, (-p[0], -p[1]))
+    assert_matches(q * q.conjugate(), (p[0] * p[0] + p[1] * p[1], Fraction(0)))
+
+
+def test_canonical_form_examples():
+    cases = [(QC(0), (0, 0, 1)),
+             (QC(Fraction(1, 2), Fraction(1, 3)), (3, 2, 6)),
+             (QC(Fraction(-4, 6)), (-2, 0, 3)),
+             (QC(Fraction(1, 2), Fraction(1, 2)) * 2, (1, 1, 1)),
+             (QC(Fraction(1, 2), Fraction(1, 2)) - QC(Fraction(1, 2), Fraction(1, 2)), (0, 0, 1)),
+             (QC(0.5, "1/3"), (3, 2, 6))]
+    for q, triple in cases:
+        assert (q._a, q._b, q._d) == triple
+
+
+def test_division_by_zero_raises():
+    for num in (QC(1), QC(Fraction(2, 3), -1), 1, Fraction(1, 3)):
+        with pytest.raises(ZeroDivisionError):
+            num / QC(0)
+    with pytest.raises(ZeroDivisionError):
+        QC(1, 1) / 0
+    with pytest.raises(ZeroDivisionError):
+        QC(0) ** -1
+
+
+def test_read_only_parts_and_float_operands_rejected():
+    q = QC(Fraction(1, 2), 3)
+    assert q.re == Fraction(1, 2) and q.im == 3
+    with pytest.raises(AttributeError):
+        q.re = Fraction(1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(q, 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, q)
+    assert (q == 0.5) is False
