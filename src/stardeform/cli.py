@@ -1,6 +1,9 @@
 """`stardeform` command line: verification suites, tables, and evaluators.
 
-Exit codes: 0 success, 1 identity failure, 2 usage/configuration error.
+Exit codes: 0 success; 1 identity failure, or a kernel failure reported as one
+`error:` line; 2 bad input of any kind, reported as one `configuration error:`
+line.  Option values are parsed by the argparse converters below, and `main`
+is the only place that turns an exception into an exit code.
 Output is CSV (header row; complex values as re,im column pairs) or JSON
 (schema 1, snake_case keys, residuals as decimal strings).  Reports are
 byte-identical for identical configurations including the seed.
@@ -10,7 +13,9 @@ STARDEFORM_PRECISION selects extended-precision digits where supported.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -18,7 +23,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .core import Poly, star_product
+from .core import Poly, star_product, w_star_power
 from .errors import DomainError, StarDeformError
 from .exact import QC
 from .numeric import env_precision_digits
@@ -27,18 +32,54 @@ from .verify import RunConfig, run_suite
 SCHEMA = 1
 
 
-def parse_scalar(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"scalar must be 're' or 're,im', got {text!r}")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (bad choices, missing arguments, rejected option values)
+    raise DomainError, so `main` reports them like any other bad input."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse before 3.12 drops the value of '--opt=--' and stores [],
+        # skipping the converter; reject it like a missing value.
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
-def parse_grid(text: str):
+def scalar(text: str) -> complex:
+    """Option value 're' or 're,im', both parts finite."""
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(
+            f"scalar must be 're' or 're,im' with finite parts, got {text!r}")
+    return complex(*parts)
+
+
+def grid(text: str) -> tuple:
+    """Option value 'lo,hi,n': finite ends and n >= 2 points."""
     lo, hi, n = text.split(",")
-    return (float(lo), float(hi), int(n))
+    lo, hi, n = float(lo), float(hi), int(n)
+    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 2):
+        raise argparse.ArgumentTypeError(
+            f"grid must be 'lo,hi,n' with finite ends and n >= 2, got {text!r}")
+    return (lo, hi, n)
+
+
+def count(text: str) -> int:
+    """Option value: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text!r}")
+    return n
+
+
+def positive(text: str) -> float:
+    """Option value: a finite float > 0."""
+    x = float(text)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"value must be finite and positive, got {text!r}")
+    return x
 
 
 _TERM_RE = re.compile(
@@ -88,6 +129,8 @@ def parse_poly(text: str) -> Poly:
         if m.group("var"):
             power = int(m.group("pow") or 1)
         coeffs[power] = coeffs.get(power, 0.0) + sign * c
+    if not all(cmath.isfinite(c) for c in coeffs.values()):
+        raise ValueError("polynomial coefficients must be finite")
     deg = max(coeffs)
     return Poly([coeffs.get(i, 0.0) for i in range(deg + 1)])
 
@@ -136,14 +179,9 @@ def emit_csv(header, rows, stream=None):
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = RunConfig(tau=parse_scalar(args.tau), nu=parse_scalar(args.nu),
-                        tol=args.tol, trunc=args.trunc, grid=parse_grid(args.grid),
-                        fmt=args.format, seed=args.seed)
-        records = run_suite(args.suite, cfg)
-    except (ValueError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    cfg = RunConfig(tau=args.tau, nu=args.nu, tol=args.tol, trunc=args.trunc,
+                    grid=args.grid, seed=args.seed)
+    records = run_suite(args.suite, cfg)
     ok = all(r["passed"] for r in records)
     if args.format == "csv":
         emit_csv(["anchor", "description", "residual", "tol", "passed"],
@@ -170,25 +208,16 @@ def cmd_table(args) -> int:
 
     fam = args.family
     N = args.count
-    if N < 0:
-        print("N must be >= 0", file=sys.stderr)
-        return 2
-    if fam == "euler":
+    if fam in ("euler", "bernoulli"):
         # count is the top index: E_0, E_2, ..., E_{2 floor(count/2)}
-        vals = halfseries.euler_numbers(N // 2)
-        print(", ".join(str(v) for v in vals))
+        numbers = halfseries.euler_numbers if fam == "euler" else halfseries.bernoulli_numbers
+        print(", ".join(str(v) for v in numbers(N // 2)))
         return 0
-    if fam == "bernoulli":
-        vals = halfseries.bernoulli_numbers(N // 2)
-        print(", ".join(str(v) for v in vals))
-        return 0
-    tau_c = parse_scalar(args.tau)
-    tau = QC(Fraction(tau_c.real).limit_denominator(10 ** 6),
-             Fraction(tau_c.imag).limit_denominator(10 ** 6))
+    tau = QC(Fraction(args.tau.real).limit_denominator(10 ** 6),
+             Fraction(args.tau.imag).limit_denominator(10 ** 6))
     if fam == "hermite":
-        fam_t = specialfn.hermite_table(N, tau)
         emit_csv(["n", "reduced_polynomial(leading (sqrt2)^n factored out)"],
-                 [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(fam_t.reduced)])
+                 [(n, f"\"{_exact_poly_str(w_star_power(n, tau))}\"") for n in range(N + 1)])
         return 0
     if fam == "laguerre":
         tab = specialfn.laguerre_star(N, tau)
@@ -196,25 +225,22 @@ def cmd_table(args) -> int:
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
     if fam == "legendre":
-        tab = specialfn.legendre_star_exact(N, Fraction(tau_c.real).limit_denominator(10 ** 6))
+        tab = specialfn.legendre_star_exact(N, tau.re)
         emit_csv(["n", "polynomial_in_(w+a)"],
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
-    if fam == "bessel":
-        grid = [g for g in np.linspace(*parse_grid(args.grid))]
-        tab = specialfn.bessel_table(parse_scalar(args.a), tau_c, N, grid)
-        header = ["w"] + [f"J{n}_re,J{n}_im" for n in range(-N, N + 1)]
-        rows = []
-        for i, w in enumerate(grid):
-            row = [f"{w:.12g}"]
-            for n in range(-N, N + 1):
-                v = tab.values[n][i]
-                row.append(f"{v.real:.12e},{v.imag:.12e}")
-            rows.append(row)
-        emit_csv(header, rows)
-        return 0
-    print(f"unknown family {fam!r}", file=sys.stderr)
-    return 2
+    ws = list(np.linspace(*args.grid))
+    tab = specialfn.bessel_table(args.a, args.tau, N, ws)
+    header = ["w"] + [f"J{n}_re,J{n}_im" for n in range(-N, N + 1)]
+    rows = []
+    for i, w in enumerate(ws):
+        row = [f"{w:.12g}"]
+        for n in range(-N, N + 1):
+            v = tab.values[n][i]
+            row.append(f"{v.real:.12e},{v.imag:.12e}")
+        rows.append(row)
+    emit_csv(header, rows)
+    return 0
 
 
 def _exact_poly_str(p: Poly) -> str:
@@ -238,18 +264,8 @@ def _exact_poly_str(p: Poly) -> str:
 
 
 def cmd_eval(args) -> int:
-    try:
-        digits = env_precision_digits()
-        tau_c = parse_scalar(args.tau)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        f = parse_poly(args.f)
-        g = parse_poly(args.g)
-    except ValueError as exc:
-        print(f"polynomial parse error: {exc}", file=sys.stderr)
-        return 2
+    digits = env_precision_digits()
+    f, g, tau_c = args.f, args.g, args.tau
     if args.rational:
         to_exact = lambda c: QC(Fraction(complex(c).real).limit_denominator(10 ** 9),  # noqa: E731
                                 Fraction(complex(c).imag).limit_denominator(10 ** 9))
@@ -266,6 +282,8 @@ def cmd_eval(args) -> int:
             print(" + ".join(f"({c})w^{k}" for k, c in enumerate(result.coeffs) if c != 0))
         return 0
     result = star_product(f, g, tau_c)
+    if not all(cmath.isfinite(c) for c in result.coeffs):
+        raise DomainError("the float product is not finite; use --rational for exact arithmetic")
     print(poly_to_str(result))
     return 0
 
@@ -273,42 +291,30 @@ def cmd_eval(args) -> int:
 def cmd_theta(args) -> int:
     from .theta import quasi_periodicity_residual, theta_eval
 
-    tau = parse_scalar(args.tau)
-    try:
-        grid = np.linspace(*parse_grid(args.w_grid))
-        digits = env_precision_digits()
-        rows = []
-        for w in grid:
-            if digits:
-                with mpmath.workdps(digits):
-                    val = complex(theta_eval(args.kind, mpmath.mpc(w, 0.0),
-                                             mpmath.mpc(tau.real, tau.imag),
-                                             tol=10.0 ** (-digits + 4)))
-            else:
-                val = theta_eval(args.kind, float(w), tau)
-            resid = quasi_periodicity_residual(args.kind, float(w), tau)
-            rows.append((f"{w:.12g}", f"{val.real:.15e}", f"{val.imag:.15e}",
-                         _fmt_resid(resid)))
-        emit_csv(["w", "re_theta", "im_theta", "quasi_periodicity_residual"], rows)
-        return 0
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    tau = args.tau
+    digits = env_precision_digits()
+    rows = []
+    for w in np.linspace(*args.w_grid):
+        if digits:
+            with mpmath.workdps(digits):
+                val = complex(theta_eval(args.kind, mpmath.mpc(w, 0.0),
+                                         mpmath.mpc(tau.real, tau.imag),
+                                         tol=10.0 ** (-digits + 4)))
+        else:
+            val = theta_eval(args.kind, float(w), tau)
+        resid = quasi_periodicity_residual(args.kind, float(w), tau)
+        rows.append((f"{w:.12g}", f"{val.real:.15e}", f"{val.imag:.15e}",
+                     _fmt_resid(resid)))
+    emit_csv(["w", "re_theta", "im_theta", "quasi_periodicity_residual"], rows)
+    return 0
 
 
 def cmd_residue(args) -> int:
     from .residue import laurent_coeff_closed, residue_contour
 
-    try:
-        tau, nu, w = parse_scalar(args.tau), parse_scalar(args.nu), parse_scalar(args.w)
-        closed = laurent_coeff_closed(args.k, nu, tau, w)
-        contour = residue_contour(args.k, nu, tau, w, radius=args.radius, n_nodes=args.nodes)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except StarDeformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    tau, nu, w = args.tau, args.nu, args.w
+    closed = laurent_coeff_closed(args.k, nu, tau, w)
+    contour = residue_contour(args.k, nu, tau, w, radius=args.radius, n_nodes=args.nodes)
     err = abs(closed - contour)
     emit_json({
         "closed": [f"{closed.real:.17e}", f"{closed.imag:.17e}"],
@@ -321,22 +327,16 @@ def cmd_residue(args) -> int:
 def cmd_dist(args) -> int:
     from .distributions import principal_value_inverse, sided_inverse
 
-    tau = parse_scalar(args.tau)
-    try:
-        grid = np.linspace(*parse_grid(args.w_grid))
-        if args.m > 1 or args.side == "pv":
-            vals = principal_value_inverse(max(args.m, 1), tau, grid)
-            label = f"pf_m{max(args.m, 1)}"
-        else:
-            vals = sided_inverse(parse_scalar(args.a), args.side, tau, grid)
-            label = f"inverse_{args.side}"
-        emit_csv(["w", f"{label}_re", f"{label}_im"],
-                 [(f"{w:.12g}", f"{v.real:.15e}", f"{v.imag:.15e}")
-                  for w, v in zip(grid, vals)])
-        return 0
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    ws = np.linspace(*args.w_grid)
+    if args.m > 1 or args.side == "pv":
+        vals = principal_value_inverse(max(args.m, 1), args.tau, ws)
+        label = f"pf_m{max(args.m, 1)}"
+    else:
+        vals = sided_inverse(args.a, args.side, args.tau, ws)
+        label = f"inverse_{args.side}"
+    emit_csv(["w", f"{label}_re", f"{label}_im"],
+             [(f"{w:.12g}", f"{v.real:.15e}", f"{v.imag:.15e}") for w, v in zip(ws, vals)])
+    return 0
 
 
 def cmd_vertex(args) -> int:
@@ -357,56 +357,41 @@ def cmd_vertex(args) -> int:
             and rep["diagonal_proportionality"] and rep["delta_support"]
         emit_json({"check": "central", "k": K, **payload, "passed": ok})
         return 0 if ok else 1
-    if args.check == "kcentral":
-        ok = all(vx.k_centrality_check(m, n, K=K) for m in range(-3, 4) for n in range(-3, 4))
-        emit_json({"check": "kcentral", "k": K, "passed": ok})
-        return 0 if ok else 1
-    print(f"unknown check {args.check!r}", file=sys.stderr)
-    return 2
+    ok = all(vx.k_centrality_check(m, n, K=K) for m in range(-3, 4) for n in range(-3, 4))
+    emit_json({"check": "kcentral", "k": K, "passed": ok})
+    return 0 if ok else 1
 
 
 def cmd_numbers(args) -> int:
     from .halfseries import bernoulli_numbers, euler_numbers
 
-    if args.euler is not None:
-        print(", ".join(str(v) for v in euler_numbers(args.euler)))
-        return 0
-    if args.bernoulli is not None:
-        print(", ".join(str(v) for v in bernoulli_numbers(args.bernoulli)))
-        return 0
-    print("specify --euler N or --bernoulli N", file=sys.stderr)
-    return 2
+    vals = euler_numbers(args.euler) if args.euler is not None \
+        else bernoulli_numbers(args.bernoulli)
+    print(", ".join(str(v) for v in vals))
+    return 0
 
 
 def cmd_conjecture(args) -> int:
     from .halfseries import conjecture_coefficients
 
-    try:
-        coef = conjecture_coefficients(parse_scalar(args.tau), parse_scalar(args.tau_prime),
-                                       args.count)
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    coef = conjecture_coefficients(args.tau, args.tau_prime, args.count)
     emit_csv(["n", "a2n_re", "a2n_im"],
              [(2 * n, f"{c.real:.15e}", f"{c.imag:.15e}") for n, c in enumerate(coef)])
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="stardeform",
-                                 description="deformed-product function algebra toolkit")
+    ap = _Parser(prog="stardeform", description="deformed-product function algebra toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    common = dict(tau="1,0", nu="1,0")
 
     v = sub.add_parser("verify", help="run an identity suite")
     v.add_argument("suite", choices=["core", "starexp", "special", "theta", "dist",
                                      "residue", "halfseries", "vertex", "all"])
-    v.add_argument("--tau", default=common["tau"])
-    v.add_argument("--nu", default=common["nu"])
-    v.add_argument("--tol", type=float, default=1e-10)
+    v.add_argument("--tau", type=scalar, default="1,0")
+    v.add_argument("--nu", type=scalar, default="1,0")
+    v.add_argument("--tol", type=positive, default=1e-10)
     v.add_argument("--trunc", type=int, default=24)
-    v.add_argument("--grid", default="-2,2,17")
+    v.add_argument("--grid", type=grid, default="-2,2,17")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--format", choices=["json", "csv"], default="json")
     v.set_defaults(func=cmd_verify)
@@ -414,69 +399,73 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="emit coefficient tables")
     t.add_argument("family", choices=["hermite", "laguerre", "legendre", "bessel",
                                       "euler", "bernoulli"])
-    t.add_argument("count", type=int)
-    t.add_argument("--tau", default="-1,0")
-    t.add_argument("--a", default="1,0")
-    t.add_argument("--grid", default="-1,1,11")
+    t.add_argument("count", type=count)
+    t.add_argument("--tau", type=scalar, default="-1,0")
+    t.add_argument("--a", type=scalar, default="1,0")
+    t.add_argument("--grid", type=grid, default="-1,1,11")
     t.set_defaults(func=cmd_table)
 
     e = sub.add_parser("eval", help="evaluate expressions")
     esub = e.add_subparsers(dest="what", required=True)
     est = esub.add_parser("star", help="deformed product of two polynomials")
-    est.add_argument("--f", required=True)
-    est.add_argument("--g", required=True)
-    est.add_argument("--tau", default="1,0")
+    est.add_argument("--f", type=parse_poly, required=True)
+    est.add_argument("--g", type=parse_poly, required=True)
+    est.add_argument("--tau", type=scalar, default="1,0")
     est.add_argument("--rational", action="store_true")
     est.set_defaults(func=cmd_eval)
 
     th = sub.add_parser("theta", help="theta values and residuals (CSV)")
-    th.add_argument("--tau", default="1,0")
+    th.add_argument("--tau", type=scalar, default="1,0")
     th.add_argument("--kind", type=int, default=3, choices=[1, 2, 3, 4])
-    th.add_argument("--w-grid", default="-1,1,21")
+    th.add_argument("--w-grid", type=grid, default="-1,1,21")
     th.set_defaults(func=cmd_theta)
 
     r = sub.add_parser("residue", help="Laurent coefficient, dual routes (JSON)")
     r.add_argument("--k", type=int, default=0)
-    r.add_argument("--nu", default="0,0")
-    r.add_argument("--tau", default="1,1")
-    r.add_argument("--w", default="0,0")
-    r.add_argument("--radius", type=float, default=1.0)
+    r.add_argument("--nu", type=scalar, default="0,0")
+    r.add_argument("--tau", type=scalar, default="1,1")
+    r.add_argument("--w", type=scalar, default="0,0")
+    r.add_argument("--radius", type=positive, default=1.0)
     r.add_argument("--nodes", type=int, default=256)
-    r.add_argument("--tol", type=float, default=1e-10)
+    r.add_argument("--tol", type=positive, default=1e-10)
     r.set_defaults(func=cmd_residue)
 
     d = sub.add_parser("dist", help="sided inverses and v.p./Pf transforms (CSV)")
-    d.add_argument("--a", default="0,0")
-    d.add_argument("--tau", default="1,0")
+    d.add_argument("--a", type=scalar, default="0,0")
+    d.add_argument("--tau", type=scalar, default="1,0")
     d.add_argument("--side", default="+", choices=["+", "-", "pv"])
     d.add_argument("--m", type=int, default=1)
-    d.add_argument("--w-grid", default="-3,3,41")
+    d.add_argument("--w-grid", type=grid, default="-3,3,41")
     d.set_defaults(func=cmd_dist)
 
     vx = sub.add_parser("vertex", help="formal bracket checks (JSON)")
     vx.add_argument("--check", required=True, choices=["witt", "central", "kcentral"])
-    vx.add_argument("--K", type=int, default=6)
+    vx.add_argument("--K", type=count, default=6)
     vx.set_defaults(func=cmd_vertex)
 
     n = sub.add_parser("numbers", help="exact Euler/Bernoulli numbers")
-    n.add_argument("--euler", type=int, default=None, metavar="N")
-    n.add_argument("--bernoulli", type=int, default=None, metavar="N")
+    which = n.add_mutually_exclusive_group(required=True)
+    which.add_argument("--euler", type=count, metavar="N")
+    which.add_argument("--bernoulli", type=count, metavar="N")
     n.set_defaults(func=cmd_numbers)
 
     c = sub.add_parser("conjecture", help="exploratory two-parameter coefficients")
-    c.add_argument("--tau", default="3,0")
-    c.add_argument("--tau-prime", default="1,0")
-    c.add_argument("count", type=int)
+    c.add_argument("--tau", type=scalar, default="3,0")
+    c.add_argument("--tau-prime", type=scalar, default="1,0")
+    c.add_argument("count", type=count)
     c.set_defaults(func=cmd_conjecture)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; the only place an error becomes an exit code."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except DomainError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except StarDeformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

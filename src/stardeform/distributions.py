@@ -289,8 +289,12 @@ def principal_value_inverse(m: int, tau, w_grid):
     """Transform of v.p. 1/x (m=1) or Pf. x^{-m}: the sgn(t)-weighted integral
 
         (i/2) integral (it)^{m-1}/(m-1)! sgn(t) e^{-t^2 tau/4} e^{-itw} dt.
+
+    m is at most 171, so that (m-1)! stays below the float maximum.
     """
     _check_tau(tau)
+    if not 1 <= m <= 171:
+        raise DomainError(f"m must be in 1..171, got {m}")
     ws = np.asarray([complex(w) for w in w_grid])
     osc = float(np.abs(ws).max()) + 1.0
 

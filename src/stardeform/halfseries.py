@@ -192,17 +192,21 @@ def bernoulli_numbers_recurrence(N: int) -> list:
 
 
 def hs_to_tau_expression(f: HalfSeries, tau, w_grid):
-    """sum a_n e^{-(l+n)^2 tau/4} e^{i(l+n)w} on the grid (Re tau > 0)."""
+    """sum a_n e^{-(l+n)^2 tau/4} e^{i(l+n)w} on the grid (Re tau > 0); raises
+    DomainError when the sum is outside the float range."""
     tau_c = complex(tau)
     if tau_c.real <= 0:
         raise DomainError("Re tau must be positive")
     ws = np.asarray([complex(w) for w in w_grid])
     acc = np.zeros_like(ws, dtype=complex)
-    for n, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        k = f.base_deg + n
-        acc = acc + c.to_complex() * np.exp(-k * k * tau_c / 4 + 1j * k * ws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, c in enumerate(f.coeffs):
+            if not c:
+                continue
+            k = f.base_deg + n
+            acc = acc + c.to_complex() * np.exp(-k * k * tau_c / 4 + 1j * k * ws)
+    if not np.all(np.isfinite(acc)):
+        raise DomainError(f"tau-expression at tau={tau} is outside the float range")
     return acc
 
 

@@ -25,15 +25,18 @@ def is_mp(x) -> bool:
 def to_complex(x) -> complex:
     if isinstance(x, QC):
         return x.to_complex()
-    if is_mp(x):
-        return complex(x)
     return complex(x)
 
 
 def cexp(x):
+    """exp(x); over float complex, raises DomainError where cmath.exp
+    overflows or its argument is not finite."""
     if is_mp(x):
         return mpmath.exp(x)
-    return cmath.exp(to_complex(x))
+    try:
+        return cmath.exp(to_complex(x))
+    except (OverflowError, ValueError):
+        raise DomainError(f"exp({x}) is outside the float range") from None
 
 
 def csqrt(x):
@@ -54,11 +57,6 @@ def cabs(x) -> float:
 def pi_like(x):
     """Pi in the arithmetic of x."""
     return mpmath.pi if is_mp(x) else math.pi
-
-
-def finite(x) -> bool:
-    z = to_complex(x)
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def env_precision_digits() -> int | None:

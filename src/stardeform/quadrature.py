@@ -17,6 +17,10 @@ from .errors import QuadratureFailure
 
 
 _LOG_WINDOW_TOL = math.log(1e16)
+# Most panels integrate_gaussian_window may use.  f is sampled on 16 nodes per
+# panel for every grid point at once, so this also bounds memory per grid
+# point; on the default `dist` grid (-3..3) it admits tau down to about 6e-5.
+WINDOW_PANEL_BUDGET = 4096
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +71,9 @@ def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0)
     The window is cut at the T solving rate*T^2 - |shift|*T = log(1e16),
     rate = Re tau/4, so a factor of f growing like e^{|shift| |t|} still leaves
     a tail below 1e-16.  max(24, int(2 osc T/pi) + 8) panels resolve an
-    oscillation e^{i osc t} with at least four panels per wavelength.
+    oscillation e^{i osc t} with at least four panels per wavelength.  More
+    than WINDOW_PANEL_BUDGET panels, or a sum that is not finite, raises
+    QuadratureFailure.
     """
     tau_c = complex(tau)
     rate = tau_c.real / 4
@@ -75,10 +81,18 @@ def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0)
         raise QuadratureFailure("nonpositive Gaussian decay rate")
     g = abs(shift)
     T = (g + math.sqrt(g * g + 4 * rate * _LOG_WINDOW_TOL)) / (2 * rate)
-    n_panels = max(24, int(2 * osc * T / math.pi) + 8)
+    waves = 2 * osc * T / math.pi
+    if not waves + 8 <= WINDOW_PANEL_BUDGET:
+        raise QuadratureFailure(f"Gaussian window needs {waves + 8:.3g} panels at tau={tau}, "
+                                f"more than WINDOW_PANEL_BUDGET = {WINDOW_PANEL_BUDGET}")
+    n_panels = max(24, int(waves) + 8)
 
     def windowed(t):
         return f(t) * np.exp(-t * t * tau_c / 4)
 
-    return integrate_segment(windowed, 0.0 if side > 0 else -T, 0.0 if side < 0 else T,
-                             n_panels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = integrate_segment(windowed, 0.0 if side > 0 else -T, 0.0 if side < 0 else T,
+                                n_panels)
+    if not np.all(np.isfinite(val)):
+        raise QuadratureFailure(f"Gaussian window integral is not finite at tau={tau}")
+    return val

@@ -39,7 +39,11 @@ def laurent_series_coefficient(k: int, nu, tau, w, tol: float = 1e-18):
     """c_{2k-1}: the s^{2k-1} coefficient of (1/s) e^{nu s^2 - (w/tau)^2/s^2},
 
         sum_{q >= max(0,-k)} nu^{k+q} (-1)^q (w/tau)^{2q} / (q! (k+q)!).
+
+    |k| is at most 170, the largest n with n! below the float maximum.
     """
+    if abs(k) > 170:
+        raise DomainError(f"|k| must be at most 170, got {k}")
     acc = 0.0 + 0.0j
     x = complex(w) / complex(tau) if tau else 0.0
     x2 = x * x
@@ -58,12 +62,19 @@ def laurent_series_coefficient(k: int, nu, tau, w, tol: float = 1e-18):
 
 
 def laurent_coeff_closed(k: int, nu, tau, w):
-    """a_{2k-1}(nu, tau, w) in closed form (principal sqrt(-tau))."""
+    """a_{2k-1}(nu, tau, w) in closed form (principal sqrt(-tau)); raises
+    DomainError when it is outside the float range."""
     tau_c = complex(tau)
     if tau_c == 0:
         raise DomainError("tau must be nonzero")
-    pref = cexp(complex(nu) / tau_c - complex(w) ** 2 / tau_c) / sqrt_minus_tau(tau_c)
-    return pref * laurent_series_coefficient(k, nu, tau, w)
+    try:
+        pref = cexp(complex(nu) / tau_c - complex(w) ** 2 / tau_c) / sqrt_minus_tau(tau_c)
+        value = pref * laurent_series_coefficient(k, nu, tau, w)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(f"a_{2 * k - 1} at nu={nu}, tau={tau}, w={w} is outside the float range")
 
 
 def laurent_gausspoly(k: int, nu, tau, q_max: int = 40, tol: float = 1e-18) -> GaussPoly:
@@ -103,13 +114,23 @@ def _contour_nodes(radius: float, n_nodes: int):
     return radius * np.exp(1j * th)
 
 
+def _density_on_nodes(s, nu_c, tau_c, w_c):
+    """E(s) at the nodes s through the z-form: z = 1/tau + s^2 and
+    1 - z tau = -s^2 tau, single valued in s; sqrt(-tau) is principal."""
+    z = 1 / tau_c + s * s
+    denom = -s * s * tau_c
+    return np.exp(z * nu_c) / (sqrt_minus_tau(tau_c) * s) * np.exp(z * w_c * w_c / denom)
+
+
 def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256,
                     check: bool = True):
     """a_{2k-1} = (1/2pi i) contour-integral s^{-2k} E(s) ds on |s| = radius.
 
     The integrand is evaluated through the z-form with the substitution
     1 - z tau = -s^2 tau, which is single valued in s (the double cover
-    trivializes the cut); sqrt(-tau) is principal."""
+    trivializes the cut); sqrt(-tau) is principal.  A sum that overflows to
+    inf or nan (e.g. a radius so small that e^{w^2/(tau^2 s^2)} overflows)
+    raises NodeCountError."""
     if not radius > 0:
         raise DomainError("radius must be positive")
     if n_nodes < 1:
@@ -120,27 +141,25 @@ def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256,
 
     def value(n):
         s = _contour_nodes(radius, n)
-        z = 1 / tau_c + s * s
-        denom = -s * s * tau_c                      # 1 - z tau, exactly
-        f = np.exp(z * nu_c) / (sqrt_minus_tau(tau_c) * s) * np.exp(z * w_c * w_c / denom)
-        return np.mean(f * s ** (-2 * k) * s)        # (1/2pi i) * integral f ds
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = _density_on_nodes(s, nu_c, tau_c, w_c)
+            return np.mean(f * s ** (-2 * k) * s)    # (1/2pi i) * integral f ds
 
     got = value(n_nodes)
-    if check:
-        ref = value(2 * n_nodes)
-        if abs(got - ref) > 1e-10 * max(1.0, abs(ref)):
-            raise NodeCountError(f"contour integral not converged at {n_nodes} nodes")
+    ref = value(2 * n_nodes) if check else got
+    if not (cmath.isfinite(got) and cmath.isfinite(ref)):
+        raise NodeCountError(f"contour sum is not finite at radius {radius} "
+                             f"with {n_nodes} nodes")
+    if check and abs(got - ref) > 1e-10 * max(1.0, abs(ref)):
+        raise NodeCountError(f"contour integral not converged at {n_nodes} nodes")
     return got
 
 
 def even_coefficient_contour(j: int, nu, tau, w, radius: float = 1.0,
                              n_nodes: int = 256):
     """The would-be even coefficient a_{2j}: vanishes (odd-degree expansion)."""
-    tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
     s = _contour_nodes(radius, n_nodes)
-    z = 1 / tau_c + s * s
-    denom = -s * s * tau_c
-    f = np.exp(z * nu_c) / (sqrt_minus_tau(tau_c) * s) * np.exp(z * w_c * w_c / denom)
+    f = _density_on_nodes(s, complex(nu), complex(tau), complex(w))
     return np.mean(f * s ** (-2 * j - 1) * s)
 
 
@@ -148,11 +167,8 @@ def closed_contour_vanishing(nu, tau, w, radius: float = 1.0, n_nodes: int = 256
     """|contour-integral of :e_*^{z(nu+w-element)}: dz| around the branch point on
     the double cover (z = 1/tau + s^2, s once around; dz = 2s ds): the secondary
     residue is absent, so the integral vanishes."""
-    tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
     s = _contour_nodes(radius, n_nodes)
-    z = 1 / tau_c + s * s
-    denom = -s * s * tau_c
-    f = np.exp(z * nu_c) / (sqrt_minus_tau(tau_c) * s) * np.exp(z * w_c * w_c / denom)
+    f = _density_on_nodes(s, complex(nu), complex(tau), complex(w))
     integral = 2j * np.pi * np.mean(f * 2 * s * s)
     return abs(integral)
 
@@ -270,7 +286,9 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid, n_nodes: int = 256) -> dict:
         z = t_c + 1 / tau_c + s * s
         denom = 1 - z * tau_c
         # branch continued around the loop; winding of denom around 0 is zero
-        root = _continued_sqrt_along(denom)
+        root = _nearest_branch_sqrt(denom, cmath.sqrt(denom[0]))
+        if not abs(root[0] - root[-1]) <= abs(root[0] + root[-1]):
+            raise SingularPoint("square-root branch does not close around the contour")
         for w in w_grid:
             w_c = complex(w)
             f = np.exp(z * nu_c) / root * np.exp(z * w_c * w_c / denom)
@@ -281,18 +299,14 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid, n_nodes: int = 256) -> dict:
     return {"annihilation": worst, "t_zero_values": t_zero}
 
 
-def _continued_sqrt_along(vals):
-    """Branch-continuous sqrt along a closed node sequence; raises if the loop
-    does not close (the branch point would be inside)."""
-    out = np.empty_like(vals, dtype=complex)
-    prev = cmath.sqrt(vals[0])
+def _nearest_branch_sqrt(vals, prev):
+    """sqrt along a node sequence, each root on the branch nearer the one
+    before it (prev for the first node)."""
+    out = np.empty(len(vals), dtype=complex)
     for i, v in enumerate(vals):
         pv = cmath.sqrt(v)
         prev = pv if abs(pv - prev) <= abs(pv + prev) else -pv
         out[i] = prev
-    closing = cmath.sqrt(vals[0])
-    if not (abs(closing - prev) <= abs(closing + prev)):
-        raise SingularPoint("square-root branch does not close around the contour")
     return out
 
 
@@ -465,13 +479,8 @@ def gamma_path_integral(nu, tau, waypoints, w_grid, n_panels: int = 48,
         wt = (np.diff(edges)[:, None] * wts[None, :] / 2).ravel()
         zs = a + (b - a) * ts
         denoms = 1 - zs * tau_c
-        roots = np.empty_like(zs)
-        pr = prev_root
-        for i, dnm in enumerate(denoms):
-            pv = cmath.sqrt(dnm)
-            pr = pv if abs(pv - pr) <= abs(pv + pr) else -pv
-            roots[i] = pr
-        prev_root = pr
+        roots = _nearest_branch_sqrt(denoms, prev_root)
+        prev_root = complex(roots[-1])
         alpha = zs / denoms
         base = np.exp(zs[None, :] * nu_c + alpha[None, :] * ws[:, None] ** 2) / roots[None, :]
         if deriv == 1:

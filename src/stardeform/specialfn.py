@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Poly, star_product, w_star_power
-from .errors import QuadratureFailure, TruncationFailure
+from .errors import DomainError, QuadratureFailure, TruncationFailure
 from .exact import QC
 from .quadrature import integrate_segment_refined
 
@@ -84,8 +84,6 @@ def hermite_checks(fam: HermiteFamily) -> dict:
 def _half(tau):
     if isinstance(tau, (int, Fraction)):
         return Fraction(tau, 2)
-    if isinstance(tau, QC):
-        return tau / 2
     return tau / 2
 
 
@@ -97,18 +95,14 @@ def hermite_convolution_scale(n: int, tau) -> int | None:
     """
     acc = Poly()
     for k in range(n + 1):
-        term = star_product(fam_reduced(k, tau), fam_reduced(n - k, tau), tau)
+        term = star_product(w_star_power(k, tau), w_star_power(n - k, tau), tau)
         acc = acc + term.scale(math.comb(n, k))
-    target = fam_reduced(n, tau)
+    target = w_star_power(n, tau)
     if acc == target.scale(2 ** n):
         return n
     if acc == target:
         return 0
     return None
-
-
-def fam_reduced(n: int, tau) -> Poly:
-    return w_star_power(n, tau)
 
 
 def hermite_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
@@ -137,6 +131,10 @@ def hermite_orthogonality_target(n: int, tau) -> complex:
 
 # ------------------------------------------------------------------ Bessel
 
+# Highest start index of the backward recurrence, i.e. |z| up to about 2e4.
+BESSEL_RECURRENCE_BUDGET = 20_000
+
+
 def bessel_j(n: int, z: complex) -> complex:
     """Classical J_n, ascending series for moderate |z|, backward recurrence beyond."""
     if n < 0:
@@ -156,7 +154,11 @@ def bessel_j(n: int, z: complex) -> complex:
 
 
 def _bessel_miller(n: int, z: complex) -> complex:
-    M = int(max(n, abs(z)) + 20 + 2 * math.sqrt(max(n, abs(z)) + 1))
+    start = max(n, abs(z)) + 20 + 2 * math.sqrt(max(n, abs(z)) + 1)
+    if not start <= BESSEL_RECURRENCE_BUDGET:
+        raise TruncationFailure(f"J_{n}({z}) needs a recurrence from {start:.3g}, more than "
+                                f"BESSEL_RECURRENCE_BUDGET = {BESSEL_RECURRENCE_BUDGET}")
+    M = int(start)
     if M % 2:
         M += 1
     jp, jc = 0.0 + 0.0j, 1e-30 + 0.0j
@@ -213,8 +215,11 @@ def bessel_table(a, tau, N: int, w_grid, tol: float = 1e-14) -> BesselTable:
     x = a_c * a_c * tau_c / 8
     ws = np.asarray([complex(w) for w in w_grid])
     M = 0
-    while abs(bessel_i(M + 1, x)) > tol and M < 60:
-        M += 1
+    try:
+        while not abs(bessel_i(M + 1, x)) <= tol and M < 60:
+            M += 1
+    except OverflowError:                   # I_m(x) beyond the float range
+        M = 60
     if M >= 60:
         raise TruncationFailure("correction-factor Fourier series did not decay")
     kmax = N + 2 * M + 8
@@ -374,7 +379,7 @@ def laguerre_star(N: int, tau) -> list:
     t-coefficients of (1-t tau)^{-1/2} exp(t x/(1-t tau)); d^n/dx^n L_n = 1.
     """
     if tau == 0:
-        raise ValueError("tau must be nonzero")
+        raise DomainError("tau must be nonzero")
     out = []
     for n in range(N + 1):
         coeffs = []

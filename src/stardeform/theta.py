@@ -24,15 +24,25 @@ from .errors import DomainError, TruncationFailure
 from .numeric import cabs, cexp, csqrt, pi_like, to_complex
 
 
+# Largest truncation order theta_eval starts from: about 3.5x the order at
+# tau = 1e-6 (5.7e3 at the default tol 1e-14).
+THETA_TERM_BUDGET = 20_000
+
+
 def _require_right_halfplane(tau):
     if to_complex(tau).real <= 0:
         raise DomainError(f"Re tau must be positive, got {tau}")
 
 
 def truncation_order(tau, tol: float) -> int:
-    """Smallest N with the |q|^(N^2) tail below tol, plus safety margin."""
+    """Smallest N with the |q|^(N^2) tail below tol, plus safety margin;
+    raises TruncationFailure when N exceeds THETA_TERM_BUDGET."""
     re = to_complex(tau).real
-    return math.ceil(math.sqrt(max(math.log(1.0 / tol), 1.0) / re)) + 2
+    n = math.sqrt(max(math.log(1.0 / tol), 1.0) / re)
+    if not n + 2 <= THETA_TERM_BUDGET:
+        raise TruncationFailure(f"theta series needs {n:.3g} terms at tau={tau}, more than "
+                                f"THETA_TERM_BUDGET = {THETA_TERM_BUDGET}")
+    return math.ceil(n) + 2
 
 
 @dataclass(frozen=True)

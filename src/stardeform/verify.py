@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, distributions, halfseries, residue, specialfn, starexp, theta, vertex
+from .errors import DomainError
 from .exact import QC
 
 
@@ -27,14 +28,13 @@ class RunConfig:
     tol: float = 1e-10
     trunc: int = 24
     grid: tuple = (-2.0, 2.0, 17)
-    fmt: str = "json"
     seed: int = 7
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:
+            raise DomainError("tol must be positive")
         if self.grid[2] < 2:
-            raise ValueError("grid count must be >= 2")
+            raise DomainError("grid count must be >= 2")
 
     def w_grid(self):
         lo, hi, n = self.grid

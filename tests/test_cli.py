@@ -1,13 +1,19 @@
 """Command-line surface: subcommands, exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeform.cli import main, parse_poly, poly_to_str
 from stardeform.core import Poly
+from stardeform.errors import DomainError
+from stardeform.verify import RunConfig
 
 
 def run_cli(args, env_extra=None):
@@ -200,3 +206,160 @@ def test_precision_is_scoped_not_global(monkeypatch, capsys):
     assert mpmath.mp.dps == before
     assert capsys.readouterr().out == \
         "((0.0500000000000000027755575615629 + 0.0j))w^0 + ((1.0 + 0.0j))w^2\n"
+
+
+# Each input misbehaved before option values were typed at the parser: a
+# traceback, a printed nan, a silent pass or a message in another format.
+BAD_INPUTS = [
+    "table hermite 5 --tau abc",
+    "table legendre 3 --tau abc",
+    "table bessel 2 --grid 0,1",
+    "table laguerre 3 --tau 0",
+    "theta --w-grid 1,2",
+    "dist --w-grid 0,1,0",
+    "dist --a abc",
+    "dist --tau nan,0",
+    "conjecture 3 --tau abc",
+    "conjecture -1",
+    "eval star --f w --g w --tau nan,0",
+    "eval star --f w --g w --tau inf",
+    "eval star --f w^2 --g w^2 --tau 1e308,0",
+    "verify core --tol nan",
+    "vertex --check witt --K -1",
+    "numbers --euler -3",
+    "numbers",
+]
+
+
+@pytest.mark.parametrize("line", BAD_INPUTS)
+def test_bad_input_one_config_line(line, capsys):
+    assert_config_error(capsys, main(line.split()))
+
+
+@pytest.mark.parametrize("line", [
+    "residue --radius 1e-300",
+    "theta --tau 1e-300,0 --w-grid=-1,1,3",
+    "dist --tau 1e-300,0",
+])
+def test_kernel_failure_one_error_line(line, capsys):
+    """A contour sum that overflows, a theta series past its term budget and a
+    Gaussian window past its panel budget each raise a typed error promptly."""
+    t0 = time.perf_counter()
+    code = main(line.split())
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert code == 1 and "nan" not in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("line, code", [
+    ("theta --tau=--", 2),
+    ("residue --k=171", 2),
+    ("residue --nu=1,1e308", 2),
+    ("theta --w-grid=-1e308,0,2", 2),
+    ("conjecture 2 --tau=10,1e308", 2),
+    ("dist --side pv --m 172", 2),
+    ("dist --tau=1,1e308", 1),
+    ("table bessel 2 --a=1e308", 1),
+    ("table bessel 2 --tau=1e308", 1),
+])
+def test_extreme_option_values_one_line(line, code, capsys):
+    """Finite values at the edge of the float range end in a typed error: no
+    traceback out of main, no nan on stdout."""
+    assert main(line.split()) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    prefix = "configuration error: " if code == 2 else "error: "
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def test_exact_hermite_table_at_huge_tau(capsys):
+    """The exact table never converts its coefficients to floats."""
+    assert main(["table", "hermite", "5", "--tau=1e308"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith('5,"x^5 + 5')
+
+
+def test_run_config_rejects_nan_tol():
+    with pytest.raises(DomainError):
+        RunConfig(tol=float("nan"))
+    with pytest.raises(DomainError):
+        RunConfig(grid=(0.0, 1.0, 1))
+
+
+# --------------------------------------------------- generated option values
+
+FINITE = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "3", "1e-3", "7.25"]) \
+    | st.floats(-10, 10).map(repr)
+EXTREME = st.sampled_from(["1e-300", "-1e-300", "1e308", "-1e308"])
+NONFINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "+inf"])
+MALFORMED = st.sampled_from(["", "abc", ",", "1,", ",1", "1,2,3,4", "1e", "--", "0x10", "w"]) \
+    | st.text(max_size=6)
+NUMBER = st.one_of(FINITE, EXTREME, NONFINITE)
+SCALAR = st.one_of(NUMBER, st.tuples(NUMBER, NUMBER).map(",".join), MALFORMED)
+
+
+def small_int(lo, hi):
+    """Integers that set the cost of a command stay small; malformed text and
+    the extreme tokens still reach the parser."""
+    return st.one_of(st.integers(lo, hi).map(str), EXTREME, NONFINITE, MALFORMED)
+
+
+INT = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str), EXTREME, NONFINITE, MALFORMED)
+GRID = st.one_of(st.tuples(NUMBER, NUMBER, st.integers(-2, 9).map(str)).map(",".join),
+                 st.tuples(NUMBER, NUMBER).map(",".join), MALFORMED)
+POLY = st.one_of(st.sampled_from(["w", "w^2", "2*w^3 - w + 0.5", "(1+2i)*w^2 + 3",
+                                  "9" * 400 + "*w", "w**2", ""]),
+                 NUMBER.map(lambda c: f"{c}*w^2"), MALFORMED)
+
+# Per subcommand: the fixed argv it starts from, and the options one draw varies.
+COMMANDS = {
+    "verify": (["verify", "theta"], {"--tau": SCALAR, "--nu": SCALAR, "--tol": NUMBER,
+                                     "--trunc": INT, "--grid": GRID, "--seed": INT,
+                                     "--format": MALFORMED}),
+    "table": (["table", "bessel", "2"], {"--tau": SCALAR, "--a": SCALAR, "--grid": GRID}),
+    "table-count": (["table"], {"hermite": small_int(-3, 12), "laguerre": small_int(-3, 12),
+                                "legendre": small_int(-3, 12), "euler": small_int(-3, 40),
+                                "fourier": small_int(0, 3)}),
+    "eval": (["eval", "star", "--f", "w^2", "--g", "w"],
+             {"--tau": SCALAR, "--f": POLY, "--g": POLY}),
+    "eval-rational": (["eval", "star", "--rational", "--f", "w^2", "--g", "w"],
+                      {"--tau": SCALAR, "--f": POLY}),
+    "theta": (["theta", "--w-grid=-1,1,5"], {"--tau": SCALAR, "--kind": INT, "--w-grid": GRID}),
+    "residue": (["residue"], {"--k": INT, "--nu": SCALAR, "--tau": SCALAR, "--w": SCALAR,
+                              "--radius": NUMBER, "--nodes": small_int(-2, 64),
+                              "--tol": NUMBER}),
+    "dist": (["dist", "--w-grid=-1,1,5"], {"--a": SCALAR, "--tau": SCALAR, "--m": INT,
+                                           "--w-grid": GRID, "--side": MALFORMED}),
+    "dist-pv": (["dist", "--side", "pv", "--w-grid=-1,1,5"], {"--tau": SCALAR, "--m": INT}),
+    "vertex": (["vertex", "--check", "witt"], {"--K": small_int(-2, 4)}),
+    "numbers": (["numbers"], {"--euler": small_int(-3, 30), "--bernoulli": small_int(-3, 30)}),
+    "conjecture": (["conjecture"], {"--tau": SCALAR, "--tau-prime": SCALAR}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_any_option_value_gives_a_contract_exit(command, data):
+    """Whatever text one option gets, main returns 0, 1 or 2 without raising,
+    and a 2 comes with exactly one `configuration error:` line."""
+    base, options = COMMANDS[command]
+    name = data.draw(st.sampled_from(sorted(options)), label="option")
+    value = data.draw(options[name], label="value")
+    if command == "table-count":
+        argv = [*base, name, value]
+    else:
+        pair = [f"{name}={value}"] if data.draw(st.booleans(), label="joined") else [name, value]
+        argv = [*base, *pair, *(["2"] if command == "conjecture" else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # a positional value read as -h/--help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: "), (argv, lines)
+        assert out.getvalue() == ""
