@@ -16,6 +16,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -459,10 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place an error becomes an exit code."""
+    """Run one command; the only place an error becomes an exit code.  A
+    closed stdout (the reader of a pipe has exited) is a normal end."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -37,9 +37,5 @@ class PathError(StarDeformError):
     """A continuation path hits a forbidden point."""
 
 
-class TruncationOverflow(StarDeformError):
-    """A formal-series operation required a grade beyond the truncation."""
-
-
 class NonUnit(StarDeformError):
     """Attempted to invert a series with vanishing constant term."""

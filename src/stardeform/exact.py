@@ -13,6 +13,8 @@ from math import gcd
 from operator import add
 from typing import Union
 
+from .errors import DomainError
+
 _Rat = Union[int, Fraction]
 
 
@@ -145,7 +147,11 @@ class QC:
         return _new(self._a, -self._b, self._d)
 
     def to_complex(self) -> complex:
-        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
+        """Nearest float complex; raises DomainError beyond the float range."""
+        try:
+            return complex(self._a / self._d) + 1j * complex(self._b / self._d)
+        except OverflowError:
+            raise DomainError("exact value is outside the float range") from None
 
     def __repr__(self):
         if not self._b:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, distributions, halfseries, residue, specialfn, starexp, theta, vertex
-from .errors import DomainError
+from .errors import DomainError, StarDeformError
 from .exact import QC
 
 
@@ -126,15 +126,18 @@ def suite_starexp(cfg: RunConfig) -> list:
     out.append(_rec("linear-exponential-law", "product of linear exponentials in closed form",
                     worst, 1e-12))
 
-    worst = 0.0
+    worst, evaluated = 0.0, 0
     for _ in range(40):
         s = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         t = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         tau = cmath.exp(2j * math.pi * rng.random()) * rng.random()
         try:
             worst = max(worst, starexp.quad_exponential_law(s, t, tau))
-        except Exception:
+        except StarDeformError:
             continue
+        evaluated += 1
+    if evaluated < 20:      # too few cases ran for the law to be checked
+        worst = math.inf
     out.append(_rec("quadratic-exponential-law", "square-root composition law on sheets",
                     worst, 1e-12))
 

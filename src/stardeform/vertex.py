@@ -5,8 +5,11 @@ Generators x_m carry brackets [x_m, x_n] = (m - n) a_{m+n-1} with values in the
 coefficient ring (exact polynomials in nu, w^2, 1/tau times the formal unit
 gamma standing for e^{nu/tau} (-tau)^{-1/2} e^{-w^2/tau}); the operators L_n
 act by [L_n, x_m (x) u^k] = m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}, where
-u is the formal star power of the quadratic element.  The u-grade cap K is the
-only approximation; all coefficients are exact.
+u is the formal star power of the quadratic element.  The action and the
+normalized generators only multiply by rationals, so span elements are
+rational combinations of x_m (x) u^k; ring values appear only in the central
+part returned by bracket_elems.  The u-grade cap K is the only approximation;
+all coefficients are exact.
 
 Composition-order convention: the operator commutator ad(L_n)ad(L_l) -
 ad(L_l)ad(L_n) equals (l - n) ad(L_{n+l}) exactly on the span (the opposite
@@ -19,8 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import TruncationOverflow
 from .exact import QC, SparseLaurent
 
 
@@ -29,10 +32,6 @@ class CoeffRing(SparseLaurent):
     zinv stands for 1/tau and gamma for the transcendental envelope unit."""
 
     __slots__ = ()
-
-    @classmethod
-    def scalar(cls, c) -> "CoeffRing":
-        return cls({(0, 0, 0, 0): c})
 
     def evaluate(self, tau, nu, w) -> complex:
         """Numeric substitution; gamma evaluates through the principal branch."""
@@ -62,48 +61,42 @@ def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     return CoeffRing(terms)
 
 
+@lru_cache(maxsize=4096)
 def bracket_xx(m: int, n: int, cap: int = 8) -> CoeffRing:
-    """[x_m, x_n] = (m - n) a_{m+n-1}."""
+    """[x_m, x_n] = (m - n) a_{m+n-1}.
+
+    Cached per (m, n, cap), so callers share the returned element: every
+    SparseLaurent operation returns an element over a fresh dict and no caller
+    mutates one."""
     return laurent_coefficient_ring(m + n - 1, cap).scale(m - n)
 
 
 @dataclass(frozen=True)
 class VertexElem:
-    """Finite combination of basis symbols x_m (x) u^k with CoeffRing coefficients."""
-    terms: dict = field(default_factory=dict)   # (m, k) -> CoeffRing
+    """Finite rational combination of basis symbols x_m (x) u^k: terms maps
+    (m, k) to a nonzero Fraction, with grades k <= trunc."""
+    terms: dict = field(default_factory=dict)   # (m, k) -> Fraction
     trunc: int = 6
-    truncated: bool = False                      # a grade-> K term was dropped
 
-    def add_term(self, m: int, k: int, coeff: CoeffRing, strict: bool = False):
-        if coeff.is_zero():
-            return self
-        if k > self.trunc:
-            if strict:
-                raise TruncationOverflow(f"grade {k} exceeds cap {self.trunc}")
-            return VertexElem(self.terms, self.trunc, True)
-        out = dict(self.terms)
-        cur = out.get((m, k))
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            out.pop((m, k), None)
-        else:
-            out[(m, k)] = s
-        return VertexElem(out, self.trunc, self.truncated)
+    @classmethod
+    def build(cls, pairs, trunc: int) -> "VertexElem":
+        """Sum of c x_m (x) u^k over ((m, k), c) in pairs; grades above trunc
+        are dropped, as are keys whose coefficients cancel."""
+        out: dict = {}
+        for mk, c in pairs:
+            if mk[1] <= trunc:
+                out[mk] = out.get(mk, 0) + c
+        return cls({mk: c for mk, c in out.items() if c}, trunc)
 
     def __add__(self, other: "VertexElem") -> "VertexElem":
-        out = self
-        for (m, k), c in other.terms.items():
-            out = out.add_term(m, k, c)
-        return VertexElem(out.terms, self.trunc, out.truncated or other.truncated)
+        return VertexElem.build([*self.terms.items(), *other.terms.items()], self.trunc)
 
     def scale(self, c) -> "VertexElem":
-        scaled = {mk: v.scale(c) for mk, v in self.terms.items()}
-        return VertexElem({mk: v for mk, v in scaled.items() if not v.is_zero()},
-                          self.trunc, self.truncated)
+        return VertexElem.build([(mk, v * c) for mk, v in self.terms.items()], self.trunc)
 
     def restrict(self, grade: int) -> "VertexElem":
         return VertexElem({(m, k): v for (m, k), v in self.terms.items() if k <= grade},
-                          self.trunc, self.truncated)
+                          self.trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -113,16 +106,15 @@ class VertexElem:
 
 
 def x_elem(m: int, K: int = 6) -> VertexElem:
-    return VertexElem({(m, 0): CoeffRing.scalar(1)}, K)
+    return VertexElem({(m, 0): Fraction(1)}, K)
 
 
-def L_action(n: int, e: VertexElem, strict: bool = False) -> VertexElem:
+def L_action(n: int, e: VertexElem) -> VertexElem:
     """[L_n, .] on the span: x_m (x) u^k -> m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}."""
-    out = VertexElem({}, e.trunc, e.truncated)
+    pairs = []
     for (m, k), c in e.terms.items():
-        out = out.add_term(n + m, k, c.scale(m), strict)
-        out = out.add_term(n + m + 2, k + 1, c.scale(2), strict)
-    return out
+        pairs += (((n + m, k), c * m), ((n + m + 2, k + 1), c * 2))
+    return VertexElem.build(pairs, e.trunc)
 
 
 def ad_commutator(n: int, ell: int, e: VertexElem) -> VertexElem:
@@ -144,10 +136,8 @@ def y_generator(m: int, K: int = 6) -> VertexElem:
 
     This is the dressing that satisfies [L_n, y_m] = m y_{n+m} exactly at every
     grade (the x-index steps by 2 per u-grade, matching the action's shift)."""
-    out = VertexElem({}, K)
-    for k in range(K + 1):
-        out = out.add_term(m + 2 * k, k, CoeffRing.scalar(Fraction((-1) ** k, math.factorial(k))))
-    return out
+    return VertexElem.build([((m + 2 * k, k), Fraction((-1) ** k, math.factorial(k)))
+                             for k in range(K + 1)], K)
 
 
 def y_eigen_defect(n: int, m: int, K: int = 6) -> VertexElem:
@@ -172,7 +162,7 @@ def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> dic
             b = bracket_xx(m, n, qcap)
             if b.is_zero():
                 continue
-            term = b * c1 * c2
+            term = b.scale(c1 * c2)
             cur = out.get(g)
             s = term if cur is None else cur + term
             if s.is_zero():

@@ -26,6 +26,26 @@ def run_cli(args, env_extra=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["verify", "core"], ["numbers", "--euler", "3"]],
+                         ids=["report", "line"])
+def test_closed_stdout_is_a_normal_end(args, unbuffered):
+    """The reader of the pipe exits before the output is written (as with
+    `stardeform verify core | head -c 0`): exit 0, nothing on stderr, whether
+    the write fails in the command or in the flush at interpreter exit."""
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "stardeform.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
 def test_parse_poly_round_trip():
     p = parse_poly("w^2")
     assert p == Poly([0.0, 0.0, 1.0])

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardeform.core import Poly
+from stardeform.errors import DomainError
 from stardeform.exact import QC
+from stardeform.specialfn import hermite_table
 
 RATS = st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=60),
                  st.integers(-10 ** 20, 10 ** 20).map(lambda n: Fraction(n, 10 ** 12 + 39)))
@@ -184,3 +186,13 @@ def test_read_only_parts_and_float_operands_rejected():
         with pytest.raises(TypeError):
             op(1.5, q)
     assert (q == 0.5) is False
+
+
+def test_to_complex_beyond_float_range_is_domain_error():
+    assert QC(10 ** 308).to_complex() == 1e308
+    with pytest.raises(DomainError):
+        QC(10 ** 400).to_complex()
+    with pytest.raises(DomainError):
+        QC(0, -10 ** 400).to_complex()
+    with pytest.raises(DomainError):
+        hermite_table(5, QC(10 ** 308))

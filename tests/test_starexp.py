@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from stardeform import starexp, verify
 from stardeform.core import Poly
 from stardeform.errors import SingularPoint, SingularProduct
 from stardeform.starexp import (GaussPoly, PathParam, continue_sqrt, gauss_star, gp_sub_on_grid,
@@ -295,3 +296,31 @@ def test_triple_transport_has_mixed_flip_set():
         signs[t] = triple_transport_sign(t, taus)
     vals = set(signs.values())
     assert vals == {1, -1}, f"flip set degenerate: {signs}"
+
+
+@pytest.mark.parametrize("skipped, passes", [(0, True), (20, True), (21, False), (40, False)])
+def test_quadratic_law_record_needs_half_its_cases(skipped, passes, monkeypatch):
+    """The record fails once fewer than 20 of its 40 cases evaluate."""
+    calls = []
+
+    def law(s, t, tau):
+        calls.append(1)
+        if len(calls) <= skipped:
+            raise SingularPoint("forced")
+        return 0.0
+
+    monkeypatch.setattr(starexp, "quad_exponential_law", law)
+    rec, = [r for r in verify.suite_starexp(verify.RunConfig())
+            if r["anchor"] == "quadratic-exponential-law"]
+    assert len(calls) == 40
+    assert rec["passed"] is passes
+    assert rec["residual"] == (0.0 if passes else math.inf)
+
+
+def test_quadratic_law_record_propagates_untyped_errors(monkeypatch):
+    def law(s, t, tau):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr(starexp, "quad_exponential_law", law)
+    with pytest.raises(RuntimeError):
+        verify.suite_starexp(verify.RunConfig())

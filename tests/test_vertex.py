@@ -3,16 +3,29 @@
 import cmath
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from stardeform.errors import TruncationOverflow
-from stardeform.exact import QC
 from stardeform.residue import laurent_coeff_closed
-from stardeform.vertex import (CoeffRing, L_action, VertexElem, ad_commutator, bracket_elems,
+from stardeform.vertex import (L_action, VertexElem, ad_commutator, bracket_elems,
                                bracket_xx, central_constraint_check, central_scale, central_sub,
                                central_zero, jacobi_x_check, k_centrality_check,
                                laurent_coefficient_ring, truncation_stability, witt_identity_check,
                                x_elem, y_eigen_defect, y_generator)
+
+TRUNC = 3
+RATS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+INDICES = st.integers(-3, 3)
+
+
+def elems(trunc: int = TRUNC):
+    """Rational combinations of x_m (x) u^k, |m| <= 3, k <= trunc."""
+    keys = st.tuples(INDICES, st.integers(0, trunc))
+    return st.dictionaries(keys, RATS.filter(bool), max_size=4) \
+        .map(lambda terms: VertexElem(terms, trunc))
+
+
+def canonical(e: VertexElem) -> bool:
+    return all(isinstance(c, Fraction) and c and k <= e.trunc for (_, k), c in e.terms.items())
 
 
 def test_bracket_antisymmetry_and_diagonal():
@@ -53,19 +66,15 @@ def test_L_action_rule():
     out = L_action(0, e)
     # [L_0, x_0] = 2 x_2 (x) u
     assert set(out.terms) == {(2, 1)}
-    assert out.terms[(2, 1)] == CoeffRing.scalar(2)
+    assert out.terms[(2, 1)] == Fraction(2)
 
     out2 = L_action(3, x_elem(2, K=4))
-    assert out2.terms[(5, 0)] == CoeffRing.scalar(2)
-    assert out2.terms[(7, 1)] == CoeffRing.scalar(2)
+    assert out2.terms[(5, 0)] == Fraction(2)
+    assert out2.terms[(7, 1)] == Fraction(2)
 
 
-def test_L_action_strict_overflow():
-    e = x_elem(0, K=0)
-    with pytest.raises(TruncationOverflow):
-        L_action(0, e, strict=True)
-    dropped = L_action(0, e)
-    assert dropped.truncated and dropped.is_zero()
+def test_L_action_drops_grade_above_cap():
+    assert L_action(0, x_elem(0, K=0)).is_zero()
 
 
 def test_nested_action_expansion():
@@ -73,9 +82,9 @@ def test_nested_action_expansion():
     n, ell, m = 1, -2, 3
     e = x_elem(m, K=6)
     out = L_action(ell, L_action(n, e))
-    assert out.terms[(n + m + ell, 0)] == CoeffRing.scalar(m * (n + m))
-    assert out.terms[(n + m + ell + 2, 1)] == CoeffRing.scalar(2 * m + 2 * (n + m + 2))
-    assert out.terms[(n + m + ell + 4, 2)] == CoeffRing.scalar(4)
+    assert out.terms[(n + m + ell, 0)] == Fraction(m * (n + m))
+    assert out.terms[(n + m + ell + 2, 1)] == Fraction(2 * m + 2 * (n + m + 2))
+    assert out.terms[(n + m + ell + 4, 2)] == Fraction(4)
 
 
 def test_witt_identity_samples_and_sweep():
@@ -91,7 +100,7 @@ def test_y_generator_structure():
     y = y_generator(2, K=0)
     assert set(y.terms) == {(2, 0)}
     y3 = y_generator(-1, K=3)
-    assert y3.terms[(-1 + 2 * 2, 2)] == CoeffRing.scalar(Fraction(1, 2))
+    assert y3.terms[(-1 + 2 * 2, 2)] == Fraction(1, 2)
 
 
 def test_y_eigen_exact():
@@ -106,10 +115,8 @@ def test_alternative_dressing_fails_eigen():
     # term lands off the support lattice and nothing cancels it
     import math
     m, K = 1, 4
-    bad = VertexElem({}, K + 1)
-    for k in range(K + 2):
-        bad = bad.add_term(m + k, k,
-                           CoeffRing.scalar(Fraction((-2) ** k, math.factorial(k))))
+    bad = VertexElem.build([((m + k, k), Fraction((-2) ** k, math.factorial(k)))
+                            for k in range(K + 2)], K + 1)
     lhs = L_action(0, bad).restrict(1)
     rhs = bad.scale(m).restrict(1)
     assert lhs != rhs
@@ -156,3 +163,56 @@ def test_truncation_stability():
 
 def test_jacobi_x():
     assert jacobi_x_check(3)
+
+
+@settings(deadline=None)
+@given(elems(), elems(), RATS, INDICES)
+def test_L_action_is_linear(a, b, r, n):
+    out = L_action(n, a + b)
+    assert out == L_action(n, a) + L_action(n, b)
+    assert L_action(n, a.scale(r)) == L_action(n, a).scale(r)
+    assert canonical(out)
+
+
+@settings(deadline=None)
+@given(elems(), RATS)
+def test_sum_with_negative_is_zero(e, r):
+    diff = e + e.scale(-1)
+    assert diff.is_zero() and diff.terms == {}
+    assert e.scale(0).terms == {}
+    assert canonical(e.scale(r)) and canonical(e + e)
+
+
+@settings(deadline=None)
+@given(elems(), elems(), elems(), RATS)
+def test_bracket_bilinear_antisymmetric(a, b, c, r):
+    def add(x, y):
+        return central_sub(x, central_scale(y, -1))
+
+    assert central_zero(central_sub(bracket_elems(a + b, c),
+                                    add(bracket_elems(a, c), bracket_elems(b, c))))
+    assert central_zero(central_sub(bracket_elems(a.scale(r), c),
+                                    central_scale(bracket_elems(a, c), r)))
+    assert central_zero(central_sub(bracket_elems(a, b),
+                                    central_scale(bracket_elems(b, a), -1)))
+
+
+@settings(deadline=None)
+@given(elems(TRUNC + 2), INDICES, INDICES)
+def test_witt_identity_on_generated_elements(e, n, ell):
+    # grades <= TRUNC see no term dropped at the cap TRUNC + 2
+    lhs = ad_commutator(n, ell, e).restrict(TRUNC)
+    rhs = L_action(n + ell, e).scale(ell - n).restrict(TRUNC)
+    assert lhs == rhs
+
+
+@settings(deadline=None)
+@given(st.dictionaries(INDICES, RATS, max_size=4), INDICES)
+def test_L_action_is_diagonal_on_normalized_generators(coeffs, n):
+    """[L_n, sum r_m y_m] = sum m r_m y_{n+m} on grades <= TRUNC."""
+    e = VertexElem({}, TRUNC + 1)
+    want = VertexElem({}, TRUNC + 1)
+    for m, r in coeffs.items():
+        e = e + y_generator(m, TRUNC + 1).scale(r)
+        want = want + y_generator(n + m, TRUNC + 1).scale(m * r)
+    assert L_action(n, e).restrict(TRUNC) == want.restrict(TRUNC)
