@@ -300,7 +300,7 @@ def cmd_theta(args) -> int:
             with mpmath.workdps(digits):
                 val = complex(theta_eval(args.kind, mpmath.mpc(w, 0.0),
                                          mpmath.mpc(tau.real, tau.imag),
-                                         tol=10.0 ** (-digits + 4)))
+                                         tol=mpmath.mpf(10) ** (4 - digits)))
         else:
             val = theta_eval(args.kind, float(w), tau)
         resid = quasi_periodicity_residual(args.kind, float(w), tau)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import Poly, intertwine
 from .errors import DomainError, QuadratureFailure
-from .quadrature import (gaussian_halfwidth, integrate_gaussian_window, integrate_segment,
-                         integrate_segment_refined)
+from .quadrature import (_gl_nodes, gaussian_halfwidth, integrate_gaussian_window,
+                         integrate_segment, integrate_segment_refined)
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 
 TWO_PI = 2 * math.pi
@@ -399,7 +399,17 @@ def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int, n_side: int = 400):
 
     side=+1 is the t<=0 half (the '+' inverse).  With Im a < 0 < Im b the
     quadrants (+,+), (-,-), (+,-) are absolutely convergent; (-,+) grows like
-    e^{(|Im a|+|Im b|) R} along its flat direction and is not integrable."""
+    e^{(|Im a|+|Im b|) R} along its flat direction and is not integrable.
+
+    The rule is the n_side-point Gauss-Legendre product rule on [0, T]^2.  Its
+    w-dependence separates, e^{i(t+s)w} = e^{itw} e^{isw}, so with the
+    w-independent kernel base[i, j] = e^{i t_i a + i s_j b - (t_i+s_j)^2 tau/4}
+    and E_t[w, i] = wt_i e^{i t_i w} (likewise E_s) every grid point is
+
+        pref * sum_ij E_t[w, i] base[i, j] E_s[w, j],
+
+    one matrix product over the whole grid instead of an n_side x n_side mesh
+    of exponentials per point."""
     tau_c, a_c, b_c = complex(tau), complex(a), complex(b)
     ws = np.asarray([complex(w) for w in w_grid])
     if side_a < 0 and side_b > 0:
@@ -407,23 +417,20 @@ def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int, n_side: int = 400):
     rate = tau_c.real / 4
     decay = max(min(abs(a_c.imag), abs(b_c.imag)), 0.25)
     T = gaussian_halfwidth(rate) + math.log(1e12) / decay
-    xs, wts = np.polynomial.legendre.leggauss(n_side)
-    half = T / 2
+    xs, wts = _gl_nodes(n_side)     # on [0, 1]
 
     def axis(side):
-        return (xs + 1) * half if side < 0 else -(xs + 1) * half
+        return xs * T if side < 0 else -xs * T
 
     t = axis(side_a)
     s = axis(side_b)
-    wt = wts * half
-    tt, ss_ = np.meshgrid(t, s, indexing="ij")
-    base = np.exp(1j * tt * a_c + 1j * ss_ * b_c - (tt + ss_) ** 2 * tau_c / 4)
-    out = []
+    wt = wts * T
+    base = np.exp(1j * t[:, None] * a_c + 1j * s[None, :] * b_c
+                  - (t[:, None] + s[None, :]) ** 2 * tau_c / 4)
+    E_t = wt * np.exp(1j * ws[:, None] * t[None, :])
+    E_s = wt * np.exp(1j * ws[:, None] * s[None, :])
     pref = (1j if side_a > 0 else -1j) * (1j if side_b > 0 else -1j)
-    for w in ws:
-        integ = base * np.exp(1j * (tt + ss_) * w)
-        out.append(pref * np.einsum("i,j,ij->", wt, wt, integ))
-    return np.asarray(out)
+    return pref * np.einsum("wj,wj->w", E_t @ base, E_s)
 
 
 def product_of_inverses_residual(a, b, tau, w_grid) -> dict:

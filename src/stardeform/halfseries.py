@@ -15,10 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonUnit
+from .errors import DomainError, NonUnit, TruncationFailure
 from .exact import QC
 
 DEFAULT_TRUNC = 24
+# Highest truncation order hs_inverse accepts.  Exact inversion costs about
+# K^4 (K^2 products of coefficients whose size grows with K); this admits
+# `table euler|bernoulli 400` (K = 402, about 11 s on a 2-core host).
+SERIES_ORDER_BUDGET = 402
 
 
 def _qc(x) -> QC:
@@ -100,6 +104,9 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
     if not a or not a[0]:
         raise NonUnit("constant term vanishes; not invertible in the half-series algebra")
     K = f.trunc
+    if K > SERIES_ORDER_BUDGET:
+        raise TruncationFailure(f"half-series inversion to order {K} exceeds "
+                                f"SERIES_ORDER_BUDGET = {SERIES_ORDER_BUDGET}")
     b = [QC(0)] * (K + 1)
     b[0] = QC(1) / a[0]
     for n in range(1, K + 1):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationFailure
-from .numeric import cabs, cexp, csqrt, pi_like, to_complex
+from .numeric import cabs, cexp, csqrt, is_mp, pi_like, to_complex
 
 
 # Largest truncation order theta_eval starts from: about 3.5x the order at
@@ -34,11 +34,17 @@ def _require_right_halfplane(tau):
         raise DomainError(f"Re tau must be positive, got {tau}")
 
 
-def truncation_order(tau, tol: float) -> int:
+def truncation_order(tau, tol) -> int:
     """Smallest N with the |q|^(N^2) tail below tol, plus safety margin;
-    raises TruncationFailure when N exceeds THETA_TERM_BUDGET."""
+    raises TruncationFailure when N exceeds THETA_TERM_BUDGET.  tol may be an
+    mpmath.mpf below the float range."""
     re = to_complex(tau).real
-    n = math.sqrt(max(math.log(1.0 / tol), 1.0) / re)
+    if is_mp(tol):
+        import mpmath
+        log_inv_tol = float(-mpmath.log(tol))
+    else:
+        log_inv_tol = -math.log(tol)
+    n = math.sqrt(max(log_inv_tol, 1.0) / re)
     if not n + 2 <= THETA_TERM_BUDGET:
         raise TruncationFailure(f"theta series needs {n:.3g} terms at tau={tau}, more than "
                                 f"THETA_TERM_BUDGET = {THETA_TERM_BUDGET}")

@@ -19,6 +19,7 @@ import numpy as np
 from . import core, distributions, halfseries, residue, specialfn, starexp, theta, vertex
 from .errors import DomainError, StarDeformError
 from .exact import QC
+from .numeric import cexp
 
 
 @dataclass
@@ -149,17 +150,19 @@ def suite_starexp(cfg: RunConfig) -> list:
         f = starexp.GaussPoly(core.Poly.const(1), a1, 0.0)
         g = starexp.GaussPoly(core.Poly.const(1), a2, 0.0)
         prod = starexp.gauss_star(f, g, tau)
-        from .numeric import cexp
-        for w in (-0.8, 0.5):
-            qf, qg = f.poly, g.poly
-            cf, cg = core.Poly([f.beta, 2 * f.alpha]), core.Poly([g.beta, 2 * g.alpha])
-            acc = qf(w) * qg(w)
-            scl = 1.0
-            for k in range(1, 60):
-                qf = qf.deriv() + qf * cf
-                qg = qg.deriv() + qg * cg
-                scl = scl * tau / (2 * k)
-                acc += scl * qf(w) * qg(w)
+        # qf, qg and scl do not depend on w: one recursion feeds both sums
+        ws = (-0.8, 0.5)
+        qf, qg = f.poly, g.poly
+        cf, cg = core.Poly([f.beta, 2 * f.alpha]), core.Poly([g.beta, 2 * g.alpha])
+        accs = [qf(w) * qg(w) for w in ws]
+        scl = 1.0
+        for k in range(1, 60):
+            qf = qf.deriv() + qf * cf
+            qg = qg.deriv() + qg * cg
+            scl = scl * tau / (2 * k)
+            for i, w in enumerate(ws):
+                accs[i] += scl * qf(w) * qg(w)
+        for w, acc in zip(ws, accs):
             acc *= cexp(f.alpha * w * w) * cexp(g.alpha * w * w)
             worst = max(worst, abs(prod(w) - acc) / max(1.0, abs(acc)))
     out.append(_rec("gaussian-product-series-oracle",

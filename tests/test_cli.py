@@ -228,6 +228,24 @@ def test_precision_is_scoped_not_global(monkeypatch, capsys):
         "((0.0500000000000000027755575615629 + 0.0j))w^0 + ((1.0 + 0.0j))w^2\n"
 
 
+@pytest.mark.parametrize("digits", [320, 330, 400])
+def test_theta_precision_below_float_range(digits, monkeypatch, capsys):
+    """The series tolerance 10^(4 - digits) lies below the float range here;
+    it is formed and its logarithm taken in mpmath, so the command prints rows
+    instead of failing on an underflowed tolerance."""
+    import mpmath
+    monkeypatch.setenv("STARDEFORM_PRECISION", str(digits))
+    assert main(["theta", "--tau", "1,0.5", "--w-grid=-1,1,5"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "w,re_theta,im_theta,quasi_periodicity_residual"
+    assert len(rows) == 5
+    q = mpmath.exp(-mpmath.mpc(1, 0.5))
+    for row in rows:
+        w, re_val, im_val, _ = row.split(",")
+        want = complex(mpmath.jtheta(3, float(w), q))
+        assert abs(complex(float(re_val), float(im_val)) - want) <= 1e-14
+
+
 # Each input misbehaved before option values were typed at the parser: a
 # traceback, a printed nan, a silent pass or a message in another format.
 BAD_INPUTS = [
@@ -260,10 +278,13 @@ def test_bad_input_one_config_line(line, capsys):
     "residue --radius 1e-300",
     "theta --tau 1e-300,0 --w-grid=-1,1,3",
     "dist --tau 1e-300,0",
+    "table euler 2000",
+    "numbers --bernoulli 1000",
 ])
 def test_kernel_failure_one_error_line(line, capsys):
-    """A contour sum that overflows, a theta series past its term budget and a
-    Gaussian window past its panel budget each raise a typed error promptly."""
+    """A contour sum that overflows, a theta series past its term budget, a
+    Gaussian window past its panel budget and a half-series inversion past its
+    order budget each raise a typed error promptly."""
     t0 = time.perf_counter()
     code = main(line.split())
     assert time.perf_counter() - t0 < 5.0

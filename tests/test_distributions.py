@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from stardeform import distributions, verify
 from stardeform.core import Poly
 from stardeform.distributions import (associativity_break_gap, constant_variation_defect,
                                       delta_annihilation, delta_difference_residual, delta_mass,
@@ -19,6 +20,7 @@ from stardeform.distributions import (associativity_break_gap, constant_variatio
                                       slowly_increasing_transform, tempered_transform,
                                       y_sgn_identity_residuals)
 from stardeform.errors import DomainError
+from stardeform.quadrature import gaussian_halfwidth
 from stardeform.starexp import star_poly_gauss
 from stardeform.theta import theta_eval
 
@@ -200,6 +202,71 @@ def test_product_of_inverses_and_vanishing():
     res = product_of_inverses_residual(a, b, tau, W_SMALL)
     assert res["product_law"] < 1e-8
     assert res["delta_pair_product"] < 1e-8
+
+
+def _double_osc_per_point(tau, a, b, w_grid, side_a, side_b, n_side=400):
+    """The product rule evaluated point by point: the full n_side x n_side mesh
+    of e^{i(t+s)w} for every w, on Gauss-Legendre nodes taken from numpy."""
+    tau_c, a_c, b_c = complex(tau), complex(a), complex(b)
+    decay = max(min(abs(a_c.imag), abs(b_c.imag)), 0.25)
+    T = gaussian_halfwidth(tau_c.real / 4) + math.log(1e12) / decay
+    xs, wts = np.polynomial.legendre.leggauss(n_side)
+    half = T / 2
+    t = (xs + 1) * half * (1 if side_a < 0 else -1)
+    s = (xs + 1) * half * (1 if side_b < 0 else -1)
+    tt, ss = np.meshgrid(t, s, indexing="ij")
+    base = np.exp(1j * tt * a_c + 1j * ss * b_c - (tt + ss) ** 2 * tau_c / 4)
+    pref = (1j if side_a > 0 else -1j) * (1j if side_b > 0 else -1j)
+    return np.asarray([pref * np.einsum("i,j,ij->", wts * half, wts * half,
+                                        base * np.exp(1j * (tt + ss) * w))
+                       for w in w_grid])
+
+
+@pytest.mark.parametrize("n_points", [5, 17])
+@pytest.mark.parametrize("tau", [1.0, 0.6 + 0.9j, 2 - 0.7j])
+@pytest.mark.parametrize("sides", [(1, 1), (-1, -1), (1, -1)])
+def test_double_osc_matches_per_point_rule(sides, tau, n_points):
+    a, b = 0.3 - 0.6j, -0.2 + 0.5j
+    ws = np.linspace(-2.0, 2.0, n_points)
+    got = distributions._double_osc(tau, a, b, ws, *sides)
+    want = _double_osc_per_point(tau, a, b, ws, *sides)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_double_osc_rejects_divergent_quadrant():
+    with pytest.raises(DomainError):
+        distributions._double_osc(1.0, 0.3 - 0.6j, -0.2 + 0.5j, W_SMALL, -1, 1)
+
+
+def test_product_rule_nodes_are_computed_once(monkeypatch):
+    a, b = 0.3 - 0.6j, -0.2 + 0.5j
+    product_of_inverses_residual(a, b, 1.0, W_SMALL)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    product_of_inverses_residual(a, b, 1.0, W_SMALL)
+    assert calls == []
+
+
+def test_inverse_product_law_record_detects_a_perturbed_inverse(monkeypatch):
+    """The law compares the 2-D rule against the sided inverses; a relative
+    error of 1e-6 in those inverses must fail the record."""
+    def record():
+        rec, = [r for r in verify.run_suite("dist", verify.RunConfig())
+                if r["anchor"] == "inverse-product-law"]
+        return rec
+
+    assert record()["passed"] is True
+    sided_inverse_ = distributions.sided_inverse
+    monkeypatch.setattr(distributions, "sided_inverse",
+                        lambda *args: sided_inverse_(*args) * (1 + 1e-6))
+    assert record()["passed"] is False
 
 
 def test_associativity_break_matches_theta():

@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stardeform.errors import NonUnit
+from stardeform.errors import NonUnit, TruncationFailure
 from stardeform.exact import QC
-from stardeform.halfseries import (DEFAULT_TRUNC, FormalSeries, HalfSeries, bernoulli_numbers,
-                                   bernoulli_numbers_formal, bernoulli_numbers_recurrence,
+from stardeform.halfseries import (DEFAULT_TRUNC, SERIES_ORDER_BUDGET, FormalSeries, HalfSeries,
+                                   bernoulli_numbers, bernoulli_numbers_formal,
+                                   bernoulli_numbers_recurrence,
                                    euler_numbers, euler_numbers_formal, euler_numbers_recurrence,
                                    exp_series, hs_inverse, hs_mul, hs_to_tau_expression,
                                    zero_detection)
@@ -191,3 +192,14 @@ def test_field_axioms_random():
         s = HalfSeries(g.base_deg, tuple(a + b for a, b in zip(g.coeffs, h.coeffs)), 10)
         assert hs_mul(f, s).coeffs == tuple(
             a + b for a, b in zip(hs_mul(f, g).coeffs, hs_mul(f, h).coeffs))
+
+
+def test_inverse_order_budget():
+    """Inversion is exact up to SERIES_ORDER_BUDGET and refused above it."""
+    K = SERIES_ORDER_BUDGET
+    inv = hs_inverse(HalfSeries.from_list([1, 1], 0, K))
+    assert list(inv.coeffs) == [QC((-1) ** n) for n in range(K + 1)]
+    with pytest.raises(TruncationFailure, match="SERIES_ORDER_BUDGET"):
+        hs_inverse(HalfSeries.from_list([1, 1], 0, K + 1))
+    with pytest.raises(TruncationFailure):
+        euler_numbers(K // 2)

@@ -324,3 +324,18 @@ def test_quadratic_law_record_propagates_untyped_errors(monkeypatch):
     monkeypatch.setattr(starexp, "quad_exponential_law", law)
     with pytest.raises(RuntimeError):
         verify.suite_starexp(verify.RunConfig())
+
+
+def test_series_oracle_record_detects_a_perturbed_product(monkeypatch):
+    """The truncated defining sum must tell a product that is off by a
+    relative 1e-6 from the closed Gaussian product."""
+    def record():
+        rec, = [r for r in verify.run_suite("starexp", verify.RunConfig())
+                if r["anchor"] == "gaussian-product-series-oracle"]
+        return rec
+
+    assert record()["passed"] is True
+    gauss_star_ = starexp.gauss_star
+    monkeypatch.setattr(starexp, "gauss_star",
+                        lambda *args: gauss_star_(*args).scaled(1 + 1e-6))
+    assert record()["passed"] is False
