@@ -8,6 +8,9 @@ Output is CSV (header row; complex values as re,im column pairs) or JSON
 (schema 1, snake_case keys, residuals as decimal strings).  Reports are
 byte-identical for identical configurations including the seed.
 STARDEFORM_PRECISION selects extended-precision digits where supported.
+Each handler imports what its command needs: the exact commands (the exact
+tables, `eval star`, `vertex`, `numbers`) load neither numpy nor mpmath,
+mpmath loads only under STARDEFORM_PRECISION, and `verify` loads the suites.
 """
 
 from __future__ import annotations
@@ -21,14 +24,10 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath
-import numpy as np
-
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, StarDeformError
 from .exact import QC
 from .numeric import env_precision_digits
-from .verify import RunConfig, run_suite
 
 SCHEMA = 1
 
@@ -180,6 +179,8 @@ def emit_csv(header, rows, stream=None):
 
 
 def cmd_verify(args) -> int:
+    from .verify import RunConfig, run_suite
+
     cfg = RunConfig(tau=args.tau, nu=args.nu, tol=args.tol, trunc=args.trunc,
                     grid=args.grid, seed=args.seed)
     records = run_suite(args.suite, cfg)
@@ -205,13 +206,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from . import halfseries, specialfn
-
     fam = args.family
     N = args.count
     if fam in ("euler", "bernoulli"):
+        from .halfseries import bernoulli_numbers, euler_numbers
+
         # count is the top index: E_0, E_2, ..., E_{2 floor(count/2)}
-        numbers = halfseries.euler_numbers if fam == "euler" else halfseries.bernoulli_numbers
+        numbers = euler_numbers if fam == "euler" else bernoulli_numbers
         print(", ".join(str(v) for v in numbers(N // 2)))
         return 0
     tau = QC(Fraction(args.tau.real).limit_denominator(10 ** 6),
@@ -221,17 +222,26 @@ def cmd_table(args) -> int:
                  [(n, f"\"{_exact_poly_str(w_star_power(n, tau))}\"") for n in range(N + 1)])
         return 0
     if fam == "laguerre":
-        tab = specialfn.laguerre_star(N, tau)
+        from .specialfn import laguerre_star
+
+        tab = laguerre_star(N, tau)
         emit_csv(["n", "polynomial_in_x"],
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
     if fam == "legendre":
-        tab = specialfn.legendre_star_exact(N, tau.re)
+        from .specialfn import legendre_star_exact
+
+        # a real tau keeps the Fraction route, so its printed table is unchanged
+        tab = legendre_star_exact(N, tau.re if tau.im == 0 else tau)
         emit_csv(["n", "polynomial_in_(w+a)"],
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
+    import numpy as np
+
+    from .specialfn import bessel_table
+
     ws = list(np.linspace(*args.grid))
-    tab = specialfn.bessel_table(args.a, args.tau, N, ws)
+    tab = bessel_table(args.a, args.tau, N, ws)
     header = ["w"] + [f"J{n}_re,J{n}_im" for n in range(-N, N + 1)]
     rows = []
     for i, w in enumerate(ws):
@@ -277,6 +287,8 @@ def cmd_eval(args) -> int:
         print(_exact_poly_str(result).replace("x", "w"))
         return 0
     if digits:
+        import mpmath
+
         with mpmath.workdps(digits):
             to_mp = lambda c: mpmath.mpc(complex(c).real, complex(c).imag)  # noqa: E731
             result = star_product(f.map_coeffs(to_mp), g.map_coeffs(to_mp), to_mp(tau_c))
@@ -290,10 +302,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    import numpy as np
+
     from .theta import quasi_periodicity_residual, theta_eval
 
     tau = args.tau
     digits = env_precision_digits()
+    if digits:
+        import mpmath
     rows = []
     for w in np.linspace(*args.w_grid):
         if digits:
@@ -326,6 +342,8 @@ def cmd_residue(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    import numpy as np
+
     from .distributions import principal_value_inverse, sided_inverse
 
     ws = np.linspace(*args.w_grid)

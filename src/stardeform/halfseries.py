@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, NonUnit, TruncationFailure
 from .exact import QC
 
@@ -201,6 +199,8 @@ def bernoulli_numbers_recurrence(N: int) -> list:
 def hs_to_tau_expression(f: HalfSeries, tau, w_grid):
     """sum a_n e^{-(l+n)^2 tau/4} e^{i(l+n)w} on the grid (Re tau > 0); raises
     DomainError when the sum is outside the float range."""
+    import numpy as np
+
     tau_c = complex(tau)
     if tau_c.real <= 0:
         raise DomainError("Re tau must be positive")
@@ -221,6 +221,8 @@ def zero_detection(f: HalfSeries, tau, probe_points=None) -> bool:
     """Injectivity probe: recover the coefficients from K+1 grid samples of the
     tau-expression by solving the (weighted Vandermonde) linear system; returns
     True when all recovered coefficients vanish (so the element is zero)."""
+    import numpy as np
+
     K = f.trunc
     if probe_points is None:
         probe_points = [0.1 + 2.9 * j / K for j in range(K + 1)]
@@ -320,6 +322,10 @@ def conjecture_coefficients(tau, tau_prime, N: int, w_points=None):
     re-expansion of the one-sided Euler combination at a second expression
     parameter.  No acceptance criterion attaches; emitted by the CLI for
     exploration."""
+    import numpy as np
+
+    if N < 1:
+        raise DomainError(f"the coefficient count must be >= 1, got {N}")
     tau_c, tp = complex(tau), complex(tau_prime)
     if tau_c.real <= 0 or (tau_c - tp).real <= 0 or tp.real <= 0:
         raise DomainError("need Re tau' > 0 and Re(tau - tau') > 0")

@@ -3,7 +3,8 @@
 All analytic kernels are written against plain arithmetic plus the few
 transcendental calls below, so they run over float complex (cmath) or
 mpmath.mpc (extended precision selected via STARDEFORM_PRECISION; callers scope
-it with mpmath.workdps, the library never sets mpmath.mp.dps).
+it with mpmath.workdps, the library never sets mpmath.mp.dps).  mpmath is
+imported only on its own branches, so float work never loads it.
 """
 
 from __future__ import annotations
@@ -11,15 +12,18 @@ from __future__ import annotations
 import cmath
 import math
 import os
-
-import mpmath
+import sys
 
 from .errors import DomainError
 from .exact import QC
 
 
 def is_mp(x) -> bool:
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
+    """True for an mpmath number; with mpmath not loaded no value can be one."""
+    if isinstance(x, (float, complex)):
+        return False
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
 def to_complex(x) -> complex:
@@ -32,6 +36,7 @@ def cexp(x):
     """exp(x); over float complex, raises DomainError where cmath.exp
     overflows or its argument is not finite."""
     if is_mp(x):
+        import mpmath
         return mpmath.exp(x)
     try:
         return cmath.exp(to_complex(x))
@@ -42,13 +47,17 @@ def cexp(x):
 def csqrt(x):
     """Principal square root."""
     if is_mp(x):
+        import mpmath
         return mpmath.sqrt(x)
     return cmath.sqrt(to_complex(x))
 
 
-def cabs(x) -> float:
+def cabs(x):
+    """|x|: an mpmath.mpf for mpmath input, so it keeps its range and
+    digits, else a float."""
     if is_mp(x):
-        return float(mpmath.fabs(x))
+        import mpmath
+        return mpmath.fabs(x)
     if isinstance(x, QC):
         x = x.to_complex()
     return abs(x)
@@ -56,7 +65,10 @@ def cabs(x) -> float:
 
 def pi_like(x):
     """Pi in the arithmetic of x."""
-    return mpmath.pi if is_mp(x) else math.pi
+    if is_mp(x):
+        import mpmath
+        return mpmath.pi
+    return math.pi
 
 
 def env_precision_digits() -> int | None:

@@ -14,7 +14,9 @@ derivatives at t=0 are taken symbolically in t, the s-integral by quadrature
 Laguerre: t-coefficients of the quadratic exponential element
 (1 - t tau)^{-1/2} exp(t x/(1 - t tau)), x = w^2; normalization d^n/dx^n L_n = 1.
 
-Table construction is pure and embarrassingly parallel over the index.
+Table construction is pure and embarrassingly parallel over the index.  The
+exact tables need no numpy: numpy and quadrature are imported inside the float
+routes only.
 """
 
 from __future__ import annotations
@@ -24,12 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
 from .exact import QC
-from .quadrature import integrate_segment_refined
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,6 +109,10 @@ def hermite_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
 
     Diagonal value n!(-tau)^n sqrt(-tau) sqrt(pi); off-diagonal zero.
     """
+    import numpy as np
+
+    from .quadrature import integrate_segment_refined
+
     tau_c = complex(tau)
     if tau_c.real >= 0:
         raise QuadratureFailure("Re tau must be negative for the weight to decay")
@@ -211,6 +214,8 @@ def bessel_table(a, tau, N: int, w_grid, tol: float = 1e-14) -> BesselTable:
     from the tau-expression exponent lambda(s)^2 tau/4 with lambda = i a sin s,
     whose constant and cos(2s) parts are -a^2 tau/8 and (a^2 tau/16)(q^2+q^{-2}).
     """
+    import numpy as np
+
     a_c, tau_c = complex(a), complex(tau)
     x = a_c * a_c * tau_c / 8
     ws = np.asarray([complex(w) for w in w_grid])
@@ -236,11 +241,15 @@ def bessel_table(a, tau, N: int, w_grid, tol: float = 1e-14) -> BesselTable:
 
 
 def bessel_unit_sum_residual(table: BesselTable) -> float:
+    import numpy as np
+
     total = sum(table.values[n] for n in range(-table.n_max, table.n_max + 1))
     return float(np.abs(total - 1.0).max())
 
 
 def bessel_symmetry_residual(table: BesselTable) -> float:
+    import numpy as np
+
     worst = 0.0
     for n in range(1, table.n_max + 1):
         d = table.values[n] - (-1) ** n * table.values[-n]
@@ -251,6 +260,8 @@ def bessel_symmetry_residual(table: BesselTable) -> float:
 def bessel_generating_fft(a, tau, N: int, w_grid, n_s: int = 256) -> dict:
     """Independent route: Fourier coefficients in s of the tau-expression of the
     generating element exp(lambda(s) w), lambda = i a sin s."""
+    import numpy as np
+
     a_c, tau_c = complex(a), complex(tau)
     s = 2 * np.pi * np.arange(n_s) / n_s
     lam = 1j * a_c * np.sin(s)
@@ -270,6 +281,8 @@ def bessel_addition_residual(a, b, tau, w_grid, N: int = 8, n_s: int = 128) -> f
     is extracted by a 2D Fourier transform of the two-parameter generating
     product, then summed along the diagonal m + k = n.
     """
+    import numpy as np
+
     a_c, b_c, tau_c = complex(a), complex(b), complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
     lhs = bessel_table(a_c + b_c, tau_c, N, w_grid)
@@ -301,6 +314,10 @@ def legendre_star(N: int, a, tau, w_grid, tol: float = 1e-11):
     differentiated symbolically at t=0; the s-integral over [0, inf) with
     weight s^{-1/2} e^{-s} is done by quadrature after s = u^2.
     """
+    import numpy as np
+
+    from .quadrature import integrate_segment_refined
+
     tau_c = complex(tau)
     if tau_c.real >= 0:
         raise QuadratureFailure("Re tau must be negative")
@@ -396,6 +413,8 @@ def laguerre_from_quad_expansion(N: int, tau, x, radius: float | None = None,
                                  n_nodes: int = 256) -> list:
     """Independent route: t-Taylor coefficients of the quadratic exponential
     element by a Cauchy circle inside |t| < 1/|tau|."""
+    import numpy as np
+
     tau_c = complex(tau)
     r = radius if radius is not None else 0.4 / max(abs(tau_c), 1e-9)
     ts = r * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
@@ -412,6 +431,10 @@ def laguerre_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
     x^{1/2} e^{-x/tau} L_n = (1/(n! tau^n)) d^n/dx^n (x^{n-1/2} e^{x/tau})
     closes.  (Substituting x = u^2 removes the endpoint singularity.)
     """
+    import numpy as np
+
+    from .quadrature import integrate_segment_refined
+
     tau_c = complex(tau)
     if tau_c.real >= 0:
         raise QuadratureFailure("Re tau must be negative")

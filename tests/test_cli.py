@@ -73,6 +73,64 @@ def test_eval_star_rational():
     assert code == 0 and out.strip() == "w^4 + 2w^2 + 1/2"
 
 
+# Commands whose work is exact QC/Fraction arithmetic, or float Poly
+# arithmetic in core: they must start without the float stack or the suites.
+EXACT_COMMANDS = [
+    ["table", "euler", "6"],
+    ["table", "bernoulli", "6"],
+    ["table", "hermite", "4"],
+    ["table", "legendre", "4"],
+    ["table", "laguerre", "4"],
+    ["eval", "star", "--f", "w^2", "--g", "w", "--tau", "1,0.5"],
+    ["eval", "star", "--f", "w^2", "--g", "w", "--tau", "1,0.5", "--rational"],
+    ["vertex", "--check", "witt", "--K", "4"],
+]
+
+_LOADED_AFTER = """\
+import contextlib, io, json, sys
+from stardeform.cli import main
+heavy = ("numpy", "mpmath", "stardeform.verify")
+report = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report.append([argv, code, out.getvalue(), [m for m in heavy if m in sys.modules]])
+print(json.dumps(report))
+"""
+
+
+def loaded_after(commands, env_extra=None):
+    """[argv, exit code, stdout, heavy modules loaded so far] per command, all
+    run in one fresh interpreter, in order."""
+    import os
+    env = {k: v for k, v in os.environ.items() if k != "STARDEFORM_PRECISION"}
+    env.update(env_extra or {})
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_load_no_numpy_mpmath_or_suites():
+    for argv, code, _, loaded in loaded_after(EXACT_COMMANDS):
+        assert code == 0 and loaded == [], (argv, loaded)
+
+
+def test_float_and_precision_commands_load_what_they_use():
+    """The probe above sees a load: float commands bring numpy, `verify` the
+    suites, and STARDEFORM_PRECISION mpmath, with today's output."""
+    (_, code, _, loaded), = loaded_after([["theta", "--w-grid=-1,1,3"]])
+    assert code == 0 and loaded == ["numpy"]
+    (_, code, _, loaded), = loaded_after([["verify", "core"]])
+    assert code == 0 and "stardeform.verify" in loaded
+    (_, code, out, loaded), = loaded_after(
+        [["eval", "star", "--f", "w", "--g", "w", "--tau", "0.1,0"]],
+        {"STARDEFORM_PRECISION": "30"})
+    assert code == 0 and loaded == ["mpmath"]
+    assert out == "((0.0500000000000000027755575615629 + 0.0j))w^0 + ((1.0 + 0.0j))w^2\n"
+
+
 def test_eval_star_extended_precision():
     code, out, _ = run_cli(["eval", "star", "--f", "w", "--g", "w", "--tau", "1,0"],
                            env_extra={"STARDEFORM_PRECISION": "40"})
@@ -259,6 +317,7 @@ BAD_INPUTS = [
     "dist --tau nan,0",
     "conjecture 3 --tau abc",
     "conjecture -1",
+    "conjecture 0",
     "eval star --f w --g w --tau nan,0",
     "eval star --f w --g w --tau inf",
     "eval star --f w^2 --g w^2 --tau 1e308,0",
@@ -392,7 +451,9 @@ def test_any_option_value_gives_a_contract_exit(command, data):
         argv = [*base, name, value]
     else:
         pair = [f"{name}={value}"] if data.draw(st.booleans(), label="joined") else [name, value]
-        argv = [*base, *pair, *(["2"] if command == "conjecture" else [])]
+        count = [str(data.draw(st.integers(0, 4), label="count"))] \
+            if command == "conjecture" else []
+        argv = [*base, *pair, *count]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -161,6 +161,29 @@ def test_legendre_exact_route_matches_quadrature():
         assert np.abs(np.asarray(vals[n]) - want).max() < 1e-9
 
 
+def test_legendre_exact_route_matches_quadrature_at_complex_tau():
+    """Dual route off the real axis: the exact QC table, evaluated at v = w + a,
+    against the float quadrature at the same tau."""
+    tau, a = QC(Fraction(-1, 2), Fraction(1, 4)), 0.2
+    grid = [-0.5, 0.3, 0.8]
+    vals = legendre_star(4, a, tau.to_complex(), grid)
+    exact = legendre_star_exact(4, tau)
+    for n in range(5):
+        pe = exact[n].to_complex()
+        want = np.asarray([pe(w + a) for w in grid])
+        assert np.abs(np.asarray(vals[n]) - want).max() < 1e-10
+
+
+def test_cli_legendre_keeps_im_tau(capsys):
+    """`table legendre` tabulates at the complex tau it is given; a real tau
+    keeps the rational output."""
+    assert main(["table", "legendre", "3", "--tau=0.5,0.25"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[3] == '2,"3/2x^2 + QC(-1/8, 3/16)"'
+    assert main(["table", "legendre", "3", "--tau=0.5,0"]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == '2,"3/2x^2 + -1/8"'
+
+
 def test_legendre_fd_oracle():
     # independent oracle: finite differences in t of the outer quadrature
     import stardeform.quadrature as q

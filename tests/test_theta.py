@@ -166,3 +166,17 @@ def test_theta_series_object():
         ThetaSeries(5, tau, 8)
     with pytest.raises(DomainError):
         ThetaSeries(3, -1.0, 8)
+
+
+def test_cabs_keeps_mp_values_below_the_float_range():
+    """The series' tail test compares cabs(term) with an mpf tolerance, so
+    cabs of an mpmath value stays an mpf, exact and nonzero past 1e-308."""
+    from stardeform.numeric import cabs, is_mp
+    with mpmath.workdps(400):
+        tiny = mpmath.mpf(10) ** -400
+        got = cabs(tiny)
+        assert is_mp(got) and got != 0 and got == tiny
+        assert cabs(mpmath.mpc(0, -tiny)) == tiny
+        assert cabs(-tiny) < mpmath.mpf(10) ** -396
+    assert type(cabs(-2.5)) is float and cabs(3 + 4j) == 5.0
+    assert not is_mp(1.0) and not is_mp(1j) and not is_mp(2)
