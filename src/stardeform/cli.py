@@ -7,10 +7,9 @@ is the only place that turns an exception into an exit code.
 Output is CSV (header row; complex values as re,im column pairs) or JSON
 (schema 1, snake_case keys, residuals as decimal strings).  Reports are
 byte-identical for identical configurations including the seed.
-STARDEFORM_PRECISION selects extended-precision digits where supported.
 Each handler imports what its command needs: the exact commands (the exact
-tables, `eval star`, `vertex`, `numbers`) load neither numpy nor mpmath,
-mpmath loads only under STARDEFORM_PRECISION, and `verify` loads the suites.
+tables, `eval star`, `vertex`, `numbers`) do not load numpy, and only
+`verify` loads the suites.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from fractions import Fraction
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, StarDeformError
 from .exact import QC
-from .numeric import env_precision_digits
 
 SCHEMA = 1
 
@@ -57,12 +55,13 @@ def scalar(text: str) -> complex:
 
 
 def grid(text: str) -> tuple:
-    """Option value 'lo,hi,n': finite ends and n >= 2 points."""
+    """Option value 'lo,hi,n': a finite span hi - lo (so finite ends) and
+    n >= 2 points."""
     lo, hi, n = text.split(",")
     lo, hi, n = float(lo), float(hi), int(n)
-    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 2):
+    if not (math.isfinite(hi - lo) and n >= 2):
         raise argparse.ArgumentTypeError(
-            f"grid must be 'lo,hi,n' with finite ends and n >= 2, got {text!r}")
+            f"grid must be 'lo,hi,n' with a finite span hi - lo and n >= 2, got {text!r}")
     return (lo, hi, n)
 
 
@@ -275,7 +274,6 @@ def _exact_poly_str(p: Poly) -> str:
 
 
 def cmd_eval(args) -> int:
-    digits = env_precision_digits()
     f, g, tau_c = args.f, args.g, args.tau
     if args.rational:
         to_exact = lambda c: QC(Fraction(complex(c).real).limit_denominator(10 ** 9),  # noqa: E731
@@ -285,14 +283,6 @@ def cmd_eval(args) -> int:
         tau = to_exact(tau_c)
         result = star_product(f, g, tau)
         print(_exact_poly_str(result).replace("x", "w"))
-        return 0
-    if digits:
-        import mpmath
-
-        with mpmath.workdps(digits):
-            to_mp = lambda c: mpmath.mpc(complex(c).real, complex(c).imag)  # noqa: E731
-            result = star_product(f.map_coeffs(to_mp), g.map_coeffs(to_mp), to_mp(tau_c))
-            print(" + ".join(f"({c})w^{k}" for k, c in enumerate(result.coeffs) if c != 0))
         return 0
     result = star_product(f, g, tau_c)
     if not all(cmath.isfinite(c) for c in result.coeffs):
@@ -307,18 +297,9 @@ def cmd_theta(args) -> int:
     from .theta import quasi_periodicity_residual, theta_eval
 
     tau = args.tau
-    digits = env_precision_digits()
-    if digits:
-        import mpmath
     rows = []
     for w in np.linspace(*args.w_grid):
-        if digits:
-            with mpmath.workdps(digits):
-                val = complex(theta_eval(args.kind, mpmath.mpc(w, 0.0),
-                                         mpmath.mpc(tau.real, tau.imag),
-                                         tol=mpmath.mpf(10) ** (4 - digits)))
-        else:
-            val = theta_eval(args.kind, float(w), tau)
+        val = theta_eval(args.kind, float(w), tau)
         resid = quasi_periodicity_residual(args.kind, float(w), tau)
         rows.append((f"{w:.12g}", f"{val.real:.15e}", f"{val.imag:.15e}",
                      _fmt_resid(resid)))

@@ -8,8 +8,8 @@ is commutative and associative; tau = 0 is the plain polynomial algebra and the
 map exp(((tau'-tau)/4) d^2/dw^2) intertwines the products at two parameter
 values.  All operations are pure; values are immutable after construction.
 
-Coefficients are generic: Python complex, exact.QC (rational-complex, used for
-zero-residual identity checks), or mpmath scalars all work.
+Coefficients are generic: Python complex, or exact int, Fraction and
+exact.QC (rational-complex, used for zero-residual identity checks).
 """
 
 from __future__ import annotations
@@ -144,9 +144,11 @@ def star_product(f: Poly, g: Poly, tau) -> Poly:
 
 
 def _one_like(tau):
+    """1 in the arithmetic of tau; an int tau gets a Fraction, so that the
+    scales tau^k / (2^k k!) stay exact."""
     if isinstance(tau, QC):
         return QC(1)
-    if isinstance(tau, Fraction):
+    if isinstance(tau, (int, Fraction)):
         return Fraction(1)
     return 1
 

@@ -2,8 +2,8 @@
 
 QC is a complex number with rational real and imaginary parts, stored as a
 Gaussian integer over one positive denominator.  It interoperates with int and
-Fraction, so generic code written for +,-,*,/ runs unchanged over QC, float
-complex, or mpmath scalars.
+Fraction, so generic code written for +,-,*,/ runs unchanged over QC or float
+complex.
 """
 
 from __future__ import annotations

@@ -229,12 +229,6 @@ def phi_psi(alpha, tau) -> PhiPsi:
                   (dp.scaled(ab_psi[0]), dm.scaled(ab_psi[1])))
 
 
-def eigen_equation_poly(alpha, tau, member: GaussPoly) -> GaussPoly:
-    """(alpha^2 - w-element^2) * member: polynomial prefactor of the result
-    cancels identically for each delta member (exact over exact scalars)."""
-    return star_poly_gauss(Poly([alpha * alpha - tau / 2, 0, -1]), member, tau)
-
-
 def semigroup_on_delta(t, alpha, tau, w_grid) -> float:
     """|quad-exponential(t) * delta_*(w+alpha) - e^{t alpha^2} delta_*(w+alpha)|.
 

@@ -9,8 +9,7 @@ With q = exp(-tau) and Re tau > 0:
 
 The same objects arise as Gaussian combs (delta_sum_representation) and as
 differences of one-sided geometric inverses; both routes are provided for
-cross-checks.  All evaluators accept complex w and run over float or mpmath
-scalars.
+cross-checks.  All evaluators accept complex w and run over float complex.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationFailure
-from .numeric import cabs, cexp, csqrt, is_mp, pi_like, to_complex
+from .numeric import cabs, cexp, csqrt, to_complex
 
 
 # Largest truncation order theta_eval starts from: about 3.5x the order at
@@ -36,15 +35,9 @@ def _require_right_halfplane(tau):
 
 def truncation_order(tau, tol) -> int:
     """Smallest N with the |q|^(N^2) tail below tol, plus safety margin;
-    raises TruncationFailure when N exceeds THETA_TERM_BUDGET.  tol may be an
-    mpmath.mpf below the float range."""
+    raises TruncationFailure when N exceeds THETA_TERM_BUDGET."""
     re = to_complex(tau).real
-    if is_mp(tol):
-        import mpmath
-        log_inv_tol = float(-mpmath.log(tol))
-    else:
-        log_inv_tol = -math.log(tol)
-    n = math.sqrt(max(log_inv_tol, 1.0) / re)
+    n = math.sqrt(max(-math.log(tol), 1.0) / re)
     if not n + 2 <= THETA_TERM_BUDGET:
         raise TruncationFailure(f"theta series needs {n:.3g} terms at tau={tau}, more than "
                                 f"THETA_TERM_BUDGET = {THETA_TERM_BUDGET}")
@@ -118,12 +111,11 @@ def quasi_periodicity_residual(kind: int, w, tau, tol: float = 1e-14) -> float:
 def imaginary_transform_residual(w, tau, tol: float = 1e-14) -> float:
     """theta3(w, tau) vs sqrt(pi/tau) exp(-w^2/tau) theta3(pi w/(i tau), pi^2/tau)."""
     _require_right_halfplane(tau)
-    pi = pi_like(tau)
-    tau2 = pi * pi / tau
+    tau2 = math.pi * math.pi / tau
     _require_right_halfplane(tau2)
     lhs = theta_eval(3, w, tau, tol)
-    w2 = pi * w / (1j * tau)
-    rhs = csqrt(pi / tau) * cexp(-w * w / tau) * theta_eval(3, w2, tau2, tol)
+    w2 = math.pi * w / (1j * tau)
+    rhs = csqrt(math.pi / tau) * cexp(-w * w / tau) * theta_eval(3, w2, tau2, tol)
     return cabs(lhs - rhs)
 
 
@@ -135,7 +127,7 @@ def jacobi_relation_residual(tau, tol: float = 1e-16) -> float:
 def delta_sum_representation(w, tau, tol: float = 1e-14):
     """Gaussian comb  sqrt(pi/tau) sum_n exp(-(w + pi n)^2 / tau); equals theta3."""
     _require_right_halfplane(tau)
-    pref = csqrt(pi_like(tau) / tau)
+    pref = csqrt(math.pi / tau)
     acc = cexp(-(w * w) / tau)
     n = 1
     quiet = 0

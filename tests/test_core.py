@@ -9,8 +9,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeform import QC, Poly, infinitesimal_intertwiner, intertwine, star_product, w_star_power
+
+RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+# exact scalars as a QC, a Fraction or an int; they serve as coefficients and tau
+SCALARS = st.one_of(st.builds(QC, RATS, RATS), RATS, st.integers(-9, 9))
+
+
+def polys(max_degree):
+    return st.lists(SCALARS, max_size=max_degree + 1).map(Poly)
 
 
 def rand_qc(rng, num=9, den=7):
@@ -18,8 +27,8 @@ def rand_qc(rng, num=9, den=7):
               Fraction(rng.randint(-num, num), rng.randint(1, den)))
 
 
-def rand_poly(rng, deg, num=6):
-    return Poly([rand_qc(rng, num) for _ in range(deg + 1)])
+def rand_poly(rng, deg):
+    return Poly([rand_qc(rng, 6) for _ in range(deg + 1)])
 
 
 def star_power_oracle(n, tau):
@@ -37,11 +46,11 @@ def test_star_w_w_tau2():
     assert got == Poly([1, 0, 1])  # w^2 + 1
 
 
-def test_star_identity_element():
-    rng = random.Random(1)
-    for _ in range(5):
-        f = rand_poly(rng, 5)
-        assert star_product(f, Poly.const(QC(1)), rand_qc(rng)) == f
+@settings(deadline=None)
+@given(polys(8), SCALARS)
+def test_star_identity_element(f, tau):
+    assert star_product(Poly.const(1), f, tau) == f
+    assert star_product(f, Poly.const(QC(1)), tau) == f
 
 
 def test_star_w2_w2():
@@ -113,43 +122,31 @@ def test_infinitesimal_intertwiner_finite_difference():
         assert resid < 5e-5
 
 
-def test_commutativity_exact():
-    rng = random.Random(3)
-    for _ in range(60):
-        f = rand_poly(rng, rng.randint(0, 12))
-        g = rand_poly(rng, rng.randint(0, 12))
-        tau = rand_qc(rng)
-        assert star_product(f, g, tau) == star_product(g, f, tau)
+@settings(deadline=None)
+@given(polys(12), polys(12), SCALARS)
+def test_commutativity_exact(f, g, tau):
+    assert star_product(f, g, tau) == star_product(g, f, tau)
 
 
-def test_associativity_exact():
-    rng = random.Random(4)
-    for _ in range(40):
-        f = rand_poly(rng, rng.randint(0, 8), num=4)
-        g = rand_poly(rng, rng.randint(0, 8), num=4)
-        h = rand_poly(rng, rng.randint(0, 8), num=4)
-        tau = rand_qc(rng)
-        assert star_product(star_product(f, g, tau), h, tau) == \
-            star_product(f, star_product(g, h, tau), tau)
+@settings(deadline=None, max_examples=50)
+@given(polys(8), polys(8), polys(8), SCALARS)
+def test_associativity_exact(f, g, h, tau):
+    assert star_product(star_product(f, g, tau), h, tau) == \
+        star_product(f, star_product(g, h, tau), tau)
 
 
-def test_intertwiner_cocycle_exact():
-    rng = random.Random(5)
-    for _ in range(40):
-        f = rand_poly(rng, rng.randint(0, 10))
-        t1, t2, t3 = (rand_qc(rng) for _ in range(3))
-        assert intertwine(f, t1, t3) == intertwine(intertwine(f, t1, t2), t2, t3)
+@settings(deadline=None)
+@given(polys(10), SCALARS, SCALARS, SCALARS)
+def test_intertwiner_cocycle_exact(f, t1, t2, t3):
+    assert intertwine(f, t1, t3) == intertwine(intertwine(f, t1, t2), t2, t3)
 
 
-def test_intertwiner_homomorphism_exact():
-    rng = random.Random(6)
-    for _ in range(40):
-        f = rand_poly(rng, rng.randint(0, 8), num=4)
-        g = rand_poly(rng, rng.randint(0, 8), num=4)
-        t1, t2 = rand_qc(rng), rand_qc(rng)
-        lhs = intertwine(star_product(f, g, t1), t1, t2)
-        rhs = star_product(intertwine(f, t1, t2), intertwine(g, t1, t2), t2)
-        assert lhs == rhs
+@settings(deadline=None, max_examples=50)
+@given(polys(8), polys(8), SCALARS, SCALARS)
+def test_intertwiner_homomorphism_exact(f, g, t1, t2):
+    lhs = intertwine(star_product(f, g, t1), t1, t2)
+    rhs = star_product(intertwine(f, t1, t2), intertwine(g, t1, t2), t2)
+    assert lhs == rhs
 
 
 def test_pn_recurrence_exact():

@@ -12,7 +12,7 @@ from stardeform.errors import DegenerateBoundary, PathError
 from stardeform.exact import QC, SparseLaurent
 from stardeform.residue import (LaurentObj, closed_contour_vanishing, covariant_derivative,
                                 covariant_evolution_residual, covariant_evolution_solve,
-                                diffeqevol_exact_defect, eigen_equation_poly, even_coefficient_contour,
+                                diffeqevol_exact_defect, even_coefficient_contour,
                                 evolution_family, gamma_inverse_residual, gamma_path_integral,
                                 laurent_coeff_closed, laurent_density_from_H, laurent_gausspoly,
                                 orphan_annihilation, parallel_polynomial, phi_group_action_residual,
