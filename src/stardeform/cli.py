@@ -73,6 +73,14 @@ def count(text: str) -> int:
     return n
 
 
+def order(text: str) -> int:
+    """Option value: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"order must be >= 1, got {text!r}")
+    return n
+
+
 def positive(text: str) -> float:
     """Option value: a finite float > 0."""
     x = float(text)
@@ -325,12 +333,17 @@ def cmd_residue(args) -> int:
 def cmd_dist(args) -> int:
     import numpy as np
 
-    from .distributions import principal_value_inverse, sided_inverse
+    from .distributions import principal_value_inverse, sided_inverse, sided_power
 
     ws = np.linspace(*args.w_grid)
-    if args.m > 1 or args.side == "pv":
-        vals = principal_value_inverse(max(args.m, 1), args.tau, ws)
-        label = f"pf_m{max(args.m, 1)}"
+    if args.side == "pv":
+        if args.a != 0:
+            raise DomainError("--a does not apply to --side pv (v.p./Pf is taken at a = 0)")
+        vals = principal_value_inverse(args.m, args.tau, ws)
+        label = f"pf_m{args.m}"
+    elif args.m > 1:
+        vals = sided_power(args.a, args.m, args.side, args.tau, ws)
+        label = f"inverse_{args.side}_m{args.m}"
     else:
         vals = sided_inverse(args.a, args.side, args.tau, ws)
         label = f"inverse_{args.side}"
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--a", type=scalar, default="0,0")
     d.add_argument("--tau", type=scalar, default="1,0")
     d.add_argument("--side", default="+", choices=["+", "-", "pv"])
-    d.add_argument("--m", type=int, default=1)
+    d.add_argument("--m", type=order, default=1)
     d.add_argument("--w-grid", type=grid, default="-3,3,41")
     d.set_defaults(func=cmd_dist)
 

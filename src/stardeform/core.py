@@ -10,14 +10,23 @@ values.  All operations are pure; values are immutable after construction.
 
 Coefficients are generic: Python complex, or exact int, Fraction and
 exact.QC (rational-complex, used for zero-residual identity checks).
+
+star_product and intertwine choose their route by scalar type alone.  When
+every coefficient and every parameter is a QC, they bring the coefficients to
+Gaussian-integer numerators over one common denominator (exact.to_gaussian),
+evaluate the defining sums in Python ints, and canonicalise once per output
+coefficient (exact.from_gaussian); the result equals the generic route's value
+for value.  Any other input (float/complex, int, Fraction, or a mix) takes the
+generic loop over Poly arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
-from .exact import QC
+from .exact import QC, from_gaussian, to_gaussian
 
 
 def _is_zero(c) -> bool:
@@ -131,6 +140,13 @@ class Poly:
 
 def star_product(f: Poly, g: Poly, tau) -> Poly:
     """sum_k (tau^k / (2^k k!)) f^(k) g^(k); finite, commutative, exact over QC."""
+    if type(tau) is QC and _all_qc(f) and _all_qc(g):
+        return _star_product_gaussian(f, g, tau)
+    return _star_product_loop(f, g, tau)
+
+
+def _star_product_loop(f: Poly, g: Poly, tau) -> Poly:
+    """The defining sum over Poly arithmetic, for any coefficient type."""
     out = f * g
     fk, gk = f, g
     scale = _one_like(tau)
@@ -141,6 +157,88 @@ def star_product(f: Poly, g: Poly, tau) -> Poly:
         scale = scale * tau / (2 * k)
         out = out + (fk * gk).scale(scale)
     return out
+
+
+def _all_qc(p: Poly) -> bool:
+    return all(type(c) is QC for c in p.coeffs)
+
+
+def _deriv(v: list) -> list:
+    return [i * c for i, c in enumerate(v[1:], 1)]
+
+
+def _pack(v: list, bits: int) -> int:
+    """sum_i v[i] 2^(bits i): the polynomial at 2^bits (Kronecker substitution),
+    so one int product multiplies two polynomials."""
+    x = 0
+    for c in reversed(v):
+        x = (x << bits) + c
+    return x
+
+
+def _unpack(x: int, bits: int, n: int) -> list:
+    """The n coefficients of a packed polynomial; each must lie strictly
+    between -2^(bits-1) and 2^(bits-1)."""
+    out = []
+    full = 1 << bits
+    mask, half = full - 1, full >> 1
+    for _ in range(n):
+        c = x & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        x = (x - c) >> bits
+    return out
+
+
+def _from_gaussian_poly(re: list, im: list, d: int) -> Poly:
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    return Poly([from_gaussian(a, b, d) for a, b in zip(re, im)])
+
+
+def _star_product_gaussian(f: Poly, g: Poly, tau: QC) -> Poly:
+    """star_product over QC in ints.  With f = F/D_f, g = G/D_g (F, G
+    Gaussian-integer polynomials), tau = T/t_d and K = min(deg f, deg g),
+
+        f *_tau g = sum_k C_k F^(k) G^(k) / (D_f D_g (2 t_d)^K K!),
+        C_k = T^k (2 t_d)^(K-k) K!/k!.
+
+    Each product F^(k) G^(k) is four int products of packed polynomials, and
+    the sum over k is taken in packed form, so only the result is unpacked."""
+    if f.is_zero() or g.is_zero():
+        return Poly()
+    fa, fb, df = to_gaussian(f.coeffs)
+    ga, gb, dg = to_gaussian(g.coeffs)
+    (ta,), (tb,), td = to_gaussian((tau,))
+    nf, ng = len(fa), len(ga)
+    K = min(nf, ng) - 1
+    fK = factorial(K)
+    cs = []
+    ca, cb = 1, 0                                   # T^k
+    for k in range(K + 1):
+        r = (2 * td) ** (K - k) * (fK // factorial(k))
+        cs.append((ca * r, cb * r))
+        ca, cb = ca * ta - cb * tb, ca * tb + cb * ta
+    # |Re|, |Im| of an output numerator: at most K+1 terms C_k times at most
+    # nf ng pairs of 2 |F_i| |G_j| (i)_k (j)_k, and (i)_k <= (max(nf, ng) - 1)!
+    bound = ((K + 1) * max(abs(a) + abs(b) for a, b in cs) * nf * ng
+             * 2 * max(map(abs, fa + fb)) * max(map(abs, ga + gb))
+             * factorial(max(nf, ng) - 1) ** 2)
+    bits = bound.bit_length() + 2
+    re = im = 0
+    for k, (ra, rb) in enumerate(cs):
+        if k:
+            fa, fb, ga, gb = _deriv(fa), _deriv(fb), _deriv(ga), _deriv(gb)
+        if ra or rb:
+            pfa, pfb, pga, pgb = _pack(fa, bits), _pack(fb, bits), _pack(ga, bits), _pack(gb, bits)
+            xr, xi = pfa * pga - pfb * pgb, pfa * pgb + pfb * pga
+            re += ra * xr - rb * xi
+            im += ra * xi + rb * xr
+    n = nf + ng - 1
+    return _from_gaussian_poly(_unpack(re, bits, n), _unpack(im, bits, n),
+                               df * dg * (2 * td) ** K * fK)
 
 
 def _one_like(tau):
@@ -155,6 +253,13 @@ def _one_like(tau):
 
 def intertwine(f: Poly, tau_from, tau_to) -> Poly:
     """exp(((tau_to - tau_from)/4) d^2) f: algebra morphism between parameter values."""
+    if type(tau_from) is QC and type(tau_to) is QC and _all_qc(f):
+        return _intertwine_gaussian(f, (tau_to - tau_from) / 4)
+    return _intertwine_loop(f, tau_from, tau_to)
+
+
+def _intertwine_loop(f: Poly, tau_from, tau_to) -> Poly:
+    """The exponential series over Poly arithmetic, for any coefficient type."""
     diff = tau_to - tau_from
     theta = Fraction(diff, 4) if isinstance(diff, int) else diff / 4
     out = f
@@ -167,6 +272,40 @@ def intertwine(f: Poly, tau_from, tau_to) -> Poly:
         scale = scale * theta / j
         out = out + term.scale(scale)
     return out
+
+
+def _intertwine_gaussian(f: Poly, theta: QC) -> Poly:
+    """intertwine over QC in ints.  With f_i = F_i/D_f, theta = Θ/t_d and
+    J = floor(deg f / 2),
+
+        out_n = sum_j Θ^j t_d^(J-j) (J!/j!) ((n+2j)!/n!) F_{n+2j} / (D_f t_d^J J!)."""
+    if f.is_zero():
+        return Poly()
+    fa, fb, df = to_gaussian(f.coeffs)
+    (ta,), (tb,), td = to_gaussian((theta,))
+    N = len(fa)
+    J = (N - 1) // 2
+    # c_j = Θ^j t_d^(J-j) J!/j!
+    ca, cb = [], []
+    pa, pb = 1, 0
+    for j in range(J + 1):
+        r = td ** (J - j) * (factorial(J) // factorial(j))
+        ca.append(pa * r)
+        cb.append(pb * r)
+        pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
+    out_a, out_b = [0] * N, [0] * N
+    for n in range(N):
+        xa = xb = 0
+        w = 1                                       # (n+2j)!/n!
+        for j in range((N - 1 - n) // 2 + 1):
+            if j:
+                w *= (n + 2 * j) * (n + 2 * j - 1)
+            a, b = fa[n + 2 * j], fb[n + 2 * j]
+            if a or b:
+                xa += w * (ca[j] * a - cb[j] * b)
+                xb += w * (ca[j] * b + cb[j] * a)
+        out_a[n], out_b[n] = xa, xb
+    return _from_gaussian_poly(out_a, out_b, df * td ** J * factorial(J))
 
 
 def w_star_power(n: int, tau) -> Poly:

@@ -105,10 +105,13 @@ def sided_inverse_defect(a, side: str, tau, w_grid) -> float:
 
 def sided_power(a, m: int, side: str, tau, w_grid):
     """(a+w)^{-m}_{*(side)} from the (m-1)-th a-derivative of the inverse:
-    the derivative pulls (it)^{m-1} into the integrand."""
+    the derivative pulls (it)^{m-1} into the integrand.
+
+    m is at most 171, so that (m-1)! stays below the float maximum.
+    """
     _check_tau(tau)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= 171:
+        raise DomainError(f"m must be in 1..171, got {m}")
     sgn = +1 if side == "+" else -1
     pref = (1j if side == "+" else -1j) * (-1) ** (m - 1) / math.factorial(m - 1)
     return pref * _osc_halfline(tau, a, w_grid, sgn,

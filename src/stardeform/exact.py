@@ -4,12 +4,18 @@ QC is a complex number with rational real and imaginary parts, stored as a
 Gaussian integer over one positive denominator.  It interoperates with int and
 Fraction, so generic code written for +,-,*,/ runs unchanged over QC or float
 complex.
+
+Each QC operation pays one gcd to stay canonical.  Kernels that combine many
+QC values (core.star_product and core.intertwine) instead bring their inputs
+to Gaussian-integer numerators over one common denominator with to_gaussian,
+compute in Python ints, and canonicalise once per output value with
+from_gaussian.  This module is the only one that reads a QC's fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Union
 
@@ -64,9 +70,9 @@ class QC:
             return NotImplemented
         d = self._d
         if d == o._d:
-            return _canonical(self._a + o._a, self._b + o._b, d)
+            return from_gaussian(self._a + o._a, self._b + o._b, d)
         od = o._d
-        return _canonical(self._a * od + o._a * d, self._b * od + o._b * d, d * od)
+        return from_gaussian(self._a * od + o._a * d, self._b * od + o._b * d, d * od)
 
     __radd__ = __add__
 
@@ -79,9 +85,9 @@ class QC:
             return NotImplemented
         d = self._d
         if d == o._d:
-            return _canonical(self._a - o._a, self._b - o._b, d)
+            return from_gaussian(self._a - o._a, self._b - o._b, d)
         od = o._d
-        return _canonical(self._a * od - o._a * d, self._b * od - o._b * d, d * od)
+        return from_gaussian(self._a * od - o._a * d, self._b * od - o._b * d, d * od)
 
     def __rsub__(self, other):
         o = other if type(other) is QC else QC._coerce(other)
@@ -94,7 +100,7 @@ class QC:
         if o is NotImplemented:
             return NotImplemented
         a, b, c, e = self._a, self._b, o._a, o._b
-        return _canonical(a * c - b * e, a * e + b * c, self._d * o._d)
+        return from_gaussian(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -107,7 +113,7 @@ class QC:
         if n == 0:
             raise ZeroDivisionError("division by zero QC")
         od = o._d
-        return _canonical((a * c + b * e) * od, (b * c - a * e) * od, self._d * n)
+        return from_gaussian((a * c + b * e) * od, (b * c - a * e) * od, self._d * n)
 
     def __rtruediv__(self, other):
         o = other if type(other) is QC else QC._coerce(other)
@@ -166,7 +172,16 @@ def _new(a: int, b: int, d: int) -> QC:
     return q
 
 
-def _canonical(a: int, b: int, d: int) -> QC:
+def to_gaussian(values) -> tuple:
+    """(re, im, d) for a sequence of QC: d is the lcm of their denominators and
+    values[i] == (re[i] + im[i] i)/d, with re and im lists of ints."""
+    d = lcm(*(q._d for q in values))
+    scales = [d // q._d for q in values]
+    return ([q._a * s for q, s in zip(values, scales)],
+            [q._b * s for q, s in zip(values, scales)], d)
+
+
+def from_gaussian(a: int, b: int, d: int) -> QC:
     """QC of (a + b i)/d for d > 0, dividing out gcd(a, b, d)."""
     g = gcd(a, b, d)
     if g != 1:

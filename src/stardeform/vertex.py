@@ -11,6 +11,13 @@ rational combinations of x_m (x) u^k; ring values appear only in the central
 part returned by bracket_elems.  The u-grade cap K is the only approximation;
 all coefficients are exact.
 
+A span element stores integer numerators over one positive denominator.  The
+action multiplies numerators by ints and keeps the denominator, sums work over
+the lcm of the two denominators, and equality cross-multiplies, so no
+operation on the span pays a gcd per coefficient.  bracket_elems sums its
+pairs in ints per grade and index and divides by the product of the two
+denominators once, in the coefficient ring.
+
 Composition-order convention: the operator commutator ad(L_n)ad(L_l) -
 ad(L_l)ad(L_n) equals (l - n) ad(L_{n+l}) exactly on the span (the opposite
 order gives (n - l)); checks below state the order they use explicitly.
@@ -20,11 +27,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
+from .errors import TruncationFailure
 from .exact import QC, SparseLaurent
+
+# Highest u-grade budget K that central_constraint_check and
+# k_centrality_check accept.  The central check costs about K^2.5 (49
+# brackets of K-term generators whose ring values grow with K); at this
+# budget it takes about 4 s on a 2-core host, k_centrality_check under 1 s.
+# witt_identity_check reaches at most grade 2 above its input, so its cost
+# does not grow with K and it has no budget.
+GRADE_BUDGET = 128
+
+
+def _check_grade_budget(K: int) -> None:
+    if K > GRADE_BUDGET:
+        raise TruncationFailure(f"u-grade budget K = {K} exceeds GRADE_BUDGET = {GRADE_BUDGET}")
 
 
 class CoeffRing(SparseLaurent):
@@ -46,11 +67,15 @@ class CoeffRing(SparseLaurent):
         return acc
 
 
+@lru_cache(maxsize=4096)
 def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     """a_j in the coefficient ring; zero for even j; for j = 2k-1:
 
         gamma * sum_{q >= max(0,-k)}^{cap} (-1)^q nu^{k+q} w2^q zinv^{2q} / (q!(k+q)!).
-    """
+
+    Cached per (j, cap), so callers share the returned element: every
+    SparseLaurent operation returns an element over a fresh dict and no caller
+    mutates one."""
     if j % 2 == 0:
         return CoeffRing()
     k = (j + 1) // 2
@@ -61,60 +86,116 @@ def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     return CoeffRing(terms)
 
 
-@lru_cache(maxsize=4096)
 def bracket_xx(m: int, n: int, cap: int = 8) -> CoeffRing:
-    """[x_m, x_n] = (m - n) a_{m+n-1}.
-
-    Cached per (m, n, cap), so callers share the returned element: every
-    SparseLaurent operation returns an element over a fresh dict and no caller
-    mutates one."""
+    """[x_m, x_n] = (m - n) a_{m+n-1}."""
     return laurent_coefficient_ring(m + n - 1, cap).scale(m - n)
 
 
-@dataclass(frozen=True)
+def _numerators(pairs, trunc: int) -> tuple:
+    """(num, den) of the sum of c x_m (x) u^k over ((m, k), c) in pairs, c int
+    or Fraction: grades above trunc and keys whose coefficients cancel are
+    dropped, and den is the lcm of the denominators."""
+    pairs = [(mk, c) for mk, c in pairs if mk[1] <= trunc]
+    den = lcm(*(c.denominator for _, c in pairs))
+    num: dict = {}
+    for mk, c in pairs:
+        num[mk] = num.get(mk, 0) + c.numerator * (den // c.denominator)
+    return _nonzero(num), den
+
+
+def _nonzero(num: dict) -> dict:
+    return {mk: c for mk, c in num.items() if c}
+
+
 class VertexElem:
-    """Finite rational combination of basis symbols x_m (x) u^k: terms maps
-    (m, k) to a nonzero Fraction, with grades k <= trunc."""
-    terms: dict = field(default_factory=dict)   # (m, k) -> Fraction
-    trunc: int = 6
+    """Finite rational combination of basis symbols x_m (x) u^k with grades
+    k <= trunc, stored as integer numerators over one positive denominator:
+    num maps (m, k) to a nonzero int, and the coefficient of x_m (x) u^k is
+    num[(m, k)] / den.  den is not reduced (the action multiplies numerators
+    by ints and keeps it), so == compares by cross-multiplying.  terms is the
+    read-only {(m, k): Fraction} view.  Values are immutable after
+    construction."""
+
+    __slots__ = ("num", "den", "trunc")
+
+    def __init__(self, terms: dict | None = None, trunc: int = 6):
+        """From {(m, k): int or Fraction}."""
+        self.num, self.den = _numerators((terms or {}).items(), trunc)
+        self.trunc = trunc
+
+    @classmethod
+    def _wrap(cls, num: dict, den: int, trunc: int) -> "VertexElem":
+        """An element over numerators that are already nonzero ints."""
+        out = object.__new__(cls)
+        out.num, out.den, out.trunc = num, den, trunc
+        return out
 
     @classmethod
     def build(cls, pairs, trunc: int) -> "VertexElem":
         """Sum of c x_m (x) u^k over ((m, k), c) in pairs; grades above trunc
         are dropped, as are keys whose coefficients cancel."""
-        out: dict = {}
-        for mk, c in pairs:
-            if mk[1] <= trunc:
-                out[mk] = out.get(mk, 0) + c
-        return cls({mk: c for mk, c in out.items() if c}, trunc)
+        return cls._wrap(*_numerators(pairs, trunc), trunc)
+
+    @property
+    def terms(self) -> dict:
+        den = self.den
+        return {mk: Fraction(c, den) for mk, c in self.num.items()}
 
     def __add__(self, other: "VertexElem") -> "VertexElem":
-        return VertexElem.build([*self.terms.items(), *other.terms.items()], self.trunc)
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        trunc = self.trunc
+        out = {mk: c * s1 for mk, c in self.num.items()}
+        for mk, c in other.num.items():
+            if mk[1] <= trunc:
+                out[mk] = out.get(mk, 0) + c * s2
+        return VertexElem._wrap(_nonzero(out), d1 * s1, trunc)
 
     def scale(self, c) -> "VertexElem":
-        return VertexElem.build([(mk, v * c) for mk, v in self.terms.items()], self.trunc)
+        """c times the element, for an int or Fraction c."""
+        p = c.numerator
+        if not p:
+            return VertexElem._wrap({}, 1, self.trunc)
+        return VertexElem._wrap({mk: v * p for mk, v in self.num.items()},
+                                self.den * c.denominator, self.trunc)
 
     def restrict(self, grade: int) -> "VertexElem":
-        return VertexElem({(m, k): v for (m, k), v in self.terms.items() if k <= grade},
-                          self.trunc)
+        return VertexElem._wrap({(m, k): v for (m, k), v in self.num.items() if k <= grade},
+                                self.den, self.trunc)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
-        return isinstance(other, VertexElem) and self.terms == other.terms
+        if not isinstance(other, VertexElem):
+            return False
+        a, b = self.num, other.num
+        if a.keys() != b.keys():
+            return False
+        d1, d2 = self.den, other.den
+        return all(c * d2 == b[mk] * d1 for mk, c in a.items())
+
+    def __repr__(self):
+        return f"VertexElem({self.terms!r}, {self.trunc})"
 
 
 def x_elem(m: int, K: int = 6) -> VertexElem:
-    return VertexElem({(m, 0): Fraction(1)}, K)
+    return VertexElem._wrap({(m, 0): 1}, 1, K)
 
 
 def L_action(n: int, e: VertexElem) -> VertexElem:
     """[L_n, .] on the span: x_m (x) u^k -> m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}."""
-    pairs = []
-    for (m, k), c in e.terms.items():
-        pairs += (((n + m, k), c * m), ((n + m + 2, k + 1), c * 2))
-    return VertexElem.build(pairs, e.trunc)
+    out: dict = {}
+    trunc = e.trunc
+    for (m, k), c in e.num.items():
+        if m:
+            key = (n + m, k)
+            out[key] = out.get(key, 0) + c * m
+        if k < trunc:
+            key = (n + m + 2, k + 1)
+            out[key] = out.get(key, 0) + 2 * c
+    return VertexElem._wrap(_nonzero(out), e.den, trunc)
 
 
 def ad_commutator(n: int, ell: int, e: VertexElem) -> VertexElem:
@@ -132,12 +213,14 @@ def witt_identity_check(n: int, ell: int, m: int, K: int = 6) -> bool:
 
 
 def y_generator(m: int, K: int = 6) -> VertexElem:
-    """Normalized generator: sum_{k<=K} (-1)^k/k! x_{m+2k} (x) u^k.
+    """Normalized generator: sum_{k<=K} (-1)^k/k! x_{m+2k} (x) u^k, over the
+    denominator K!.
 
     This is the dressing that satisfies [L_n, y_m] = m y_{n+m} exactly at every
     grade (the x-index steps by 2 per u-grade, matching the action's shift)."""
-    return VertexElem.build([((m + 2 * k, k), Fraction((-1) ** k, math.factorial(k)))
-                             for k in range(K + 1)], K)
+    fK = math.factorial(K)
+    return VertexElem._wrap({(m + 2 * k, k): (-1) ** k * (fK // math.factorial(k))
+                             for k in range(K + 1)}, fK, K)
 
 
 def y_eigen_defect(n: int, m: int, K: int = 6) -> VertexElem:
@@ -150,25 +233,33 @@ def y_eigen_defect(n: int, m: int, K: int = 6) -> VertexElem:
 
 def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> dict:
     """Central part [e1, e2]: dict grade -> CoeffRing (x-parts bracket pairwise,
-    u-grades add; grades beyond the common cap are dropped)."""
+    u-grades add; grades beyond the common cap are dropped).
+
+    Since [x_m, x_n] = (m - n) a_{m+n-1}, the pairs are summed in ints per
+    grade g and index s = m + n, and each a_{s-1} is scaled once by its sum
+    over den1 den2."""
     K = min(e1.trunc, e2.trunc)
     qcap = cap if cap is not None else K + 2
-    out: dict = {}
-    for (m, k), c1 in e1.terms.items():
-        for (n, j), c2 in e2.terms.items():
+    sums: dict = {}
+    for (m, k), c1 in e1.num.items():
+        for (n, j), c2 in e2.num.items():
             g = k + j
-            if g > K:
-                continue
-            b = bracket_xx(m, n, qcap)
-            if b.is_zero():
-                continue
-            term = b.scale(c1 * c2)
-            cur = out.get(g)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
+            # a_{m+n-1} vanishes for even m+n-1
+            if g <= K and m != n and (m + n) % 2 == 0:
+                key = (g, m + n)
+                sums[key] = sums.get(key, 0) + (m - n) * c1 * c2
+    den = e1.den * e2.den
+    out: dict = {}
+    for (g, s), c in sums.items():
+        if not c:
+            continue
+        term = laurent_coefficient_ring(s - 1, qcap).scale(Fraction(c, den))
+        cur = out.get(g)
+        total = term if cur is None else cur + term
+        if total.is_zero():
+            out.pop(g, None)
+        else:
+            out[g] = total
     return out
 
 
@@ -208,6 +299,7 @@ def central_constraint_check(K: int = 6, index_max: int = 3) -> dict:
     the index l+m+2g-1 is odd and a_j is nonzero for odd j (e.g.
     [y_{-3}, y_1] = 8 gamma u at nu = w = 0), so delta-support fails; the
     nonzero off-diagonal pairs are returned."""
+    _check_grade_budget(K)
     ys = {m: y_generator(m, K) for m in range(-index_max - 1, index_max + 2)}
     C = {}
     rng = range(-index_max, index_max + 1)
@@ -258,6 +350,7 @@ def central_constraint_check(K: int = 6, index_max: int = 3) -> dict:
 def k_centrality_check(m: int, n: int, K: int = 6, ell_max: int = 3) -> bool:
     """K_{m,n} := adcomm(m,n) - (n - m) ad(L_{m+n}) annihilates the span:
     checked on all y_l and x_l (|l| <= ell_max) up to grade K."""
+    _check_grade_budget(K)
     ok = True
     for ell in range(-ell_max, ell_max + 1):
         for probe in (y_generator(ell, K + 2), x_elem(ell, K + 2)):

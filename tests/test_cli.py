@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, output formats, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -147,6 +148,41 @@ def test_verify_core_exit_zero():
     assert all("anchor" in r for r in payload["results"])
 
 
+def run_main(argv):
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("suite", ["core", "starexp", "special", "theta", "dist", "residue",
+                                   "halfseries", "vertex"])
+def test_every_suite_passes_at_default_settings(suite):
+    code, out = run_main(["verify", suite])
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert payload["results"] and all(r["passed"] for r in payload["results"])
+
+
+# sha256 of exact reports as the generic QC/Fraction loops printed them; a
+# kernel change that moves any byte of these reports fails here.
+EXACT_REPORT_SHA256 = {
+    "verify core --seed 1": "6f7c46d32a54992064be8c84e9aa227e83e185b5feb9d8f2719848263dfcc6bb",
+    "verify core --seed 2": "7d6325598b003ffc550e0aec1e28640a460993a1ec745c0b12b9b45a37ef8b1b",
+    "verify core --seed 3": "d6b4c214848cad0756964839d1ad9a9e443a9b6f33aca87a2f25e97fb01fa36b",
+    "verify halfseries": "87ca5d861ad844ce4adfacd8448f150b621051916244e86ea2ac086c038b6c62",
+    "verify vertex": "c07c0f53e13ced608344bfaee23bc78a18d8c7338b4c7556613afa2798fe5fac",
+}
+
+
+@pytest.mark.parametrize("line", sorted(EXACT_REPORT_SHA256))
+def test_exact_report_bytes(line):
+    code, out = run_main(line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_REPORT_SHA256[line]
+
+
 def test_verify_theta_bad_tau_exit_two():
     code, _, err = run_cli(["verify", "theta", "--tau=-1,0"])
     assert code == 2
@@ -214,6 +250,33 @@ def test_dist_csv():
     assert out.splitlines()[0].startswith("w,inverse_+")
 
 
+def test_dist_sided_power_route(capsys):
+    """--m above 1 with --side +/- is the sided power at the given a."""
+    import numpy as np
+
+    from stardeform.distributions import sided_power
+
+    for side in "+-":
+        assert main(["dist", "--m", "2", "--side", side, "--a=1,0", "--w-grid=-1,1,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"w,inverse_{side}_m2_re,inverse_{side}_m2_im"
+        want = sided_power(1 + 0j, 2, side, 1 + 0j, np.linspace(-1, 1, 3))
+        assert [line.split(",")[1:] for line in lines[1:]] == \
+            [[f"{v.real:.15e}", f"{v.imag:.15e}"] for v in want]
+
+
+@pytest.mark.parametrize("check, K", [("central", 129), ("kcentral", 2000)])
+def test_vertex_grade_budget_one_error_line(check, K, capsys):
+    """Grades past vertex.GRADE_BUDGET are refused before any work."""
+    t0 = time.perf_counter()
+    assert main(["vertex", "--check", check, "--K", str(K)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert "GRADE_BUDGET = 128" in lines[0]
+
+
 def test_vertex_checks():
     code, out, _ = run_cli(["vertex", "--check", "witt", "--K", "4"])
     assert code == 0 and json.loads(out)["passed"] is True
@@ -269,6 +332,9 @@ BAD_INPUTS = [
     "dist --w-grid=-1e308,1e308,3",
     "dist --a abc",
     "dist --tau nan,0",
+    "dist --m 0",
+    "dist --m -2",
+    "dist --side pv --a 1,0",
     "conjecture 3 --tau abc",
     "conjecture -1",
     "conjecture 0",

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardeform import QC, Poly, infinitesimal_intertwiner, intertwine, star_product, w_star_power
+from stardeform.core import _intertwine_loop, _star_product_loop
 
 RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 # exact scalars as a QC, a Fraction or an int; they serve as coefficients and tau
@@ -169,3 +170,26 @@ def test_float_backend_matches_exact():
         approx = star_product(f.to_complex(), g.to_complex(), tau.to_complex())
         scale = max(1.0, max(abs(a) for a in exact.coeffs))
         assert max(abs(a - b) for a, b in zip(exact.coeffs, approx.coeffs)) < 1e-12 * scale
+
+
+# All-QC inputs take the integer-numerator route; the Poly loop is its reference.
+QCS = st.builds(QC, RATS, RATS)
+QC_POLYS = st.lists(QCS, max_size=11).map(Poly)     # zero, constant, degree <= 10
+QC_TAUS = st.one_of(st.just(QC(0)), QCS)
+
+
+def same_poly(got, want):
+    return got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@settings(deadline=None)
+@given(QC_POLYS, QC_POLYS, QC_TAUS)
+def test_star_product_integer_route_equals_loop(f, g, tau):
+    assert same_poly(star_product(f, g, tau), _star_product_loop(f, g, tau))
+
+
+@settings(deadline=None)
+@given(QC_POLYS, QC_TAUS, QC_TAUS, st.booleans())
+def test_intertwine_integer_route_equals_loop(f, tau_from, tau_to, same):
+    tau_to = tau_from if same else tau_to
+    assert same_poly(intertwine(f, tau_from, tau_to), _intertwine_loop(f, tau_from, tau_to))

@@ -278,3 +278,11 @@ def test_associativity_break_matches_theta():
     # ... so the two groupings collapse to C and A, and the gap is -theta3
     theta = np.asarray([theta_eval(3, w, tau) for w in W_SMALL])
     assert np.abs(res["gap"] + theta).max() < 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 172, 200])
+def test_sided_power_order_range(m):
+    """(m-1)! must stay below the float maximum, as for principal_value_inverse."""
+    for side in "+-":
+        with pytest.raises(DomainError, match="1..171"):
+            sided_power(0.0, m, side, 1.0, W_SMALL)

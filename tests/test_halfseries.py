@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeform.errors import NonUnit, TruncationFailure
 from stardeform.exact import QC
@@ -203,3 +204,33 @@ def test_inverse_order_budget():
         hs_inverse(HalfSeries.from_list([1, 1], 0, K + 1))
     with pytest.raises(TruncationFailure):
         euler_numbers(K // 2)
+
+
+RATS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+QCS = st.builds(QC, RATS, RATS)
+
+
+@st.composite
+def series(draw, unit: bool):
+    """A HalfSeries over QC with trunc 0..12 and base degree -4..4, whose
+    constant term is nonzero (unit) or zero."""
+    K = draw(st.integers(0, 12), label="trunc")
+    head = draw(QCS.filter(bool)) if unit else QC(0)
+    tail = draw(st.lists(QCS, max_size=K), label="tail")
+    return HalfSeries.from_list([head, *tail], draw(st.integers(-4, 4), label="base"), K)
+
+
+@settings(deadline=None)
+@given(series(unit=True))
+def test_inverse_properties(f):
+    inv = hs_inverse(f)
+    assert hs_mul(f, inv) == HalfSeries.one(f.trunc)
+    assert hs_inverse(inv) == f
+    assert inv.base_deg == -f.base_deg
+
+
+@settings(deadline=None)
+@given(series(unit=False))
+def test_zero_constant_term_is_not_a_unit(f):
+    with pytest.raises(NonUnit):
+        hs_inverse(f)

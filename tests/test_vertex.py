@@ -1,6 +1,7 @@
 """Formal bracket system: exact symbolic checks over the truncated u-grading."""
 
 import cmath
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -216,3 +217,73 @@ def test_L_action_is_diagonal_on_normalized_generators(coeffs, n):
         e = e + y_generator(m, TRUNC + 1).scale(r)
         want = want + y_generator(n + m, TRUNC + 1).scale(m * r)
     assert L_action(n, e).restrict(TRUNC) == want.restrict(TRUNC)
+
+
+# ------------------------------------------------ Fraction-dict reference span
+# The span operations on {(m, k): Fraction} dicts, written from the defining
+# rules; VertexElem (integer numerators over one denominator) must agree.
+
+def ref_clean(terms: dict, trunc: int) -> dict:
+    return {mk: c for mk, c in terms.items() if c and mk[1] <= trunc}
+
+
+def ref_add(a: dict, b: dict, trunc: int) -> dict:
+    out = dict(a)
+    for mk, c in b.items():
+        out[mk] = out.get(mk, 0) + c
+    return ref_clean(out, trunc)
+
+
+def ref_L_action(n: int, a: dict, trunc: int) -> dict:
+    out: dict = {}
+    for (m, k), c in a.items():
+        for mk, v in (((n + m, k), c * m), ((n + m + 2, k + 1), 2 * c)):
+            out[mk] = out.get(mk, 0) + v
+    return ref_clean(out, trunc)
+
+
+def ref_bracket(a: dict, b: dict, K: int, cap: int) -> dict:
+    out: dict = {}
+    for (m, k), c1 in a.items():
+        for (n, j), c2 in b.items():
+            if k + j <= K:
+                term = bracket_xx(m, n, cap).scale(c1 * c2)
+                out[k + j] = out[k + j] + term if k + j in out else term
+    return {g: v for g, v in out.items() if not v.is_zero()}
+
+
+NONZERO_RATS = RATS.filter(bool)
+# scaled twice, so denominators are products that are not in lowest terms
+SCALED = st.builds(lambda e, r, s: e.scale(r).scale(s), elems(), NONZERO_RATS, NONZERO_RATS)
+
+
+@settings(deadline=None)
+@given(SCALED, SCALED, RATS, INDICES, st.integers(0, TRUNC))
+def test_span_operations_match_fraction_reference(a, b, r, n, grade):
+    ta, tb = a.terms, b.terms
+    assert (a + b).terms == ref_add(ta, tb, TRUNC)
+    assert (a.restrict(grade) + b).terms == ref_add(ref_clean(ta, grade), tb, TRUNC)
+    low = VertexElem(ref_clean(ta, grade), grade)
+    assert (low + b).terms == ref_add(ref_clean(ta, grade), tb, grade)
+    assert a.scale(r).terms == ref_clean({mk: c * r for mk, c in ta.items()}, TRUNC)
+    assert L_action(n, a).terms == ref_L_action(n, ta, TRUNC)
+    assert a.restrict(grade).terms == ref_clean(ta, grade)
+    assert (a == b) == (ta == tb)
+    assert a == VertexElem(ta, TRUNC) and VertexElem(ta, TRUNC) == a
+    assert canonical(a + b) and canonical(L_action(n, a))
+
+
+@settings(deadline=None)
+@given(SCALED, SCALED, st.sampled_from([None, 1, 4]))
+def test_bracket_elems_matches_pairwise_reference(a, b, cap):
+    got = bracket_elems(a, b, cap)
+    want = ref_bracket(a.terms, b.terms, TRUNC, TRUNC + 2 if cap is None else cap)
+    assert got.keys() == want.keys()
+    assert all(got[g] == want[g] for g in want)
+
+
+def test_y_generator_matches_its_defining_sum():
+    for m in (-2, 0, 3):
+        for K in (0, 1, 5):
+            want = {(m + 2 * k, k): Fraction((-1) ** k, math.factorial(k)) for k in range(K + 1)}
+            assert y_generator(m, K).terms == want
