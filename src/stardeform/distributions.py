@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import Poly, intertwine
 from .errors import DomainError, QuadratureFailure
-from .quadrature import (_gl_nodes, gaussian_halfwidth, integrate_gaussian_window,
-                         integrate_segment, integrate_segment_refined)
+from .quadrature import (_gl_nodes, check_window_error, gaussian_halfwidth,
+                         integrate_gaussian_window, integrate_power_window, integrate_segment,
+                         integrate_segment_refined)
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 
 TWO_PI = 2 * math.pi
@@ -61,12 +62,9 @@ def delta_mass(a, tau, tol: float = 1e-12):
 
 # ----------------------------------------------------------- sided inverses
 
-def _osc_halfline(tau, a, w_grid, side: int, t_weight=None):
-    """integral over the half-line (side=+1: t in (-inf,0]; -1: [0,inf)) of
-    w(t) e^{-t^2 tau/4} e^{it(a+w)} dt for each w in the grid.
-
-    Im a shifts the Gaussian peak off t=0, so the window widens by it; the
-    panels resolve both the e^{itw} oscillation and the growth from Im a."""
+def _halfline_integrand(a, w_grid, t_weight=None):
+    """(f, osc) with f(t) = w(t) e^{it(a+w)} over the grid, and the oscillation
+    rate the window must resolve: Im a adds growth e^{|Im a| |t|} to it."""
     a_c = complex(a)
     ws = np.asarray([complex(w) for w in w_grid])
     osc = max(float(np.abs(ws + a_c).max()), abs(a_c.imag) + 1.0)
@@ -77,7 +75,17 @@ def _osc_halfline(tau, a, w_grid, side: int, t_weight=None):
             base = base * t_weight(t)
         return base
 
-    return integrate_gaussian_window(f, tau, -side, osc, shift=a_c.imag)
+    return f, osc
+
+
+def _osc_halfline(tau, a, w_grid, side: int, t_weight=None):
+    """integral over the half-line (side=+1: t in (-inf,0]; -1: [0,inf)) of
+    w(t) e^{-t^2 tau/4} e^{it(a+w)} dt for each w in the grid.
+
+    Im a shifts the Gaussian peak off t=0, so the window widens by it; the
+    panels resolve both the e^{itw} oscillation and the growth from Im a."""
+    f, osc = _halfline_integrand(a, w_grid, t_weight)
+    return integrate_gaussian_window(f, tau, -side, osc, shift=complex(a).imag)
 
 
 def sided_inverse(a, side: str, tau, w_grid):
@@ -107,15 +115,18 @@ def sided_power(a, m: int, side: str, tau, w_grid):
     """(a+w)^{-m}_{*(side)} from the (m-1)-th a-derivative of the inverse:
     the derivative pulls (it)^{m-1} into the integrand.
 
-    m is at most 171, so that (m-1)! stays below the float maximum.
+    m is at most 171, so that (m-1)! stays below the float maximum.  The window
+    follows the weight's mass near |t| = sqrt(2(m-1)/Re tau).  An error estimate
+    above WINDOW_RTOL times the largest value on the grid raises QuadratureFailure.
     """
     _check_tau(tau)
     if not 1 <= m <= 171:
         raise DomainError(f"m must be in 1..171, got {m}")
     sgn = +1 if side == "+" else -1
     pref = (1j if side == "+" else -1j) * (-1) ** (m - 1) / math.factorial(m - 1)
-    return pref * _osc_halfline(tau, a, w_grid, sgn,
-                                t_weight=lambda t: (1j * t) ** (m - 1))
+    f, osc = _halfline_integrand(a, w_grid, t_weight=lambda t: (1j * t) ** (m - 1))
+    val, err = integrate_power_window(f, tau, -sgn, osc, m - 1, shift=complex(a).imag)
+    return pref * check_window_error(val, err)
 
 
 def delta_difference_residual(a, tau, w_grid) -> float:
@@ -293,7 +304,9 @@ def principal_value_inverse(m: int, tau, w_grid):
 
         (i/2) integral (it)^{m-1}/(m-1)! sgn(t) e^{-t^2 tau/4} e^{-itw} dt.
 
-    m is at most 171, so that (m-1)! stays below the float maximum.
+    m is at most 171, so that (m-1)! stays below the float maximum.  The windows
+    follow the weight's mass near |t| = sqrt(2(m-1)/Re tau).  An error estimate
+    above WINDOW_RTOL times the largest value on the grid raises QuadratureFailure.
     """
     _check_tau(tau)
     if not 1 <= m <= 171:
@@ -305,8 +318,9 @@ def principal_value_inverse(m: int, tau, w_grid):
         wgt = (1j * t) ** (m - 1) / math.factorial(m - 1)
         return wgt * np.exp(-1j * np.multiply.outer(ws, t))
 
-    return 0.5j * (integrate_gaussian_window(f, tau, +1, osc)
-                   - integrate_gaussian_window(f, tau, -1, osc))
+    plus, err_plus = integrate_power_window(f, tau, +1, osc, m - 1)
+    minus, err_minus = integrate_power_window(f, tau, -1, osc, m - 1)
+    return check_window_error(0.5j * (plus - minus), 0.5 * (err_plus + err_minus))
 
 
 # ---------------------------------------------------------- periodic combs

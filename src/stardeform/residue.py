@@ -24,7 +24,7 @@ from .core import Poly
 from .errors import DegenerateBoundary, DomainError, NodeCountError, PathError, SingularPoint
 from .exact import SparseLaurent
 from .numeric import cabs, cexp, csqrt
-from .quadrature import _gl_nodes
+from .quadrature import _panel_rule
 from .starexp import GaussPoly, quadexp_star, star_poly_gauss
 
 # ------------------------------------------------------------ closed forms
@@ -464,14 +464,11 @@ def gamma_path_integral(nu, tau, waypoints, w_grid, n_panels: int = 48,
     deriv = 0,1,2 returns d^deriv/dw^deriv of the integrand integrated."""
     tau_c, nu_c = complex(tau), complex(nu)
     ws = np.asarray([complex(w) for w in w_grid])
-    xs, wts = _gl_nodes(n_nodes)
+    ts, wt = _panel_rule(n_panels, n_nodes)
     total = np.zeros(len(ws), dtype=complex)
     prev_root = csqrt(1 - complex(waypoints[0]) * tau_c)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         a, b = complex(a), complex(b)
-        edges = np.linspace(0.0, 1.0, n_panels + 1)
-        ts = (edges[:-1, None] + np.diff(edges)[:, None] * xs[None, :]).ravel()
-        wt = (np.diff(edges)[:, None] * wts[None, :]).ravel()
         zs = a + (b - a) * ts
         denoms = 1 - zs * tau_c
         roots = _nearest_branch_sqrt(denoms, prev_root)

@@ -228,8 +228,9 @@ def bessel_table(a, tau, N: int, w_grid, tol: float = 1e-14) -> BesselTable:
     if M >= 60:
         raise TruncationFailure("correction-factor Fourier series did not decay")
     kmax = N + 2 * M + 8
-    classical = {k: np.asarray([bessel_j(k, a_c * w) for w in ws])
-                 for k in range(-kmax, kmax + 1)}
+    classical = {k: np.asarray([bessel_j(k, a_c * w) for w in ws]) for k in range(kmax + 1)}
+    for k in range(1, kmax + 1):        # J_{-k} = (-1)^k J_k, as bessel_j itself reflects
+        classical[-k] = (-1) ** k * classical[k]
     pref = np.exp(-a_c * a_c * tau_c / 8)
     vals = {}
     for n in range(-N, N + 1):

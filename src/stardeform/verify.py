@@ -111,6 +111,24 @@ def suite_core(cfg: RunConfig) -> list:
     return out
 
 
+def _gauss_derivative_factors(q0, alpha, beta, w, n: int) -> list:
+    """[q_0(w), ..., q_{n-1}(w)] with d^k/dw^k (q0 e^phi) = q_k e^phi, phi = alpha w^2 + beta w.
+
+    The prefactor q0 must be constant.  Differentiating gives q_{k+1} = q_k' + q_k phi',
+    and q_k' = 2 alpha k q_{k-1}: true at k = 0 (q0 is constant), and inductively
+    q_{k+1}' = 2 alpha k (q_{k-1}' + q_{k-1} phi') + q_k phi'' = 2 alpha (k+1) q_k.
+    So the values obey  q_{k+1}(w) = phi'(w) q_k(w) + 2 alpha k q_{k-1}(w),  q_{-1} = 0;
+    no polynomial is formed, and nothing is taken from gauss_star's closed form.
+    """
+    dphi = beta + 2 * alpha * w
+    out = [q0]
+    prev, cur = 0.0, q0
+    for k in range(n - 1):
+        prev, cur = cur, dphi * cur + 2 * alpha * k * prev
+        out.append(cur)
+    return out
+
+
 def suite_starexp(cfg: RunConfig) -> list:
     rng = random.Random(cfg.seed)
     out = []
@@ -150,19 +168,15 @@ def suite_starexp(cfg: RunConfig) -> list:
         f = starexp.GaussPoly(core.Poly.const(1), a1, 0.0)
         g = starexp.GaussPoly(core.Poly.const(1), a2, 0.0)
         prod = starexp.gauss_star(f, g, tau)
-        # qf, qg and scl do not depend on w: one recursion feeds both sums
-        ws = (-0.8, 0.5)
-        qf, qg = f.poly, g.poly
-        cf, cg = core.Poly([f.beta, 2 * f.alpha]), core.Poly([g.beta, 2 * g.alpha])
-        accs = [qf(w) * qg(w) for w in ws]
-        scl = 1.0
+        # the defining sum  sum_k tau^k / (2^k k!) f^(k) g^(k),  truncated at k = 59;
+        # f and g have the constant prefactor _gauss_derivative_factors needs
+        scls = [1.0]
         for k in range(1, 60):
-            qf = qf.deriv() + qf * cf
-            qg = qg.deriv() + qg * cg
-            scl = scl * tau / (2 * k)
-            for i, w in enumerate(ws):
-                accs[i] += scl * qf(w) * qg(w)
-        for w, acc in zip(ws, accs):
+            scls.append(scls[-1] * tau / (2 * k))
+        for w in (-0.8, 0.5):
+            qf = _gauss_derivative_factors(f.poly(w), f.alpha, f.beta, w, 60)
+            qg = _gauss_derivative_factors(g.poly(w), g.alpha, g.beta, w, 60)
+            acc = sum(scl * a * b for scl, a, b in zip(scls, qf, qg))
             acc *= cexp(f.alpha * w * w) * cexp(g.alpha * w * w)
             worst = max(worst, abs(prod(w) - acc) / max(1.0, abs(acc)))
     out.append(_rec("gaussian-product-series-oracle",

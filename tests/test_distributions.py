@@ -19,8 +19,11 @@ from stardeform.distributions import (associativity_break_gap, constant_variatio
                                       sided_inverse, sided_inverse_defect, sided_power,
                                       slowly_increasing_transform, tempered_transform,
                                       y_sgn_identity_residuals)
-from stardeform.errors import DomainError
-from stardeform.quadrature import gaussian_halfwidth
+from stardeform.cli import main
+from stardeform.errors import DomainError, QuadratureFailure
+from stardeform.quadrature import (_gl_nodes, _panel_rule, check_window_error,
+                                   gaussian_halfwidth, integrate_gaussian_window,
+                                   integrate_power_window, integrate_segment)
 from stardeform.starexp import star_poly_gauss
 from stardeform.theta import theta_eval
 
@@ -286,3 +289,158 @@ def test_sided_power_order_range(m):
     for side in "+-":
         with pytest.raises(DomainError, match="1..171"):
             sided_power(0.0, m, side, 1.0, W_SMALL)
+
+
+# ------------------------------------------------------- cached panel rules
+
+def _linspace_rule(n_panels, n_nodes):
+    """The composite rule as integrate_segment built it on every call before it was cached."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    ts = (edges[:-1, None] + np.diff(edges)[:, None] * x[None, :]).ravel()
+    ws = (np.diff(edges)[:, None] * w[None, :]).ravel()
+    return ts, ws
+
+
+@pytest.mark.parametrize("n_panels, n_nodes", [(1, 5), (8, 16), (24, 16), (37, 16), (64, 12)])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.5 + 0.3j, 1.0 - 0.7j), (3j, -1.5)])
+def test_integrate_segment_is_bit_identical_to_the_uncached_rule(n_panels, n_nodes, a, b):
+    ws_grid = np.asarray([-1.0, 0.25, 2.0 + 0.5j])
+
+    def f(t):
+        return np.exp(1j * np.multiply.outer(ws_grid, t) - 0.3 * t * t)
+
+    ts, wts = _linspace_rule(n_panels, n_nodes)
+    want = (b - a) * np.sum(f(a + (b - a) * ts) * wts, axis=-1)
+    got = integrate_segment(f, a, b, n_panels, n_nodes)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cached_rules_are_read_only_and_shared():
+    for rule in (_gl_nodes(16), _panel_rule(24, 16)):
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+            with pytest.raises(ValueError):
+                arr *= 2.0
+    assert _gl_nodes(16) is _gl_nodes(16)
+    assert _panel_rule(24, 16) is _panel_rule(24, 16)
+    assert all(x is y for x, y in zip(_panel_rule(24, 16), _panel_rule(24, 16)))
+
+
+# --------------------------------- sided powers and Pf. against mpmath
+
+def _mp_halfline(p, tau, c, sign):
+    """integral of (it)^p e^{-t^2 tau/4} e^{ict} over sign*t >= 0, in closed form.
+
+    With a = tau/4 and h = (p+1)/2, splitting e^{ict} into its even and odd parts,
+        integral_0^inf t^p e^{-a t^2 + ict} dt
+          = (Gamma(h) 1F1(h; 1/2; -c^2/4a) + ic a^{-1/2} Gamma(h+1/2) 1F1(h+1/2; 3/2; -c^2/4a))
+            / (2 a^h);
+    t -> -t gives the other half-line.  (mpmath.quad over one infinite panel
+    misses a peak far from 0 at large p; panel-split, it agrees with this.)"""
+    with mpmath.workdps(30):
+        a, c = mpmath.mpc(tau) / 4, mpmath.mpc(c) * sign
+        h = mpmath.mpf(p + 1) / 2
+        z = -c * c / (4 * a)
+        val = (mpmath.gamma(h) * mpmath.hyp1f1(h, 0.5, z)
+               + 1j * c / mpmath.sqrt(a) * mpmath.gamma(h + 0.5) * mpmath.hyp1f1(h + 0.5, 1.5, z)) \
+            / (2 * a ** h)
+        return complex((1j * sign) ** p * val)
+
+
+def _mp_sided_power(a, m, side, tau, w):
+    sign, pref = (-1, 1j) if side == "+" else (1, -1j)
+    return pref * (-1) ** (m - 1) / math.factorial(m - 1) \
+        * _mp_halfline(m - 1, tau, complex(a) + w, sign)
+
+
+def _mp_principal_value(m, tau, w):
+    return 0.5j / math.factorial(m - 1) * (_mp_halfline(m - 1, tau, -w, 1)
+                                            - _mp_halfline(m - 1, tau, -w, -1))
+
+
+@pytest.mark.parametrize("m", [1, 5, 21, 41, 61])
+@pytest.mark.parametrize("tau", [1.0, 0.6 + 0.9j])
+def test_large_order_transforms_meet_the_tolerance_or_raise(m, tau):
+    """At w = 0.3 each value is within 1e-10 relative of mpmath, or raises; at
+    real tau the weighted window resolves every case, so none may raise (the
+    bare-Gaussian window was off by 0.5 at m = 61)."""
+    w = 0.3
+    cases = [(lambda: principal_value_inverse(m, tau, [w]), lambda: _mp_principal_value(m, tau, w)),
+             (lambda: sided_power(0.0, m, "+", tau, [w]),
+              lambda: _mp_sided_power(0.0, m, "+", tau, w)),
+             (lambda: sided_power(0.5 - 0.4j, m, "-", tau, [w]),
+              lambda: _mp_sided_power(0.5 - 0.4j, m, "-", tau, w))]
+    for got, want in cases:
+        try:
+            val = complex(got()[0])
+        except QuadratureFailure:
+            assert complex(tau).imag != 0
+            continue
+        ref = want()
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+def test_unresolved_large_order_transform_raises():
+    """At tau = 0.6+0.9i the chirp of e^{-i t^2 Im tau/4} cancels the m = 61
+    integrand by more than the tolerance allows; the estimate must refuse it."""
+    with pytest.raises(QuadratureFailure, match="error estimate"):
+        principal_value_inverse(61, 0.6 + 0.9j, [0.3])
+    with pytest.raises(QuadratureFailure, match="error estimate"):
+        sided_power(0.5 - 0.4j, 61, "-", 0.6 + 0.9j, [0.3])
+
+
+def test_first_order_windows_are_unchanged():
+    """At m = 1 the weighted window is the bare-Gaussian one and the returned
+    value is its first pass, bit for bit."""
+    ws = np.asarray(W_GRID)
+
+    def f(t):
+        return np.exp(-1j * np.multiply.outer(ws, t))
+
+    osc = float(np.abs(ws).max()) + 1.0
+    want = 0.5j * (integrate_gaussian_window(f, 1.5 + 0.5j, +1, osc)
+                   - integrate_gaussian_window(f, 1.5 + 0.5j, -1, osc))
+    assert principal_value_inverse(1, 1.5 + 0.5j, W_GRID).tobytes() == want.tobytes()
+    for a in (0.0, 0.5 - 0.4j):
+        for side in "+-":
+            assert sided_power(a, 1, side, 1.0, W_GRID).tobytes() == \
+                sided_inverse(a, side, 1.0, W_GRID).tobytes()
+
+
+def test_power_window_error_estimate_has_both_terms():
+    """A kink at t = 1.37 converges slowly under panel doubling, so the first
+    term refuses it; for f = 1 both passes agree and the estimate is the rounding
+    term eps * integral |f| e^{-t^2/4} = eps sqrt(pi) alone."""
+    val, err = integrate_power_window(lambda t: np.sqrt(np.abs(t - 1.37)), 1.0, +1, 1.0, 0)
+    with pytest.raises(QuadratureFailure, match="error estimate"):
+        check_window_error(val, err)
+    val, err = integrate_power_window(np.ones_like, 1.0, +1, 1.0, 0)
+    assert abs(val - math.sqrt(math.pi)) < 1e-15
+    assert err == pytest.approx(np.finfo(float).eps * math.sqrt(math.pi), rel=1e-12, abs=0)
+    assert check_window_error(val, err) is val
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_cli_pf_at_m61_prints_correct_values(capsys):
+    code, out, err = _run(["dist", "--side", "pv", "--m", "61", "--w-grid=-0.6,0.6,3"], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    vals = np.asarray([complex(float(re), float(im)) for _, re, im in rows])
+    refs = np.asarray([_mp_principal_value(61, 1.0, float(w)) for w, _, _ in rows])
+    assert np.abs(vals - refs).max() <= 1e-10 * np.abs(refs).max()
+
+
+def test_cli_pf_refused_with_one_error_line(capsys):
+    code, out, err = _run(["dist", "--side", "pv", "--m", "61", "--tau=0.6,0.9",
+                           "--w-grid=0.3,0.6,2"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+

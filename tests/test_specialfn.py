@@ -127,6 +127,19 @@ def test_bessel_tau_zero_recovers_classical():
             assert abs(tab.values[n][i] - complex(sps.jv(n, w))) < 1e-12
 
 
+def test_bessel_table_negative_orders_reflect_bit_for_bit():
+    """At tau = 0 the table is the classical row itself; its negative orders are
+    (-1)^k times the positive ones, and bessel_j's own values, bit for bit.  A
+    complex a keeps every part nonzero, so no signed zero blurs the bytes, and
+    the grid reaches |a w| > 10, where bessel_j recurs backward."""
+    a, ws = 1.3 + 0.4j, [-8.5, -2.5, -0.3, 0.7, 1.9]
+    tab = bessel_table(a, 0.0, 12, ws)
+    for k in range(1, 13):
+        neg, pos = np.asarray(tab.values[-k]), np.asarray(tab.values[k])
+        assert neg.tobytes() == ((-1) ** k * pos).tobytes()
+        assert neg.tobytes() == np.asarray([bessel_j(-k, a * w) for w in ws]).tobytes()
+
+
 def test_bessel_addition_formula():
     resid = bessel_addition_residual(1.0, 1.0, 1.0, [-1.0, -0.4, 0.0, 0.3, 1.0], N=6)
     assert resid < 1e-9

@@ -11,6 +11,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeform import starexp, verify
 from stardeform.core import Poly
@@ -339,3 +340,46 @@ def test_series_oracle_record_detects_a_perturbed_product(monkeypatch):
     monkeypatch.setattr(starexp, "gauss_star",
                         lambda *args: gauss_star_(*args).scaled(1 + 1e-6))
     assert record()["passed"] is False
+
+
+def _poly_derivative_factors(alpha, beta, w, n):
+    """q_k(w) for k < n, where q_k is the polynomial of the recursion
+    q_{k+1} = q_k' + q_k (2 alpha w + beta), q_0 = 1: the reference the series
+    oracle used before its value recurrence."""
+    q, chain = Poly.const(1.0), Poly([beta, 2 * alpha])
+    out = []
+    for _ in range(n):
+        out.append(q(w))
+        q = q.deriv() + q * chain
+    return out
+
+
+def _term_sizes(alpha, beta, w, n):
+    """Q_k, the sum of the magnitudes of the terms that make up q_k(w): both
+    routes round relative to it, and q_k itself can be 1e5 times smaller."""
+    d, out = abs(beta) + 2 * abs(alpha) * abs(w), [1.0]
+    prev = 0.0
+    for k in range(n - 1):
+        prev, cur = out[-1], d * out[-1] + 2 * abs(alpha) * k * prev
+        out.append(cur)
+    return out
+
+
+# inputs rounded to 3 decimals: tinier nonzero alpha, beta or w drive q_k into
+# the subnormal range, where no relative bound holds
+PART = st.floats(-0.5, 0.5).map(lambda x: round(x, 3))
+BOX = st.builds(complex, PART, PART)
+
+
+@settings(deadline=None, max_examples=80)
+@given(BOX, BOX, st.floats(-3.0, 3.0).map(lambda x: round(x, 3)))
+def test_series_oracle_value_recurrence_matches_poly_recursion(alpha, beta, w):
+    """q_{k+1}(w) = phi'(w) q_k(w) + 2 alpha k q_{k-1}(w) gives the values of the
+    polynomial recursion for every k <= 59."""
+    got = verify._gauss_derivative_factors(1.0, alpha, beta, w, 60)
+    want = _poly_derivative_factors(alpha, beta, w, 60)
+    sizes = _term_sizes(alpha, beta, w, 60)
+    assert len(got) == 60
+    for k, (val, size) in enumerate(zip(want, sizes)):
+        assert abs(got[k] - val) <= 1e-12 * size, k
+
