@@ -11,8 +11,11 @@ The rules are cached: `_gl_nodes(n)` (nodes and weights on [0, 1]) and
 `_panel_rule(n_panels, n_nodes)` (the composite rule on [0, 1]) each build
 their arrays once per process and hand every caller the same read-only
 arrays, so a caller that wrote into them would corrupt every later integral;
-a write raises ValueError instead.  Both caches are bounded; the 180 tasks of
-a seed-1 verify-numeric benchmark run use 44 distinct panel rules.
+a write raises ValueError instead.  Both caches hold at most 64 rules, and
+`_panel_rule` caches only rules of at most MAX_CACHED_NODES nodes, so it
+retains at most about 4 MB; wider rules are rebuilt on each call, which costs
+little next to evaluating f on them.  The verify-numeric benchmark's task
+lists (seeds 1-3) use at most 102 panels of 16 nodes.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ _LOG_WINDOW_TOL = math.log(1e16)
 WINDOW_PANEL_BUDGET = 4096
 # Relative error integrate_power_window's callers accept (see check_window_error).
 WINDOW_RTOL = 1e-10
+# Most nodes (n_panels * n_nodes) of a composite rule that _panel_rule caches.
+MAX_CACHED_NODES = 4096
 
 
 def _read_only(*arrays):
@@ -47,14 +52,23 @@ def _gl_nodes(n: int):
     return _read_only((x + 1.0) / 2.0, w / 2.0)
 
 
-@lru_cache(maxsize=64)
-def _panel_rule(n_panels: int, n_nodes: int):
-    """Nodes and weights of n_panels equal Gauss-Legendre panels on [0, 1]."""
+def _build_panel_rule(n_panels: int, n_nodes: int):
     x, w = _gl_nodes(n_nodes)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     ts = (edges[:-1, None] + np.diff(edges)[:, None] * x[None, :]).ravel()
     ws = (np.diff(edges)[:, None] * w[None, :]).ravel()
     return _read_only(ts, ws)
+
+
+_cached_panel_rule = lru_cache(maxsize=64)(_build_panel_rule)
+
+
+def _panel_rule(n_panels: int, n_nodes: int):
+    """Nodes and weights of n_panels equal Gauss-Legendre panels on [0, 1];
+    cached up to MAX_CACHED_NODES nodes."""
+    if n_panels * n_nodes > MAX_CACHED_NODES:
+        return _build_panel_rule(n_panels, n_nodes)
+    return _cached_panel_rule(n_panels, n_nodes)
 
 
 def integrate_segment(f, a, b, n_panels: int = 8, n_nodes: int = 16):
@@ -162,6 +176,7 @@ def integrate_power_window(f, tau, side: int, osc: float, power: int, shift: flo
     check_window_error turns it into a QuadratureFailure.
     """
     windowed, lo, hi, n_panels = _window(f, tau, side, osc, shift, power)
+    n_nodes = 16
     first_pass = []
 
     def sampled(t):
@@ -170,19 +185,21 @@ def integrate_power_window(f, tau, side: int, osc: float, power: int, shift: flo
         return vals
 
     with np.errstate(over="ignore", invalid="ignore"):
-        val = integrate_segment(sampled, lo, hi, n_panels)
-        mass = (hi - lo) * np.sum(np.abs(first_pass[0]) * _panel_rule(n_panels, 16)[1], axis=-1)
-        doubled = integrate_segment(windowed, lo, hi, 2 * n_panels)
+        val = integrate_segment(sampled, lo, hi, n_panels, n_nodes)
+        mass = (hi - lo) * np.sum(np.abs(first_pass[0]) * _panel_rule(n_panels, n_nodes)[1],
+                                  axis=-1)
+        doubled = integrate_segment(windowed, lo, hi, 2 * n_panels, n_nodes)
         err = np.abs(doubled - val) + np.finfo(float).eps * mass
     if not (np.all(np.isfinite(val)) and np.all(np.isfinite(err))):
         raise QuadratureFailure(f"Gaussian window integral is not finite at tau={tau}")
     return val, err
 
 
-def check_window_error(val, err, rtol: float = WINDOW_RTOL):
-    """val, after raising QuadratureFailure if the estimate err exceeds rtol * max |val|."""
+def check_window_error(val, err):
+    """val, after raising QuadratureFailure if the estimate err exceeds
+    WINDOW_RTOL * max |val|."""
     worst, scale = float(np.max(err)), float(np.max(np.abs(val)))
-    if not worst <= rtol * scale:
+    if not worst <= WINDOW_RTOL * scale:
         raise QuadratureFailure(f"Gaussian window error estimate {worst:.3g} exceeds "
-                                f"{rtol:g} relative to {scale:.3g}")
+                                f"{WINDOW_RTOL:g} relative to {scale:.3g}")
     return val
