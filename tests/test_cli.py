@@ -173,6 +173,16 @@ EXACT_REPORT_SHA256 = {
     "verify core --seed 3": "d6b4c214848cad0756964839d1ad9a9e443a9b6f33aca87a2f25e97fb01fa36b",
     "verify halfseries": "87ca5d861ad844ce4adfacd8448f150b621051916244e86ea2ac086c038b6c62",
     "verify vertex": "c07c0f53e13ced608344bfaee23bc78a18d8c7338b4c7556613afa2798fe5fac",
+    "table hermite 20 --tau=0.5,0.25":
+        "d4b5b1210f7ec2815eb51470b6a9aca05bf59b3d5ad5f964a4503207949887ec",
+    "table legendre 40 --tau=-1,0":
+        "db3f06e2cc93407fa916c6571f91d65faebb37961f9c1f17d9304aa5d9bba8f7",
+    "table legendre 6 --tau=0.5,0.5":
+        "8107eebc68ead17328878abbe8b08d81bff5c652e8f0d3f3c7e3cc9855706448",
+    "table laguerre 12 --tau=-1,0":
+        "8cf5194f971335d7da10092f9aaefbd5daa3148ea452fd7ffa3b01e2edc218f4",
+    "eval star --f w^3+2 --g w^2 --tau 1,0.5 --rational":
+        "47e148d1589adb8c7d3396bc061c921184ef33fbce21d033a62fd986d91cc62f",
 }
 
 
