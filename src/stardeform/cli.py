@@ -238,8 +238,7 @@ def cmd_table(args) -> int:
     if fam == "legendre":
         from .specialfn import legendre_star_exact
 
-        # a real tau keeps the Fraction route, so its printed table is unchanged
-        tab = legendre_star_exact(N, tau.re if tau.im == 0 else tau)
+        tab = legendre_star_exact(N, tau)
         emit_csv(["n", "polynomial_in_(w+a)"],
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
@@ -267,10 +266,7 @@ def _exact_poly_str(p: Poly) -> str:
         c = p.coeffs[k]
         if not c:
             continue
-        if isinstance(c, QC) and c.im == 0:
-            cs = str(c.re)
-        else:
-            cs = str(c)
+        cs = str(c)
         var = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
         if var and cs == "1":
             bits.append(var)

@@ -8,25 +8,26 @@ is commutative and associative; tau = 0 is the plain polynomial algebra and the
 map exp(((tau'-tau)/4) d^2/dw^2) intertwines the products at two parameter
 values.  All operations are pure; values are immutable after construction.
 
-Coefficients are generic: Python complex, or exact int, Fraction and
-exact.QC (rational-complex, used for zero-residual identity checks).
+Coefficients are Python complex, or exact int, Fraction and exact.QC
+(rational-complex, used for zero-residual identity checks); exact.is_exact
+tells them apart.  Every entry point computes exact input in QC and returns QC
+coefficients.  Poly itself converts nothing: Poly.x() has int coefficients
+and serves float code as well.
 
-star_product and intertwine choose their route by scalar type alone.  When
-every coefficient and every parameter is a QC, they bring the coefficients to
-Gaussian-integer numerators over one common denominator (exact.to_gaussian),
-evaluate the defining sums in Python ints, and canonicalise once per output
-coefficient (exact.from_gaussian); the result equals the generic route's value
-for value.  Any other input (float/complex, int, Fraction, or a mix) takes the
-generic loop over Poly arithmetic.
+When tau and every coefficient are exact, star_product and intertwine bring
+the coefficients to Gaussian-integer numerators over one common denominator
+(exact.to_gaussian), evaluate the defining sums in Python ints, and
+canonicalise once per output coefficient (exact.from_gaussian).  Any other
+input takes the float loop over Poly arithmetic, which over QC is also the
+tests' reference for the integer route.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .exact import QC, from_gaussian, to_gaussian
+from .exact import QC, all_exact, as_qc, from_gaussian, is_exact, to_gaussian
 
 
 def _is_zero(c) -> bool:
@@ -132,7 +133,7 @@ class Poly:
         return Poly([fn(c) for c in self.coeffs])
 
     def to_complex(self) -> "Poly":
-        return self.map_coeffs(lambda c: c.to_complex() if isinstance(c, QC) else complex(c))
+        return self.map_coeffs(complex)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -140,16 +141,17 @@ class Poly:
 
 def star_product(f: Poly, g: Poly, tau) -> Poly:
     """sum_k (tau^k / (2^k k!)) f^(k) g^(k); finite, commutative, exact over QC."""
-    if type(tau) is QC and _all_qc(f) and _all_qc(g):
+    if is_exact(tau) and all_exact(f.coeffs) and all_exact(g.coeffs):
         return _star_product_gaussian(f, g, tau)
     return _star_product_loop(f, g, tau)
 
 
 def _star_product_loop(f: Poly, g: Poly, tau) -> Poly:
-    """The defining sum over Poly arithmetic, for any coefficient type."""
+    """The defining sum over Poly arithmetic: the float route, and over QC the
+    reference for the integer route."""
     out = f * g
     fk, gk = f, g
-    scale = _one_like(tau)
+    scale = 1
     kmax = min(f.degree, g.degree)
     for k in range(1, kmax + 1):
         fk = fk.deriv()
@@ -157,10 +159,6 @@ def _star_product_loop(f: Poly, g: Poly, tau) -> Poly:
         scale = scale * tau / (2 * k)
         out = out + (fk * gk).scale(scale)
     return out
-
-
-def _all_qc(p: Poly) -> bool:
-    return all(type(c) is QC for c in p.coeffs)
 
 
 def _deriv(v: list) -> list:
@@ -198,8 +196,8 @@ def _from_gaussian_poly(re: list, im: list, d: int) -> Poly:
     return Poly([from_gaussian(a, b, d) for a, b in zip(re, im)])
 
 
-def _star_product_gaussian(f: Poly, g: Poly, tau: QC) -> Poly:
-    """star_product over QC in ints.  With f = F/D_f, g = G/D_g (F, G
+def _star_product_gaussian(f: Poly, g: Poly, tau) -> Poly:
+    """star_product over exact scalars in ints.  With f = F/D_f, g = G/D_g (F, G
     Gaussian-integer polynomials), tau = T/t_d and K = min(deg f, deg g),
 
         f *_tau g = sum_k C_k F^(k) G^(k) / (D_f D_g (2 t_d)^K K!),
@@ -241,30 +239,20 @@ def _star_product_gaussian(f: Poly, g: Poly, tau: QC) -> Poly:
                                df * dg * (2 * td) ** K * fK)
 
 
-def _one_like(tau):
-    """1 in the arithmetic of tau; an int tau gets a Fraction, so that the
-    scales tau^k / (2^k k!) stay exact."""
-    if isinstance(tau, QC):
-        return QC(1)
-    if isinstance(tau, (int, Fraction)):
-        return Fraction(1)
-    return 1
-
-
 def intertwine(f: Poly, tau_from, tau_to) -> Poly:
     """exp(((tau_to - tau_from)/4) d^2) f: algebra morphism between parameter values."""
-    if type(tau_from) is QC and type(tau_to) is QC and _all_qc(f):
-        return _intertwine_gaussian(f, (tau_to - tau_from) / 4)
+    if is_exact(tau_from) and is_exact(tau_to) and all_exact(f.coeffs):
+        return _intertwine_gaussian(f, (as_qc(tau_to) - tau_from) / 4)
     return _intertwine_loop(f, tau_from, tau_to)
 
 
 def _intertwine_loop(f: Poly, tau_from, tau_to) -> Poly:
-    """The exponential series over Poly arithmetic, for any coefficient type."""
-    diff = tau_to - tau_from
-    theta = Fraction(diff, 4) if isinstance(diff, int) else diff / 4
+    """The exponential series over Poly arithmetic: the float route, and over
+    QC the reference for the integer route."""
+    theta = (tau_to - tau_from) / 4
     out = f
     term = f
-    scale = _one_like(theta)
+    scale = 1
     j = 0
     while term.degree >= 2:
         j += 1
@@ -275,7 +263,7 @@ def _intertwine_loop(f: Poly, tau_from, tau_to) -> Poly:
 
 
 def _intertwine_gaussian(f: Poly, theta: QC) -> Poly:
-    """intertwine over QC in ints.  With f_i = F_i/D_f, theta = Θ/t_d and
+    """intertwine over exact scalars in ints.  With f_i = F_i/D_f, theta = Θ/t_d and
     J = floor(deg f / 2),
 
         out_n = sum_j Θ^j t_d^(J-j) (J!/j!) ((n+2j)!/n!) F_{n+2j} / (D_f t_d^J J!)."""
@@ -311,38 +299,27 @@ def _intertwine_gaussian(f: Poly, theta: QC) -> Poly:
 def w_star_power(n: int, tau) -> Poly:
     """The n-th deformed power of w: monic degree-n polynomial
 
-        P_n(w, tau) = sum_{k <= n/2} n!/(4^k k! (n-2k)!) tau^k w^(n-2k).
+        P_n(w, tau) = sum_{k <= n/2} n!/(4^k k! (n-2k)!) tau^k w^(n-2k),
+
+    over QC for an exact tau.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = [0] * (n + 1)
-    one = _one_like(tau)
-    # exact combinatorial prefactors; tau powers in the ambient arithmetic
-    c = Fraction(1)
-    tpow = one
+    tau = as_qc(tau)
+    exact = is_exact(tau)
+    coeffs = [QC(0) if exact else 0] * (n + 1)
+    c = 1                                           # n!/(k! (n-2k)!)
+    tpow = QC(1) if exact else 1
     for k in range(n // 2 + 1):
         if k > 0:
-            # ratio of successive prefactors: (n-2k+2)(n-2k+1) / (4k)
-            c = c * Fraction((n - 2 * k + 2) * (n - 2 * k + 1), 4 * k)
+            c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // k
             tpow = tpow * tau
-        coeffs[n - 2 * k] = _rat_times(c, tpow)
+        coeffs[n - 2 * k] = (from_gaussian(c, 0, 4 ** k) if exact else c / 4 ** k) * tpow
     return Poly(coeffs)
-
-
-def _rat_times(frac: Fraction, x):
-    if isinstance(x, QC):
-        return QC(frac) * x
-    if isinstance(x, (int, Fraction)):
-        return frac * x
-    if frac.denominator == 1:
-        return int(frac) * x
-    return (frac.numerator / frac.denominator) * x
 
 
 def infinitesimal_intertwiner(f: Poly) -> Poly:
     """Quarter of the second derivative: the generator of the intertwiner flow."""
-    return f.deriv(2).scale(Fraction(1, 4)) if _coeffs_exact(f) else f.deriv(2).scale(0.25)
-
-
-def _coeffs_exact(f: Poly) -> bool:
-    return all(isinstance(c, (int, Fraction, QC)) for c in f.coeffs)
+    if all_exact(f.coeffs):
+        return f.deriv(2).map_coeffs(lambda c: as_qc(c) / 4)
+    return f.deriv(2).scale(0.25)

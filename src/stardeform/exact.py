@@ -3,7 +3,9 @@
 QC is a complex number with rational real and imaginary parts, stored as a
 Gaussian integer over one positive denominator.  It interoperates with int and
 Fraction, so generic code written for +,-,*,/ runs unchanged over QC or float
-complex.
+complex; it does not mix with float.  complex(), float() and str() treat a QC
+as they treat a Fraction.  is_exact is the one exactness rule: the exact routes
+compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 
 Each QC operation pays one gcd to stay canonical.  Kernels that combine many
 QC values (core.star_product and core.intertwine) instead bring their inputs
@@ -56,13 +58,8 @@ class QC:
 
     @staticmethod
     def _coerce(x):
-        if isinstance(x, QC):
-            return x
-        if isinstance(x, int):
-            return _new(x, 0, 1)
-        if isinstance(x, Fraction):
-            return _new(x.numerator, 0, x.denominator)
-        return NotImplemented
+        x = as_qc(x)
+        return x if type(x) is QC else NotImplemented
 
     def __add__(self, other):
         o = other if type(other) is QC else QC._coerce(other)
@@ -159,10 +156,22 @@ class QC:
         except OverflowError:
             raise DomainError("exact value is outside the float range") from None
 
+    __complex__ = to_complex
+
+    def __float__(self) -> float:
+        """Nearest float of a real value; TypeError otherwise, as for complex."""
+        if self._b:
+            raise TypeError("float() of a QC with a nonzero imaginary part")
+        return self.to_complex().real
+
     def __repr__(self):
         if not self._b:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
+
+    def __str__(self):
+        """A real value prints as its Fraction (-5/4, 3); any other as repr."""
+        return repr(self) if self._b else str(self.re)
 
 
 def _new(a: int, b: int, d: int) -> QC:
@@ -172,9 +181,33 @@ def _new(a: int, b: int, d: int) -> QC:
     return q
 
 
+_EXACT = frozenset((int, Fraction, QC))
+
+
+def is_exact(x) -> bool:
+    """True for an int, Fraction or QC: the scalars the exact routes take."""
+    return type(x) in _EXACT
+
+
+def all_exact(values) -> bool:
+    """is_exact for every value."""
+    return _EXACT.issuperset(map(type, values))
+
+
+def as_qc(x):
+    """x as a QC if it is an int or Fraction; any other value unchanged."""
+    t = type(x)
+    if t is int:
+        return _new(x, 0, 1)
+    if t is Fraction:
+        return _new(x.numerator, 0, x.denominator)
+    return x
+
+
 def to_gaussian(values) -> tuple:
-    """(re, im, d) for a sequence of QC: d is the lcm of their denominators and
-    values[i] == (re[i] + im[i] i)/d, with re and im lists of ints."""
+    """(re, im, d) for a sequence of exact scalars: d is the lcm of their
+    denominators and values[i] == (re[i] + im[i] i)/d, with int lists re, im."""
+    values = [q if type(q) is QC else as_qc(q) for q in values]
     d = lcm(*(q._d for q in values))
     scales = [d // q._d for q in values]
     return ([q._a * s for q, s in zip(values, scales)],

@@ -14,19 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NonUnit, TruncationFailure
-from .exact import QC
+from .exact import QC, as_qc
 
 DEFAULT_TRUNC = 24
 # Highest truncation order hs_inverse accepts.  Exact inversion costs about
 # K^4 (K^2 products of coefficients whose size grows with K); this admits
 # `table euler|bernoulli 400` (K = 402, about 11 s on a 2-core host).
 SERIES_ORDER_BUDGET = 402
-
-
-def _qc(x) -> QC:
-    if isinstance(x, QC):
-        return x
-    return QC(x)
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,7 @@ class HalfSeries:
 
     @staticmethod
     def from_list(cs, base_deg: int = 0, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
-        cs = [_qc(c) for c in cs][:trunc + 1]
+        cs = [as_qc(c) for c in cs][:trunc + 1]
         cs += [QC(0)] * (trunc + 1 - len(cs))
         return HalfSeries(base_deg, tuple(cs), trunc)
 
@@ -78,7 +72,7 @@ class HalfSeries:
         return HalfSeries(new_base, cs[:self.trunc + 1], self.trunc)
 
     def scale(self, c) -> "HalfSeries":
-        c = _qc(c)
+        c = as_qc(c)
         return HalfSeries(self.base_deg, tuple(c * a for a in self.coeffs), self.trunc)
 
 
@@ -122,7 +116,7 @@ def exp_series(scale, trunc: int = DEFAULT_TRUNC) -> HalfSeries:
     c = QC(1)
     for l in range(trunc + 1):
         if l:
-            c = c * _qc(scale) / l
+            c = c * as_qc(scale) / l
         cs.append(c)
     return HalfSeries.from_list(cs, 0, trunc)
 
@@ -247,7 +241,7 @@ class FormalSeries:
     and must produce identical coefficient sequences."""
 
     def __init__(self, coeffs, trunc: int = DEFAULT_TRUNC):
-        cs = [_qc(c) for c in coeffs][:trunc + 1]
+        cs = [as_qc(c) for c in coeffs][:trunc + 1]
         cs += [QC(0)] * (trunc + 1 - len(cs))
         self.coeffs = cs
         self.trunc = trunc
@@ -283,7 +277,7 @@ class FormalSeries:
         return FormalSeries([QC(0) - c for c in self.coeffs], self.trunc)
 
     def scale(self, c):
-        c = _qc(c)
+        c = as_qc(c)
         return FormalSeries([c * a for a in self.coeffs], self.trunc)
 
 
@@ -292,7 +286,7 @@ def formal_exp(scale, trunc: int = DEFAULT_TRUNC) -> FormalSeries:
     c = QC(1)
     for l in range(trunc + 1):
         if l:
-            c = c * _qc(scale) / l
+            c = c * as_qc(scale) / l
         cs.append(c)
     return FormalSeries(cs, trunc)
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
-from .exact import QC
+from .exact import QC, as_qc
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,9 +46,10 @@ class HermiteFamily:
 
 
 def hermite_table(N: int, tau) -> HermiteFamily:
-    """Build H_0..H_N.  With exact tau (QC/Fraction/int) the reduced table is exact."""
+    """Build H_0..H_N.  With exact tau (QC/Fraction/int) the reduced table is over QC."""
     if N < 0:
         raise ValueError("N must be >= 0")
+    tau = as_qc(tau)
     reduced = tuple(w_star_power(n, tau) for n in range(N + 1))
     table = tuple(p.to_complex().scale(SQRT2 ** n) for n, p in enumerate(reduced))
     return HermiteFamily(tau, table, reduced)
@@ -67,7 +68,7 @@ def hermite_checks(fam: HermiteFamily) -> dict:
     rec_ok = ode_ok = ladder_ok = True
     for n in range(len(fam) - 1):
         p = fam.reduced[n]
-        if Poly.x() * p + p.deriv().scale(_half(tau)) != fam.reduced[n + 1]:
+        if Poly.x() * p + p.deriv().scale(tau / 2) != fam.reduced[n + 1]:
             rec_ok = False
     for n, p in enumerate(fam.reduced):
         if not (p.deriv(2).scale(tau) + p.deriv().scale(2) * Poly.x() - p.scale(2 * n)).is_zero():
@@ -78,12 +79,6 @@ def hermite_checks(fam: HermiteFamily) -> dict:
                  for n in range(len(fam)))
     return {"recurrence": rec_ok, "ode": ode_ok, "ladder": ladder_ok,
             "top_derivative": top_ok}
-
-
-def _half(tau):
-    if isinstance(tau, (int, Fraction)):
-        return Fraction(tau, 2)
-    return tau / 2
 
 
 def hermite_convolution_scale(n: int, tau) -> int | None:
@@ -346,21 +341,23 @@ def _half_integer_moment(k: int) -> Fraction:
 
 
 def legendre_star_exact(N: int, tau) -> list:
-    """Exact dual route: P_n(., tau) as a polynomial in v = w + a with rational
-    coefficients for rational tau (half-integer moments are rational)."""
+    """Exact dual route: P_n(., tau) as a polynomial in v = w + a over QC for an
+    exact tau (half-integer moments are rational)."""
+    tau = as_qc(tau)
+    if type(tau) is not QC:
+        raise DomainError("legendre_star_exact needs an exact tau; legendre_star is the float route")
+    tau_pows = [tau ** i for i in range(N // 2 + 1)]
     out = []
-    zero = QC(0) if isinstance(tau, QC) else Fraction(0)
     for n in range(N + 1):
-        coeffs = [zero] * (n + 1)
+        coeffs = [QC(0)] * (n + 1)
         for j in range(n // 2 + 1):
             for i in range(j + 1):
                 # (tau s^2 - s)^j term: binom(j,i) tau^i (-1)^(j-i) s^(j+i)
                 power_v = n - 2 * j
                 mom = _half_integer_moment(n - j + i)
-                base = Fraction(math.comb(j, i) * (-1) ** (j - i) * 2 ** power_v, 1) \
+                base = math.comb(j, i) * (-1) ** (j - i) * 2 ** power_v \
                     * mom / (math.factorial(j) * math.factorial(n - 2 * j))
-                term = base * tau ** i if not isinstance(tau, QC) else QC(base) * tau ** i
-                coeffs[power_v] = coeffs[power_v] + term
+                coeffs[power_v] = coeffs[power_v] + as_qc(base) * tau_pows[i]
         out.append(Poly(coeffs))
     return out
 
@@ -376,38 +373,32 @@ def legendre_classical(n: int) -> Poly:
 
 # ---------------------------------------------------------------- Laguerre
 
-def _binom_series_coeff(alpha_num: int, m: int, tau):
-    """[t^m] (1 - t tau)^(-alpha) for alpha = alpha_num/2: pochhammer(alpha,m)/m! tau^m."""
+def _binom_series_coeff(alpha_num: int, m: int) -> Fraction:
+    """[t^m] (1 - t tau)^(-alpha) / tau^m for alpha = alpha_num/2: pochhammer(alpha,m)/m!."""
     poch = Fraction(1)
     for i in range(m):
         poch *= Fraction(alpha_num, 2) + i
-    poch /= math.factorial(m)
-    if isinstance(tau, QC):
-        return QC(poch) * tau ** m
-    if isinstance(tau, (int, Fraction)):
-        return poch * Fraction(tau) ** m
-    return complex(poch) * tau ** m
+    return poch / math.factorial(m)
 
 
 def laguerre_star(N: int, tau) -> list:
-    """L_n(x, tau) for n = 0..N as degree-n polynomials in x = w^2:
+    """L_n(x, tau) for n = 0..N as degree-n polynomials in x = w^2, over QC for an exact tau:
 
         L_n = sum_k x^k/k! [t^(n-k)] (1 - t tau)^(-(k+1/2)),
 
     t-coefficients of (1-t tau)^{-1/2} exp(t x/(1-t tau)); d^n/dx^n L_n = 1.
     """
+    tau = as_qc(tau)
     if tau == 0:
         raise DomainError("tau must be nonzero")
-    out = []
-    for n in range(N + 1):
-        coeffs = []
-        for k in range(n + 1):
-            c = _binom_series_coeff(2 * k + 1, n - k, tau)
-            fk = Fraction(1, math.factorial(k))
-            coeffs.append(QC(fk) * c if isinstance(c, QC)
-                          else (fk * c if isinstance(c, Fraction) else float(fk) * c))
-        out.append(Poly(coeffs))
-    return out
+    # rationals lift to QC for an exact tau and to complex otherwise; the float
+    # route rounds (1/k!) ((poch/m!) tau^m) in this order
+    lift = as_qc if type(tau) is QC else complex
+    tau_pows = [tau ** m for m in range(N + 1)]
+    return [Poly([lift(Fraction(1, math.factorial(k)))
+                  * (lift(_binom_series_coeff(2 * k + 1, n - k)) * tau_pows[n - k])
+                  for k in range(n + 1)])
+            for n in range(N + 1)]
 
 
 def laguerre_from_quad_expansion(N: int, tau, x, radius: float | None = None,

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from stardeform import QC, Poly, infinitesimal_intertwiner, intertwine, star_product, w_star_power
 from stardeform.core import _intertwine_loop, _star_product_loop
+from stardeform.exact import as_qc
+from stardeform.specialfn import hermite_table, laguerre_star, legendre_star_exact
 
 RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 # exact scalars as a QC, a Fraction or an int; they serve as coefficients and tau
@@ -172,10 +174,13 @@ def test_float_backend_matches_exact():
         assert max(abs(a - b) for a, b in zip(exact.coeffs, approx.coeffs)) < 1e-12 * scale
 
 
-# All-QC inputs take the integer-numerator route; the Poly loop is its reference.
-QCS = st.builds(QC, RATS, RATS)
-QC_POLYS = st.lists(QCS, max_size=11).map(Poly)     # zero, constant, degree <= 10
-QC_TAUS = st.one_of(st.just(QC(0)), QCS)
+# Exact inputs take the integer-numerator route; the Poly loop over QC is its reference.
+EXACT_POLYS = st.lists(SCALARS, max_size=11).map(Poly)     # zero, constant, degree <= 10
+EXACT_TAUS = st.one_of(st.sampled_from([0, Fraction(0), QC(0)]), SCALARS)
+
+
+def over_qc(p):
+    return p.map_coeffs(as_qc)
 
 
 def same_poly(got, want):
@@ -183,13 +188,57 @@ def same_poly(got, want):
 
 
 @settings(deadline=None)
-@given(QC_POLYS, QC_POLYS, QC_TAUS)
+@given(EXACT_POLYS, EXACT_POLYS, EXACT_TAUS)
 def test_star_product_integer_route_equals_loop(f, g, tau):
-    assert same_poly(star_product(f, g, tau), _star_product_loop(f, g, tau))
+    assert same_poly(star_product(f, g, tau),
+                     _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
 
 
 @settings(deadline=None)
-@given(QC_POLYS, QC_TAUS, QC_TAUS, st.booleans())
+@given(EXACT_POLYS, EXACT_TAUS, EXACT_TAUS, st.booleans())
 def test_intertwine_integer_route_equals_loop(f, tau_from, tau_to, same):
     tau_to = tau_from if same else tau_to
-    assert same_poly(intertwine(f, tau_from, tau_to), _intertwine_loop(f, tau_from, tau_to))
+    assert same_poly(intertwine(f, tau_from, tau_to),
+                     _intertwine_loop(over_qc(f), as_qc(tau_from), as_qc(tau_to)))
+
+
+def all_qc(p):
+    return all(type(c) is QC for c in p.coeffs)
+
+
+@settings(deadline=None, max_examples=50)
+@given(polys(6), polys(6), SCALARS, SCALARS)
+def test_exact_entry_points_return_qc(f, g, tau, tau2):
+    """An int, Fraction or QC input gives QC coefficients, never a mix of types."""
+    assert all_qc(star_product(f, g, tau))
+    assert all_qc(intertwine(f, tau, tau2))
+    assert all_qc(infinitesimal_intertwiner(f))
+    assert all_qc(w_star_power(5, tau))
+    tables = [hermite_table(4, tau).reduced, legendre_star_exact(4, tau)]
+    if tau:
+        tables.append(laguerre_star(4, tau))
+    for table in tables:
+        assert all(map(all_qc, table))
+
+
+FLOAT_POLYS = st.lists(st.floats(-2, 2), max_size=6).map(Poly)
+
+
+def close(got, want):
+    scale = 1 + max((abs(c) for c in want.coeffs), default=0.0)
+    diff = got - want
+    return max((abs(c) for c in diff.coeffs), default=0.0) <= 1e-9 * scale
+
+
+@settings(deadline=None)
+@given(FLOAT_POLYS, FLOAT_POLYS, st.one_of(RATS, st.integers(-9, 9)),
+       st.one_of(RATS, st.integers(-9, 9)))
+def test_exact_tau_with_float_coefficients_computes_in_float(f, g, tau, tau2):
+    """Float coefficients keep the float route at an int or Fraction tau, and
+    agree with the same computation at complex(tau)."""
+    got = star_product(f, g, tau)
+    assert all(type(c) is float for c in got.coeffs)
+    assert close(got, star_product(f, g, complex(tau)))
+    got = intertwine(f, tau, tau2)
+    assert all(type(c) is float for c in got.coeffs)
+    assert close(got, intertwine(f, complex(tau), complex(tau2)))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from stardeform.core import Poly
 from stardeform.errors import DomainError
-from stardeform.exact import QC
+from stardeform.exact import QC, as_qc, is_exact
 from stardeform.specialfn import hermite_table
 
 RATS = st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=60),
@@ -196,3 +196,42 @@ def test_to_complex_beyond_float_range_is_domain_error():
         QC(0, -10 ** 400).to_complex()
     with pytest.raises(DomainError):
         hermite_table(5, QC(10 ** 308))
+
+
+@given(PAIRS)
+def test_conversions_match_fraction(p):
+    """complex(), float() and str() treat a QC as they treat a Fraction pair."""
+    q = QC(*p)
+    assert complex(q) == q.to_complex() == o_complex(p)
+    if p[1]:
+        with pytest.raises(TypeError):
+            float(q)
+        assert str(q) == repr(q)
+    else:
+        assert float(q) == float(p[0])
+        assert str(q) == str(p[0])
+
+
+def test_conversion_examples():
+    assert str(QC(Fraction(-5, 4))) == "-5/4" and str(QC(3)) == "3" and str(QC(0)) == "0"
+    assert str(QC(Fraction(1, 2), -1)) == "QC(1/2, -1)"
+    assert str(QC(0, Fraction(33, 128))) == "QC(0, 33/128)"
+    assert float(QC(Fraction(-5, 4))) == -1.25 and complex(QC(1, 2)) == 1 + 2j
+    with pytest.raises(TypeError):
+        float(QC(0, 1))
+    with pytest.raises(DomainError):
+        float(QC(10 ** 400))
+    with pytest.raises(DomainError):
+        complex(QC(0, 10 ** 400))
+    assert Poly([QC(1, 2), Fraction(1, 2), 3]).to_complex() == Poly([1 + 2j, 0.5, 3])
+
+
+def test_is_exact_and_as_qc():
+    for x in (0, -7, Fraction(2, 3), QC(1, 2)):
+        assert is_exact(x)
+        q = as_qc(x)
+        assert type(q) is QC and q == x
+    assert as_qc(QC(1, 2)) == QC(1, 2)
+    for x in (0.5, 1j, True, "1", None):
+        assert not is_exact(x)
+        assert as_qc(x) is x

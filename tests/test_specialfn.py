@@ -13,6 +13,7 @@ import scipy.special as sps
 
 from stardeform.cli import main
 from stardeform.core import Poly
+from stardeform.errors import DomainError
 from stardeform.exact import QC
 from stardeform.specialfn import (BesselTable, bessel_addition_residual, bessel_generating_fft,
                                   bessel_i, bessel_j, bessel_symmetry_residual, bessel_table,
@@ -185,6 +186,13 @@ def test_legendre_exact_route_matches_quadrature_at_complex_tau():
         pe = exact[n].to_complex()
         want = np.asarray([pe(w + a) for w in grid])
         assert np.abs(np.asarray(vals[n]) - want).max() < 1e-10
+
+
+def test_legendre_exact_rejects_float_tau():
+    """A float tau has no exact table; the message names the float route."""
+    for tau in (-1.0, -0.5 + 0.25j):
+        with pytest.raises(DomainError, match="legendre_star"):
+            legendre_star_exact(3, tau)
 
 
 def test_cli_legendre_keeps_im_tau(capsys):
