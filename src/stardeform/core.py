@@ -18,8 +18,9 @@ When tau and every coefficient are exact, star_product and intertwine bring
 the coefficients to Gaussian-integer numerators over one common denominator
 (exact.to_gaussian), evaluate the defining sums in Python ints, and
 canonicalise once per output coefficient (exact.from_gaussian).  Any other
-input takes the float loop over Poly arithmetic, which over QC is also the
-tests' reference for the integer route.
+input takes the float loop over Poly arithmetic with every QC scalar taken as
+complex, so exact and float scalars mix to the float result; over QC the loop
+is also the tests' reference for the integer route.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-from .exact import QC, all_exact, as_qc, from_gaussian, is_exact, to_gaussian
+from .exact import QC, all_exact, as_qc, from_gaussian, is_exact, pack, to_gaussian, unpack
 
 
 def _is_zero(c) -> bool:
@@ -143,7 +144,12 @@ def star_product(f: Poly, g: Poly, tau) -> Poly:
     """sum_k (tau^k / (2^k k!)) f^(k) g^(k); finite, commutative, exact over QC."""
     if is_exact(tau) and all_exact(f.coeffs) and all_exact(g.coeffs):
         return _star_product_gaussian(f, g, tau)
-    return _star_product_loop(f, g, tau)
+    return _star_product_loop(f.map_coeffs(_inexact), g.map_coeffs(_inexact), _inexact(tau))
+
+
+def _inexact(c):
+    """A QC as complex, any other scalar unchanged: the float loops' scalars."""
+    return complex(c) if type(c) is QC else c
 
 
 def _star_product_loop(f: Poly, g: Poly, tau) -> Poly:
@@ -163,30 +169,6 @@ def _star_product_loop(f: Poly, g: Poly, tau) -> Poly:
 
 def _deriv(v: list) -> list:
     return [i * c for i, c in enumerate(v[1:], 1)]
-
-
-def _pack(v: list, bits: int) -> int:
-    """sum_i v[i] 2^(bits i): the polynomial at 2^bits (Kronecker substitution),
-    so one int product multiplies two polynomials."""
-    x = 0
-    for c in reversed(v):
-        x = (x << bits) + c
-    return x
-
-
-def _unpack(x: int, bits: int, n: int) -> list:
-    """The n coefficients of a packed polynomial; each must lie strictly
-    between -2^(bits-1) and 2^(bits-1)."""
-    out = []
-    full = 1 << bits
-    mask, half = full - 1, full >> 1
-    for _ in range(n):
-        c = x & mask
-        if c >= half:
-            c -= full
-        out.append(c)
-        x = (x - c) >> bits
-    return out
 
 
 def _from_gaussian_poly(re: list, im: list, d: int) -> Poly:
@@ -230,12 +212,12 @@ def _star_product_gaussian(f: Poly, g: Poly, tau) -> Poly:
         if k:
             fa, fb, ga, gb = _deriv(fa), _deriv(fb), _deriv(ga), _deriv(gb)
         if ra or rb:
-            pfa, pfb, pga, pgb = _pack(fa, bits), _pack(fb, bits), _pack(ga, bits), _pack(gb, bits)
+            pfa, pfb, pga, pgb = pack(fa, bits), pack(fb, bits), pack(ga, bits), pack(gb, bits)
             xr, xi = pfa * pga - pfb * pgb, pfa * pgb + pfb * pga
             re += ra * xr - rb * xi
             im += ra * xi + rb * xr
     n = nf + ng - 1
-    return _from_gaussian_poly(_unpack(re, bits, n), _unpack(im, bits, n),
+    return _from_gaussian_poly(unpack(re, bits, n), unpack(im, bits, n),
                                df * dg * (2 * td) ** K * fK)
 
 
@@ -243,7 +225,7 @@ def intertwine(f: Poly, tau_from, tau_to) -> Poly:
     """exp(((tau_to - tau_from)/4) d^2) f: algebra morphism between parameter values."""
     if is_exact(tau_from) and is_exact(tau_to) and all_exact(f.coeffs):
         return _intertwine_gaussian(f, (as_qc(tau_to) - tau_from) / 4)
-    return _intertwine_loop(f, tau_from, tau_to)
+    return _intertwine_loop(f.map_coeffs(_inexact), _inexact(tau_from), _inexact(tau_to))
 
 
 def _intertwine_loop(f: Poly, tau_from, tau_to) -> Poly:

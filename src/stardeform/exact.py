@@ -8,10 +8,12 @@ as they treat a Fraction.  is_exact is the one exactness rule: the exact routes
 compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 
 Each QC operation pays one gcd to stay canonical.  Kernels that combine many
-QC values (core.star_product and core.intertwine) instead bring their inputs
-to Gaussian-integer numerators over one common denominator with to_gaussian,
-compute in Python ints, and canonicalise once per output value with
-from_gaussian.  This module is the only one that reads a QC's fields.
+QC values (core.star_product, core.intertwine, halfseries.hs_mul and
+halfseries.hs_inverse) instead bring their inputs to Gaussian-integer
+numerators over one common denominator with to_gaussian, compute in Python
+ints, and canonicalise once per output value with from_gaussian.  pack and
+unpack multiply integer polynomials as single ints (Kronecker substitution).
+This module is the only one that reads a QC's fields.
 """
 
 from __future__ import annotations
@@ -222,6 +224,41 @@ def from_gaussian(a: int, b: int, d: int) -> QC:
     q = object.__new__(QC)
     q._a, q._b, q._d = a, b, d
     return q
+
+
+def pack(v: list, bits: int) -> int:
+    """sum_i v[i] 2^(bits i): the polynomial at 2^bits (Kronecker substitution),
+    so one int product multiplies two polynomials."""
+    n = len(v)
+    if n > 32:                      # halves, so long inputs are not copied n times
+        h = n // 2
+        return pack(v[:h], bits) + (pack(v[h:], bits) << (bits * h))
+    x = 0
+    for c in reversed(v):
+        x = (x << bits) + c
+    return x
+
+
+def unpack(x: int, bits: int, n: int) -> list:
+    """The n lowest coefficients of a packed polynomial; each must lie strictly
+    between -2^(bits-1) and 2^(bits-1)."""
+    if n > 32:
+        h = n // 2
+        s = bits * h
+        lo = x & ((1 << s) - 1)     # the low h coefficients' value, taken signed
+        if lo >> (s - 1):
+            lo -= 1 << s
+        return unpack(lo, bits, h) + unpack((x - lo) >> s, bits, n - h)
+    out = []
+    full = 1 << bits
+    mask, half = full - 1, full >> 1
+    for _ in range(n):
+        c = x & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        x = (x - c) >> bits
+    return out
 
 
 def _accumulate(out: dict, key, v: QC) -> None:

@@ -5,6 +5,15 @@ ordinary truncated power-series arithmetic with exact rational-complex
 coefficients; the tau-expression of q^n carries the weight e^{-n^2 tau/4}.
 Euler and Bernoulli numbers drop out of the symmetrized inversions below with
 bit-exact rational values.
+
+hs_mul and hs_inverse bring their operands to Gaussian-integer numerators over
+one denominator (exact.to_gaussian), compute in Python ints (the product as
+Kronecker-packed int products, the inversion recurrence over the running lcm of
+its outputs' denominators) and canonicalise once per output coefficient
+(exact.from_gaussian).  FormalSeries, the replacement-principle twin, is the
+second route to the same coefficients: it inverts by Newton iteration over
+plain QC arithmetic and shares no code with these kernels, so a fault in one
+route shows as a mismatch rather than repeating in both.
 """
 
 from __future__ import annotations
@@ -12,15 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, NonUnit, TruncationFailure
-from .exact import QC, as_qc
+from .exact import QC, as_qc, from_gaussian, pack, to_gaussian, unpack
 
 DEFAULT_TRUNC = 24
-# Highest truncation order hs_inverse accepts.  Exact inversion costs about
-# K^4 (K^2 products of coefficients whose size grows with K); this admits
-# `table euler|bernoulli 400` (K = 402, about 11 s on a 2-core host).
-SERIES_ORDER_BUDGET = 402
+# Highest truncation order hs_inverse accepts.  `table euler` costs about
+# K^3.5: K^2/2 int products in the inversion recurrence, and one packed product,
+# over numerators whose size grows with K.  This admits
+# `table euler|bernoulli 651` (K = 652, about 10 s on a 2-core host).
+SERIES_ORDER_BUDGET = 652
 
 
 @dataclass(frozen=True)
@@ -77,21 +88,33 @@ class HalfSeries:
 
 
 def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
-    """Cauchy product; base degrees add; exact."""
+    """Cauchy product; base degrees add; exact.  With f_i = F_i/D_f and
+    g_j = G_j/D_g (Gaussian integers F, G), out_n = sum_{i+j=n} F_i G_j / (D_f D_g),
+    taken as packed int products."""
     K = min(f.trunc, g.trunc)
-    out = [QC(0)] * (K + 1)
-    for i, a in enumerate(f.coeffs[:K + 1]):
-        if not a:
-            continue
-        for j, b in enumerate(g.coeffs[:K + 1 - i]):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return HalfSeries(f.base_deg + g.base_deg, tuple(out), K)
+    fa, fb, df = to_gaussian(f.coeffs[:K + 1])
+    ga, gb, dg = to_gaussian(g.coeffs[:K + 1])
+    # |Re|, |Im| of an output numerator: at most K+1 pairs of 2 |F_i| |G_j|
+    bound = 2 * (K + 1) * max(map(abs, fa + fb)) * max(map(abs, ga + gb))
+    bits = bound.bit_length() + 1
+    pfa, pfb, pga, pgb = pack(fa, bits), pack(fb, bits), pack(ga, bits), pack(gb, bits)
+    re = unpack(pfa * pga - pfb * pgb, bits, K + 1)
+    im = unpack(pfa * pgb + pfb * pga, bits, K + 1)
+    d = df * dg
+    return HalfSeries(f.base_deg + g.base_deg,
+                      tuple(from_gaussian(a, b, d) for a, b in zip(re, im)), K)
 
 
 def hs_inverse(f: HalfSeries) -> HalfSeries:
     """Inverse by indeterminate coefficients: with f = q^l sum a_n q^n, a_0 != 0,
-    solve (sum a q)(sum b q) = 1 order by order; base degree negates."""
+    solve (sum a q)(sum b q) = 1 order by order; base degree negates.
+
+    With a_j = A_j/D (Gaussian integers A) and b_0..b_{n-1} = B_0..B_{n-1} over
+    their lcm L, the recurrence b_n = -(sum_{j>=1} a_j b_{n-j}) / a_0 reads
+
+        b_n = -S conj(A_0) / (L |A_0|^2),   S = sum_{j>=1} A_j B_{n-j},
+
+    so each step sums in ints and canonicalises once."""
     a = f.coeffs
     if not a or not a[0]:
         raise NonUnit("constant term vanishes; not invertible in the half-series algebra")
@@ -99,14 +122,28 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
     if K > SERIES_ORDER_BUDGET:
         raise TruncationFailure(f"half-series inversion to order {K} exceeds "
                                 f"SERIES_ORDER_BUDGET = {SERIES_ORDER_BUDGET}")
-    b = [QC(0)] * (K + 1)
-    b[0] = QC(1) / a[0]
+    A, Ai, D = to_gaussian(a[:K + 1])
+    a0, a0i = A[0], Ai[0]
+    norm = a0 * a0 + a0i * a0i
+    b = [from_gaussian(D * a0, -D * a0i, norm)]
+    B, Bi, L = to_gaussian(b)
     for n in range(1, K + 1):
-        s = QC(0)
-        for j in range(1, n + 1):
-            if a[j]:
-                s = s + a[j] * b[n - j]
-        b[n] = -s / a[0]
+        ra, rb = A[1:n + 1], Ai[1:n + 1]
+        sa, sb = B[n - 1::-1], Bi[n - 1::-1]
+        s = sum(map(mul, ra, sa)) - sum(map(mul, rb, sb))
+        si = sum(map(mul, ra, sb)) + sum(map(mul, rb, sa))
+        q = from_gaussian(-(s * a0 + si * a0i), s * a0i - si * a0, L * norm)
+        b.append(q)
+        (qa,), (qb,), d = to_gaussian((q,))
+        L2 = math.lcm(L, d)
+        if L2 != L:
+            r = L2 // L
+            B = [x * r for x in B]
+            Bi = [x * r for x in Bi]
+            L = L2
+        r = L // d
+        B.append(qa * r)
+        Bi.append(qb * r)
     return HalfSeries(-f.base_deg, tuple(b), K)
 
 
@@ -255,22 +292,23 @@ class FormalSeries:
         for n in range(K + 1):
             acc = QC(0)
             for i in range(n + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[n - i]
+                a, b = self.coeffs[i], other.coeffs[n - i]
+                if a and b:
+                    acc = acc + a * b
             out[n] = acc
         return FormalSeries(out, K)
 
     def inverse(self):
+        """Newton iteration b <- b(2 - f b): each step doubles the number of
+        correct terms, so it works on truncations to that many terms."""
         if not self.coeffs[0]:
             raise NonUnit("constant term vanishes")
         K = self.trunc
-        inv0 = QC(1) / self.coeffs[0]
-        b = FormalSeries([inv0], K)
-        # Newton iteration b <- b(2 - f b), doubling correct order each step
-        order = 1
-        while order <= K:
-            two = FormalSeries([2], K)
-            b = b * (two + (self * b).negate())
-            order *= 2
+        b = FormalSeries([QC(1) / self.coeffs[0]], 0)
+        while b.trunc < K:
+            m = min(2 * b.trunc + 1, K)
+            b = FormalSeries(b.coeffs, m)
+            b = b * (FormalSeries([2], m) + (FormalSeries(self.coeffs, m) * b).negate())
         return b
 
     def negate(self):

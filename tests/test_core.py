@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from stardeform import QC, Poly, infinitesimal_intertwiner, intertwine, star_product, w_star_power
 from stardeform.core import _intertwine_loop, _star_product_loop
-from stardeform.exact import as_qc
+from stardeform.exact import all_exact, as_qc, is_exact
 from stardeform.specialfn import hermite_table, laguerre_star, legendre_star_exact
 
 RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -242,3 +242,35 @@ def test_exact_tau_with_float_coefficients_computes_in_float(f, g, tau, tau2):
     got = intertwine(f, tau, tau2)
     assert all(type(c) is float for c in got.coeffs)
     assert close(got, intertwine(f, complex(tau), complex(tau2)))
+
+
+def as_complex(p):
+    return p.map_coeffs(complex)
+
+
+def test_mixed_exact_and_float_scalars_take_the_float_route():
+    """A QC tau with float coefficients, and a Poly mixing QC and float
+    coefficients, give the float result at complex() of every QC."""
+    f, g = Poly([0.5, 1.0]), Poly([0, 1.0])
+    assert star_product(f, g, QC(1)) == star_product(as_complex(f), as_complex(g), 1 + 0j)
+    h = Poly([0.5, 0, 1.0])
+    assert intertwine(h, QC(1), 2.0) == intertwine(as_complex(h), 1 + 0j, 2 + 0j)
+    m = Poly([QC(Fraction(1, 2), 1), 0.25, QC(3)])
+    assert star_product(m, g, 1.0) == star_product(as_complex(m), as_complex(g), 1 + 0j)
+    assert star_product(m, m, QC(0, 1)) == star_product(as_complex(m), as_complex(m), 1j)
+    assert intertwine(m, 0.5, QC(2)) == intertwine(as_complex(m), 0.5 + 0j, 2 + 0j)
+
+
+MIXED_POLYS = st.lists(st.one_of(st.floats(-2, 2), st.builds(QC, RATS, RATS)),
+                       max_size=6).map(Poly)
+
+
+@settings(deadline=None)
+@given(MIXED_POLYS, MIXED_POLYS, SCALARS, st.one_of(SCALARS, st.floats(-2, 2)))
+def test_mixed_scalars_agree_with_the_complex_call(f, g, tau, tau2):
+    if not (all_exact(f.coeffs) and all_exact(g.coeffs)):
+        assert close(star_product(f, g, tau),
+                     star_product(as_complex(f), as_complex(g), complex(tau)))
+    if not (all_exact(f.coeffs) and is_exact(tau2)):
+        assert close(intertwine(f, tau, tau2),
+                     intertwine(as_complex(f), complex(tau), complex(tau2)))

@@ -25,12 +25,31 @@ def rand_series(rng, K=12, base=0):
     return HalfSeries.from_list(cs, base, K)
 
 
-def convolution_oracle(a, b, K):
+def hs_mul_reference(f, g):
+    """The Cauchy product as a loop over QC arithmetic."""
+    K = min(f.trunc, g.trunc)
     out = [QC(0)] * (K + 1)
-    for n in range(K + 1):
-        for i in range(n + 1):
-            out[n] = out[n] + a[i] * b[n - i]
-    return out
+    for i, a in enumerate(f.coeffs[:K + 1]):
+        if not a:
+            continue
+        for j, b in enumerate(g.coeffs[:K + 1 - i]):
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return HalfSeries(f.base_deg + g.base_deg, tuple(out), K)
+
+
+def hs_inverse_reference(f):
+    """The inversion recurrence b_n = -(sum_{j>=1} a_j b_{n-j}) / a_0 over QC."""
+    a, K = f.coeffs, f.trunc
+    b = [QC(0)] * (K + 1)
+    b[0] = QC(1) / a[0]
+    for n in range(1, K + 1):
+        s = QC(0)
+        for j in range(1, n + 1):
+            if a[j]:
+                s = s + a[j] * b[n - j]
+        b[n] = -s / a[0]
+    return HalfSeries(-f.base_deg, tuple(b), K)
 
 
 def test_mul_identity_and_oracle():
@@ -41,8 +60,7 @@ def test_mul_identity_and_oracle():
         assert hs_mul(f, one).coeffs == f.coeffs
         g = rand_series(rng)
         got = hs_mul(f, g)
-        want = convolution_oracle(list(f.coeffs), list(g.coeffs), 12)
-        assert list(got.coeffs) == want
+        assert got == hs_mul_reference(f, g)
         assert got.base_deg == f.base_deg + g.base_deg
 
 
@@ -234,3 +252,51 @@ def test_inverse_properties(f):
 def test_zero_constant_term_is_not_a_unit(f):
     with pytest.raises(NonUnit):
         hs_inverse(f)
+
+
+# rationals with denominators up to 30 and numerators up to 10^9, so the
+# operands of a product have distinct denominators and wide numerators
+WIDE = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=30),
+                 st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=30))
+COEFFS = st.one_of(st.just(QC(0)), st.builds(QC, WIDE, st.just(0)), st.builds(QC, WIDE, WIDE))
+
+
+@st.composite
+def wide_series(draw, unit: bool):
+    """A HalfSeries with trunc 0..40, base degree -4..4, complex coefficients with
+    zero interior entries, and a short list (zero-padded) or a zero tail."""
+    K = draw(st.integers(0, 40), label="trunc")
+    head = draw(COEFFS.filter(bool)) if unit else draw(COEFFS)
+    tail = draw(st.lists(COEFFS, max_size=K), label="tail")
+    if tail and draw(st.booleans()):
+        tail[draw(st.integers(0, len(tail) - 1)):] = []
+    return HalfSeries.from_list([head, *tail], draw(st.integers(-4, 4), label="base"), K)
+
+
+@settings(deadline=None)
+@given(wide_series(unit=False), wide_series(unit=False))
+def test_mul_equals_reference(f, g):
+    assert hs_mul(f, g) == hs_mul_reference(f, g)
+
+
+@settings(deadline=None)
+@given(wide_series(unit=True))
+def test_inverse_equals_reference(f):
+    assert hs_inverse(f) == hs_inverse_reference(f)
+
+
+def test_formal_inverse_equals_hs_inverse_at_every_order():
+    """The Newton twin's working orders end on K+1 = 2^j and 2^j + 1 terms
+    within 0..40; every K must give the recurrence's coefficients."""
+    rng = random.Random(25)
+    full = [QC(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+               Fraction(rng.randint(-3, 3), rng.randint(1, 5))) for _ in range(41)]
+    full[0] = QC(Fraction(2, 3), Fraction(-1, 2))
+    for K in range(41):
+        want = hs_inverse(HalfSeries.from_list(full, 0, K)).coeffs
+        assert tuple(FormalSeries(full, K).inverse().coeffs) == want, K
+
+
+def test_euler_and_bernoulli_to_100_match_recurrences():
+    assert euler_numbers(100) == euler_numbers_recurrence(100)
+    assert bernoulli_numbers(100) == bernoulli_numbers_recurrence(100)
