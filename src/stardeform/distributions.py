@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Poly, intertwine
 from .errors import DomainError, QuadratureFailure
-from .quadrature import (_gl_nodes, check_window_error, gaussian_halfwidth,
+from .quadrature import (_panel_rule, check_window_error, gaussian_halfwidth,
                          integrate_gaussian_window, integrate_power_window, integrate_segment,
                          integrate_segment_refined)
 from .starexp import GaussPoly, star_poly_gauss, translate_action
@@ -70,9 +70,13 @@ def _halfline_integrand(a, w_grid, t_weight=None):
     osc = max(float(np.abs(ws + a_c).max()), abs(a_c.imag) + 1.0)
 
     def f(t):
-        base = np.exp(1j * np.multiply.outer(ws + a_c, t))
+        # in place: at complex tau the window's chirp makes these the largest
+        # arrays of the suite
+        base = np.multiply.outer(ws + a_c, t)
+        base *= 1j
+        np.exp(base, out=base)
         if t_weight is not None:
-            base = base * t_weight(t)
+            base *= t_weight(t)
         return base
 
     return f, osc
@@ -157,47 +161,45 @@ def tempered_transform(f_hat, tau, w_grid):
 def slowly_increasing_transform(f, tau, w_grid, tol: float = 1e-13, breakpoints=()):
     """x-side route: integral f(x) delta_expr(x - w) dx for slowly increasing f.
 
-    breakpoints: x-locations of jumps/kinks of f; panel edges are pinned there
-    so the Gauss-Legendre refinement converges."""
+    f is elementwise.  breakpoints: x-locations of jumps/kinks of f; panel edges
+    are pinned there so the Gauss-Legendre refinement converges.  The grid points
+    are the rows of one refinement per segment; a breakpoint outside a row's
+    window gives that row a segment of zero length."""
     _check_tau(tau)
     tau_c = complex(tau)
     rate = (1 / tau_c).real
     L = gaussian_halfwidth(rate, 1e-18) + 2.0
-    out = []
-    for w in w_grid:
-        w_c = complex(w)
+    ws = np.asarray([complex(w) for w in w_grid])
+    lo, hi = ws.real - L, ws.real + L
+    edges = np.column_stack([lo, np.clip(np.sort(breakpoints), lo[:, None], hi[:, None]), hi])
 
-        def g(x):
-            return f(x) * np.exp(-(x - w_c) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
+    def g(x):
+        return f(x) * np.exp(-(x - ws[:, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
 
-        lo, hi = w_c.real - L, w_c.real + L
-        edges = [lo] + [b for b in sorted(breakpoints) if lo < b < hi] + [hi]
-        val = 0.0 + 0.0j
-        for aa, bb in zip(edges[:-1], edges[1:]):
-            val = val + integrate_segment_refined(g, aa, bb, tol=tol)
-        out.append(val)
-    return np.asarray(out)
+    val = 0.0 + 0.0j
+    for k in range(edges.shape[1] - 1):
+        val = val + integrate_segment_refined(g, edges[:, k], edges[:, k + 1], tol=tol)
+    return val
 
 
 # ---------------------------------------------------------------- Y / sgn
 
 def heaviside_y(tau, w_grid, reflected: bool = False):
-    """Y(w) (or Y(-w)) by x-quadrature of the delta kernel over the half line."""
+    """Y(w) (or Y(-w)) by x-quadrature of the delta kernel over the half line;
+    the grid points are the rows of one refinement."""
     _check_tau(tau)
     tau_c = complex(tau)
     rate = (1 / tau_c).real
     L = gaussian_halfwidth(rate, 1e-18) + 2.0
-    out = []
-    for w in w_grid:
-        w_c = complex(w)
-        hi = max(w_c.real + L, 0.5)
+    ws = np.asarray([complex(w) for w in w_grid])
+    zero = np.zeros(len(ws))
+    lo, hi = ((zero, np.maximum(ws.real + L, 0.5)) if not reflected
+              else (np.minimum(ws.real - L, -0.5), zero))
 
-        def g(x):
-            return np.exp(-(x - w_c) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
+    def g(x):
+        return np.exp(-(x - ws[:, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
 
-        lo, hi_ = (0.0, hi) if not reflected else (min(w_c.real - L, -0.5), 0.0)
-        out.append(integrate_segment_refined(g, lo, hi_, tol=1e-13))
-    return np.asarray(out)
+    return integrate_segment_refined(g, lo, hi, tol=1e-13)
 
 
 def heaviside_y_fourier(tau, w_grid):
@@ -383,16 +385,14 @@ def constant_variation_inverse(a, tau, w_grid, C=0.0):
                + C exp(-(a+w)^2/tau):   a right/left inverse of (a+w)."""
     _check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
-    out = []
-    for w in w_grid:
-        w_c = complex(w)
+    ws = np.asarray([complex(w) for w in w_grid])
+    w_col = ws[:, None]
 
-        def f(t):
-            return np.exp(((a_c + w_c * t) ** 2 - (a_c + w_c) ** 2) / tau_c) * w_c
+    def f(t):
+        return np.exp(((a_c + w_col * t) ** 2 - (a_c + w_col) ** 2) / tau_c) * w_col
 
-        val = integrate_segment_refined(f, 0.0, 1.0, tol=1e-13) * 2 / tau_c
-        out.append(val + C * np.exp(-(a_c + w_c) ** 2 / tau_c))
-    return np.asarray(out)
+    val = integrate_segment_refined(f, np.zeros(len(ws)), np.ones(len(ws)), tol=1e-13) * 2 / tau_c
+    return val + C * np.exp(-(a_c + ws) ** 2 / tau_c)
 
 
 def constant_variation_defect(a, tau, w_grid, C=0.0) -> float:
@@ -410,44 +410,67 @@ def constant_variation_defect(a, tau, w_grid, C=0.0) -> float:
 
 # ------------------------------------------- products of sided inverses
 
-def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int, n_side: int = 400):
+def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int):
     """(i eps_a)(i eps_b) double integral over the two half-lines of
     e^{ita} e^{isb} e^{-(t+s)^2 tau/4} e^{i(t+s)w}.
 
-    side=+1 is the t<=0 half (the '+' inverse).  With Im a < 0 < Im b the
-    quadrants (+,+), (-,-), (+,-) are absolutely convergent; (-,+) grows like
-    e^{(|Im a|+|Im b|) R} along its flat direction and is not integrable.
+    side=+1 is the t<=0 half (the '+' inverse).  The same-sign quadrants (+,+) and
+    (-,-) converge for every a, b; (+,-) converges when Im a < Im b, and (-,+)
+    only when Im a > Im b, so with Im a < 0 < Im b (-,+) grows along its flat
+    direction t = -s and is not integrable.
 
-    The rule is the n_side-point Gauss-Legendre product rule on [0, T]^2.  Its
-    w-dependence separates, e^{i(t+s)w} = e^{itw} e^{isw}, so with the
-    w-independent kernel base[i, j] = e^{i t_i a + i s_j b - (t_i+s_j)^2 tau/4}
-    and E_t[w, i] = wt_i e^{i t_i w} (likewise E_s) every grid point is
+    In the coordinates u = t + s, v = t - s (dt ds = du dv / 2) the integrand is
 
-        pref * sum_ij E_t[w, i] base[i, j] E_s[w, j],
+        e^{-u^2 tau/4} e^{iuw} e^{iu(a+b)/2} e^{iv(a-b)/2},
 
-    one matrix product over the whole grid instead of an n_side x n_side mesh
-    of exponentials per point."""
+    so the Gaussian, and w, act on u alone.  The outer u-integral is a Gaussian
+    window (integrate_gaussian_window: its cut and panel count, with the growth
+    of the integrand along the quadrant's two edges as the shift), and at every
+    u node an inner Gauss-Legendre rule integrates over v:
+      - same-sign quadrants: u on the quadrant's half-line, v in [-|u|, |u|];
+      - (+,-): u on both half-lines, split at the kink u = 0, and v in
+        [-V, -|u|] with V = |u| + log(1e16)/d, where the v-factor decays at the
+        rate d = (Im b - Im a)/2.
+    The inner rules are 16-node panels from _panel_rule, one per 16 units of
+    |a-b|/2 times the v-interval's length.  w enters only through the outer
+    factor e^{iuw}, so the inner rule runs once per u node for the whole grid.
+
+    The v-integrals are elementary, but none is taken in closed form: they are
+    the algebra that derives the product law, so using them would turn the
+    law's check into a restatement of it.  Both variables stay on quadrature."""
     tau_c, a_c, b_c = complex(tau), complex(a), complex(b)
     ws = np.asarray([complex(w) for w in w_grid])
     if side_a < 0 and side_b > 0:
         raise DomainError("the (-,+) quadrant is not absolutely convergent")
-    rate = tau_c.real / 4
-    decay = max(min(abs(a_c.imag), abs(b_c.imag)), 0.25)
-    T = gaussian_halfwidth(rate) + math.log(1e12) / decay
-    xs, wts = _gl_nodes(n_side)     # on [0, 1]
+    half_sum, half_diff = (a_c + b_c) / 2, (a_c - b_c) / 2
+    if side_a == side_b:
+        def v_interval(abs_u):
+            return -abs_u, 2 * abs_u
+    else:
+        decay = -half_diff.imag
+        if decay <= 0:
+            raise DomainError("the (+,-) quadrant needs Im a < Im b")
+        length = math.log(1e16) / decay
 
-    def axis(side):
-        return xs * T if side < 0 else -xs * T
+        def v_interval(abs_u):
+            return -abs_u - length, np.full_like(abs_u, length)
 
-    t = axis(side_a)
-    s = axis(side_b)
-    wt = wts * T
-    base = np.exp(1j * t[:, None] * a_c + 1j * s[None, :] * b_c
-                  - (t[:, None] + s[None, :]) ** 2 * tau_c / 4)
-    E_t = wt * np.exp(1j * ws[:, None] * t[None, :])
-    E_s = wt * np.exp(1j * ws[:, None] * s[None, :])
+    def f(u):
+        lo, width = v_interval(np.abs(u))
+        x, wx = _panel_rule(max(1, math.ceil(abs(half_diff) * width.max() / 16)), 16)
+        inner = width * (np.exp(1j * half_diff * (lo[:, None] + width[:, None] * x)) @ wx)
+        return np.exp(1j * np.multiply.outer(ws, u)) * (np.exp(1j * half_sum * u) * inner / 2)
+
+    # a quadrant edge runs along t (u has the sign -side_a) or along s; the
+    # integrand's growth along u is largest on an edge
+    edges = ((-side_a, side_a * a_c.imag), (-side_b, side_b * b_c.imag))
+    osc = float(np.abs(ws).max()) + abs(half_sum) + abs(half_diff)
+    total = 0.0
+    for u_side in sorted({-side_a, -side_b}):
+        growth = max(rate for sign, rate in edges if sign == u_side)
+        total = total + integrate_gaussian_window(f, tau_c, u_side, osc, max(growth, 0.0))
     pref = (1j if side_a > 0 else -1j) * (1j if side_b > 0 else -1j)
-    return pref * np.einsum("wj,wj->w", E_t @ base, E_s)
+    return pref * total
 
 
 def product_of_inverses_residual(a, b, tau, w_grid) -> dict:

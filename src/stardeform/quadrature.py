@@ -3,9 +3,19 @@ kernel for oscillatory integrals against e^{-t^2 tau/4}.
 
 tau is complex throughout the package, so fixed classical rules (Hermite,
 Laguerre weights) do not apply; panels over explicitly truncated intervals
-with analytic tail bounds are used instead.  integrate_power_window adds an a
-posteriori error estimate, and check_window_error raises QuadratureFailure
-when it misses the stated tolerance.
+with analytic tail bounds are used instead.  The Gaussian window's panels
+resolve both the integrand's oscillation and the chirp e^{-i t^2 Im tau/4} of
+the Gaussian itself.  integrate_power_window adds an a posteriori error
+estimate, and check_window_error raises QuadratureFailure when it misses the
+stated tolerance.
+
+integrate_segment and integrate_segment_refined also have a row form: with
+1-D arrays of endpoints, row r of the nodes handed to f lies on row r's
+segment, so one call integrates a family of integrands (one per grid point,
+say) over segments of their own.  The refinement doubles the panels of all
+rows together and keeps each row's value from the first doubling at which
+that row alone meets the tolerance, which is what the scalar call on its
+endpoints returns; a row that never does raises QuadratureFailure.
 
 The rules are cached: `_gl_nodes(n)` (nodes and weights on [0, 1]) and
 `_panel_rule(n_panels, n_nodes)` (the composite rule on [0, 1]) each build
@@ -15,7 +25,9 @@ a write raises ValueError instead.  Both caches hold at most 64 rules, and
 `_panel_rule` caches only rules of at most MAX_CACHED_NODES nodes, so it
 retains at most about 4 MB; wider rules are rebuilt on each call, which costs
 little next to evaluating f on them.  The verify-numeric benchmark's task
-lists (seeds 1-3) use at most 102 panels of 16 nodes.
+lists (seeds 1-3) use at most 268 panels of 16 nodes (a doubled pass of a
+window whose panels follow the chirp at Re tau near 0.5, |Im tau| near 1), so
+two of their rules exceed MAX_CACHED_NODES.
 """
 
 from __future__ import annotations
@@ -72,25 +84,48 @@ def _panel_rule(n_panels: int, n_nodes: int):
 
 
 def integrate_segment(f, a, b, n_panels: int = 8, n_nodes: int = 16):
-    """Integrate vectorized f along the straight segment a->b (complex endpoints ok)."""
+    """Integrate vectorized f along the straight segment a->b (complex endpoints ok).
+
+    a and b may instead be 1-D arrays of per-row endpoints: f then receives the
+    nodes of row r in row r of a (rows, nodes) array, and the result has one
+    value per row."""
     ts, ws = _panel_rule(n_panels, n_nodes)
-    pts = a + (b - a) * ts
-    vals = f(pts)
+    lo, span = a, b - a
+    if np.ndim(span):
+        lo, span = np.asarray(a)[:, None], span[:, None]
+    vals = f(lo + span * ts)
     return (b - a) * np.sum(vals * ws, axis=-1)
 
 
 def integrate_segment_refined(f, a, b, tol: float = 1e-12, n_nodes: int = 16,
                               start_panels: int = 8, max_panels: int = 512):
-    """Panel-doubling refinement; raises QuadratureFailure if tol is not met."""
+    """Panel-doubling refinement; raises QuadratureFailure if tol is not met.
+
+    With scalar endpoints the whole value (every entry of a vector-valued f) is
+    refined until the largest change is within tol times max(1, largest entry).
+    With 1-D arrays of per-row endpoints (the row form of integrate_segment) all
+    rows are refined together, and each row keeps the value of the first doubling
+    at which its own change is within tol times max(1, |row value|): the value a
+    scalar call on that row's endpoints returns.  Any row that has not met tol
+    once the panels exceed max_panels raises."""
+    rows = np.ndim(b - a) > 0
     prev = integrate_segment(f, a, b, start_panels, n_nodes)
+    if rows:
+        out, done = np.empty_like(prev), np.zeros(prev.shape, bool)
     n = start_panels
     while n <= max_panels:
         n *= 2
         cur = integrate_segment(f, a, b, n, n_nodes)
-        scale = max(1.0, abs(np.asarray(cur)).max() if np.ndim(cur) else abs(cur))
-        err = np.max(np.abs(np.asarray(cur) - np.asarray(prev)))
-        if err <= tol * scale:
-            return cur
+        if rows:
+            met = ~done & (np.abs(cur - prev) <= tol * np.maximum(1.0, np.abs(cur)))
+            out[met] = cur[met]
+            done |= met
+            if done.all():
+                return out
+        else:
+            scale = max(1.0, abs(np.asarray(cur)).max() if np.ndim(cur) else abs(cur))
+            if np.max(np.abs(np.asarray(cur) - np.asarray(prev))) <= tol * scale:
+                return cur
         prev = cur
     raise QuadratureFailure(f"segment quadrature did not reach tol={tol}")
 
@@ -134,7 +169,9 @@ def _window(f, tau, side: int, osc: float, shift: float, power: int):
     if rate <= 0:
         raise QuadratureFailure("nonpositive Gaussian decay rate")
     T = _window_halfwidth(rate, abs(shift), power)
-    waves = 2 * osc * T / math.pi
+    # e^{-t^2 tau/4} carries the chirp e^{-i t^2 Im tau/4}, whose frequency
+    # reaches |Im tau| T/2 at the cut
+    waves = 2 * (osc + abs(tau_c.imag) * T / 2) * T / math.pi
     if not waves + 8 <= WINDOW_PANEL_BUDGET:
         raise QuadratureFailure(f"Gaussian window needs {waves + 8:.3g} panels at tau={tau}, "
                                 f"more than WINDOW_PANEL_BUDGET = {WINDOW_PANEL_BUDGET}")
@@ -151,8 +188,10 @@ def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0)
 
     The window is cut at the T solving rate*T^2 - |shift|*T = log(1e16),
     rate = Re tau/4, so a factor of f growing like e^{|shift| |t|} still leaves
-    a tail below 1e-16.  max(24, int(2 osc T/pi) + 8) panels resolve an
-    oscillation e^{i osc t} with at least four panels per wavelength.  More
+    a tail below 1e-16.  max(24, int(2 (osc + |Im tau| T/2) T/pi) + 8) panels
+    resolve an oscillation e^{i osc t} together with the Gaussian's chirp
+    e^{-i t^2 Im tau/4}, whose frequency reaches |Im tau| T/2 at the cut, with at
+    least four panels per wavelength of their summed frequency.  More
     than WINDOW_PANEL_BUDGET panels, or a sum that is not finite, raises
     QuadratureFailure.
     """

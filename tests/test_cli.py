@@ -165,6 +165,17 @@ def test_every_suite_passes_at_default_settings(suite):
     assert payload["results"] and all(r["passed"] for r in payload["results"])
 
 
+@pytest.mark.parametrize("tau", ["0.5,-1", "0.5,1", "2,-1", "2,1"])
+def test_dist_suite_passes_at_the_corners_of_the_bench_draw(tau):
+    """verify-numeric draws Re tau in [0.5, 2] and Im tau in [-1, 1]; at the
+    corners the Gaussian windows are widest (Re tau = 0.5) or their chirp is
+    fastest relative to the decay."""
+    code, out = run_main(["verify", "dist", f"--tau={tau}", "--grid=-3,3,65"])
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is True
+    assert payload["results"] and all(r["passed"] for r in payload["results"])
+
+
 # sha256 of exact reports as the generic QC/Fraction loops printed them; a
 # kernel change that moves any byte of these reports fails here.
 EXACT_REPORT_SHA256 = {

@@ -24,7 +24,7 @@ from stardeform.errors import DomainError, QuadratureFailure
 from stardeform.quadrature import (MAX_CACHED_NODES, _cached_panel_rule, _gl_nodes,
                                    _panel_rule, check_window_error, gaussian_halfwidth,
                                    integrate_gaussian_window, integrate_power_window,
-                                   integrate_segment)
+                                   integrate_segment, integrate_segment_refined)
 from stardeform.starexp import star_poly_gauss
 from stardeform.theta import theta_eval
 
@@ -208,39 +208,31 @@ def test_product_of_inverses_and_vanishing():
     assert res["delta_pair_product"] < 1e-8
 
 
-def _double_osc_per_point(tau, a, b, w_grid, side_a, side_b, n_side=400):
-    """The product rule evaluated point by point: the full n_side x n_side mesh
-    of e^{i(t+s)w} for every w, on Gauss-Legendre nodes taken from numpy."""
-    tau_c, a_c, b_c = complex(tau), complex(a), complex(b)
-    decay = max(min(abs(a_c.imag), abs(b_c.imag)), 0.25)
-    T = gaussian_halfwidth(tau_c.real / 4) + math.log(1e12) / decay
-    xs, wts = np.polynomial.legendre.leggauss(n_side)
-    half = T / 2
-    t = (xs + 1) * half * (1 if side_a < 0 else -1)
-    s = (xs + 1) * half * (1 if side_b < 0 else -1)
-    tt, ss = np.meshgrid(t, s, indexing="ij")
-    base = np.exp(1j * tt * a_c + 1j * ss * b_c - (tt + ss) ** 2 * tau_c / 4)
-    pref = (1j if side_a > 0 else -1j) * (1j if side_b > 0 else -1j)
-    return np.asarray([pref * np.einsum("i,j,ij->", wts * half, wts * half,
-                                        base * np.exp(1j * (tt + ss) * w))
-                       for w in w_grid])
-
-
-@pytest.mark.parametrize("n_points", [5, 17])
-@pytest.mark.parametrize("tau", [1.0, 0.6 + 0.9j, 2 - 0.7j])
+@pytest.mark.parametrize("tau", [1.0, 0.6 + 0.9j, 2 - 0.7j, 0.5 + 1j, 0.5 - 1j, 2 + 1j])
 @pytest.mark.parametrize("sides", [(1, 1), (-1, -1), (1, -1)])
-def test_double_osc_matches_per_point_rule(sides, tau, n_points):
+def test_double_osc_quadrants_match_the_law(sides, tau):
+    """Each absolutely convergent quadrant of the 2-D rule against the law's right
+    side ((a+w)^{-1}_{*s} - (b+w)^{-1}_{*s'})/(b-a), built from the closed form of
+    the half-line integrals."""
     a, b = 0.3 - 0.6j, -0.2 + 0.5j
-    ws = np.linspace(-2.0, 2.0, n_points)
+    ws = np.linspace(-3.0, 3.0, 17)
+
+    def inverse(c, side):
+        sign, pref = (-1, 1j) if side > 0 else (1, -1j)
+        return np.asarray([pref * _mp_halfline(0, tau, c + w, sign) for w in ws])
+
+    want = (inverse(a, sides[0]) - inverse(b, sides[1])) / (b - a)
     got = distributions._double_osc(tau, a, b, ws, *sides)
-    want = _double_osc_per_point(tau, a, b, ws, *sides)
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got - want).max() <= 5e-13 * np.abs(want).max()
 
 
 def test_double_osc_rejects_divergent_quadrant():
     with pytest.raises(DomainError):
         distributions._double_osc(1.0, 0.3 - 0.6j, -0.2 + 0.5j, W_SMALL, -1, 1)
+    # (+,-) decays along t = -s only when Im a < Im b
+    with pytest.raises(DomainError):
+        distributions._double_osc(1.0, -0.2 + 0.5j, 0.3 - 0.6j, W_SMALL, 1, -1)
 
 
 def test_product_rule_nodes_are_computed_once(monkeypatch):
@@ -346,6 +338,44 @@ def test_wide_panel_rules_are_built_uncached():
     assert _panel_rule(MAX_CACHED_NODES // 16, 16) is _panel_rule(MAX_CACHED_NODES // 16, 16)
 
 
+# ------------------------------------------- segment refinement by rows
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-13])
+def test_segment_rows_match_scalar_calls(tol):
+    """Row r of the row form is the scalar call on row r's endpoints, whatever
+    doubling the other rows need: rows of different widths, peaks and sizes
+    converge at different panel counts (the kink |x - 0.3|^2.5 only slowly), and
+    the large row sets no other row's scale."""
+    a = np.asarray([-9.0, -1.0, 0.0, 2.5, -0.3, 0.0])
+    b = np.asarray([9.0, 30.0, 0.5, 2.5, 40.0, 1.0])
+    centres = np.asarray([0.0, 1.5, 0.25, 2.5, -0.5 + 0.3j, 0.0])
+    widths = np.asarray([1.0, 0.05, 2.0, 1.0, 0.4, 1.0])
+    sizes = np.asarray([1e6, 1.0, 1.0, 1.0, 1.0, 0.0])
+    kinks = np.asarray([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+
+    def row(c, h, size, kink):
+        return lambda x: size * np.exp(-(x - c) ** 2 / h + 1j * x) + kink * np.abs(x - 0.3) ** 2.5
+
+    got = integrate_segment_refined(row(*(p[:, None] for p in (centres, widths, sizes, kinks))),
+                                    a, b, tol=tol)
+    assert got.shape == a.shape
+    for r in range(len(a)):
+        want = integrate_segment_refined(row(centres[r], widths[r], sizes[r], kinks[r]),
+                                         a[r], b[r], tol=tol)
+        assert abs(got[r] - want) <= tol * max(1.0, abs(want))
+
+
+def test_segment_rows_raise_when_any_row_misses_tol():
+    """A row whose integrand has an endpoint singularity never settles; its
+    refinement raises even though every other row converged."""
+    a, b = np.zeros(3), np.ones(3)
+    power = np.asarray([[2.0], [-0.5], [1.0]])
+    with pytest.raises(QuadratureFailure, match="did not reach"):
+        integrate_segment_refined(lambda x: x ** power, a, b, tol=1e-12, max_panels=64)
+    vals = integrate_segment_refined(lambda x: x ** power[[0, 2]], a[:2], b[:2], tol=1e-12)
+    assert np.abs(vals - [1 / 3, 1 / 2]).max() < 1e-15
+
+
 # --------------------------------- sided powers and Pf. against mpmath
 
 def _mp_halfline(p, tau, c, sign):
@@ -399,6 +429,16 @@ def test_large_order_transforms_meet_the_tolerance_or_raise(m, tau):
             continue
         ref = want()
         assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+def test_window_panels_follow_the_chirp():
+    """The Gaussian's own chirp e^{-i t^2 Im tau/4} reaches the frequency
+    |Im tau| T/2 at the cut; sized from w alone, the window was off by 4e-7 at
+    tau = 0.1+4i.  At 0.05+5i the chirp needs more than WINDOW_PANEL_BUDGET panels."""
+    want = _mp_sided_power(0.0, 1, "+", 0.1 + 4j, 0.3)
+    assert abs(sided_inverse(0.0, "+", 0.1 + 4j, [0.3])[0] - want) <= 1e-13 * abs(want)
+    with pytest.raises(QuadratureFailure, match="WINDOW_PANEL_BUDGET"):
+        sided_inverse(0.0, "+", 0.05 + 5j, [0.3])
 
 
 def test_unresolved_large_order_transform_raises():
@@ -459,6 +499,12 @@ def test_cli_pf_at_m61_prints_correct_values(capsys):
 def test_cli_pf_refused_with_one_error_line(capsys):
     code, out, err = _run(["dist", "--side", "pv", "--m", "61", "--tau=0.6,0.9",
                            "--w-grid=0.3,0.6,2"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cli_chirp_beyond_the_panel_budget_refused_with_one_error_line(capsys):
+    code, out, err = _run(["dist", "--tau=0.05,5", "--w-grid=0.3,0.6,2"], capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
