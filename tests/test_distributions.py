@@ -208,6 +208,40 @@ def test_product_of_inverses_and_vanishing():
     assert res["delta_pair_product"] < 1e-8
 
 
+def _double_osc_per_point(tau, a, b, w_grid, side_a, side_b, panel_width=2.0):
+    """The quadrant integral in its own (t, s) coordinates, point by point: the
+    full mesh of e^{i(t+s)w} for every w, on composite 16-node Gauss-Legendre
+    panels over [0, T] per axis (a single 400-node rule from numpy carries
+    about 1e-12 of its own error)."""
+    tau_c, a_c, b_c = complex(tau), complex(a), complex(b)
+    decay = max(min(abs(a_c.imag), abs(b_c.imag)), 0.25)
+    T = gaussian_halfwidth(tau_c.real / 4) + math.log(1e16) / decay
+    n_panels = math.ceil(T / panel_width)
+    xs, wts = np.polynomial.legendre.leggauss(16)
+    half = T / n_panels / 2
+    x = ((xs[None, :] + 1) * half + 2 * half * np.arange(n_panels)[:, None]).ravel()
+    wx = np.tile(wts * half, n_panels)
+    t = x * (1 if side_a < 0 else -1)
+    s = x * (1 if side_b < 0 else -1)
+    tt, ss = np.meshgrid(t, s, indexing="ij")
+    base = np.exp(1j * tt * a_c + 1j * ss * b_c - (tt + ss) ** 2 * tau_c / 4)
+    pref = (1j if side_a > 0 else -1j) * (1j if side_b > 0 else -1j)
+    return np.asarray([pref * (wx @ (base * np.exp(1j * (tt + ss) * w)) @ wx)
+                       for w in w_grid])
+
+
+@pytest.mark.parametrize("n_points", [5, 17])
+@pytest.mark.parametrize("tau", [1.0, 0.6 + 0.9j, 2 - 0.7j])
+@pytest.mark.parametrize("sides", [(1, 1), (-1, -1), (1, -1)])
+def test_double_osc_matches_per_point_rule(sides, tau, n_points):
+    a, b = 0.3 - 0.6j, -0.2 + 0.5j
+    ws = np.linspace(-2.0, 2.0, n_points)
+    got = distributions._double_osc(tau, a, b, ws, *sides)
+    want = _double_osc_per_point(tau, a, b, ws, *sides)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("tau", [1.0, 0.6 + 0.9j, 2 - 0.7j, 0.5 + 1j, 0.5 - 1j, 2 + 1j])
 @pytest.mark.parametrize("sides", [(1, 1), (-1, -1), (1, -1)])
 def test_double_osc_quadrants_match_the_law(sides, tau):
