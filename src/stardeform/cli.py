@@ -188,8 +188,7 @@ def emit_csv(header, rows, stream=None):
 def cmd_verify(args) -> int:
     from .verify import RunConfig, run_suite
 
-    cfg = RunConfig(tau=args.tau, nu=args.nu, tol=args.tol, trunc=args.trunc,
-                    grid=args.grid, seed=args.seed)
+    cfg = RunConfig(tau=args.tau, nu=args.nu, tol=args.tol, grid=args.grid, seed=args.seed)
     records = run_suite(args.suite, cfg)
     ok = all(r["passed"] for r in records)
     if args.format == "csv":
@@ -201,7 +200,7 @@ def cmd_verify(args) -> int:
         emit_json({
             "suite": args.suite,
             "config": {"tau": [cfg.tau.real, cfg.tau.imag], "nu": [cfg.nu.real, cfg.nu.imag],
-                       "tol": _fmt_resid(cfg.tol), "trunc": cfg.trunc,
+                       "tol": _fmt_resid(cfg.tol),
                        "grid": list(cfg.grid), "seed": cfg.seed},
             "results": [{"anchor": r["anchor"], "description": r["description"],
                          "residual": _fmt_resid(r["residual"]),
@@ -399,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tau", type=scalar, default="1,0")
     v.add_argument("--nu", type=scalar, default="1,0")
     v.add_argument("--tol", type=positive, default=1e-10)
-    v.add_argument("--trunc", type=int, default=24)
     v.add_argument("--grid", type=grid, default="-2,2,17")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--format", choices=["json", "csv"], default="json")

@@ -1,8 +1,9 @@
-"""Scalar helpers.
+"""The one checked scalar call, cexp: cmath.exp with its overflow as a DomainError.
 
-All analytic kernels are written against plain arithmetic plus the few
-transcendental calls below, so they run over float complex (cmath); each
-helper also accepts an exact QC, which it rounds to complex first.
+Kernels otherwise use plain arithmetic, abs, complex() (which rounds an exact
+QC) and cmath.  A square root continued along a path (starexp.continue_sqrt)
+samples each segment at 64 points and keeps each root on the branch nearer the
+previous one; an exact tie takes the principal root.
 """
 
 from __future__ import annotations
@@ -10,31 +11,12 @@ from __future__ import annotations
 import cmath
 
 from .errors import DomainError
-from .exact import QC
-
-
-def to_complex(x) -> complex:
-    if isinstance(x, QC):
-        return x.to_complex()
-    return complex(x)
 
 
 def cexp(x):
     """exp(x); raises DomainError where cmath.exp overflows or its argument
     is not finite."""
     try:
-        return cmath.exp(to_complex(x))
+        return cmath.exp(complex(x))
     except (OverflowError, ValueError):
         raise DomainError(f"exp({x}) is outside the float range") from None
-
-
-def csqrt(x):
-    """Principal square root."""
-    return cmath.sqrt(to_complex(x))
-
-
-def cabs(x):
-    """|x|."""
-    if isinstance(x, QC):
-        x = x.to_complex()
-    return abs(x)

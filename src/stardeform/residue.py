@@ -23,9 +23,9 @@ import numpy as np
 from .core import Poly
 from .errors import DegenerateBoundary, DomainError, NodeCountError, PathError, SingularPoint
 from .exact import SparseLaurent
-from .numeric import cabs, cexp, csqrt
+from .numeric import cexp
 from .quadrature import _panel_rule
-from .starexp import GaussPoly, quadexp_star, star_poly_gauss
+from .starexp import GaussPoly, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
 # ------------------------------------------------------------ closed forms
 
@@ -79,13 +79,18 @@ def laurent_coeff_closed(k: int, nu, tau, w):
 
 
 def laurent_gausspoly(k: int, nu, tau, q_max: int = 40, tol: float = 1e-18) -> GaussPoly:
-    """a_{2k-1} as a GaussPoly: polynomial in w^2 times the Gaussian envelope."""
+    """a_{2k-1} as a GaussPoly: polynomial in w^2 times the Gaussian envelope;
+    raises DomainError when a coefficient is outside the float range."""
     tau_c, nu_c = complex(tau), complex(nu)
     coeffs = {}
     q = max(0, -k)
     while q <= q_max:
-        c = (-1.0) ** q * nu_c ** (k + q) / (math.factorial(q) * math.factorial(k + q)) \
-            / tau_c ** (2 * q)
+        try:
+            c = (-1.0) ** q * nu_c ** (k + q) / (math.factorial(q) * math.factorial(k + q)) \
+                / tau_c ** (2 * q)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"a_{2 * k - 1} at nu={nu}, tau={tau} is outside the float "
+                              "range") from None
         coeffs[2 * q] = c
         if q > max(2, -k + 2) and abs(c) < tol:
             break
@@ -185,7 +190,7 @@ def ladder_residual(k: int, nu, tau, w_grid) -> float:
     lhs = star_poly_gauss(Poly([nu_c + tau_c / 2, 0.0, 1.0]), a_lo, tau_c)
     worst = 0.0
     for w in w_grid:
-        worst = max(worst, cabs(lhs(w) - (k + 0.5) * a_hi(w)))
+        worst = max(worst, abs(lhs(w) - (k + 0.5) * a_hi(w)))
     return worst
 
 
@@ -241,7 +246,7 @@ def semigroup_on_delta(t, alpha, tau, w_grid) -> float:
     prod = quadexp_star(t_c, tau_c, d)
     worst = 0.0
     for w in w_grid:
-        worst = max(worst, cabs(prod(w) - cexp(t_c * alpha_c * alpha_c) * d(w)))
+        worst = max(worst, abs(prod(w) - cexp(t_c * alpha_c * alpha_c) * d(w)))
     return worst
 
 
@@ -255,7 +260,7 @@ def phi_group_action_residual(t, alpha, tau, w_grid) -> float:
     for w in w_grid:
         acted = quadexp_star(t_c, tau_c, pp.phi_parts[0])(w) \
             + quadexp_star(t_c, tau_c, pp.phi_parts[1])(w)
-        worst = max(worst, cabs(acted - scale * pp.phi(w)))
+        worst = max(worst, abs(acted - scale * pp.phi(w)))
     return worst
 
 
@@ -281,7 +286,7 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid, n_nodes: int = 256) -> dict:
         z = t_c + 1 / tau_c + s * s
         denom = 1 - z * tau_c
         # branch continued around the loop; winding of denom around 0 is zero
-        root = _nearest_branch_sqrt(denom, cmath.sqrt(denom[0]))
+        root = nearest_branch_sqrt(denom, cmath.sqrt(denom[0]))
         if not abs(root[0] - root[-1]) <= abs(root[0] + root[-1]):
             raise SingularPoint("square-root branch does not close around the contour")
         for w in w_grid:
@@ -292,17 +297,6 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid, n_nodes: int = 256) -> dict:
     a_hi = laurent_gausspoly(k + 1, nu, tau)
     t_zero = np.asarray([(k + 0.5) * a_hi(w) for w in w_grid])
     return {"annihilation": worst, "t_zero_values": t_zero}
-
-
-def _nearest_branch_sqrt(vals, prev):
-    """sqrt along a node sequence, each root on the branch nearer the one
-    before it (prev for the first node)."""
-    out = np.empty(len(vals), dtype=complex)
-    for i, v in enumerate(vals):
-        pv = cmath.sqrt(v)
-        prev = pv if abs(pv - prev) <= abs(pv + prev) else -pv
-        out[i] = prev
-    return out
 
 
 # -------------------------------------------------------- covariant calculus
@@ -390,7 +384,7 @@ def evolution_family(H: Poly, nu):
     def F(z):
         z = complex(z)
         coeffs = [H.coeffs[j] * z ** j for j in range(len(H.coeffs))]
-        return GaussPoly(Poly(coeffs), -z, 0.0, csqrt(z), z * nu_c, 1)
+        return GaussPoly(Poly(coeffs), -z, 0.0, cmath.sqrt(z), z * nu_c, 1)
 
     def dF_dz(z):
         z = complex(z)
@@ -401,7 +395,7 @@ def evolution_family(H: Poly, nu):
         #   = [ (1/(2z) + nu) P + dP/dz - w^2 P ] * envelope
         poly = Poly(dP) + Poly(P).scale(1 / (2 * z) + nu_c) \
             - Poly([0.0, 0.0, 1.0]) * Poly(P)
-        return GaussPoly(poly, -z, 0.0, csqrt(z), z * nu_c, 1)
+        return GaussPoly(poly, -z, 0.0, cmath.sqrt(z), z * nu_c, 1)
 
     return F, dF_dz
 
@@ -423,7 +417,7 @@ def covariant_evolution_residual(H: Poly, nu, z, w_grid) -> float:
     for w in w_grid:
         w_c = complex(w)
         rhs = tau * w_c * fw(w_c) + (w_c * w_c + complex(nu) + tau / 2) * f0(w_c)
-        worst = max(worst, cabs(lhs(w_c) - rhs))
+        worst = max(worst, abs(lhs(w_c) - rhs))
     return worst / scale
 
 
@@ -451,7 +445,7 @@ def laurent_density_from_H(s, nu, z, w):
     :e_*^{(1/tau + s^2)(nu + w-element^2)}: with z = 1/tau."""
     s_c, z_c, nu_c, w_c = complex(s), complex(z), complex(nu), complex(w)
     H_val = (1 / (1j * s_c)) * cexp(nu_c * s_c * s_c - (z_c * w_c) ** 2 / (s_c * s_c))
-    return csqrt(z_c) * cexp(z_c * (nu_c - w_c * w_c)) * H_val
+    return cmath.sqrt(z_c) * cexp(z_c * (nu_c - w_c * w_c)) * H_val
 
 
 # ----------------------------------------------------- non-compact integrals
@@ -466,12 +460,12 @@ def gamma_path_integral(nu, tau, waypoints, w_grid, n_panels: int = 48,
     ws = np.asarray([complex(w) for w in w_grid])
     ts, wt = _panel_rule(n_panels, n_nodes)
     total = np.zeros(len(ws), dtype=complex)
-    prev_root = csqrt(1 - complex(waypoints[0]) * tau_c)
+    prev_root = cmath.sqrt(1 - complex(waypoints[0]) * tau_c)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         a, b = complex(a), complex(b)
         zs = a + (b - a) * ts
         denoms = 1 - zs * tau_c
-        roots = _nearest_branch_sqrt(denoms, prev_root)
+        roots = nearest_branch_sqrt(denoms, prev_root)
         prev_root = complex(roots[-1])
         alpha = zs / denoms
         base = np.exp(zs[None, :] * nu_c + alpha[None, :] * ws[:, None] ** 2) / roots[None, :]

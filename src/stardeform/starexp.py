@@ -8,21 +8,27 @@ pushforward between parameter values and hence the product of two Gaussians.
 
 The quadratic exponential element E(t) = (1-tau t)^{-1/2} exp(t w^2/(1-tau t))
 is double valued in t with branch point at t = 1/tau; the sheet tag is fixed by
-continuous continuation along caller-supplied polygonal paths from t = 0, where
-the value is +1.  The slit of the principal branch runs from 1/tau to infinity
-along arg = arg(1/tau), so "sheet" = (continued value) / (principal value).
+continuing sqrt(1 - tau t) from +1 at t = 0 along a caller-supplied polygonal path,
+64 samples per segment, each root on the branch nearer the previous one (an exact
+tie takes the principal root).  The slit of the principal branch runs from 1/tau
+to infinity along arg = arg(1/tau), so "sheet" = (continued value) / (principal value).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import Poly
 from .errors import SingularPoint, SingularProduct
-from .numeric import cabs, cexp, csqrt
+from .numeric import cexp
 
 SINGULAR_MARGIN = 1e-6
+STEPS_PER_SEGMENT = 64
+LEG_MARGIN = 0.15   # leg_path detours around branch points nearer its segment than this
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,12 @@ class GaussPoly:
         return self.poly.is_zero()
 
     def max_abs_on(self, ws) -> float:
-        return max(cabs(self(w)) for w in ws)
+        return max(abs(self(w)) for w in ws)
 
 
 def gp_sub_on_grid(f: GaussPoly, g: GaussPoly, ws) -> float:
     """max |f - g| over the grid (the two need not share exponents)."""
-    return max(cabs(f(w) - g(w)) for w in ws)
+    return max(abs(f(w) - g(w)) for w in ws)
 
 
 def heat_apply(theta, g: GaussPoly) -> GaussPoly:
@@ -77,12 +83,12 @@ def heat_apply(theta, g: GaussPoly) -> GaussPoly:
     polynomial prefactors go through the conjugated operator w + 2 theta d.
     """
     denom = 1 - 4 * g.alpha * theta
-    if cabs(denom) < SINGULAR_MARGIN:
+    if abs(complex(denom)) < SINGULAR_MARGIN:
         raise SingularProduct(f"heat flow denominator 1-4*alpha*theta ~ 0 (={denom})")
     alpha2 = g.alpha / denom
     beta2 = g.beta / denom
     logamp2 = g.logamp + theta * g.beta * g.beta / denom
-    pref2 = g.pref / csqrt(denom)
+    pref2 = g.pref / cmath.sqrt(denom)
     base = GaussPoly(Poly.const(1), alpha2, beta2, pref2, logamp2, g.sheet)
     if g.poly.degree <= 0:
         if g.poly.is_zero():
@@ -131,11 +137,11 @@ class PathParam:
     def straight(t) -> "PathParam":
         return PathParam([0.0, complex(t)])
 
-    def validate_avoids(self, point: complex, margin: float = SINGULAR_MARGIN):
+    def validate_avoids(self, point: complex):
         for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            if _segment_distance(point, a, b) < margin:
+            if _segment_distance(point, a, b) < SINGULAR_MARGIN:
                 raise SingularPoint(
-                    f"path segment {a}->{b} passes within {margin} of {point}")
+                    f"path segment {a}->{b} passes within {SINGULAR_MARGIN} of {point}")
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -147,22 +153,39 @@ def _segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * d))
 
 
-def continue_sqrt(expr: Callable[[complex], complex], path: PathParam,
-                  start_value: complex | None = None, steps_per_seg: int = 64) -> complex:
-    """Continuation of sqrt(expr(t)) along the path, seeded by the principal value.
+def nearest_branch_sqrt(vals, prev) -> np.ndarray:
+    """Square roots along a node sequence, each root on the branch nearer the
+    root before it (prev for the first node); an exact tie takes the principal
+    root.  Bit for bit the per-node loop
 
-    At each step the branch closest to the previous value is kept; segments are
-    subdivided finely enough that expr moves little between samples.
+        r = cmath.sqrt(v); prev = r if abs(r - prev) <= abs(r + prev) else -r
     """
-    t0 = path.waypoints[0]
-    val = csqrt(expr(t0)) if start_value is None else start_value
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        n = steps_per_seg
-        for j in range(1, n + 1):
-            t = a + (b - a) * (j / n)
-            pv = csqrt(expr(t))
-            val = pv if cabs(pv - val) <= cabs(-pv - val) else -pv
-    return val
+    # cmath.sqrt, not np.sqrt: the C library's csqrt rounds differently on the
+    # imaginary axis, where leg_path's detour nodes can land, and at subnormals
+    roots = np.fromiter(map(cmath.sqrt, vals), complex, len(vals))
+    before = np.concatenate(([prev], roots[:-1]))
+    with np.errstate(invalid="ignore"):         # inf - inf is nan, as in the loop
+        d, e = roots - before, roots + before
+    near = np.hypot(d.real, d.imag)     # np.hypot rounds as abs() does; np.abs does not
+    far = np.hypot(e.real, e.imag)
+    # the branch carries over where near < far and flips where near > far; a
+    # tie restarts on the principal root and a nan on its negative, as the loop
+    # does, so a restart at node r leaves node i flipped by the flips r..i
+    keep = near <= far
+    flips = np.logical_xor.accumulate(~keep)
+    last = np.maximum.accumulate(np.where(keep == (far <= near), np.arange(len(roots)), 0))
+    flips ^= np.concatenate(([False], flips))[last]
+    return np.where(flips, -roots, roots)
+
+
+def continue_sqrt(expr: Callable[[complex], complex], path: PathParam) -> complex:
+    """Continuation of sqrt(expr(t)) along the path from its principal value at
+    the first waypoint, through STEPS_PER_SEGMENT samples of each segment."""
+    ts = [path.waypoints[0]] + [a + (b - a) * (j / STEPS_PER_SEGMENT)
+                                for a, b in zip(path.waypoints[:-1], path.waypoints[1:])
+                                for j in range(1, STEPS_PER_SEGMENT + 1)]
+    vals = [expr(t) for t in ts]
+    return complex(nearest_branch_sqrt(vals, cmath.sqrt(vals[0]))[-1])
 
 
 def star_exp_quadratic(t, tau, path: PathParam | None = None) -> GaussPoly:
@@ -175,17 +198,17 @@ def star_exp_quadratic(t, tau, path: PathParam | None = None) -> GaussPoly:
     """
     t = complex(t)
     tau_c = complex(tau)
-    if cabs(1 - tau_c * t) < SINGULAR_MARGIN:
+    if abs(1 - tau_c * t) < SINGULAR_MARGIN:
         raise SingularPoint(f"t*tau = {tau_c * t} too close to 1")
     if path is None:
         path = PathParam.straight(t)
-    if cabs(path.waypoints[-1] - t) > 1e-12:
+    if abs(path.waypoints[-1] - t) > 1e-12:
         raise ValueError("path must end at t")
     if tau_c != 0:
         path.validate_avoids(1 / tau_c)
     root = continue_sqrt(lambda z: 1 - tau_c * z, path)
-    principal = csqrt(1 - tau_c * t)
-    sheet = 1 if cabs(root - principal) <= cabs(root + principal) else -1
+    principal = cmath.sqrt(1 - tau_c * t)
+    sheet = 1 if abs(root - principal) <= abs(root + principal) else -1
     return GaussPoly(Poly.const(1), t / (1 - tau_c * t), 0.0,
                      1 / principal, 0.0, sheet)
 
@@ -221,13 +244,13 @@ def quadexp_star(t, tau, g: GaussPoly) -> GaussPoly:
     if g.poly.degree > 0:
         raise ValueError("quadexp_star requires a pure Gaussian (constant prefactor)")
     mu = 1 - t * (tau + g.alpha * tau * tau)
-    if cabs(mu) < SINGULAR_MARGIN:
+    if abs(complex(mu)) < SINGULAR_MARGIN:
         raise SingularPoint(f"product denominator mu ~ 0 (={mu})")
     return GaussPoly(
         g.poly,
         (t + g.alpha * (1 + t * tau)) / mu,
         g.beta / mu,
-        g.pref / csqrt(mu),
+        g.pref / cmath.sqrt(mu),
         g.logamp + t * g.beta * g.beta * tau * tau / (4 * mu),
         g.sheet,
     )
@@ -255,7 +278,7 @@ def quad_exponential_law(s, t, tau, w_grid=None) -> float:
     """Max-modulus residual of E(s) * E(t) = E(s+t) on a w grid, sheets aligned
     by continuation from 0 along straight paths."""
     for point, name in ((s, "s"), (t, "t"), (s + t, "s+t")):
-        if cabs(1 - complex(tau) * complex(point)) < SINGULAR_MARGIN:
+        if abs(1 - complex(tau) * complex(point)) < SINGULAR_MARGIN:
             raise SingularPoint(f"{name}*tau too close to 1")
     if w_grid is None:
         w_grid = [ -2.0 + 0.2 * k for k in range(21) ]
@@ -289,7 +312,7 @@ def series_radius_probe(ell: int, tau, n_max: int):
     return [cs[n + 1] / cs[n] for n in range(n_max)]
 
 
-def leg_path(t, avoid_sided, margin: float = 0.15) -> PathParam:
+def leg_path(t, avoid_sided) -> PathParam:
     """Path 0 -> t detouring around each (point, side) that the straight segment
     grazes; side +1 detours to the left of the travel direction, -1 right.
 
@@ -303,14 +326,14 @@ def leg_path(t, avoid_sided, margin: float = 0.15) -> PathParam:
         return PathParam([p for _, p in pts])
     u = t / abs(t)
     for p, side in sorted(((complex(p), s) for p, s in avoid_sided), key=lambda z: abs(z[0])):
-        if _segment_distance(p, 0.0, t) < margin:
+        if _segment_distance(p, 0.0, t) < LEG_MARGIN:
             s = max(0.0, min(1.0, (p.real * u.real + p.imag * u.imag) / abs(t)))
-            pts.append((s, s * t + 2 * margin * side * 1j * u))
+            pts.append((s, s * t + 2 * LEG_MARGIN * side * 1j * u))
     pts.sort(key=lambda q: q[0])
     return PathParam([p for _, p in pts])
 
 
-def sheet_transport(t, tau_a, tau_b, sheet: int, margin: float = 0.15) -> int:
+def sheet_transport(t, tau_a, tau_b, sheet: int) -> int:
     """Move a sheet label at t from expression tau_a to tau_b.
 
     The label is identified by its continuation class along a path from 0 that
@@ -322,18 +345,18 @@ def sheet_transport(t, tau_a, tau_b, sheet: int, margin: float = 0.15) -> int:
         avoid.append((1 / complex(tau_a), +1))
     if tau_b:
         avoid.append((1 / complex(tau_b), -1))
-    path = leg_path(t, avoid, margin)
+    path = leg_path(t, avoid)
     ca = continue_sqrt(lambda z: 1 - complex(tau_a) * z, path)
     cb = continue_sqrt(lambda z: 1 - complex(tau_b) * z, path)
-    pa = csqrt(1 - complex(tau_a) * complex(t))
-    pb = csqrt(1 - complex(tau_b) * complex(t))
+    pa = cmath.sqrt(1 - complex(tau_a) * complex(t))
+    pb = cmath.sqrt(1 - complex(tau_b) * complex(t))
     val_a = sheet * pa
-    eps = 1 if cabs(val_a - ca) <= cabs(val_a + ca) else -1
+    eps = 1 if abs(val_a - ca) <= abs(val_a + ca) else -1
     val_b = eps * cb
-    return 1 if cabs(val_b - pb) <= cabs(val_b + pb) else -1
+    return 1 if abs(val_b - pb) <= abs(val_b + pb) else -1
 
 
-def triple_transport_sign(t, taus, margin: float = 0.15) -> int:
+def triple_transport_sign(t, taus) -> int:
     """Net sheet sign of the round trip tau1 -> tau2 -> tau3 -> tau1 at t.
 
     Each leg transports along a path admissible for its two expressions; the
@@ -341,7 +364,7 @@ def triple_transport_sign(t, taus, margin: float = 0.15) -> int:
     depending on where t sits relative to the three slits."""
     t1, t2, t3 = taus
     s = 1
-    s = sheet_transport(t, t1, t2, s, margin)
-    s = sheet_transport(t, t2, t3, s, margin)
-    s = sheet_transport(t, t3, t1, s, margin)
+    s = sheet_transport(t, t1, t2, s)
+    s = sheet_transport(t, t2, t3, s)
+    s = sheet_transport(t, t3, t1, s)
     return s

@@ -14,13 +14,14 @@ cross-checks.  All evaluators accept complex w and run over float complex.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, TruncationFailure
-from .numeric import cabs, cexp, csqrt, to_complex
+from .numeric import cexp
 
 
 # Largest truncation order theta_eval starts from: about 3.5x the order at
@@ -29,14 +30,14 @@ THETA_TERM_BUDGET = 20_000
 
 
 def _require_right_halfplane(tau):
-    if to_complex(tau).real <= 0:
+    if complex(tau).real <= 0:
         raise DomainError(f"Re tau must be positive, got {tau}")
 
 
 def truncation_order(tau, tol) -> int:
     """Smallest N with the |q|^(N^2) tail below tol, plus safety margin;
     raises TruncationFailure when N exceeds THETA_TERM_BUDGET."""
-    re = to_complex(tau).real
+    re = complex(tau).real
     n = math.sqrt(max(-math.log(tol), 1.0) / re)
     if not n + 2 <= THETA_TERM_BUDGET:
         raise TruncationFailure(f"theta series needs {n:.3g} terms at tau={tau}, more than "
@@ -92,7 +93,7 @@ def theta_eval(kind: int, w, tau, tol: float = 1e-14, n_start: int | None = None
     while True:
         t = _term(kind, n, w, tau) + _term(kind, -n, w, tau)
         acc = acc + t
-        quiet = quiet + 1 if cabs(t) < tol else 0
+        quiet = quiet + 1 if abs(t) < tol else 0
         if n >= n0 and quiet >= 3:
             return acc
         n += 1
@@ -105,7 +106,7 @@ def quasi_periodicity_residual(kind: int, w, tau, tol: float = 1e-14) -> float:
     sign = 1 if kind in (2, 3) else -1
     lhs = cexp(2j * w - tau) * theta_eval(kind, w + 1j * tau, tau, tol)
     rhs = sign * theta_eval(kind, w, tau, tol)
-    return cabs(lhs - rhs)
+    return abs(lhs - rhs)
 
 
 def imaginary_transform_residual(w, tau, tol: float = 1e-14) -> float:
@@ -115,8 +116,8 @@ def imaginary_transform_residual(w, tau, tol: float = 1e-14) -> float:
     _require_right_halfplane(tau2)
     lhs = theta_eval(3, w, tau, tol)
     w2 = math.pi * w / (1j * tau)
-    rhs = csqrt(math.pi / tau) * cexp(-w * w / tau) * theta_eval(3, w2, tau2, tol)
-    return cabs(lhs - rhs)
+    rhs = cmath.sqrt(math.pi / tau) * cexp(-w * w / tau) * theta_eval(3, w2, tau2, tol)
+    return abs(lhs - rhs)
 
 
 def jacobi_relation_residual(tau, tol: float = 1e-16) -> float:
@@ -127,14 +128,14 @@ def jacobi_relation_residual(tau, tol: float = 1e-16) -> float:
 def delta_sum_representation(w, tau, tol: float = 1e-14):
     """Gaussian comb  sqrt(pi/tau) sum_n exp(-(w + pi n)^2 / tau); equals theta3."""
     _require_right_halfplane(tau)
-    pref = csqrt(math.pi / tau)
+    pref = cmath.sqrt(math.pi / tau)
     acc = cexp(-(w * w) / tau)
     n = 1
     quiet = 0
     while True:
         t = cexp(-((w + math.pi * n) ** 2) / tau) + cexp(-((w - math.pi * n) ** 2) / tau)
         acc = acc + t
-        quiet = quiet + 1 if cabs(pref * t) < tol else 0
+        quiet = quiet + 1 if abs(pref * t) < tol else 0
         if quiet >= 3:
             return pref * acc
         n += 1
@@ -156,7 +157,7 @@ def theta_eigen_residual(kind: int, tau, w_grid, tol: float = 1e-14) -> float:
     for w in w_grid:
         lhs = acted(w)
         rhs = sign * f(w)
-        worst = max(worst, cabs(lhs - rhs))
+        worst = max(worst, abs(lhs - rhs))
     return worst
 
 

@@ -27,7 +27,6 @@ class RunConfig:
     tau: complex = 1.0 + 0.0j
     nu: complex = 1.0 + 0.0j
     tol: float = 1e-10
-    trunc: int = 24
     grid: tuple = (-2.0, 2.0, 17)
     seed: int = 7
 

@@ -179,11 +179,11 @@ def test_dist_suite_passes_at_the_corners_of_the_bench_draw(tau):
 # sha256 of exact reports as the generic QC/Fraction loops printed them; a
 # kernel change that moves any byte of these reports fails here.
 EXACT_REPORT_SHA256 = {
-    "verify core --seed 1": "6f7c46d32a54992064be8c84e9aa227e83e185b5feb9d8f2719848263dfcc6bb",
-    "verify core --seed 2": "7d6325598b003ffc550e0aec1e28640a460993a1ec745c0b12b9b45a37ef8b1b",
-    "verify core --seed 3": "d6b4c214848cad0756964839d1ad9a9e443a9b6f33aca87a2f25e97fb01fa36b",
-    "verify halfseries": "87ca5d861ad844ce4adfacd8448f150b621051916244e86ea2ac086c038b6c62",
-    "verify vertex": "c07c0f53e13ced608344bfaee23bc78a18d8c7338b4c7556613afa2798fe5fac",
+    "verify core --seed 1": "b318dde4cb170878990a0e32d5f8f80c46e762a95607873c687b0ffd5a34591c",
+    "verify core --seed 2": "3b276fb028a371f097ab4035a603a27f4c5db16c2dfbff367142b115158089da",
+    "verify core --seed 3": "c052f38348802223f0e2bffb48837f4ed996d9fa8a48b793d20df7d98c3d5c4f",
+    "verify halfseries": "482f9d758716bf0eaab936f8884a423d99a48a12a29723074a3b195c2ca3df5f",
+    "verify vertex": "62cd9dfaf6682f06a66582a9f797617f86fdbe890bdadbd26f68d5793e6a49d9",
     "table hermite 20 --tau=0.5,0.25":
         "d4b5b1210f7ec2815eb51470b6a9aca05bf59b3d5ad5f964a4503207949887ec",
     "table legendre 40 --tau=-1,0":
@@ -339,6 +339,13 @@ def test_residue_bad_input_exit_two(args, capsys):
     assert_config_error(capsys, main(["residue", *args]))
 
 
+@pytest.mark.parametrize("tau", ["1e160,0", "0,1e160", "-1e160,0"])
+def test_verify_residue_beyond_the_float_range_exit_two(tau, capsys):
+    """The w^2q coefficients of the Laurent GaussPoly divide by tau^2q, which
+    overflows here."""
+    assert_config_error(capsys, main(["verify", "residue", f"--tau={tau}"]))
+
+
 # Each input misbehaved before option values were typed at the parser: a
 # traceback, a printed nan, a silent pass or a message in another format.
 BAD_INPUTS = [
@@ -456,8 +463,8 @@ POLY = st.one_of(st.sampled_from(["w", "w^2", "2*w^3 - w + 0.5", "(1+2i)*w^2 + 3
 # Per subcommand: the fixed argv it starts from, and the options one draw varies.
 COMMANDS = {
     "verify": (["verify", "theta"], {"--tau": SCALAR, "--nu": SCALAR, "--tol": NUMBER,
-                                     "--trunc": INT, "--grid": GRID, "--seed": INT,
-                                     "--format": MALFORMED}),
+                                     "--grid": GRID, "--seed": INT, "--format": MALFORMED}),
+    "verify-residue": (["verify", "residue"], {"--tau": SCALAR, "--nu": SCALAR}),
     "table": (["table", "bessel", "2"], {"--tau": SCALAR, "--a": SCALAR, "--grid": GRID}),
     "table-count": (["table"], {"hermite": small_int(-3, 12), "laguerre": small_int(-3, 12),
                                 "legendre": small_int(-3, 12), "euler": small_int(-3, 40),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stardeform.core import Poly
-from stardeform.errors import DegenerateBoundary, PathError
+from stardeform.errors import DegenerateBoundary, DomainError, PathError
 from stardeform.exact import QC, SparseLaurent
 from stardeform.residue import (LaurentObj, closed_contour_vanishing, covariant_derivative,
                                 covariant_evolution_residual, covariant_evolution_solve,
@@ -71,6 +71,9 @@ def test_gausspoly_form_matches_closed():
         g = laurent_gausspoly(k, nu, tau)
         for w in (0.0, 0.4, 1.1):
             assert abs(g(w) - laurent_coeff_closed(k, nu, tau, w)) < 1e-13
+    for tau in (1e160, 1e160j, 1e-100):     # tau^(2q) overflows, or underflows to 0
+        with pytest.raises(DomainError):
+            laurent_gausspoly(0, 1.0, tau)
 
 
 def test_ladder():

@@ -10,17 +10,18 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stardeform import starexp, verify
 from stardeform.core import Poly
 from stardeform.errors import SingularPoint, SingularProduct
-from stardeform.starexp import (GaussPoly, PathParam, continue_sqrt, gauss_star, gp_sub_on_grid,
-                                heat_apply, leg_path, quad_exponential_law, quadexp_star,
-                                series_radius_probe, sheet_transport, star_exp_linear,
-                                star_exp_quadratic, star_poly_gauss, translate_action,
-                                triple_transport_sign)
+from stardeform.starexp import (STEPS_PER_SEGMENT, GaussPoly, PathParam, continue_sqrt, gauss_star,
+                                gp_sub_on_grid, heat_apply, leg_path, nearest_branch_sqrt,
+                                quad_exponential_law, quadexp_star, series_radius_probe,
+                                sheet_transport, star_exp_linear, star_exp_quadratic,
+                                star_poly_gauss, translate_action, triple_transport_sign)
 
 W_GRID = [-2.0 + 0.25 * k for k in range(17)]
 
@@ -277,6 +278,92 @@ def test_continue_sqrt_closed_loop_winding():
     tri = PathParam([1, 2, 2 + 1j, 1])
     v2 = continue_sqrt(lambda z: z, tri)
     assert abs(v2 - 1) < 1e-6
+
+
+def nearest_branch_sqrt_reference(vals, prev):
+    """The per-node loop: each principal root, or its negative when that is
+    nearer the root before it."""
+    out = []
+    for v in vals:
+        r = cmath.sqrt(v)
+        prev = r if abs(r - prev) <= abs(r + prev) else -r
+        out.append(prev)
+    return out
+
+
+def continue_sqrt_reference(expr, path):
+    """continue_sqrt as a per-node loop over the reference."""
+    val = cmath.sqrt(expr(path.waypoints[0]))
+    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
+        for j in range(1, STEPS_PER_SEGMENT + 1):
+            val, = nearest_branch_sqrt_reference([expr(a + (b - a) * (j / STEPS_PER_SEGMENT))], val)
+    return val
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
+
+
+# Node values: the squares of 1, 1j, 1+1j, ... give sign flips and exact ties
+# (consecutive roots 1 and 1j are equally near both branches); the imaginary
+# axis is where np.sqrt and cmath.sqrt round apart; inf - inf makes a nan.
+NODE = st.one_of(
+    st.sampled_from([1, -1, 1j, -1j, 4, -4, 2j, -2j, 0j, complex(-0.0, -0.0),
+                     complex(-1, -0.0), complex(0.0, -0.3), complex("inf"),
+                     complex(0, float("-inf")), complex("nan")]),
+    st.floats(-1e6, 1e6).map(lambda y: complex(0.0, y)),
+    st.complex_numbers(max_magnitude=1e6),
+    st.complex_numbers(),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(vals=st.lists(NODE, max_size=40), start=NODE,
+       turn=st.sampled_from([1, -1, 1j, -1j]), first_is_start=st.booleans())
+def test_nearest_branch_sqrt_matches_the_loop_bit_for_bit(vals, start, turn, first_is_start):
+    """prev is a root of start, or that root turned by a quarter: an exact tie
+    with the first node when that node's value is start."""
+    prev = turn * cmath.sqrt(start)
+    if vals and first_is_start:
+        vals[0] = start
+    assert same_bits(nearest_branch_sqrt(vals, prev), nearest_branch_sqrt_reference(vals, prev))
+
+
+def test_nearest_branch_sqrt_ties_take_the_principal_root():
+    # roots 1, 1j, 1, 1j: each a quarter turn from the one before, a tie
+    assert same_bits(nearest_branch_sqrt([1, -1, 1, -1], 1), [1, 1j, 1, 1j])
+    # after a tie the nearer branch is kept again: sqrt(-1j) is nearer -1j than 1j
+    got = nearest_branch_sqrt([1, -1, -1j], 1j)
+    assert same_bits(got, [1, 1j, -cmath.sqrt(-1j)])
+    assert same_bits(got, nearest_branch_sqrt_reference([1, -1, -1j], 1j))
+
+
+PART3 = st.floats(-3.0, 3.0).map(lambda x: round(x, 3))
+POINT = st.builds(complex, PART3, PART3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(t=POINT, tau=POINT, detour=st.lists(POINT, max_size=3))
+def test_quadratic_sheet_matches_the_reference_continuation(t, tau, detour):
+    path = PathParam([0, *detour, t])
+    try:
+        g = star_exp_quadratic(t, tau, path)
+    except SingularPoint:
+        assume(False)
+    root = continue_sqrt(lambda z: 1 - tau * z, path)
+    want = continue_sqrt_reference(lambda z: 1 - tau * z, path)
+    assert same_bits(root, want)
+    principal = cmath.sqrt(1 - tau * t)
+    assert g.sheet == (1 if abs(want - principal) <= abs(want + principal) else -1)
+
+
+@settings(deadline=None, max_examples=30)
+@given(t=POINT, taus=st.tuples(POINT, POINT, POINT))
+def test_triple_transport_sign_matches_the_reference_continuation(t, taus):
+    got = triple_transport_sign(t, taus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(starexp, "continue_sqrt", continue_sqrt_reference)
+        assert triple_transport_sign(t, taus) == got
 
 
 def test_quadratic_family_maps_parameter_to_parameter():
