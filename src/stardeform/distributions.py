@@ -22,9 +22,7 @@ import numpy as np
 
 from .core import Poly, intertwine
 from .errors import DomainError, QuadratureFailure
-from .quadrature import (_panel_rule, check_window_error, gaussian_halfwidth,
-                         integrate_gaussian_window, integrate_power_window, integrate_segment,
-                         integrate_segment_refined)
+from .quadrature import gaussian_halfwidth, integrate_gaussian_window, integrate_segment_refined
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 
 TWO_PI = 2 * math.pi
@@ -48,16 +46,19 @@ def delta_annihilation(a, tau) -> GaussPoly:
     return star_poly_gauss(Poly([a, 1]), delta_tau(a, tau), tau)
 
 
-def delta_mass(a, tau, tol: float = 1e-12):
+def _x_window(centre, tau):
+    """(lo, hi) of the x-side window of e^{-(x - centre)^2/tau} around Re centre, for
+    a centre or an array of them: Im centre makes the Gaussian grow like
+    e^{2 |Im centre Im(1/tau)| |x - Re centre|}."""
+    c, inv = np.asarray(centre, complex), 1 / complex(tau)
+    L = gaussian_halfwidth(inv.real, float(np.max(2 * np.abs(c.imag * inv.imag))))
+    return c.real - L, c.real + L
+
+
+def delta_mass(a, tau):
     """integral over real w of the delta expression (1 for real a, tau)."""
     d = delta_tau(a, tau)
-    rate = (1 / complex(tau)).real
-    L = gaussian_halfwidth(rate) + abs(complex(a)) + 1.0
-
-    def f(w):
-        return np.asarray([d(x) for x in np.atleast_1d(w)])
-
-    return integrate_segment_refined(f, -L, L, tol=tol)
+    return integrate_segment_refined(d.values, *_x_window(-complex(a), tau))
 
 
 # ----------------------------------------------------------- sided inverses
@@ -120,8 +121,8 @@ def sided_power(a, m: int, side: str, tau, w_grid):
     the derivative pulls (it)^{m-1} into the integrand.
 
     m is at most 171, so that (m-1)! stays below the float maximum.  The window
-    follows the weight's mass near |t| = sqrt(2(m-1)/Re tau).  An error estimate
-    above WINDOW_RTOL times the largest value on the grid raises QuadratureFailure.
+    follows the weight's mass near |t| = sqrt(2(m-1)/Re tau).  A window whose error
+    estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
     """
     _check_tau(tau)
     if not 1 <= m <= 171:
@@ -129,8 +130,7 @@ def sided_power(a, m: int, side: str, tau, w_grid):
     sgn = +1 if side == "+" else -1
     pref = (1j if side == "+" else -1j) * (-1) ** (m - 1) / math.factorial(m - 1)
     f, osc = _halfline_integrand(a, w_grid, t_weight=lambda t: (1j * t) ** (m - 1))
-    val, err = integrate_power_window(f, tau, -sgn, osc, m - 1, shift=complex(a).imag)
-    return pref * check_window_error(val, err)
+    return pref * integrate_gaussian_window(f, tau, -sgn, osc, complex(a).imag, m - 1)
 
 
 def delta_difference_residual(a, tau, w_grid) -> float:
@@ -138,7 +138,7 @@ def delta_difference_residual(a, tau, w_grid) -> float:
     plus = sided_inverse(a, "+", tau, w_grid)
     minus = sided_inverse(a, "-", tau, w_grid)
     d = delta_tau(a, tau)
-    target = TWO_PI * 1j * np.asarray([d(w) for w in w_grid])
+    target = TWO_PI * 1j * d.values(np.asarray([complex(w) for w in w_grid]))
     return float(np.abs(plus - minus - target).max())
 
 
@@ -158,7 +158,7 @@ def tempered_transform(f_hat, tau, w_grid):
     return val / math.sqrt(TWO_PI)
 
 
-def slowly_increasing_transform(f, tau, w_grid, tol: float = 1e-13, breakpoints=()):
+def slowly_increasing_transform(f, tau, w_grid, breakpoints=()):
     """x-side route: integral f(x) delta_expr(x - w) dx for slowly increasing f.
 
     f is elementwise.  breakpoints: x-locations of jumps/kinks of f; panel edges
@@ -167,18 +167,16 @@ def slowly_increasing_transform(f, tau, w_grid, tol: float = 1e-13, breakpoints=
     window gives that row a segment of zero length."""
     _check_tau(tau)
     tau_c = complex(tau)
-    rate = (1 / tau_c).real
-    L = gaussian_halfwidth(rate, 1e-18) + 2.0
     ws = np.asarray([complex(w) for w in w_grid])
-    lo, hi = ws.real - L, ws.real + L
+    lo, hi = _x_window(ws, tau_c)
     edges = np.column_stack([lo, np.clip(np.sort(breakpoints), lo[:, None], hi[:, None]), hi])
 
-    def g(x):
-        return f(x) * np.exp(-(x - ws[:, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
+    def g(x, rows):
+        return f(x) * np.exp(-(x - ws[rows, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
 
     val = 0.0 + 0.0j
     for k in range(edges.shape[1] - 1):
-        val = val + integrate_segment_refined(g, edges[:, k], edges[:, k + 1], tol=tol)
+        val = val + integrate_segment_refined(g, edges[:, k], edges[:, k + 1], tol=1e-13)
     return val
 
 
@@ -189,15 +187,13 @@ def heaviside_y(tau, w_grid, reflected: bool = False):
     the grid points are the rows of one refinement."""
     _check_tau(tau)
     tau_c = complex(tau)
-    rate = (1 / tau_c).real
-    L = gaussian_halfwidth(rate, 1e-18) + 2.0
     ws = np.asarray([complex(w) for w in w_grid])
+    lo, hi = _x_window(ws, tau_c)
     zero = np.zeros(len(ws))
-    lo, hi = ((zero, np.maximum(ws.real + L, 0.5)) if not reflected
-              else (np.minimum(ws.real - L, -0.5), zero))
+    lo, hi = (zero, np.maximum(hi, 0.5)) if not reflected else (np.minimum(lo, -0.5), zero)
 
-    def g(x):
-        return np.exp(-(x - ws[:, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
+    def g(x, rows):
+        return np.exp(-(x - ws[rows, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
 
     return integrate_segment_refined(g, lo, hi, tol=1e-13)
 
@@ -256,17 +252,16 @@ def sgn_star_sgn_fourier(tau, w_grid, eps: float = 1e-3):
     O(eps) error."""
     tau_c = complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
-    rate = tau_c.real / 4
-    T = gaussian_halfwidth(rate)
+    T = gaussian_halfwidth(tau_c.real / 4)
 
     def integrand(t):
         kern = 4 * eps / (t * t + 4 * eps * eps)
         return kern * np.exp(-t * t * tau_c / 4 - 1j * np.multiply.outer(ws, t))
 
-    delta_zone = 40 * eps
-    val = integrate_segment(integrand, -T, -delta_zone, 64) \
-        + integrate_segment(integrand, -delta_zone, delta_zone, 200) \
-        + integrate_segment(integrand, delta_zone, T, 64)
+    # segments double in length away from the Lorentzian's peak of width 2 eps
+    half = [40 * eps * 2.0 ** k for k in range(max(1, math.ceil(math.log2(T / (40 * eps)))))]
+    edges = [-T] + [-e for e in reversed(half)] + half + [T]
+    val = sum(integrate_segment_refined(integrand, lo, hi) for lo, hi in zip(edges, edges[1:]))
     return val / TWO_PI
 
 
@@ -307,8 +302,8 @@ def principal_value_inverse(m: int, tau, w_grid):
         (i/2) integral (it)^{m-1}/(m-1)! sgn(t) e^{-t^2 tau/4} e^{-itw} dt.
 
     m is at most 171, so that (m-1)! stays below the float maximum.  The windows
-    follow the weight's mass near |t| = sqrt(2(m-1)/Re tau).  An error estimate
-    above WINDOW_RTOL times the largest value on the grid raises QuadratureFailure.
+    follow the weight's mass near |t| = sqrt(2(m-1)/Re tau).  A window whose error
+    estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
     """
     _check_tau(tau)
     if not 1 <= m <= 171:
@@ -320,9 +315,8 @@ def principal_value_inverse(m: int, tau, w_grid):
         wgt = (1j * t) ** (m - 1) / math.factorial(m - 1)
         return wgt * np.exp(-1j * np.multiply.outer(ws, t))
 
-    plus, err_plus = integrate_power_window(f, tau, +1, osc, m - 1)
-    minus, err_minus = integrate_power_window(f, tau, -1, osc, m - 1)
-    return check_window_error(0.5j * (plus - minus), 0.5 * (err_plus + err_minus))
+    return 0.5j * (integrate_gaussian_window(f, tau, +1, osc, power=m - 1)
+                   - integrate_gaussian_window(f, tau, -1, osc, power=m - 1))
 
 
 # ---------------------------------------------------------- periodic combs
@@ -386,9 +380,9 @@ def constant_variation_inverse(a, tau, w_grid, C=0.0):
     _check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
     ws = np.asarray([complex(w) for w in w_grid])
-    w_col = ws[:, None]
 
-    def f(t):
+    def f(t, rows):
+        w_col = ws[rows, None]
         return np.exp(((a_c + w_col * t) ** 2 - (a_c + w_col) ** 2) / tau_c) * w_col
 
     val = integrate_segment_refined(f, np.zeros(len(ws)), np.ones(len(ws)), tol=1e-13) * 2 / tau_c
@@ -431,9 +425,11 @@ def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int):
       - (+,-): u on both half-lines, split at the kink u = 0, and v in
         [-V, -|u|] with V = |u| + log(1e16)/d, where the v-factor decays at the
         rate d = (Im b - Im a)/2.
-    The inner rules are 16-node panels from _panel_rule, one per 16 units of
-    |a-b|/2 times the v-interval's length.  w enters only through the outer
-    factor e^{iuw}, so the inner rule runs once per u node for the whole grid.
+    Every inner integral is F(hi) - F(lo) for one cumulative integral
+    F(x) = integral^x e^{iv(a-b)/2} dv: the driver in row form integrates between
+    consecutive v-limits of all u nodes, one row each, and a cumulative sum
+    gives F at every limit.  w enters only through the outer factor e^{iuw}, so
+    the inner rule runs once per outer pass for the whole grid.
 
     The v-integrals are elementary, but none is taken in closed form: they are
     the algebra that derives the product law, so using them would turn the
@@ -444,21 +440,23 @@ def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int):
         raise DomainError("the (-,+) quadrant is not absolutely convergent")
     half_sum, half_diff = (a_c + b_c) / 2, (a_c - b_c) / 2
     if side_a == side_b:
-        def v_interval(abs_u):
-            return -abs_u, 2 * abs_u
+        def v_limits(abs_u):
+            return -abs_u, abs_u
     else:
         decay = -half_diff.imag
         if decay <= 0:
             raise DomainError("the (+,-) quadrant needs Im a < Im b")
         length = math.log(1e16) / decay
 
-        def v_interval(abs_u):
-            return -abs_u - length, np.full_like(abs_u, length)
+        def v_limits(abs_u):
+            return -abs_u - length, -abs_u
 
     def f(u):
-        lo, width = v_interval(np.abs(u))
-        x, wx = _panel_rule(max(1, math.ceil(abs(half_diff) * width.max() / 16)), 16)
-        inner = width * (np.exp(1j * half_diff * (lo[:, None] + width[:, None] * x)) @ wx)
+        limits, where = np.unique(np.concatenate(v_limits(np.abs(u))), return_inverse=True)
+        steps = integrate_segment_refined(lambda v, rows: np.exp(1j * half_diff * v),
+                                          limits[:-1], limits[1:], 1e-13, 1)
+        F = np.concatenate(([0.0], np.cumsum(steps)))
+        inner = F[where[len(u):]] - F[where[:len(u)]]
         return np.exp(1j * np.multiply.outer(ws, u)) * (np.exp(1j * half_sum * u) * inner / 2)
 
     # a quadrant edge runs along t (u has the sign -side_a) or along s; the

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .core import Poly
 from .errors import DegenerateBoundary, DomainError, NodeCountError, PathError, SingularPoint
 from .exact import SparseLaurent
 from .numeric import cexp
-from .quadrature import _panel_rule
+from .quadrature import integrate_segment_refined
 from .starexp import GaussPoly, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
 # ------------------------------------------------------------ closed forms
@@ -122,9 +123,14 @@ def _contour_nodes(radius: float, n_nodes: int):
 
 def _density_on_nodes(s, nu_c, tau_c, w_c):
     """E(s) at the nodes s through the z-form: z = 1/tau + s^2 and
-    1 - z tau = -s^2 tau, single valued in s; sqrt(-tau) is principal."""
-    z = 1 / tau_c + s * s
-    denom = -s * s * tau_c
+    1 - z tau = -s^2 tau, single valued in s; sqrt(-tau) is principal.  Raises
+    DomainError where 1/tau is not a normal float or -s^2 tau overflows."""
+    inv = 1 / tau_c
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = -s * s * tau_c
+    if not (sys.float_info.min <= abs(inv) < math.inf and np.all(np.isfinite(denom))):
+        raise DomainError(f"1/tau or s^2 tau at tau={tau_c} is outside the float range")
+    z = inv + s * s
     return np.exp(z * nu_c) / (sqrt_minus_tau(tau_c) * s) * np.exp(z * w_c * w_c / denom)
 
 
@@ -450,30 +456,34 @@ def laurent_density_from_H(s, nu, z, w):
 
 # ----------------------------------------------------- non-compact integrals
 
-def gamma_path_integral(nu, tau, waypoints, w_grid, n_panels: int = 48,
-                        n_nodes: int = 16, deriv: int = 0):
+def gamma_path_integral(nu, tau, waypoints, w_grid, deriv: int = 0):
     """integral of :e_*^{z(nu + w-element^2)}: dz along a polyline in z, branch
     of (1 - z tau)^{-1/2} continued from the first waypoint (principal there).
 
+    Each segment is one quadrature; the root at each later waypoint is
+    continued from the segment's last node.
     deriv = 0,1,2 returns d^deriv/dw^deriv of the integrand integrated."""
     tau_c, nu_c = complex(tau), complex(nu)
-    ws = np.asarray([complex(w) for w in w_grid])
-    ts, wt = _panel_rule(n_panels, n_nodes)
+    ws = np.asarray([complex(w) for w in w_grid])[:, None]
     total = np.zeros(len(ws), dtype=complex)
-    prev_root = cmath.sqrt(1 - complex(waypoints[0]) * tau_c)
+    root = cmath.sqrt(1 - complex(waypoints[0]) * tau_c)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
-        a, b = complex(a), complex(b)
-        zs = a + (b - a) * ts
-        denoms = 1 - zs * tau_c
-        roots = nearest_branch_sqrt(denoms, prev_root)
-        prev_root = complex(roots[-1])
-        alpha = zs / denoms
-        base = np.exp(zs[None, :] * nu_c + alpha[None, :] * ws[:, None] ** 2) / roots[None, :]
-        if deriv == 1:
-            base = base * (2 * alpha[None, :] * ws[:, None])
-        elif deriv == 2:
-            base = base * (2 * alpha[None, :] + (2 * alpha[None, :] * ws[:, None]) ** 2)
-        total = total + (b - a) * np.sum(base * wt[None, :], axis=1)
+        last = []
+
+        def f(zs):
+            denoms = 1 - zs * tau_c
+            roots = nearest_branch_sqrt(denoms, root)
+            last.append(roots[-1])
+            alpha = zs / denoms
+            base = np.exp(zs * nu_c + alpha * ws ** 2) / roots
+            if deriv == 1:
+                base = base * (2 * alpha * ws)
+            elif deriv == 2:
+                base = base * (2 * alpha + (2 * alpha * ws) ** 2)
+            return base
+
+        total = total + integrate_segment_refined(f, complex(a), complex(b))
+        root = complex(nearest_branch_sqrt([1 - complex(b) * tau_c], last[-1])[0])
     return total
 
 

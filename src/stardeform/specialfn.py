@@ -99,27 +99,26 @@ def hermite_convolution_scale(n: int, tau) -> int | None:
     return None
 
 
-def hermite_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
+def hermite_orthogonality(n: int, m: int, tau):
     """Weighted pairing integral_R exp(w^2/tau) H_n H_m dw by quadrature (Re tau < 0).
 
     Diagonal value n!(-tau)^n sqrt(-tau) sqrt(pi); off-diagonal zero.
     """
     import numpy as np
 
-    from .quadrature import integrate_segment_refined
+    from .quadrature import gaussian_halfwidth, integrate_segment_refined
 
     tau_c = complex(tau)
     if tau_c.real >= 0:
         raise QuadratureFailure("Re tau must be negative for the weight to decay")
-    rate = -(1 / tau_c).real
-    L = math.sqrt(math.log(1e22) / rate) + 3.0
+    L = gaussian_halfwidth(-(1 / tau_c).real, power=n + m)
     hn = hermite_table(max(n, m), tau_c).table
     pn, pm = hn[n], hn[m]
 
     def f(w):
         return np.exp(w * w / tau_c) * pn(w) * pm(w)
 
-    return integrate_segment_refined(f, -L, L, tol=tol)
+    return integrate_segment_refined(f, -L, L, tol=1e-10)
 
 
 def hermite_orthogonality_target(n: int, tau) -> complex:
@@ -303,7 +302,7 @@ def bessel_addition_residual(a, b, tau, w_grid, N: int = 8, n_s: int = 128) -> f
 
 # ---------------------------------------------------------------- Legendre
 
-def legendre_star(N: int, a, tau, w_grid, tol: float = 1e-11):
+def legendre_star(N: int, a, tau, w_grid):
     """P_n(w + a, tau) for n = 0..N on the grid; Re tau < 0.
 
     The integrand's t-dependence exp(2 s t (w+a) + (tau s^2 - s) t^2) is
@@ -312,13 +311,12 @@ def legendre_star(N: int, a, tau, w_grid, tol: float = 1e-11):
     """
     import numpy as np
 
-    from .quadrature import integrate_segment_refined
+    from .quadrature import gaussian_halfwidth, integrate_segment_refined
 
     tau_c = complex(tau)
     if tau_c.real >= 0:
         raise QuadratureFailure("Re tau must be negative")
     ws = np.asarray([complex(w) + complex(a) for w in w_grid])
-    U = math.sqrt(math.log(1e20)) + 2.0 + 0.5 * N
     out = []
     for n in range(N + 1):
         def f(u):
@@ -331,7 +329,9 @@ def legendre_star(N: int, a, tau, w_grid, tol: float = 1e-11):
                     / (math.factorial(j) * math.factorial(n - 2 * j))
             return 2.0 / math.sqrt(math.pi) * np.exp(-s) * acc
 
-        out.append(integrate_segment_refined(f, 0.0, U, tol=tol))
+        # the n-th integrand is e^{-u^2} times a polynomial of degree 2n in u
+        out.append(integrate_segment_refined(f, 0.0, gaussian_halfwidth(1.0, power=2 * n),
+                                             tol=1e-11))
     return out
 
 
@@ -415,7 +415,7 @@ def laguerre_from_quad_expansion(N: int, tau, x, radius: float | None = None,
     return [coef[n] / r ** n for n in range(N + 1)]
 
 
-def laguerre_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
+def laguerre_orthogonality(n: int, m: int, tau):
     """integral_0^inf x^{-1/2} e^{x/tau} L_n L_m dx (Re tau < 0), by quadrature.
 
     The x^{-1/2} weight is the one the oracle confirms: with it the family is
@@ -425,7 +425,7 @@ def laguerre_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
     """
     import numpy as np
 
-    from .quadrature import integrate_segment_refined
+    from .quadrature import gaussian_halfwidth, integrate_segment_refined
 
     tau_c = complex(tau)
     if tau_c.real >= 0:
@@ -433,14 +433,13 @@ def laguerre_orthogonality(n: int, m: int, tau, tol: float = 1e-10):
     polys = laguerre_star(max(n, m), tau_c)
     pn = polys[n].to_complex()
     pm = polys[m].to_complex()
-    rate = -(1 / tau_c).real
-    U = math.sqrt(math.log(1e22) / rate) + 3.0 + max(n, m)
+    U = gaussian_halfwidth(-(1 / tau_c).real, power=2 * (n + m))
 
     def f(u):
         x = u * u
         return 2 * np.exp(x / tau_c) * pn(x) * pm(x)
 
-    return integrate_segment_refined(f, 0.0, U, tol=tol)
+    return integrate_segment_refined(f, 0.0, U, tol=1e-10)
 
 
 def laguerre_orthogonality_target(n: int, tau) -> complex:

@@ -44,6 +44,11 @@ class GaussPoly:
         return self.sheet * self.pref * cexp(self.logamp + self.alpha * w * w + self.beta * w) \
             * self.poly(w)
 
+    def values(self, ws):
+        """The values over an array of w, in one numpy pass."""
+        return self.sheet * self.pref * np.exp(self.logamp + self.alpha * ws * ws
+                                               + self.beta * ws) * self.poly(ws)
+
     def amp(self):
         """Overall scalar amplitude sheet*pref*exp(logamp)."""
         return self.sheet * self.pref * cexp(self.logamp)

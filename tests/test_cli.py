@@ -339,10 +339,11 @@ def test_residue_bad_input_exit_two(args, capsys):
     assert_config_error(capsys, main(["residue", *args]))
 
 
-@pytest.mark.parametrize("tau", ["1e160,0", "0,1e160", "-1e160,0"])
+@pytest.mark.parametrize("tau", ["1e160,0", "0,1e160", "-1e160,0",
+                                 "1e308,1e308", "1e308,-1e308", "-1e308,1e308"])
 def test_verify_residue_beyond_the_float_range_exit_two(tau, capsys):
     """The w^2q coefficients of the Laurent GaussPoly divide by tau^2q, which
-    overflows here."""
+    overflows at 1e160; at 1e308 the contour density's 1/tau underflows."""
     assert_config_error(capsys, main(["verify", "residue", f"--tau={tau}"]))
 
 

@@ -7,6 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeform import distributions, verify
 from stardeform.core import Poly
@@ -21,10 +22,10 @@ from stardeform.distributions import (associativity_break_gap, constant_variatio
                                       y_sgn_identity_residuals)
 from stardeform.cli import main
 from stardeform.errors import DomainError, QuadratureFailure
-from stardeform.quadrature import (MAX_CACHED_NODES, _cached_panel_rule, _gl_nodes,
-                                   _panel_rule, check_window_error, gaussian_halfwidth,
-                                   integrate_gaussian_window, integrate_power_window,
-                                   integrate_segment, integrate_segment_refined)
+from stardeform.quadrature import (MAX_CACHED_NODES, N_NODES, WINDOW_RTOL, _cached_panel_rule,
+                                   _error_terms, _gl_rule, _panel_rule, gaussian_halfwidth,
+                                   integrate_gaussian_window, integrate_segment,
+                                   integrate_segment_refined)
 from stardeform.starexp import star_poly_gauss
 from stardeform.theta import theta_eval
 
@@ -320,9 +321,9 @@ def test_sided_power_order_range(m):
 
 # ------------------------------------------------------- cached panel rules
 
-def _linspace_rule(n_panels, n_nodes):
+def _linspace_rule(n_panels):
     """The composite rule as integrate_segment built it on every call before it was cached."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(N_NODES)
     x, w = (x + 1.0) / 2.0, w / 2.0
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     ts = (edges[:-1, None] + np.diff(edges)[:, None] * x[None, :]).ravel()
@@ -330,46 +331,55 @@ def _linspace_rule(n_panels, n_nodes):
     return ts, ws
 
 
-@pytest.mark.parametrize("n_panels, n_nodes", [(1, 5), (8, 16), (24, 16), (37, 16), (64, 12)])
+@pytest.mark.parametrize("n_panels, n_rows", [(1, 5), (8, 16), (24, 16), (37, 16), (64, 12)])
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.5 + 0.3j, 1.0 - 0.7j), (3j, -1.5)])
-def test_integrate_segment_is_bit_identical_to_the_uncached_rule(n_panels, n_nodes, a, b):
+def test_integrate_segment_is_bit_identical_to_the_uncached_rule(n_panels, n_rows, a, b):
+    """The scalar form, on a vector-valued f, and the row form, on n_rows rows
+    whose endpoints spread from (a, b), both against the uncached rule."""
     ws_grid = np.asarray([-1.0, 0.25, 2.0 + 0.5j])
 
     def f(t):
         return np.exp(1j * np.multiply.outer(ws_grid, t) - 0.3 * t * t)
 
-    ts, wts = _linspace_rule(n_panels, n_nodes)
+    ts, wts = _linspace_rule(n_panels)
     want = (b - a) * np.sum(f(a + (b - a) * ts) * wts, axis=-1)
-    got = integrate_segment(f, a, b, n_panels, n_nodes)
+    got = integrate_segment(f, a, b, n_panels)
     assert got.tobytes() == want.tobytes()
+
+    lo, hi = a + 0.1 * np.arange(n_rows), b - 0.2j * np.arange(n_rows)
+
+    def g(x):
+        return np.exp(1j * x - 0.3 * x * x)
+
+    want = (hi - lo) * np.sum(g(lo[:, None] + (hi - lo)[:, None] * ts) * wts, axis=-1)
+    assert integrate_segment(g, lo, hi, n_panels).tobytes() == want.tobytes()
 
 
 def test_cached_rules_are_read_only_and_shared():
-    for rule in (_gl_nodes(16), _panel_rule(24, 16)):
+    for rule in (_gl_rule(), _panel_rule(24)):
         for arr in rule:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
             with pytest.raises(ValueError):
                 arr *= 2.0
-    assert _gl_nodes(16) is _gl_nodes(16)
-    assert _panel_rule(24, 16) is _panel_rule(24, 16)
-    assert all(x is y for x, y in zip(_panel_rule(24, 16), _panel_rule(24, 16)))
+    assert _gl_rule() is _gl_rule() and _panel_rule(24) is _panel_rule(24)
+    assert all(x is y for x, y in zip(_panel_rule(24), _panel_rule(24)))
 
 
 def test_wide_panel_rules_are_built_uncached():
     """A rule of more than MAX_CACHED_NODES nodes is rebuilt on each call, so the
     cache retains no window rule of up to 2 * WINDOW_PANEL_BUDGET panels; the
     rebuilt arrays equal the uncached rule and are read-only too."""
-    n_panels = MAX_CACHED_NODES // 16 + 1
+    n_panels = MAX_CACHED_NODES // N_NODES + 1
     before = _cached_panel_rule.cache_info().currsize
-    first, second = _panel_rule(n_panels, 16), _panel_rule(n_panels, 16)
+    first, second = _panel_rule(n_panels), _panel_rule(n_panels)
     assert _cached_panel_rule.cache_info().currsize == before
     assert first[0] is not second[0]
-    for got, want in zip(first, _linspace_rule(n_panels, 16)):
+    for got, want in zip(first, _linspace_rule(n_panels)):
         assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             got[0] = 0.5
-    assert _panel_rule(MAX_CACHED_NODES // 16, 16) is _panel_rule(MAX_CACHED_NODES // 16, 16)
+    assert _panel_rule(MAX_CACHED_NODES // N_NODES) is _panel_rule(MAX_CACHED_NODES // N_NODES)
 
 
 # ------------------------------------------- segment refinement by rows
@@ -379,7 +389,8 @@ def test_segment_rows_match_scalar_calls(tol):
     """Row r of the row form is the scalar call on row r's endpoints, whatever
     doubling the other rows need: rows of different widths, peaks and sizes
     converge at different panel counts (the kink |x - 0.3|^2.5 only slowly), and
-    the large row sets no other row's scale."""
+    the large row sets no other row's scale.  A doubling pass hands f the rows
+    not yet accepted only."""
     a = np.asarray([-9.0, -1.0, 0.0, 2.5, -0.3, 0.0])
     b = np.asarray([9.0, 30.0, 0.5, 2.5, 40.0, 1.0])
     centres = np.asarray([0.0, 1.5, 0.25, 2.5, -0.5 + 0.3j, 0.0])
@@ -390,13 +401,19 @@ def test_segment_rows_match_scalar_calls(tol):
     def row(c, h, size, kink):
         return lambda x: size * np.exp(-(x - c) ** 2 / h + 1j * x) + kink * np.abs(x - 0.3) ** 2.5
 
-    got = integrate_segment_refined(row(*(p[:, None] for p in (centres, widths, sizes, kinks))),
-                                    a, b, tol=tol)
+    seen = []
+
+    def rows_f(x, rows):
+        seen.append(len(rows))
+        return row(*(p[rows, None] for p in (centres, widths, sizes, kinks)))(x)
+
+    got = integrate_segment_refined(rows_f, a, b, tol=tol)
     assert got.shape == a.shape
+    assert seen[0] == len(a) and seen[-1] < len(a) and seen == sorted(seen, reverse=True)
     for r in range(len(a)):
         want = integrate_segment_refined(row(centres[r], widths[r], sizes[r], kinks[r]),
                                          a[r], b[r], tol=tol)
-        assert abs(got[r] - want) <= tol * max(1.0, abs(want))
+        assert got[r] == want
 
 
 def test_segment_rows_raise_when_any_row_misses_tol():
@@ -405,9 +422,116 @@ def test_segment_rows_raise_when_any_row_misses_tol():
     a, b = np.zeros(3), np.ones(3)
     power = np.asarray([[2.0], [-0.5], [1.0]])
     with pytest.raises(QuadratureFailure, match="did not reach"):
-        integrate_segment_refined(lambda x: x ** power, a, b, tol=1e-12, max_panels=64)
-    vals = integrate_segment_refined(lambda x: x ** power[[0, 2]], a[:2], b[:2], tol=1e-12)
+        integrate_segment_refined(lambda x, rows: x ** power[rows], a, b, tol=1e-12,
+                                  max_panels=64)
+    vals = integrate_segment_refined(lambda x, rows: x ** power[[0, 2]][rows], a[:2], b[:2],
+                                     tol=1e-12)
     assert np.abs(vals - [1 / 3, 1 / 2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("rate, growth, power", [(0.25, 0.0, 0), (3.0, 1.5, 0), (1.0, 0.0, 8),
+                                                  (0.05, 0.7, 60), (0.6, 2.0, 3)])
+def test_gaussian_halfwidth_drops_the_envelope_by_1e16(rate, growth, power):
+    """Every cut, x-side or t-side, lies where the envelope
+    E(t) = power log t + growth t - rate t^2 has fallen log(1e16) below its value
+    at t_p = sqrt(power / (2 rate)), the peak without the growth, and so at least
+    that far below its peak."""
+    def env(t):
+        return power * np.log(t) + growth * t - rate * t * t
+
+    T, tp = gaussian_halfwidth(rate, growth, power), math.sqrt(power / (2 * rate))
+    start = env(tp) if power else 0.0       # E(0) = 0 without the power
+    assert start - env(T) == pytest.approx(math.log(1e16), abs=1e-6)
+    ts = np.linspace(1e-9, T, 200001)
+    assert env(ts).max() - env(T) >= math.log(1e16) - 1e-6
+    assert T > ts[env(ts).argmax()]
+    with pytest.raises(QuadratureFailure, match="nonpositive"):
+        gaussian_halfwidth(-rate, growth, power)
+
+
+def test_driver_accepts_on_the_sum_of_both_terms(monkeypatch):
+    """A pass whose truncation and rounding terms each fit the bound but whose
+    sum does not is refined; rounding alone beyond the bound raises at once."""
+    from stardeform import quadrature
+    terms = iter([(0.6e-12, 0.6e-12), (0.0, 0.0)])
+    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: next(terms))
+    panels = []
+    integrate_segment_refined(lambda x: panels.append(x.size) or np.ones_like(x), 0.0, 1.0)
+    assert panels == [8 * N_NODES, 16 * N_NODES]
+    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (0.0, 2e-12))
+    with pytest.raises(QuadratureFailure, match="rounding"):
+        integrate_segment_refined(np.ones_like, 0.0, 1.0)
+
+
+# ------------------------------- the driver against closed forms
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+def _met_or_raised(run, want, bound):
+    """run() lands within bound of want, or raises QuadratureFailure."""
+    try:
+        got = run()
+    except QuadratureFailure:
+        return
+    assert np.all(np.abs(got - want) <= bound), (got, want, bound)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coeffs=st.lists(st.floats(-2, 2, **FINITE), min_size=1, max_size=11),
+       rate=st.floats(0.05, 50), centre=st.floats(-3, 3))
+def test_driver_on_polynomial_times_gaussian(coeffs, rate, centre):
+    """integral of p(x - c) e^{-rate (x - c)^2} over the x-side cut:
+    sum_k p_k Gamma((k+1)/2) rate^{-(k+1)/2} over even k."""
+    with mpmath.workdps(30):
+        want = complex(sum(mpmath.mpf(p) * mpmath.gamma(mpmath.mpf(k + 1) / 2)
+                           / mpmath.mpf(rate) ** (mpmath.mpf(k + 1) / 2)
+                           for k, p in enumerate(coeffs) if k % 2 == 0))
+    L = gaussian_halfwidth(rate, power=len(coeffs) - 1)
+    poly = np.polynomial.Polynomial(coeffs)
+
+    def f(x):
+        return poly(x - centre) * np.exp(-rate * (x - centre) ** 2)
+
+    _met_or_raised(lambda: integrate_segment_refined(f, centre - L, centre + L),
+                   want, 1e-12 * max(1.0, abs(want)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(re=st.floats(0.2, 4), im=st.floats(-4, 4), side=st.sampled_from([-1, 0, 1]),
+       freqs=st.lists(st.floats(-6, 6, **FINITE), min_size=1, max_size=4))
+def test_driver_on_windowed_oscillation(re, im, side, freqs):
+    """integral of e^{i c t} e^{-t^2 tau/4} over a half-line or the line, each c
+    a row of the grid, at complex tau, against the 1F1 closed form; the window
+    rule bounds the error by WINDOW_RTOL times the largest value."""
+    tau, cs = complex(re, im), np.asarray(freqs)
+    want = np.asarray([sum(_mp_halfline(0, tau, c, sign) for sign in (-1, 1) if side != -sign)
+                       for c in cs])
+
+    def f(t):
+        return np.exp(1j * np.multiply.outer(cs, t))
+
+    _met_or_raised(lambda: integrate_gaussian_window(f, tau, side, float(np.abs(cs).max()) + 1),
+                   want, WINDOW_RTOL * np.abs(want).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-8, 8),
+                               st.floats(-8, 8)), min_size=1, max_size=6))
+def test_driver_on_per_row_endpoints(rows):
+    """Row r integrates e^{c_r x} over [a_r, b_r]: e^{c_r a_r} (b_r - a_r) expm1(z)/z with
+    z = c_r (b_r - a_r), each row within tol * max(1, |value|) of its own closed form."""
+    a, b, re, im = (np.asarray(col) for col in zip(*rows))
+    c = re + 1j * im
+
+    def closed(ai, bi, ci):
+        z = mpmath.mpc(ci) * (bi - ai)
+        return mpmath.exp(mpmath.mpc(ci) * ai) * (bi - ai) * (mpmath.expm1(z) / z if z else 1)
+
+    with mpmath.workdps(30):
+        want = np.asarray([complex(closed(*row)) for row in zip(a, b, c)])
+    _met_or_raised(lambda: integrate_segment_refined(lambda x, r: np.exp(c[r, None] * x), a, b),
+                   want, 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # --------------------------------- sided powers and Pf. against mpmath
@@ -503,16 +627,25 @@ def test_first_order_windows_are_unchanged():
 
 
 def test_power_window_error_estimate_has_both_terms():
-    """A kink at t = 1.37 converges slowly under panel doubling, so the first
-    term refuses it; for f = 1 both passes agree and the estimate is the rounding
-    term eps * integral |f| e^{-t^2/4} = eps sqrt(pi) alone."""
-    val, err = integrate_power_window(lambda t: np.sqrt(np.abs(t - 1.37)), 1.0, +1, 1.0, 0)
-    with pytest.raises(QuadratureFailure, match="error estimate"):
-        check_window_error(val, err)
-    val, err = integrate_power_window(np.ones_like, 1.0, +1, 1.0, 0)
+    """One pass's estimate from its node values.  On the single panel [0, 2],
+    x^15 = (1+y)^15 has the Legendre coefficients c_15 = 2^15 (15!)^2/30! and
+    c_14 = 15 * 2^14 (14!)^2/28!, so the truncation term is 2 (c_14 + c_15), and
+    the rounding term is eps * integral_0^2 x^15 dx.  A kink at t = 1.37 never
+    settles, so its window runs out of panels; e^{7it} against e^{-t^2/4} cancels
+    to 2 sqrt(pi) e^{-49}, far below eps times its mass, so the rounding term
+    alone refuses it, at once."""
+    x = 2 * _panel_rule(1)[0]
+    trunc, rounding = _error_terms(x ** 15, 2.0, 1)
+    c15 = 2 ** 15 * math.factorial(15) ** 2 / math.factorial(30)
+    c14 = 15 * 2 ** 14 * math.factorial(14) ** 2 / math.factorial(28)
+    assert trunc == pytest.approx(2 * (c14 + c15), rel=1e-6)   # c_k cancel 1e-7 of x^15
+    assert rounding == pytest.approx(np.finfo(float).eps * 2 ** 16 / 16, rel=1e-12)
+    with pytest.raises(QuadratureFailure, match="did not reach"):
+        integrate_gaussian_window(lambda t: np.sqrt(np.abs(t - 1.37)), 1.0, +1, 1.0)
+    with pytest.raises(QuadratureFailure, match="rounding"):
+        integrate_gaussian_window(lambda t: np.exp(7j * t), 1.0, 0, 8.0)
+    val = integrate_gaussian_window(np.ones_like, 1.0, +1, 1.0)
     assert abs(val - math.sqrt(math.pi)) < 1e-15
-    assert err == pytest.approx(np.finfo(float).eps * math.sqrt(math.pi), rel=1e-12, abs=0)
-    assert check_window_error(val, err) is val
 
 
 def _run(argv, capsys):
