@@ -5,8 +5,8 @@ sign elements follow from the density calculus."""
 import numpy as np
 
 from stardeform.distributions import (associativity_break_gap, delta_difference_residual,
-                                      delta_tau, heaviside_sgn, sided_inverse,
-                                      sided_inverse_defect, y_sgn_identity_residuals)
+                                      delta_tau, heaviside_y, sided_inverse_defect,
+                                      y_sgn_identity_residuals)
 from stardeform.theta import theta_eval
 
 tau = 1.0
@@ -19,8 +19,10 @@ print("sided-inverse defect (a=1):",
       max(sided_inverse_defect(1.0, s, tau, grid) for s in "+-"))
 print("difference equals 2 pi i delta:", delta_difference_residual(0.0, tau, grid))
 
-y, sgn = heaviside_sgn(tau, grid)
+y = heaviside_y(tau, grid)
+sgn = y - heaviside_y(tau, grid, reflected=True)      # sgn(w) = Y(w) - Y(-w)
 print("\nY values:", np.round(y.real, 4))
+print("sgn values:", np.round(sgn.real, 4))
 print("identity residuals:", {k: float(f"{v:.2e}")
                               for k, v in y_sgn_identity_residuals(tau, grid).items()})
 

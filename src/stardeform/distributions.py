@@ -211,16 +211,9 @@ def heaviside_y_fourier(tau, w_grid):
     return 0.5 + val / math.pi
 
 
-def heaviside_sgn(tau, w_grid):
-    """(Y values, sgn values) on the grid; sgn = Y(w) - Y(-w)."""
-    y = heaviside_y(tau, w_grid)
-    y_ref = heaviside_y(tau, w_grid, reflected=True)
-    return y, y - y_ref
-
-
 def y_sgn_identity_residuals(tau, w_grid) -> dict:
-    """Y(w)+Y(-w)=1, Y*Y=Y, Y(w)*Y(-w)=0, sgn*sgn=1; products through the
-    underlying-density rule (pointwise multiplication, then transform)."""
+    """Y(w)+Y(-w)=1, Y*Y=Y, sgn*sgn=1; products through the underlying-density
+    rule (pointwise multiplication, then transform)."""
     y = heaviside_y(tau, w_grid)
     y_ref = heaviside_y(tau, w_grid, reflected=True)
     sum_res = float(np.abs(y + y_ref - 1.0).max())
@@ -230,39 +223,11 @@ def y_sgn_identity_residuals(tau, w_grid) -> dict:
                                      breakpoints=(0.0,))
     yy_res = float(np.abs(yy - y).max())
 
-    # indicator(x>0) * indicator(x<0) = 0 a.e.
-    zero = slowly_increasing_transform(lambda x: 0.0 * x, tau, w_grid)
-    disjoint_res = float(np.abs(zero).max())
-
     # sgn * sgn = 1
     ss = slowly_increasing_transform(lambda x: np.sign(x) ** 2, tau, w_grid,
                                      breakpoints=(0.0,))
     ss_res = float(np.abs(ss - 1.0).max())
-    return {"sum_to_one": sum_res, "y_star_y": yy_res,
-            "disjoint_product": disjoint_res, "sgn_star_sgn": ss_res}
-
-
-def sgn_star_sgn_fourier(tau, w_grid, eps: float = 1e-3):
-    """Dual route for sgn * sgn through the Fourier-side convolution rule.
-
-    With the damped regularization sgn_eps(x) = sgn(x) e^{-eps|x|}, the
-    convolution of the transforms closes to a Lorentzian (contour integral):
-    (2pi)^{-1/2} (sgn_eps-hat conv sgn_eps-hat)(t) = (2pi)^{-1/2} 4 eps/(t^2+4 eps^2),
-    so only the final transform needs quadrature; tends to 1 as eps -> 0 with
-    O(eps) error."""
-    tau_c = complex(tau)
-    ws = np.asarray([complex(w) for w in w_grid])
-    T = gaussian_halfwidth(tau_c.real / 4)
-
-    def integrand(t):
-        kern = 4 * eps / (t * t + 4 * eps * eps)
-        return kern * np.exp(-t * t * tau_c / 4 - 1j * np.multiply.outer(ws, t))
-
-    # segments double in length away from the Lorentzian's peak of width 2 eps
-    half = [40 * eps * 2.0 ** k for k in range(max(1, math.ceil(math.log2(T / (40 * eps)))))]
-    edges = [-T] + [-e for e in reversed(half)] + half + [T]
-    val = sum(integrate_segment_refined(integrand, lo, hi) for lo, hi in zip(edges, edges[1:]))
-    return val / TWO_PI
+    return {"sum_to_one": sum_res, "y_star_y": yy_res, "sgn_star_sgn": ss_res}
 
 
 # ------------------------------------------------------------ eval pairing
@@ -359,17 +324,6 @@ def periodic_comb_residual(a, tau, w_grid, tol: float = 1e-13) -> float:
         k += 1
     series = series / TWO_PI
     return float(np.abs(comb - series).max())
-
-
-def fourier_series_transport(coeffs: dict, tau, w_grid):
-    """sum a_n e_*^{inw} in tau-expression for a finite coefficient dict."""
-    _check_tau(tau)
-    tau_c = complex(tau)
-    ws = np.asarray([complex(w) for w in w_grid])
-    acc = np.zeros_like(ws, dtype=complex)
-    for n, c in coeffs.items():
-        acc = acc + c * np.exp(-n * n * tau_c / 4 + 1j * n * ws)
-    return acc
 
 
 # ------------------------------------------------- constant-variation route

@@ -33,9 +33,5 @@ class DegenerateBoundary(StarDeformError):
     """The boundary-value system for the delta-pair solutions is singular."""
 
 
-class PathError(StarDeformError):
-    """A continuation path hits a forbidden point."""
-
-
 class NonUnit(StarDeformError):
     """Attempted to invert a series with vanishing constant term."""

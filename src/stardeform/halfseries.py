@@ -51,18 +51,6 @@ class HalfSeries:
     def one(trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
         return HalfSeries.from_list([1], 0, trunc)
 
-    def normalized(self) -> "HalfSeries":
-        """Shift the base degree so the constant term is nonzero (zero series unchanged)."""
-        cs = list(self.coeffs)
-        shift = 0
-        while cs and not cs[0] and shift < self.trunc:
-            cs.pop(0)
-            shift += 1
-        if not cs or not any(cs):
-            return HalfSeries.from_list([], self.base_deg, self.trunc)
-        cs += [QC(0)] * shift
-        return HalfSeries(self.base_deg + shift, tuple(cs), self.trunc)
-
     def __add__(self, other: "HalfSeries") -> "HalfSeries":
         if self.base_deg != other.base_deg:
             lo = min(self.base_deg, other.base_deg)
@@ -158,17 +146,19 @@ def exp_series(scale, trunc: int = DEFAULT_TRUNC) -> HalfSeries:
     return HalfSeries.from_list(cs, 0, trunc)
 
 
+def euler_combination(trunc: int) -> HalfSeries:
+    """e_*^{q} (1 + e^{2q}-series)^{-1} + e_*^{-q} (1 + e^{-2q}-series)^{-1}
+    = sum E_{2n} q^{2n} / (2n)!  (q standing for e_*^{iw}), truncated at trunc."""
+    one = HalfSeries.one(trunc)
+    return hs_mul(exp_series(1, trunc), hs_inverse(one + exp_series(2, trunc))) \
+        + hs_mul(exp_series(-1, trunc), hs_inverse(one + exp_series(-2, trunc)))
+
+
 def euler_numbers(N: int, trunc: int | None = None) -> list:
-    """E_0, E_2, ..., E_{2N} as exact Fractions from
-
-        e_*^{q} (1 + e^{2q}-series)^{-1} + e_*^{-q} (1 + e^{-2q}-series)^{-1}
-            = sum E_{2n} q^{2n} / (2n)!
-
-    (q standing for e_*^{iw}).  Odd coefficients vanish identically."""
+    """E_0, E_2, ..., E_{2N} as exact Fractions, the coefficients of
+    euler_combination times (2n)!.  Odd coefficients vanish identically."""
     K = trunc if trunc is not None else max(2 * N + 2, DEFAULT_TRUNC)
-    one = HalfSeries.one(K)
-    lhs = hs_mul(exp_series(1, K), hs_inverse(one + exp_series(2, K))) \
-        + hs_mul(exp_series(-1, K), hs_inverse(one + exp_series(-2, K)))
+    lhs = euler_combination(K)
     assert lhs.base_deg == 0
     out = []
     for n in range(N + 1):
@@ -361,10 +351,7 @@ def conjecture_coefficients(tau, tau_prime, N: int, w_points=None):
     tau_c, tp = complex(tau), complex(tau_prime)
     if tau_c.real <= 0 or (tau_c - tp).real <= 0 or tp.real <= 0:
         raise DomainError("need Re tau' > 0 and Re(tau - tau') > 0")
-    K = max(4 * N + 8, 32)
-    one = HalfSeries.one(K)
-    comb = hs_mul(exp_series(1, K), hs_inverse(one + exp_series(2, K))) \
-        + hs_mul(exp_series(-1, K), hs_inverse(one + exp_series(-2, K)))
+    comb = euler_combination(max(4 * N + 8, 32))
     # tau-expression of the combination, sampled, then matched against the
     # formal-power basis weights at tau'
     if w_points is None:

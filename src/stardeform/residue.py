@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Poly
-from .errors import DegenerateBoundary, DomainError, NodeCountError, PathError, SingularPoint
+from .errors import DegenerateBoundary, DomainError, NodeCountError, SingularPoint
 from .exact import SparseLaurent
 from .numeric import cexp
 from .quadrature import integrate_segment_refined
@@ -101,19 +101,6 @@ def laurent_gausspoly(k: int, nu, tau, q_max: int = 40, tol: float = 1e-18) -> G
     return GaussPoly(poly, -1 / tau_c, 0.0, 1 / sqrt_minus_tau(tau_c), nu_c / tau_c, 1)
 
 
-@dataclass(frozen=True)
-class LaurentObj:
-    """Finite family of Laurent coefficients a_{2k-1} in GaussPoly form."""
-    nu: complex
-    tau: complex
-    coeffs: dict  # odd integer 2k-1 -> GaussPoly
-
-    @staticmethod
-    def build(k_range, nu, tau) -> "LaurentObj":
-        return LaurentObj(complex(nu), complex(tau),
-                          {2 * k - 1: laurent_gausspoly(k, nu, tau) for k in k_range})
-
-
 # ------------------------------------------------------------ contour route
 
 def _contour_nodes(radius: float, n_nodes: int):
@@ -134,15 +121,13 @@ def _density_on_nodes(s, nu_c, tau_c, w_c):
     return np.exp(z * nu_c) / (sqrt_minus_tau(tau_c) * s) * np.exp(z * w_c * w_c / denom)
 
 
-def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256,
-                    check: bool = True):
-    """a_{2k-1} = (1/2pi i) contour-integral s^{-2k} E(s) ds on |s| = radius.
+def _contour_mean(p: int, nu, tau, w, radius: float, n_nodes: int):
+    """mean over the nodes of E(s) s^p s, which is (1/2pi i) contour-integral
+    s^p E(s) ds on |s| = radius, checked against twice the nodes.
 
-    The integrand is evaluated through the z-form with the substitution
-    1 - z tau = -s^2 tau, which is single valued in s (the double cover
-    trivializes the cut); sqrt(-tau) is principal.  A sum that overflows to
-    inf or nan (e.g. a radius so small that e^{w^2/(tau^2 s^2)} overflows)
-    raises NodeCountError."""
+    A sum that overflows to inf or nan (e.g. a radius so small that
+    e^{w^2/(tau^2 s^2)} overflows), or that moves under node doubling, raises
+    NodeCountError."""
     if not radius > 0:
         raise DomainError("radius must be positive")
     if n_nodes < 1:
@@ -155,34 +140,33 @@ def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256,
         s = _contour_nodes(radius, n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = _density_on_nodes(s, nu_c, tau_c, w_c)
-            return np.mean(f * s ** (-2 * k) * s)    # (1/2pi i) * integral f ds
+            return np.mean(f * s ** p * s)
 
-    got = value(n_nodes)
-    ref = value(2 * n_nodes) if check else got
+    got, ref = value(n_nodes), value(2 * n_nodes)
     if not (cmath.isfinite(got) and cmath.isfinite(ref)):
         raise NodeCountError(f"contour sum is not finite at radius {radius} "
                              f"with {n_nodes} nodes")
-    if check and abs(got - ref) > 1e-10 * max(1.0, abs(ref)):
+    if abs(got - ref) > 1e-10 * max(1.0, abs(ref)):
         raise NodeCountError(f"contour integral not converged at {n_nodes} nodes")
     return got
 
 
-def even_coefficient_contour(j: int, nu, tau, w, radius: float = 1.0,
-                             n_nodes: int = 256):
-    """The would-be even coefficient a_{2j}: vanishes (odd-degree expansion)."""
-    s = _contour_nodes(radius, n_nodes)
-    f = _density_on_nodes(s, complex(nu), complex(tau), complex(w))
-    return np.mean(f * s ** (-2 * j - 1) * s)
+def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256):
+    """a_{2k-1} = (1/2pi i) contour-integral s^{-2k} E(s) ds on |s| = radius.
+
+    The integrand is evaluated through the z-form with the substitution
+    1 - z tau = -s^2 tau, which is single valued in s (the double cover
+    trivializes the cut); sqrt(-tau) is principal."""
+    return _contour_mean(-2 * k, nu, tau, w, radius, n_nodes)
 
 
 def closed_contour_vanishing(nu, tau, w, radius: float = 1.0, n_nodes: int = 256):
     """|contour-integral of :e_*^{z(nu+w-element)}: dz| around the branch point on
     the double cover (z = 1/tau + s^2, s once around; dz = 2s ds): the secondary
-    residue is absent, so the integral vanishes."""
-    s = _contour_nodes(radius, n_nodes)
-    f = _density_on_nodes(s, complex(nu), complex(tau), complex(w))
-    integral = 2j * np.pi * np.mean(f * 2 * s * s)
-    return abs(integral)
+    residue is absent, so the integral vanishes.  It is 4 pi i times the would-be
+    even coefficient a_{-2}, and every even coefficient a_{2j} (the mean with
+    p = -2j - 1) vanishes in the same way."""
+    return abs(4j * np.pi * _contour_mean(1, nu, tau, w, radius, n_nodes))
 
 
 def ladder_residual(k: int, nu, tau, w_grid) -> float:
@@ -354,33 +338,7 @@ def diffeqevol_exact_defect(k: int, q_max: int = 8) -> SparseLaurent:
     return lhs - rhs
 
 
-def covariant_derivative(f, z0, df_dz=None, h: float = 1e-5):
-    """Surface covariant derivative of a GaussPoly-valued family f(z) living on
-    tau = 1/z:   (d/dz) f + (1/4 z0^2) d^2/dw^2 f.
-
-    df_dz: optional analytic derivative callable; otherwise 4th-order central
-    differences in z.  Returns a callable w -> value."""
-    z0 = complex(z0)
-    f0 = f(z0)
-    if df_dz is not None:
-        dz = df_dz(z0)
-
-        def dz_val(w):
-            return dz(w) if callable(dz) else dz
-    else:
-        def dz_val(w):
-            return (-f(z0 + 2 * h)(w) + 8 * f(z0 + h)(w)
-                    - 8 * f(z0 - h)(w) + f(z0 - 2 * h)(w)) / (12 * h)
-
-    dww = f0.diff().diff()
-
-    def value(w):
-        return dz_val(w) + dww(w) / (4 * z0 * z0)
-
-    return value
-
-
-# ------------------------------------------------- covariant evolution solve
+# ------------------------------------------------------ covariant evolution
 
 def evolution_family(H: Poly, nu):
     """Closed family F(z) = sqrt(z) e^{z(nu - w^2)} H(z w) as a GaussPoly-valued
@@ -427,45 +385,18 @@ def covariant_evolution_residual(H: Poly, nu, z, w_grid) -> float:
     return worst / scale
 
 
-def covariant_evolution_solve(H: Poly, nu, z_path, w_grid, margin: float = 1e-9):
-    """Evaluate the closed family along a path of z = 1/tau, witnessing the
-    absence of singular points (polynomial initial data).  Raises PathError if
-    the path meets z = 0."""
-    F, _ = evolution_family(H, nu)
-    out = []
-    for z in z_path:
-        if abs(complex(z)) < margin:
-            raise PathError("z-path hits 0")
-        g = F(z)
-        vals = np.asarray([g(w) for w in w_grid])
-        if not np.all(np.isfinite(vals.view(float))):
-            raise PathError(f"solution singular at z={z}")
-        out.append(vals)
-    return out
-
-
-def laurent_density_from_H(s, nu, z, w):
-    """Recover the Laurent density from the evolution solution with
-    H(x) = (1/(i s)) e^{nu s^2 - x^2/s^2}: equals the closed z-form at
-    z' = z + s^2... evaluated on the surface it reproduces
-    :e_*^{(1/tau + s^2)(nu + w-element^2)}: with z = 1/tau."""
-    s_c, z_c, nu_c, w_c = complex(s), complex(z), complex(nu), complex(w)
-    H_val = (1 / (1j * s_c)) * cexp(nu_c * s_c * s_c - (z_c * w_c) ** 2 / (s_c * s_c))
-    return cmath.sqrt(z_c) * cexp(z_c * (nu_c - w_c * w_c)) * H_val
-
-
 # ----------------------------------------------------- non-compact integrals
 
-def gamma_path_integral(nu, tau, waypoints, w_grid, deriv: int = 0):
+def gamma_path_integral(nu, tau, waypoints, w_grid):
     """integral of :e_*^{z(nu + w-element^2)}: dz along a polyline in z, branch
-    of (1 - z tau)^{-1/2} continued from the first waypoint (principal there).
+    of (1 - z tau)^{-1/2} continued from the first waypoint (principal there),
+    with its first and second w-derivatives: rows F, F', F'' over the grid.
 
-    Each segment is one quadrature; the root at each later waypoint is
-    continued from the segment's last node.
-    deriv = 0,1,2 returns d^deriv/dw^deriv of the integrand integrated."""
+    Each segment is one quadrature of the three integrands together; the root
+    at each later waypoint is continued from the segment's last node."""
     tau_c, nu_c = complex(tau), complex(nu)
     ws = np.asarray([complex(w) for w in w_grid])[:, None]
-    total = np.zeros(len(ws), dtype=complex)
+    total = np.zeros((3, len(ws)), dtype=complex)
     root = cmath.sqrt(1 - complex(waypoints[0]) * tau_c)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         last = []
@@ -476,11 +407,8 @@ def gamma_path_integral(nu, tau, waypoints, w_grid, deriv: int = 0):
             last.append(roots[-1])
             alpha = zs / denoms
             base = np.exp(zs * nu_c + alpha * ws ** 2) / roots
-            if deriv == 1:
-                base = base * (2 * alpha * ws)
-            elif deriv == 2:
-                base = base * (2 * alpha + (2 * alpha * ws) ** 2)
-            return base
+            slope = 2 * alpha * ws
+            return np.stack([base, base * slope, base * (2 * alpha + slope ** 2)])
 
         total = total + integrate_segment_refined(f, complex(a), complex(b))
         root = complex(nearest_branch_sqrt([1 - complex(b) * tau_c], last[-1])[0])
@@ -491,9 +419,7 @@ def gamma_inverse_residual(nu, tau, waypoints, w_grid) -> float:
     """(nu + w-element^2) * integral = boundary term = 1 for a path from far
     left (Re z nu -> -inf) to 0; returns the max grid residual."""
     tau_c, nu_c = complex(tau), complex(nu)
-    f0 = gamma_path_integral(nu, tau, waypoints, w_grid, deriv=0)
-    f1 = gamma_path_integral(nu, tau, waypoints, w_grid, deriv=1)
-    f2 = gamma_path_integral(nu, tau, waypoints, w_grid, deriv=2)
+    f0, f1, f2 = gamma_path_integral(nu, tau, waypoints, w_grid)
     ws = np.asarray([complex(w) for w in w_grid])
     lhs = (nu_c + ws ** 2 + tau_c / 2) * f0 + tau_c * ws * f1 + tau_c ** 2 / 4 * f2
     return float(np.abs(lhs - 1.0).max())

@@ -362,15 +362,6 @@ def legendre_star_exact(N: int, tau) -> list:
     return out
 
 
-def legendre_classical(n: int) -> Poly:
-    """Rodrigues: P_n(z) = 1/(2^n n!) d^n/dz^n (z^2-1)^n, exact coefficients."""
-    p = Poly.const(Fraction(1))
-    base = Poly([Fraction(-1), Fraction(0), Fraction(1)])
-    for _ in range(n):
-        p = p * base
-    return p.deriv(n).scale(Fraction(1, 2 ** n * math.factorial(n)))
-
-
 # ---------------------------------------------------------------- Laguerre
 
 def _binom_series_coeff(alpha_num: int, m: int) -> Fraction:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,26 +42,6 @@ def truncation_order(tau, tol) -> int:
         raise TruncationFailure(f"theta series needs {n:.3g} terms at tau={tau}, more than "
                                 f"THETA_TERM_BUDGET = {THETA_TERM_BUDGET}")
     return math.ceil(n) + 2
-
-
-@dataclass(frozen=True)
-class ThetaSeries:
-    kind: int
-    tau: complex
-    trunc: int
-    tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.kind not in (1, 2, 3, 4):
-            raise DomainError(f"kind must be 1..4, got {self.kind}")
-        _require_right_halfplane(self.tau)
-
-    @property
-    def q(self):
-        return cexp(-self.tau)
-
-    def __call__(self, w):
-        return theta_eval(self.kind, w, self.tau, self.tol, self.trunc)
 
 
 def _term(kind: int, n: int, w, tau):
@@ -183,23 +162,6 @@ def theta3_from_inverses(w, tau, n_terms: int = 40):
     """theta3 = (1 - e_*^{2iw})^{-1}_{*+} - (1 - e_*^{2iw})^{-1}_{*-}."""
     return geometric_inverse_sum(+1, "+", tau, w, n_terms) \
         - geometric_inverse_sum(+1, "-", tau, w, n_terms)
-
-
-def theta4_from_inverses(w, tau, n_terms: int = 40):
-    return geometric_inverse_sum(-1, "+", tau, w, n_terms) \
-        - geometric_inverse_sum(-1, "-", tau, w, n_terms)
-
-
-def theta1_from_inverses(w, tau, n_terms: int = 40):
-    """2i theta1 = (cos_* w)^{-1}_{*+} - (cos_* w)^{-1}_{*-}."""
-    plus = 0.0 + 0.0j
-    minus = 0.0 + 0.0j
-    for n in range(n_terms):
-        k = 2 * n + 1
-        c = (-1.0) ** n * 2.0
-        plus += c * cexp(-(k * k) * tau / 4 + 1j * k * w)
-        minus += c * cexp(-(k * k) * tau / 4 - 1j * k * w)
-    return (plus - minus) / 2j
 
 
 def constant_coefficient_kernel(n_modes: int):

@@ -236,6 +236,9 @@ def suite_special(cfg: RunConfig) -> list:
                     specialfn.bessel_unit_sum_residual(tab), 1e-10))
     out.append(_rec("bessel-reflection", "index reflection with alternating sign",
                     specialfn.bessel_symmetry_residual(tab), 1e-12))
+    fft = specialfn.bessel_generating_fft(1.0, 1.0, 18, cfg.w_grid())
+    out.append(_rec("bessel-generating-route", "table vs FFT of the generating element",
+                    max(float(np.abs(tab.values[n] - fft[n]).max()) for n in fft), 1e-12))
     out.append(_rec("bessel-addition", "argument addition via pairwise products",
                     specialfn.bessel_addition_residual(1.0, 1.0, 1.0,
                                                        cfg.w_grid()[::4], N=6), 1e-9))
@@ -252,6 +255,12 @@ def suite_special(cfg: RunConfig) -> list:
     tabL = specialfn.laguerre_star(6, Fraction(2, 3))
     norm_ok = all(p.deriv(n) == core.Poly.const(Fraction(1)) for n, p in enumerate(tabL))
     out.append(_bool_rec("laguerre-normalization", "top derivative equals one (exact)", norm_ok))
+    x = 0.49
+    coef = specialfn.laguerre_from_quad_expansion(6, 0.8 + 0.3j, x)
+    worst = max(abs(p(x) - c) / max(1.0, abs(c))
+                for p, c in zip(specialfn.laguerre_star(6, 0.8 + 0.3j), coef))
+    out.append(_rec("laguerre-cauchy-route", "table vs Cauchy coefficients of the quadratic "
+                    "exponential", worst, 1e-11))
     worst = 0.0
     for n, m in ((0, 1), (2, 2), (1, 3)):
         got = specialfn.laguerre_orthogonality(n, m, -1.0)
@@ -307,6 +316,8 @@ def suite_dist(cfg: RunConfig) -> list:
                     worst, 1e-9))
     res = distributions.y_sgn_identity_residuals(tau, W)
     out.append(_rec("heaviside-partition", "Y(w) + Y(-w) = 1", res["sum_to_one"], 1e-10))
+    out.append(_rec("heaviside-idempotent", "Y * Y = Y via the density rule",
+                    res["y_star_y"], 1e-10))
     out.append(_rec("sign-involution", "sgn * sgn = 1 via the density rule",
                     res["sgn_star_sgn"], 1e-10))
     y_x = distributions.heaviside_y(tau, W[::4])
@@ -331,6 +342,15 @@ def suite_dist(cfg: RunConfig) -> list:
                     prod["product_law"], 1e-8))
     out.append(_rec("delta-pair-product", "product of delta pairs at distinct points vanishes",
                     prod["delta_pair_product"], 1e-8))
+    ws = np.asarray(W[::4], dtype=complex)
+    law = distributions.tempered_transform(lambda t: np.exp(0.6j * t) / math.sqrt(2 * math.pi),
+                                           tau, ws)
+    out.append(_rec("delta-fourier-law", "transform of (2 pi)^{-1/2} e^{iat} is delta_*(a - w)",
+                    float(np.abs(law - distributions.delta_tau(-0.6, tau).values(ws)).max()),
+                    1e-12))
+    worst = max(distributions.eval_pairing_residual(f, a, tau, ws)
+                for f, a in ((core.Poly([0, 0, 1]), 1.0), (("exp", 1.0), 0.5)))
+    out.append(_rec("delta-evaluation", "f * delta_*(a - w) = f(a) delta_*(a - w)", worst, 1e-13))
     return out
 
 
@@ -377,6 +397,14 @@ def suite_residue(cfg: RunConfig) -> list:
                 for z in (1.0, 0.8 + 0.4j))
     out.append(_rec("covariant-first-order", "closed family solves the first-order equation",
                     worst, 1e-12))
+    worst = max(residue.phi_group_action_residual(t, 0.6, tau, W[::4])
+                for t in (0.5, 1 / complex(tau)))
+    out.append(_rec("boundary-pair-group-action",
+                    "quadratic flow scales the boundary-value pair for all t", worst, 1e-12))
+    # fixed nu = tau = 1: the path's tail decays only for Re nu > 0
+    out.append(_rec("quadratic-inverse-path", "gamma-path integral inverts nu + w-element^2",
+                    residue.gamma_inverse_residual(1.0, 1.0, [-30.0, -2.0, 0.0],
+                                                   [0.0, 0.5, 1.0]), 1e-8))
     return out
 
 
@@ -405,12 +433,8 @@ def suite_halfseries(cfg: RunConfig) -> list:
             ok = False
     out.append(_bool_rec("inverse-unique-involutive", "inversion is exact and involutive", ok))
     K = 24
-    one = halfseries.HalfSeries.one(K)
-    series = halfseries.hs_mul(halfseries.exp_series(1, K),
-                               halfseries.hs_inverse(one + halfseries.exp_series(2, K))) \
-        + halfseries.hs_mul(halfseries.exp_series(-1, K),
-                            halfseries.hs_inverse(one + halfseries.exp_series(-2, K)))
-    lhs = halfseries.hs_to_tau_expression(series, 2.0, cfg.w_grid()[::4])
+    lhs = halfseries.hs_to_tau_expression(halfseries.euler_combination(K), 2.0,
+                                          cfg.w_grid()[::4])
     ws = np.asarray(cfg.w_grid()[::4])
     Efull = halfseries.euler_numbers(K // 2)
     rhs = sum(complex(Fraction(Efull[n]) / math.factorial(2 * n))

@@ -130,12 +130,6 @@ class VertexElem:
         out.num, out.den, out.trunc = num, den, trunc
         return out
 
-    @classmethod
-    def build(cls, pairs, trunc: int) -> "VertexElem":
-        """Sum of c x_m (x) u^k over ((m, k), c) in pairs; grades above trunc
-        are dropped, as are keys whose coefficients cancel."""
-        return cls._wrap(*_numerators(pairs, trunc), trunc)
-
     @property
     def terms(self) -> dict:
         den = self.den

@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from stardeform.core import Poly
-from stardeform.errors import DegenerateBoundary, DomainError, PathError
+from stardeform.errors import DegenerateBoundary, DomainError, NodeCountError
 from stardeform.exact import QC, SparseLaurent
-from stardeform.residue import (LaurentObj, closed_contour_vanishing, covariant_derivative,
-                                covariant_evolution_residual, covariant_evolution_solve,
-                                diffeqevol_exact_defect, even_coefficient_contour,
+from stardeform.residue import (_contour_mean, _density_on_nodes, closed_contour_vanishing,
+                                covariant_evolution_residual, diffeqevol_exact_defect,
                                 evolution_family, gamma_inverse_residual, gamma_path_integral,
-                                laurent_coeff_closed, laurent_density_from_H, laurent_gausspoly,
-                                orphan_annihilation, parallel_polynomial, phi_group_action_residual,
-                                phi_psi, residue_contour, semigroup_on_delta,
-                                surface_derivative_exact, ladder_residual)
+                                laurent_coeff_closed, laurent_gausspoly, orphan_annihilation,
+                                parallel_polynomial, phi_group_action_residual, phi_psi,
+                                residue_contour, semigroup_on_delta, surface_derivative_exact,
+                                ladder_residual)
 
 W_GRID = [-1.5 + 0.25 * k for k in range(13)]
 
@@ -53,8 +52,9 @@ def test_contour_radius_independence():
 
 
 def test_even_coefficients_vanish():
+    # a_{2j} is the contour mean of E(s) s^{-2j-1} s: the expansion has odd degrees only
     for j in (-1, 0, 1):
-        assert abs(even_coefficient_contour(j, 0.8, 1 + 0.5j, 0.4)) < 1e-12
+        assert abs(_contour_mean(-2 * j - 1, 0.8, 1 + 0.5j, 0.4, 1.0, 256)) < 1e-12
 
 
 def test_reswsquar_value():
@@ -89,9 +89,12 @@ def test_closed_contour_vanishing():
         assert closed_contour_vanishing(0.8, 1 + 0.5j, w) < 1e-10
 
 
-def test_laurent_obj_build():
-    obj = LaurentObj.build(range(-2, 3), 0.5, 1.0)
-    assert set(obj.coeffs) == {-5, -3, -1, 1, 3}
+def test_closed_contour_unresolved_raises():
+    # at tau = 0.1 the density e^{-w^2/(tau^2 s^2)} peaks near e^25 on |s| = 1, which
+    # 256 nodes do not resolve: the sum read 0.31 (and nan at tau = 0.01) unchecked
+    for tau in (0.1, 0.01):
+        with pytest.raises(NodeCountError):
+            closed_contour_vanishing(1.0, tau, 0.5)
 
 
 def test_phi_psi_parity_and_boundary():
@@ -168,17 +171,6 @@ def test_diffeqevol_exact():
         assert diffeqevol_exact_defect(k, q_max=8).is_zero()
 
 
-def test_covariant_derivative_plain_dz():
-    # for families without w-dependence the covariant derivative is a plain d/dz
-    from stardeform.starexp import GaussPoly
-
-    def fam(z):
-        return GaussPoly(Poly([z * z]), 0.0, 0.0)
-
-    val = covariant_derivative(fam, 1.3 + 0.2j)(0.7)
-    assert abs(val - 2 * (1.3 + 0.2j)) < 1e-8
-
-
 def test_covariant_evolution_residual():
     for H in (Poly([1.0]), Poly([0.5, -1.0, 2.0]), Poly([0.0, 1.0, 0.0, 0.7, 0.3])):
         for z in (1.0, 0.8 + 0.4j, 2.0):
@@ -194,10 +186,12 @@ def test_covariant_evolution_solution_is_parallel():
     F, dF = evolution_family(H, nu)
     z0 = 1.2
     tau = 1 / z0
-    nab = covariant_derivative(F, z0, df_dz=dF)
+    # surface covariant derivative: d/dz F + (1/(4 z^2)) d^2/dw^2 F
+    dz, dww = dF(z0), F(z0).diff().diff()
     rhs = star_poly_gauss(Poly([nu + tau / 2, 0.0, 1.0]), F(z0), tau)
     for w in W_GRID:
-        assert abs(nab(w) - rhs(w)) < 1e-10 * max(1.0, abs(rhs(w)))
+        nab = dz(w) + dww(w) / (4 * z0 * z0)
+        assert abs(nab - rhs(w)) < 1e-10 * max(1.0, abs(rhs(w)))
 
 
 def test_covariant_evolution_boundary_display():
@@ -216,25 +210,14 @@ def test_covariant_evolution_boundary_display():
     assert abs(cmath.sqrt(1) * cmath.exp(1 * (nu - 0)) * cmath.exp(-nu + 0) - cmath.exp(nu) * cmath.exp(-nu)) < 1e-15
 
 
-def test_covariant_evolution_path_and_errors():
-    H = Poly([1.0, 2.0])
-    path = [1.0, 0.8 + 0.3j, 0.5 + 0.5j, 1.2]
-    vals = covariant_evolution_solve(H, 0.5, path, W_GRID[:5])
-    assert len(vals) == len(path)
-    with pytest.raises(PathError):
-        covariant_evolution_solve(H, 0.5, [1.0, 0.0], W_GRID[:3])
-    assert covariant_evolution_solve(Poly(), 0.5, [1.0], W_GRID[:3])[0].tolist() == [0, 0, 0]
-
-
 def test_laurent_density_recovery():
     # H(x,s) = (1/(is)) e^{nu s^2 - x^2/s^2} reproduces the Laurent density
     nu, tau, s = 0.8, 2.0, 0.6
     z = 1 / tau
     for w in (0.2, 0.7):
-        got = laurent_density_from_H(s, nu, z, w)
-        zz = z + s * s
-        want = cmath.exp(zz * nu) / (cmath.sqrt(-tau) * s) \
-            * cmath.exp(zz * w * w / (1 - zz * tau))
+        H = (1 / (1j * s)) * cmath.exp(nu * s * s - (z * w) ** 2 / (s * s))
+        got = cmath.sqrt(z) * cmath.exp(z * (nu - w * w)) * H
+        want = _density_on_nodes(np.asarray([s], dtype=complex), nu, tau, w)[0]
         # (-1/z)^{-1/2} (1/s) = sqrt(z)/(i s) for the principal branch at z>0
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
@@ -251,7 +234,7 @@ def test_gamma_path_inverse_and_difference():
     assert gamma_inverse_residual(nu, tau, path_a, grid) < 1e-8
 
     # the encircling path arrives on the other sheet: boundary value -1
-    fb = [gamma_path_integral(nu, tau, path_b, grid, deriv=d) for d in (0, 1, 2)]
+    fb = gamma_path_integral(nu, tau, path_b, grid)
     lhs_b = (nu + ws ** 2 + tau / 2) * fb[0] + tau * ws * fb[1] + tau ** 2 / 4 * fb[2]
     assert np.abs(lhs_b + 1.0).max() < 1e-8
 
@@ -259,7 +242,7 @@ def test_gamma_path_inverse_and_difference():
     # through 0) has both endpoints at -inf, so it is annihilated, and it is
     # a nontrivial element (the two integrals differ)
     chain = path_a + list(reversed(path_b))[1:]
-    ch = [gamma_path_integral(nu, tau, chain, grid, deriv=d) for d in (0, 1, 2)]
+    ch = gamma_path_integral(nu, tau, chain, grid)
     lhs = (nu + ws ** 2 + tau / 2) * ch[0] + tau * ws * ch[1] + tau ** 2 / 4 * ch[2]
     assert np.abs(lhs).max() < 1e-8
     assert np.abs(ch[0]).max() > 1e-3

@@ -9,12 +9,30 @@ import pytest
 
 from stardeform.errors import DomainError
 from stardeform.theta import (constant_coefficient_kernel, delta_sum_representation,
-                              imaginary_transform_residual, jacobi_relation_residual,
-                              quasi_periodicity_residual, theta1_from_inverses,
-                              theta3_from_inverses, theta4_from_inverses, theta_eigen_residual,
-                              theta_eval, truncation_order)
+                              geometric_inverse_sum, imaginary_transform_residual,
+                              jacobi_relation_residual, quasi_periodicity_residual,
+                              theta3_from_inverses, theta_eigen_residual, theta_eval,
+                              truncation_order)
 
 W_GRID = [-1.0 + 0.1 * k for k in range(21)]
+
+
+def theta4_from_inverses(w, tau, n_terms=40):
+    """theta4 = (1 + e_*^{2iw})^{-1}_{*+} - (1 + e_*^{2iw})^{-1}_{*-}."""
+    return geometric_inverse_sum(-1, "+", tau, w, n_terms) \
+        - geometric_inverse_sum(-1, "-", tau, w, n_terms)
+
+
+def theta1_from_inverses(w, tau, n_terms=40):
+    """2i theta1 = (cos_* w)^{-1}_{*+} - (cos_* w)^{-1}_{*-}."""
+    plus = 0.0 + 0.0j
+    minus = 0.0 + 0.0j
+    for n in range(n_terms):
+        k = 2 * n + 1
+        c = (-1.0) ** n * 2.0
+        plus += c * cmath.exp(-(k * k) * tau / 4 + 1j * k * w)
+        minus += c * cmath.exp(-(k * k) * tau / 4 - 1j * k * w)
+    return (plus - minus) / 2j
 
 
 def theta_oracle(kind, w, tau):
@@ -156,15 +174,12 @@ def test_constant_kernel_is_one_dimensional():
     assert np.allclose(vec, np.ones_like(vec))
 
 
-def test_theta_series_object():
-    from stardeform.theta import ThetaSeries, truncation_order
+def test_theta_eval_validates_and_stops_on_its_tail():
     tau = 1.2
-    ts = ThetaSeries(3, tau, truncation_order(tau, 1e-14))
-    assert abs(ts(0.4) - theta_eval(3, 0.4, tau)) < 1e-14
-    assert abs(ts.q - math.exp(-tau)) < 1e-15
+    full = theta_eval(3, 0.4, tau, n_start=truncation_order(tau, 1e-14))
     with pytest.raises(DomainError):
-        ThetaSeries(5, tau, 8)
+        theta_eval(5, 0.4, tau)
     with pytest.raises(DomainError):
-        ThetaSeries(3, -1.0, 8)
+        theta_eval(3, 0.4, -1.0)
     # from the first order on, the series stops on its tail test |term| < tol
-    assert abs(theta_eval(3, 0.4, tau, 1e-14, n_start=1) - ts(0.4)) < 1e-14
+    assert abs(theta_eval(3, 0.4, tau, 1e-14, n_start=1) - full) < 1e-14

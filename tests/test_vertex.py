@@ -116,8 +116,8 @@ def test_alternative_dressing_fails_eigen():
     # term lands off the support lattice and nothing cancels it
     import math
     m, K = 1, 4
-    bad = VertexElem.build([((m + k, k), Fraction((-2) ** k, math.factorial(k)))
-                            for k in range(K + 2)], K + 1)
+    bad = VertexElem({(m + k, k): Fraction((-2) ** k, math.factorial(k))
+                      for k in range(K + 2)}, K + 1)
     lhs = L_action(0, bad).restrict(1)
     rhs = bad.scale(m).restrict(1)
     assert lhs != rhs
