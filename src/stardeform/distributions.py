@@ -212,22 +212,17 @@ def heaviside_y_fourier(tau, w_grid):
 
 
 def y_sgn_identity_residuals(tau, w_grid) -> dict:
-    """Y(w)+Y(-w)=1, Y*Y=Y, sgn*sgn=1; products through the underlying-density
+    """Y(w)+Y(-w)=1 and sgn*sgn=1; the product through the underlying-density
     rule (pointwise multiplication, then transform)."""
     y = heaviside_y(tau, w_grid)
     y_ref = heaviside_y(tau, w_grid, reflected=True)
     sum_res = float(np.abs(y + y_ref - 1.0).max())
 
-    # indicator * indicator = indicator -> transform equals Y again
-    yy = slowly_increasing_transform(lambda x: (x > 0).astype(float), tau, w_grid,
-                                     breakpoints=(0.0,))
-    yy_res = float(np.abs(yy - y).max())
-
     # sgn * sgn = 1
     ss = slowly_increasing_transform(lambda x: np.sign(x) ** 2, tau, w_grid,
                                      breakpoints=(0.0,))
     ss_res = float(np.abs(ss - 1.0).max())
-    return {"sum_to_one": sum_res, "y_star_y": yy_res, "sgn_star_sgn": ss_res}
+    return {"sum_to_one": sum_res, "sgn_star_sgn": ss_res}
 
 
 # ------------------------------------------------------------ eval pairing

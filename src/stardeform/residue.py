@@ -393,7 +393,10 @@ def gamma_path_integral(nu, tau, waypoints, w_grid):
     with its first and second w-derivatives: rows F, F', F'' over the grid.
 
     Each segment is one quadrature of the three integrands together; the root
-    at each later waypoint is continued from the segment's last node."""
+    at each later waypoint is continued from the segment's last node.  The rows
+    are accepted jointly, so every row carries the tolerance 1e-12 * max(1,
+    largest |entry| of the three): where F'' is much larger than F, F is held
+    only to F'''s scale."""
     tau_c, nu_c = complex(tau), complex(nu)
     ws = np.asarray([complex(w) for w in w_grid])[:, None]
     total = np.zeros((3, len(ws)), dtype=complex)

@@ -20,6 +20,7 @@ from . import core, distributions, halfseries, residue, specialfn, starexp, thet
 from .errors import DomainError, StarDeformError
 from .exact import QC
 from .numeric import cexp
+from .quadrature import WINDOW_RTOL
 
 
 @dataclass
@@ -316,8 +317,13 @@ def suite_dist(cfg: RunConfig) -> list:
                     worst, 1e-9))
     res = distributions.y_sgn_identity_residuals(tau, W)
     out.append(_rec("heaviside-partition", "Y(w) + Y(-w) = 1", res["sum_to_one"], 1e-10))
-    out.append(_rec("heaviside-idempotent", "Y * Y = Y via the density rule",
-                    res["y_star_y"], 1e-10))
+    # the density rule makes Y * Y the transform of the indicator again, so it is
+    # held against the Fourier route, at the points heaviside-dual-route skips
+    yy = distributions.slowly_increasing_transform(lambda x: (x > 0).astype(float), tau,
+                                                   W[1::2], breakpoints=(0.0,))
+    out.append(_rec("heaviside-idempotent", "Y * Y via the density rule vs Fourier-side Y",
+                    float(np.abs(yy - distributions.heaviside_y_fourier(tau, W[1::2])).max()),
+                    1e-9))
     out.append(_rec("sign-involution", "sgn * sgn = 1 via the density rule",
                     res["sgn_star_sgn"], 1e-10))
     y_x = distributions.heaviside_y(tau, W[::4])
@@ -342,13 +348,14 @@ def suite_dist(cfg: RunConfig) -> list:
                     prod["product_law"], 1e-8))
     out.append(_rec("delta-pair-product", "product of delta pairs at distinct points vanishes",
                     prod["delta_pair_product"], 1e-8))
-    ws = np.asarray(W[::4], dtype=complex)
+    # grids tied to a, so that delta_*(a - w) peaks on them at every tau and grid
+    ws = np.asarray([0.1, 0.6, 1.1], dtype=complex)
     law = distributions.tempered_transform(lambda t: np.exp(0.6j * t) / math.sqrt(2 * math.pi),
                                            tau, ws)
+    delta = distributions.delta_tau(-0.6, tau).values(ws)
     out.append(_rec("delta-fourier-law", "transform of (2 pi)^{-1/2} e^{iat} is delta_*(a - w)",
-                    float(np.abs(law - distributions.delta_tau(-0.6, tau).values(ws)).max()),
-                    1e-12))
-    worst = max(distributions.eval_pairing_residual(f, a, tau, ws)
+                    float(np.abs(law - delta).max() / np.abs(delta).max()), WINDOW_RTOL))
+    worst = max(distributions.eval_pairing_residual(f, a, tau, [a - 0.5, a, a + 0.5])
                 for f, a in ((core.Poly([0, 0, 1]), 1.0), (("exp", 1.0), 0.5)))
     out.append(_rec("delta-evaluation", "f * delta_*(a - w) = f(a) delta_*(a - w)", worst, 1e-13))
     return out

@@ -2,6 +2,7 @@
 Gaussian half-line integrals."""
 
 import cmath
+import json
 import math
 
 import mpmath
@@ -105,8 +106,11 @@ def test_tempered_transform_reciprocal():
 def test_heaviside_identities():
     res = y_sgn_identity_residuals(1.0, W_GRID)
     assert res["sum_to_one"] < 1e-10
-    assert res["y_star_y"] < 1e-10
     assert res["sgn_star_sgn"] < 1e-10
+    # Y * Y = Y: the density-rule product against the Fourier route
+    yy = slowly_increasing_transform(lambda x: (x > 0).astype(float), 1.0, W_GRID,
+                                     breakpoints=(0.0,))
+    assert np.abs(yy - heaviside_y_fourier(1.0, W_GRID)).max() < 1e-9
 
 
 def test_heaviside_two_routes_and_erf_oracle():
@@ -669,3 +673,16 @@ def test_cli_chirp_beyond_the_panel_budget_refused_with_one_error_line(capsys):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+
+
+@pytest.mark.parametrize("grid", ["-10,-9,5", "5,6,2"])
+def test_verify_dist_runs_on_grids_far_from_the_delta_point(grid, capsys):
+    """delta-fourier-law and delta-evaluation evaluate on grids tied to their own
+    point a, so a grid far from a neither aborts the suite nor changes them."""
+    records = {}
+    for argv in (["verify", "dist"], ["verify", "dist", f"--grid={grid}"]):
+        code, out, err = _run(argv, capsys)
+        assert code == 0 and err == ""
+        records[len(argv)] = {r["anchor"]: r for r in json.loads(out)["results"]}
+    for anchor in ("delta-fourier-law", "delta-evaluation"):
+        assert records[3][anchor] == records[2][anchor]
