@@ -26,8 +26,8 @@ print("sgn values:", np.round(sgn.real, 4))
 print("identity residuals:", {k: float(f"{v:.2e}")
                               for k, v in y_sgn_identity_residuals(tau, grid).items()})
 
-res = associativity_break_gap(tau, grid, n_terms=40)
-theta_vals = np.asarray([theta_eval(3, w, tau) for w in grid])
+res = associativity_break_gap(tau, grid)
+theta_vals = theta_eval(3, grid, tau)
 print("\nassociativity break: both groupings are inverses "
       f"(residuals {res['plus_inverse_residual']:.1e}, {res['minus_inverse_residual']:.1e}) "
       "yet the groupings differ by the theta series:",

@@ -299,14 +299,12 @@ def cmd_theta(args) -> int:
 
     from .theta import quasi_periodicity_residual, theta_eval
 
-    tau = args.tau
-    rows = []
-    for w in np.linspace(*args.w_grid):
-        val = theta_eval(args.kind, float(w), tau)
-        resid = quasi_periodicity_residual(args.kind, float(w), tau)
-        rows.append((f"{w:.12g}", f"{val.real:.15e}", f"{val.imag:.15e}",
-                     _fmt_resid(resid)))
-    emit_csv(["w", "re_theta", "im_theta", "quasi_periodicity_residual"], rows)
+    ws = np.linspace(*args.w_grid)
+    rows = zip(ws, theta_eval(args.kind, ws, args.tau),
+               quasi_periodicity_residual(args.kind, ws, args.tau))
+    emit_csv(["w", "re_theta", "im_theta", "quasi_periodicity_residual"],
+             [(f"{w:.12g}", f"{v.real:.15e}", f"{v.imag:.15e}", _fmt_resid(r))
+              for w, v, r in rows])
     return 0
 
 

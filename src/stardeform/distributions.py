@@ -20,22 +20,19 @@ import math
 
 import numpy as np
 
+from . import theta
 from .core import Poly, intertwine
-from .errors import DomainError, QuadratureFailure
-from .quadrature import gaussian_halfwidth, integrate_gaussian_window, integrate_segment_refined
+from .errors import DomainError
+from .quadrature import integrate_gaussian_window, integrate_segment_refined, x_window
 from .starexp import GaussPoly, star_poly_gauss, translate_action
+from .theta import check_tau
 
 TWO_PI = 2 * math.pi
 
 
-def _check_tau(tau):
-    if complex(tau).real <= 0:
-        raise DomainError(f"Re tau must be positive, got {tau}")
-
-
 def delta_tau(a, tau) -> GaussPoly:
     """Star-delta at shift a: (pi tau)^{-1/2} exp(-(a+w)^2/tau)."""
-    _check_tau(tau)
+    check_tau(tau)
     a_c, tau_c = complex(a), complex(tau)
     return GaussPoly(Poly.const(1), -1 / tau_c, -2 * a_c / tau_c,
                      (math.pi * tau_c) ** -0.5, -a_c * a_c / tau_c, 1)
@@ -46,19 +43,10 @@ def delta_annihilation(a, tau) -> GaussPoly:
     return star_poly_gauss(Poly([a, 1]), delta_tau(a, tau), tau)
 
 
-def _x_window(centre, tau):
-    """(lo, hi) of the x-side window of e^{-(x - centre)^2/tau} around Re centre, for
-    a centre or an array of them: Im centre makes the Gaussian grow like
-    e^{2 |Im centre Im(1/tau)| |x - Re centre|}."""
-    c, inv = np.asarray(centre, complex), 1 / complex(tau)
-    L = gaussian_halfwidth(inv.real, float(np.max(2 * np.abs(c.imag * inv.imag))))
-    return c.real - L, c.real + L
-
-
 def delta_mass(a, tau):
     """integral over real w of the delta expression (1 for real a, tau)."""
     d = delta_tau(a, tau)
-    return integrate_segment_refined(d.values, *_x_window(-complex(a), tau))
+    return integrate_segment_refined(d.values, *x_window(-complex(a), tau))
 
 
 # ----------------------------------------------------------- sided inverses
@@ -96,7 +84,7 @@ def _osc_halfline(tau, a, w_grid, side: int, t_weight=None):
 def sided_inverse(a, side: str, tau, w_grid):
     """Two inverses of (a + w):  '+': i * integral_{-inf}^0,  '-': -i * integral_0^inf
     of the linear exponential's tau-expression."""
-    _check_tau(tau)
+    check_tau(tau)
     if side == "+":
         return 1j * _osc_halfline(tau, a, w_grid, +1)
     if side == "-":
@@ -124,7 +112,7 @@ def sided_power(a, m: int, side: str, tau, w_grid):
     follows the weight's mass near |t| = sqrt(2(m-1)/Re tau).  A window whose error
     estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
     """
-    _check_tau(tau)
+    check_tau(tau)
     if not 1 <= m <= 171:
         raise DomainError(f"m must be in 1..171, got {m}")
     sgn = +1 if side == "+" else -1
@@ -148,7 +136,7 @@ def tempered_transform(f_hat, tau, w_grid):
     """(2pi)^{-1/2} integral f_hat(t) e^{-t^2 tau/4} e^{-itw} dt on the grid.
 
     f_hat is vectorized."""
-    _check_tau(tau)
+    check_tau(tau)
     ws = np.asarray([complex(w) for w in w_grid])
 
     def f(t):
@@ -165,10 +153,10 @@ def slowly_increasing_transform(f, tau, w_grid, breakpoints=()):
     are pinned there so the Gauss-Legendre refinement converges.  The grid points
     are the rows of one refinement per segment; a breakpoint outside a row's
     window gives that row a segment of zero length."""
-    _check_tau(tau)
+    check_tau(tau)
     tau_c = complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
-    lo, hi = _x_window(ws, tau_c)
+    lo, hi = x_window(ws, tau_c)
     edges = np.column_stack([lo, np.clip(np.sort(breakpoints), lo[:, None], hi[:, None]), hi])
 
     def g(x, rows):
@@ -185,10 +173,10 @@ def slowly_increasing_transform(f, tau, w_grid, breakpoints=()):
 def heaviside_y(tau, w_grid, reflected: bool = False):
     """Y(w) (or Y(-w)) by x-quadrature of the delta kernel over the half line;
     the grid points are the rows of one refinement."""
-    _check_tau(tau)
+    check_tau(tau)
     tau_c = complex(tau)
     ws = np.asarray([complex(w) for w in w_grid])
-    lo, hi = _x_window(ws, tau_c)
+    lo, hi = x_window(ws, tau_c)
     zero = np.zeros(len(ws))
     lo, hi = (zero, np.maximum(hi, 0.5)) if not reflected else (np.minimum(lo, -0.5), zero)
 
@@ -233,7 +221,7 @@ def eval_pairing_residual(f, a, tau, w_grid) -> float:
     Non-circular routes: polynomial f goes through the finite product rule with
     the intertwined polynomial; exponential f = e^{c x} through the translation
     action.  f is given as a Poly or as ('exp', c)."""
-    _check_tau(tau)
+    check_tau(tau)
     tau_c = complex(tau)
     d = delta_tau(-complex(a), tau_c)   # delta_*(a - w)
     if isinstance(f, Poly):
@@ -265,7 +253,7 @@ def principal_value_inverse(m: int, tau, w_grid):
     follow the weight's mass near |t| = sqrt(2(m-1)/Re tau).  A window whose error
     estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
     """
-    _check_tau(tau)
+    check_tau(tau)
     if not 1 <= m <= 171:
         raise DomainError(f"m must be in 1..171, got {m}")
     ws = np.asarray([complex(w) for w in w_grid])
@@ -281,43 +269,16 @@ def principal_value_inverse(m: int, tau, w_grid):
 
 # ---------------------------------------------------------- periodic combs
 
-def periodic_comb_residual(a, tau, w_grid, tol: float = 1e-13) -> float:
+def periodic_comb_residual(a, tau, w_grid) -> float:
     """Gaussian comb vs exponential series:
 
         sum_n delta_*(a + 2 pi n + w) = (1/2pi) sum_k e_*^{ik(a+w)}
 
-    (both sides tau-expressions, truncated adaptively)."""
-    _check_tau(tau)
-    tau_c = complex(tau)
-    ws = np.asarray([complex(w) for w in w_grid])
-    u = ws + complex(a)
-
-    comb = np.zeros_like(u, dtype=complex)
-    pref = (math.pi * tau_c) ** -0.5
-    n = 0
-    while True:
-        term = np.exp(-(u + TWO_PI * n) ** 2 / tau_c)
-        if n != 0:
-            term = term + np.exp(-(u - TWO_PI * n) ** 2 / tau_c)
-        comb = comb + term
-        if n > 2 and float(np.abs(term).max()) * abs(pref) < tol:
-            break
-        n += 1
-        if n > 10000:
-            raise QuadratureFailure("comb did not settle")
-    comb = pref * comb
-
-    series = np.zeros_like(u, dtype=complex)
-    k = 0
-    while True:
-        term = np.exp(-k * k * tau_c / 4 + 1j * k * u)
-        if k != 0:
-            term = term + np.exp(-k * k * tau_c / 4 - 1j * k * u)
-        series = series + term
-        if k > 2 and float(np.abs(term).max()) / TWO_PI < tol:
-            break
-        k += 1
-    series = series / TWO_PI
+    the x-side comb (period 2 pi) against the Fourier-side series over k in Z."""
+    u = np.asarray([complex(w) for w in w_grid]) + complex(a)
+    comb = theta.gaussian_comb(TWO_PI, tau, u) * (math.pi * complex(tau)) ** -0.5
+    k = theta.lattice(tau, u)
+    series = theta.lattice_sum(k, np.ones(len(k)), tau, u) / TWO_PI
     return float(np.abs(comb - series).max())
 
 
@@ -326,7 +287,7 @@ def periodic_comb_residual(a, tau, w_grid, tol: float = 1e-13) -> float:
 def constant_variation_inverse(a, tau, w_grid, C=0.0):
     """g_a(w) = (2/tau) integral_0^1 exp(((a+wt)^2 - (a+w)^2)/tau) w dt
                + C exp(-(a+w)^2/tau):   a right/left inverse of (a+w)."""
-    _check_tau(tau)
+    check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
     ws = np.asarray([complex(w) for w in w_grid])
 
@@ -453,29 +414,20 @@ def product_of_inverses_residual(a, b, tau, w_grid) -> dict:
 
 # ------------------------------------- associativity-breaking demonstration
 
-def associativity_break_gap(tau, w_grid, n_terms: int = 40) -> dict:
+def associativity_break_gap(tau, w_grid) -> dict:
     """Associativity failure for the one-sided geometric inverses of
-    B = 1 - e_*^{2iw}:  with A the plus inverse and C the minus inverse,
+    B = 1 - e_*^{2iw}:  with A the plus inverse and C the minus inverse
+    (theta.geometric_inverse_sum over the even lattice's cut n <= N),
 
-        A*B = 1 and B*C = 1   (boundary terms e^{-(N+1)^2 tau} below 1e-300),
+        A*B = 1 - e_*^{2(N+1)iw} and B*C = 1 - e_*^{-2Niw}   (telescoped),
         so (A*B)*C = C while A*(B*C) = A, and the gap C - A is -theta3.
 
-    Returns the numeric residuals of both inverse properties (the telescoped
-    boundary term included) and the gap values on the grid."""
-    tau_c = complex(tau)
+    Returns both inverse residuals (the largest telescoped boundary term on the
+    grid) and the gap values on the grid."""
     ws = np.asarray([complex(w) for w in w_grid])
-
-    def basis(n):
-        return np.exp(-n * n * tau_c + 2j * n * ws)
-
-    N = n_terms
-    A = sum(basis(n) for n in range(N + 1))
-    C = -sum(basis(-n) for n in range(1, N + 1))
-    # telescoped products of the truncated series with B
-    AB = 1.0 - basis(N + 1)
-    BC = 1.0 - basis(-N)
-    return {
-        "plus_inverse_residual": float(np.abs(AB - 1.0).max()),
-        "minus_inverse_residual": float(np.abs(BC - 1.0).max()),
-        "gap": C - A,
-    }
+    A = theta.geometric_inverse_sum(+1, "+", tau, ws)
+    C = theta.geometric_inverse_sum(+1, "-", tau, ws)
+    N = int(theta.lattice(tau, ws, 2).max()) // 2
+    boundary = np.abs(theta.tau_basis([2 * (N + 1), -2 * N], tau, ws)).max(axis=0)
+    return {"plus_inverse_residual": float(boundary[0]),
+            "minus_inverse_residual": float(boundary[1]), "gap": C - A}

@@ -218,23 +218,18 @@ def bernoulli_numbers_recurrence(N: int) -> list:
 
 
 def hs_to_tau_expression(f: HalfSeries, tau, w_grid):
-    """sum a_n e^{-(l+n)^2 tau/4} e^{i(l+n)w} on the grid (Re tau > 0); raises
-    DomainError when the sum is outside the float range."""
+    """sum a_n e^{-(l+n)^2 tau/4} e^{i(l+n)w} on the grid (Re tau > 0), over the
+    columns of theta.tau_basis; raises DomainError when a term is outside the
+    float range."""
     import numpy as np
 
-    tau_c = complex(tau)
-    if tau_c.real <= 0:
-        raise DomainError("Re tau must be positive")
-    ws = np.asarray([complex(w) for w in w_grid])
-    acc = np.zeros_like(ws, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, c in enumerate(f.coeffs):
-            if not c:
-                continue
-            k = f.base_deg + n
-            acc = acc + c.to_complex() * np.exp(-k * k * tau_c / 4 + 1j * k * ws)
-    if not np.all(np.isfinite(acc)):
-        raise DomainError(f"tau-expression at tau={tau} is outside the float range")
+    from .theta import tau_basis
+
+    basis = tau_basis([f.base_deg + n for n in range(len(f.coeffs))], tau, w_grid)
+    acc = np.zeros(len(basis), complex)
+    for n, c in enumerate(f.coeffs):
+        if c:
+            acc = acc + c.to_complex() * basis[:, n]
     return acc
 
 
@@ -244,16 +239,13 @@ def zero_detection(f: HalfSeries, tau, probe_points=None) -> bool:
     True when all recovered coefficients vanish (so the element is zero)."""
     import numpy as np
 
+    from .theta import tau_basis
+
     K = f.trunc
     if probe_points is None:
         probe_points = [0.1 + 2.9 * j / K for j in range(K + 1)]
     vals = hs_to_tau_expression(f, tau, probe_points)
-    tau_c = complex(tau)
-    M = np.empty((K + 1, K + 1), dtype=complex)
-    for r, w in enumerate(probe_points):
-        for n in range(K + 1):
-            k = f.base_deg + n
-            M[r, n] = np.exp(-k * k * tau_c / 4 + 1j * k * w)
+    M = tau_basis([f.base_deg + n for n in range(K + 1)], tau, probe_points)
     rec = np.linalg.solve(M, vals)
     return bool(np.abs(rec).max() < 1e-9)
 

@@ -2,7 +2,8 @@
 estimate, the fixed composite kernel under it, and the Gaussian windows for
 oscillatory integrals against e^{-t^2 tau/4}.  tau is complex throughout the
 package, so classical weighted rules do not apply; every integral is taken on
-N_NODES-node panels over an explicitly cut interval (gaussian_halfwidth).
+N_NODES-node panels over an explicitly cut interval (gaussian_halfwidth, and
+x_window for a Gaussian e^{-(x - c)^2/tau} on the x side).
 
 integrate_segment is the fixed kernel: one pass of equal panels.
 integrate_segment_refined is the driver every rule goes through.  A pass
@@ -192,6 +193,14 @@ def gaussian_halfwidth(rate: float, growth: float = 0.0, power: int = 0) -> floa
             return nxt
         t = nxt
     return t
+
+
+def x_window(centre, tau):
+    """(lo, hi) of the window of e^{-(x - c)^2/tau} around Re c, for a centre c or an
+    array of them: gaussian_halfwidth at rate Re(1/tau), growth 2 |Im c Im(1/tau)|."""
+    c, inv = np.asarray(centre, complex), 1 / complex(tau)
+    L = gaussian_halfwidth(inv.real, float(np.max(2 * np.abs(c.imag * inv.imag))))
+    return c.real - L, c.real + L
 
 
 def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0,

@@ -130,6 +130,8 @@ def hermite_orthogonality_target(n: int, tau) -> complex:
 
 # Highest start index of the backward recurrence, i.e. |z| up to about 2e4.
 BESSEL_RECURRENCE_BUDGET = 20_000
+# Most correction-factor terms I_m(a^2 tau/8) bessel_table sums (to |I_{M+1}| <= 1e-14).
+BESSEL_CORRECTION_BUDGET = 60
 
 
 def bessel_j(n: int, z: complex) -> complex:
@@ -200,7 +202,7 @@ class BesselTable:
     values: dict  # n -> ndarray over w_grid
 
 
-def bessel_table(a, tau, N: int, w_grid, tol: float = 1e-14) -> BesselTable:
+def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
     """J_n(a w, tau) for |n| <= N via the correction-factor convolution
 
         J_n(a w, tau) = e^{-a^2 tau/8} sum_m I_m(a^2 tau/8) J_{n-2m}(a w),
@@ -215,12 +217,13 @@ def bessel_table(a, tau, N: int, w_grid, tol: float = 1e-14) -> BesselTable:
     ws = np.asarray([complex(w) for w in w_grid])
     M = 0
     try:
-        while not abs(bessel_i(M + 1, x)) <= tol and M < 60:
+        while not abs(bessel_i(M + 1, x)) <= 1e-14 and M < BESSEL_CORRECTION_BUDGET:
             M += 1
     except OverflowError:                   # I_m(x) beyond the float range
-        M = 60
-    if M >= 60:
-        raise TruncationFailure("correction-factor Fourier series did not decay")
+        M = BESSEL_CORRECTION_BUDGET
+    if M >= BESSEL_CORRECTION_BUDGET:
+        raise TruncationFailure(f"the correction series at a^2 tau/8 = {x:.4g} needs more terms "
+                                f"than BESSEL_CORRECTION_BUDGET = {BESSEL_CORRECTION_BUDGET}")
     kmax = N + 2 * M + 8
     classical = {k: np.asarray([bessel_j(k, a_c * w) for w in ws]) for k in range(kmax + 1)}
     for k in range(1, kmax + 1):        # J_{-k} = (-1)^k J_k, as bessel_j itself reflects
@@ -252,12 +255,12 @@ def bessel_symmetry_residual(table: BesselTable) -> float:
     return worst
 
 
-def bessel_generating_fft(a, tau, N: int, w_grid, n_s: int = 256) -> dict:
+def bessel_generating_fft(a, tau, N: int, w_grid) -> dict:
     """Independent route: Fourier coefficients in s of the tau-expression of the
-    generating element exp(lambda(s) w), lambda = i a sin s."""
+    generating element exp(lambda(s) w), lambda = i a sin s, at 256 points in s."""
     import numpy as np
 
-    a_c, tau_c = complex(a), complex(tau)
+    a_c, tau_c, n_s = complex(a), complex(tau), 256
     s = 2 * np.pi * np.arange(n_s) / n_s
     lam = 1j * a_c * np.sin(s)
     ws = np.asarray([complex(w) for w in w_grid])
@@ -269,16 +272,17 @@ def bessel_generating_fft(a, tau, N: int, w_grid, n_s: int = 256) -> dict:
     return out
 
 
-def bessel_addition_residual(a, b, tau, w_grid, N: int = 8, n_s: int = 128) -> float:
-    """| J_n((a+b)w, tau) - sum_m J_m(a w, *) * J_{n-m}(b w, *) | on the grid.
+def bessel_addition_residual(a, b, tau, w_grid) -> float:
+    """| J_n((a+b)w, tau) - sum_m J_m(a w, *) * J_{n-m}(b w, *) | on the grid, |n| <= 6.
 
     Left side: 1D table at a+b.  Right side: each individual deformed product
-    is extracted by a 2D Fourier transform of the two-parameter generating
-    product, then summed along the diagonal m + k = n.
+    is extracted by a 128 x 128 Fourier transform of the two-parameter
+    generating product, then summed along the diagonal m + k = n.
     """
     import numpy as np
 
     a_c, b_c, tau_c = complex(a), complex(b), complex(tau)
+    N, n_s = 6, 128
     ws = np.asarray([complex(w) for w in w_grid])
     lhs = bessel_table(a_c + b_c, tau_c, N, w_grid)
     s = 2 * np.pi * np.arange(n_s) / n_s
@@ -392,17 +396,16 @@ def laguerre_star(N: int, tau) -> list:
             for n in range(N + 1)]
 
 
-def laguerre_from_quad_expansion(N: int, tau, x, radius: float | None = None,
-                                 n_nodes: int = 256) -> list:
+def laguerre_from_quad_expansion(N: int, tau, x) -> list:
     """Independent route: t-Taylor coefficients of the quadratic exponential
-    element by a Cauchy circle inside |t| < 1/|tau|."""
+    element by a 256-node Cauchy circle of radius 0.4/|tau|, inside |t| < 1/|tau|."""
     import numpy as np
 
     tau_c = complex(tau)
-    r = radius if radius is not None else 0.4 / max(abs(tau_c), 1e-9)
-    ts = r * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+    r = 0.4 / max(abs(tau_c), 1e-9)
+    ts = r * np.exp(2j * np.pi * np.arange(256) / 256)
     vals = (1 - tau_c * ts) ** -0.5 * np.exp(ts / (1 - tau_c * ts) * x)
-    coef = np.fft.fft(vals) / n_nodes
+    coef = np.fft.fft(vals) / 256
     return [coef[n] / r ** n for n in range(N + 1)]
 
 

@@ -1,15 +1,22 @@
 """Jacobi theta functions as bilateral series of deformed exponentials.
 
-With q = exp(-tau) and Re tau > 0:
+The tau-expression of e_*^{ikw} is e^{-k^2 tau/4 + ikw} (Re tau > 0).  Every such
+series takes its terms from tau_basis over the k that lattice keeps: |k| <=
+gaussian_halfwidth at rate Re tau/4 and growth max |Im w|, where a term has fallen
+1e-16 below e^0.  gaussian_comb sums the same elements in the other expression,
+e^{-(w + P n)^2/tau}, over the teeth inside quadrature.x_window.  A cut of more
+than THETA_TERM_BUDGET terms raises TruncationFailure.
+
+With q = exp(-tau):
 
     theta1 = (1/i) sum (-1)^n q^{(n+1/2)^2} e^{(2n+1)iw}
     theta2 =       sum        q^{(n+1/2)^2} e^{(2n+1)iw}
     theta3 =       sum        q^{n^2}       e^{2niw}
     theta4 =       sum (-1)^n q^{n^2}       e^{2niw}
 
-The same objects arise as Gaussian combs (delta_sum_representation) and as
-differences of one-sided geometric inverses; both routes are provided for
-cross-checks.  All evaluators accept complex w and run over float complex.
+theta3 is also a Gaussian comb (delta_sum_representation) and a difference of
+one-sided geometric inverses (theta3_from_inverses).  Every evaluator takes a
+scalar w, complex allowed, or a 1-D grid of them.
 """
 
 from __future__ import annotations
@@ -20,148 +27,151 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationFailure
-from .numeric import cexp
+from .quadrature import gaussian_halfwidth, x_window
+
+# Most terms one cut may keep.  The lattice Z reaches it near Re tau = 3.7e-7,
+# theta3's even lattice near 9e-8.
+THETA_TERM_BUDGET = 40_000
+# Entries of one block of a basis or comb matrix; a longer grid runs in blocks.
+_BLOCK = 1 << 16
 
 
-# Largest truncation order theta_eval starts from: about 3.5x the order at
-# tau = 1e-6 (5.7e3 at the default tol 1e-14).
-THETA_TERM_BUDGET = 20_000
-
-
-def _require_right_halfplane(tau):
+def check_tau(tau):
     if complex(tau).real <= 0:
         raise DomainError(f"Re tau must be positive, got {tau}")
 
 
-def truncation_order(tau, tol) -> int:
-    """Smallest N with the |q|^(N^2) tail below tol, plus safety margin;
-    raises TruncationFailure when N exceeds THETA_TERM_BUDGET."""
-    re = complex(tau).real
-    n = math.sqrt(max(-math.log(tol), 1.0) / re)
-    if not n + 2 <= THETA_TERM_BUDGET:
-        raise TruncationFailure(f"theta series needs {n:.3g} terms at tau={tau}, more than "
+def _require_budget(count: float, what: str, tau):
+    if not count <= THETA_TERM_BUDGET:
+        raise TruncationFailure(f"{what} needs {count:.3g} terms at tau={tau}, more than "
                                 f"THETA_TERM_BUDGET = {THETA_TERM_BUDGET}")
-    return math.ceil(n) + 2
 
 
-def _term(kind: int, n: int, w, tau):
-    if kind in (3, 4):
-        k = 2 * n
-        val = cexp(-(n * n) * tau + 1j * k * w)
-        if kind == 4 and n % 2:
-            val = -val
-        return val
-    k = 2 * n + 1
-    val = cexp(-(k * k) * tau / 4 + 1j * k * w)
-    if kind == 1:
-        val = val / 1j
-        if n % 2:
-            val = -val
-    return val
+def _exp(exponent):
+    """np.exp(exponent()), the exponent formed with overflow warnings off; raises
+    DomainError where the exponent or its exponential is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = exponent()
+        out = np.exp(z)
+    if not (np.isfinite(z).all() and np.isfinite(out).all()):
+        raise DomainError("a tau-expression is outside the float range")
+    return out
 
 
-def theta_eval(kind: int, w, tau, tol: float = 1e-14, n_start: int | None = None):
-    """Truncated bilateral sum with adaptive tail control (complex w allowed)."""
+def _on_blocks(f, w, width: int):
+    """f on a scalar w, or on a 1-D grid in blocks of about _BLOCK / width points."""
+    w = np.asarray(w, complex)
+    if w.ndim == 0:
+        return complex(f(w))
+    rows = max(1, _BLOCK // max(width, 1))
+    return np.concatenate([f(w[i:i + rows]) for i in range(0, len(w), rows)])
+
+
+def lattice(tau, w, step: int = 1, offset: int = 0):
+    """The k = offset + step n, |k| <= gaussian_halfwidth(Re tau/4, max |Im w|), of a
+    series of e^{-k^2 tau/4 + ikw} over the grid w, at most THETA_TERM_BUDGET."""
+    check_tau(tau)
+    K = gaussian_halfwidth(complex(tau).real / 4, float(np.abs(np.imag(w)).max()))
+    _require_budget(2 * K / step + 1, "the lattice series", tau)
+    n = np.arange(math.ceil((-K - offset) / step), math.floor((K - offset) / step) + 1)
+    return step * n + offset
+
+
+def tau_basis(k, tau, w):
+    """The matrix e^{-k^2 tau/4 + ikw}, a row per point of the grid w (a vector for a
+    scalar w), a column per k; DomainError where Re tau <= 0 or an entry is not finite."""
+    check_tau(tau)
+    k = np.asarray(k)
+    return _exp(lambda: -k * k * complex(tau) / 4
+                + np.multiply.outer(np.asarray(w, complex), 1j * k))
+
+
+def lattice_sum(k, coef, tau, w):
+    """sum_j coef_j e^{-k_j^2 tau/4 + i k_j w} on a scalar w or a grid."""
+    return _on_blocks(lambda ws: tau_basis(k, tau, ws) @ coef, w, len(k))
+
+
+def gaussian_comb(period: float, tau, w):
+    """sum_n e^{-(w + period n)^2/tau} on a scalar w or a grid: the teeth period n
+    inside x_window(-w, tau) of some grid point, at most THETA_TERM_BUDGET of them."""
+    check_tau(tau)
+    lo, hi = x_window(-np.asarray(w, complex), tau)
+    lo, hi = float(np.min(lo)) / period, float(np.max(hi)) / period
+    _require_budget(hi - lo + 1, "the Gaussian comb", tau)
+    x = period * np.arange(math.ceil(lo), math.floor(hi) + 1)
+
+    def teeth(ws):
+        return _exp(lambda: -np.add.outer(ws, x) ** 2 / complex(tau)).sum(axis=-1)
+
+    return _on_blocks(teeth, w, len(x))
+
+
+def theta_eval(kind: int, w, tau):
+    """theta_kind on a scalar w (a complex result) or a grid (an array)."""
     if kind not in (1, 2, 3, 4):
         raise DomainError(f"kind must be 1..4, got {kind}")
-    _require_right_halfplane(tau)
-    n0 = n_start if n_start is not None else truncation_order(tau, tol)
-    acc = _term(kind, 0, w, tau)
-    n = 1
-    quiet = 0
-    while True:
-        t = _term(kind, n, w, tau) + _term(kind, -n, w, tau)
-        acc = acc + t
-        quiet = quiet + 1 if abs(t) < tol else 0
-        if n >= n0 and quiet >= 3:
-            return acc
-        n += 1
-        if n > 40 * (n0 + 4):
-            raise TruncationFailure(f"theta series did not settle by n={n}")
+    k = lattice(tau, w, 2, 1 if kind in (1, 2) else 0)
+    alt = 1.0 - 2.0 * (k // 2 % 2)          # (-1)^n for k = 2n or 2n + 1
+    coef = -1j * alt if kind == 1 else alt if kind == 4 else np.ones(len(k))
+    return lattice_sum(k, coef, tau, w)
 
 
-def quasi_periodicity_residual(kind: int, w, tau, tol: float = 1e-14) -> float:
-    """|e^{2iw - tau} theta(w + i tau) -/+ theta(w)| ; sign +1 for kinds 2,3, -1 for 1,4."""
+def quasi_periodicity_residual(kind: int, w, tau):
+    """|e^{2iw - tau} theta(w + i tau) -/+ theta(w)| at each w; sign +1 for kinds 2,3,
+    -1 for 1,4.  The factor is the tau-expression of e_*^{2iw}."""
     sign = 1 if kind in (2, 3) else -1
-    lhs = cexp(2j * w - tau) * theta_eval(kind, w + 1j * tau, tau, tol)
-    rhs = sign * theta_eval(kind, w, tau, tol)
-    return abs(lhs - rhs)
+    w = np.asarray(w, complex)
+    lhs = tau_basis([2], tau, w)[..., 0] * theta_eval(kind, w + 1j * tau, tau)
+    return np.abs(lhs - sign * theta_eval(kind, w, tau))
 
 
-def imaginary_transform_residual(w, tau, tol: float = 1e-14) -> float:
-    """theta3(w, tau) vs sqrt(pi/tau) exp(-w^2/tau) theta3(pi w/(i tau), pi^2/tau)."""
-    _require_right_halfplane(tau)
-    tau2 = math.pi * math.pi / tau
-    _require_right_halfplane(tau2)
-    lhs = theta_eval(3, w, tau, tol)
-    w2 = math.pi * w / (1j * tau)
-    rhs = cmath.sqrt(math.pi / tau) * cexp(-w * w / tau) * theta_eval(3, w2, tau2, tol)
-    return abs(lhs - rhs)
+def imaginary_transform_residual(w, tau):
+    """|theta3(w, tau) - sqrt(pi/tau) exp(-w^2/tau) theta3(pi w/(i tau), pi^2/tau)|
+    at each w."""
+    w = np.asarray(w, complex)
+    lhs = theta_eval(3, w, tau)
+    rhs = cmath.sqrt(math.pi / tau) * _exp(lambda: -w * w / tau) \
+        * theta_eval(3, math.pi * w / (1j * tau), math.pi * math.pi / tau)
+    return np.abs(lhs - rhs)
 
 
-def jacobi_relation_residual(tau, tol: float = 1e-16) -> float:
+def jacobi_relation_residual(tau) -> float:
     """theta3(0, tau) = sqrt(pi/tau) theta3(0, pi^2/tau)."""
-    return imaginary_transform_residual(0.0, tau, tol)
+    return float(imaginary_transform_residual(0.0, tau))
 
 
-def delta_sum_representation(w, tau, tol: float = 1e-14):
+def delta_sum_representation(w, tau):
     """Gaussian comb  sqrt(pi/tau) sum_n exp(-(w + pi n)^2 / tau); equals theta3."""
-    _require_right_halfplane(tau)
-    pref = cmath.sqrt(math.pi / tau)
-    acc = cexp(-(w * w) / tau)
-    n = 1
-    quiet = 0
-    while True:
-        t = cexp(-((w + math.pi * n) ** 2) / tau) + cexp(-((w - math.pi * n) ** 2) / tau)
-        acc = acc + t
-        quiet = quiet + 1 if abs(pref * t) < tol else 0
-        if quiet >= 3:
-            return pref * acc
-        n += 1
-        if n > 10000:
-            raise TruncationFailure("Gaussian comb did not settle")
+    return gaussian_comb(math.pi, tau, w) * cmath.sqrt(math.pi / tau)
 
 
-def theta_eigen_residual(kind: int, tau, w_grid, tol: float = 1e-14) -> float:
-    """Left product with e_*^{2iw} fixes theta2/theta3 and negates theta1/theta4.
-
-    Realized through the translation action (s = i):
-    e_*^{2iw} * f = e^{2iw - tau} f(w + i tau)."""
+def theta_eigen_residual(kind: int, tau, w_grid) -> float:
+    """Left product with e_*^{2iw} fixes theta2/theta3 and negates theta1/theta4, through
+    the translation action (s = i): e_*^{2iw} * f = e^{2iw - tau} f(w + i tau)."""
     from .starexp import translate_action
 
     sign = 1 if kind in (2, 3) else -1
-    f = lambda z: theta_eval(kind, z, tau, tol)  # noqa: E731
+    f = lambda z: theta_eval(kind, z, tau)  # noqa: E731
     acted = translate_action(1j, f, tau)
-    worst = 0.0
-    for w in w_grid:
-        lhs = acted(w)
-        rhs = sign * f(w)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return max((abs(acted(w) - sign * f(w)) for w in w_grid), default=0.0)
 
 
-def geometric_inverse_sum(sign: int, side: str, tau, w, n_terms: int):
-    """One-sided geometric inverses of (1 -/+ e_*^{2iw}) in tau-expression.
+def geometric_inverse_sum(sign: int, side: str, tau, w):
+    """One-sided geometric inverses of (1 -/+ e_*^{2iw}) in tau-expression, on a
+    scalar w or a grid, over the even lattice's cut.
 
     sign=+1: inverses of 1 - e_*^{2iw};  sign=-1: of 1 + e_*^{2iw} (alternating).
     side '+': sum_{n>=0} (+-1)^n e_*^{2niw};  side '-': -sum_{n>=1} (+-1)^n e_*^{-2niw}.
     """
-    acc = 0.0 + 0.0j
-    if side == "+":
-        for n in range(n_terms):
-            c = 1.0 if sign > 0 else (-1.0) ** n
-            acc += c * cexp(-(n * n) * tau + 2j * n * w)
-    else:
-        for n in range(1, n_terms + 1):
-            c = 1.0 if sign > 0 else (-1.0) ** n
-            acc -= c * cexp(-(n * n) * tau - 2j * n * w)
-    return acc
+    k = lattice(tau, w, 2)
+    k = k[k >= 0] if side == "+" else k[k < 0]
+    coef = np.ones(len(k)) if sign > 0 else 1.0 - 2.0 * (k // 2 % 2)
+    return lattice_sum(k, coef if side == "+" else -coef, tau, w)
 
 
-def theta3_from_inverses(w, tau, n_terms: int = 40):
+def theta3_from_inverses(w, tau):
     """theta3 = (1 - e_*^{2iw})^{-1}_{*+} - (1 - e_*^{2iw})^{-1}_{*-}."""
-    return geometric_inverse_sum(+1, "+", tau, w, n_terms) \
-        - geometric_inverse_sum(+1, "-", tau, w, n_terms)
+    return geometric_inverse_sum(+1, "+", tau, w) - geometric_inverse_sum(+1, "-", tau, w)
 
 
 def constant_coefficient_kernel(n_modes: int):

@@ -142,7 +142,7 @@ def test_bessel_table_negative_orders_reflect_bit_for_bit():
 
 
 def test_bessel_addition_formula():
-    resid = bessel_addition_residual(1.0, 1.0, 1.0, [-1.0, -0.4, 0.0, 0.3, 1.0], N=6)
+    resid = bessel_addition_residual(1.0, 1.0, 1.0, [-1.0, -0.4, 0.0, 0.3, 1.0])
     assert resid < 1e-9
 
 

@@ -1,38 +1,39 @@
 """Theta-series identities; mpmath.jtheta is the independent oracle."""
 
 import cmath
+import contextlib
+import io
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stardeform.cli import main
 from stardeform.errors import DomainError
 from stardeform.theta import (constant_coefficient_kernel, delta_sum_representation,
                               geometric_inverse_sum, imaginary_transform_residual,
-                              jacobi_relation_residual, quasi_periodicity_residual,
-                              theta3_from_inverses, theta_eigen_residual, theta_eval,
-                              truncation_order)
+                              jacobi_relation_residual, lattice, lattice_sum,
+                              quasi_periodicity_residual, theta3_from_inverses,
+                              theta_eigen_residual, theta_eval)
 
 W_GRID = [-1.0 + 0.1 * k for k in range(21)]
 
 
-def theta4_from_inverses(w, tau, n_terms=40):
+def theta4_from_inverses(w, tau):
     """theta4 = (1 + e_*^{2iw})^{-1}_{*+} - (1 + e_*^{2iw})^{-1}_{*-}."""
-    return geometric_inverse_sum(-1, "+", tau, w, n_terms) \
-        - geometric_inverse_sum(-1, "-", tau, w, n_terms)
+    return geometric_inverse_sum(-1, "+", tau, w) - geometric_inverse_sum(-1, "-", tau, w)
 
 
-def theta1_from_inverses(w, tau, n_terms=40):
-    """2i theta1 = (cos_* w)^{-1}_{*+} - (cos_* w)^{-1}_{*-}."""
-    plus = 0.0 + 0.0j
-    minus = 0.0 + 0.0j
-    for n in range(n_terms):
-        k = 2 * n + 1
-        c = (-1.0) ** n * 2.0
-        plus += c * cmath.exp(-(k * k) * tau / 4 + 1j * k * w)
-        minus += c * cmath.exp(-(k * k) * tau / 4 - 1j * k * w)
-    return (plus - minus) / 2j
+def theta1_from_inverses(w, tau):
+    """2i theta1 = (cos_* w)^{-1}_{*+} - (cos_* w)^{-1}_{*-}, the two sums
+    sum_{n>=0} 2 (-1)^n e_*^{+-(2n+1)iw} over the odd lattice's cut."""
+    k = lattice(tau, w, 2, 1)
+    k = k[k > 0]
+    coef = 2.0 * (1 - 2 * (k // 2 % 2))
+    return (lattice_sum(k, coef, tau, w) - lattice_sum(-k, coef, tau, w)) / 2j
 
 
 def theta_oracle(kind, w, tau):
@@ -100,7 +101,7 @@ def test_imaginary_transform():
 
 def test_jacobi_relation():
     for tau in (1.0, 2.0, 1.0 + 0.5j):
-        assert jacobi_relation_residual(tau, tol=1e-16) < 1e-12
+        assert jacobi_relation_residual(tau) < 1e-12
     # fixed point tau = pi
     assert jacobi_relation_residual(math.pi) < 1e-13
 
@@ -151,15 +152,6 @@ def test_eigen_negative_control():
     assert abs(acted(0.3) - 1.0) > 0.1
 
 
-def test_truncation_honesty():
-    tau = 0.8
-    n0 = truncation_order(tau, 1e-14)
-    for w in (0.0, 0.5):
-        a = theta_eval(3, w, tau, n_start=n0)
-        b = theta_eval(3, w, tau, n_start=2 * n0)
-        assert abs(a - b) < 1e-15
-
-
 def test_theta_from_sided_inverses():
     tau = 1.1
     for w in W_GRID[::5]:
@@ -174,12 +166,75 @@ def test_constant_kernel_is_one_dimensional():
     assert np.allclose(vec, np.ones_like(vec))
 
 
-def test_theta_eval_validates_and_stops_on_its_tail():
-    tau = 1.2
-    full = theta_eval(3, 0.4, tau, n_start=truncation_order(tau, 1e-14))
-    with pytest.raises(DomainError):
-        theta_eval(5, 0.4, tau)
-    with pytest.raises(DomainError):
-        theta_eval(3, 0.4, -1.0)
-    # from the first order on, the series stops on its tail test |term| < tol
-    assert abs(theta_eval(3, 0.4, tau, 1e-14, n_start=1) - full) < 1e-14
+def _scale(kind, w, tau):
+    """sum of |terms| of the kind's series at w: the size its rounding scales with."""
+    q = mpmath.exp(-complex(tau).real)
+    return float(abs(mpmath.jtheta(3 if kind in (3, 4) else 2, 1j * complex(w).imag, q)))
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.05 + 0.5j])
+def test_series_meet_mpmath_at_small_and_chirped_tau(tau):
+    """Each kind, and the Gaussian comb, at w and at w + i tau (where |Im w| widens
+    the lattice's cut) against mpmath, within 1e-14 of the series' own scale."""
+    for w0 in (0.37, 1.2 + 0.3j, -2.0 - 0.7j):
+        for w in (w0, w0 + 1j * tau):
+            for kind in (1, 2, 3, 4):
+                err = abs(theta_eval(kind, w, tau) - theta_oracle(kind, w, tau))
+                assert err <= 1e-14 * _scale(kind, w, tau), (kind, w, err)
+            err = abs(delta_sum_representation(w, tau) - theta_oracle(3, w, tau))
+            assert err <= 1e-14 * _scale(3, w, tau), ("comb", w, err)
+
+
+def test_theta3_from_inverses_at_small_tau():
+    """Both one-sided sums reach the lattice's cut: at tau = 0.01 forty terms of
+    each leave a tail of about e^{-40^2 tau} = 1.1e-7."""
+    tau = 0.01
+    ws = np.asarray(W_GRID[::2]) * 1.5
+    got = theta3_from_inverses(ws, tau)
+    for w, g in zip(ws, got):
+        assert abs(g - theta_oracle(3, w, tau)) <= 1e-14 * _scale(3, w, tau)
+
+
+def test_long_grid_runs_in_blocks(monkeypatch):
+    """A grid whose basis or comb matrix exceeds _BLOCK entries is summed block by
+    block, with the values of a single block."""
+    import stardeform.theta as theta_module
+
+    tau, ws = 0.05 + 0.2j, np.linspace(-2, 2, 37) + 0.1j
+
+    def values():
+        return [theta_eval(1, ws, tau), theta_eval(3, ws, tau), delta_sum_representation(ws, tau)]
+
+    whole = values()
+    monkeypatch.setattr(theta_module, "_BLOCK", 40)
+    for a, b in zip(whole, values()):
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-14
+
+
+def test_grid_call_equals_scalar_calls():
+    tau = 0.6 + 0.4j
+    ws = np.asarray(W_GRID) + 0.2j
+    for kind in (1, 2, 3, 4):
+        grid = theta_eval(kind, ws, tau)
+        assert isinstance(theta_eval(kind, 0.3, tau), complex)
+        assert np.abs(grid - [theta_eval(kind, w, tau) for w in ws]).max() < 1e-14
+
+
+@settings(deadline=None, max_examples=40)
+@given(log_re=st.floats(math.log(1e-2), math.log(1e3)), im=st.floats(-50.0, 50.0))
+def test_verify_theta_passes_or_names_one_error(log_re, im):
+    """Across Re tau in [1e-2, 1e3] (log-uniform) and Im tau in [-50, 50],
+    `verify theta` passes, or exits 1 or 2 with one error line and no failed
+    record."""
+    tau = f"--tau={math.exp(log_re)!r},{im!r}"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "theta", tau])
+    if code == 0:
+        return
+    lines = err.getvalue().splitlines()
+    assert code in (1, 2) and len(lines) == 1, (tau, code, lines)
+    assert lines[0].startswith(("error: ", "configuration error: ")), (tau, lines)
+    if out.getvalue():
+        failed = [r["anchor"] for r in json.loads(out.getvalue())["results"] if not r["passed"]]
+        assert failed == [], (tau, failed)
