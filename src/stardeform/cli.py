@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -247,15 +248,10 @@ def cmd_table(args) -> int:
 
     ws = list(np.linspace(*args.grid))
     tab = bessel_table(args.a, args.tau, N, ws)
-    header = ["w"] + [f"J{n}_re,J{n}_im" for n in range(-N, N + 1)]
-    rows = []
-    for i, w in enumerate(ws):
-        row = [f"{w:.12g}"]
-        for n in range(-N, N + 1):
-            v = tab.values[n][i]
-            row.append(f"{v.real:.12e},{v.imag:.12e}")
-        rows.append(row)
-    emit_csv(header, rows)
+    cols = [tab.values[n] for n in range(-N, N + 1)]
+    emit_csv(["w"] + [f"J{n}_re,J{n}_im" for n in range(-N, N + 1)],
+             [[f"{w:.12g}"] + [f"{c[i].real:.12e},{c[i].imag:.12e}" for c in cols]
+              for i, w in enumerate(ws)])
     return 0
 
 
@@ -386,6 +382,7 @@ def cmd_conjecture(args) -> int:
     return 0
 
 
+@functools.cache                # parse_args keeps no state on the tree
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="stardeform", description="deformed-product function algebra toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

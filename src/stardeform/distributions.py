@@ -23,6 +23,7 @@ import numpy as np
 from . import theta
 from .core import Poly, intertwine
 from .errors import DomainError
+from .numeric import as_grid
 from .quadrature import integrate_gaussian_window, integrate_segment_refined, x_window
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 from .theta import check_tau
@@ -55,7 +56,7 @@ def _halfline_integrand(a, w_grid, t_weight=None):
     """(f, osc) with f(t) = w(t) e^{it(a+w)} over the grid, and the oscillation
     rate the window must resolve: Im a adds growth e^{|Im a| |t|} to it."""
     a_c = complex(a)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     osc = max(float(np.abs(ws + a_c).max()), abs(a_c.imag) + 1.0)
 
     def f(t):
@@ -99,8 +100,7 @@ def sided_inverse_defect(a, side: str, tau, w_grid) -> float:
     f = sided_inverse(a, side, tau, w_grid)
     fp = (1j if sgn > 0 else -1j) * _osc_halfline(
         tau, a, w_grid, sgn, t_weight=lambda t: 1j * t)
-    ws = np.asarray([complex(w) for w in w_grid])
-    resid = (a_c + ws) * f + tau_c / 2 * fp - 1.0
+    resid = (a_c + as_grid(w_grid)) * f + tau_c / 2 * fp - 1.0
     return float(np.abs(resid).max())
 
 
@@ -126,7 +126,7 @@ def delta_difference_residual(a, tau, w_grid) -> float:
     plus = sided_inverse(a, "+", tau, w_grid)
     minus = sided_inverse(a, "-", tau, w_grid)
     d = delta_tau(a, tau)
-    target = TWO_PI * 1j * d.values(np.asarray([complex(w) for w in w_grid]))
+    target = TWO_PI * 1j * d.values(as_grid(w_grid))
     return float(np.abs(plus - minus - target).max())
 
 
@@ -137,7 +137,7 @@ def tempered_transform(f_hat, tau, w_grid):
 
     f_hat is vectorized."""
     check_tau(tau)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
 
     def f(t):
         return f_hat(t)[None, :] * np.exp(-1j * np.multiply.outer(ws, t))
@@ -155,7 +155,7 @@ def slowly_increasing_transform(f, tau, w_grid, breakpoints=()):
     window gives that row a segment of zero length."""
     check_tau(tau)
     tau_c = complex(tau)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     lo, hi = x_window(ws, tau_c)
     edges = np.column_stack([lo, np.clip(np.sort(breakpoints), lo[:, None], hi[:, None]), hi])
 
@@ -175,7 +175,7 @@ def heaviside_y(tau, w_grid, reflected: bool = False):
     the grid points are the rows of one refinement."""
     check_tau(tau)
     tau_c = complex(tau)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     lo, hi = x_window(ws, tau_c)
     zero = np.zeros(len(ws))
     lo, hi = (zero, np.maximum(hi, 0.5)) if not reflected else (np.minimum(lo, -0.5), zero)
@@ -190,7 +190,7 @@ def heaviside_y_fourier(tau, w_grid):
     """Independent route: Y = 1/2 + (1/pi) integral_0^inf sin(tw)/t e^{-t^2 tau/4} dt.
 
     sin(tw)/t is written w * sinc(tw/pi) to stay finite at t = 0."""
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
 
     def f(t):
         return ws[:, None] * np.sinc(np.multiply.outer(ws, t) / math.pi)
@@ -256,7 +256,7 @@ def principal_value_inverse(m: int, tau, w_grid):
     check_tau(tau)
     if not 1 <= m <= 171:
         raise DomainError(f"m must be in 1..171, got {m}")
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     osc = float(np.abs(ws).max()) + 1.0
 
     def f(t):
@@ -275,7 +275,7 @@ def periodic_comb_residual(a, tau, w_grid) -> float:
         sum_n delta_*(a + 2 pi n + w) = (1/2pi) sum_k e_*^{ik(a+w)}
 
     the x-side comb (period 2 pi) against the Fourier-side series over k in Z."""
-    u = np.asarray([complex(w) for w in w_grid]) + complex(a)
+    u = as_grid(w_grid) + complex(a)
     comb = theta.gaussian_comb(TWO_PI, tau, u) * (math.pi * complex(tau)) ** -0.5
     k = theta.lattice(tau, u)
     series = theta.lattice_sum(k, np.ones(len(k)), tau, u) / TWO_PI
@@ -289,7 +289,7 @@ def constant_variation_inverse(a, tau, w_grid, C=0.0):
                + C exp(-(a+w)^2/tau):   a right/left inverse of (a+w)."""
     check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
 
     def f(t, rows):
         w_col = ws[rows, None]
@@ -304,7 +304,7 @@ def constant_variation_defect(a, tau, w_grid, C=0.0) -> float:
     C-term is annihilated exactly, checked separately in closed form)."""
     tau_c, a_c = complex(tau), complex(a)
     h = 1e-5
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     g0 = constant_variation_inverse(a, tau, ws, C)
     gp = (constant_variation_inverse(a, tau, ws + h, C)
           - constant_variation_inverse(a, tau, ws - h, C)) / (2 * h)
@@ -345,7 +345,7 @@ def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int):
     the algebra that derives the product law, so using them would turn the
     law's check into a restatement of it.  Both variables stay on quadrature."""
     tau_c, a_c, b_c = complex(tau), complex(a), complex(b)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     if side_a < 0 and side_b > 0:
         raise DomainError("the (-,+) quadrant is not absolutely convergent")
     half_sum, half_diff = (a_c + b_c) / 2, (a_c - b_c) / 2
@@ -424,7 +424,7 @@ def associativity_break_gap(tau, w_grid) -> dict:
 
     Returns both inverse residuals (the largest telescoped boundary term on the
     grid) and the gap values on the grid."""
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     A = theta.geometric_inverse_sum(+1, "+", tau, ws)
     C = theta.geometric_inverse_sum(+1, "-", tau, ws)
     N = int(theta.lattice(tau, ws, 2).max()) // 2

@@ -1,9 +1,8 @@
-"""The one checked scalar call, cexp: cmath.exp with its overflow as a DomainError.
+"""The checked exponentials, cexp on a scalar and exp_array on a grid, and as_grid.
 
 Kernels otherwise use plain arithmetic, abs, complex() (which rounds an exact
-QC) and cmath.  A square root continued along a path (starexp.continue_sqrt)
-samples each segment at 64 points and keeps each root on the branch nearer the
-previous one; an exact tie takes the principal root.
+QC) and cmath.  The grid helpers import numpy when called, so the exact
+commands never load it.
 """
 
 from __future__ import annotations
@@ -20,3 +19,23 @@ def cexp(x):
         return cmath.exp(complex(x))
     except (OverflowError, ValueError):
         raise DomainError(f"exp({x}) is outside the float range") from None
+
+
+def exp_array(exponent):
+    """np.exp(exponent()), the exponent formed with overflow warnings off; raises
+    DomainError where the exponent or its exponential is not finite."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = exponent()
+        out = np.exp(z)
+    if not (np.isfinite(z).all() and np.isfinite(out).all()):
+        raise DomainError("a tau-expression is outside the float range")
+    return out
+
+
+def as_grid(w_grid):
+    """The points of w_grid as a complex array, each through complex()."""
+    import numpy as np
+
+    return np.asarray([complex(w) for w in w_grid])

@@ -24,7 +24,7 @@ import numpy as np
 from .core import Poly
 from .errors import DegenerateBoundary, DomainError, NodeCountError, SingularPoint
 from .exact import SparseLaurent
-from .numeric import cexp
+from .numeric import as_grid, cexp
 from .quadrature import integrate_segment_refined
 from .starexp import GaussPoly, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
@@ -398,7 +398,7 @@ def gamma_path_integral(nu, tau, waypoints, w_grid):
     largest |entry| of the three): where F'' is much larger than F, F is held
     only to F'''s scale."""
     tau_c, nu_c = complex(tau), complex(nu)
-    ws = np.asarray([complex(w) for w in w_grid])[:, None]
+    ws = as_grid(w_grid)[:, None]
     total = np.zeros((3, len(ws)), dtype=complex)
     root = cmath.sqrt(1 - complex(waypoints[0]) * tau_c)
     for a, b in zip(waypoints[:-1], waypoints[1:]):
@@ -423,6 +423,6 @@ def gamma_inverse_residual(nu, tau, waypoints, w_grid) -> float:
     left (Re z nu -> -inf) to 0; returns the max grid residual."""
     tau_c, nu_c = complex(tau), complex(nu)
     f0, f1, f2 = gamma_path_integral(nu, tau, waypoints, w_grid)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     lhs = (nu_c + ws ** 2 + tau_c / 2) * f0 + tau_c * ws * f1 + tau_c ** 2 / 4 * f2
     return float(np.abs(lhs - 1.0).max())

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
 from .exact import QC, as_qc
+from .numeric import as_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -134,48 +135,44 @@ BESSEL_RECURRENCE_BUDGET = 20_000
 BESSEL_CORRECTION_BUDGET = 60
 
 
-def bessel_j(n: int, z: complex) -> complex:
-    """Classical J_n, ascending series for moderate |z|, backward recurrence beyond."""
-    if n < 0:
-        return (-1) ** n * bessel_j(-n, z)
-    z = complex(z)
-    if abs(z) <= 10.0:
-        half = z / 2
-        term = half ** n / math.factorial(n)
-        acc = term
-        for k in range(1, 80):
-            term *= -(half * half) / (k * (n + k))
-            acc += term
-            if abs(term) < 1e-18 * max(1e-300, abs(acc)):
-                break
-        return acc
-    return _bessel_miller(n, z)
+def _bessel_series(kmax: int, z):
+    """J_0..J_kmax at the points z (|z| <= 10), a row per order: the ascending
+    series, each entry stopped once its term falls below 1e-18 of its sum."""
+    import numpy as np
+
+    n = np.arange(kmax + 1)[:, None]
+    half = z / 2
+    # half^n / n!, as a running product that goes past the float range of n!
+    term = np.cumprod(np.vstack([np.ones_like(half), half / np.arange(1, kmax + 1)[:, None]]), 0)
+    acc = term.copy()
+    live = np.ones(acc.shape, bool)
+    for k in range(1, 80):
+        term *= -(half * half) / (k * (n + k))
+        np.add(acc, term, out=acc, where=live)
+        live &= ~(np.abs(term) < 1e-18 * np.maximum(1e-300, np.abs(acc)))
+        if not live.any():
+            break
+    return acc
 
 
-def _bessel_miller(n: int, z: complex) -> complex:
-    start = max(n, abs(z)) + 20 + 2 * math.sqrt(max(n, abs(z)) + 1)
+def _bessel_miller(kmax: int, z: complex) -> list:
+    """J_0..J_kmax at one point z: one backward sweep, normalised by J_0 + 2 sum J_2k = 1."""
+    start = max(kmax, abs(z)) + 20 + 2 * math.sqrt(max(kmax, abs(z)) + 1)
     if not start <= BESSEL_RECURRENCE_BUDGET:
-        raise TruncationFailure(f"J_{n}({z}) needs a recurrence from {start:.3g}, more than "
-                                f"BESSEL_RECURRENCE_BUDGET = {BESSEL_RECURRENCE_BUDGET}")
-    M = int(start)
-    if M % 2:
-        M += 1
-    jp, jc = 0.0 + 0.0j, 1e-30 + 0.0j
-    norm = 0.0 + 0.0j
-    want = None
-    for k in range(M, 0, -1):
-        jm = (2 * k / z) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            want = jc
+        raise TruncationFailure(f"J_0..J_{kmax}({z}) needs a recurrence from {start:.3g}, more "
+                                f"than BESSEL_RECURRENCE_BUDGET = {BESSEL_RECURRENCE_BUDGET}")
+    jp, jc, norm = 0j, 1e-30 + 0j, 0j
+    out = [0j] * (kmax + 1)
+    for k in range(int(start) + int(start) % 2, 0, -1):
+        jp, jc = jc, (2 * k / z) * jc - jp
+        if k - 1 <= kmax:
+            out[k - 1] = jc
         if (k - 1) % 2 == 0:
             norm += jc if k - 1 == 0 else 2 * jc
         if abs(jc) > 1e250:
-            jp, jc = jp / 1e250, jc / 1e250
-            norm /= 1e250
-            if want is not None:
-                want /= 1e250
-    return want / norm
+            jp, jc, norm = jp / 1e250, jc / 1e250, norm / 1e250
+            out = [v / 1e250 for v in out]
+    return [v / norm for v in out]
 
 
 def bessel_i(m: int, z: complex) -> complex:
@@ -214,28 +211,34 @@ def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
 
     a_c, tau_c = complex(a), complex(tau)
     x = a_c * a_c * tau_c / 8
-    ws = np.asarray([complex(w) for w in w_grid])
-    M = 0
+    if not cmath.isfinite(x):
+        raise TruncationFailure(f"the correction series needs a^2 tau/8, which is outside "
+                                f"the float range at a = {a_c}, tau = {tau_c}")
     try:
-        while not abs(bessel_i(M + 1, x)) <= 1e-14 and M < BESSEL_CORRECTION_BUDGET:
+        M, i_row = 0, [bessel_i(0, x)]      # I_0..I_M(x), each computed once
+        while not abs(i_next := bessel_i(M + 1, x)) <= 1e-14 and M < BESSEL_CORRECTION_BUDGET:
             M += 1
+            i_row.append(i_next)
     except OverflowError:                   # I_m(x) beyond the float range
         M = BESSEL_CORRECTION_BUDGET
     if M >= BESSEL_CORRECTION_BUDGET:
         raise TruncationFailure(f"the correction series at a^2 tau/8 = {x:.4g} needs more terms "
                                 f"than BESSEL_CORRECTION_BUDGET = {BESSEL_CORRECTION_BUDGET}")
     kmax = N + 2 * M + 8
-    classical = {k: np.asarray([bessel_j(k, a_c * w) for w in ws]) for k in range(kmax + 1)}
-    for k in range(1, kmax + 1):        # J_{-k} = (-1)^k J_k, as bessel_j itself reflects
-        classical[-k] = (-1) ** k * classical[k]
-    pref = np.exp(-a_c * a_c * tau_c / 8)
-    vals = {}
-    for n in range(-N, N + 1):
-        acc = np.zeros_like(ws, dtype=complex)
-        for m in range(-M, M + 1):
-            acc = acc + bessel_i(m, x) * classical[n - 2 * m]
-        vals[n] = pref * acc
-    return BesselTable(a_c, tau_c, N, tuple(ws.tolist()), vals)
+    ws = as_grid(w_grid)
+    z = a_c * ws
+    small = np.abs(z) <= 10.0
+    pos = np.empty((kmax + 1, len(z)), complex)
+    pos[:, small] = _bessel_series(kmax, z[small])
+    for i in np.flatnonzero(~small):
+        pos[:, i] = _bessel_miller(kmax, complex(z[i]))
+    sign = (-1) ** np.arange(kmax, 0, -1)[:, None]    # orders -kmax..kmax, J_{-k} = (-1)^k J_k
+    classical = np.concatenate([sign * pos[:0:-1], pos])
+    acc = np.zeros((2 * N + 1, len(z)), complex)
+    for m in range(-M, M + 1):              # row n + N gathers J_{n-2m}, n = -N..N
+        acc = acc + i_row[abs(m)] * classical[kmax - N - 2 * m:kmax + N - 2 * m + 1]
+    return BesselTable(a_c, tau_c, N, tuple(ws.tolist()),
+                       dict(zip(range(-N, N + 1), np.exp(-a_c * a_c * tau_c / 8) * acc)))
 
 
 def bessel_unit_sum_residual(table: BesselTable) -> float:
@@ -248,11 +251,8 @@ def bessel_unit_sum_residual(table: BesselTable) -> float:
 def bessel_symmetry_residual(table: BesselTable) -> float:
     import numpy as np
 
-    worst = 0.0
-    for n in range(1, table.n_max + 1):
-        d = table.values[n] - (-1) ** n * table.values[-n]
-        worst = max(worst, float(np.abs(d).max()))
-    return worst
+    return max((float(np.abs(table.values[n] - (-1) ** n * table.values[-n]).max())
+                for n in range(1, table.n_max + 1)), default=0.0)
 
 
 def bessel_generating_fft(a, tau, N: int, w_grid) -> dict:
@@ -263,13 +263,10 @@ def bessel_generating_fft(a, tau, N: int, w_grid) -> dict:
     a_c, tau_c, n_s = complex(a), complex(tau), 256
     s = 2 * np.pi * np.arange(n_s) / n_s
     lam = 1j * a_c * np.sin(s)
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     F = np.exp(lam[None, :] ** 2 * tau_c / 4 + lam[None, :] * ws[:, None])
     coef = np.fft.fft(F, axis=1) / n_s
-    out = {}
-    for n in range(-N, N + 1):
-        out[n] = coef[:, n % n_s]
-    return out
+    return {n: coef[:, n % n_s] for n in range(-N, N + 1)}
 
 
 def bessel_addition_residual(a, b, tau, w_grid) -> float:
@@ -277,30 +274,27 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
 
     Left side: 1D table at a+b.  Right side: each individual deformed product
     is extracted by a 128 x 128 Fourier transform of the two-parameter
-    generating product, then summed along the diagonal m + k = n.
+    generating product, then summed along the diagonal m + k = n.  That product,
+    e^{lambda^2 tau/4 + lambda w} at lambda = lambda_a + lambda_b, is the w-free
+    e^{lambda_a lambda_b tau/2} times an outer product of the two one-parameter ones.
     """
     import numpy as np
 
     a_c, b_c, tau_c = complex(a), complex(b), complex(tau)
     N, n_s = 6, 128
-    ws = np.asarray([complex(w) for w in w_grid])
+    ws = as_grid(w_grid)
     lhs = bessel_table(a_c + b_c, tau_c, N, w_grid)
-    s = 2 * np.pi * np.arange(n_s) / n_s
-    la = 1j * a_c * np.sin(s)
-    lb = 1j * b_c * np.sin(s)
+    want = np.array([lhs.values[n] for n in range(-N, N + 1)])
+    la, lb = (1j * c * np.sin(2 * np.pi * np.arange(n_s) / n_s) for c in (a_c, b_c))
+    cross = np.exp(np.multiply.outer(la, lb) * tau_c / 2)
+    ea, eb = (np.exp(lam * lam * tau_c / 4 + np.multiply.outer(ws, lam)) for lam in (la, lb))
+    # terms m in [-n_s/4, n_s/4), k = n - m: |k| <= 38 never reaches |k| > n_s/3, none dropped
+    m = np.arange(-n_s // 4, n_s // 4)
+    rows, cols = m % n_s, (np.arange(-N, N + 1)[:, None] - m) % n_s
     worst = 0.0
-    for iw, w in enumerate(ws):
-        lam = la[:, None] + lb[None, :]
-        F = np.exp(lam * lam * tau_c / 4 + lam * w)
-        C = np.fft.fft2(F) / (n_s * n_s)
-        for n in range(-N, N + 1):
-            rhs = 0.0 + 0.0j
-            for m in range(-n_s // 4, n_s // 4):
-                k = n - m
-                if abs(k) > n_s // 3:
-                    continue
-                rhs += C[m % n_s, k % n_s]
-            worst = max(worst, abs(lhs.values[n][iw] - rhs))
+    for iw in range(len(ws)):               # one n_s x n_s array per point
+        C = np.fft.fft2(np.outer(ea[iw], eb[iw]) * cross) / (n_s * n_s)
+        worst = max(worst, float(np.abs(want[:, iw] - C[rows, cols].sum(axis=1)).max()))
     return worst
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Poly
 from .errors import SingularPoint, SingularProduct
-from .numeric import cexp
+from .numeric import cexp, exp_array
 
 SINGULAR_MARGIN = 1e-6
 STEPS_PER_SEGMENT = 64
@@ -223,14 +223,14 @@ def translate_action(s, f, tau):
 
         exp(2sw + s^2 tau) * f(w + s tau)
 
-    f may be a GaussPoly (closed form returned) or a callable (callable returned).
+    f may be a GaussPoly (closed form returned) or a callable on a scalar or a grid.
     """
     if isinstance(f, GaussPoly):
         g = f.shift_arg(s * tau)
         return replace(g, beta=g.beta + 2 * s, logamp=g.logamp + s * s * tau)
 
     def acted(w):
-        return cexp(2 * s * w + s * s * tau) * f(w + s * tau)
+        return exp_array(lambda: 2 * s * w + s * s * tau) * f(w + s * tau)
 
     return acted
 

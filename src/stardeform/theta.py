@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationFailure
+from .numeric import exp_array
 from .quadrature import gaussian_halfwidth, x_window
 
 # Most terms one cut may keep.  The lattice Z reaches it near Re tau = 3.7e-7,
@@ -45,17 +46,6 @@ def _require_budget(count: float, what: str, tau):
     if not count <= THETA_TERM_BUDGET:
         raise TruncationFailure(f"{what} needs {count:.3g} terms at tau={tau}, more than "
                                 f"THETA_TERM_BUDGET = {THETA_TERM_BUDGET}")
-
-
-def _exp(exponent):
-    """np.exp(exponent()), the exponent formed with overflow warnings off; raises
-    DomainError where the exponent or its exponential is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = exponent()
-        out = np.exp(z)
-    if not (np.isfinite(z).all() and np.isfinite(out).all()):
-        raise DomainError("a tau-expression is outside the float range")
-    return out
 
 
 def _on_blocks(f, w, width: int):
@@ -82,8 +72,8 @@ def tau_basis(k, tau, w):
     scalar w), a column per k; DomainError where Re tau <= 0 or an entry is not finite."""
     check_tau(tau)
     k = np.asarray(k)
-    return _exp(lambda: -k * k * complex(tau) / 4
-                + np.multiply.outer(np.asarray(w, complex), 1j * k))
+    return exp_array(lambda: -k * k * complex(tau) / 4
+                     + np.multiply.outer(np.asarray(w, complex), 1j * k))
 
 
 def lattice_sum(k, coef, tau, w):
@@ -101,7 +91,7 @@ def gaussian_comb(period: float, tau, w):
     x = period * np.arange(math.ceil(lo), math.floor(hi) + 1)
 
     def teeth(ws):
-        return _exp(lambda: -np.add.outer(ws, x) ** 2 / complex(tau)).sum(axis=-1)
+        return exp_array(lambda: -np.add.outer(ws, x) ** 2 / complex(tau)).sum(axis=-1)
 
     return _on_blocks(teeth, w, len(x))
 
@@ -130,7 +120,7 @@ def imaginary_transform_residual(w, tau):
     at each w."""
     w = np.asarray(w, complex)
     lhs = theta_eval(3, w, tau)
-    rhs = cmath.sqrt(math.pi / tau) * _exp(lambda: -w * w / tau) \
+    rhs = cmath.sqrt(math.pi / tau) * exp_array(lambda: -w * w / tau) \
         * theta_eval(3, math.pi * w / (1j * tau), math.pi * math.pi / tau)
     return np.abs(lhs - rhs)
 
@@ -152,8 +142,8 @@ def theta_eigen_residual(kind: int, tau, w_grid) -> float:
 
     sign = 1 if kind in (2, 3) else -1
     f = lambda z: theta_eval(kind, z, tau)  # noqa: E731
-    acted = translate_action(1j, f, tau)
-    return max((abs(acted(w) - sign * f(w)) for w in w_grid), default=0.0)
+    w = np.asarray(w_grid, complex)
+    return float(np.abs(translate_action(1j, f, tau)(w) - sign * f(w)).max())
 
 
 def geometric_inverse_sum(sign: int, side: str, tau, w):

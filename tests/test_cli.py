@@ -204,6 +204,41 @@ def test_exact_report_bytes(line):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_REPORT_SHA256[line]
 
 
+# sha256 of `stardeform [command] --help` at 80 columns, as printed when the
+# parser was built on every call (Python 3.11 argparse)
+HELP_SHA256 = {
+    "": "e8794a53c1001cef086604f94e57365e1c485bf018b509aadd2c6117d5619b0d",
+    "verify": "c95f3fc91042682020a9307d144fae905ed7a1587d0de915593e066013c61a44",
+    "table": "e1bce30bc2d83ad6e01326a5d1fb9d13e9b9fc8633842205788f76b912fed3e7",
+    "eval": "2191e2f86f96b0d86ce22af292fd311d0a5668258e8cefd803231696671e6ab0",
+    "eval star": "cf209edef299ffc70e6ddf9df4ec47f1e928b0ddb23ce302b4411ee8037934ff",
+    "theta": "8fd0ba2d31b957a4559404ba3631ec8e09d6c47a919a819319da33dc5d77181c",
+    "residue": "bdfce3e08f2c12b5b291333bbf7e3fc211e22b219ceb9424ed801259de9dc430",
+    "dist": "bb3b90ffed0e552d7b15e662e1bfd44abf67c16ae281d28cfdf7bc338e5707d6",
+    "vertex": "c39077f50548542bf36a6aeb08ae57d62a650740c0631ad96e984cf43e8d78bd",
+    "numbers": "bccf10dafcb1c2c01c1c89a8c40afa941ad1f32ce319f969e32d90676b52c4de",
+    "conjecture": "51c2d9e4ce034e47b02dd1d6d27429a92c7707895664a618148d4f60ba1926a9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_bytes(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_no_option_carries_over_between_calls():
+    """The parser is built once per process; every call starts from the defaults."""
+    _, out = run_main(["verify", "special", "--grid=-3,3,33"])
+    assert json.loads(out)["config"]["grid"] == [-3.0, 3.0, 33]
+    _, out = run_main(["verify", "special"])
+    assert json.loads(out)["config"]["grid"] == [-2.0, 2.0, 17]
+
+
 def test_verify_theta_bad_tau_exit_two():
     code, _, err = run_cli(["verify", "theta", "--tau=-1,0"])
     assert code == 2
@@ -412,15 +447,17 @@ def test_kernel_failure_one_error_line(line, capsys):
     ("dist --tau=1,1e308", 1),
     ("table bessel 2 --a=1e308", 1),
     ("table bessel 2 --tau=1e308", 1),
+    ("table bessel 3 --a=1,1e300", 1),
 ])
 def test_extreme_option_values_one_line(line, code, capsys):
     """Finite values at the edge of the float range end in a typed error: no
-    traceback out of main, no nan on stdout."""
+    traceback out of main, no nan on stdout or in the message."""
     assert main(line.split()) == code
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     prefix = "configuration error: " if code == 2 else "error: "
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith(prefix)
+    assert "nan" not in captured.err
 
 
 def test_exact_hermite_table_at_huge_tau(capsys):

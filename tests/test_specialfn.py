@@ -10,13 +10,14 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings, strategies as st
 
 from stardeform.cli import main
 from stardeform.core import Poly
 from stardeform.errors import DomainError
 from stardeform.exact import QC
 from stardeform.specialfn import (BesselTable, bessel_addition_residual, bessel_generating_fft,
-                                  bessel_i, bessel_j, bessel_symmetry_residual, bessel_table,
+                                  bessel_i, bessel_symmetry_residual, bessel_table,
                                   bessel_unit_sum_residual, hermite_checks,
                                   hermite_convolution_scale, hermite_orthogonality,
                                   hermite_orthogonality_target, hermite_table,
@@ -91,6 +92,38 @@ def test_hermite_orthogonality_offdiagonal():
 
 # ------------------------------------------------------------------ Bessel
 
+def bessel_j(n: int, z: complex) -> complex:
+    """Classical J_n one order and one point at a time: the ascending series for
+    |z| <= 10, Miller's backward recurrence from above max(n, |z|) beyond.  The
+    reference for bessel_table's whole-grid rows."""
+    if n < 0:
+        return (-1) ** n * bessel_j(-n, z)
+    z = complex(z)
+    if abs(z) <= 10.0:
+        half = z / 2
+        term = half ** n / math.factorial(n)
+        acc = term
+        for k in range(1, 80):
+            term *= -(half * half) / (k * (n + k))
+            acc += term
+            if abs(term) < 1e-18 * max(1e-300, abs(acc)):
+                break
+        return acc
+    start = max(n, abs(z)) + 20 + 2 * math.sqrt(max(n, abs(z)) + 1)
+    M = int(start) + int(start) % 2
+    jp, jc, norm, want = 0j, 1e-30 + 0j, 0j, None
+    for k in range(M, 0, -1):
+        jp, jc = jc, (2 * k / z) * jc - jp
+        if k - 1 == n:
+            want = jc
+        if (k - 1) % 2 == 0:
+            norm += jc if k - 1 == 0 else 2 * jc
+        if abs(jc) > 1e250:
+            jp, jc, norm = jp / 1e250, jc / 1e250, norm / 1e250
+            want = None if want is None else want / 1e250
+    return want / norm
+
+
 def test_bessel_j_vs_scipy():
     for n in (0, 1, 2, 5, -3):
         for z in (0.3, 2.0, 9.5, 14.0, 1.2 + 0.7j):
@@ -130,15 +163,38 @@ def test_bessel_tau_zero_recovers_classical():
 
 def test_bessel_table_negative_orders_reflect_bit_for_bit():
     """At tau = 0 the table is the classical row itself; its negative orders are
-    (-1)^k times the positive ones, and bessel_j's own values, bit for bit.  A
-    complex a keeps every part nonzero, so no signed zero blurs the bytes, and
-    the grid reaches |a w| > 10, where bessel_j recurs backward."""
+    (-1)^k times the positive ones bit for bit, and every order matches the
+    one-point reference.  A complex a keeps every part nonzero, so no signed zero
+    blurs the bytes, and the grid reaches |a w| > 10, where the rows recur
+    backward."""
     a, ws = 1.3 + 0.4j, [-8.5, -2.5, -0.3, 0.7, 1.9]
     tab = bessel_table(a, 0.0, 12, ws)
     for k in range(1, 13):
         neg, pos = np.asarray(tab.values[-k]), np.asarray(tab.values[k])
         assert neg.tobytes() == ((-1) ** k * pos).tobytes()
-        assert neg.tobytes() == np.asarray([bessel_j(-k, a * w) for w in ws]).tobytes()
+    for k in range(-12, 13):
+        want = np.asarray([bessel_j(k, a * w) for w in ws])
+        assert np.abs(tab.values[k] - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(re=st.floats(-20.0, 20.0), im=st.floats(-4.0, 4.0), n_max=st.integers(0, 60))
+def test_bessel_table_at_tau_zero_matches_scipy(re, im, n_max):
+    """Both sides of the |z| = 10 switch, the ascending rows and the backward
+    recurrence, against scipy's J_n(z) for every order up to n_max."""
+    z = complex(re, im)
+    tab = bessel_table(z, 0.0, n_max, [1.0])
+    for n in range(n_max + 1):
+        want = complex(sps.jv(n, z))
+        assert abs(tab.values[n][0] - want) < 2e-13 * max(1.0, abs(want)), (n, z)
+
+
+def test_bessel_table_orders_past_the_float_range_of_k_factorial():
+    """Orders above 170, where k! is no float, on both sides of |z| = 10."""
+    tab = bessel_table(1.0, 1.0, 200, [-1.0, 0.5, 12.0])
+    assert all(np.isfinite(tab.values[n]).all() for n in range(-200, 201))
+    assert bessel_unit_sum_residual(tab) < 1e-10
+    assert np.abs(tab.values[200]).max() < 1e-200
 
 
 def test_bessel_addition_formula():
