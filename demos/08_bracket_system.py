@@ -14,9 +14,9 @@ print("Witt identity exact on a sweep:",
           for n in range(-3, 4) for l in range(-3, 4) for m in range(-3, 4)))
 
 print("weight transformation [L_n, y_m] = m y_(n+m), exact:",
-      all(y_eigen_defect(n, m, K=6).is_zero() for n in (-2, 0, 3) for m in range(-3, 4)))
+      all(y_eigen_defect(n, m).is_zero() for n in (-2, 0, 3) for m in range(-3, 4)))
 
-rep = central_constraint_check(K=6, index_max=3)
+rep = central_constraint_check(K=6)
 print("\ncentral bracket structure:")
 print("  antisymmetric:", rep["antisymmetry"])
 print("  odd-index brackets vanish:", rep["odd_parity_vanishing"])

@@ -174,16 +174,15 @@ def _fmt_resid(x: float) -> str:
     return f"{x:.17e}"
 
 
-def emit_json(payload: dict, stream=None):
+def emit_json(payload: dict):
     payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, sort_keys=True, ensure_ascii=False), file=stream or sys.stdout)
+    print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
 
 
-def emit_csv(header, rows, stream=None):
-    out = stream or sys.stdout
-    print(",".join(header), file=out)
+def emit_csv(header, rows):
+    print(",".join(header))
     for row in rows:
-        print(",".join(str(x) for x in row), file=out)
+        print(",".join(str(x) for x in row))
 
 
 def cmd_verify(args) -> int:
@@ -351,7 +350,7 @@ def cmd_vertex(args) -> int:
         emit_json({"check": "witt", "k": K, "passed": ok})
         return 0 if ok else 1
     if args.check == "central":
-        rep = vx.central_constraint_check(K=K, index_max=3)
+        rep = vx.central_constraint_check(K=K)
         payload = {k: v for k, v in rep.items() if k not in ("C",)}
         payload["offdiagonal_nonzero_pairs"] = [list(p) for p in
                                                 payload["offdiagonal_nonzero_pairs"]]

@@ -47,8 +47,9 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def x(power: int = 1, coeff=1) -> "Poly":
-        return Poly([0] * power + [coeff])
+    def x() -> "Poly":
+        """The monomial w."""
+        return Poly([0, 1])
 
     @staticmethod
     def const(c) -> "Poly":

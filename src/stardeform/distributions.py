@@ -146,10 +146,11 @@ def tempered_transform(f_hat, tau, w_grid):
     return val / math.sqrt(TWO_PI)
 
 
-def slowly_increasing_transform(f, tau, w_grid, breakpoints=()):
+def slowly_increasing_transform(f, tau, w_grid, breakpoints):
     """x-side route: integral f(x) delta_expr(x - w) dx for slowly increasing f.
 
-    f is elementwise.  breakpoints: x-locations of jumps/kinks of f; panel edges
+    f is elementwise.  breakpoints: x-locations of jumps/kinks of f (empty where
+    f is smooth); panel edges
     are pinned there so the Gauss-Legendre refinement converges.  The grid points
     are the rows of one refinement per segment; a breakpoint outside a row's
     window gives that row a segment of zero length."""
@@ -284,9 +285,9 @@ def periodic_comb_residual(a, tau, w_grid) -> float:
 
 # ------------------------------------------------- constant-variation route
 
-def constant_variation_inverse(a, tau, w_grid, C=0.0):
-    """g_a(w) = (2/tau) integral_0^1 exp(((a+wt)^2 - (a+w)^2)/tau) w dt
-               + C exp(-(a+w)^2/tau):   a right/left inverse of (a+w)."""
+def constant_variation_inverse(a, tau, w_grid):
+    """g_a(w) = (2/tau) integral_0^1 exp(((a+wt)^2 - (a+w)^2)/tau) w dt, an inverse of
+    (a+w); adding C exp(-(a+w)^2/tau), which (a+w) annihilates, gives the others."""
     check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
     ws = as_grid(w_grid)
@@ -295,19 +296,17 @@ def constant_variation_inverse(a, tau, w_grid, C=0.0):
         w_col = ws[rows, None]
         return np.exp(((a_c + w_col * t) ** 2 - (a_c + w_col) ** 2) / tau_c) * w_col
 
-    val = integrate_segment_refined(f, np.zeros(len(ws)), np.ones(len(ws)), tol=1e-13) * 2 / tau_c
-    return val + C * np.exp(-(a_c + ws) ** 2 / tau_c)
+    return integrate_segment_refined(f, np.zeros(len(ws)), np.ones(len(ws)), tol=1e-13) * 2 / tau_c
 
 
-def constant_variation_defect(a, tau, w_grid, C=0.0) -> float:
-    """|(a+w) g_a + (tau/2) g_a' - 1| with g_a' by central differences (the
-    C-term is annihilated exactly, checked separately in closed form)."""
+def constant_variation_defect(a, tau, w_grid) -> float:
+    """|(a+w) g_a + (tau/2) g_a' - 1| with g_a' by central differences."""
     tau_c, a_c = complex(tau), complex(a)
     h = 1e-5
     ws = as_grid(w_grid)
-    g0 = constant_variation_inverse(a, tau, ws, C)
-    gp = (constant_variation_inverse(a, tau, ws + h, C)
-          - constant_variation_inverse(a, tau, ws - h, C)) / (2 * h)
+    g0 = constant_variation_inverse(a, tau, ws)
+    gp = (constant_variation_inverse(a, tau, ws + h)
+          - constant_variation_inverse(a, tau, ws - h)) / (2 * h)
     resid = (a_c + ws) * g0 + tau_c / 2 * gp - 1.0
     return float(np.abs(resid).max())
 

@@ -42,13 +42,13 @@ class HalfSeries:
     trunc: int
 
     @staticmethod
-    def from_list(cs, base_deg: int = 0, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
+    def from_list(cs, base_deg: int, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
         cs = [as_qc(c) for c in cs][:trunc + 1]
         cs += [QC(0)] * (trunc + 1 - len(cs))
         return HalfSeries(base_deg, tuple(cs), trunc)
 
     @staticmethod
-    def one(trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
+    def one(trunc: int) -> "HalfSeries":
         return HalfSeries.from_list([1], 0, trunc)
 
     def __add__(self, other: "HalfSeries") -> "HalfSeries":
@@ -135,7 +135,7 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
     return HalfSeries(-f.base_deg, tuple(b), K)
 
 
-def exp_series(scale, trunc: int = DEFAULT_TRUNC) -> HalfSeries:
+def exp_series(scale, trunc: int) -> HalfSeries:
     """sum_l scale^l / l! q^l  (the exponential of the basis element, scaled)."""
     cs = []
     c = QC(1)
@@ -154,10 +154,11 @@ def euler_combination(trunc: int) -> HalfSeries:
         + hs_mul(exp_series(-1, trunc), hs_inverse(one + exp_series(-2, trunc)))
 
 
-def euler_numbers(N: int, trunc: int | None = None) -> list:
+def euler_numbers(N: int) -> list:
     """E_0, E_2, ..., E_{2N} as exact Fractions, the coefficients of
-    euler_combination times (2n)!.  Odd coefficients vanish identically."""
-    K = trunc if trunc is not None else max(2 * N + 2, DEFAULT_TRUNC)
+    euler_combination times (2n)!, truncated at max(2N + 2, DEFAULT_TRUNC).
+    Odd coefficients vanish identically."""
+    K = max(2 * N + 2, DEFAULT_TRUNC)
     lhs = euler_combination(K)
     assert lhs.base_deg == 0
     out = []
@@ -183,14 +184,15 @@ def euler_numbers_recurrence(N: int) -> list:
     return out
 
 
-def bernoulli_numbers(N: int, trunc: int | None = None) -> list:
-    """B_0, B_2, ..., B_{2N} as exact Fractions from the symmetrized inversions
+def bernoulli_numbers(N: int) -> list:
+    """B_0, B_2, ..., B_{2N} as exact Fractions from the symmetrized inversions,
+    truncated at max(2N + 2, DEFAULT_TRUNC),
 
         (1/2)(sum q^n/(n+1)!)^{-1} + (1/2)(sum (-q)^n/(n+1)!)^{-1}
             = sum B_{2n} q^{2n} / (2n)!
 
     (the symmetrization removes the odd B_1 term)."""
-    K = trunc if trunc is not None else max(2 * N + 2, DEFAULT_TRUNC)
+    K = max(2 * N + 2, DEFAULT_TRUNC)
     plus = HalfSeries.from_list([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)],
                                 0, K)
     minus = HalfSeries.from_list([QC(Fraction((-1) ** n, math.factorial(n + 1)))
@@ -233,17 +235,17 @@ def hs_to_tau_expression(f: HalfSeries, tau, w_grid):
     return acc
 
 
-def zero_detection(f: HalfSeries, tau, probe_points=None) -> bool:
-    """Injectivity probe: recover the coefficients from K+1 grid samples of the
-    tau-expression by solving the (weighted Vandermonde) linear system; returns
-    True when all recovered coefficients vanish (so the element is zero)."""
+def zero_detection(f: HalfSeries, tau) -> bool:
+    """Injectivity probe: recover the coefficients from K+1 samples of the
+    tau-expression, evenly spaced on [0.1, 3], by solving the (weighted
+    Vandermonde) linear system; returns True when all recovered coefficients
+    vanish (so the element is zero)."""
     import numpy as np
 
     from .theta import tau_basis
 
     K = f.trunc
-    if probe_points is None:
-        probe_points = [0.1 + 2.9 * j / K for j in range(K + 1)]
+    probe_points = [0.1 + 2.9 * j / K for j in range(K + 1)]
     vals = hs_to_tau_expression(f, tau, probe_points)
     M = tau_basis([f.base_deg + n for n in range(K + 1)], tau, probe_points)
     rec = np.linalg.solve(M, vals)
@@ -301,7 +303,7 @@ class FormalSeries:
         return FormalSeries([c * a for a in self.coeffs], self.trunc)
 
 
-def formal_exp(scale, trunc: int = DEFAULT_TRUNC) -> FormalSeries:
+def formal_exp(scale, trunc: int) -> FormalSeries:
     cs = []
     c = QC(1)
     for l in range(trunc + 1):
@@ -311,17 +313,17 @@ def formal_exp(scale, trunc: int = DEFAULT_TRUNC) -> FormalSeries:
     return FormalSeries(cs, trunc)
 
 
-def euler_numbers_formal(N: int, trunc: int | None = None) -> list:
+def euler_numbers_formal(N: int) -> list:
     """Replacement-principle twin of euler_numbers in the formal power basis."""
-    K = trunc if trunc is not None else max(2 * N + 2, DEFAULT_TRUNC)
+    K = max(2 * N + 2, DEFAULT_TRUNC)
     one = FormalSeries([1], K)
     lhs = formal_exp(1, K) * (one + formal_exp(2, K)).inverse() \
         + formal_exp(-1, K) * (one + formal_exp(-2, K)).inverse()
     return [lhs.coeffs[2 * n].re * math.factorial(2 * n) for n in range(N + 1)]
 
 
-def bernoulli_numbers_formal(N: int, trunc: int | None = None) -> list:
-    K = trunc if trunc is not None else max(2 * N + 2, DEFAULT_TRUNC)
+def bernoulli_numbers_formal(N: int) -> list:
+    K = max(2 * N + 2, DEFAULT_TRUNC)
     plus = FormalSeries([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
     minus = FormalSeries([QC(Fraction((-1) ** n, math.factorial(n + 1)))
                           for n in range(K + 1)], K)
@@ -331,11 +333,11 @@ def bernoulli_numbers_formal(N: int, trunc: int | None = None) -> list:
 
 # ---------------------------------------------- two-parameter exploration
 
-def conjecture_coefficients(tau, tau_prime, N: int, w_points=None):
+def conjecture_coefficients(tau, tau_prime, N: int):
     """Exploratory only: numeric coefficients a_{2n}(tau, tau') of the
     re-expansion of the one-sided Euler combination at a second expression
-    parameter.  No acceptance criterion attaches; emitted by the CLI for
-    exploration."""
+    parameter, matched at 2N + 1 points evenly spaced on [0.05, 2.85].  No
+    acceptance criterion attaches; emitted by the CLI for exploration."""
     import numpy as np
 
     if N < 1:
@@ -346,8 +348,7 @@ def conjecture_coefficients(tau, tau_prime, N: int, w_points=None):
     comb = euler_combination(max(4 * N + 8, 32))
     # tau-expression of the combination, sampled, then matched against the
     # formal-power basis weights at tau'
-    if w_points is None:
-        w_points = [0.05 + 2.8 * j / (2 * N) for j in range(2 * N + 1)]
+    w_points = [0.05 + 2.8 * j / (2 * N) for j in range(2 * N + 1)]
     vals = hs_to_tau_expression(comb, tau_c, w_points)
     M = np.empty((len(w_points), N + 1), dtype=complex)
     for r, w in enumerate(w_points):

@@ -28,6 +28,14 @@ from .numeric import as_grid, cexp
 from .quadrature import integrate_segment_refined
 from .starexp import GaussPoly, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
+SERIES_TOL = 1e-18           # the Laurent series stop on a term below this
+GAUSSPOLY_Q_MAX = 40         # laurent_gausspoly keeps the terms q <= 40
+DEFECT_Q_MAX = 8             # and diffeqevol_exact_defect the terms q <= 8
+CONTOUR_RADIUS, CONTOUR_NODES = 1.0, 256     # trapezoid contours, rechecked at 2x nodes
+# The trapezoid sums converge geometrically in the node count, so more nodes buy
+# no accuracy, only memory: `stardeform residue` at the budget peaks ~15 MB higher.
+CONTOUR_NODE_BUDGET = 1 << 16
+
 # ------------------------------------------------------------ closed forms
 
 def sqrt_minus_tau(tau):
@@ -37,7 +45,7 @@ def sqrt_minus_tau(tau):
     return cmath.sqrt(complex(z.real, z.imag + 0.0))
 
 
-def laurent_series_coefficient(k: int, nu, tau, w, tol: float = 1e-18):
+def laurent_series_coefficient(k: int, nu, tau, w):
     """c_{2k-1}: the s^{2k-1} coefficient of (1/s) e^{nu s^2 - (w/tau)^2/s^2},
 
         sum_{q >= max(0,-k)} nu^{k+q} (-1)^q (w/tau)^{2q} / (q! (k+q)!).
@@ -56,7 +64,7 @@ def laurent_series_coefficient(k: int, nu, tau, w, tol: float = 1e-18):
         term = term_scale * nu_c ** (k + q) * x2 ** q \
             / (math.factorial(q) * math.factorial(k + q))
         acc += term
-        if q > max(2, -k + 2) and abs(term) < tol * max(1.0, abs(acc)):
+        if q > max(2, -k + 2) and abs(term) < SERIES_TOL * max(1.0, abs(acc)):
             break
         q += 1
         term_scale = -term_scale
@@ -79,13 +87,13 @@ def laurent_coeff_closed(k: int, nu, tau, w):
     raise DomainError(f"a_{2 * k - 1} at nu={nu}, tau={tau}, w={w} is outside the float range")
 
 
-def laurent_gausspoly(k: int, nu, tau, q_max: int = 40, tol: float = 1e-18) -> GaussPoly:
+def laurent_gausspoly(k: int, nu, tau) -> GaussPoly:
     """a_{2k-1} as a GaussPoly: polynomial in w^2 times the Gaussian envelope;
     raises DomainError when a coefficient is outside the float range."""
     tau_c, nu_c = complex(tau), complex(nu)
     coeffs = {}
     q = max(0, -k)
-    while q <= q_max:
+    while q <= GAUSSPOLY_Q_MAX:
         try:
             c = (-1.0) ** q * nu_c ** (k + q) / (math.factorial(q) * math.factorial(k + q)) \
                 / tau_c ** (2 * q)
@@ -93,7 +101,7 @@ def laurent_gausspoly(k: int, nu, tau, q_max: int = 40, tol: float = 1e-18) -> G
             raise DomainError(f"a_{2 * k - 1} at nu={nu}, tau={tau} is outside the float "
                               "range") from None
         coeffs[2 * q] = c
-        if q > max(2, -k + 2) and abs(c) < tol:
+        if q > max(2, -k + 2) and abs(c) < SERIES_TOL:
             break
         q += 1
     deg = max(coeffs)
@@ -130,8 +138,8 @@ def _contour_mean(p: int, nu, tau, w, radius: float, n_nodes: int):
     NodeCountError."""
     if not radius > 0:
         raise DomainError("radius must be positive")
-    if n_nodes < 1:
-        raise DomainError("n_nodes must be positive")
+    if not 1 <= n_nodes <= CONTOUR_NODE_BUDGET:
+        raise DomainError(f"n_nodes must be in 1..{CONTOUR_NODE_BUDGET}, got {n_nodes}")
     tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
     if tau_c == 0:
         raise DomainError("tau must be nonzero")
@@ -151,7 +159,7 @@ def _contour_mean(p: int, nu, tau, w, radius: float, n_nodes: int):
     return got
 
 
-def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256):
+def residue_contour(k: int, nu, tau, w, radius=CONTOUR_RADIUS, n_nodes=CONTOUR_NODES):
     """a_{2k-1} = (1/2pi i) contour-integral s^{-2k} E(s) ds on |s| = radius.
 
     The integrand is evaluated through the z-form with the substitution
@@ -160,13 +168,13 @@ def residue_contour(k: int, nu, tau, w, radius: float = 1.0, n_nodes: int = 256)
     return _contour_mean(-2 * k, nu, tau, w, radius, n_nodes)
 
 
-def closed_contour_vanishing(nu, tau, w, radius: float = 1.0, n_nodes: int = 256):
+def closed_contour_vanishing(nu, tau, w):
     """|contour-integral of :e_*^{z(nu+w-element)}: dz| around the branch point on
     the double cover (z = 1/tau + s^2, s once around; dz = 2s ds): the secondary
     residue is absent, so the integral vanishes.  It is 4 pi i times the would-be
     even coefficient a_{-2}, and every even coefficient a_{2j} (the mean with
     p = -2j - 1) vanishes in the same way."""
-    return abs(4j * np.pi * _contour_mean(1, nu, tau, w, radius, n_nodes))
+    return abs(4j * np.pi * _contour_mean(1, nu, tau, w, CONTOUR_RADIUS, CONTOUR_NODES))
 
 
 def ladder_residual(k: int, nu, tau, w_grid) -> float:
@@ -256,7 +264,7 @@ def phi_group_action_residual(t, alpha, tau, w_grid) -> float:
 
 # ------------------------------------------------------ orphan annihilation
 
-def orphan_annihilation(t, k: int, nu, tau, w_grid, n_nodes: int = 256) -> dict:
+def orphan_annihilation(t, k: int, nu, tau, w_grid) -> dict:
     """The t-family kills every Laurent coefficient away from t = 0:
 
       t != 0:  (1/2pi i) contour s^{-2k} :e_*^{(t + 1/tau + s^2)(...)}: ds -> 0
@@ -272,7 +280,7 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid, n_nodes: int = 256) -> dict:
     r0 = abs(t_c) / 2
     worst = 0.0
     for radius in (r0, r0 / 2):
-        s = _contour_nodes(radius, n_nodes)
+        s = _contour_nodes(radius, CONTOUR_NODES)
         z = t_c + 1 / tau_c + s * s
         denom = 1 - z * tau_c
         # branch continued around the loop; winding of denom around 0 is zero
@@ -302,18 +310,18 @@ def surface_derivative_exact(f: SparseLaurent) -> dict:
     return {e: v for (e, _), v in f.d(0).restrict_inverse(1, 0).terms.items()}
 
 
-def diffeqevol_exact_defect(k: int, q_max: int = 8) -> SparseLaurent:
+def diffeqevol_exact_defect(k: int) -> SparseLaurent:
     """Exact symbolic defect of the covariant evolution equation for a_{2k-1}.
 
     Writing a = gamma(z,w) S(z,w,nu) with the envelope rules
         d_z gamma = (nu - w^2 + 1/(2z)) gamma,   d_w gamma = -2 z w gamma,
     the surface derivative of a minus the product (nu + w-element^2) * a reduces
     to gamma * [defect]; the returned element is that defect (zero = identity
-    exact at every truncation order).  Axes: (z, w, nu)."""
+    exact at every truncation order, here DEFECT_Q_MAX).  Axes: (z, w, nu)."""
     # S = sum_q (-1)^q /(q!(k+q)!) z^{2q} w^{2q} nu^{k+q}
     S = SparseLaurent({(2 * q, 2 * q, k + q):
                        Fraction((-1) ** q, math.factorial(q) * math.factorial(k + q))
-                       for q in range(max(0, -k), q_max + 1)})
+                       for q in range(max(0, -k), DEFECT_Q_MAX + 1)})
 
     nu = SparseLaurent({(0, 0, 1): 1})
     w2 = SparseLaurent({(0, 2, 0): 1})

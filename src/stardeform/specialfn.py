@@ -133,11 +133,14 @@ def hermite_orthogonality_target(n: int, tau) -> complex:
 BESSEL_RECURRENCE_BUDGET = 20_000
 # Most correction-factor terms I_m(a^2 tau/8) bessel_table sums (to |I_{M+1}| <= 1e-14).
 BESSEL_CORRECTION_BUDGET = 60
+# Largest |a w| of bessel_table's ascending series; beyond it the series loses
+# 1e-14..1e-13 to cancellation below |z| = 10, the backward recurrence < 3e-15.
+BESSEL_SERIES_MAX = 6.0
 
 
 def _bessel_series(kmax: int, z):
-    """J_0..J_kmax at the points z (|z| <= 10), a row per order: the ascending
-    series, each entry stopped once its term falls below 1e-18 of its sum."""
+    """J_0..J_kmax at the points z, a row per order: the ascending series, each
+    entry stopped once its term falls below 1e-18 of its sum."""
     import numpy as np
 
     n = np.arange(kmax + 1)[:, None]
@@ -227,7 +230,7 @@ def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
     kmax = N + 2 * M + 8
     ws = as_grid(w_grid)
     z = a_c * ws
-    small = np.abs(z) <= 10.0
+    small = np.abs(z) <= BESSEL_SERIES_MAX
     pos = np.empty((kmax + 1, len(z)), complex)
     pos[:, small] = _bessel_series(kmax, z[small])
     for i in np.flatnonzero(~small):
@@ -255,16 +258,22 @@ def bessel_symmetry_residual(table: BesselTable) -> float:
                 for n in range(1, table.n_max + 1)), default=0.0)
 
 
+def _generating_element(a: complex, tau: complex, ws, n_s: int):
+    """lambda = i a sin s at s = 2 pi j / n_s, and the tau-expression
+    e^{lambda^2 tau/4 + lambda w} of e^{lambda w}, a row per w (any tau)."""
+    import numpy as np
+
+    lam = 1j * a * np.sin(2 * np.pi * np.arange(n_s) / n_s)
+    return lam, np.exp(lam * lam * tau / 4 + np.multiply.outer(ws, lam))
+
+
 def bessel_generating_fft(a, tau, N: int, w_grid) -> dict:
     """Independent route: Fourier coefficients in s of the tau-expression of the
     generating element exp(lambda(s) w), lambda = i a sin s, at 256 points in s."""
     import numpy as np
 
-    a_c, tau_c, n_s = complex(a), complex(tau), 256
-    s = 2 * np.pi * np.arange(n_s) / n_s
-    lam = 1j * a_c * np.sin(s)
-    ws = as_grid(w_grid)
-    F = np.exp(lam[None, :] ** 2 * tau_c / 4 + lam[None, :] * ws[:, None])
+    n_s = 256
+    _, F = _generating_element(complex(a), complex(tau), as_grid(w_grid), n_s)
     coef = np.fft.fft(F, axis=1) / n_s
     return {n: coef[:, n % n_s] for n in range(-N, N + 1)}
 
@@ -277,6 +286,7 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
     generating product, then summed along the diagonal m + k = n.  That product,
     e^{lambda^2 tau/4 + lambda w} at lambda = lambda_a + lambda_b, is the w-free
     e^{lambda_a lambda_b tau/2} times an outer product of the two one-parameter ones.
+    Only the read band is transformed along lambda_a, after lambda_b (fft2's order).
     """
     import numpy as np
 
@@ -285,16 +295,17 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
     ws = as_grid(w_grid)
     lhs = bessel_table(a_c + b_c, tau_c, N, w_grid)
     want = np.array([lhs.values[n] for n in range(-N, N + 1)])
-    la, lb = (1j * c * np.sin(2 * np.pi * np.arange(n_s) / n_s) for c in (a_c, b_c))
+    (la, ea), (lb, eb) = (_generating_element(c, tau_c, ws, n_s) for c in (a_c, b_c))
     cross = np.exp(np.multiply.outer(la, lb) * tau_c / 2)
-    ea, eb = (np.exp(lam * lam * tau_c / 4 + np.multiply.outer(ws, lam)) for lam in (la, lb))
     # terms m in [-n_s/4, n_s/4), k = n - m: |k| <= 38 never reaches |k| > n_s/3, none dropped
     m = np.arange(-n_s // 4, n_s // 4)
     rows, cols = m % n_s, (np.arange(-N, N + 1)[:, None] - m) % n_s
+    band, at = np.unique(cols, return_inverse=True)     # the columns k read, and where
     worst = 0.0
     for iw in range(len(ws)):               # one n_s x n_s array per point
-        C = np.fft.fft2(np.outer(ea[iw], eb[iw]) * cross) / (n_s * n_s)
-        worst = max(worst, float(np.abs(want[:, iw] - C[rows, cols].sum(axis=1)).max()))
+        C = np.fft.fft(np.outer(ea[iw], eb[iw]) * cross, axis=1)
+        C = np.fft.fft(C[:, band], axis=0)[rows, at.reshape(cols.shape)] / (n_s * n_s)
+        worst = max(worst, float(np.abs(want[:, iw] - C.sum(axis=1)).max()))
     return worst
 
 

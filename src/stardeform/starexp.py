@@ -29,6 +29,7 @@ from .numeric import cexp, exp_array
 SINGULAR_MARGIN = 1e-6
 STEPS_PER_SEGMENT = 64
 LEG_MARGIN = 0.15   # leg_path detours around branch points nearer its segment than this
+LAW_GRID = [-2.0 + 0.2 * k for k in range(21)]   # quad_exponential_law's w points
 
 
 @dataclass(frozen=True)
@@ -279,20 +280,18 @@ def star_poly_gauss(p: Poly, g: GaussPoly, tau) -> GaussPoly:
     return replace(g, poly=acc)
 
 
-def quad_exponential_law(s, t, tau, w_grid=None) -> float:
-    """Max-modulus residual of E(s) * E(t) = E(s+t) on a w grid, sheets aligned
-    by continuation from 0 along straight paths."""
+def quad_exponential_law(s, t, tau) -> float:
+    """Max-modulus residual of E(s) * E(t) = E(s+t) on LAW_GRID over max |E(s+t)|,
+    sheets aligned by continuation from 0 along straight paths."""
     for point, name in ((s, "s"), (t, "t"), (s + t, "s+t")):
         if abs(1 - complex(tau) * complex(point)) < SINGULAR_MARGIN:
             raise SingularPoint(f"{name}*tau too close to 1")
-    if w_grid is None:
-        w_grid = [ -2.0 + 0.2 * k for k in range(21) ]
     es = star_exp_quadratic(s, tau)
     et = star_exp_quadratic(t, tau)
     est = star_exp_quadratic(s + t, tau)
     prod = gauss_star(es, et, tau)
-    scale = max(est.max_abs_on(w_grid), 1e-300)
-    return gp_sub_on_grid(prod, est, w_grid) / scale
+    scale = max(est.max_abs_on(LAW_GRID), 1e-300)
+    return gp_sub_on_grid(prod, est, LAW_GRID) / scale
 
 
 def series_radius_probe(ell: int, tau, n_max: int):

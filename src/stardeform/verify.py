@@ -53,9 +53,9 @@ def _bool_rec(anchor: str, description: str, ok: bool) -> dict:
             "residual": 0.0 if ok else 1.0, "tol": 0.0, "passed": bool(ok)}
 
 
-def _rand_qc(rng, num=6, den=5):
-    return QC(Fraction(rng.randint(-num, num), rng.randint(1, den)),
-              Fraction(rng.randint(-num, num), rng.randint(1, den)))
+def _rand_qc(rng):
+    return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+              Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
 
 
 def _rand_poly(rng, deg):
@@ -455,11 +455,11 @@ def suite_vertex(cfg: RunConfig) -> list:
     ok = all(vertex.witt_identity_check(n, l, m, K=6)
              for n in range(-3, 4) for l in range(-3, 4) for m in range(-3, 4))
     out.append(_bool_rec("witt-identity", "operator commutators close (exact sweep)", ok))
-    ok = all(vertex.y_eigen_defect(n, m, K=6).is_zero()
+    ok = all(vertex.y_eigen_defect(n, m).is_zero()
              for n in range(-2, 3) for m in range(-3, 4))
     out.append(_bool_rec("normalized-generator-eigen",
                          "dressed generators transform with weight m (exact)", ok))
-    rep = vertex.central_constraint_check(K=6, index_max=3)
+    rep = vertex.central_constraint_check(K=6)
     out.append(_bool_rec("central-antisymmetry", "bracket matrix is antisymmetric (exact)",
                          rep["antisymmetry"]))
     out.append(_bool_rec("central-parity", "odd total index brackets vanish (exact)",
@@ -476,10 +476,10 @@ def suite_vertex(cfg: RunConfig) -> list:
                              - residue.laurent_coeff_closed(0, 0.7, 1 + 0.3j, 0.4)) < 1e-10))
     out.append(_bool_rec("truncation-stability",
                          "raising the grade budget preserves low grades (exact)",
-                         vertex.truncation_stability(6, 8)))
+                         vertex.truncation_stability()))
     out.append(_bool_rec("bracket-antisymmetry-jacobi",
                          "generator brackets are antisymmetric; Jacobi holds (central values)",
-                         vertex.jacobi_x_check(3)))
+                         vertex.jacobi_x_check()))
     return out
 
 

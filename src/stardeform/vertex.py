@@ -41,6 +41,11 @@ from .exact import QC, SparseLaurent
 # witt_identity_check reaches at most grade 2 above its input, so its cost
 # does not grow with K and it has no budget.
 GRADE_BUDGET = 128
+INDEX_MAX = 3        # generator indices |l| of the central, K-centrality, Jacobi checks
+EIGEN_GRADE = 6      # grades y_eigen_defect compares
+XX_CAP = 6           # ring cap of bracket_xx
+# truncation_stability: the two u-grade budgets, indices |l| <= 2, ring cap 12
+STABILITY_GRADES, STABILITY_INDEX_MAX, STABILITY_CAP = (6, 8), 2, 12
 
 
 def _check_grade_budget(K: int) -> None:
@@ -86,9 +91,9 @@ def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     return CoeffRing(terms)
 
 
-def bracket_xx(m: int, n: int, cap: int = 8) -> CoeffRing:
-    """[x_m, x_n] = (m - n) a_{m+n-1}."""
-    return laurent_coefficient_ring(m + n - 1, cap).scale(m - n)
+def bracket_xx(m: int, n: int) -> CoeffRing:
+    """[x_m, x_n] = (m - n) a_{m+n-1}, a cut at XX_CAP."""
+    return laurent_coefficient_ring(m + n - 1, XX_CAP).scale(m - n)
 
 
 def _numerators(pairs, trunc: int) -> tuple:
@@ -174,7 +179,7 @@ class VertexElem:
         return f"VertexElem({self.terms!r}, {self.trunc})"
 
 
-def x_elem(m: int, K: int = 6) -> VertexElem:
+def x_elem(m: int, K: int) -> VertexElem:
     return VertexElem._wrap({(m, 0): 1}, 1, K)
 
 
@@ -217,11 +222,11 @@ def y_generator(m: int, K: int = 6) -> VertexElem:
                              for k in range(K + 1)}, fK, K)
 
 
-def y_eigen_defect(n: int, m: int, K: int = 6) -> VertexElem:
-    """[L_n, y_m] - m y_{n+m} restricted to grades <= K (headroom inside)."""
-    y = y_generator(m, K + 1)
-    lhs = L_action(n, y).restrict(K)
-    rhs = y_generator(n + m, K + 1).scale(m).restrict(K)
+def y_eigen_defect(n: int, m: int) -> VertexElem:
+    """[L_n, y_m] - m y_{n+m} restricted to grades <= EIGEN_GRADE (headroom inside)."""
+    y = y_generator(m, EIGEN_GRADE + 1)
+    lhs = L_action(n, y).restrict(EIGEN_GRADE)
+    rhs = y_generator(n + m, EIGEN_GRADE + 1).scale(m).restrict(EIGEN_GRADE)
     return lhs + rhs.scale(-1)
 
 
@@ -277,8 +282,8 @@ def central_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def central_constraint_check(K: int = 6, index_max: int = 3) -> dict:
-    """Structure of C_{l,m} = [y_l, y_m] up to grade K.
+def central_constraint_check(K: int = 6) -> dict:
+    """Structure of C_{l,m} = [y_l, y_m] up to grade K, |l|, |m| <= INDEX_MAX.
 
     Verified exactly: antisymmetry; vanishing for odd l+m; the diagonal law
     c_m := C_{-m,m} = m c_1 with c_1 = C_{-1,1} = -2 sum_n ((-2)^n/n!)
@@ -294,93 +299,67 @@ def central_constraint_check(K: int = 6, index_max: int = 3) -> dict:
     [y_{-3}, y_1] = 8 gamma u at nu = w = 0), so delta-support fails; the
     nonzero off-diagonal pairs are returned."""
     _check_grade_budget(K)
-    ys = {m: y_generator(m, K) for m in range(-index_max - 1, index_max + 2)}
-    C = {}
-    rng = range(-index_max, index_max + 1)
-    for l in rng:
-        for m in rng:
-            C[(l, m)] = bracket_elems(ys[l], ys[m])
-
-    antisym = all(central_zero(central_sub(C[(l, m)], central_scale(C[(m, l)], -1)))
-                  for l in rng for m in rng)
-    parity = all(central_zero(C[(l, m)]) for l in rng for m in rng if (l + m) % 2)
-
+    rng = range(-INDEX_MAX, INDEX_MAX + 1)
+    ys = {m: y_generator(m, K) for m in rng}
+    C = {(l, m): bracket_elems(ys[l], ys[m]) for l in rng for m in rng}
     c1 = C[(-1, 1)]
-    diag_ok = True
-    for m in rng:
-        if -m < rng.start or -m > rng.stop - 1:
-            continue
-        if not central_zero(central_sub(C[(-m, m)], central_scale(c1, m))):
-            diag_ok = False
-    y0_diag_ok = central_zero(C[(0, 0)])
-
-    offdiag_nonzero = []
-    for l in rng:
-        for m in rng:
-            if l + m != 0 and not central_zero(C[(l, m)]):
-                offdiag_nonzero.append((l, m))
-
     # closed form of c_1 for cross-checking
-    c1_closed = {}
-    for n_grade in range(K + 1):
-        co = laurent_coefficient_ring(2 * n_grade - 1, K + 2) \
-            .scale(Fraction(-2 * (-2) ** n_grade, math.factorial(n_grade)))
-        if not co.is_zero():
-            c1_closed[n_grade] = co
-    c1_matches = central_zero(central_sub(c1, c1_closed))
-
+    c1_closed = {g: laurent_coefficient_ring(2 * g - 1, K + 2)
+                 .scale(Fraction(-2 * (-2) ** g, math.factorial(g))) for g in range(K + 1)}
+    offdiag_nonzero = [(l, m) for l in rng for m in rng
+                       if l + m != 0 and not central_zero(C[(l, m)])]
     return {
-        "antisymmetry": antisym,
-        "odd_parity_vanishing": parity,
-        "diagonal_proportionality": diag_ok,
-        "y0_self_bracket_zero": y0_diag_ok,
-        "c1_closed_form_matches": c1_matches,
+        "antisymmetry": all(central_zero(central_sub(C[(l, m)], central_scale(C[(m, l)], -1)))
+                            for l in rng for m in rng),
+        "odd_parity_vanishing": all(central_zero(C[(l, m)])
+                                    for l in rng for m in rng if (l + m) % 2),
+        "diagonal_proportionality": all(central_zero(central_sub(C[(-m, m)], central_scale(c1, m)))
+                                        for m in rng),
+        "y0_self_bracket_zero": central_zero(C[(0, 0)]),
+        "c1_closed_form_matches": central_zero(central_sub(c1, c1_closed)),
         "delta_support": not offdiag_nonzero,
         "offdiagonal_nonzero_pairs": offdiag_nonzero,
         "C": C,
     }
 
 
-def k_centrality_check(m: int, n: int, K: int = 6, ell_max: int = 3) -> bool:
+def k_centrality_check(m: int, n: int, K: int = 6) -> bool:
     """K_{m,n} := adcomm(m,n) - (n - m) ad(L_{m+n}) annihilates the span:
-    checked on all y_l and x_l (|l| <= ell_max) up to grade K."""
+    checked on all y_l and x_l (|l| <= INDEX_MAX) up to grade K."""
     _check_grade_budget(K)
-    ok = True
-    for ell in range(-ell_max, ell_max + 1):
-        for probe in (y_generator(ell, K + 2), x_elem(ell, K + 2)):
-            lhs = ad_commutator(m, n, probe).restrict(K)
-            rhs = L_action(m + n, probe).scale(n - m).restrict(K)
-            if lhs != rhs:
-                ok = False
-    return ok
+    probes = [p for ell in range(-INDEX_MAX, INDEX_MAX + 1)
+              for p in (y_generator(ell, K + 2), x_elem(ell, K + 2))]
+    return all(ad_commutator(m, n, p).restrict(K) == L_action(m + n, p).scale(n - m).restrict(K)
+               for p in probes)
 
 
-def truncation_stability(K_low: int = 6, K_high: int = 8, index_max: int = 2,
-                         cap: int = 12) -> bool:
-    """Raising the u-grade budget does not change coefficients at grades <= the
-    low budget (the coefficient-ring polynomial cap is a separate knob and is
-    held fixed for the comparison)."""
-    for l in range(-index_max, index_max + 1):
-        for m in range(-index_max, index_max + 1):
-            a = bracket_elems(y_generator(l, K_low), y_generator(m, K_low), cap=cap)
-            b = bracket_elems(y_generator(l, K_high), y_generator(m, K_high), cap=cap)
+def truncation_stability() -> bool:
+    """Raising the u-grade budget from STABILITY_GRADES[0] to [1] does not change
+    coefficients at grades <= the low budget (the coefficient-ring polynomial
+    cap is separate and held fixed at STABILITY_CAP for the comparison)."""
+    K_low, K_high = STABILITY_GRADES
+    rng = range(-STABILITY_INDEX_MAX, STABILITY_INDEX_MAX + 1)
+    for l in rng:
+        for m in rng:
+            a = bracket_elems(y_generator(l, K_low), y_generator(m, K_low), cap=STABILITY_CAP)
+            b = bracket_elems(y_generator(l, K_high), y_generator(m, K_high), cap=STABILITY_CAP)
             for g, coeff in a.items():
                 if g <= K_low and not central_zero({0: coeff - b.get(g, CoeffRing())}):
                     return False
     return True
 
 
-def jacobi_x_check(index_max: int = 3) -> bool:
-    """Antisymmetry and Jacobi on the x-generators.
+def jacobi_x_check() -> bool:
+    """Antisymmetry and Jacobi on the x-generators, |a|, |b| <= INDEX_MAX.
 
     [x_b, x_c] lands in the coefficient ring, which is central by construction
     (brackets of x with ring elements are zero), so every cyclic Jacobi term
     [x_a, [x_b, x_c]] vanishes identically; the content checked here is
     antisymmetry of the structure map and the Heisenberg specialization."""
-    for a in range(-index_max, index_max + 1):
-        for b in range(-index_max, index_max + 1):
-            lhs = bracket_xx(a, b, 6)
-            rhs = bracket_xx(b, a, 6).scale(-1)
+    for a in range(-INDEX_MAX, INDEX_MAX + 1):
+        for b in range(-INDEX_MAX, INDEX_MAX + 1):
+            lhs = bracket_xx(a, b)
+            rhs = bracket_xx(b, a).scale(-1)
             if not (lhs - rhs).is_zero():
                 return False
             if a == b and not lhs.is_zero():

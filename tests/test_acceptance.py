@@ -235,9 +235,9 @@ def test_criterion_13_vertex_passing_clauses():
     t0 = time.time()
     witt = all(vertex.witt_identity_check(n, l, m, K=6)
                for n in range(-4, 5) for l in range(-4, 5) for m in range(-4, 5))
-    eigen = all(vertex.y_eigen_defect(n, m, K=6).is_zero()
+    eigen = all(vertex.y_eigen_defect(n, m).is_zero()
                 for n in range(-3, 4) for m in range(-3, 4))
-    rep = vertex.central_constraint_check(K=6, index_max=3)
+    rep = vertex.central_constraint_check(K=6)
     kc = all(vertex.k_centrality_check(m, n, K=6) for m in range(-3, 4) for n in range(-3, 4))
     dt = time.time() - t0
     ok = witt and eigen and kc and rep["diagonal_proportionality"] \
@@ -281,8 +281,8 @@ def test_criterion_13_delta_support_as_stated():
     (At l = -m the same form gives the diagonal law c_m = m c_1, checked in
     the companion test.)
     """
-    K, index_max = 6, 3
-    rep = vertex.central_constraint_check(K=K, index_max=index_max)
+    K, index_max = 6, vertex.INDEX_MAX
+    rep = vertex.central_constraint_check(K=K)
     rng = range(-index_max, index_max + 1)
     mismatched = [(l, m) for l in rng for m in rng
                   if rep["C"][(l, m)] != central_bracket_oracle(l, m, K)]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from stardeform.cli import main, parse_poly, poly_to_str
 from stardeform.core import Poly
 from stardeform.errors import DomainError
+from stardeform.residue import CONTOUR_NODE_BUDGET
 from stardeform.verify import RunConfig
 
 
@@ -369,7 +370,9 @@ def assert_config_error(capsys, code):
     assert len(lines) == 1 and lines[0].startswith("configuration error: ")
 
 
-@pytest.mark.parametrize("args", [["--tau", "0,0"], ["--nodes", "0"]])
+@pytest.mark.parametrize("args", [["--tau", "0,0"], ["--nodes", "0"],
+                                  # refused before any node array is built
+                                  ["--nodes", str(CONTOUR_NODE_BUDGET + 1)]])
 def test_residue_bad_input_exit_two(args, capsys):
     assert_config_error(capsys, main(["residue", *args]))
 

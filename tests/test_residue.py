@@ -168,7 +168,7 @@ def test_parallel_polynomials_exact_kernel():
 
 def test_diffeqevol_exact():
     for k in range(-2, 3):
-        assert diffeqevol_exact_defect(k, q_max=8).is_zero()
+        assert diffeqevol_exact_defect(k).is_zero()
 
 
 def test_covariant_evolution_residual():

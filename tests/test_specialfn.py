@@ -165,8 +165,8 @@ def test_bessel_table_negative_orders_reflect_bit_for_bit():
     """At tau = 0 the table is the classical row itself; its negative orders are
     (-1)^k times the positive ones bit for bit, and every order matches the
     one-point reference.  A complex a keeps every part nonzero, so no signed zero
-    blurs the bytes, and the grid reaches |a w| > 10, where the rows recur
-    backward."""
+    blurs the bytes, and the grid reaches |a w| > BESSEL_SERIES_MAX, where the
+    rows recur backward."""
     a, ws = 1.3 + 0.4j, [-8.5, -2.5, -0.3, 0.7, 1.9]
     tab = bessel_table(a, 0.0, 12, ws)
     for k in range(1, 13):
@@ -180,8 +180,8 @@ def test_bessel_table_negative_orders_reflect_bit_for_bit():
 @settings(deadline=None, max_examples=60)
 @given(re=st.floats(-20.0, 20.0), im=st.floats(-4.0, 4.0), n_max=st.integers(0, 60))
 def test_bessel_table_at_tau_zero_matches_scipy(re, im, n_max):
-    """Both sides of the |z| = 10 switch, the ascending rows and the backward
-    recurrence, against scipy's J_n(z) for every order up to n_max."""
+    """Both sides of the |z| = BESSEL_SERIES_MAX switch, the ascending rows and
+    the backward recurrence, against scipy's J_n(z) for every order up to n_max."""
     z = complex(re, im)
     tab = bessel_table(z, 0.0, n_max, [1.0])
     for n in range(n_max + 1):
@@ -190,11 +190,27 @@ def test_bessel_table_at_tau_zero_matches_scipy(re, im, n_max):
 
 
 def test_bessel_table_orders_past_the_float_range_of_k_factorial():
-    """Orders above 170, where k! is no float, on both sides of |z| = 10."""
+    """Orders above 170, where k! is no float, on both sides of the series switch."""
     tab = bessel_table(1.0, 1.0, 200, [-1.0, 0.5, 12.0])
     assert all(np.isfinite(tab.values[n]).all() for n in range(-200, 201))
     assert bessel_unit_sum_residual(tab) < 1e-10
     assert np.abs(tab.values[200]).max() < 1e-200
+
+
+def test_bessel_rows_near_the_series_switch_match_scipy():
+    """The classical rows (tau = 0) on 4 <= |z| <= 12, |Im z| <= 4, orders
+    0..60, against scipy, the error over max(1, |J|): the series up to |z| = 6
+    and the backward recurrence beyond stay within a few ulps.  The ascending
+    series summed up to |z| = 10 read 1.3e-13 here, its terms reaching 7e2."""
+    radii = np.linspace(4.0, 12.0, 33)
+    for phi in (0.0, 0.1, -0.2, 0.33, math.pi - 0.33):    # |Im z| <= 12 sin 0.33 < 4
+        a = cmath.exp(1j * phi)
+        ws = np.concatenate([-radii, radii])
+        tab = bessel_table(a, 0.0, 60, ws)
+        for n in range(61):
+            want = sps.jv(n, a * ws)
+            err = np.abs(tab.values[n] - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() < 1e-14, (n, phi)
 
 
 def test_bessel_addition_formula():
