@@ -72,34 +72,42 @@ def _halfline_integrand(a, w_grid, t_weight=None):
     return f, osc
 
 
-def _osc_halfline(tau, a, w_grid, side: int, t_weight=None):
-    """integral over the half-line (side=+1: t in (-inf,0]; -1: [0,inf)) of
-    w(t) e^{-t^2 tau/4} e^{it(a+w)} dt for each w in the grid.
+def sided_inverse(a, side: str, tau, w_grid):
+    """Two inverses of (a + w):  '+': i * integral_{-inf}^0,  '-': -i * integral_0^inf
+    of e^{-t^2 tau/4} e^{it(a+w)} dt, the linear exponential's tau-expression, for
+    each w in the grid.
 
     Im a shifts the Gaussian peak off t=0, so the window widens by it; the
     panels resolve both the e^{itw} oscillation and the growth from Im a."""
-    f, osc = _halfline_integrand(a, w_grid, t_weight)
-    return integrate_gaussian_window(f, tau, -side, osc, shift=complex(a).imag)
-
-
-def sided_inverse(a, side: str, tau, w_grid):
-    """Two inverses of (a + w):  '+': i * integral_{-inf}^0,  '-': -i * integral_0^inf
-    of the linear exponential's tau-expression."""
     check_tau(tau)
-    if side == "+":
-        return 1j * _osc_halfline(tau, a, w_grid, +1)
-    if side == "-":
-        return -1j * _osc_halfline(tau, a, w_grid, -1)
-    raise ValueError("side must be '+' or '-'")
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    sgn = +1 if side == "+" else -1
+    f, osc = _halfline_integrand(a, w_grid)
+    return (1j if sgn > 0 else -1j) * integrate_gaussian_window(f, tau, -sgn, osc,
+                                                                shift=complex(a).imag)
 
 
 def sided_inverse_defect(a, side: str, tau, w_grid) -> float:
-    """max over the grid of |(a+w) f + (tau/2) f' - 1| (the inverse property)."""
+    """max over the grid of |(a+w) f + (tau/2) f' - 1| (the inverse property).
+
+    Differentiating in w brings a factor it into f's integrand, so one window
+    integrates both: each pass builds e^{it(a+w)} once and stacks it with its
+    product by it."""
+    check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
     sgn = +1 if side == "+" else -1
-    f = sided_inverse(a, side, tau, w_grid)
-    fp = (1j if sgn > 0 else -1j) * _osc_halfline(
-        tau, a, w_grid, sgn, t_weight=lambda t: 1j * t)
+    f_t, osc = _halfline_integrand(a, w_grid)
+
+    def both(t):
+        base = f_t(t)
+        vals = np.empty((2,) + base.shape, complex)
+        vals[0] = base
+        np.multiply(vals[0], 1j * t, out=vals[1])
+        return vals
+
+    f, fp = (1j if sgn > 0 else -1j) * integrate_gaussian_window(both, tau, -sgn, osc,
+                                                                 shift=a_c.imag)
     resid = (a_c + as_grid(w_grid)) * f + tau_c / 2 * fp - 1.0
     return float(np.abs(resid).max())
 
@@ -285,29 +293,28 @@ def periodic_comb_residual(a, tau, w_grid) -> float:
 
 # ------------------------------------------------- constant-variation route
 
-def constant_variation_inverse(a, tau, w_grid):
-    """g_a(w) = (2/tau) integral_0^1 exp(((a+wt)^2 - (a+w)^2)/tau) w dt, an inverse of
-    (a+w); adding C exp(-(a+w)^2/tau), which (a+w) annihilates, gives the others."""
+def constant_variation_defect(a, tau, w_grid) -> float:
+    """|(a+w) g_a + (tau/2) g_a' - 1| on the grid for the inverse of (a+w)
+
+        g_a(w) = (2/tau) integral_0^1 e^E w dt,  E = ((a+wt)^2 - (a+w)^2)/tau;
+
+    adding C exp(-(a+w)^2/tau), which (a+w) annihilates, gives the others.
+    g_a' is differentiated under the integral, (2/tau) integral_0^1 e^E (1 + w dE/dw) dt,
+    and one row-form refinement takes both: row r < n is g_a at w_r, row n + r
+    is g_a' there."""
     check_tau(tau)
     tau_c, a_c = complex(tau), complex(a)
     ws = as_grid(w_grid)
+    n = len(ws)
 
     def f(t, rows):
-        w_col = ws[rows, None]
-        return np.exp(((a_c + w_col * t) ** 2 - (a_c + w_col) ** 2) / tau_c) * w_col
+        w_col = ws[rows % n, None]
+        e = np.exp(((a_c + w_col * t) ** 2 - (a_c + w_col) ** 2) / tau_c)
+        dE = (2 * t * (a_c + w_col * t) - 2 * (a_c + w_col)) / tau_c
+        return e * np.where(rows[:, None] < n, w_col, 1 + w_col * dE)
 
-    return integrate_segment_refined(f, np.zeros(len(ws)), np.ones(len(ws)), tol=1e-13) * 2 / tau_c
-
-
-def constant_variation_defect(a, tau, w_grid) -> float:
-    """|(a+w) g_a + (tau/2) g_a' - 1| with g_a' by central differences."""
-    tau_c, a_c = complex(tau), complex(a)
-    h = 1e-5
-    ws = as_grid(w_grid)
-    g0 = constant_variation_inverse(a, tau, ws)
-    gp = (constant_variation_inverse(a, tau, ws + h)
-          - constant_variation_inverse(a, tau, ws - h)) / (2 * h)
-    resid = (a_c + ws) * g0 + tau_c / 2 * gp - 1.0
+    vals = integrate_segment_refined(f, np.zeros(2 * n), np.ones(2 * n), tol=1e-13) * 2 / tau_c
+    resid = (a_c + ws) * vals[:n] + tau_c / 2 * vals[n:] - 1.0
     return float(np.abs(resid).max())
 
 

@@ -6,23 +6,30 @@ N_NODES-node panels over an explicitly cut interval (gaussian_halfwidth, and
 x_window for a Gaussian e^{-(x - c)^2/tau} on the x side).
 
 integrate_segment is the fixed kernel: one pass of equal panels.
-integrate_segment_refined is the driver every rule goes through.  A pass
-estimates its error from the node values it already has: each panel of width
-h adds h (|c_14| + |c_15|), c_k = (2k+1)/2 sum_j w_j P_k(x_j) f(x_j) being the
-Legendre coefficients of f on the panel (Trefethen, SIAM Review 50, 2008), and
-eps * integral |f| adds the rounding left by cancellation in the sum.  The
-driver returns the first pass whose estimate is within tol * max(floor,
-|value|), doubling the panels up to max_panels, and otherwise raises
-QuadratureFailure; it raises at once where the value is not finite or the
-rounding term alone exceeds the bound, which more panels cannot lower.  The
-x-side rules take floor = 1; the Gaussian windows take floor = 0 and
-WINDOW_RTOL, relative to the largest value on the grid however small it is.
+integrate_segment_refined is the driver every rule goes through.  It doubles
+the panels from start_panels up to max_panels and returns the first pass whose
+error, estimated either of two ways, plus a rounding term is within
+tol * max(floor, |value|):
+  - from the pass's own node values: each panel of width h adds
+    h (|c_14| + |c_15|), c_k = (2k+1)/2 sum_j w_j P_k(x_j) f(x_j) being the
+    Legendre coefficients of f on the panel (Trefethen, SIAM Review 50, 2008).
+    That bounds the degree-15 interpolant, so it is pessimistic for the 16-node
+    rule, which is exact to degree 31;
+  - from the second pass on, by |value - previous pass's value|, the classical
+    composite-rule test (Piessens et al., QUADPACK, 1983).
+The rounding term eps * integral |f| is what cancellation in the sum leaves.
+Otherwise the driver raises QuadratureFailure; it raises at once where the
+value is not finite or the rounding term alone exceeds the bound, which more
+panels cannot lower.  The x-side rules take floor = 1; the Gaussian windows
+take floor = 0 and WINDOW_RTOL, relative to the largest value on the grid
+however small it is.
 
 Both functions have a row form: with 1-D arrays of endpoints, row r of the
 nodes lies on row r's segment, so one call integrates one integrand per grid
 point, say, over a segment of its own.  The driver accepts each row on its
-own and calls f(x, rows), rows being the indices of the rows x holds, so that
-a doubling pass covers only the rows not yet accepted.
+own, against its own previous value, and calls f(x, rows), rows being the
+indices of the rows x holds, so that a doubling pass covers only the rows not
+yet accepted.
 
 `_panel_rule(n_panels)` caches the composite rule on [0, 1] and hands every
 caller the same read-only arrays (a write raises ValueError); it keeps at most
@@ -114,21 +121,23 @@ def _error_terms(vals, span, n_panels: int):
 def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8,
                               max_panels: int = 512, floor: float = 1.0):
     """The quadrature driver: integrate_segment from start_panels panels, doubled
-    until the error estimate (see the module docstring) is within
+    until the node estimate, or from the second pass on the change from the
+    previous pass, plus the rounding term (see the module docstring) is within
     tol * max(floor, |value|); raises QuadratureFailure beyond max_panels, at once
     where rounding alone exceeds that bound, or where the value is not finite.
 
     With scalar endpoints the whole value (every entry of a vector-valued f) is
-    accepted together: the largest estimate against tol * max(floor, largest
-    |entry|).  With 1-D arrays of per-row endpoints each row is accepted on its
-    own, against tol * max(floor, |row value|), and a doubling pass calls
+    accepted together: the largest estimate, each entry's the smaller of its two,
+    against tol * max(floor, largest |entry|).  With 1-D arrays of per-row
+    endpoints each row is accepted on its own, against tol * max(floor,
+    |row value|) and its own previous value, and a doubling pass calls
     f(x, rows) on the rows not yet accepted only."""
     rows = np.ndim(b - a) > 0
     if rows:
         a, b = np.asarray(a), np.asarray(b)
         out = np.empty(len(a), complex)
         todo = np.arange(len(a))
-    n = start_panels
+    n, prev = start_panels, None
     while n <= max_panels:
         passes = []
 
@@ -143,6 +152,8 @@ def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8
             trunc, rounding = _error_terms(passes[0], hi - lo, n)
         if not (np.all(np.isfinite(val)) and np.all(np.isfinite(trunc + rounding))):
             raise QuadratureFailure(f"quadrature value is not finite with {n} panels")
+        if prev is not None:
+            trunc = np.minimum(trunc, np.abs(val - prev))
         if rows:
             bound = tol * np.maximum(floor, np.abs(val))
         else:
@@ -155,9 +166,10 @@ def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8
         if not rows:
             if met:
                 return val
+            prev = val
         else:
             out[todo[met]] = val[met]
-            todo = todo[~met]
+            todo, prev = todo[~met], val[~met]
             if not len(todo):
                 return out
         n *= 2
@@ -210,13 +222,16 @@ def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0,
     vectorized over its last axis.
 
     The window is cut at gaussian_halfwidth(Re tau/4, |shift|, power), where the
-    weighted envelope has fallen log(1e16) below its peak.  It starts from
-    max(24, int(2 (osc + |Im tau| T/2) T/pi) + 8) panels, which resolve an
-    oscillation e^{i osc t} together with the Gaussian's chirp e^{-i t^2 Im tau/4},
-    whose frequency reaches |Im tau| T/2 at the cut, with at least four panels
-    per wavelength of their summed frequency.  A start beyond
-    WINDOW_PANEL_BUDGET panels raises QuadratureFailure; otherwise the driver
-    refines up to that budget against WINDOW_RTOL times the largest value."""
+    weighted envelope has fallen log(1e16) below its peak.  The oscillation
+    e^{i osc t} and the Gaussian's chirp e^{-i t^2 Im tau/4}, whose frequency
+    reaches |Im tau| T/2 at the cut, sum to a frequency k, and
+    waves = 2 (osc + |Im tau| T/2) T/pi panels would give four panels per
+    wavelength of it.  The window starts from max(4, int(waves / 8) + 2) panels,
+    about half a panel per wavelength: there kh/2 is about 2 pi, which the
+    16-node rule resolves, and the doubling after it confirms the value by the
+    change between the two passes.  Where waves + 8 exceeds WINDOW_PANEL_BUDGET
+    the window raises QuadratureFailure; otherwise the driver refines up to that
+    budget against WINDOW_RTOL times the largest value."""
     tau_c = complex(tau)
     T = gaussian_halfwidth(tau_c.real / 4, abs(shift), power)
     waves = 2 * (osc + abs(tau_c.imag) * T / 2) * T / math.pi
@@ -228,5 +243,5 @@ def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0,
         return f(t) * np.exp(-t * t * tau_c / 4)
 
     return integrate_segment_refined(windowed, 0.0 if side > 0 else -T, 0.0 if side < 0 else T,
-                                     WINDOW_RTOL, max(24, int(waves) + 8), WINDOW_PANEL_BUDGET,
+                                     WINDOW_RTOL, max(4, int(waves / 8) + 2), WINDOW_PANEL_BUDGET,
                                      floor=0.0)

@@ -417,10 +417,10 @@ def laguerre_from_quad_expansion(N: int, tau, x) -> list:
 def laguerre_orthogonality(n: int, m: int, tau):
     """integral_0^inf x^{-1/2} e^{x/tau} L_n L_m dx (Re tau < 0), by quadrature.
 
-    The x^{-1/2} weight is the one the oracle confirms: with it the family is
-    orthogonal and the integration-by-parts telescoping of the Rodrigues form
-    x^{1/2} e^{-x/tau} L_n = (1/(n! tau^n)) d^n/dx^n (x^{n-1/2} e^{x/tau})
-    closes.  (Substituting x = u^2 removes the endpoint singularity.)
+    With the x^{-1/2} weight the family is orthogonal: the Rodrigues form
+    x^{-1/2} e^{x/tau} L_n = (tau^n/n!) d^n/dx^n (x^{n-1/2} e^{x/tau}) (see
+    laguerre_orthogonality_target) integrates by parts onto d^n/dx^n L_m, which
+    vanishes for m < n.  (Substituting x = u^2 removes the endpoint singularity.)
     """
     import numpy as np
 
@@ -442,6 +442,15 @@ def laguerre_orthogonality(n: int, m: int, tau):
 
 
 def laguerre_orthogonality_target(n: int, tau) -> complex:
-    """Oracle-determined normalization Gamma(n+1/2) (-tau)^{1/2} / n!."""
+    """laguerre_orthogonality(n, n, tau) in closed form,
+    tau^{2n} Gamma(n+1/2) (-tau)^{1/2} / n!  (Re tau < 0).
+
+    With x = -tau y the table is L_n(x, tau) = tau^n L_n^{(-1/2)}(y), the classical
+    Laguerre polynomial, whose Rodrigues form
+    L_n^{(-1/2)}(y) = y^{1/2} e^y / n! d^n/dy^n (y^{n-1/2} e^{-y}) becomes
+    x^{-1/2} e^{x/tau} L_n = (tau^n/n!) d^n/dx^n (x^{n-1/2} e^{x/tau}).  n integrations
+    by parts move the derivatives onto L_n, whose n-th derivative is 1, so the
+    pairing is (tau^n/n!) (-1)^n integral_0^inf x^{n-1/2} e^{x/tau} dx
+    = (tau^n/n!) (-1)^n Gamma(n+1/2) (-tau)^{n+1/2}."""
     tau_c = complex(tau)
-    return math.gamma(n + 0.5) * (-tau_c) ** 0.5 / math.factorial(n)
+    return tau_c ** (2 * n) * (math.gamma(n + 0.5) * (-tau_c) ** 0.5 / math.factorial(n))

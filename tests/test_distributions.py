@@ -461,6 +461,86 @@ def test_driver_accepts_on_the_sum_of_both_terms(monkeypatch):
         integrate_segment_refined(np.ones_like, 0.0, 1.0)
 
 
+def _passes_of(values):
+    """An f for the scalar driver whose k-th pass integrates the constant values[k]
+    over [0, 1], and the list of the panel counts it was called with."""
+    panels = []
+
+    def f(x):
+        panels.append(x.size // N_NODES)
+        return np.full_like(x, values[len(panels) - 1])
+
+    return f, panels
+
+
+def test_driver_accepts_on_the_change_from_the_previous_pass(monkeypatch):
+    """A pass that misses on its node estimate is accepted once its value is
+    within the bound of the previous pass's: the value moves by 1e-9 from the
+    first to the second pass, so the third pass, which moves by 0, returns."""
+    from stardeform import quadrature
+    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (1.0, 0.0))
+    f, panels = _passes_of([1.0, 1.0 + 1e-9, 1.0 + 1e-9])
+    assert integrate_segment_refined(f, 0.0, 1.0) == pytest.approx(1.0 + 1e-9, abs=1e-15)
+    assert panels == [8, 16, 32]
+
+
+def test_driver_never_accepts_a_first_pass_on_a_difference(monkeypatch):
+    """With one pass allowed there is no previous pass, so a pass that misses
+    on its node estimate is refused however settled its value."""
+    from stardeform import quadrature
+    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (1.0, 0.0))
+    f, panels = _passes_of([1.0, 1.0])
+    with pytest.raises(QuadratureFailure, match="did not reach"):
+        integrate_segment_refined(f, 0.0, 1.0, max_panels=8)
+    assert panels == [8]
+
+
+def test_driver_adds_the_rounding_term_to_the_difference(monkeypatch):
+    """A change of 0.6e-12 between passes fits the bound 1e-12 alone, but not
+    with a rounding term of 0.6e-12 beside it."""
+    from stardeform import quadrature
+    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (1.0, 0.6e-12))
+    f, panels = _passes_of([1.0, 1.0 + 0.6e-12, 1.0 + 0.6e-12])
+    integrate_segment_refined(f, 0.0, 1.0)
+    assert panels == [8, 16, 32]
+
+
+def test_driver_rows_take_the_difference_against_their_own_previous_pass(monkeypatch):
+    """Rows 0 and 2 hold their values from the first pass and are accepted on
+    the second; row 1 moves from 2 to 3 and is accepted on the third pass, where
+    its previous value is its own 3, not another row's."""
+    from stardeform import quadrature
+    monkeypatch.setattr(quadrature, "_error_terms",
+                        lambda vals, span, n: (np.ones(vals.shape[:-1]), np.zeros(vals.shape[:-1])))
+    by_pass = [np.asarray([1.0, 2.0, 5.0]), np.asarray([1.0, 3.0, 5.0]),
+               np.asarray([9.0, 3.0, 9.0]), np.asarray([9.0, 4.0, 9.0])]
+    seen = []
+
+    def f(x, rows):
+        seen.append(rows.tolist())
+        return np.broadcast_to(by_pass[len(seen) - 1][rows, None], x.shape)
+
+    got = integrate_segment_refined(f, np.zeros(3), np.ones(3))
+    assert seen == [[0, 1, 2], [0, 1, 2], [1]]
+    assert np.abs(got - [1.0, 3.0, 5.0]).max() < 1e-14
+
+
+@pytest.mark.parametrize("tau, osc, panels", [(1.0, 1.0, 4), (1.0, 4.0, 5), (0.5 + 1j, 4.0, 19),
+                                               (2 - 1j, 3.0, 6), (0.1 + 4j, 1.3, 240)])
+def test_window_start_is_an_eighth_of_the_summed_waves(tau, osc, panels):
+    """A Gaussian window's first pass has max(4, int(waves / 8) + 2) panels, waves
+    being the panel count of four per wavelength of the summed frequency; at
+    kh/2 about 2 pi the 16-node rule resolves it, and one doubling confirms it."""
+    seen = []
+
+    def f(t):
+        seen.append(t.size // N_NODES)
+        return np.ones_like(t)
+
+    integrate_gaussian_window(f, tau, +1, osc)
+    assert seen[0] == panels
+
+
 # ------------------------------- the driver against closed forms
 
 FINITE = dict(allow_nan=False, allow_infinity=False)

@@ -401,3 +401,24 @@ def test_laguerre_orthogonality():
         got = laguerre_orthogonality(n, n, tau)
         want = laguerre_orthogonality_target(n, tau)
         assert abs(got - want) < 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("tau", [-2.0, -0.5, -1 - 1j, -1.5 + 0.5j])
+def test_laguerre_orthogonality_target_off_tau_minus_one(tau):
+    """Away from tau = -1, where tau^{2n} = 1, the closed form carries its factor
+    tau^{2n}: against mpmath.quad of the pairing (x = u^2, 30 digits), and the
+    package's own quadrature against it.  Without the factor the (3, 3) pairing
+    at tau = -2 is 64 times the target."""
+    tab = laguerre_star(3, complex(tau))
+    for n in range(4):
+        want = laguerre_orthogonality_target(n, tau)
+        with mpmath.workdps(30):
+            t, cs = mpmath.mpc(tau), [mpmath.mpc(c) for c in tab[n].to_complex().coeffs]
+
+            def pairing(u):
+                x = u * u
+                return 2 * mpmath.exp(x / t) * sum(c * x ** k for k, c in enumerate(cs)) ** 2
+
+            ref = complex(mpmath.quad(pairing, [0, 2, 5, mpmath.inf]))
+        assert abs(want - ref) <= 1e-14 * abs(ref)
+        assert abs(laguerre_orthogonality(n, n, tau) - want) <= 1e-13 * abs(want)
