@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
-from .exact import QC, as_qc
+from .exact import QC, as_qc, from_gaussian, to_gaussian
 from .numeric import as_grid
 
 SQRT2 = math.sqrt(2.0)
@@ -344,29 +344,44 @@ def legendre_star(N: int, a, tau, w_grid):
     return out
 
 
-def _half_integer_moment(k: int) -> Fraction:
-    """(1/sqrt(pi)) integral_0^inf s^{k-1/2} e^{-s} ds = (2k)! / (4^k k!)."""
-    return Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
-
-
 def legendre_star_exact(N: int, tau) -> list:
     """Exact dual route: P_n(., tau) as a polynomial in v = w + a over QC for an
-    exact tau (half-integer moments are rational)."""
+    exact tau (half-integer moments are rational).
+
+    The s-integral of the (tau s^2 - s)^j term against s^{n-2j-1/2} e^{-s} is
+    a half-integer moment (2k-1)!!/2^k.  With tau = T/t_d (T a Gaussian
+    integer), the coefficient of v^(n-2j) is
+
+        sum_i C(j,i) (-1)^(j-i) (2(n-j+i)-1)!! 2^(j-i) T^i t_d^(j-i)
+            / (2^(2j) j! (n-2j)! t_d^j),
+
+    summed in ints and canonicalised once per coefficient."""
     tau = as_qc(tau)
     if type(tau) is not QC:
         raise DomainError("legendre_star_exact needs an exact tau; legendre_star is the float route")
-    tau_pows = [tau ** i for i in range(N // 2 + 1)]
+    (ta,), (tb,), td = to_gaussian((tau,))
+    t_re, t_im, td_pow = [1], [0], [1]              # T^i and t_d^i, i <= N/2
+    for _ in range(N // 2):
+        a, b = t_re[-1], t_im[-1]
+        t_re.append(a * ta - b * tb)
+        t_im.append(a * tb + b * ta)
+        td_pow.append(td_pow[-1] * td)
+    odd_fact = [1]                                  # (2k-1)!!, k <= N
+    for k in range(1, N + 1):
+        odd_fact.append(odd_fact[-1] * (2 * k - 1))
     out = []
     for n in range(N + 1):
         coeffs = [QC(0)] * (n + 1)
         for j in range(n // 2 + 1):
+            re = im = 0
             for i in range(j + 1):
-                # (tau s^2 - s)^j term: binom(j,i) tau^i (-1)^(j-i) s^(j+i)
-                power_v = n - 2 * j
-                mom = _half_integer_moment(n - j + i)
-                base = math.comb(j, i) * (-1) ** (j - i) * 2 ** power_v \
-                    * mom / (math.factorial(j) * math.factorial(n - 2 * j))
-                coeffs[power_v] = coeffs[power_v] + as_qc(base) * tau_pows[i]
+                c = math.comb(j, i) * odd_fact[n - j + i] * (td_pow[j - i] << (j - i))
+                if (j - i) % 2:
+                    c = -c
+                re += c * t_re[i]
+                im += c * t_im[i]
+            den = (td_pow[j] << (2 * j)) * math.factorial(j) * math.factorial(n - 2 * j)
+            coeffs[n - 2 * j] = from_gaussian(re, im, den)
         out.append(Poly(coeffs))
     return out
 

@@ -71,18 +71,18 @@ def suite_core(cfg: RunConfig) -> list:
         g = _rand_poly(rng, rng.randint(0, 8))
         h = _rand_poly(rng, rng.randint(0, 6))
         t1, t2, t3 = (_rand_qc(rng) for _ in range(3))
-        if core.star_product(f, g, t1) != core.star_product(g, f, t1):
+        # f *_t1 g and f taken to t2 each serve three and two laws; the other
+        # side of every law is formed on its own
+        fg = core.star_product(f, g, t1)
+        f12 = core.intertwine(f, t1, t2)
+        if fg != core.star_product(g, f, t1):
             worst_comm = 1
-        if core.star_product(core.star_product(f, g, t1), h, t1) != \
-                core.star_product(f, core.star_product(g, h, t1), t1):
+        if core.star_product(fg, h, t1) != core.star_product(f, core.star_product(g, h, t1), t1):
             worst_assoc = 1
-        if core.intertwine(f, t1, t3) != \
-                core.intertwine(core.intertwine(f, t1, t2), t2, t3):
+        if core.intertwine(f, t1, t3) != core.intertwine(f12, t2, t3):
             worst_cocycle = 1
-        lhs = core.intertwine(core.star_product(f, g, t1), t1, t2)
-        rhs = core.star_product(core.intertwine(f, t1, t2),
-                                core.intertwine(g, t1, t2), t2)
-        if lhs != rhs:
+        if core.intertwine(fg, t1, t2) != \
+                core.star_product(f12, core.intertwine(g, t1, t2), t2):
             worst_hom = 1
     out.append(_rec("product-commutativity", "deformed product commutes (exact)",
                     worst_comm, 0.0))
@@ -452,9 +452,8 @@ def suite_halfseries(cfg: RunConfig) -> list:
 
 def suite_vertex(cfg: RunConfig) -> list:
     out = []
-    ok = all(vertex.witt_identity_check(n, l, m, K=6)
-             for n in range(-3, 4) for l in range(-3, 4) for m in range(-3, 4))
-    out.append(_bool_rec("witt-identity", "operator commutators close (exact sweep)", ok))
+    out.append(_bool_rec("witt-identity", "operator commutators close (exact sweep)",
+                         vertex.witt_identity_check(3, K=6)))
     ok = all(vertex.y_eigen_defect(n, m).is_zero()
              for n in range(-2, 3) for m in range(-3, 4))
     out.append(_bool_rec("normalized-generator-eigen",
@@ -467,9 +466,9 @@ def suite_vertex(cfg: RunConfig) -> list:
     out.append(_bool_rec("central-diagonal-proportionality",
                          "diagonal central charges are proportional to the index (exact)",
                          rep["diagonal_proportionality"] and rep["c1_closed_form_matches"]))
-    ok = all(vertex.k_centrality_check(m, n, K=6) for m in range(-3, 4) for n in range(-3, 4))
     out.append(_bool_rec("central-remainder-annihilates",
-                         "Witt remainder operator annihilates the span (exact)", ok))
+                         "Witt remainder operator annihilates the span (exact)",
+                         vertex.k_centrality_check(K=6)))
     out.append(_bool_rec("gamma-dictionary",
                          "coefficient ring reproduces numeric Laurent values",
                          abs(vertex.laurent_coefficient_ring(-1, 40).evaluate(1 + 0.3j, 0.7, 0.4)

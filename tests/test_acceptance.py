@@ -233,12 +233,11 @@ def test_criterion_12_divergence_evidence():
 
 def test_criterion_13_vertex_passing_clauses():
     t0 = time.time()
-    witt = all(vertex.witt_identity_check(n, l, m, K=6)
-               for n in range(-4, 5) for l in range(-4, 5) for m in range(-4, 5))
+    witt = vertex.witt_identity_check(4, K=6)
     eigen = all(vertex.y_eigen_defect(n, m).is_zero()
                 for n in range(-3, 4) for m in range(-3, 4))
     rep = vertex.central_constraint_check(K=6)
-    kc = all(vertex.k_centrality_check(m, n, K=6) for m in range(-3, 4) for n in range(-3, 4))
+    kc = vertex.k_centrality_check(K=6)
     dt = time.time() - t0
     ok = witt and eigen and kc and rep["diagonal_proportionality"] \
         and rep["c1_closed_form_matches"] and rep["antisymmetry"] \

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardeform import QC, Poly, infinitesimal_intertwiner, intertwine, star_product, w_star_power
+from stardeform import (QC, Poly, core, infinitesimal_intertwiner, intertwine, star_product,
+                        verify, w_star_power)
 from stardeform.core import _intertwine_loop, _star_product_loop
 from stardeform.exact import all_exact, as_qc, is_exact
 from stardeform.specialfn import hermite_table, laguerre_star, legendre_star_exact
@@ -150,6 +151,33 @@ def test_intertwiner_homomorphism_exact(f, g, t1, t2):
     lhs = intertwine(star_product(f, g, t1), t1, t2)
     rhs = star_product(intertwine(f, t1, t2), intertwine(g, t1, t2), t2)
     assert lhs == rhs
+
+
+# ------------------------------------- `verify core` with a broken product law
+# The suite forms f *_t1 g and f taken from t1 to t2 once per draw and reuses
+# them; each law must still compare two independently formed sides.
+
+CORE_LAWS = ("product-commutativity", "product-associativity", "intertwiner-cocycle",
+             "intertwiner-homomorphism")
+
+
+def core_verdicts(seed: int = 1) -> dict:
+    return {r["anchor"]: r["passed"] for r in verify.suite_core(verify.RunConfig(seed=seed))
+            if r["anchor"] in CORE_LAWS}
+
+
+def test_verify_core_catches_an_asymmetric_product(monkeypatch):
+    real = core.star_product
+    monkeypatch.setattr(core, "star_product", lambda f, g, tau: real(f, g, tau) + f)
+    assert not core_verdicts()["product-commutativity"]
+
+
+def test_verify_core_catches_an_intertwiner_that_reads_its_start(monkeypatch):
+    real = core.intertwine
+    monkeypatch.setattr(core, "intertwine",
+                        lambda f, t_from, t_to: real(f, t_from, t_to) + f.scale(t_from))
+    got = core_verdicts()
+    assert not got["intertwiner-cocycle"] and not got["intertwiner-homomorphism"]
 
 
 def test_pn_recurrence_exact():

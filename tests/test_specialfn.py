@@ -267,6 +267,38 @@ def test_legendre_exact_route_matches_quadrature_at_complex_tau():
         assert np.abs(np.asarray(vals[n]) - want).max() < 1e-10
 
 
+def legendre_star_exact_reference(N: int, tau) -> list:
+    """The exact table term by term over Fraction and QC: the coefficient of
+    v^(n-2j) sums C(j,i) tau^i (-1)^(j-i) 2^(n-2j) M(n-j+i) / (j! (n-2j)!),
+    with the half-integer moment M(k) = (2k)!/(4^k k!)."""
+    tau = QC(tau) if not isinstance(tau, QC) else tau
+    out = []
+    for n in range(N + 1):
+        coeffs = [QC(0)] * (n + 1)
+        for j in range(n // 2 + 1):
+            for i in range(j + 1):
+                k = n - j + i
+                mom = Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k))
+                base = math.comb(j, i) * (-1) ** (j - i) * 2 ** (n - 2 * j) \
+                    * mom / (math.factorial(j) * math.factorial(n - 2 * j))
+                coeffs[n - 2 * j] = coeffs[n - 2 * j] + QC(base) * tau ** i
+        out.append(Poly(coeffs))
+    return out
+
+
+LEGENDRE_RATS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.builds(QC, LEGENDRE_RATS, LEGENDRE_RATS), st.integers(0, 40))
+def test_legendre_exact_matches_term_by_term_reference(tau, N):
+    """The integer-sum table equals the Fraction/QC sum, coefficient for coefficient."""
+    got = legendre_star_exact(N, tau)
+    want = legendre_star_exact_reference(N, tau)
+    assert got == want
+    assert all(type(c) is QC for p in got for c in p.coeffs)
+
+
 def test_legendre_exact_rejects_float_tau():
     """A float tau has no exact table; the message names the float route."""
     for tau in (-1.0, -0.5 + 0.25j):

@@ -4,14 +4,16 @@ import cmath
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import stardeform.vertex as vx
 from stardeform.residue import laurent_coeff_closed
-from stardeform.vertex import (XX_CAP, L_action, VertexElem, ad_commutator, bracket_elems,
-                               bracket_xx, central_constraint_check, central_scale, central_sub,
-                               central_zero, jacobi_x_check, k_centrality_check,
-                               laurent_coefficient_ring, truncation_stability, witt_identity_check,
-                               x_elem, y_eigen_defect, y_generator)
+from stardeform.vertex import (INDEX_MAX, XX_CAP, L_action, VertexElem, bracket_elems, bracket_xx,
+                               central_constraint_check, central_scale, central_sub, central_zero,
+                               jacobi_x_check, k_centrality_check, laurent_coefficient_ring,
+                               truncation_stability, witt_identity_check, x_elem, y_eigen_defect,
+                               y_generator)
 
 TRUNC = 3
 RATS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -88,13 +90,65 @@ def test_nested_action_expansion():
     assert out.terms[(n + m + ell + 4, 2)] == Fraction(4)
 
 
+# ------------------------------------------- per-pair references of the sweeps
+# One check per pair, every action formed afresh through vx.L_action (so a
+# patched action reaches them too); the memoised sweeps must agree with them.
+
+def ad_commutator(n: int, ell: int, e: VertexElem) -> VertexElem:
+    """ad(L_n) ad(L_ell) - ad(L_ell) ad(L_n) applied to e."""
+    return vx.L_action(n, vx.L_action(ell, e)) + vx.L_action(ell, vx.L_action(n, e)).scale(-1)
+
+
+def witt_identity_reference(n: int, ell: int, m: int, K: int) -> bool:
+    """ad(L_n)ad(L_ell) - ad(L_ell)ad(L_n) = (ell - n) ad(L_{n+ell}) on x_m,
+    compared exactly on grades <= K (computed with headroom K+2)."""
+    e = x_elem(m, K + 2)
+    lhs = ad_commutator(n, ell, e).restrict(K)
+    rhs = vx.L_action(n + ell, e).scale(ell - n).restrict(K)
+    return lhs == rhs
+
+
+def k_centrality_reference(m: int, n: int, K: int) -> bool:
+    """adcomm(m,n) - (n - m) ad(L_{m+n}) annihilates all y_l and x_l
+    (|l| <= INDEX_MAX) up to grade K."""
+    probes = [p for ell in range(-INDEX_MAX, INDEX_MAX + 1)
+              for p in (y_generator(ell, K + 2), x_elem(ell, K + 2))]
+    return all(ad_commutator(m, n, p).restrict(K)
+               == vx.L_action(m + n, p).scale(n - m).restrict(K) for p in probes)
+
+
+def witt_reference_sweep(R: int, K: int) -> bool:
+    idx = range(-R, R + 1)
+    return all(witt_identity_reference(n, ell, m, K) for n in idx for ell in idx for m in idx)
+
+
+def k_centrality_reference_sweep(K: int) -> bool:
+    idx = range(-INDEX_MAX, INDEX_MAX + 1)
+    return all(k_centrality_reference(m, n, K) for m in idx for n in idx)
+
+
 def test_witt_identity_samples_and_sweep():
-    assert witt_identity_check(1, -1, 2, K=4)
-    assert witt_identity_check(2, 2, 0, K=4)    # n = l: both sides zero
-    for n in range(-4, 5):
-        for ell in range(-4, 5):
-            for m in range(-4, 5):
-                assert witt_identity_check(n, ell, m, K=6)
+    assert witt_identity_reference(1, -1, 2, K=4)
+    assert witt_identity_reference(2, 2, 0, K=4)    # n = l: both sides zero
+    assert witt_identity_check(4, K=6)
+    assert witt_identity_check(0, K=0)
+
+
+def squared_index_action(real):
+    """L_{n^2} in place of L_n: its commutators do not close as the Witt law says."""
+    return lambda n, e: real(n * n, e)
+
+
+@pytest.mark.parametrize("K", [0, 2, 6, 9, 32])
+@pytest.mark.parametrize("broken", [False, True], ids=["witt-action", "squared-index"])
+def test_sweeps_equal_their_per_pair_references(monkeypatch, K, broken):
+    """Both orders of each pair, both actions: the sweep's verdict is the
+    references' all(); under the squared-index action both are False."""
+    if broken:
+        monkeypatch.setattr(vx, "L_action", squared_index_action(vx.L_action))
+    for R in (3, 4):
+        assert witt_identity_check(R, K) == witt_reference_sweep(R, K) == (not broken)
+    assert k_centrality_check(K) == k_centrality_reference_sweep(K) == (not broken)
 
 
 def test_y_generator_structure():
@@ -144,9 +198,8 @@ def test_offdiagonal_counterexample_value():
 
 
 def test_k_centrality():
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            assert k_centrality_check(m, n, K=6)
+    assert k_centrality_check(K=6)
+    assert all(k_centrality_reference(m, n, K=6) for m in (-3, 0, 2) for n in (-1, 3))
 
 
 def test_even_subalgebra_closes():
