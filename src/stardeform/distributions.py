@@ -46,8 +46,7 @@ def delta_annihilation(a, tau) -> GaussPoly:
 
 def delta_mass(a, tau):
     """integral over real w of the delta expression (1 for real a, tau)."""
-    d = delta_tau(a, tau)
-    return integrate_segment_refined(d.values, *x_window(-complex(a), tau))
+    return integrate_segment_refined(delta_tau(a, tau), *x_window(-complex(a), tau))
 
 
 # ----------------------------------------------------------- sided inverses
@@ -78,14 +77,9 @@ def sided_inverse(a, side: str, tau, w_grid):
     each w in the grid.
 
     Im a shifts the Gaussian peak off t=0, so the window widens by it; the
-    panels resolve both the e^{itw} oscillation and the growth from Im a."""
-    check_tau(tau)
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    sgn = +1 if side == "+" else -1
-    f, osc = _halfline_integrand(a, w_grid)
-    return (1j if sgn > 0 else -1j) * integrate_gaussian_window(f, tau, -sgn, osc,
-                                                                shift=complex(a).imag)
+    panels resolve both the e^{itw} oscillation and the growth from Im a.  It is
+    sided_power at m = 1."""
+    return sided_power(a, 1, side, tau, w_grid)
 
 
 def sided_inverse_defect(a, side: str, tau, w_grid) -> float:
@@ -121,6 +115,8 @@ def sided_power(a, m: int, side: str, tau, w_grid):
     estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
     """
     check_tau(tau)
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
     if not 1 <= m <= 171:
         raise DomainError(f"m must be in 1..171, got {m}")
     sgn = +1 if side == "+" else -1
@@ -133,8 +129,7 @@ def delta_difference_residual(a, tau, w_grid) -> float:
     """plus inverse - minus inverse = 2 pi i * delta expression."""
     plus = sided_inverse(a, "+", tau, w_grid)
     minus = sided_inverse(a, "-", tau, w_grid)
-    d = delta_tau(a, tau)
-    target = TWO_PI * 1j * d.values(as_grid(w_grid))
+    target = TWO_PI * 1j * delta_tau(a, tau)(as_grid(w_grid))
     return float(np.abs(plus - minus - target).max())
 
 
@@ -245,10 +240,8 @@ def eval_pairing_residual(f, a, tau, w_grid) -> float:
         fa = np.exp(c * complex(a))
     else:
         raise ValueError("f must be a Poly or ('exp', c)")
-    worst = 0.0
-    for w in w_grid:
-        worst = max(worst, abs(lhs(complex(w)) - fa * d(complex(w))))
-    return worst
+    ws = as_grid(w_grid)
+    return float(np.abs(lhs(ws) - fa * d(ws)).max())
 
 
 # ------------------------------------------------------------- v.p. / Pf.
@@ -431,8 +424,8 @@ def associativity_break_gap(tau, w_grid) -> dict:
     Returns both inverse residuals (the largest telescoped boundary term on the
     grid) and the gap values on the grid."""
     ws = as_grid(w_grid)
-    A = theta.geometric_inverse_sum(+1, "+", tau, ws)
-    C = theta.geometric_inverse_sum(+1, "-", tau, ws)
+    A = theta.geometric_inverse_sum("+", tau, ws)
+    C = theta.geometric_inverse_sum("-", tau, ws)
     N = int(theta.lattice(tau, ws, 2).max()) // 2
     boundary = np.abs(theta.tau_basis([2 * (N + 1), -2 * N], tau, ws)).max(axis=0)
     return {"plus_inverse_residual": float(boundary[0]),

@@ -186,10 +186,8 @@ def ladder_residual(k: int, nu, tau, w_grid) -> float:
     a_lo = laurent_gausspoly(k, nu, tau)
     a_hi = laurent_gausspoly(k + 1, nu, tau)
     lhs = star_poly_gauss(Poly([nu_c + tau_c / 2, 0.0, 1.0]), a_lo, tau_c)
-    worst = 0.0
-    for w in w_grid:
-        worst = max(worst, abs(lhs(w) - (k + 0.5) * a_hi(w)))
-    return worst
+    ws = as_grid(w_grid)
+    return float(np.abs(lhs(ws) - (k + 0.5) * a_hi(ws)).max())
 
 
 # ----------------------------------------------------- boundary-value pair
@@ -242,10 +240,8 @@ def semigroup_on_delta(t, alpha, tau, w_grid) -> float:
     alpha_c, tau_c, t_c = complex(alpha), complex(tau), complex(t)
     d = delta_tau(alpha_c, tau_c)
     prod = quadexp_star(t_c, tau_c, d)
-    worst = 0.0
-    for w in w_grid:
-        worst = max(worst, abs(prod(w) - cexp(t_c * alpha_c * alpha_c) * d(w)))
-    return worst
+    ws = as_grid(w_grid)
+    return float(np.abs(prod(ws) - cexp(t_c * alpha_c * alpha_c) * d(ws)).max())
 
 
 def phi_group_action_residual(t, alpha, tau, w_grid) -> float:
@@ -254,12 +250,10 @@ def phi_group_action_residual(t, alpha, tau, w_grid) -> float:
     pp = phi_psi(alpha, tau)
     t_c, tau_c = complex(t), complex(tau)
     scale = cexp(t_c * complex(alpha) ** 2)
-    worst = 0.0
-    for w in w_grid:
-        acted = quadexp_star(t_c, tau_c, pp.phi_parts[0])(w) \
-            + quadexp_star(t_c, tau_c, pp.phi_parts[1])(w)
-        worst = max(worst, abs(acted - scale * pp.phi(w)))
-    return worst
+    ws = as_grid(w_grid)
+    acted = quadexp_star(t_c, tau_c, pp.phi_parts[0])(ws) \
+        + quadexp_star(t_c, tau_c, pp.phi_parts[1])(ws)
+    return float(np.abs(acted - scale * pp.phi(ws)).max())
 
 
 # ------------------------------------------------------ orphan annihilation
@@ -278,6 +272,7 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid) -> dict:
     if t_c == 0:
         raise ValueError("t must be nonzero for the annihilation member")
     r0 = abs(t_c) / 2
+    ws = as_grid(w_grid)[:, None]
     worst = 0.0
     for radius in (r0, r0 / 2):
         s = _contour_nodes(radius, CONTOUR_NODES)
@@ -287,13 +282,10 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid) -> dict:
         root = nearest_branch_sqrt(denom, cmath.sqrt(denom[0]))
         if not abs(root[0] - root[-1]) <= abs(root[0] + root[-1]):
             raise SingularPoint("square-root branch does not close around the contour")
-        for w in w_grid:
-            w_c = complex(w)
-            f = np.exp(z * nu_c) / root * np.exp(z * w_c * w_c / denom)
-            integral = np.mean(f * s ** (-2 * k) * s)
-            worst = max(worst, abs(integral))
-    a_hi = laurent_gausspoly(k + 1, nu, tau)
-    t_zero = np.asarray([(k + 0.5) * a_hi(w) for w in w_grid])
+        f = np.exp(z * nu_c) / root * np.exp(z * ws * ws / denom)
+        integrals = np.mean(f * s ** (-2 * k) * s, axis=1)
+        worst = max(worst, float(np.abs(integrals).max()))
+    t_zero = (k + 0.5) * laurent_gausspoly(k + 1, nu, tau)(w_grid)
     return {"annihilation": worst, "t_zero_values": t_zero}
 
 
@@ -383,14 +375,10 @@ def covariant_evolution_residual(H: Poly, nu, z, w_grid) -> float:
     tau = 1 / z
     f0 = F(z)
     lhs = dF(z)
-    fw = f0.diff()
-    worst = 0.0
-    scale = max(f0.max_abs_on(w_grid), 1e-300)
-    for w in w_grid:
-        w_c = complex(w)
-        rhs = tau * w_c * fw(w_c) + (w_c * w_c + complex(nu) + tau / 2) * f0(w_c)
-        worst = max(worst, abs(lhs(w_c) - rhs))
-    return worst / scale
+    ws = as_grid(w_grid)
+    vals = f0(ws)
+    rhs = tau * ws * f0.diff()(ws) + (ws * ws + complex(nu) + tau / 2) * vals
+    return float(np.abs(lhs(ws) - rhs).max()) / max(float(np.abs(vals).max()), 1e-300)
 
 
 # ----------------------------------------------------- non-compact integrals

@@ -1,6 +1,8 @@
 """Gaussian-exponential family under the deformed product, with sheet tracking.
 
 A GaussPoly represents   sheet * pref * exp(logamp) * p(w) * exp(alpha w^2 + beta w).
+One checked formula evaluates it, at a scalar w or over an array of them: where
+the exponential leaves the float range it raises DomainError, never inf.
 
 The family is closed under the deformed product, differentiation, argument
 shifts, and the heat flow exp(theta d^2/dw^2); that flow implements pullback /
@@ -29,7 +31,7 @@ from .numeric import cexp, exp_array
 SINGULAR_MARGIN = 1e-6
 STEPS_PER_SEGMENT = 64
 LEG_MARGIN = 0.15   # leg_path detours around branch points nearer its segment than this
-LAW_GRID = [-2.0 + 0.2 * k for k in range(21)]   # quad_exponential_law's w points
+LAW_GRID = -2.0 + 0.2 * np.arange(21)   # quad_exponential_law's w points
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,14 @@ class GaussPoly:
     sheet: int = 1
 
     def __call__(self, w):
-        return self.sheet * self.pref * cexp(self.logamp + self.alpha * w * w + self.beta * w) \
-            * self.poly(w)
-
-    def values(self, ws):
-        """The values over an array of w, in one numpy pass."""
-        return self.sheet * self.pref * np.exp(self.logamp + self.alpha * ws * ws
-                                               + self.beta * ws) * self.poly(ws)
+        """The value at a scalar w, or over an array of them, in one formula whose
+        exponential is checked: both raise DomainError where it overflows.  A
+        scalar goes through the same array loops as a grid, so it rounds as its
+        grid entry does (numpy's complex products round apart from Python's)."""
+        ws = np.atleast_1d(w)
+        vals = self.sheet * self.pref * exp_array(
+            lambda: self.logamp + self.alpha * ws * ws + self.beta * ws) * self.poly(ws)
+        return vals if np.ndim(w) else vals[0]
 
     def amp(self):
         """Overall scalar amplitude sheet*pref*exp(logamp)."""
@@ -72,14 +75,6 @@ class GaussPoly:
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
-
-    def max_abs_on(self, ws) -> float:
-        return max(abs(self(w)) for w in ws)
-
-
-def gp_sub_on_grid(f: GaussPoly, g: GaussPoly, ws) -> float:
-    """max |f - g| over the grid (the two need not share exponents)."""
-    return max(abs(f(w) - g(w)) for w in ws)
 
 
 def heat_apply(theta, g: GaussPoly) -> GaussPoly:
@@ -289,9 +284,9 @@ def quad_exponential_law(s, t, tau) -> float:
     es = star_exp_quadratic(s, tau)
     et = star_exp_quadratic(t, tau)
     est = star_exp_quadratic(s + t, tau)
-    prod = gauss_star(es, et, tau)
-    scale = max(est.max_abs_on(LAW_GRID), 1e-300)
-    return gp_sub_on_grid(prod, est, LAW_GRID) / scale
+    target = est(LAW_GRID)
+    scale = max(float(np.abs(target).max()), 1e-300)
+    return float(np.abs(gauss_star(es, et, tau)(LAW_GRID) - target).max()) / scale
 
 
 def series_radius_probe(ell: int, tau, n_max: int):
@@ -301,18 +296,17 @@ def series_radius_probe(ell: int, tau, n_max: int):
     |P_{n ell}(w, tau)| / n!.  For ell >= 3 and tau != 0 the ratios grow
     without bound (the series has radius 0); ell = 2 gives bounded ratios.
     """
-    from math import cos, pi, sin
-
     from .core import w_star_power
 
-    circle = [complex(cos(2 * pi * j / 64), sin(2 * pi * j / 64)) for j in range(64)]
+    th = 2 * np.pi * np.arange(64) / 64
+    circle = np.cos(th) + 1j * np.sin(th)
     cs = []
     fact = 1.0
     for n in range(n_max + 1):
         if n > 0:
             fact *= n
         p = w_star_power(n * ell, tau).to_complex()
-        cs.append(max(abs(p(z)) for z in circle) / fact)
+        cs.append(float(np.abs(p(circle)).max()) / fact)
     return [cs[n + 1] / cs[n] for n in range(n_max)]
 
 

@@ -146,22 +146,20 @@ def theta_eigen_residual(kind: int, tau, w_grid) -> float:
     return float(np.abs(translate_action(1j, f, tau)(w) - sign * f(w)).max())
 
 
-def geometric_inverse_sum(sign: int, side: str, tau, w):
-    """One-sided geometric inverses of (1 -/+ e_*^{2iw}) in tau-expression, on a
+def geometric_inverse_sum(side: str, tau, w):
+    """One-sided geometric inverses of 1 - e_*^{2iw} in tau-expression, on a
     scalar w or a grid, over the even lattice's cut.
 
-    sign=+1: inverses of 1 - e_*^{2iw};  sign=-1: of 1 + e_*^{2iw} (alternating).
-    side '+': sum_{n>=0} (+-1)^n e_*^{2niw};  side '-': -sum_{n>=1} (+-1)^n e_*^{-2niw}.
+    side '+': sum_{n>=0} e_*^{2niw};  side '-': -sum_{n>=1} e_*^{-2niw}.
     """
     k = lattice(tau, w, 2)
     k = k[k >= 0] if side == "+" else k[k < 0]
-    coef = np.ones(len(k)) if sign > 0 else 1.0 - 2.0 * (k // 2 % 2)
-    return lattice_sum(k, coef if side == "+" else -coef, tau, w)
+    return lattice_sum(k, np.full(len(k), 1.0 if side == "+" else -1.0), tau, w)
 
 
 def theta3_from_inverses(w, tau):
     """theta3 = (1 - e_*^{2iw})^{-1}_{*+} - (1 - e_*^{2iw})^{-1}_{*-}."""
-    return geometric_inverse_sum(+1, "+", tau, w) - geometric_inverse_sum(+1, "-", tau, w)
+    return geometric_inverse_sum("+", tau, w) - geometric_inverse_sum("-", tau, w)
 
 
 def constant_coefficient_kernel(n_modes: int):

@@ -138,6 +138,14 @@ def test_eval_pairing():
     assert eval_pairing_residual(("exp", 1.0), 0.5, tau, W_SMALL) < 1e-13
 
 
+@pytest.mark.parametrize("f, a", [(Poly([0, 0, 1]), 1.0), (("exp", 1.0), 0.5)])
+def test_eval_pairing_residual_is_the_largest_of_its_points(f, a):
+    ws = [a - 0.5, a, a + 0.5, 0.2 + 0.3j]
+    tau = 0.8 + 0.4j
+    assert eval_pairing_residual(f, a, tau, ws) \
+        == max(eval_pairing_residual(f, a, tau, [w]) for w in ws)
+
+
 def test_principal_value_average_of_sides():
     tau = 1.0
     vp = principal_value_inverse(1, tau, W_SMALL)

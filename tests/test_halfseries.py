@@ -156,7 +156,7 @@ def test_tau_expression_constant_and_geometric():
     ws = np.asarray(W)
     acc = sum(geo.coeffs[n].to_complex() * np.exp(-(2 * n) ** 2 * tau / 4 + 2j * n * ws)
               for n in range(K + 1))
-    want = geometric_inverse_sum(+1, "+", tau, ws)
+    want = geometric_inverse_sum("+", tau, ws)
     assert np.abs(acc - want).max() < 1e-12
 
 

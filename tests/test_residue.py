@@ -153,6 +153,29 @@ def test_orphan_annihilation():
     assert np.abs(res0["t_zero_values"]).max() < 1e-16
 
 
+TAU_C = 0.9 + 0.3j
+
+
+@pytest.mark.parametrize("residual", [
+    lambda ws: ladder_residual(1, 0.7 - 0.2j, TAU_C, ws),
+    lambda ws: semigroup_on_delta(0.5, 0.6, TAU_C, ws),
+    lambda ws: phi_group_action_residual(1 / TAU_C, 0.6, TAU_C, ws),
+    lambda ws: orphan_annihilation(0.1, 0, 0.7, TAU_C, ws)["annihilation"],
+], ids=["ladder", "semigroup", "phi-group", "annihilation"])
+def test_grid_residual_is_the_largest_of_its_points(residual):
+    """Evaluated over the grid at once, each residual is bit for bit its largest
+    one-point value: no point's value depends on another's."""
+    ws = [-1.0, -0.3, 0.0, 0.45, 1.0 + 0.2j]
+    assert residual(ws) == max(residual([w]) for w in ws)
+
+
+def test_orphan_ladder_values_are_their_points():
+    ws = [-1.0, 0.0, 0.45, 1.0 + 0.2j]
+    got = orphan_annihilation(0.1, 1, 0.7, TAU_C, ws)["t_zero_values"]
+    want = [orphan_annihilation(0.1, 1, 0.7, TAU_C, [w])["t_zero_values"][0] for w in ws]
+    assert got.tobytes() == np.asarray(want).tobytes()
+
+
 def test_parallel_polynomials_exact_kernel():
     for k in range(-3, 4):
         for m in range(-3, 4):

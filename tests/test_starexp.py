@@ -9,6 +9,7 @@ kept independent of the closed-form product path.
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stardeform import starexp, verify
 from stardeform.core import Poly
-from stardeform.errors import SingularPoint, SingularProduct
+from stardeform.errors import DomainError, SingularPoint, SingularProduct
 from stardeform.starexp import (STEPS_PER_SEGMENT, GaussPoly, PathParam, continue_sqrt, gauss_star,
-                                gp_sub_on_grid, heat_apply, leg_path, nearest_branch_sqrt,
+                                heat_apply, leg_path, nearest_branch_sqrt,
                                 quad_exponential_law, quadexp_star, series_radius_probe,
                                 sheet_transport, star_exp_linear, star_exp_quadratic,
                                 star_poly_gauss, translate_action, triple_transport_sign)
 
 W_GRID = [-2.0 + 0.25 * k for k in range(17)]
+
+
+def max_abs_on(g: GaussPoly, ws) -> float:
+    return float(np.abs(g(ws)).max())
+
+
+def gp_sub_on_grid(f: GaussPoly, g: GaussPoly, ws) -> float:
+    return float(np.abs(f(ws) - g(ws)).max())
 
 
 def series_star_oracle(f: GaussPoly, g: GaussPoly, tau, w, kmax=60):
@@ -118,7 +127,7 @@ def test_gauss_star_identity():
     g = GaussPoly(Poly([0.3, 1.2]), 0.15 - 0.1j, 0.4)
     one = GaussPoly(Poly.const(1), 0.0, 0.0)
     prod = gauss_star(g, one, 0.7 + 0.3j)
-    assert gp_sub_on_grid(prod, g, W_GRID) < 1e-12 * g.max_abs_on(W_GRID)
+    assert gp_sub_on_grid(prod, g, W_GRID) < 1e-12 * max_abs_on(g, W_GRID)
 
 
 def test_prodexp_product_of_linears():
@@ -138,7 +147,7 @@ def test_translate_action_consistency():
     via_translate = translate_action(s, f, tau)
     via_product = gauss_star(star_exp_linear(2 * s, tau), f, tau)
     assert gp_sub_on_grid(via_translate, via_product, W_GRID) \
-        < 1e-12 * via_translate.max_abs_on(W_GRID)
+        < 1e-12 * max_abs_on(via_translate, W_GRID)
 
     # polynomial case: e^{2sw+s^2 tau} p(w + s tau)
     p = Poly([0.2, -1.0, 0.7])
@@ -233,7 +242,7 @@ def test_quadexp_star_matches_gauss_star_generic():
     g = GaussPoly(Poly.const(1), 0.11 - 0.05j, 0.3 + 0.2j, 0.8, 0.1)
     got = quadexp_star(t, tau, g)
     want = gauss_star(star_exp_quadratic(t, tau), g, tau)
-    assert gp_sub_on_grid(got, want, W_GRID) < 1e-12 * want.max_abs_on(W_GRID)
+    assert gp_sub_on_grid(got, want, W_GRID) < 1e-12 * max_abs_on(want, W_GRID)
 
 
 def test_star_poly_gauss_matches_gauss_star():
@@ -242,7 +251,7 @@ def test_star_poly_gauss_matches_gauss_star():
     g = GaussPoly(Poly([1.0, 0.2]), 0.1, -0.4)
     got = star_poly_gauss(p, g, tau)
     want = gauss_star(GaussPoly(p, 0.0, 0.0), g, tau)
-    assert gp_sub_on_grid(got, want, W_GRID) < 1e-12 * want.max_abs_on(W_GRID)
+    assert gp_sub_on_grid(got, want, W_GRID) < 1e-12 * max_abs_on(want, W_GRID)
 
 
 def test_heat_singular_pullback_raises():
@@ -338,6 +347,53 @@ def test_nearest_branch_sqrt_ties_take_the_principal_root():
     assert same_bits(got, nearest_branch_sqrt_reference([1, -1, -1j], 1j))
 
 
+PARAM = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+GAUSS = st.builds(GaussPoly, st.lists(PARAM, min_size=1, max_size=5).map(Poly),
+                  PARAM, PARAM, PARAM, PARAM, st.sampled_from([1, -1]))
+GRID_POINT = st.one_of(st.floats(-4.0, 4.0),
+                       st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                          allow_infinity=False))
+GRID = st.lists(GRID_POINT, min_size=1, max_size=20)
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=GAUSS, ws=GRID)
+def test_a_scalar_call_is_its_grid_entry_bit_for_bit(g, ws):
+    entries = [g(w) for w in ws]
+    assert same_bits(g(ws), entries)
+    assert same_bits(g(np.asarray(ws)), entries)
+
+
+@settings(deadline=None, max_examples=200)
+@given(g=GAUSS, ws=GRID, lift=st.floats(660.0, 760.0))
+def test_overflow_raises_for_a_scalar_and_a_grid_alike(g, ws, lift):
+    """Re logamp lifted by 660 to 760, against |alpha w^2 + beta w + logamp| <= 42,
+    overflows the exponential (past 709.78) at some, all or none of the points:
+    the grid call raises where any point's call does, and otherwise holds their
+    values.  The prefactors are 1, so only the exponential can overflow."""
+    g = replace(g, poly=Poly.const(1), pref=1.0, logamp=g.logamp + lift)
+    entries = []
+    for w in ws:
+        try:
+            entries.append(g(w))
+        except DomainError:
+            entries.append(None)
+    if None in entries:
+        with pytest.raises(DomainError):
+            g(ws)
+    else:
+        assert same_bits(g(ws), entries)
+
+
+def test_overflow_raises_on_a_grid_as_at_a_point():
+    g = GaussPoly(Poly.const(1), 1000.0)
+    assert g(0.0) == 1
+    with pytest.raises(DomainError):
+        g(10.0)
+    with pytest.raises(DomainError):
+        g(np.asarray([10.0, 0.0]))
+
+
 PART3 = st.floats(-3.0, 3.0).map(lambda x: round(x, 3))
 POINT = st.builds(complex, PART3, PART3)
 
@@ -373,7 +429,7 @@ def test_quadratic_family_maps_parameter_to_parameter():
     tau1, tau2 = 0.8, 1.6 + 0.4j
     pushed = heat_apply((tau2 - tau1) / 4, star_exp_quadratic(t, tau1))
     target = star_exp_quadratic(t, tau2)
-    assert gp_sub_on_grid(pushed, target, W_GRID) < 1e-12 * target.max_abs_on(W_GRID)
+    assert gp_sub_on_grid(pushed, target, W_GRID) < 1e-12 * max_abs_on(target, W_GRID)
     assert pushed.sheet == target.sheet == 1
 
 

@@ -14,17 +14,21 @@ from hypothesis import given, settings, strategies as st
 from stardeform.cli import main
 from stardeform.errors import DomainError
 from stardeform.theta import (constant_coefficient_kernel, delta_sum_representation,
-                              geometric_inverse_sum, imaginary_transform_residual,
-                              jacobi_relation_residual, lattice, lattice_sum,
-                              quasi_periodicity_residual, theta3_from_inverses,
+                              imaginary_transform_residual, jacobi_relation_residual, lattice,
+                              lattice_sum, quasi_periodicity_residual, theta3_from_inverses,
                               theta_eigen_residual, theta_eval)
 
 W_GRID = [-1.0 + 0.1 * k for k in range(21)]
 
 
 def theta4_from_inverses(w, tau):
-    """theta4 = (1 + e_*^{2iw})^{-1}_{*+} - (1 + e_*^{2iw})^{-1}_{*-}."""
-    return geometric_inverse_sum(-1, "+", tau, w) - geometric_inverse_sum(-1, "-", tau, w)
+    """theta4 = (1 + e_*^{2iw})^{-1}_{*+} - (1 + e_*^{2iw})^{-1}_{*-}, the sums
+    sum_{n>=0} (-1)^n e_*^{2niw} and -sum_{n>=1} (-1)^n e_*^{-2niw} over the even
+    lattice's cut."""
+    k = lattice(tau, w, 2)
+    coef = 1.0 - 2.0 * (k // 2 % 2)
+    plus, minus = k >= 0, k < 0
+    return lattice_sum(k[plus], coef[plus], tau, w) - lattice_sum(k[minus], -coef[minus], tau, w)
 
 
 def theta1_from_inverses(w, tau):
