@@ -13,7 +13,7 @@ prod = gauss_star(star_exp_linear(0.6, tau), star_exp_linear(-0.2, tau), tau)
 target = star_exp_linear(0.4, tau)
 print("linear exponential law, amplitude ratio:", abs(prod.amp() / target.amp()))
 
-print("quadratic law residual (s=0.2, t=0.1):", quad_exponential_law(0.2, 0.1, tau))
+print("quadratic law residual (s=0.2, t=0.1):", quad_exponential_law([(0.2, 0.1, tau)])[0])
 
 direct = star_exp_quadratic(0.2, tau)
 loop = PathParam([0, 0.2, 0.2 - 0.6j, 1.5 - 0.6j, 1.5 + 0.6j, 0.2 + 0.6j, 0.2])

@@ -108,14 +108,20 @@ def integrate_segment(f, a, b, n_panels: int = 8):
     return (b - a) * np.sum(vals * ws, axis=-1)
 
 
-def _error_terms(vals, span, n_panels: int):
-    """(truncation, rounding) estimates of one pass from its node values, both
-    over the last axis: sum over panels of h (|c_14| + |c_15|), and eps * integral |f|."""
-    coeffs = vals.reshape(vals.shape[:-1] + (n_panels, N_NODES)) @ _gl_rule()[2]
-    size = np.abs(span)
-    trunc = size / n_panels * np.abs(coeffs).sum(axis=(-2, -1))
-    rounding = np.finfo(float).eps * size * (np.abs(vals) @ _panel_rule(n_panels)[1])
-    return trunc, rounding
+def _truncation_term(vals, span, n_panels: int):
+    """The node estimate of one pass over the last axis: the sum over panels of
+    h (|c_14| + |c_15|); raises QuadratureFailure where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = vals.reshape(vals.shape[:-1] + (n_panels, N_NODES)) @ _gl_rule()[2]
+        trunc = np.abs(span) / n_panels * np.abs(coeffs).sum(axis=(-2, -1))
+    if not np.isfinite(trunc).all():
+        raise QuadratureFailure(f"quadrature value is not finite with {n_panels} panels")
+    return trunc
+
+
+def _rounding_term(vals, span, n_panels: int):
+    """eps * integral |f| of one pass over the last axis."""
+    return np.finfo(float).eps * np.abs(span) * (np.abs(vals) @ _panel_rule(n_panels)[1])
 
 
 def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8,
@@ -131,7 +137,9 @@ def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8
     against tol * max(floor, largest |entry|).  With 1-D arrays of per-row
     endpoints each row is accepted on its own, against tol * max(floor,
     |row value|) and its own previous value, and a doubling pass calls
-    f(x, rows) on the rows not yet accepted only."""
+    f(x, rows) on the rows not yet accepted only.  The rounding term is formed
+    on every pass, the node estimate only for the entries (rows) whose change
+    does not already meet the bound."""
     rows = np.ndim(b - a) > 0
     if rows:
         a, b = np.asarray(a), np.asarray(b)
@@ -149,22 +157,34 @@ def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8
         lo, hi = (a[todo], b[todo]) if rows else (a, b)
         with np.errstate(over="ignore", invalid="ignore"):
             val = integrate_segment(sampled, lo, hi, n)
-            trunc, rounding = _error_terms(passes[0], hi - lo, n)
-        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(trunc + rounding))):
+            rounding = _rounding_term(passes[0], hi - lo, n)
+        if not (np.isfinite(val).all() and np.isfinite(rounding).all()):
             raise QuadratureFailure(f"quadrature value is not finite with {n} panels")
-        if prev is not None:
-            trunc = np.minimum(trunc, np.abs(val - prev))
         if rows:
             bound = tol * np.maximum(floor, np.abs(val))
         else:
             bound = tol * max(floor, float(np.max(np.abs(val))))
-            trunc, rounding = np.max(trunc), np.max(rounding)
+            rounding = np.max(rounding)
+        # each entry's (row's) error is its node estimate or, from the second
+        # pass on, the smaller of that and its change; the node estimate is
+        # formed only where the change plus rounding misses the bound
+        if prev is None:
+            err = _truncation_term(passes[0], hi - lo, n)
+        else:
+            err = np.abs(val - prev)
+            need = err + rounding > bound
+            if need.all():
+                err = np.minimum(_truncation_term(passes[0], hi - lo, n), err)
+            elif need.any():
+                err[need] = np.minimum(_truncation_term(passes[0][need],
+                                                        (hi - lo)[need] if rows else hi - lo, n),
+                                       err[need])
         if np.any(rounding > bound):
             raise QuadratureFailure(f"quadrature error estimate exceeds its bound: rounding in "
                                     f"the sum alone is {np.max(rounding):.3g}")
-        met = trunc + rounding <= bound
+        met = err + rounding <= bound
         if not rows:
-            if met:
+            if np.all(met):
                 return val
             prev = val
         else:

@@ -2,7 +2,8 @@
 
 A GaussPoly represents   sheet * pref * exp(logamp) * p(w) * exp(alpha w^2 + beta w).
 One checked formula evaluates it, at a scalar w or over an array of them: where
-the exponential leaves the float range it raises DomainError, never inf.
+the exponential or the whole product leaves the float range it raises
+DomainError, never inf.
 
 The family is closed under the deformed product, differentiation, argument
 shifts, and the heat flow exp(theta d^2/dw^2); that flow implements pullback /
@@ -14,18 +15,21 @@ continuing sqrt(1 - tau t) from +1 at t = 0 along a caller-supplied polygonal pa
 64 samples per segment, each root on the branch nearer the previous one (an exact
 tie takes the principal root).  The slit of the principal branch runs from 1/tau
 to infinity along arg = arg(1/tau), so "sheet" = (continued value) / (principal value).
+continue_sqrt continues a batch of paths in one array pass: the values 1 - c t are
+formed on real and imaginary float arrays, which round as CPython's complex
+arithmetic does (numpy's complex product does not), and each root is cmath.sqrt.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Poly
-from .errors import SingularPoint, SingularProduct
+from .errors import DomainError, SingularPoint, SingularProduct, StarDeformError
 from .numeric import cexp, exp_array
 
 SINGULAR_MARGIN = 1e-6
@@ -44,13 +48,17 @@ class GaussPoly:
     sheet: int = 1
 
     def __call__(self, w):
-        """The value at a scalar w, or over an array of them, in one formula whose
-        exponential is checked: both raise DomainError where it overflows.  A
-        scalar goes through the same array loops as a grid, so it rounds as its
-        grid entry does (numpy's complex products round apart from Python's)."""
+        """The value at a scalar w, or over an array of them, in one checked
+        formula: both raise DomainError where the exponential or its product
+        with the prefactors leaves the float range.  A scalar goes through the
+        same array loops as a grid, so it rounds as its grid entry does (numpy's
+        complex products round apart from Python's)."""
         ws = np.atleast_1d(w)
-        vals = self.sheet * self.pref * exp_array(
-            lambda: self.logamp + self.alpha * ws * ws + self.beta * ws) * self.poly(ws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.sheet * self.pref * exp_array(
+                lambda: self.logamp + self.alpha * ws * ws + self.beta * ws) * self.poly(ws)
+        if not np.isfinite(vals).all():
+            raise DomainError("a Gaussian's value is outside the float range")
         return vals if np.ndim(w) else vals[0]
 
     def amp(self):
@@ -72,9 +80,6 @@ class GaussPoly:
             beta=self.beta + 2 * self.alpha * c,
             logamp=self.logamp + self.alpha * c * c + self.beta * c,
         )
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
 
 
 def heat_apply(theta, g: GaussPoly) -> GaussPoly:
@@ -134,10 +139,6 @@ class PathParam:
     def __init__(self, waypoints: Sequence[complex]):
         object.__setattr__(self, "waypoints", tuple(complex(w) for w in waypoints))
 
-    @staticmethod
-    def straight(t) -> "PathParam":
-        return PathParam([0.0, complex(t)])
-
     def validate_avoids(self, point: complex):
         for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
             if _segment_distance(point, a, b) < SINGULAR_MARGIN:
@@ -160,11 +161,15 @@ def nearest_branch_sqrt(vals, prev) -> np.ndarray:
     root.  Bit for bit the per-node loop
 
         r = cmath.sqrt(v); prev = r if abs(r - prev) <= abs(r + prev) else -r
+
+    A 2-D vals holds one sequence per row, each started from its own entry of prev.
     """
+    vals = np.asarray(vals, complex)
     # cmath.sqrt, not np.sqrt: the C library's csqrt rounds differently on the
     # imaginary axis, where leg_path's detour nodes can land, and at subnormals
-    roots = np.fromiter(map(cmath.sqrt, vals), complex, len(vals))
-    before = np.concatenate(([prev], roots[:-1]))
+    roots = np.fromiter(map(cmath.sqrt, vals.ravel().tolist()), complex,
+                        vals.size).reshape(vals.shape)
+    before = np.concatenate((np.reshape(prev, vals.shape[:-1] + (1,)), roots[..., :-1]), axis=-1)
     with np.errstate(invalid="ignore"):         # inf - inf is nan, as in the loop
         d, e = roots - before, roots + before
     near = np.hypot(d.real, d.imag)     # np.hypot rounds as abs() does; np.abs does not
@@ -173,20 +178,56 @@ def nearest_branch_sqrt(vals, prev) -> np.ndarray:
     # tie restarts on the principal root and a nan on its negative, as the loop
     # does, so a restart at node r leaves node i flipped by the flips r..i
     keep = near <= far
-    flips = np.logical_xor.accumulate(~keep)
-    last = np.maximum.accumulate(np.where(keep == (far <= near), np.arange(len(roots)), 0))
-    flips ^= np.concatenate(([False], flips))[last]
+    flips = np.logical_xor.accumulate(~keep, axis=-1)
+    restart = np.where(keep == (far <= near), np.arange(vals.shape[-1]), 0)
+    earlier = np.concatenate((np.zeros_like(flips[..., :1]), flips[..., :-1]), axis=-1)
+    flips ^= np.take_along_axis(earlier, np.maximum.accumulate(restart, axis=-1), axis=-1)
     return np.where(flips, -roots, roots)
 
 
-def continue_sqrt(expr: Callable[[complex], complex], path: PathParam) -> complex:
-    """Continuation of sqrt(expr(t)) along the path from its principal value at
-    the first waypoint, through STEPS_PER_SEGMENT samples of each segment."""
-    ts = [path.waypoints[0]] + [a + (b - a) * (j / STEPS_PER_SEGMENT)
-                                for a, b in zip(path.waypoints[:-1], path.waypoints[1:])
-                                for j in range(1, STEPS_PER_SEGMENT + 1)]
-    vals = [expr(t) for t in ts]
-    return complex(nearest_branch_sqrt(vals, cmath.sqrt(vals[0]))[-1])
+def continue_sqrt(c, paths) -> list:
+    """End roots of sqrt(1 - c t) continued along each path of a batch (c one
+    value or one per path) from the principal root at its first waypoint, through
+    the nodes a + (b - a) (j / STEPS_PER_SEGMENT), j >= 1, of each segment; the
+    per-node loop's roots bit for bit.  A shorter path is padded at its start
+    with its first waypoint, whose root the padding keeps."""
+    if not paths:
+        return []
+    width = max(len(p.waypoints) for p in paths)
+    w = np.array([p.waypoints[:1] * (width - len(p.waypoints)) + p.waypoints for p in paths])
+    frac = np.arange(1, STEPS_PER_SEGMENT + 1) / STEPS_PER_SEGMENT
+    # each path's first waypoint, then its segments' nodes; a node's parts are
+    # CPython's up to the signs of zeros, which 1 - c t drops
+    tr, ti = [np.concatenate((x[:, :1], (x[:, :-1, None] + np.diff(x)[..., None] * frac)
+                              .reshape(len(x), -1)), axis=1) for x in (w.real, w.imag)]
+    c = np.asarray(c, complex).reshape(-1, 1)
+    vals = np.empty(tr.shape, complex)
+    vals.real, vals.imag = 1.0 - (c.real * tr - c.imag * ti), 0.0 - (c.real * ti + c.imag * tr)
+    starts = [cmath.sqrt(v) for v in vals[:, 0].tolist()]
+    return nearest_branch_sqrt(vals, starts)[:, -1].tolist()
+
+
+def _quadratic_path(t, tau, path: PathParam | None) -> PathParam:
+    """path (None: the straight one from 0), checked to end at t and to keep off 1/tau."""
+    t, tau_c = complex(t), complex(tau)
+    if abs(1 - tau_c * t) < SINGULAR_MARGIN:
+        raise SingularPoint(f"t*tau = {tau_c * t} too close to 1")
+    if path is None:
+        path = PathParam([0.0, t])
+    if abs(path.waypoints[-1] - t) > 1e-12:
+        raise ValueError("path must end at t")
+    if tau_c != 0:
+        path.validate_avoids(1 / tau_c)
+    return path
+
+
+def _quadratic_on_sheet(t, tau, root: complex) -> GaussPoly:
+    """The quadratic element at t on the sheet of root, a continued sqrt(1 - tau t)."""
+    t, tau_c = complex(t), complex(tau)
+    principal = cmath.sqrt(1 - tau_c * t)
+    sheet = 1 if abs(root - principal) <= abs(root + principal) else -1
+    return GaussPoly(Poly.const(1), t / (1 - tau_c * t), 0.0,
+                     1 / principal, 0.0, sheet)
 
 
 def star_exp_quadratic(t, tau, path: PathParam | None = None) -> GaussPoly:
@@ -197,21 +238,8 @@ def star_exp_quadratic(t, tau, path: PathParam | None = None) -> GaussPoly:
     branch fixed by continuation along `path` from t=0 (value +1 there); the
     sheet tag records which branch of the square root the value lives on.
     """
-    t = complex(t)
-    tau_c = complex(tau)
-    if abs(1 - tau_c * t) < SINGULAR_MARGIN:
-        raise SingularPoint(f"t*tau = {tau_c * t} too close to 1")
-    if path is None:
-        path = PathParam.straight(t)
-    if abs(path.waypoints[-1] - t) > 1e-12:
-        raise ValueError("path must end at t")
-    if tau_c != 0:
-        path.validate_avoids(1 / tau_c)
-    root = continue_sqrt(lambda z: 1 - tau_c * z, path)
-    principal = cmath.sqrt(1 - tau_c * t)
-    sheet = 1 if abs(root - principal) <= abs(root + principal) else -1
-    return GaussPoly(Poly.const(1), t / (1 - tau_c * t), 0.0,
-                     1 / principal, 0.0, sheet)
+    root, = continue_sqrt(complex(tau), [_quadratic_path(t, tau, path)])
+    return _quadratic_on_sheet(t, tau, root)
 
 
 def translate_action(s, f, tau):
@@ -275,18 +303,31 @@ def star_poly_gauss(p: Poly, g: GaussPoly, tau) -> GaussPoly:
     return replace(g, poly=acc)
 
 
-def quad_exponential_law(s, t, tau) -> float:
-    """Max-modulus residual of E(s) * E(t) = E(s+t) on LAW_GRID over max |E(s+t)|,
-    sheets aligned by continuation from 0 along straight paths."""
-    for point, name in ((s, "s"), (t, "t"), (s + t, "s+t")):
-        if abs(1 - complex(tau) * complex(point)) < SINGULAR_MARGIN:
-            raise SingularPoint(f"{name}*tau too close to 1")
-    es = star_exp_quadratic(s, tau)
-    et = star_exp_quadratic(t, tau)
-    est = star_exp_quadratic(s + t, tau)
-    target = est(LAW_GRID)
-    scale = max(float(np.abs(target).max()), 1e-300)
-    return float(np.abs(gauss_star(es, et, tau)(LAW_GRID) - target).max()) / scale
+def quad_exponential_law(cases) -> list:
+    """For each case (s, t, tau): the max-modulus residual of E(s) * E(t) = E(s+t)
+    on LAW_GRID over max |E(s+t)|, sheets aligned by one continue_sqrt call along
+    every case's straight paths from 0; None where the case raises a
+    StarDeformError (a point near 1/tau, a singular product, an overflow)."""
+    paths = []
+    for s, t, tau in cases:
+        try:
+            paths.append([_quadratic_path(p, tau, None) for p in (s, t, s + t)])
+        except SingularPoint:
+            paths.append([])
+    cs = [complex(tau) for (_, _, tau), legs in zip(cases, paths) for _ in legs]
+    roots = iter(continue_sqrt(cs, [leg for legs in paths for leg in legs]))
+    out = []
+    for (s, t, tau), legs in zip(cases, paths):
+        out.append(None)
+        if legs:
+            es, et, est = [_quadratic_on_sheet(p, tau, next(roots)) for p in (s, t, s + t)]
+            try:
+                target = est(LAW_GRID)
+                scale = max(float(np.abs(target).max()), 1e-300)
+                out[-1] = float(np.abs(gauss_star(es, et, tau)(LAW_GRID) - target).max()) / scale
+            except StarDeformError:
+                pass
+    return out
 
 
 def series_radius_probe(ell: int, tau, n_max: int):
@@ -331,27 +372,26 @@ def leg_path(t, avoid_sided) -> PathParam:
     return PathParam([p for _, p in pts])
 
 
-def sheet_transport(t, tau_a, tau_b, sheet: int) -> int:
-    """Move a sheet label at t from expression tau_a to tau_b.
+def sheet_transport(t, legs, sheet: int) -> int:
+    """Move a sheet label at t along each leg (tau_a, tau_b) in turn, from
+    expression tau_a to tau_b.
 
     The label is identified by its continuation class along a path from 0 that
-    is admissible for both expressions; the convention here detours the source
-    branch point on the left and the target's on the right.
+    is admissible for both expressions of a leg; the convention here detours
+    the source branch point on the left and the target's on the right.  One
+    continue_sqrt call continues both expressions of every leg.
     """
-    avoid = []
-    if tau_a:
-        avoid.append((1 / complex(tau_a), +1))
-    if tau_b:
-        avoid.append((1 / complex(tau_b), -1))
-    path = leg_path(t, avoid)
-    ca = continue_sqrt(lambda z: 1 - complex(tau_a) * z, path)
-    cb = continue_sqrt(lambda z: 1 - complex(tau_b) * z, path)
-    pa = cmath.sqrt(1 - complex(tau_a) * complex(t))
-    pb = cmath.sqrt(1 - complex(tau_b) * complex(t))
-    val_a = sheet * pa
-    eps = 1 if abs(val_a - ca) <= abs(val_a + ca) else -1
-    val_b = eps * cb
-    return 1 if abs(val_b - pb) <= abs(val_b + pb) else -1
+    paths = []
+    for leg in legs:
+        avoid = [(1 / complex(tau), side) for tau, side in zip(leg, (+1, -1)) if tau]
+        paths += [leg_path(t, avoid)] * 2
+    roots = continue_sqrt([complex(tau) for leg in legs for tau in leg], paths)
+    for (tau_a, tau_b), ca, cb in zip(legs, roots[::2], roots[1::2]):
+        val_a = sheet * cmath.sqrt(1 - complex(tau_a) * complex(t))
+        val_b = (1 if abs(val_a - ca) <= abs(val_a + ca) else -1) * cb
+        pb = cmath.sqrt(1 - complex(tau_b) * complex(t))
+        sheet = 1 if abs(val_b - pb) <= abs(val_b + pb) else -1
+    return sheet
 
 
 def triple_transport_sign(t, taus) -> int:
@@ -361,8 +401,4 @@ def triple_transport_sign(t, taus) -> int:
     round trip preserves t but may flip the sheet for some t and not others,
     depending on where t sits relative to the three slits."""
     t1, t2, t3 = taus
-    s = 1
-    s = sheet_transport(t, t1, t2, s)
-    s = sheet_transport(t, t2, t3, s)
-    s = sheet_transport(t, t3, t1, s)
-    return s
+    return sheet_transport(t, [(t1, t2), (t2, t3), (t3, t1)], 1)

@@ -106,16 +106,16 @@ def test_criterion_03_exponential_laws():
     exact_ok = (sq * sq * tauq / 4 + tq * tq * tauq / 4 + sq * tq * tauq / 2
                 == (sq + tq) * (sq + tq) * tauq / 4)
 
-    worst_quad = 0.0
-    count = 0
-    while count < 100:
+    cases = []
+    while len(cases) < 100:
         s = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         t = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         tau = cmath.exp(2j * math.pi * rng.random()) * rng.random()
         if min(abs(1 - tau * s), abs(1 - tau * t), abs(1 - tau * (s + t))) < 1e-3:
             continue
-        worst_quad = max(worst_quad, starexp.quad_exponential_law(s, t, tau))
-        count += 1
+        cases.append((s, t, tau))
+    laws = starexp.quad_exponential_law(cases)
+    worst_quad = math.inf if None in laws else max(laws)
     ok = worst_lin < 1e-13 and exact_ok and worst_quad <= 1e-12
     assert report(3, ok, f"linear law {worst_lin:.2e} (exact log-amp ok={exact_ok}), "
                          f"quadratic law {worst_quad:.2e} over 100 samples")

@@ -23,7 +23,8 @@ from stardeform.distributions import (associativity_break_gap, constant_variatio
 from stardeform.cli import main
 from stardeform.errors import DomainError, QuadratureFailure
 from stardeform.quadrature import (MAX_CACHED_NODES, N_NODES, WINDOW_RTOL, _cached_panel_rule,
-                                   _error_terms, _gl_rule, _panel_rule, gaussian_halfwidth,
+                                   _gl_rule, _panel_rule, _rounding_term, _truncation_term,
+                                   gaussian_halfwidth,
                                    integrate_gaussian_window, integrate_segment,
                                    integrate_segment_refined)
 from stardeform.starexp import star_poly_gauss
@@ -455,16 +456,23 @@ def test_gaussian_halfwidth_drops_the_envelope_by_1e16(rate, growth, power):
         gaussian_halfwidth(-rate, growth, power)
 
 
+def fix_error_terms(monkeypatch, trunc, rounding):
+    """Make the driver's node estimate and rounding term of each pass the given
+    functions of the node values it is formed from."""
+    from stardeform import quadrature
+    monkeypatch.setattr(quadrature, "_truncation_term", lambda vals, span, n: trunc(vals))
+    monkeypatch.setattr(quadrature, "_rounding_term", lambda vals, span, n: rounding(vals))
+
+
 def test_driver_accepts_on_the_sum_of_both_terms(monkeypatch):
     """A pass whose truncation and rounding terms each fit the bound but whose
     sum does not is refined; rounding alone beyond the bound raises at once."""
-    from stardeform import quadrature
-    terms = iter([(0.6e-12, 0.6e-12), (0.0, 0.0)])
-    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: next(terms))
+    truncs, roundings = iter([0.6e-12, 0.0]), iter([0.6e-12, 0.0])
+    fix_error_terms(monkeypatch, lambda vals: next(truncs), lambda vals: next(roundings))
     panels = []
     integrate_segment_refined(lambda x: panels.append(x.size) or np.ones_like(x), 0.0, 1.0)
     assert panels == [8 * N_NODES, 16 * N_NODES]
-    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (0.0, 2e-12))
+    fix_error_terms(monkeypatch, lambda vals: 0.0, lambda vals: 2e-12)
     with pytest.raises(QuadratureFailure, match="rounding"):
         integrate_segment_refined(np.ones_like, 0.0, 1.0)
 
@@ -485,8 +493,7 @@ def test_driver_accepts_on_the_change_from_the_previous_pass(monkeypatch):
     """A pass that misses on its node estimate is accepted once its value is
     within the bound of the previous pass's: the value moves by 1e-9 from the
     first to the second pass, so the third pass, which moves by 0, returns."""
-    from stardeform import quadrature
-    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (1.0, 0.0))
+    fix_error_terms(monkeypatch, lambda vals: 1.0, lambda vals: 0.0)
     f, panels = _passes_of([1.0, 1.0 + 1e-9, 1.0 + 1e-9])
     assert integrate_segment_refined(f, 0.0, 1.0) == pytest.approx(1.0 + 1e-9, abs=1e-15)
     assert panels == [8, 16, 32]
@@ -495,8 +502,7 @@ def test_driver_accepts_on_the_change_from_the_previous_pass(monkeypatch):
 def test_driver_never_accepts_a_first_pass_on_a_difference(monkeypatch):
     """With one pass allowed there is no previous pass, so a pass that misses
     on its node estimate is refused however settled its value."""
-    from stardeform import quadrature
-    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (1.0, 0.0))
+    fix_error_terms(monkeypatch, lambda vals: 1.0, lambda vals: 0.0)
     f, panels = _passes_of([1.0, 1.0])
     with pytest.raises(QuadratureFailure, match="did not reach"):
         integrate_segment_refined(f, 0.0, 1.0, max_panels=8)
@@ -506,8 +512,7 @@ def test_driver_never_accepts_a_first_pass_on_a_difference(monkeypatch):
 def test_driver_adds_the_rounding_term_to_the_difference(monkeypatch):
     """A change of 0.6e-12 between passes fits the bound 1e-12 alone, but not
     with a rounding term of 0.6e-12 beside it."""
-    from stardeform import quadrature
-    monkeypatch.setattr(quadrature, "_error_terms", lambda vals, span, n: (1.0, 0.6e-12))
+    fix_error_terms(monkeypatch, lambda vals: 1.0, lambda vals: 0.6e-12)
     f, panels = _passes_of([1.0, 1.0 + 0.6e-12, 1.0 + 0.6e-12])
     integrate_segment_refined(f, 0.0, 1.0)
     assert panels == [8, 16, 32]
@@ -517,9 +522,8 @@ def test_driver_rows_take_the_difference_against_their_own_previous_pass(monkeyp
     """Rows 0 and 2 hold their values from the first pass and are accepted on
     the second; row 1 moves from 2 to 3 and is accepted on the third pass, where
     its previous value is its own 3, not another row's."""
-    from stardeform import quadrature
-    monkeypatch.setattr(quadrature, "_error_terms",
-                        lambda vals, span, n: (np.ones(vals.shape[:-1]), np.zeros(vals.shape[:-1])))
+    fix_error_terms(monkeypatch, lambda vals: np.ones(vals.shape[:-1]),
+                    lambda vals: np.zeros(vals.shape[:-1]))
     by_pass = [np.asarray([1.0, 2.0, 5.0]), np.asarray([1.0, 3.0, 5.0]),
                np.asarray([9.0, 3.0, 9.0]), np.asarray([9.0, 4.0, 9.0])]
     seen = []
@@ -531,6 +535,43 @@ def test_driver_rows_take_the_difference_against_their_own_previous_pass(monkeyp
     got = integrate_segment_refined(f, np.zeros(3), np.ones(3))
     assert seen == [[0, 1, 2], [0, 1, 2], [1]]
     assert np.abs(got - [1.0, 3.0, 5.0]).max() < 1e-14
+
+
+def test_driver_forms_the_node_estimate_only_where_the_change_misses():
+    """The node estimate of a pass is formed for the rows (entries) whose change
+    from the previous pass, plus rounding, misses the bound, and for none of a
+    pass the change accepts.  Rows 0 and 2 hold their values, so on the second
+    pass only row 1 takes the estimate, which accepts it there."""
+    from stardeform import quadrature
+    sizes = []
+
+    def trunc(vals, span, n):
+        sizes.append(vals.shape[:-1])
+        return np.full(vals.shape[:-1], 1.0 if len(sizes) == 1 else 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_truncation_term", trunc)
+        by_pass = [np.asarray([1.0, 2.0, 5.0]), np.asarray([1.0, 3.0, 5.0])]
+        seen = []
+
+        def f(x, rows):
+            seen.append(rows.tolist())
+            return np.broadcast_to(by_pass[len(seen) - 1][rows, None], x.shape)
+
+        got = integrate_segment_refined(f, np.zeros(3), np.ones(3))
+        assert seen == [[0, 1, 2], [0, 1, 2]] and sizes == [(3,), (1,)]
+        assert np.abs(got - [1.0, 3.0, 5.0]).max() < 1e-14
+        # a vector-valued f on scalar endpoints: the second pass, whose change
+        # is 0, is accepted with no estimate formed
+        sizes.clear()
+        passes = []
+
+        def g(x):
+            passes.append(x.size)
+            return np.stack([np.ones_like(x), 2 * np.ones_like(x)])
+
+        integrate_segment_refined(g, 0.0, 1.0)
+        assert len(passes) == 2 and sizes == [(2,)]
 
 
 @pytest.mark.parametrize("tau, osc, panels", [(1.0, 1.0, 4), (1.0, 4.0, 5), (0.5 + 1j, 4.0, 19),
@@ -721,7 +762,7 @@ def test_power_window_error_estimate_has_both_terms():
     to 2 sqrt(pi) e^{-49}, far below eps times its mass, so the rounding term
     alone refuses it, at once."""
     x = 2 * _panel_rule(1)[0]
-    trunc, rounding = _error_terms(x ** 15, 2.0, 1)
+    trunc, rounding = _truncation_term(x ** 15, 2.0, 1), _rounding_term(x ** 15, 2.0, 1)
     c15 = 2 ** 15 * math.factorial(15) ** 2 / math.factorial(30)
     c14 = 15 * 2 ** 14 * math.factorial(14) ** 2 / math.factorial(28)
     assert trunc == pytest.approx(2 * (c14 + c15), rel=1e-6)   # c_k cancel 1e-7 of x^15

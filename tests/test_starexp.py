@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stardeform import starexp, verify
 from stardeform.core import Poly
@@ -211,18 +211,20 @@ def test_quadratic_loop_flips_sheet():
 
 def test_quad_exponential_law_samples():
     rng = random.Random(14)
-    worst = 0.0
+    cases = []
     for _ in range(100):
         s = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         t = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         tau = cmath.exp(2j * math.pi * rng.random()) * rng.random()
-        try:
-            worst = max(worst, quad_exponential_law(s, t, tau))
-        except SingularPoint:
-            continue
-    assert worst < 1e-12
+        cases.append((s, t, tau))
+    laws = quad_exponential_law(cases)
+    assert max(law for law in laws if law is not None) < 1e-12
+    assert laws.count(None) < 10
 
-    assert quad_exponential_law(0.0, 0.0, 0.9) < 1e-15
+    assert quad_exponential_law([(0.0, 0.0, 0.9)])[0] < 1e-15
+    # 1/tau = 1/0.9 lies on the straight path to s + t = 1.2
+    assert quad_exponential_law([(0.6, 0.6, 0.9), (0.1, 0.1, 0.9)])[0] is None
+    assert quad_exponential_law([(0.6, 0.6, 0.9)]) == [None]
 
 
 def test_quad_law_sheet_mismatch_doubles():
@@ -280,12 +282,11 @@ def test_series_radius_probe_growth():
 
 
 def test_continue_sqrt_closed_loop_winding():
-    # around 0 once: sqrt flips sign; not enclosing: no flip
-    sq = PathParam([1, 1j, -1, -1j, 1])
-    v = continue_sqrt(lambda z: z, sq)
+    # sqrt(1 - t) around its branch point t = 1 once: flips sign; not enclosing: no flip
+    sq = PathParam([0, 1 - 1j, 2, 1 + 1j, 0])
+    tri = PathParam([0, -1, -1 - 1j, 0])
+    v, v2 = continue_sqrt(1.0, [sq, tri])
     assert abs(v + 1) < 1e-6
-    tri = PathParam([1, 2, 2 + 1j, 1])
-    v2 = continue_sqrt(lambda z: z, tri)
     assert abs(v2 - 1) < 1e-6
 
 
@@ -300,13 +301,19 @@ def nearest_branch_sqrt_reference(vals, prev):
     return out
 
 
-def continue_sqrt_reference(expr, path):
-    """continue_sqrt as a per-node loop over the reference."""
-    val = cmath.sqrt(expr(path.waypoints[0]))
-    for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-        for j in range(1, STEPS_PER_SEGMENT + 1):
-            val, = nearest_branch_sqrt_reference([expr(a + (b - a) * (j / STEPS_PER_SEGMENT))], val)
-    return val
+def continue_sqrt_reference(c, paths):
+    """continue_sqrt as a per-node loop over the reference, path by path, each
+    node and value formed in Python's complex arithmetic."""
+    out = []
+    for k, path in enumerate(paths):
+        ck = c[k] if isinstance(c, (list, tuple)) else c
+        val = cmath.sqrt(1 - ck * path.waypoints[0])
+        for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
+            for j in range(1, STEPS_PER_SEGMENT + 1):
+                t = a + (b - a) * (j / STEPS_PER_SEGMENT)
+                val, = nearest_branch_sqrt_reference([1 - ck * t], val)
+        out.append(val)
+    return out
 
 
 def same_bits(got, want) -> bool:
@@ -394,6 +401,25 @@ def test_overflow_raises_on_a_grid_as_at_a_point():
         g(np.asarray([10.0, 0.0]))
 
 
+def test_a_product_past_the_float_range_raises_for_a_scalar_and_a_grid_alike():
+    """exp(709) is a float but 10 exp(709) is not: the scalar and the grid call
+    raise DomainError on the product, not inf, and no RuntimeWarning (an error
+    under the test configuration) escapes.  Where only some points overflow,
+    the grid raises and the finite points still evaluate."""
+    g = GaussPoly(Poly([10.0]), 0.0, 0.0, 1.0, 709.0)
+    with pytest.raises(DomainError):
+        g(0.0)
+    with pytest.raises(DomainError):
+        g(np.asarray([0.0, 1.0]))
+    ramp = GaussPoly(Poly([0.0, 10.0]), 0.0, 0.0, 1.0, 709.0)
+    assert ramp(0.0) == 0
+    with pytest.raises(DomainError):
+        ramp(1.0)
+    with pytest.raises(DomainError):
+        ramp(np.asarray([0.0, 1.0]))
+    assert GaussPoly(Poly([1.0]), 0.0, 0.0, 1.0, 709.0)(0.0) == pytest.approx(math.exp(709))
+
+
 PART3 = st.floats(-3.0, 3.0).map(lambda x: round(x, 3))
 POINT = st.builds(complex, PART3, PART3)
 
@@ -406,8 +432,8 @@ def test_quadratic_sheet_matches_the_reference_continuation(t, tau, detour):
         g = star_exp_quadratic(t, tau, path)
     except SingularPoint:
         assume(False)
-    root = continue_sqrt(lambda z: 1 - tau * z, path)
-    want = continue_sqrt_reference(lambda z: 1 - tau * z, path)
+    root, = continue_sqrt(tau, [path])
+    want, = continue_sqrt_reference(tau, [path])
     assert same_bits(root, want)
     principal = cmath.sqrt(1 - tau * t)
     assert g.sheet == (1 if abs(want - principal) <= abs(want + principal) else -1)
@@ -420,6 +446,29 @@ def test_triple_transport_sign_matches_the_reference_continuation(t, taus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(starexp, "continue_sqrt", continue_sqrt_reference)
         assert triple_transport_sign(t, taus) == got
+
+
+# Waypoints on a grid of quarters and c among a few exact values put nodes on
+# exact ties (1 - 64 t at t = 1/32 is -1, whose root 1j is a quarter turn from
+# the root 1 before it) and on the imaginary axis (1 - t at Re t = 1).
+QUARTER = st.integers(-12, 12).map(lambda k: k / 4)
+WAYPOINT = st.one_of(st.builds(complex, QUARTER, QUARTER), POINT)
+PATH = st.lists(WAYPOINT, min_size=2, max_size=5).map(PathParam)
+C = st.one_of(st.sampled_from([1, -1, 1j, 0.5, 64, 2 + 2j, 0.25j]).map(complex), POINT)
+
+
+@settings(deadline=None, max_examples=150)
+@given(paths=st.lists(PATH, min_size=1, max_size=8), cs=st.lists(C, min_size=8, max_size=8),
+       per_path=st.booleans())
+@example(paths=[PathParam([0, 2]), PathParam([0, 1 - 1j, 1 + 1j])], cs=[64, 1] + [0] * 6,
+         per_path=True)
+@example(paths=[PathParam([0, 2]), PathParam([0.5, 1 - 1j, 1 + 1j, 3, 0])], cs=[1] * 8,
+         per_path=False)
+def test_continue_sqrt_batch_matches_the_loop_bit_for_bit(paths, cs, per_path):
+    """A batch of 1-8 paths of 1-4 segments, with c one value or one per path,
+    ends each path on the per-node loop's root."""
+    c = cs[:len(paths)] if per_path else cs[0]
+    assert same_bits(continue_sqrt(c, paths), continue_sqrt_reference(c, paths))
 
 
 def test_quadratic_family_maps_parameter_to_parameter():
@@ -445,29 +494,34 @@ def test_triple_transport_has_mixed_flip_set():
 @pytest.mark.parametrize("skipped, passes", [(0, True), (20, True), (21, False), (40, False)])
 def test_quadratic_law_record_needs_half_its_cases(skipped, passes, monkeypatch):
     """The record fails once fewer than 20 of its 40 cases evaluate."""
-    calls = []
+    seen = []
 
-    def law(s, t, tau):
-        calls.append(1)
-        if len(calls) <= skipped:
-            raise SingularPoint("forced")
-        return 0.0
+    def law(cases):
+        seen.extend(cases)
+        return [None] * skipped + [0.0] * (len(cases) - skipped)
 
     monkeypatch.setattr(starexp, "quad_exponential_law", law)
     rec, = [r for r in verify.suite_starexp(verify.RunConfig())
             if r["anchor"] == "quadratic-exponential-law"]
-    assert len(calls) == 40
+    assert len(seen) == 40
     assert rec["passed"] is passes
     assert rec["residual"] == (0.0 if passes else math.inf)
 
 
 def test_quadratic_law_record_propagates_untyped_errors(monkeypatch):
-    def law(s, t, tau):
-        raise RuntimeError("defect")
+    """The law skips a case on a StarDeformError only: an untyped error in a
+    product of quadratic elements reaches the caller."""
+    gauss_star_ = starexp.gauss_star
 
-    monkeypatch.setattr(starexp, "quad_exponential_law", law)
-    with pytest.raises(RuntimeError):
+    def gauss_star(f, g, tau):
+        if f.alpha != 0:    # a quadratic element; the linear law's have alpha 0
+            raise RuntimeError("defect")
+        return gauss_star_(f, g, tau)
+
+    monkeypatch.setattr(starexp, "gauss_star", gauss_star)
+    with pytest.raises(RuntimeError, match="defect") as caught:
         verify.suite_starexp(verify.RunConfig())
+    assert "quad_exponential_law" in [entry.name for entry in caught.traceback]
 
 
 def test_series_oracle_record_detects_a_perturbed_product(monkeypatch):
