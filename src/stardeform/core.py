@@ -11,21 +11,28 @@ values.  All operations are pure; values are immutable after construction.
 Coefficients are Python complex, or exact int, Fraction and exact.QC
 (rational-complex, used for zero-residual identity checks); exact.is_exact
 tells them apart.  Every entry point computes exact input in QC and returns QC
-coefficients.  Poly itself converts nothing: Poly.x() has int coefficients
-and serves float code as well.
+coefficients.  Poly itself converts no coefficient: Poly.x() has int
+coefficients and serves float code as well.
 
-When tau and every coefficient are exact, star_product and intertwine bring
-the coefficients to Gaussian-integer numerators over one common denominator
-(exact.to_gaussian), evaluate the defining sums in Python ints, and
-canonicalise once per output coefficient (exact.from_gaussian).  Any other
-input takes the float loop over Poly arithmetic with every QC scalar taken as
-complex, so exact and float scalars mix to the float result; over QC the loop
-is also the tests' reference for the integer route.
+An exact Poly also holds its Gaussian form (re, im, d): Gaussian-integer
+numerators over d, the lcm of the coefficients' canonical denominators.  That
+form is in lowest terms and unique, so two exact polynomials are equal exactly
+when their forms are.  A Poly built from exact coefficients takes its form
+(exact.to_gaussian) when a kernel first reads it and keeps it; a float Poly
+never holds one.  When tau is exact and both inputs hold a form, star_product
+and intertwine evaluate the defining sums in Python ints, divide the output
+numerators and denominator by one gcd, and return a Poly that holds only that
+form: its QC coefficients are built (exact.from_gaussian, once per
+coefficient) when something first reads .coeffs, and a chain of kernels or an
+equality test between outputs never builds them.  Any other input takes the
+float loop over Poly arithmetic with every QC scalar taken as complex, so
+exact and float scalars mix to the float result; over QC the loop is also the
+tests' reference for the integer route.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence
 
 from .exact import QC, all_exact, as_qc, from_gaussian, is_exact, pack, to_gaussian, unpack
@@ -36,9 +43,13 @@ def _is_zero(c) -> bool:
 
 
 class Poly:
-    """Dense polynomial in w; zero polynomial has an empty coefficient tuple."""
+    """Dense polynomial in w; zero polynomial has an empty coefficient tuple.
 
-    __slots__ = ("coeffs",)
+    The slot _gauss holds the Gaussian form of an exact Poly once a kernel has
+    read it (_form) and stays unset on a float Poly.
+    """
+
+    __slots__ = ("coeffs", "_gauss")
 
     def __init__(self, coeffs: Sequence = ()):
         cs = list(coeffs)
@@ -125,8 +136,11 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        a, b = getattr(self, "_gauss", None), getattr(other, "_gauss", None)
+        if a is not None and b is not None:
+            return a == b
+        a, b = self.coeffs, other.coeffs
+        return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -141,10 +155,55 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
+class _FormPoly(Poly):
+    """A Poly returned by an exact kernel: it holds its form and builds its QC
+    coefficients when they are first read.  Poly itself defines no
+    __getattr__, so on any other Poly a slot read stays plain, and CPython can
+    specialise it; a __getattr__ on Poly costs the float paths that."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset, and _gauss is always set
+        if name != "coeffs":
+            raise AttributeError(f"'Poly' object has no attribute {name!r}")
+        re, im, d = self._gauss
+        self.coeffs = tuple([from_gaussian(a, b, d) for a, b in zip(re, im)])
+        return self.coeffs
+
+
+def _form(p: Poly):
+    """p's Gaussian form (re, im, d), taken by to_gaussian on first use and kept;
+    None for a Poly with a float coefficient, which is never given one."""
+    form = getattr(p, "_gauss", None)
+    if form is None and all_exact(p.coeffs):
+        form = p._gauss = to_gaussian(p.coeffs)
+    return form
+
+
+def _form_poly(re: list, im: list, d: int) -> Poly:
+    """The Poly of (re + im i)/d, holding its lowest-terms form: trailing zeros
+    stripped and one gcd divided out.  re and im are the caller's fresh lists,
+    and no one mutates a held form."""
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    g = gcd(d, *re, *im)
+    if g != 1:
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+        d //= g
+    p = object.__new__(_FormPoly)
+    p._gauss = (re, im, d)
+    return p
+
+
 def star_product(f: Poly, g: Poly, tau) -> Poly:
     """sum_k (tau^k / (2^k k!)) f^(k) g^(k); finite, commutative, exact over QC."""
-    if is_exact(tau) and all_exact(f.coeffs) and all_exact(g.coeffs):
-        return _star_product_gaussian(f, g, tau)
+    if is_exact(tau):
+        ff, gf = _form(f), _form(g)
+        if ff is not None and gf is not None:
+            return _star_product_gaussian(ff, gf, tau)
     return _star_product_loop(f.map_coeffs(_inexact), g.map_coeffs(_inexact), _inexact(tau))
 
 
@@ -172,26 +231,21 @@ def _deriv(v: list) -> list:
     return [i * c for i, c in enumerate(v[1:], 1)]
 
 
-def _from_gaussian_poly(re: list, im: list, d: int) -> Poly:
-    while re and not (re[-1] or im[-1]):
-        re.pop()
-        im.pop()
-    return Poly([from_gaussian(a, b, d) for a, b in zip(re, im)])
-
-
-def _star_product_gaussian(f: Poly, g: Poly, tau) -> Poly:
-    """star_product over exact scalars in ints.  With f = F/D_f, g = G/D_g (F, G
-    Gaussian-integer polynomials), tau = T/t_d and K = min(deg f, deg g),
+def _star_product_gaussian(f_form: tuple, g_form: tuple, tau) -> Poly:
+    """star_product of the forms f = F/D_f, g = G/D_g (F, G Gaussian-integer
+    polynomials) at an exact tau = T/t_d.  With K = min(deg f, deg g),
 
         f *_tau g = sum_k C_k F^(k) G^(k) / (D_f D_g (2 t_d)^K K!),
         C_k = T^k (2 t_d)^(K-k) K!/k!.
 
     Each product F^(k) G^(k) is four int products of packed polynomials, and
-    the sum over k is taken in packed form, so only the result is unpacked."""
-    if f.is_zero() or g.is_zero():
-        return Poly()
-    fa, fb, df = to_gaussian(f.coeffs)
-    ga, gb, dg = to_gaussian(g.coeffs)
+    the sum over k is taken in packed form, so only the result is unpacked.
+    The result holds the output form, reduced by one gcd; no coefficient is
+    built."""
+    fa, fb, df = f_form
+    ga, gb, dg = g_form
+    if not fa or not ga:
+        return _form_poly([], [], 1)
     (ta,), (tb,), td = to_gaussian((tau,))
     nf, ng = len(fa), len(ga)
     K = min(nf, ng) - 1
@@ -218,14 +272,15 @@ def _star_product_gaussian(f: Poly, g: Poly, tau) -> Poly:
             re += ra * xr - rb * xi
             im += ra * xi + rb * xr
     n = nf + ng - 1
-    return _from_gaussian_poly(unpack(re, bits, n), unpack(im, bits, n),
-                               df * dg * (2 * td) ** K * fK)
+    return _form_poly(unpack(re, bits, n), unpack(im, bits, n), df * dg * (2 * td) ** K * fK)
 
 
 def intertwine(f: Poly, tau_from, tau_to) -> Poly:
     """exp(((tau_to - tau_from)/4) d^2) f: algebra morphism between parameter values."""
-    if is_exact(tau_from) and is_exact(tau_to) and all_exact(f.coeffs):
-        return _intertwine_gaussian(f, (as_qc(tau_to) - tau_from) / 4)
+    if is_exact(tau_from) and is_exact(tau_to):
+        form = _form(f)
+        if form is not None:
+            return _intertwine_gaussian(form, (as_qc(tau_to) - tau_from) / 4)
     return _intertwine_loop(f.map_coeffs(_inexact), _inexact(tau_from), _inexact(tau_to))
 
 
@@ -245,14 +300,17 @@ def _intertwine_loop(f: Poly, tau_from, tau_to) -> Poly:
     return out
 
 
-def _intertwine_gaussian(f: Poly, theta: QC) -> Poly:
-    """intertwine over exact scalars in ints.  With f_i = F_i/D_f, theta = Θ/t_d and
+def _intertwine_gaussian(f_form: tuple, theta: QC) -> Poly:
+    """intertwine of the form f_i = F_i/D_f at theta = Θ/t_d.  With
     J = floor(deg f / 2),
 
-        out_n = sum_j Θ^j t_d^(J-j) (J!/j!) ((n+2j)!/n!) F_{n+2j} / (D_f t_d^J J!)."""
-    if f.is_zero():
-        return Poly()
-    fa, fb, df = to_gaussian(f.coeffs)
+        out_n = sum_j Θ^j t_d^(J-j) (J!/j!) ((n+2j)!/n!) F_{n+2j} / (D_f t_d^J J!).
+
+    The result holds the output form, reduced by one gcd; no coefficient is
+    built."""
+    fa, fb, df = f_form
+    if not fa:
+        return _form_poly([], [], 1)
     (ta,), (tb,), td = to_gaussian((theta,))
     N = len(fa)
     J = (N - 1) // 2
@@ -276,7 +334,7 @@ def _intertwine_gaussian(f: Poly, theta: QC) -> Poly:
                 xa += w * (ca[j] * a - cb[j] * b)
                 xb += w * (ca[j] * b + cb[j] * a)
         out_a[n], out_b[n] = xa, xb
-    return _from_gaussian_poly(out_a, out_b, df * td ** J * factorial(J))
+    return _form_poly(out_a, out_b, df * td ** J * factorial(J))
 
 
 def w_star_power(n: int, tau) -> Poly:

@@ -23,7 +23,7 @@ import numpy as np
 from . import theta
 from .core import Poly, intertwine
 from .errors import DomainError
-from .numeric import as_grid
+from .numeric import as_grid, worst_of
 from .quadrature import integrate_gaussian_window, integrate_segment_refined, x_window
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 from .theta import check_tau
@@ -405,7 +405,7 @@ def product_of_inverses_residual(a, b, tau, w_grid) -> dict:
         lhs = _double_osc(tau, a, b, w_grid,
                           +1 if sa == "+" else -1, +1 if sb == "+" else -1)
         prods[(sa, sb)] = lhs
-        worst = max(worst, float(np.abs(lhs - law(sa, sb)).max()))
+        worst = worst_of((worst, float(np.abs(lhs - law(sa, sb)).max())))
     prods[("-", "+")] = law("-", "+")
     vanish = prods[("+", "+")] - prods[("+", "-")] - prods[("-", "+")] + prods[("-", "-")]
     return {"product_law": worst, "delta_pair_product": float(np.abs(vanish).max())}

@@ -10,8 +10,10 @@ compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 Each QC operation pays one gcd to stay canonical.  Kernels that combine many
 QC values (core.star_product, core.intertwine, halfseries.hs_mul and
 halfseries.hs_inverse) instead bring their inputs to Gaussian-integer
-numerators over one common denominator with to_gaussian, compute in Python
-ints, and canonicalise once per output value with from_gaussian.  pack and
+numerators over one common denominator with to_gaussian and compute in Python
+ints.  The halfseries kernels canonicalise once per output value with
+from_gaussian; the core kernels keep the whole output as one such form,
+reduced by one gcd, and core.Poly builds its QC values when they are read.  pack and
 unpack multiply integer polynomials as single ints (Kronecker substitution).
 This module is the only one that reads a QC's fields.
 """

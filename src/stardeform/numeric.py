@@ -1,4 +1,5 @@
-"""The checked exponentials, cexp on a scalar and exp_array on a grid, and as_grid.
+"""The checked exponentials, cexp on a scalar and exp_array on a grid, as_grid,
+and worst_of, the one fold of residuals.
 
 Kernels otherwise use plain arithmetic, abs, complex() (which rounds an exact
 QC) and cmath.  The grid helpers import numpy when called, so the exact
@@ -8,6 +9,7 @@ commands never load it.
 from __future__ import annotations
 
 import cmath
+import math
 
 from .errors import DomainError
 
@@ -39,3 +41,11 @@ def as_grid(w_grid):
     import numpy as np
 
     return np.asarray([complex(w) for w in w_grid])
+
+
+def worst_of(values):
+    """The largest of values, or nan if any value is nan.  Python's max keeps
+    its running value against a nan that comes later, so a residual folded by
+    max can drop a nan and pass; without a nan this is max(values)."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)

@@ -24,7 +24,7 @@ import numpy as np
 from .core import Poly
 from .errors import DegenerateBoundary, DomainError, NodeCountError, SingularPoint
 from .exact import SparseLaurent
-from .numeric import as_grid, cexp
+from .numeric import as_grid, cexp, worst_of
 from .quadrature import integrate_segment_refined
 from .starexp import GaussPoly, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
@@ -284,7 +284,7 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid) -> dict:
             raise SingularPoint("square-root branch does not close around the contour")
         f = np.exp(z * nu_c) / root * np.exp(z * ws * ws / denom)
         integrals = np.mean(f * s ** (-2 * k) * s, axis=1)
-        worst = max(worst, float(np.abs(integrals).max()))
+        worst = worst_of((worst, float(np.abs(integrals).max())))
     t_zero = (k + 0.5) * laurent_gausspoly(k + 1, nu, tau)(w_grid)
     return {"annihilation": worst, "t_zero_values": t_zero}
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
 from .exact import QC, as_qc, from_gaussian, to_gaussian
-from .numeric import as_grid
+from .numeric import as_grid, worst_of
 
 SQRT2 = math.sqrt(2.0)
 
@@ -305,7 +305,7 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
     for iw in range(len(ws)):               # one n_s x n_s array per point
         C = np.fft.fft(np.outer(ea[iw], eb[iw]) * cross, axis=1)
         C = np.fft.fft(C[:, band], axis=0)[rows, at.reshape(cols.shape)] / (n_s * n_s)
-        worst = max(worst, float(np.abs(want[:, iw] - C.sum(axis=1)).max()))
+        worst = worst_of((worst, float(np.abs(want[:, iw] - C.sum(axis=1)).max())))
     return worst
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import core, distributions, halfseries, residue, specialfn, starexp, theta, vertex
 from .errors import DomainError
-from .exact import QC
-from .numeric import exp_array
+from .exact import QC, from_gaussian
+from .numeric import exp_array, worst_of
 from .quadrature import WINDOW_RTOL
 
 
@@ -53,9 +53,16 @@ def _bool_rec(anchor: str, description: str, ok: bool) -> dict:
             "residual": 0.0 if ok else 1.0, "tol": 0.0, "passed": bool(ok)}
 
 
+_NUMS, _DENS = range(-6, 7), range(1, 6)
+
+
 def _rand_qc(rng):
-    return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
-              Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+    """a/b + (c/d) i with a, c in [-6, 6] and b, d in [1, 5].  choice over a range
+    draws as randint(lo, hi) does (one _randbelow of the width), so every seed
+    draws the values QC(Fraction(randint, randint), Fraction(randint, randint))
+    drew."""
+    a, b, c, d = rng.choice(_NUMS), rng.choice(_DENS), rng.choice(_NUMS), rng.choice(_DENS)
+    return from_gaussian(a * d, c * b, b * d)
 
 
 def _rand_poly(rng, deg):
@@ -105,7 +112,7 @@ def suite_core(cfg: RunConfig) -> list:
     f = core.Poly([0.3, -1.2, 0.0, 2.0, 1.0])
     want = core.infinitesimal_intertwiner(f)
     fd = (core.intertwine(f, 0.4, 0.4 + 1e-6) - f).scale(1e6)
-    resid = max((abs(c) for c in (fd - want).coeffs), default=0.0)
+    resid = worst_of([0.0, *(abs(c) for c in (fd - want).coeffs)])
     out.append(_rec("infinitesimal-intertwiner", "quarter second derivative vs finite difference",
                     resid, 1e-4))
     return out
@@ -144,8 +151,8 @@ def suite_starexp(cfg: RunConfig) -> list:
         prod = starexp.gauss_star(starexp.star_exp_linear(s, tau),
                                   starexp.star_exp_linear(t, tau), tau)
         target = starexp.star_exp_linear(s + t, tau)
-        worst = max(worst, abs(prod.beta - target.beta),
-                    abs(prod.amp() / target.amp() - 1))
+        worst = worst_of((worst, abs(prod.beta - target.beta),
+                          abs(prod.amp() / target.amp() - 1)))
     out.append(_rec("linear-exponential-law", "product of linear exponentials in closed form",
                     worst, 1e-12))
 
@@ -157,7 +164,7 @@ def suite_starexp(cfg: RunConfig) -> list:
         cases.append((s, t, tau))
     # a singular case (None) is skipped
     evaluated = [r for r in starexp.quad_exponential_law(cases) if r is not None]
-    worst = max([0.0, *evaluated])
+    worst = worst_of([0.0, *evaluated])
     if len(evaluated) < 20:     # too few cases ran for the law to be checked
         worst = math.inf
     out.append(_rec("quadratic-exponential-law", "square-root composition law on sheets",
@@ -189,7 +196,7 @@ def suite_starexp(cfg: RunConfig) -> list:
 
     pushed = starexp.heat_apply((1.4 + 0.2j - 0.6) / 4, starexp.star_exp_linear(0.9 - 0.4j, 0.6))
     target = starexp.star_exp_linear(0.9 - 0.4j, 1.4 + 0.2j)
-    resid = max(abs(pushed.beta - target.beta), abs(pushed.amp() / target.amp() - 1))
+    resid = worst_of((abs(pushed.beta - target.beta), abs(pushed.amp() / target.amp() - 1)))
     out.append(_rec("intertwiner-consistency", "parameter change of linear exponentials",
                     resid, 1e-12))
 
@@ -234,7 +241,7 @@ def suite_special(cfg: RunConfig) -> list:
     for n, m in ((0, 0), (1, 0), (3, 3), (2, 4)):
         got = specialfn.hermite_orthogonality(n, m, -1.0)
         want = specialfn.hermite_orthogonality_target(n, -1.0) if n == m else 0.0
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        worst = worst_of((worst, abs(got - want) / max(1.0, abs(want))))
     out.append(_rec("hermite-orthogonality", "weighted pairing matches n!(-tau)^n sqrt(-tau pi)",
                     worst, 1e-8))
 
@@ -245,14 +252,15 @@ def suite_special(cfg: RunConfig) -> list:
                     specialfn.bessel_symmetry_residual(tab), 1e-12))
     fft = specialfn.bessel_generating_fft(1.0, 1.0, 18, cfg.w_grid())
     out.append(_rec("bessel-generating-route", "table vs FFT of the generating element",
-                    max(float(np.abs(tab.values[n] - fft[n]).max()) for n in fft), 1e-12))
+                    worst_of(float(np.abs(tab.values[n] - fft[n]).max()) for n in fft), 1e-12))
     resid = specialfn.bessel_addition_residual(1.0, 1.0, 1.0, cfg.w_grid()[::4])
     out.append(_rec("bessel-addition", "argument addition via pairwise products", resid, 1e-9))
 
     grid = np.asarray([-0.5, 0.1, 0.7])
     vals = specialfn.legendre_star(3, 0.0, -1.0, grid)
     exact = specialfn.legendre_star_exact(3, Fraction(-1))
-    worst = max(float(np.abs(vals[n] - exact[n].map_coeffs(float)(grid)).max()) for n in range(4))
+    worst = worst_of(float(np.abs(vals[n] - exact[n].map_coeffs(float)(grid)).max())
+                     for n in range(4))
     out.append(_rec("legendre-dual-route", "quadrature vs exact moment table", worst, 1e-9))
 
     tabL = specialfn.laguerre_star(6, Fraction(2, 3))
@@ -260,15 +268,15 @@ def suite_special(cfg: RunConfig) -> list:
     out.append(_bool_rec("laguerre-normalization", "top derivative equals one (exact)", norm_ok))
     x = 0.49
     coef = specialfn.laguerre_from_quad_expansion(6, 0.8 + 0.3j, x)
-    worst = max(abs(p(x) - c) / max(1.0, abs(c))
-                for p, c in zip(specialfn.laguerre_star(6, 0.8 + 0.3j), coef))
+    worst = worst_of(abs(p(x) - c) / max(1.0, abs(c))
+                     for p, c in zip(specialfn.laguerre_star(6, 0.8 + 0.3j), coef))
     out.append(_rec("laguerre-cauchy-route", "table vs Cauchy coefficients of the quadratic "
                     "exponential", worst, 1e-11))
     worst = 0.0
     for n, m in ((0, 1), (2, 2), (1, 3)):
         got = specialfn.laguerre_orthogonality(n, m, -1.0)
         want = specialfn.laguerre_orthogonality_target(n, -1.0) if n == m else 0.0
-        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        worst = worst_of((worst, abs(got - want) / max(1.0, abs(want))))
     out.append(_rec("laguerre-orthogonality", "half-line weighted pairing", worst, 1e-8))
     return out
 
@@ -277,11 +285,11 @@ def suite_theta(cfg: RunConfig) -> list:
     tau = cfg.tau
     W = np.asarray(cfg.w_grid())
     out = []
-    worst = max(float(theta.quasi_periodicity_residual(k, W[::2], tau).max())
-                for k in (1, 2, 3, 4))
+    worst = worst_of(float(theta.quasi_periodicity_residual(k, W[::2], tau).max())
+                     for k in (1, 2, 3, 4))
     out.append(_rec("theta-quasi-periodicity", "lattice shift with exponential factor",
                     worst, cfg.tol))
-    worst = max(theta.theta_eigen_residual(k, tau, W[::4]) for k in (1, 2, 3, 4))
+    worst = worst_of(theta.theta_eigen_residual(k, tau, W[::4]) for k in (1, 2, 3, 4))
     out.append(_rec("theta-eigen-action", "left product with the basic exponential",
                     worst, cfg.tol))
     out.append(_rec("theta-imaginary-transform", "modular-type relation between expressions",
@@ -304,14 +312,14 @@ def suite_dist(cfg: RunConfig) -> list:
     W = cfg.w_grid()
     out = []
     z = distributions.delta_annihilation(0.4, tau)
-    resid = 0.0 if z.poly.is_zero() else max(abs(c) for c in z.poly.coeffs)
+    resid = worst_of([0.0, *(abs(c) for c in z.poly.coeffs)])
     out.append(_rec("delta-annihilation", "(a+w) kills its delta in closed form", resid, 1e-14))
     out.append(_rec("delta-mass", "delta expression integrates to one",
                     abs(distributions.delta_mass(0.3, tau) - 1), 1e-11))
-    worst = max(distributions.sided_inverse_defect(a, s, tau, W)
-                for a in (0.0, 1.0, 1j) for s in "+-")
+    worst = worst_of(distributions.sided_inverse_defect(a, s, tau, W)
+                     for a in (0.0, 1.0, 1j) for s in "+-")
     out.append(_rec("sided-inverse-defect", "half-line integrals invert (a+w)", worst, 1e-8))
-    worst = max(distributions.delta_difference_residual(a, tau, W[::2]) for a in (0.0, 0.8))
+    worst = worst_of(distributions.delta_difference_residual(a, tau, W[::2]) for a in (0.0, 0.8))
     out.append(_rec("sided-difference-delta", "inverse difference equals 2 pi i delta",
                     worst, 1e-9))
     res = distributions.y_sgn_identity_residuals(tau, W)
@@ -354,8 +362,8 @@ def suite_dist(cfg: RunConfig) -> list:
     delta = distributions.delta_tau(-0.6, tau)(ws)
     out.append(_rec("delta-fourier-law", "transform of (2 pi)^{-1/2} e^{iat} is delta_*(a - w)",
                     float(np.abs(law - delta).max() / np.abs(delta).max()), WINDOW_RTOL))
-    worst = max(distributions.eval_pairing_residual(f, a, tau, [a - 0.5, a, a + 0.5])
-                for f, a in ((core.Poly([0, 0, 1]), 1.0), (("exp", 1.0), 0.5)))
+    worst = worst_of(distributions.eval_pairing_residual(f, a, tau, [a - 0.5, a, a + 0.5])
+                     for f, a in ((core.Poly([0, 0, 1]), 1.0), (("exp", 1.0), 0.5)))
     out.append(_rec("delta-evaluation", "f * delta_*(a - w) = f(a) delta_*(a - w)", worst, 1e-13))
     return out
 
@@ -368,7 +376,7 @@ def suite_residue(cfg: RunConfig) -> list:
     for k, w in ((0, 0.0), (0, 0.5), (1, 0.3), (-1, 0.4)):
         closed = residue.laurent_coeff_closed(k, nu, tau, w)
         cont = residue.residue_contour(k, nu, tau, w)
-        worst = max(worst, abs(cont - closed) / max(1.0, abs(closed)))
+        worst = worst_of((worst, abs(cont - closed) / max(1.0, abs(closed))))
     out.append(_rec("residue-dual-route", "contour vs closed Laurent coefficients",
                     worst, 1e-10))
     a = residue.residue_contour(1, nu, tau, 0.3, radius=0.5)
@@ -376,14 +384,14 @@ def suite_residue(cfg: RunConfig) -> list:
     out.append(_rec("contour-radius-independence", "Cauchy independence of the radius",
                     abs(a - b), 1e-12))
     W_unit = [w for w in W if abs(complex(w)) <= 1.0] or [0.0, 0.5]
-    worst = max(residue.ladder_residual(k, nu, tau, W_unit) for k in (-1, 0, 1, 2))
+    worst = worst_of(residue.ladder_residual(k, nu, tau, W_unit) for k in (-1, 0, 1, 2))
     out.append(_rec("coefficient-ladder", "quadratic element raises the Laurent index",
                     worst, 1e-12))
     out.append(_rec("double-turn-vanishing", "closed double-cover contour vanishes",
-                    max(residue.closed_contour_vanishing(nu, tau, w) for w in (0.0, 0.5)),
+                    worst_of(residue.closed_contour_vanishing(nu, tau, w) for w in (0.0, 0.5)),
                     1e-10))
-    worst = max(residue.semigroup_on_delta(t, 0.6, tau, W[::4])
-                for t in (0.0, 0.5, 1 / complex(tau)))
+    worst = worst_of(residue.semigroup_on_delta(t, 0.6, tau, W[::4])
+                     for t in (0.0, 0.5, 1 / complex(tau)))
     out.append(_rec("delta-one-parameter-group", "quadratic flow acts on deltas for all t",
                     worst, 1e-12))
     res = residue.orphan_annihilation(0.1, 0, nu, tau, [0.0, 0.5])
@@ -399,12 +407,13 @@ def suite_residue(cfg: RunConfig) -> list:
     ok = all(residue.diffeqevol_exact_defect(k).is_zero() for k in range(-2, 3))
     out.append(_bool_rec("covariant-evolution-exact",
                          "Laurent coefficients satisfy the surface equation (symbolic)", ok))
-    worst = max(residue.covariant_evolution_residual(core.Poly([0.5, -1.0, 2.0]), nu, z, W[::4])
-                for z in (1.0, 0.8 + 0.4j))
+    worst = worst_of(residue.covariant_evolution_residual(core.Poly([0.5, -1.0, 2.0]), nu, z,
+                                                          W[::4])
+                     for z in (1.0, 0.8 + 0.4j))
     out.append(_rec("covariant-first-order", "closed family solves the first-order equation",
                     worst, 1e-12))
-    worst = max(residue.phi_group_action_residual(t, 0.6, tau, W[::4])
-                for t in (0.5, 1 / complex(tau)))
+    worst = worst_of(residue.phi_group_action_residual(t, 0.6, tau, W[::4])
+                     for t in (0.5, 1 / complex(tau)))
     out.append(_rec("boundary-pair-group-action",
                     "quadratic flow scales the boundary-value pair for all t", worst, 1e-12))
     # fixed nu = tau = 1: the path's tail decays only for Re nu > 0

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from stardeform import (QC, Poly, core, infinitesimal_intertwiner, intertwine, star_product,
                         verify, w_star_power)
-from stardeform.core import _intertwine_loop, _star_product_loop
-from stardeform.exact import all_exact, as_qc, is_exact
+from stardeform.core import _form, _intertwine_loop, _star_product_loop
+from stardeform.exact import all_exact, as_qc, is_exact, to_gaussian
 from stardeform.specialfn import hermite_table, laguerre_star, legendre_star_exact
 
 RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -228,6 +228,94 @@ def test_intertwine_integer_route_equals_loop(f, tau_from, tau_to, same):
     tau_to = tau_from if same else tau_to
     assert same_poly(intertwine(f, tau_from, tau_to),
                      _intertwine_loop(over_qc(f), as_qc(tau_from), as_qc(tau_to)))
+
+
+# ------------------------------------------- the Gaussian form an exact Poly holds
+# Kernel outputs hold only their form until .coeffs is read; a Poly built from
+# exact coefficients takes its form on first exact use.  Inputs below include
+# the zero polynomial and lists that end in exact zeros.
+
+ZEROS = st.lists(st.sampled_from([0, Fraction(0), QC(0)]), max_size=3)
+PADDED_POLYS = st.tuples(st.lists(SCALARS, max_size=8), ZEROS).map(lambda t: Poly(t[0] + t[1]))
+
+
+def held(p):
+    return getattr(p, "_gauss", None)
+
+
+def coefficientwise(p, q):
+    """Equality as the coefficient tuples give it, without Poly.__eq__."""
+    return len(p.coeffs) == len(q.coeffs) and all(a == b for a, b in zip(p.coeffs, q.coeffs))
+
+
+def check_form(p):
+    """p holds a form equal to to_gaussian of its coefficients, built after it."""
+    form = held(p)
+    assert form is not None
+    assert form == to_gaussian(p.coeffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(PADDED_POLYS, PADDED_POLYS, PADDED_POLYS, EXACT_TAUS, EXACT_TAUS)
+def test_held_forms_through_a_chain_equal_the_loops(f, g, h, t1, t2):
+    """Outputs fed back in (product, then intertwiner, then product) match the
+    QC loops at every step, and each holds the form of its coefficients."""
+    fg = star_product(f, g, t1)
+    moved = intertwine(fg, t1, t2)
+    out = star_product(moved, h, t2)
+    ref_fg = _star_product_loop(over_qc(f), over_qc(g), as_qc(t1))
+    ref_moved = _intertwine_loop(ref_fg, as_qc(t1), as_qc(t2))
+    ref_out = _star_product_loop(ref_moved, over_qc(h), as_qc(t2))
+    for got, want in ((fg, ref_fg), (moved, ref_moved), (out, ref_out)):
+        assert same_poly(got, want)
+        check_form(got)
+    for p in (f, g, h):                 # inputs keep the form they were given
+        check_form(p)
+
+
+SCALES = st.sampled_from([1, Fraction(1, 2), 2, Fraction(-3, 4), QC(0, 1), QC(1, 1), 0])
+
+
+@settings(deadline=None)
+@given(PADDED_POLYS, PADDED_POLYS, EXACT_TAUS, SCALES)
+def test_equality_by_forms_agrees_with_coefficients(f, g, tau, c):
+    """a and b = c a (or an unrelated product) compare by their forms as by
+    their coefficients, also against a Poly of the same QC list, before and
+    after that Poly takes a form, and against a float Poly."""
+    a = star_product(f, g, tau)
+    b = star_product(f, g.scale(as_qc(c)), tau) if g.coeffs else intertwine(f, tau, 0)
+    assert (a == b) == coefficientwise(a, b)
+    twin = Poly(list(a.coeffs))
+    assert held(twin) is None and a == twin
+    _form(twin)
+    assert held(twin) is not None and a == twin and twin == a
+    assert (b == twin) == coefficientwise(b, twin)
+    floats = a.map_coeffs(complex)
+    assert (a == floats) == coefficientwise(a, floats)
+    if floats.coeffs:                   # the zero Poly is exact whatever it was made from
+        assert _form(floats) is None and held(floats) is None
+
+
+def test_forms_that_differ_only_in_the_denominator_are_unequal():
+    one = star_product(Poly([1]), Poly([1]), 0)
+    half = star_product(Poly([Fraction(1, 2)]), Poly([1]), 0)
+    assert held(one)[:2] == held(half)[:2] and held(one) != held(half)
+    assert one != half
+    assert intertwine(Poly([0, 0, 1]), 0, 1) != intertwine(Poly([0, 0, Fraction(1, 3)]), 0, 3)
+
+
+def test_verify_draws_the_stream_of_randint():
+    """_rand_qc draws what QC(Fraction(randint, randint), Fraction(randint,
+    randint)) drew, field by field, so every seed of verify core and every
+    pinned exact report means the same draws."""
+    for seed in (1, 7, 20261018):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for _ in range(10_000):
+            got = verify._rand_qc(mine)
+            want = QC(Fraction(ref.randint(-6, 6), ref.randint(1, 5)),
+                      Fraction(ref.randint(-6, 6), ref.randint(1, 5)))
+            assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+        assert mine.getstate() == ref.getstate()
 
 
 def all_qc(p):

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from stardeform import starexp, verify
 from stardeform.core import Poly
 from stardeform.errors import DomainError, SingularPoint, SingularProduct
+from stardeform.numeric import worst_of
 from stardeform.starexp import (STEPS_PER_SEGMENT, GaussPoly, PathParam, continue_sqrt, gauss_star,
                                 heat_apply, leg_path, nearest_branch_sqrt,
                                 quad_exponential_law, quadexp_star, series_radius_probe,
@@ -580,3 +581,19 @@ def test_series_oracle_value_recurrence_matches_poly_recursion(alpha, beta, w):
     for k, (val, size) in enumerate(zip(want, sizes)):
         assert abs(got[k] - val) <= 1e-12 * size, k
 
+
+def test_a_nan_law_residual_fails_its_record(monkeypatch):
+    """One nan among the quadratic law's residuals reaches the record, which
+    fails; a fold through Python's max kept the running 0.0 and passed."""
+    monkeypatch.setattr(starexp, "quad_exponential_law",
+                        lambda cases: [0.0, math.nan] + [0.0] * 38)
+    rec, = (r for r in verify.suite_starexp(verify.RunConfig(seed=1))
+            if r["anchor"] == "quadratic-exponential-law")
+    assert math.isnan(rec["residual"]) and not rec["passed"]
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1), st.data())
+def test_worst_of_is_max_or_nan(values, data):
+    assert worst_of(values) is max(values)
+    at = data.draw(st.integers(0, len(values)))
+    assert math.isnan(worst_of(values[:at] + [math.nan] + values[at:]))
