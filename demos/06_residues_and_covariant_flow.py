@@ -25,7 +25,8 @@ print("but the t=0 bracket is the ladder value:", np.abs(res['t_zero_values']).m
 print("\ndelta elements see no singularity at t = 1/tau:",
       semigroup_on_delta(1.0, 0.6, 1.0, np.linspace(-1, 1, 5)))
 pp = phi_psi(0.8, 1.0)
-print("even/odd boundary solutions: Phi(0) =", pp.phi(0.0), " Psi(0) =", pp.psi(0.0))
+print("even boundary solution: Phi(0) =", pp.phi(0.0),
+      " Phi(0.3) - Phi(-0.3) =", pp.phi(0.3) - pp.phi(-0.3))
 
 print("\nparallel polynomials lie in the surface-derivative kernel (exact):",
       all(surface_derivative_exact(parallel_polynomial(k, m)) == {}

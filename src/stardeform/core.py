@@ -22,20 +22,24 @@ when their forms are.  A Poly built from exact coefficients takes its form
 never holds one.  When tau is exact and both inputs hold a form, star_product
 and intertwine evaluate the defining sums in Python ints, divide the output
 numerators and denominator by one gcd, and return a Poly that holds only that
-form: its QC coefficients are built (exact.from_gaussian, once per
-coefficient) when something first reads .coeffs, and a chain of kernels or an
-equality test between outputs never builds them.  Any other input takes the
-float loop over Poly arithmetic with every QC scalar taken as complex, so
-exact and float scalars mix to the float result; over QC the loop is also the
-tests' reference for the integer route.
+form.  They read an exact tau's parts (a, b, d) directly
+(exact.gaussian_parts); intertwine forms theta = (tau_to - tau_from)/4 from
+the two taus' parts in ints, with one gcd.  An output Poly's QC coefficients
+are built (exact.from_gaussian, once per coefficient) when something first
+reads .coeffs, and a chain of kernels or an equality test between outputs
+never builds them.  Any other input takes the float loop over Poly arithmetic
+with every QC scalar taken as complex, so exact and float scalars mix to the
+float result; over QC the loop is also the tests' reference for the integer
+route.
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial
 from typing import Sequence
 
-from .exact import QC, all_exact, as_qc, from_gaussian, is_exact, pack, to_gaussian, unpack
+from .exact import (QC, all_exact, as_qc, from_gaussian, gaussian_parts, is_exact, lowest_terms,
+                    pack, to_gaussian, unpack)
 
 
 def _is_zero(c) -> bool:
@@ -188,13 +192,8 @@ def _form_poly(re: list, im: list, d: int) -> Poly:
     while re and not (re[-1] or im[-1]):
         re.pop()
         im.pop()
-    g = gcd(d, *re, *im)
-    if g != 1:
-        re = [a // g for a in re]
-        im = [b // g for b in im]
-        d //= g
     p = object.__new__(_FormPoly)
-    p._gauss = (re, im, d)
+    p._gauss = lowest_terms(re, im, d)
     return p
 
 
@@ -203,7 +202,7 @@ def star_product(f: Poly, g: Poly, tau) -> Poly:
     if is_exact(tau):
         ff, gf = _form(f), _form(g)
         if ff is not None and gf is not None:
-            return _star_product_gaussian(ff, gf, tau)
+            return _star_product_gaussian(ff, gf, gaussian_parts(tau))
     return _star_product_loop(f.map_coeffs(_inexact), g.map_coeffs(_inexact), _inexact(tau))
 
 
@@ -231,9 +230,10 @@ def _deriv(v: list) -> list:
     return [i * c for i, c in enumerate(v[1:], 1)]
 
 
-def _star_product_gaussian(f_form: tuple, g_form: tuple, tau) -> Poly:
+def _star_product_gaussian(f_form: tuple, g_form: tuple, tau: tuple) -> Poly:
     """star_product of the forms f = F/D_f, g = G/D_g (F, G Gaussian-integer
-    polynomials) at an exact tau = T/t_d.  With K = min(deg f, deg g),
+    polynomials) at the parts tau = (T_re, T_im, t_d) of an exact tau = T/t_d.
+    With K = min(deg f, deg g),
 
         f *_tau g = sum_k C_k F^(k) G^(k) / (D_f D_g (2 t_d)^K K!),
         C_k = T^k (2 t_d)^(K-k) K!/k!.
@@ -246,7 +246,7 @@ def _star_product_gaussian(f_form: tuple, g_form: tuple, tau) -> Poly:
     ga, gb, dg = g_form
     if not fa or not ga:
         return _form_poly([], [], 1)
-    (ta,), (tb,), td = to_gaussian((tau,))
+    ta, tb, td = tau
     nf, ng = len(fa), len(ga)
     K = min(nf, ng) - 1
     fK = factorial(K)
@@ -280,7 +280,7 @@ def intertwine(f: Poly, tau_from, tau_to) -> Poly:
     if is_exact(tau_from) and is_exact(tau_to):
         form = _form(f)
         if form is not None:
-            return _intertwine_gaussian(form, (as_qc(tau_to) - tau_from) / 4)
+            return _intertwine_gaussian(form, _quarter_difference(tau_from, tau_to))
     return _intertwine_loop(f.map_coeffs(_inexact), _inexact(tau_from), _inexact(tau_to))
 
 
@@ -300,8 +300,18 @@ def _intertwine_loop(f: Poly, tau_from, tau_to) -> Poly:
     return out
 
 
-def _intertwine_gaussian(f_form: tuple, theta: QC) -> Poly:
-    """intertwine of the form f_i = F_i/D_f at theta = Θ/t_d.  With
+def _quarter_difference(tau_from, tau_to) -> tuple:
+    """The parts (Θ_re, Θ_im, t_d) of theta = (tau_to - tau_from)/4 for exact
+    taus, in lowest terms."""
+    a1, b1, d1 = gaussian_parts(tau_from)
+    a2, b2, d2 = gaussian_parts(tau_to)
+    (ta,), (tb,), td = lowest_terms([a2 * d1 - a1 * d2], [b2 * d1 - b1 * d2], 4 * d1 * d2)
+    return ta, tb, td
+
+
+def _intertwine_gaussian(f_form: tuple, theta: tuple) -> Poly:
+    """intertwine of the form f_i = F_i/D_f at the parts theta = (Θ_re, Θ_im,
+    t_d) of theta = Θ/t_d.  With
     J = floor(deg f / 2),
 
         out_n = sum_j Θ^j t_d^(J-j) (J!/j!) ((n+2j)!/n!) F_{n+2j} / (D_f t_d^J J!).
@@ -311,7 +321,7 @@ def _intertwine_gaussian(f_form: tuple, theta: QC) -> Poly:
     fa, fb, df = f_form
     if not fa:
         return _form_poly([], [], 1)
-    (ta,), (tb,), td = to_gaussian((theta,))
+    ta, tb, td = theta
     N = len(fa)
     J = (N - 1) // 2
     # c_j = Θ^j t_d^(J-j) J!/j!

@@ -7,15 +7,17 @@ complex; it does not mix with float.  complex(), float() and str() treat a QC
 as they treat a Fraction.  is_exact is the one exactness rule: the exact routes
 compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 
-Each QC operation pays one gcd to stay canonical.  Kernels that combine many
-QC values (core.star_product, core.intertwine, halfseries.hs_mul and
-halfseries.hs_inverse) instead bring their inputs to Gaussian-integer
-numerators over one common denominator with to_gaussian and compute in Python
-ints.  The halfseries kernels canonicalise once per output value with
-from_gaussian; the core kernels keep the whole output as one such form,
-reduced by one gcd, and core.Poly builds its QC values when they are read.  pack and
-unpack multiply integer polynomials as single ints (Kronecker substitution).
-This module is the only one that reads a QC's fields.
+Each QC operation pays one gcd to stay canonical, so no exact container
+computes over QC.  Each holds a form instead: Gaussian-integer numerators over
+one positive denominator, taken from QC values by to_gaussian and read back as
+QC values by from_gaussian only when something reads them.  core.Poly and
+halfseries.HalfSeries keep their form in lowest terms (lowest_terms, one gcd
+per result), so equal values have equal forms; SparseLaurent (below) and
+vertex.VertexElem leave their denominator unreduced and compare by
+cross-multiplying.  gaussian_parts gives the parts of one exact scalar, such
+as a tau.  pack and unpack multiply integer polynomials as single ints
+(Kronecker substitution).  This module is the only one that reads a QC's
+fields.
 """
 
 from __future__ import annotations
@@ -150,9 +152,6 @@ class QC:
     def __bool__(self):
         return bool(self._a or self._b)
 
-    def conjugate(self) -> "QC":
-        return _new(self._a, -self._b, self._d)
-
     def to_complex(self) -> complex:
         """Nearest float complex; raises DomainError beyond the float range."""
         try:
@@ -218,6 +217,29 @@ def to_gaussian(values) -> tuple:
             [q._b * s for q, s in zip(values, scales)], d)
 
 
+def gaussian_parts(x) -> tuple:
+    """(a, b, d) of an exact scalar x == (a + b i)/d in lowest terms."""
+    t = type(x)
+    if t is QC:
+        return x._a, x._b, x._d
+    if t is int:
+        return x, 0, 1
+    return x.numerator, 0, x.denominator
+
+
+def lowest_terms(re: list, im: list, d: int) -> tuple:
+    """The form (re + im i)/d with gcd(d, *re, *im) divided out: the one form
+    of its values whose d is the lcm of their canonical denominators.  re and
+    im are the caller's fresh lists, returned as they are when already
+    reduced."""
+    g = gcd(d, *re, *im)
+    if g != 1:
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+        d //= g
+    return re, im, d
+
+
 def from_gaussian(a: int, b: int, d: int) -> QC:
     """QC of (a + b i)/d for d > 0, dividing out gcd(a, b, d)."""
     g = gcd(a, b, d)
@@ -263,62 +285,113 @@ def unpack(x: int, bits: int, n: int) -> list:
     return out
 
 
-def _accumulate(out: dict, key, v: QC) -> None:
-    """out[key] += v, dropping the key when the sum cancels."""
-    cur = out.get(key)
-    if cur is None:
-        out[key] = v
-        return
-    s = cur + v
-    if s:
-        out[key] = s
-    else:
-        del out[key]
+def _nonzero(pairs) -> dict:
+    """{key: c} over the (key, int c) pairs whose c is nonzero."""
+    return {k: c for k, c in pairs if c}
+
+
+def _lincomb(x: dict, a: int, y: dict, b: int) -> dict:
+    """a x + b y for dicts of nonzero ints; keys whose sums cancel are dropped."""
+    out = {k: c * a for k, c in x.items()} if a else {}
+    if b:
+        for k, c in y.items():
+            v = out.get(k, 0) + c * b
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
+
+
+def _convolve(out: dict, x: dict, y: dict, sign: int) -> dict:
+    """out += sign x y, exponent tuples adding; cancelled sums stay in out."""
+    for k1, c1 in x.items():
+        c1 *= sign
+        for k2, c2 in y.items():
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+def _derivative(x: dict, axis: int) -> dict:
+    out = {}
+    for k, c in x.items():
+        e = k[axis]
+        if e:
+            out[k[:axis] + (e - 1,) + k[axis + 1:]] = c * e
+    return out
+
+
+def _invert_axis(x: dict, axis: int, onto: int) -> dict:
+    out = {}
+    for k, c in x.items():
+        nk = list(k)
+        nk[onto] -= nk[axis]
+        nk[axis] = 0
+        nk = tuple(nk)
+        out[nk] = out.get(nk, 0) + c
+    return _nonzero(out.items())
+
+
+def _cross_equal(x: dict, y: dict, dx: int, dy: int) -> bool:
+    """x/dx == y/dy for dicts of nonzero int numerators."""
+    return x.keys() == y.keys() and all(c * dy == y[k] * dx for k, c in x.items())
 
 
 class SparseLaurent:
-    """Exact Laurent polynomial in several symbols with QC coefficients.
+    """Exact Laurent polynomial in several symbols with rational-complex
+    coefficients.
 
-    terms maps an exponent tuple (one integer per symbol, negative allowed) to
-    a nonzero QC; the zero element has no terms.  Arithmetic keeps the class
-    of its left operand, so subclasses that add named evaluation stay closed.
+    The coefficient of the monomial with exponent tuple k (one integer per
+    symbol, negative allowed) is (re[k] + im[k] i)/den: re and im map exponent
+    tuples to nonzero ints, and the zero element has neither.  den > 0 is not
+    reduced (a product multiplies the two denominators, a sum works over their
+    lcm), so == compares by cross-multiplying; terms is the read-only
+    {exponent: QC} view, built when read.  Arithmetic keeps the class of its
+    left operand, so subclasses that add named evaluation stay closed.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        for k, v in (terms or {}).items():
-            v = v if isinstance(v, QC) else QC(v)
-            if v:
-                self.terms[k] = v
+        """From {exponent: int, Fraction or QC}."""
+        terms = terms or {}
+        re, im, self.den = to_gaussian(list(terms.values()))
+        self.re = _nonzero(zip(terms, re))
+        self.im = _nonzero(zip(terms, im))
 
     @classmethod
-    def _wrap(cls, terms: dict):
-        """An element over terms that are already QC and nonzero."""
+    def _wrap(cls, re: dict, im: dict, den: int):
+        """An element over numerators that are already nonzero ints."""
         out = cls.__new__(cls)
-        out.terms = terms
+        out.re, out.im, out.den = re, im, den
         return out
 
+    @property
+    def terms(self) -> dict:
+        re, im, d = self.re, self.im, self.den
+        return {k: from_gaussian(re.get(k, 0), im.get(k, 0), d) for k in re | im}
+
+    def _combine(self, other, sign: int):
+        """self + sign other, over the lcm of the two denominators."""
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g * sign
+        return self._wrap(_lincomb(self.re, s1, other.re, s2),
+                          _lincomb(self.im, s1, other.im, s2), d1 * s1)
+
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(out, k, v)
-        return self._wrap(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(out, k, -v)
-        return self._wrap(out)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, SparseLaurent):
-            out = {}
-            for k1, v1 in self.terms.items():
-                for k2, v2 in other.terms.items():
-                    _accumulate(out, tuple(map(add, k1, k2)), v1 * v2)
-            return self._wrap(out)
+            ar, ai, br, bi = self.re, self.im, other.re, other.im
+            re = _convolve(_convolve({}, ar, br, 1), ai, bi, -1)
+            im = _convolve(_convolve({}, ar, bi, 1), ai, br, 1)
+            return self._wrap(_nonzero(re.items()), _nonzero(im.items()), self.den * other.den)
         if isinstance(other, (int, Fraction, QC)):
             return self.scale(other)
         return NotImplemented
@@ -326,38 +399,30 @@ class SparseLaurent:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = c if isinstance(c, QC) else QC(c)
-        if not c:
-            return self._wrap({})
-        return self._wrap({k: v * c for k, v in self.terms.items()})
+        ca, cb, cd = gaussian_parts(c)
+        return self._wrap(_lincomb(self.re, ca, self.im, -cb),
+                          _lincomb(self.im, ca, self.re, cb), self.den * cd)
 
     def d(self, axis: int):
         """Partial derivative in symbol `axis`."""
-        out = {}
-        for k, v in self.terms.items():
-            e = k[axis]
-            if e:
-                out[k[:axis] + (e - 1,) + k[axis + 1:]] = v * e
-        return self._wrap(out)
+        return self._wrap(_derivative(self.re, axis), _derivative(self.im, axis), self.den)
 
     def restrict_inverse(self, axis: int, onto: int):
         """Substitute symbol `axis` by the inverse of symbol `onto`; the
         exponent of `axis` becomes 0 (a ring endomorphism)."""
         if axis == onto:
             raise ValueError("a symbol cannot be replaced by its own inverse")
-        out = {}
-        for k, v in self.terms.items():
-            nk = list(k)
-            nk[onto] -= nk[axis]
-            nk[axis] = 0
-            _accumulate(out, tuple(nk), v)
-        return self._wrap(out)
+        return self._wrap(_invert_axis(self.re, axis, onto), _invert_axis(self.im, axis, onto),
+                          self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self.re or self.im)
 
     def __eq__(self, other):
-        return isinstance(other, SparseLaurent) and self.terms == other.terms
+        if not isinstance(other, SparseLaurent):
+            return False
+        d1, d2 = self.den, other.den
+        return _cross_equal(self.re, other.re, d1, d2) and _cross_equal(self.im, other.im, d1, d2)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"

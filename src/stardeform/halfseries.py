@@ -6,40 +6,69 @@ coefficients; the tau-expression of q^n carries the weight e^{-n^2 tau/4}.
 Euler and Bernoulli numbers drop out of the symmetrized inversions below with
 bit-exact rational values.
 
-hs_mul and hs_inverse bring their operands to Gaussian-integer numerators over
-one denominator (exact.to_gaussian), compute in Python ints (the product as
+A HalfSeries holds its coefficients as one Gaussian form, integer numerators
+over one denominator in lowest terms, as core.Poly does.  hs_mul, hs_inverse,
+exp_series, + and scale compute on forms in Python ints (the product as
 Kronecker-packed int products, the inversion recurrence over the running lcm of
-its outputs' denominators) and canonicalise once per output coefficient
-(exact.from_gaussian).  FormalSeries, the replacement-principle twin, is the
-second route to the same coefficients: it inverts by Newton iteration over
-plain QC arithmetic and shares no code with these kernels, so a fault in one
-route shows as a mismatch rather than repeating in both.
+its outputs' denominators) and reduce each result by one gcd; the QC
+coefficients are built (exact.from_gaussian) only when .coeffs is read.
+FormalSeries, the replacement-principle twin, is the second route to the same
+coefficients: it inverts by Newton iteration over plain QC arithmetic and
+shares no code with these kernels, so a fault in one route shows as a mismatch
+rather than repeating in both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import DomainError, NonUnit, TruncationFailure
-from .exact import QC, as_qc, from_gaussian, pack, to_gaussian, unpack
+from .exact import (QC, as_qc, from_gaussian, gaussian_parts, lowest_terms, pack, to_gaussian,
+                    unpack)
 
 DEFAULT_TRUNC = 24
 # Highest truncation order hs_inverse accepts.  `table euler` costs about
 # K^3.5: K^2/2 int products in the inversion recurrence, and one packed product,
 # over numerators whose size grows with K.  This admits
-# `table euler|bernoulli 651` (K = 652, about 10 s on a 2-core host).
+# `table euler|bernoulli 651` (K = 652: about 10 s and 4.5 s on a 2-core
+# x86-64 host, Python 3.11).
 SERIES_ORDER_BUDGET = 652
 
 
-@dataclass(frozen=True)
 class HalfSeries:
-    """e_*^{l i w} * sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated."""
-    base_deg: int
-    coeffs: tuple          # QC, length K+1
-    trunc: int
+    """e_*^{l i w} * sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated
+    at n = trunc.
+
+    A series holds its Gaussian form (re, im, d), as core.Poly does: the
+    numerators of a_0..a_trunc over d, the lcm of the coefficients' canonical
+    denominators.  The form is in lowest terms and unique, so == compares base
+    degree, truncation and form.  A series built from coefficients takes its
+    form (to_gaussian) when a kernel first reads it; a kernel's result holds
+    only its form and builds its QC coefficients when .coeffs is first read."""
+
+    __slots__ = ("base_deg", "trunc", "_coeffs", "_gauss")
+
+    def __init__(self, base_deg: int, coeffs, trunc: int):
+        self.base_deg, self.trunc = base_deg, trunc
+        self._coeffs, self._gauss = tuple(coeffs), None
+
+    @staticmethod
+    def _of_form(base_deg: int, re: list, im: list, d: int, trunc: int) -> "HalfSeries":
+        """The series over (re + im i)/d, fresh lists of trunc + 1 numerators,
+        with one gcd divided out."""
+        out = object.__new__(HalfSeries)
+        out.base_deg, out.trunc, out._coeffs = base_deg, trunc, None
+        out._gauss = lowest_terms(re, im, d)
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            re, im, d = self._gauss
+            self._coeffs = tuple([from_gaussian(a, b, d) for a, b in zip(re, im)])
+        return self._coeffs
 
     @staticmethod
     def from_list(cs, base_deg: int, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
@@ -49,30 +78,51 @@ class HalfSeries:
 
     @staticmethod
     def one(trunc: int) -> "HalfSeries":
-        return HalfSeries.from_list([1], 0, trunc)
+        return HalfSeries._of_form(0, [1] + [0] * trunc, [0] * (trunc + 1), 1, trunc)
+
+    def __eq__(self, other):
+        if not isinstance(other, HalfSeries):
+            return NotImplemented
+        return (self.base_deg == other.base_deg and self.trunc == other.trunc
+                and _form(self) == _form(other))
+
+    def __repr__(self):
+        return f"HalfSeries(base_deg={self.base_deg}, coeffs={self.coeffs!r}, trunc={self.trunc})"
 
     def __add__(self, other: "HalfSeries") -> "HalfSeries":
         if self.base_deg != other.base_deg:
             lo = min(self.base_deg, other.base_deg)
-            a = self.with_base(lo)
-            b = other.with_base(lo)
-            return a + b
-        K = min(self.trunc, other.trunc)
-        return HalfSeries(self.base_deg,
-                          tuple(a + b for a, b in zip(self.coeffs[:K + 1], other.coeffs[:K + 1])),
-                          K)
+            return self.with_base(lo) + other.with_base(lo)
+        ra, ia, da = _form(self)
+        rb, ib, db = _form(other)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        # zip stops at the shorter form: min(trunc) + 1 numerators
+        return HalfSeries._of_form(self.base_deg, [a * sa + b * sb for a, b in zip(ra, rb)],
+                                   [a * sa + b * sb for a, b in zip(ia, ib)], da * sa,
+                                   min(self.trunc, other.trunc))
 
     def with_base(self, new_base: int) -> "HalfSeries":
         """Re-express with a lower base degree (pads leading zeros)."""
         if new_base > self.base_deg:
             raise ValueError("can only lower the base degree")
-        pad = self.base_deg - new_base
-        cs = (QC(0),) * pad + self.coeffs
-        return HalfSeries(new_base, cs[:self.trunc + 1], self.trunc)
+        pad = [0] * (self.base_deg - new_base)
+        re, im, d = _form(self)
+        n = self.trunc + 1
+        return HalfSeries._of_form(new_base, (pad + re)[:n], (pad + im)[:n], d, self.trunc)
 
     def scale(self, c) -> "HalfSeries":
-        c = as_qc(c)
-        return HalfSeries(self.base_deg, tuple(c * a for a in self.coeffs), self.trunc)
+        ca, cb, cd = gaussian_parts(c)
+        re, im, d = _form(self)
+        return HalfSeries._of_form(self.base_deg, [a * ca - b * cb for a, b in zip(re, im)],
+                                   [a * cb + b * ca for a, b in zip(re, im)], d * cd, self.trunc)
+
+
+def _form(f: HalfSeries) -> tuple:
+    """f's Gaussian form (re, im, d), taken by to_gaussian on first use and kept."""
+    if f._gauss is None:
+        f._gauss = to_gaussian(f._coeffs)
+    return f._gauss
 
 
 def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
@@ -80,17 +130,16 @@ def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
     g_j = G_j/D_g (Gaussian integers F, G), out_n = sum_{i+j=n} F_i G_j / (D_f D_g),
     taken as packed int products."""
     K = min(f.trunc, g.trunc)
-    fa, fb, df = to_gaussian(f.coeffs[:K + 1])
-    ga, gb, dg = to_gaussian(g.coeffs[:K + 1])
+    fa, fb, df = _form(f)
+    ga, gb, dg = _form(g)
+    fa, fb, ga, gb = fa[:K + 1], fb[:K + 1], ga[:K + 1], gb[:K + 1]
     # |Re|, |Im| of an output numerator: at most K+1 pairs of 2 |F_i| |G_j|
     bound = 2 * (K + 1) * max(map(abs, fa + fb)) * max(map(abs, ga + gb))
     bits = bound.bit_length() + 1
     pfa, pfb, pga, pgb = pack(fa, bits), pack(fb, bits), pack(ga, bits), pack(gb, bits)
     re = unpack(pfa * pga - pfb * pgb, bits, K + 1)
     im = unpack(pfa * pgb + pfb * pga, bits, K + 1)
-    d = df * dg
-    return HalfSeries(f.base_deg + g.base_deg,
-                      tuple(from_gaussian(a, b, d) for a, b in zip(re, im)), K)
+    return HalfSeries._of_form(f.base_deg + g.base_deg, re, im, df * dg, K)
 
 
 def hs_inverse(f: HalfSeries) -> HalfSeries:
@@ -102,27 +151,24 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
 
         b_n = -S conj(A_0) / (L |A_0|^2),   S = sum_{j>=1} A_j B_{n-j},
 
-    so each step sums in ints and canonicalises once."""
-    a = f.coeffs
-    if not a or not a[0]:
+    so each step sums in ints and divides one gcd out of b_n, and L stays the
+    lcm of the outputs' canonical denominators."""
+    A, Ai, D = _form(f)
+    if not A or not (A[0] or Ai[0]):
         raise NonUnit("constant term vanishes; not invertible in the half-series algebra")
     K = f.trunc
     if K > SERIES_ORDER_BUDGET:
         raise TruncationFailure(f"half-series inversion to order {K} exceeds "
                                 f"SERIES_ORDER_BUDGET = {SERIES_ORDER_BUDGET}")
-    A, Ai, D = to_gaussian(a[:K + 1])
     a0, a0i = A[0], Ai[0]
     norm = a0 * a0 + a0i * a0i
-    b = [from_gaussian(D * a0, -D * a0i, norm)]
-    B, Bi, L = to_gaussian(b)
+    B, Bi, L = lowest_terms([D * a0], [-D * a0i], norm)
     for n in range(1, K + 1):
         ra, rb = A[1:n + 1], Ai[1:n + 1]
         sa, sb = B[n - 1::-1], Bi[n - 1::-1]
         s = sum(map(mul, ra, sa)) - sum(map(mul, rb, sb))
         si = sum(map(mul, ra, sb)) + sum(map(mul, rb, sa))
-        q = from_gaussian(-(s * a0 + si * a0i), s * a0i - si * a0, L * norm)
-        b.append(q)
-        (qa,), (qb,), d = to_gaussian((q,))
+        (qa,), (qb,), d = lowest_terms([-(s * a0 + si * a0i)], [s * a0i - si * a0], L * norm)
         L2 = math.lcm(L, d)
         if L2 != L:
             r = L2 // L
@@ -132,18 +178,22 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
         r = L // d
         B.append(qa * r)
         Bi.append(qb * r)
-    return HalfSeries(-f.base_deg, tuple(b), K)
+    return HalfSeries._of_form(-f.base_deg, B, Bi, L, K)
 
 
 def exp_series(scale, trunc: int) -> HalfSeries:
-    """sum_l scale^l / l! q^l  (the exponential of the basis element, scaled)."""
-    cs = []
-    c = QC(1)
+    """sum_l scale^l / l! q^l  (the exponential of the basis element, scaled):
+    with scale = s/s_d, the numerators s^l s_d^(K-l) K!/l! over s_d^K K!."""
+    sa, sb, sd = gaussian_parts(scale)
+    re, im = [], []
+    pa, pb = 1, 0                                   # s^l
+    w = den = sd ** trunc * math.factorial(trunc)   # s_d^(K-l) K!/l!
     for l in range(trunc + 1):
-        if l:
-            c = c * as_qc(scale) / l
-        cs.append(c)
-    return HalfSeries.from_list(cs, 0, trunc)
+        re.append(pa * w)
+        im.append(pb * w)
+        w //= sd * (l + 1)
+        pa, pb = pa * sa - pb * sb, pa * sb + pb * sa
+    return HalfSeries._of_form(0, re, im, den, trunc)
 
 
 def euler_combination(trunc: int) -> HalfSeries:

@@ -194,25 +194,21 @@ def ladder_residual(k: int, nu, tau, w_grid) -> float:
 
 @dataclass(frozen=True)
 class PhiPsi:
-    """Even/odd solutions of the quadratic eigen-equation built from the
-    delta pair at +-alpha, pinned by value/slope at w = 0."""
+    """The even solution Phi of the quadratic eigen-equation built from the
+    delta pair at +-alpha, pinned by value 1 and slope 0 at w = 0."""
     alpha: complex
     tau: complex
     a: complex          # coefficient of delta at +alpha (argument w + alpha)
     b: complex          # coefficient of delta at -alpha
     phi_parts: tuple    # (GaussPoly, GaussPoly) for Phi
-    psi_parts: tuple
 
     def phi(self, w):
         return self.phi_parts[0](w) + self.phi_parts[1](w)
 
-    def psi(self, w):
-        return self.psi_parts[0](w) + self.psi_parts[1](w)
-
 
 def phi_psi(alpha, tau) -> PhiPsi:
-    """Solve the 2x2 boundary system for Phi (value 1, slope 0) and Psi
-    (value 0, slope 1) as combinations of the two shifted deltas."""
+    """Solve the 2x2 boundary system for Phi (value 1, slope 0) as a
+    combination of the two shifted deltas."""
     from .distributions import delta_tau
 
     alpha_c, tau_c = complex(alpha), complex(tau)
@@ -224,10 +220,8 @@ def phi_psi(alpha, tau) -> PhiPsi:
     if abs(np.linalg.det(M)) < 1e-14 * max(1.0, float(np.abs(M).max()) ** 2):
         raise DegenerateBoundary(f"boundary system singular at alpha={alpha}")
     ab_phi = np.linalg.solve(M, np.array([1.0, 0.0]))
-    ab_psi = np.linalg.solve(M, np.array([0.0, 1.0]))
     return PhiPsi(alpha_c, tau_c, complex(ab_phi[0]), complex(ab_phi[1]),
-                  (dp.scaled(ab_phi[0]), dm.scaled(ab_phi[1])),
-                  (dp.scaled(ab_psi[0]), dm.scaled(ab_psi[1])))
+                  (dp.scaled(ab_phi[0]), dm.scaled(ab_phi[1])))
 
 
 def semigroup_on_delta(t, alpha, tau, w_grid) -> float:

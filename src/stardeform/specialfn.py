@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core import Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
-from .exact import QC, as_qc, from_gaussian, to_gaussian
+from .exact import QC, as_qc, from_gaussian, gaussian_parts
 from .numeric import as_grid, worst_of
 
 SQRT2 = math.sqrt(2.0)
@@ -359,7 +359,7 @@ def legendre_star_exact(N: int, tau) -> list:
     tau = as_qc(tau)
     if type(tau) is not QC:
         raise DomainError("legendre_star_exact needs an exact tau; legendre_star is the float route")
-    (ta,), (tb,), td = to_gaussian((tau,))
+    ta, tb, td = gaussian_parts(tau)
     t_re, t_im, td_pow = [1], [0], [1]              # T^i and t_d^i, i <= N/2
     for _ in range(N // 2):
         a, b = t_re[-1], t_im[-1]

@@ -14,9 +14,14 @@ all coefficients are exact.
 A span element stores integer numerators over one positive denominator.  The
 action multiplies numerators by ints and keeps the denominator, sums work over
 the lcm of the two denominators, and equality cross-multiplies, so no
-operation on the span pays a gcd per coefficient.  bracket_elems sums its
+operation on the span pays a gcd per coefficient.  Every action of a probe
+keeps the probe's denominator, so the commutator sweep behind
+witt_identity_check and k_centrality_check compares numerator dicts directly,
+and it checks each unordered pair of operators once.  bracket_elems sums its
 pairs in ints per grade and index and divides by the product of the two
-denominators once, in the coefficient ring.
+denominators once, in the coefficient ring, whose elements (CoeffRing, an
+exact.SparseLaurent) hold the same kind of form: integer numerators over one
+unreduced denominator.
 
 Composition-order convention: the operator commutator ad(L_n)ad(L_l) -
 ad(L_l)ad(L_n) equals (l - n) ad(L_{n+l}) exactly on the span (the opposite
@@ -35,12 +40,12 @@ from .errors import TruncationFailure
 from .exact import QC, SparseLaurent
 
 # Highest u-grade budget K that central_constraint_check and
-# k_centrality_check accept.  The central check costs about K^2.5 (49
-# brackets of K-term generators whose ring values grow with K); at this
-# budget it takes 2.6-3.7 s on a 2-core x86-64 host (Python 3.11), and
-# k_centrality_check, which forms 62 actions on each of its 14 probes,
-# 0.2 s.  witt_identity_check reaches at most grade 2 above its input, so its
-# cost does not grow with K (15 ms at R = 4) and it has no budget.
+# k_centrality_check accept.  The central check costs about K^2.2 (49
+# brackets of K-term generators whose ring values grow with K; 0.07, 0.28 and
+# 1.1-1.4 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
+# k_centrality_check, which forms 62 actions on each of its 14 probes, takes
+# 0.10-0.12 s at this budget.  witt_identity_check reaches at most grade 2 above its
+# input, so its cost does not grow with K (6 ms at R = 4) and it has no budget.
 GRADE_BUDGET = 128
 INDEX_MAX = 3        # generator indices |l| of the central, K-centrality, Jacobi checks
 EIGEN_GRADE = 6      # grades y_eigen_defect compares
@@ -55,7 +60,7 @@ def _check_grade_budget(K: int) -> None:
 
 
 class CoeffRing(SparseLaurent):
-    """Exact ring element: exponents (gamma, nu, w2, zinv) -> QC, where
+    """Exact ring element over the exponents (gamma, nu, w2, zinv), where
     zinv stands for 1/tau and gamma for the transcendental envelope unit."""
 
     __slots__ = ()
@@ -200,18 +205,26 @@ def L_action(n: int, e: VertexElem) -> VertexElem:
 
 def _commutator_sweep(probes: list, R: int, K: int) -> bool:
     """(L_m L_n - L_n L_m) p = (n - m) L_{m+n} p on grades <= K, for every probe
-    p and every ordered pair |m|, |n| <= R; (m, n) and (n, m) are separate checks.
+    p and every pair |m|, |n| <= R.
 
-    L_action is linear and the checks share their actions, so each probe's
-    L_j p (|j| <= 2R) and L_a L_b p (|a|, |b| <= R) are formed once."""
+    The (n, m) equation is the (m, n) equation times -1, and at m = n both
+    sides vanish, so each pair m < n is checked once.  L_action is linear and
+    keeps its input's denominator, so every action of one probe shares p.den
+    and the two sides are compared as numerator dicts.  The checks share their
+    actions: each probe's L_j p (|j| <= 2R) and L_a L_b p (|a|, |b| <= R) are
+    formed once."""
     idx = range(-R, R + 1)
     for p in probes:
         one = {j: L_action(j, p) for j in range(-2 * R, 2 * R + 1)}
-        two = {(a, b): L_action(a, one[b]).restrict(K) for a in idx for b in idx}
+        two = {(a, b): L_action(a, one[b]).restrict(K).num for a in idx for b in idx}
         for m in idx:
-            for n in idx:
-                lhs = two[(m, n)] + two[(n, m)].scale(-1)
-                if lhs != one[m + n].scale(n - m).restrict(K):
+            for n in range(m + 1, R + 1):
+                s = n - m
+                want = {mk: c * s for mk, c in one[m + n].restrict(K).num.items()}
+                lhs = dict(two[(m, n)])
+                for mk, c in two[(n, m)].items():
+                    lhs[mk] = lhs.get(mk, 0) - c
+                if _nonzero(lhs) != want:
                     return False
     return True
 

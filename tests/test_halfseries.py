@@ -276,13 +276,40 @@ def wide_series(draw, unit: bool):
 @settings(deadline=None)
 @given(wide_series(unit=False), wide_series(unit=False))
 def test_mul_equals_reference(f, g):
-    assert hs_mul(f, g) == hs_mul_reference(f, g)
+    assert_same_series(hs_mul(f, g), hs_mul_reference(f, g))
 
 
 @settings(deadline=None)
 @given(wide_series(unit=True))
 def test_inverse_equals_reference(f):
-    assert hs_inverse(f) == hs_inverse_reference(f)
+    assert_same_series(hs_inverse(f), hs_inverse_reference(f))
+
+
+def assert_same_series(got: HalfSeries, want: HalfSeries):
+    """A kernel's result (holding only its form) and a series built from QC
+    coefficients compare equal both ways and read back the same coefficients."""
+    assert got == want and want == got
+    assert got.coeffs == want.coeffs
+
+
+def hs_add_reference(f, g):
+    """f + g over QC: both lowered to the smaller base degree, each cut at its
+    own truncation, then summed up to the smaller one."""
+    lo = min(f.base_deg, g.base_deg)
+    a, b = ((QC(0),) * (h.base_deg - lo) + h.coeffs for h in (f, g))
+    K = min(f.trunc, g.trunc)
+    return HalfSeries(lo, tuple(x + y for x, y in zip(a[:K + 1], b[:K + 1])), K)
+
+
+@settings(deadline=None)
+@given(wide_series(unit=False), wide_series(unit=False), COEFFS, st.integers(0, 30), QCS)
+def test_form_kernels_equal_their_qc_references(f, g, c, K, s):
+    assert_same_series(f + g, hs_add_reference(f, g))
+    assert_same_series(f.scale(c), HalfSeries(f.base_deg, tuple(c * a for a in f.coeffs),
+                                              f.trunc))
+    assert_same_series(exp_series(s, K), HalfSeries.from_list(
+        [s ** n / math.factorial(n) for n in range(K + 1)], 0, K))
+    assert_same_series(HalfSeries.one(K), HalfSeries.from_list([1], 0, K))
 
 
 def test_formal_inverse_equals_hs_inverse_at_every_order():

@@ -100,13 +100,10 @@ def test_closed_contour_unresolved_raises():
 def test_phi_psi_parity_and_boundary():
     pp = phi_psi(0.8, 1.0)
     assert abs(pp.phi(0.0) - 1) < 1e-13
-    assert abs(pp.psi(0.0)) < 1e-13
     for w in (0.3, 1.1):
         assert abs(pp.phi(w) - pp.phi(-w)) < 1e-13     # even
-        assert abs(pp.psi(w) + pp.psi(-w)) < 1e-13     # odd
     h = 1e-6
     assert abs((pp.phi(h) - pp.phi(-h)) / (2 * h)) < 1e-7
-    assert abs((pp.psi(h) - pp.psi(-h)) / (2 * h) - 1) < 1e-7
 
 
 def test_phi_psi_degenerate():

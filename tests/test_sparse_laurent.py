@@ -72,6 +72,49 @@ def test_restrict_inverse_is_ring_homomorphism(case, data):
     assert canonical(r(x * y))
 
 
+def qc_sum(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def qc_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(deadline=None)
+@given(ring(2), QCS)
+def test_arithmetic_matches_the_qc_reference(case, c):
+    """Sums, differences, products and scalings of elements over different
+    denominators read back the QC arithmetic of their terms."""
+    _, x, y = case
+    assert (x + y).terms == qc_sum(x.terms, y.terms, 1)
+    assert (x - y).terms == qc_sum(x.terms, y.terms, -1)
+    assert (x * y).terms == qc_product(x.terms, y.terms)
+    assert x.scale(c).terms == {k: v * c for k, v in x.terms.items() if v * c}
+
+
+NONZERO_RATS = RATS.filter(bool)
+
+
+@settings(deadline=None)
+@given(ring(2), NONZERO_RATS, st.booleans())
+def test_equality_is_equality_of_terms(case, r, same_value):
+    """x == y exactly when x.terms == y.terms; with same_value, y holds x's
+    value over a denominator scaled by r's numerator and denominator."""
+    _, x, y = case
+    if same_value:
+        y = x.scale(r).scale(1 / r)
+    assert (x == y) == (y == x) == (x.terms == y.terms)
+    assert (x == y) == (x - y).is_zero()
+
+
 def test_restrict_inverse_monomial():
     # z^2 u^3 with u = 1/z -> z^-1
     e = SparseLaurent({(2, 3): Fraction(1, 2)})

@@ -341,3 +341,69 @@ def test_y_generator_matches_its_defining_sum():
         for K in (0, 1, 5):
             want = {(m + 2 * k, k): Fraction((-1) ** k, math.factorial(k)) for k in range(K + 1)}
             assert y_generator(m, K).terms == want
+
+
+# ------------------------------------------- the span-level sweep as reference
+# The reference builds, restricts, scales and compares VertexElem values for
+# both orders of every pair; _commutator_sweep compares numerator dicts and
+# checks each unordered pair once, and must reach the same verdict.
+
+def span_sweep_verdicts(probes: list, R: int, K: int) -> list:
+    """Per probe, {(m, n): verdict} for every ordered pair, every action
+    formed through vx.L_action (so a patched action reaches it too)."""
+    idx = range(-R, R + 1)
+    out = []
+    for p in probes:
+        one = {j: vx.L_action(j, p) for j in range(-2 * R, 2 * R + 1)}
+        two = {(a, b): vx.L_action(a, one[b]).restrict(K) for a in idx for b in idx}
+        out.append({(m, n): two[(m, n)] + two[(n, m)].scale(-1)
+                    == one[m + n].scale(n - m).restrict(K) for m in idx for n in idx})
+    return out
+
+
+def m_squared_action(n: int, e: VertexElem) -> VertexElem:
+    """[L_n, .] with the coefficient c m^2 in place of c m: not affine in m, so
+    the commutators do not close.  A shifted m, or another constant than 2 in
+    the u-raising term, leaves the Witt law true and is no mutation of it."""
+    out: dict = {}
+    for (m, k), c in e.num.items():
+        if m:
+            out[(n + m, k)] = out.get((n + m, k), 0) + c * m * m
+        if k < e.trunc:
+            key = (n + m + 2, k + 1)
+            out[key] = out.get(key, 0) + 2 * c
+    return VertexElem._wrap({mk: c for mk, c in out.items() if c}, e.den, e.trunc)
+
+
+PROBES = st.lists(st.builds(lambda e, r: e.scale(r), elems(TRUNC + 2), NONZERO_RATS),
+                  min_size=1, max_size=3)
+
+
+def top_sum_doubled_action(real, R: int):
+    """The Witt action with L_{2R-1} doubled: for R >= 2 only the pair
+    (R - 1, R) reaches L_{2R-1}, so only that pair's check fails."""
+    return lambda n, e: real(n, e).scale(2) if n == 2 * R - 1 else real(n, e)
+
+
+@settings(deadline=None)
+@given(PROBES, st.integers(1, 3), st.integers(0, TRUNC),
+       st.sampled_from(["witt", "m-squared", "squared-index", "top-sum-doubled"]))
+def test_numerator_sweep_equals_the_span_level_sweep(probes, R, K, action):
+    """Both orders of every pair give the same verdict, and the numerator
+    sweep's verdict is their all(), under the Witt action and three broken
+    ones."""
+    actions = {"witt": vx.L_action, "m-squared": m_squared_action,
+               "squared-index": squared_index_action(vx.L_action),
+               "top-sum-doubled": top_sum_doubled_action(vx.L_action, R)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vx, "L_action", actions[action])
+        verdicts = span_sweep_verdicts(probes, R, K)
+        got = vx._commutator_sweep(probes, R, K)
+    assert all(v[(m, n)] == v[(n, m)] for v in verdicts for m, n in v)
+    assert got == all(all(v.values()) for v in verdicts)
+
+
+def test_sweeps_fail_under_an_action_not_affine_in_m(monkeypatch):
+    monkeypatch.setattr(vx, "L_action", m_squared_action)
+    assert not witt_identity_check(3, K=6)
+    assert not k_centrality_check(K=6)
