@@ -12,9 +12,10 @@ computes over QC.  Each holds a form instead: Gaussian-integer numerators over
 one positive denominator, taken from QC values by to_gaussian and read back as
 QC values by from_gaussian only when something reads them.  core.Poly and
 halfseries.HalfSeries keep their form in lowest terms (lowest_terms, one gcd
-per result), so equal values have equal forms; SparseLaurent (below) and
-vertex.VertexElem leave their denominator unreduced and compare by
-cross-multiplying.  gaussian_parts gives the parts of one exact scalar, such
+per result), so equal values have equal forms; SparseLaurent (below) leaves
+its denominator unreduced and compares by cross-multiplying, and so do its
+subclasses vertex.CoeffRing and vertex.VertexElem (the rational span, which
+adds a grade cap).  gaussian_parts gives the parts of one exact scalar, such
 as a tau.  pack and unpack multiply integer polynomials as single ints
 (Kronecker substitution).  This module is the only one that reads a QC's
 fields.
@@ -292,7 +293,10 @@ def _nonzero(pairs) -> dict:
 
 def _lincomb(x: dict, a: int, y: dict, b: int) -> dict:
     """a x + b y for dicts of nonzero ints; keys whose sums cancel are dropped."""
-    out = {k: c * a for k, c in x.items()} if a else {}
+    if a == 1:                      # sums over one denominator, and differences
+        out = dict(x)
+    else:
+        out = {k: c * a for k, c in x.items()} if a else {}
     if b:
         for k, c in y.items():
             v = out.get(k, 0) + c * b
@@ -355,15 +359,17 @@ class SparseLaurent:
 
     def __init__(self, terms=None):
         """From {exponent: int, Fraction or QC}."""
-        terms = terms or {}
+        if not terms:               # the zero element: no values to convert
+            self.re, self.im, self.den = {}, {}, 1
+            return
         re, im, self.den = to_gaussian(list(terms.values()))
         self.re = _nonzero(zip(terms, re))
         self.im = _nonzero(zip(terms, im))
 
-    @classmethod
-    def _wrap(cls, re: dict, im: dict, den: int):
-        """An element over numerators that are already nonzero ints."""
-        out = cls.__new__(cls)
+    def _wrap(self, re: dict, im: dict, den: int):
+        """An element of self's class over numerators that are already nonzero
+        ints; a subclass with slots of its own copies them here."""
+        out = object.__new__(type(self))
         out.re, out.im, out.den = re, im, den
         return out
 

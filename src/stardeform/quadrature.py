@@ -51,7 +51,8 @@ N_NODES = 16
 _LOG_WINDOW_TOL = math.log(1e16)
 # Most panels a Gaussian window may use.  f is sampled on N_NODES nodes per
 # panel for every grid point at once, so this also bounds memory per grid
-# point; on the default `dist` grid (-3..3) it admits tau down to about 6e-5.
+# point; on the default `dist` grid (-3..3) it admits real tau down to about
+# 4e-6 (3.6e-6 for --side pv, 2e-6 for the one-sided inverses).
 WINDOW_PANEL_BUDGET = 4096
 # Error the Gaussian windows accept, relative to the largest value on the grid.
 WINDOW_RTOL = 1e-10
@@ -249,19 +250,21 @@ def integrate_gaussian_window(f, tau, side: int, osc: float, shift: float = 0.0,
     wavelength of it.  The window starts from max(4, int(waves / 8) + 2) panels,
     about half a panel per wavelength: there kh/2 is about 2 pi, which the
     16-node rule resolves, and the doubling after it confirms the value by the
-    change between the two passes.  Where waves + 8 exceeds WINDOW_PANEL_BUDGET
-    the window raises QuadratureFailure; otherwise the driver refines up to that
-    budget against WINDOW_RTOL times the largest value."""
+    change between the two passes.  Where that doubling, twice the start,
+    exceeds WINDOW_PANEL_BUDGET the window raises QuadratureFailure; otherwise
+    the driver refines up to that budget against WINDOW_RTOL times the largest
+    value."""
     tau_c = complex(tau)
     T = gaussian_halfwidth(tau_c.real / 4, abs(shift), power)
     waves = 2 * (osc + abs(tau_c.imag) * T / 2) * T / math.pi
-    if not waves + 8 <= WINDOW_PANEL_BUDGET:
-        raise QuadratureFailure(f"Gaussian window needs {waves + 8:.3g} panels at tau={tau}, "
-                                f"more than WINDOW_PANEL_BUDGET = {WINDOW_PANEL_BUDGET}")
+    start = max(4, int(waves / 8) + 2) if waves < 8 * WINDOW_PANEL_BUDGET else math.inf
+    if 2 * start > WINDOW_PANEL_BUDGET:
+        raise QuadratureFailure(f"Gaussian window needs {2 * (waves / 8 + 2):.3g} panels at "
+                                f"tau={tau}, more than WINDOW_PANEL_BUDGET = {WINDOW_PANEL_BUDGET}")
 
     def windowed(t):
         return f(t) * np.exp(-t * t * tau_c / 4)
 
     return integrate_segment_refined(windowed, 0.0 if side > 0 else -T, 0.0 if side < 0 else T,
-                                     WINDOW_RTOL, max(4, int(waves / 8) + 2), WINDOW_PANEL_BUDGET,
+                                     WINDOW_RTOL, start, WINDOW_PANEL_BUDGET,
                                      floor=0.0)

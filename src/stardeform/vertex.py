@@ -11,17 +11,17 @@ rational combinations of x_m (x) u^k; ring values appear only in the central
 part returned by bracket_elems.  The u-grade cap K is the only approximation;
 all coefficients are exact.
 
-A span element stores integer numerators over one positive denominator.  The
-action multiplies numerators by ints and keeps the denominator, sums work over
-the lcm of the two denominators, and equality cross-multiplies, so no
-operation on the span pays a gcd per coefficient.  Every action of a probe
+A span element (VertexElem) is an exact.SparseLaurent over the exponents
+(m, k) with real numerators, plus its grade cap.  The action multiplies
+numerators by ints and keeps the denominator; sums work over the lcm of the
+two denominators and equality cross-multiplies, as for every SparseLaurent, so
+no operation on the span pays a gcd per coefficient.  Every action of a probe
 keeps the probe's denominator, so the commutator sweep behind
 witt_identity_check and k_centrality_check compares numerator dicts directly,
 and it checks each unordered pair of operators once.  bracket_elems sums its
 pairs in ints per grade and index and divides by the product of the two
-denominators once, in the coefficient ring, whose elements (CoeffRing, an
-exact.SparseLaurent) hold the same kind of form: integer numerators over one
-unreduced denominator.
+denominators once, in the coefficient ring (CoeffRing, also an
+exact.SparseLaurent).
 
 Composition-order convention: the operator commutator ad(L_n)ad(L_l) -
 ad(L_l)ad(L_n) equals (l - n) ad(L_{n+l}) exactly on the span (the opposite
@@ -34,10 +34,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
 from .errors import TruncationFailure
-from .exact import QC, SparseLaurent
+from .exact import QC, SparseLaurent, _lincomb, _nonzero
 
 # Highest u-grade budget K that central_constraint_check and
 # k_centrality_check accept.  The central check costs about K^2.2 (49
@@ -102,105 +101,55 @@ def bracket_xx(m: int, n: int) -> CoeffRing:
     return laurent_coefficient_ring(m + n - 1, XX_CAP).scale(m - n)
 
 
-def _numerators(pairs, trunc: int) -> tuple:
-    """(num, den) of the sum of c x_m (x) u^k over ((m, k), c) in pairs, c int
-    or Fraction: grades above trunc and keys whose coefficients cancel are
-    dropped, and den is the lcm of the denominators."""
-    pairs = [(mk, c) for mk, c in pairs if mk[1] <= trunc]
-    den = lcm(*(c.denominator for _, c in pairs))
-    num: dict = {}
-    for mk, c in pairs:
-        num[mk] = num.get(mk, 0) + c.numerator * (den // c.denominator)
-    return _nonzero(num), den
-
-
-def _nonzero(num: dict) -> dict:
-    return {mk: c for mk, c in num.items() if c}
-
-
-class VertexElem:
+class VertexElem(SparseLaurent):
     """Finite rational combination of basis symbols x_m (x) u^k with grades
-    k <= trunc, stored as integer numerators over one positive denominator:
-    num maps (m, k) to a nonzero int, and the coefficient of x_m (x) u^k is
-    num[(m, k)] / den.  den is not reduced (the action multiplies numerators
-    by ints and keeps it), so == compares by cross-multiplying.  terms is the
-    read-only {(m, k): Fraction} view.  Values are immutable after
-    construction."""
+    k <= trunc: an exact.SparseLaurent over the exponents (m, k) whose
+    numerators are real (im stays empty), so the coefficient of x_m (x) u^k
+    is re[(m, k)] / den.  The action multiplies numerators by ints and keeps
+    den; sums, == and terms are SparseLaurent's.  trunc is the grade cap,
+    carried by every result of a left operand."""
 
-    __slots__ = ("num", "den", "trunc")
+    __slots__ = ("trunc",)
 
     def __init__(self, terms: dict | None = None, trunc: int = 6):
-        """From {(m, k): int or Fraction}."""
-        self.num, self.den = _numerators((terms or {}).items(), trunc)
+        """From {(m, k): int or Fraction}; grades above trunc are dropped."""
+        super().__init__({mk: c for mk, c in (terms or {}).items() if mk[1] <= trunc})
+        if self.im:
+            raise TypeError("span coefficients are rational")
         self.trunc = trunc
 
-    @classmethod
-    def _wrap(cls, num: dict, den: int, trunc: int) -> "VertexElem":
-        """An element over numerators that are already nonzero ints."""
-        out = object.__new__(cls)
-        out.num, out.den, out.trunc = num, den, trunc
+    def _wrap(self, re: dict, im: dict, den: int) -> "VertexElem":
+        out = object.__new__(VertexElem)
+        out.re, out.im, out.den, out.trunc = re, im, den, self.trunc
         return out
-
-    @property
-    def terms(self) -> dict:
-        den = self.den
-        return {mk: Fraction(c, den) for mk, c in self.num.items()}
-
-    def __add__(self, other: "VertexElem") -> "VertexElem":
-        d1, d2 = self.den, other.den
-        g = gcd(d1, d2)
-        s1, s2 = d2 // g, d1 // g
-        trunc = self.trunc
-        out = {mk: c * s1 for mk, c in self.num.items()}
-        for mk, c in other.num.items():
-            if mk[1] <= trunc:
-                out[mk] = out.get(mk, 0) + c * s2
-        return VertexElem._wrap(_nonzero(out), d1 * s1, trunc)
 
     def scale(self, c) -> "VertexElem":
         """c times the element, for an int or Fraction c."""
-        p = c.numerator
-        if not p:
-            return VertexElem._wrap({}, 1, self.trunc)
-        return VertexElem._wrap({mk: v * p for mk, v in self.num.items()},
-                                self.den * c.denominator, self.trunc)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"span elements scale by rationals, not {type(c).__name__}")
+        return super().scale(c)
 
     def restrict(self, grade: int) -> "VertexElem":
-        return VertexElem._wrap({(m, k): v for (m, k), v in self.num.items() if k <= grade},
-                                self.den, self.trunc)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __eq__(self, other):
-        if not isinstance(other, VertexElem):
-            return False
-        a, b = self.num, other.num
-        if a.keys() != b.keys():
-            return False
-        d1, d2 = self.den, other.den
-        return all(c * d2 == b[mk] * d1 for mk, c in a.items())
-
-    def __repr__(self):
-        return f"VertexElem({self.terms!r}, {self.trunc})"
+        return self._wrap({(m, k): v for (m, k), v in self.re.items() if k <= grade}, {},
+                          self.den)
 
 
 def x_elem(m: int, K: int) -> VertexElem:
-    return VertexElem._wrap({(m, 0): 1}, 1, K)
+    return VertexElem({(m, 0): 1}, K)
 
 
 def L_action(n: int, e: VertexElem) -> VertexElem:
     """[L_n, .] on the span: x_m (x) u^k -> m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}."""
     out: dict = {}
     trunc = e.trunc
-    for (m, k), c in e.num.items():
+    for (m, k), c in e.re.items():
         if m:
             key = (n + m, k)
             out[key] = out.get(key, 0) + c * m
         if k < trunc:
             key = (n + m + 2, k + 1)
             out[key] = out.get(key, 0) + 2 * c
-    return VertexElem._wrap(_nonzero(out), e.den, trunc)
+    return e._wrap(_nonzero(out.items()), {}, e.den)
 
 
 def _commutator_sweep(probes: list, R: int, K: int) -> bool:
@@ -216,15 +165,12 @@ def _commutator_sweep(probes: list, R: int, K: int) -> bool:
     idx = range(-R, R + 1)
     for p in probes:
         one = {j: L_action(j, p) for j in range(-2 * R, 2 * R + 1)}
-        two = {(a, b): L_action(a, one[b]).restrict(K).num for a in idx for b in idx}
+        two = {(a, b): L_action(a, one[b]).restrict(K).re for a in idx for b in idx}
         for m in idx:
             for n in range(m + 1, R + 1):
                 s = n - m
-                want = {mk: c * s for mk, c in one[m + n].restrict(K).num.items()}
-                lhs = dict(two[(m, n)])
-                for mk, c in two[(n, m)].items():
-                    lhs[mk] = lhs.get(mk, 0) - c
-                if _nonzero(lhs) != want:
+                want = {mk: c * s for mk, c in one[m + n].restrict(K).re.items()}
+                if _lincomb(two[(m, n)], 1, two[(n, m)], -1) != want:
                     return False
     return True
 
@@ -243,8 +189,9 @@ def y_generator(m: int, K: int = 6) -> VertexElem:
     This is the dressing that satisfies [L_n, y_m] = m y_{n+m} exactly at every
     grade (the x-index steps by 2 per u-grade, matching the action's shift)."""
     fK = math.factorial(K)
-    return VertexElem._wrap({(m + 2 * k, k): (-1) ** k * (fK // math.factorial(k))
-                             for k in range(K + 1)}, fK, K)
+    # the empty element at cap K wraps the sum's numerators over K!
+    return VertexElem({}, K)._wrap({(m + 2 * k, k): (-1) ** k * (fK // math.factorial(k))
+                                    for k in range(K + 1)}, {}, fK)
 
 
 def y_eigen_defect(n: int, m: int) -> VertexElem:
@@ -252,7 +199,7 @@ def y_eigen_defect(n: int, m: int) -> VertexElem:
     y = y_generator(m, EIGEN_GRADE + 1)
     lhs = L_action(n, y).restrict(EIGEN_GRADE)
     rhs = y_generator(n + m, EIGEN_GRADE + 1).scale(m).restrict(EIGEN_GRADE)
-    return lhs + rhs.scale(-1)
+    return lhs - rhs
 
 
 def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> dict:
@@ -265,8 +212,8 @@ def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> dic
     K = min(e1.trunc, e2.trunc)
     qcap = cap if cap is not None else K + 2
     sums: dict = {}
-    for (m, k), c1 in e1.num.items():
-        for (n, j), c2 in e2.num.items():
+    for (m, k), c1 in e1.re.items():
+        for (n, j), c2 in e2.re.items():
             g = k + j
             # a_{m+n-1} vanishes for even m+n-1
             if g <= K and m != n and (m + n) % 2 == 0:

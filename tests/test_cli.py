@@ -205,6 +205,25 @@ def test_exact_report_bytes(line):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_REPORT_SHA256[line]
 
 
+# (exit code, sha256 of stdout) of `vertex --check` reports; a change to the
+# span arithmetic that moves any byte fails here.  central exits 1 on the
+# delta-support failure it reports.
+VERTEX_CHECK_SHA256 = {
+    "vertex --check witt --K 4":
+        (0, "383cad6e0d7c51550c0493597184813989ae36043fd939eba8c064629f0f4676"),
+    "vertex --check central --K 8":
+        (1, "d7f3316b9a5781964e7175c92340b53b194f7a9d4b9a67bd9ca17538116af84b"),
+    "vertex --check kcentral --K 32":
+        (0, "cc4f9253deef291c9491fbcb52ec9da1b0ba9ec34684aae9daaed53136ef0797"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(VERTEX_CHECK_SHA256))
+def test_vertex_check_report_bytes(line):
+    code, out = run_main(line.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERTEX_CHECK_SHA256[line]
+
+
 # sha256 of `stardeform [command] --help` at 80 columns, as printed when the
 # parser was built on every call (Python 3.11 argparse)
 HELP_SHA256 = {

@@ -719,11 +719,15 @@ def test_large_order_transforms_meet_the_tolerance_or_raise(m, tau):
 def test_window_panels_follow_the_chirp():
     """The Gaussian's own chirp e^{-i t^2 Im tau/4} reaches the frequency
     |Im tau| T/2 at the cut; sized from w alone, the window was off by 4e-7 at
-    tau = 0.1+4i.  At 0.05+5i the chirp needs more than WINDOW_PANEL_BUDGET panels."""
-    want = _mp_sided_power(0.0, 1, "+", 0.1 + 4j, 0.3)
-    assert abs(sided_inverse(0.0, "+", 0.1 + 4j, [0.3])[0] - want) <= 1e-13 * abs(want)
+    tau = 0.1+4i.  At 0.05+5i the window starts at 592 panels, so its doubling
+    fits the budget (waves + 8 = 4.73e3, the count the budget once checked,
+    did not).  At 0.01+5i the doubling needs 5.89e3, more than
+    WINDOW_PANEL_BUDGET panels."""
+    for tau in (0.1 + 4j, 0.05 + 5j):
+        want = _mp_sided_power(0.0, 1, "+", tau, 0.3)
+        assert abs(sided_inverse(0.0, "+", tau, [0.3])[0] - want) <= 1e-13 * abs(want)
     with pytest.raises(QuadratureFailure, match="WINDOW_PANEL_BUDGET"):
-        sided_inverse(0.0, "+", 0.05 + 5j, [0.3])
+        sided_inverse(0.0, "+", 0.01 + 5j, [0.3])
 
 
 def test_unresolved_large_order_transform_raises():
@@ -798,9 +802,12 @@ def test_cli_pf_refused_with_one_error_line(capsys):
 
 
 def test_cli_chirp_beyond_the_panel_budget_refused_with_one_error_line(capsys):
-    code, out, err = _run(["dist", "--tau=0.05,5", "--w-grid=0.3,0.6,2"], capsys)
+    code, out, err = _run(["dist", "--tau=0.01,5", "--w-grid=0.3,0.6,2"], capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "WINDOW_PANEL_BUDGET" in err
+    code, out, err = _run(["dist", "--tau=0.05,5", "--w-grid=0.3,0.6,2"], capsys)
+    assert code == 0 and err == "" and len(out.splitlines()) == 3
 
 
 
