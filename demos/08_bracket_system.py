@@ -2,7 +2,7 @@
 normalized weight-m generators, and what the central brackets actually look
 like under the defined rules."""
 
-from stardeform.vertex import (bracket_elems, bracket_xx, central_constraint_check,
+from stardeform.vertex import (CoeffRing, bracket_elems, bracket_xx, central_constraint_check,
                                k_centrality_check, witt_identity_check, y_eigen_defect,
                                y_generator)
 
@@ -21,7 +21,10 @@ print("  odd-index brackets vanish:", rep["odd_parity_vanishing"])
 print("  diagonal law c_m = m c_1 (exact):", rep["diagonal_proportionality"])
 print("  delta-supported off the diagonal:", rep["delta_support"],
       "-- nonzero pairs:", rep["offdiagonal_nonzero_pairs"][:6], "...")
-val = bracket_elems(y_generator(-3, 6), y_generator(1, 6))[1].evaluate(1.0, 0.0, 0.0)
+# the central part is one CoeffRing over (gamma, nu, w2, zinv, u): its u^1 terms
+C = bracket_elems(y_generator(-3, 6), y_generator(1, 6))
+grade1 = CoeffRing({e[:4] + (0,): v for e, v in C.terms.items() if e[4] == 1})
+val = grade1.evaluate(1.0, 0.0, 0.0)
 print("  e.g. [y_-3, y_1] grade-1 value at nu=w=0:", val)
 
 print("\nWitt remainder operator annihilates the span:", k_centrality_check(K=6))

@@ -15,10 +15,11 @@ halfseries.HalfSeries keep their form in lowest terms (lowest_terms, one gcd
 per result), so equal values have equal forms; SparseLaurent (below) leaves
 its denominator unreduced and compares by cross-multiplying, and so do its
 subclasses vertex.CoeffRing and vertex.VertexElem (the rational span, which
-adds a grade cap).  gaussian_parts gives the parts of one exact scalar, such
-as a tau.  pack and unpack multiply integer polynomials as single ints
-(Kronecker substitution).  This module is the only one that reads a QC's
-fields.
+adds a grade cap); restrict is the one grade filter of both, which keep
+their u-grade as the last exponent.  gaussian_parts gives the parts of one
+exact scalar, such as a tau.  pack and unpack multiply integer polynomials as
+single ints (Kronecker substitution).  This module is the only one that reads
+a QC's fields.
 """
 
 from __future__ import annotations
@@ -339,6 +340,8 @@ def _invert_axis(x: dict, axis: int, onto: int) -> dict:
 
 def _cross_equal(x: dict, y: dict, dx: int, dy: int) -> bool:
     """x/dx == y/dy for dicts of nonzero int numerators."""
+    if dx == dy:
+        return x == y
     return x.keys() == y.keys() and all(c * dy == y[k] * dx for k, c in x.items())
 
 
@@ -413,6 +416,11 @@ class SparseLaurent:
         """Partial derivative in symbol `axis`."""
         return self._wrap(_derivative(self.re, axis), _derivative(self.im, axis), self.den)
 
+    def restrict(self, grade: int):
+        """The terms whose last exponent is <= grade."""
+        return self._wrap({k: c for k, c in self.re.items() if k[-1] <= grade},
+                          {k: c for k, c in self.im.items() if k[-1] <= grade}, self.den)
+
     def restrict_inverse(self, axis: int, onto: int):
         """Substitute symbol `axis` by the inverse of symbol `onto`; the
         exponent of `axis` becomes 0 (a ring endomorphism)."""
@@ -427,7 +435,8 @@ class SparseLaurent:
     def __eq__(self, other):
         if not isinstance(other, SparseLaurent):
             return False
-        d1, d2 = self.den, other.den
+        g = gcd(self.den, other.den)    # cross-multiply by the cofactors only
+        d1, d2 = self.den // g, other.den // g
         return _cross_equal(self.re, other.re, d1, d2) and _cross_equal(self.im, other.im, d1, d2)
 
     def __repr__(self):

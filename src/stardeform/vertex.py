@@ -8,8 +8,8 @@ act by [L_n, x_m (x) u^k] = m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}, where
 u is the formal star power of the quadratic element.  The action and the
 normalized generators only multiply by rationals, so span elements are
 rational combinations of x_m (x) u^k; ring values appear only in the central
-part returned by bracket_elems.  The u-grade cap K is the only approximation;
-all coefficients are exact.
+part returned by bracket_elems, one CoeffRing over (gamma, nu, w2, zinv, u).
+The u-grade cap K is the only approximation; all coefficients are exact.
 
 A span element (VertexElem) is an exact.SparseLaurent over the exponents
 (m, k) with real numerators, plus its grade cap.  The action multiplies
@@ -19,9 +19,8 @@ no operation on the span pays a gcd per coefficient.  Every action of a probe
 keeps the probe's denominator, so the commutator sweep behind
 witt_identity_check and k_centrality_check compares numerator dicts directly,
 and it checks each unordered pair of operators once.  bracket_elems sums its
-pairs in ints per grade and index and divides by the product of the two
-denominators once, in the coefficient ring (CoeffRing, also an
-exact.SparseLaurent).
+pairs in ints per grade and index into one CoeffRing (also a SparseLaurent)
+over den1 den2; SparseLaurent.restrict cuts either form at a u-grade.
 
 Composition-order convention: the operator commutator ad(L_n)ad(L_l) -
 ad(L_l)ad(L_n) equals (l - n) ad(L_{n+l}) exactly on the span (the opposite
@@ -39,9 +38,10 @@ from .errors import TruncationFailure
 from .exact import QC, SparseLaurent, _lincomb, _nonzero
 
 # Highest u-grade budget K that central_constraint_check and
-# k_centrality_check accept.  The central check costs about K^2.2 (49
-# brackets of K-term generators whose ring values grow with K; 0.07, 0.28 and
-# 1.1-1.4 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
+# k_centrality_check accept.  The central check costs about K^2.2 up to
+# K = 64 and K^2.9 above (49 brackets of K-term generators whose ring values
+# grow with K, each over one denominator that the top grade's factorials set;
+# 0.05, 0.25 and 1.7 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
 # k_centrality_check, which forms 62 actions on each of its 14 probes, takes
 # 0.10-0.12 s at this budget.  witt_identity_check reaches at most grade 2 above its
 # input, so its cost does not grow with K (6 ms at R = 4) and it has no budget.
@@ -59,19 +59,23 @@ def _check_grade_budget(K: int) -> None:
 
 
 class CoeffRing(SparseLaurent):
-    """Exact ring element over the exponents (gamma, nu, w2, zinv), where
-    zinv stands for 1/tau and gamma for the transcendental envelope unit."""
+    """Exact ring element over the exponents (gamma, nu, w2, zinv, u), where
+    zinv stands for 1/tau, gamma for the transcendental envelope unit and u for
+    the formal star power; ring values such as a_j sit at u = 0."""
 
     __slots__ = ()
 
     def evaluate(self, tau, nu, w) -> complex:
-        """Numeric substitution; gamma evaluates through the principal branch."""
+        """Numeric substitution; gamma evaluates through the principal branch,
+        and a term with u > 0, which has no numeric value, raises ValueError."""
         from .residue import sqrt_minus_tau
 
         tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
         gamma = cmath.exp(nu_c / tau_c - w_c * w_c / tau_c) / sqrt_minus_tau(tau_c)
         acc = 0j
-        for (g, p, q, r), v in self.terms.items():
+        for (g, p, q, r, k), v in self.terms.items():
+            if k:
+                raise ValueError(f"a term of u-grade {k} has no numeric value")
             acc += v.to_complex() * gamma ** g * nu_c ** p * (w_c * w_c) ** q \
                 * tau_c ** (-r)
         return acc
@@ -92,7 +96,7 @@ def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     terms = {}
     for q in range(max(0, -k), cap + 1):
         c = QC(Fraction((-1) ** q, math.factorial(q) * math.factorial(k + q)))
-        terms[(1, k + q, q, 2 * q)] = c
+        terms[(1, k + q, q, 2 * q, 0)] = c
     return CoeffRing(terms)
 
 
@@ -106,8 +110,8 @@ class VertexElem(SparseLaurent):
     k <= trunc: an exact.SparseLaurent over the exponents (m, k) whose
     numerators are real (im stays empty), so the coefficient of x_m (x) u^k
     is re[(m, k)] / den.  The action multiplies numerators by ints and keeps
-    den; sums, == and terms are SparseLaurent's.  trunc is the grade cap,
-    carried by every result of a left operand."""
+    den; sums, ==, terms and restrict are SparseLaurent's.  trunc is the
+    grade cap, carried by every result of a left operand."""
 
     __slots__ = ("trunc",)
 
@@ -128,10 +132,6 @@ class VertexElem(SparseLaurent):
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"span elements scale by rationals, not {type(c).__name__}")
         return super().scale(c)
-
-    def restrict(self, grade: int) -> "VertexElem":
-        return self._wrap({(m, k): v for (m, k), v in self.re.items() if k <= grade}, {},
-                          self.den)
 
 
 def x_elem(m: int, K: int) -> VertexElem:
@@ -202,15 +202,30 @@ def y_eigen_defect(n: int, m: int) -> VertexElem:
     return lhs - rhs
 
 
-def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> dict:
-    """Central part [e1, e2]: dict grade -> CoeffRing (x-parts bracket pairwise,
-    u-grades add; grades beyond the common cap are dropped).
+def _central(sums: dict, den: int, cap: int) -> CoeffRing:
+    """sum (c/den) a_{s-1} u^g over {(g, s): int c}, a_{s-1} cut at cap, in ints
+    over the lcm of the a_{s-1} denominators; distinct (g, s) give distinct
+    exponents (u^g and nu - w2 = s/2), so no two terms add.  The gcd of den
+    and the c is divided out first, since every numerator grows to about the
+    length of the common denominator, which the top grade's factorials set."""
+    rings = {gs: laurent_coefficient_ring(gs[1] - 1, cap) for gs, c in sums.items() if c}
+    d = math.lcm(*(a.den for a in rings.values()))
+    h = math.gcd(den, *sums.values())
+    out = {}
+    for (g, s), a in rings.items():
+        f = sums[(g, s)] // h * (d // a.den)
+        out.update({(y, p, q, r, g): v * f for (y, p, q, r, _), v in a.re.items()})
+    return CoeffRing()._wrap(out, {}, d * (den // h))
+
+
+def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> CoeffRing:
+    """Central part [e1, e2] as one CoeffRing, the u-grade its last exponent
+    (x-parts bracket pairwise, u-grades add; grades beyond the common cap are
+    dropped).
 
     Since [x_m, x_n] = (m - n) a_{m+n-1}, the pairs are summed in ints per
-    grade g and index s = m + n, and each a_{s-1} is scaled once by its sum
-    over den1 den2."""
+    grade g and index s = m + n, over den1 den2."""
     K = min(e1.trunc, e2.trunc)
-    qcap = cap if cap is not None else K + 2
     sums: dict = {}
     for (m, k), c1 in e1.re.items():
         for (n, j), c2 in e2.re.items():
@@ -219,39 +234,7 @@ def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> dic
             if g <= K and m != n and (m + n) % 2 == 0:
                 key = (g, m + n)
                 sums[key] = sums.get(key, 0) + (m - n) * c1 * c2
-    den = e1.den * e2.den
-    out: dict = {}
-    for (g, s), c in sums.items():
-        if not c:
-            continue
-        term = laurent_coefficient_ring(s - 1, qcap).scale(Fraction(c, den))
-        cur = out.get(g)
-        total = term if cur is None else cur + term
-        if total.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = total
-    return out
-
-
-def central_zero(central: dict) -> bool:
-    return all(c.is_zero() for c in central.values())
-
-
-def central_scale(central: dict, c) -> dict:
-    return {g: v.scale(c) for g, v in central.items()}
-
-
-def central_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for g, v in b.items():
-        cur = out.get(g)
-        s = v.scale(-1) if cur is None else cur - v
-        if s.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = s
-    return out
+    return _central(sums, e1.den * e2.den, cap if cap is not None else K + 2)
 
 
 def central_constraint_check(K: int = 6) -> dict:
@@ -275,20 +258,19 @@ def central_constraint_check(K: int = 6) -> dict:
     ys = {m: y_generator(m, K) for m in rng}
     C = {(l, m): bracket_elems(ys[l], ys[m]) for l in rng for m in rng}
     c1 = C[(-1, 1)]
-    # closed form of c_1 for cross-checking
-    c1_closed = {g: laurent_coefficient_ring(2 * g - 1, K + 2)
-                 .scale(Fraction(-2 * (-2) ** g, math.factorial(g))) for g in range(K + 1)}
+    # closed form of c_1 for cross-checking, over K!
+    fK = math.factorial(K)
+    c1_closed = _central({(g, 2 * g): -2 * (-2) ** g * (fK // math.factorial(g))
+                          for g in range(K + 1)}, fK, K + 2)
     offdiag_nonzero = [(l, m) for l in rng for m in rng
-                       if l + m != 0 and not central_zero(C[(l, m)])]
+                       if l + m != 0 and not C[(l, m)].is_zero()]
     return {
-        "antisymmetry": all(central_zero(central_sub(C[(l, m)], central_scale(C[(m, l)], -1)))
-                            for l in rng for m in rng),
-        "odd_parity_vanishing": all(central_zero(C[(l, m)])
+        "antisymmetry": all((C[(l, m)] + C[(m, l)]).is_zero() for l in rng for m in rng),
+        "odd_parity_vanishing": all(C[(l, m)].is_zero()
                                     for l in rng for m in rng if (l + m) % 2),
-        "diagonal_proportionality": all(central_zero(central_sub(C[(-m, m)], central_scale(c1, m)))
-                                        for m in rng),
-        "y0_self_bracket_zero": central_zero(C[(0, 0)]),
-        "c1_closed_form_matches": central_zero(central_sub(c1, c1_closed)),
+        "diagonal_proportionality": all(C[(-m, m)] == c1.scale(m) for m in rng),
+        "y0_self_bracket_zero": C[(0, 0)].is_zero(),
+        "c1_closed_form_matches": c1 == c1_closed,
         "delta_support": not offdiag_nonzero,
         "offdiagonal_nonzero_pairs": offdiag_nonzero,
         "C": C,
@@ -307,17 +289,17 @@ def k_centrality_check(K: int) -> bool:
 
 def truncation_stability() -> bool:
     """Raising the u-grade budget from STABILITY_GRADES[0] to [1] does not change
-    coefficients at grades <= the low budget (the coefficient-ring polynomial
-    cap is separate and held fixed at STABILITY_CAP for the comparison)."""
+    coefficients at grades <= the low budget, including terms that either budget
+    lacks (the coefficient-ring polynomial cap is separate and held fixed at
+    STABILITY_CAP for the comparison)."""
     K_low, K_high = STABILITY_GRADES
     rng = range(-STABILITY_INDEX_MAX, STABILITY_INDEX_MAX + 1)
     for l in rng:
         for m in rng:
             a = bracket_elems(y_generator(l, K_low), y_generator(m, K_low), cap=STABILITY_CAP)
             b = bracket_elems(y_generator(l, K_high), y_generator(m, K_high), cap=STABILITY_CAP)
-            for g, coeff in a.items():
-                if g <= K_low and not central_zero({0: coeff - b.get(g, CoeffRing())}):
-                    return False
+            if a != b.restrict(K_low):
+                return False
     return True
 
 

@@ -248,7 +248,8 @@ def test_criterion_13_vertex_passing_clauses():
 
 
 def central_bracket_oracle(l, m, K):
-    """[y_l, y_m] from the bracket rules alone, as grade -> CoeffRing.
+    """[y_l, y_m] from the bracket rules alone, as one CoeffRing whose last
+    exponent is the u-grade.
 
     With [x_a, x_b] = (a - b) a_{a+b-1} and y_m = sum_k c_k x_{m+2k} (x) u^k,
     c(t) = sum_k c_k t^k = e^{-t}, grade g collects
@@ -258,12 +259,11 @@ def central_bracket_oracle(l, m, K):
         C_{l,m} = (l - m) sum_{g<=K} ((-2)^g / g!) a_{l+m+2g-1} (x) u^g.
 
     The coefficient-ring cap K + 2 is the one bracket_elems uses by default."""
-    out = {}
+    out = vertex.CoeffRing()
     for g in range(K + 1):
         co = vertex.laurent_coefficient_ring(l + m + 2 * g - 1, K + 2) \
             .scale(Fraction((l - m) * (-2) ** g, math.factorial(g)))
-        if not co.is_zero():
-            out[g] = co
+        out = out + co * vertex.CoeffRing({(0, 0, 0, 0, g): 1})
     return out
 
 
@@ -288,7 +288,7 @@ def test_criterion_13_delta_support_as_stated():
     expected_pairs = {(l, m) for l in rng for m in rng
                       if l != m and (l + m) % 2 == 0 and l + m != 0}
     pairs = rep["offdiagonal_nonzero_pairs"]
-    gamma_coeff = rep["C"][(-3, 1)].get(1, vertex.CoeffRing()).terms.get((1, 0, 0, 0))
+    gamma_coeff = rep["C"][(-3, 1)].terms.get((1, 0, 0, 0, 1))
     ok = not mismatched and rep["delta_support"] is False \
         and len(pairs) == len(expected_pairs) and set(pairs) == expected_pairs \
         and gamma_coeff == QC(8)

@@ -211,8 +211,12 @@ def test_exact_report_bytes(line):
 VERTEX_CHECK_SHA256 = {
     "vertex --check witt --K 4":
         (0, "383cad6e0d7c51550c0493597184813989ae36043fd939eba8c064629f0f4676"),
+    "vertex --check central --K 6":
+        (1, "8fb997e83939cae42b2b0ae87e5d8d6b7f0a5e5fa11d7a3192c011d6a5daf7ad"),
     "vertex --check central --K 8":
         (1, "d7f3316b9a5781964e7175c92340b53b194f7a9d4b9a67bd9ca17538116af84b"),
+    "vertex --check central --K 32":
+        (1, "7fe3efacf59147659d4b7b1ce0d2dae1ceb98732d8a0fba59a967ba01da720d4"),
     "vertex --check kcentral --K 32":
         (0, "cc4f9253deef291c9491fbcb52ec9da1b0ba9ec34684aae9daaed53136ef0797"),
 }

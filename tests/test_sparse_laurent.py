@@ -124,8 +124,8 @@ def test_restrict_inverse_monomial():
 
 
 def test_coefficient_ring_arithmetic_stays_in_subclass():
-    a = CoeffRing({(0, 0, 0, 0): 3})
-    b = CoeffRing({(1, 0, 2, 1): QC(1, 1)})
+    a = CoeffRing({(0, 0, 0, 0, 0): 3})
+    b = CoeffRing({(1, 0, 2, 1, 1): QC(1, 1)})
     for r in (a + b, a - b, a * b, 2 * b, b * QC(2), b.scale(-1), b.d(2),
-              b.restrict_inverse(3, 1)):
+              b.restrict_inverse(3, 1), b.restrict(0)):
         assert isinstance(r, CoeffRing)

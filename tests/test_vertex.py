@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import stardeform.vertex as vx
 from stardeform.exact import QC
 from stardeform.residue import laurent_coeff_closed
-from stardeform.vertex import (INDEX_MAX, XX_CAP, L_action, VertexElem, bracket_elems, bracket_xx,
-                               central_constraint_check, central_scale, central_sub, central_zero,
-                               jacobi_x_check, k_centrality_check, laurent_coefficient_ring,
+from stardeform.vertex import (INDEX_MAX, XX_CAP, CoeffRing, L_action, VertexElem, bracket_elems,
+                               bracket_xx, central_constraint_check, jacobi_x_check,
+                               k_centrality_check, laurent_coefficient_ring,
                                truncation_stability, witt_identity_check, x_elem, y_eigen_defect,
                                y_generator)
 
@@ -195,9 +195,21 @@ def test_central_constraints():
 def test_offdiagonal_counterexample_value():
     # [y_{-3}, y_1] at nu = w = 0, tau = 1: 8 gamma u at grade 1
     C = bracket_elems(y_generator(-3, 6), y_generator(1, 6))
-    val = C[1].evaluate(1.0, 0.0, 0.0)
+    grade1 = CoeffRing({e[:4] + (0,): v for e, v in C.terms.items() if e[4] == 1})
+    val = grade1.evaluate(1.0, 0.0, 0.0)
     gamma0 = 1 / cmath.sqrt(-1 + 0j)
     assert abs(val - 8 * gamma0) < 1e-14
+
+
+def test_evaluate_refuses_a_u_power():
+    """u is formal: a central part with a u^1 term has no numeric value."""
+    C = bracket_elems(y_generator(-3, 6), y_generator(1, 6))
+    with pytest.raises(ValueError):
+        C.evaluate(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        CoeffRing({(0, 0, 0, 0, 1): 1}).evaluate(1.0, 0.0, 0.0)
+    # the u^0 part alone still evaluates
+    assert CoeffRing({(0, 0, 0, 0, 0): 3}).evaluate(1.0, 0.0, 0.0) == 3
 
 
 def test_k_centrality():
@@ -216,6 +228,21 @@ def test_even_subalgebra_closes():
 
 def test_truncation_stability():
     assert truncation_stability()
+
+
+def test_truncation_stability_sees_a_grade_missing_at_the_low_budget(monkeypatch):
+    """A low-budget bracket that lacks its grade-0 terms differs from the
+    high-budget one at a grade it does not carry; the check must see it."""
+    real = vx.bracket_elems
+
+    def drop_grade0_at_6(e1, e2, cap=None):
+        out = real(e1, e2, cap)
+        if min(e1.trunc, e2.trunc) != 6:
+            return out
+        return CoeffRing({e: v for e, v in out.terms.items() if e[-1] > 0})
+
+    monkeypatch.setattr(vx, "bracket_elems", drop_grade0_at_6)
+    assert not truncation_stability()
 
 
 def test_jacobi_x():
@@ -255,15 +282,9 @@ def test_span_refuses_non_rational_coefficients():
 @settings(deadline=None)
 @given(elems(), elems(), elems(), RATS)
 def test_bracket_bilinear_antisymmetric(a, b, c, r):
-    def add(x, y):
-        return central_sub(x, central_scale(y, -1))
-
-    assert central_zero(central_sub(bracket_elems(a + b, c),
-                                    add(bracket_elems(a, c), bracket_elems(b, c))))
-    assert central_zero(central_sub(bracket_elems(a.scale(r), c),
-                                    central_scale(bracket_elems(a, c), r)))
-    assert central_zero(central_sub(bracket_elems(a, b),
-                                    central_scale(bracket_elems(b, a), -1)))
+    assert (bracket_elems(a + b, c) - (bracket_elems(a, c) + bracket_elems(b, c))).is_zero()
+    assert (bracket_elems(a.scale(r), c) - bracket_elems(a, c).scale(r)).is_zero()
+    assert (bracket_elems(a, b) - bracket_elems(b, a).scale(-1)).is_zero()
 
 
 @settings(deadline=None)
@@ -310,15 +331,15 @@ def ref_L_action(n: int, a: dict, trunc: int) -> dict:
     return ref_clean(out, trunc)
 
 
-def ref_bracket(a: dict, b: dict, K: int, cap: int) -> dict:
-    out: dict = {}
+def ref_bracket(a: dict, b: dict, K: int, cap: int) -> CoeffRing:
+    out = CoeffRing()
     for (m, k), c1 in a.items():
         for (n, j), c2 in b.items():
             if k + j <= K:
-                # [x_m, x_n] = (m - n) a_{m+n-1}, a cut at cap
+                # [x_m, x_n] = (m - n) a_{m+n-1}, a cut at cap, times u^{k+j}
                 term = laurent_coefficient_ring(m + n - 1, cap).scale(m - n).scale(c1 * c2)
-                out[k + j] = out[k + j] + term if k + j in out else term
-    return {g: v for g, v in out.items() if not v.is_zero()}
+                out = out + term * CoeffRing({(0, 0, 0, 0, k + j): 1})
+    return out
 
 
 NONZERO_RATS = RATS.filter(bool)
@@ -335,6 +356,7 @@ def test_span_operations_match_fraction_reference(a, b, r, n, grade):
     assert a.scale(r).terms == ref_clean({mk: c * r for mk, c in ta.items()}, TRUNC)
     assert L_action(n, a).terms == ref_L_action(n, ta, TRUNC)
     assert a.restrict(grade).terms == ref_clean(ta, grade)
+    assert type(a.restrict(grade)) is VertexElem and a.restrict(grade).trunc == a.trunc
     assert (a == b) == (ta == tb)
     assert a == VertexElem(ta, TRUNC) and VertexElem(ta, TRUNC) == a
     assert canonical(a + b) and canonical(L_action(n, a))
@@ -345,8 +367,20 @@ def test_span_operations_match_fraction_reference(a, b, r, n, grade):
 def test_bracket_elems_matches_pairwise_reference(a, b, cap):
     got = bracket_elems(a, b, cap)
     want = ref_bracket(a.terms, b.terms, TRUNC, TRUNC + 2 if cap is None else cap)
-    assert got.keys() == want.keys()
-    assert all(got[g] == want[g] for g in want)
+    assert type(got) is CoeffRing
+    assert got == want and got.terms == want.terms
+
+
+@settings(deadline=None)
+@given(SCALED, SCALED, st.integers(-1, 2 * TRUNC + 1))
+def test_restrict_matches_dict_filter_on_the_central_part(a, b, grade):
+    """SparseLaurent.restrict keeps the terms whose last exponent, the central
+    part's u, is <= grade, over both real and imaginary numerators (the span's
+    restrict is checked in test_span_operations_match_fraction_reference)."""
+    C = bracket_elems(a, b).scale(QC(1, 2))
+    R = C.restrict(grade)
+    assert type(R) is CoeffRing
+    assert R.terms == {e: c for e, c in C.terms.items() if e[4] <= grade}
 
 
 def test_y_generator_matches_its_defining_sum():
