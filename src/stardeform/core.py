@@ -11,55 +11,76 @@ values.  All operations are pure; values are immutable after construction.
 Coefficients are Python complex, or exact int, Fraction and exact.QC
 (rational-complex, used for zero-residual identity checks); exact.is_exact
 tells them apart.  Every entry point computes exact input in QC and returns QC
-coefficients.  Poly itself converts no coefficient: Poly.x() has int
-coefficients and serves float code as well.
+coefficients.
 
-An exact Poly also holds its Gaussian form (re, im, d): Gaussian-integer
+An exact Poly can hold its Gaussian form (re, im, d): Gaussian-integer
 numerators over d, the lcm of the coefficients' canonical denominators.  That
 form is in lowest terms and unique, so two exact polynomials are equal exactly
-when their forms are.  A Poly built from exact coefficients takes its form
-(exact.to_gaussian) when a kernel first reads it and keeps it; a float Poly
-never holds one.  When tau is exact and both inputs hold a form, star_product
-and intertwine evaluate the defining sums in Python ints, divide the output
-numerators and denominator by one gcd, and return a Poly that holds only that
-form.  They read an exact tau's parts (a, b, d) directly
-(exact.gaussian_parts); intertwine forms theta = (tau_to - tau_from)/4 from
-the two taus' parts in ints, with one gcd.  An output Poly's QC coefficients
-are built (exact.from_gaussian, once per coefficient) when something first
-reads .coeffs, and a chain of kernels or an equality test between outputs
-never builds them.  Any other input takes the float loop over Poly arithmetic
-with every QC scalar taken as complex, so exact and float scalars mix to the
-float result; over QC the loop is also the tests' reference for the integer
-route.
+when their forms are.  The slot _gauss holds it once taken, False for a Poly
+with an inexact coefficient (a float or complex top coefficient marks that at
+construction, any other Poly on first use), so no operator rescans a float
+Poly.
+
+Operators.  +, -, unary -, * by a Poly or an exact scalar, scale and deriv
+take the form route when every operand is exact and one operand holds a form
+or has a QC coefficient (a QC scalar counts): they compute on the forms in
+Python ints (the Poly product as one packed Gaussian product,
+exact.gaussian_product), divide one gcd out and return a Poly that holds only
+its form.  is_zero and degree read a held form, and == compares forms on the
+same route.  Every other call runs the coefficient loop: float and mixed
+operands bit for bit as before, and polynomials with int and Fraction
+coefficients only keep int and Fraction results (float code mixes Poly.x()
+and GaussPoly's Poly.const(1) with complex polynomials, and (w * w).coeffs
+stays ints).  Over QC the loop is the tests' reference for the form route.
+
+Kernels.  star_product and intertwine take the form of any exact input
+(exact.to_gaussian) when tau is exact, evaluate the defining sums in Python
+ints and return a form-holding Poly.  They read an exact tau's parts (a, b, d)
+directly (exact.gaussian_parts); intertwine forms theta = (tau_to -
+tau_from)/4 from the two taus' parts in ints, with one gcd.  w_star_power
+builds its form directly for an exact tau.  A form-holding Poly builds its QC
+coefficients (exact.from_gaussian, once per coefficient) when something first
+reads .coeffs, so a chain of kernels and operators, or an equality test
+between their outputs, never builds them.  Any other kernel input takes the
+float loop over Poly arithmetic with every QC scalar taken as complex, so
+exact and float scalars mix to the float result; over QC the loop is also the
+tests' reference for the integer route.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from fractions import Fraction
+from math import factorial, gcd, perm
 from typing import Sequence
 
-from .exact import (QC, all_exact, as_qc, from_gaussian, gaussian_parts, is_exact, lowest_terms,
-                    pack, to_gaussian, unpack)
+from .exact import (QC, all_exact, from_gaussian, gaussian_parts, gaussian_product,
+                    gaussian_to_complex, is_exact, lowest_terms, pack, to_gaussian, unpack)
 
-
-def _is_zero(c) -> bool:
-    return c == 0
+_INEXACT_TYPES = frozenset((float, complex))
 
 
 class Poly:
     """Dense polynomial in w; zero polynomial has an empty coefficient tuple.
 
-    The slot _gauss holds the Gaussian form of an exact Poly once a kernel has
-    read it (_form) and stays unset on a float Poly.
+    The slot _gauss holds the Gaussian form of an exact Poly once it has been
+    taken (_qc_form, _form), False for a Poly with an inexact coefficient, and
+    None until a Poly is first classified (or while it has int and Fraction
+    coefficients only).
     """
 
     __slots__ = ("coeffs", "_gauss")
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        if cs and cs[-1] == 0:
+            n = len(cs) - 1
+            while n and cs[n - 1] == 0:
+                n -= 1
+            cs = cs[:n]
+        self.coeffs = cs
+        # a float or complex top coefficient marks the Poly inexact at once, so
+        # float code never scans; any other Poly is classified on first use
+        self._gauss = False if cs and type(cs[-1]) in _INEXACT_TYPES else None
 
     @staticmethod
     def x() -> "Poly":
@@ -80,17 +101,26 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(a + b)
+        if self._gauss is not False and other._gauss is not False:
+            forms = _form_operands(self, other)
+            if forms:
+                return _add_forms(*forms)
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        # the longer operand's top coefficients plus 0, as in a padded sum
+        if len(a) > len(b):
+            out += [x + 0 for x in a[len(b):]]
+        elif len(b) > len(a):
+            out += [0 + y for y in b[len(a):]]
         return Poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
+        form = _qc_form(self)
+        if form:
+            re, im, d = form
+            return _held([-a for a in re], [-b for b in im], d)
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
@@ -104,7 +134,11 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
+        if self._gauss is not False and other._gauss is not False:
+            forms = _form_operands(self, other)
+            if forms:
+                return _mul_forms(*forms)
+        if not (self.coeffs and other.coeffs):
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -116,9 +150,18 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c) -> "Poly":
+        if self._gauss is not False and is_exact(c):
+            form = _qc_form(self)
+            if form is not False and (form or type(c) is QC):
+                return _scale_form(form or to_gaussian(self.coeffs), gaussian_parts(c))
         return Poly([c * a for a in self.coeffs])
 
     def deriv(self, order: int = 1) -> "Poly":
+        if self._gauss is not False:
+            form = _qc_form(self)
+            if form:
+                re, im, d = form
+                return _form_poly(_deriv(re, order), _deriv(im, order), d)
         cs = list(self.coeffs)
         for _ in range(order):
             cs = [i * cs[i] for i in range(1, len(cs))]
@@ -140,9 +183,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        a, b = getattr(self, "_gauss", None), getattr(other, "_gauss", None)
-        if a is not None and b is not None:
-            return a == b
+        if self._gauss is not False and other._gauss is not False:
+            forms = _form_operands(self, other)
+            if forms:
+                return forms[0] == forms[1]
         a, b = self.coeffs, other.coeffs
         return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
@@ -160,10 +204,12 @@ class Poly:
 
 
 class _FormPoly(Poly):
-    """A Poly returned by an exact kernel: it holds its form and builds its QC
-    coefficients when they are first read.  Poly itself defines no
-    __getattr__, so on any other Poly a slot read stays plain, and CPython can
-    specialise it; a __getattr__ on Poly costs the float paths that."""
+    """A Poly returned by the form route: it holds its form and builds its QC
+    coefficients when they are first read; degree, is_zero and to_complex read
+    the form.
+    Poly itself defines no __getattr__, so on any other Poly a slot read stays
+    plain, and CPython can specialise it; a __getattr__ on Poly costs the float
+    paths that."""
 
     __slots__ = ()
 
@@ -175,14 +221,61 @@ class _FormPoly(Poly):
         self.coeffs = tuple([from_gaussian(a, b, d) for a, b in zip(re, im)])
         return self.coeffs
 
+    @property
+    def degree(self) -> int:
+        return len(self._gauss[0]) - 1
+
+    def is_zero(self) -> bool:
+        return not self._gauss[0]
+
+    def to_complex(self) -> Poly:
+        re, im, d = self._gauss
+        return Poly([gaussian_to_complex(a, b, d) for a, b in zip(re, im)])
+
+
+def _qc_form(p: Poly):
+    """p's form if it holds one or has a QC coefficient (the form is then taken
+    and kept); None for int and Fraction coefficients only; False, kept, for an
+    inexact coefficient."""
+    form = p._gauss
+    if form is None:
+        cs = p.coeffs
+        if not all_exact(cs):
+            form = p._gauss = False
+        elif QC in map(type, cs):
+            form = p._gauss = to_gaussian(cs)
+    return form
+
 
 def _form(p: Poly):
-    """p's Gaussian form (re, im, d), taken by to_gaussian on first use and kept;
-    None for a Poly with a float coefficient, which is never given one."""
-    form = getattr(p, "_gauss", None)
-    if form is None and all_exact(p.coeffs):
+    """p's Gaussian form for an exact kernel, taken by to_gaussian on first use
+    and kept whatever p's exact coefficients are; None for a Poly with an
+    inexact coefficient."""
+    form = _qc_form(p)
+    if form is None:
         form = p._gauss = to_gaussian(p.coeffs)
-    return form
+    return form or None
+
+
+def _form_operands(p: Poly, q: Poly):
+    """The forms of p and q when an operator takes the form route: both exact,
+    and one holds a form or has a QC coefficient.  An int or Fraction operand's
+    form is taken but not kept, so its later operators keep int and Fraction
+    results.  None sends the operator to the loop."""
+    a, b = p._gauss or _qc_form(p), q._gauss or _qc_form(q)
+    if a and b:
+        return a, b
+    if a is False or b is False or not (a or b):
+        return None
+    return a or to_gaussian(p.coeffs), b or to_gaussian(q.coeffs)
+
+
+def _held(re: list, im: list, d: int) -> Poly:
+    """A _FormPoly holding (re, im, d), which must already be in lowest terms
+    with no trailing zeros."""
+    p = object.__new__(_FormPoly)
+    p._gauss = re, im, d
+    return p
 
 
 def _form_poly(re: list, im: list, d: int) -> Poly:
@@ -192,9 +285,47 @@ def _form_poly(re: list, im: list, d: int) -> Poly:
     while re and not (re[-1] or im[-1]):
         re.pop()
         im.pop()
-    p = object.__new__(_FormPoly)
-    p._gauss = lowest_terms(re, im, d)
-    return p
+    return _held(*lowest_terms(re, im, d))
+
+
+def _add_forms(f: tuple, g: tuple) -> Poly:
+    """f + g over the lcm of the two denominators."""
+    fa, fb, df = f
+    ga, gb, dg = g
+    c = gcd(df, dg)
+    s, t = dg // c, df // c                         # df s = dg t = lcm(df, dg)
+    re = [x * s + y * t for x, y in zip(fa, ga)]
+    im = [x * s + y * t for x, y in zip(fb, gb)]
+    n = len(re)
+    if len(fa) > n:
+        re += [x * s for x in fa[n:]]
+        im += [x * s for x in fb[n:]]
+    elif len(ga) > n:
+        re += [y * t for y in ga[n:]]
+        im += [y * t for y in gb[n:]]
+    return _form_poly(re, im, df * s)
+
+
+def _mul_forms(f: tuple, g: tuple) -> Poly:
+    """f g: one Gaussian product of the numerators over the product of the
+    denominators."""
+    fa, fb, df = f
+    ga, gb, dg = g
+    if not fa or not ga:
+        return _held([], [], 1)
+    return _form_poly(*gaussian_product(fa, fb, ga, gb), df * dg)
+
+
+def _scale_form(f: tuple, c: tuple) -> Poly:
+    """c f for the parts c = (c_re, c_im, c_d) of an exact scalar."""
+    fa, fb, d = f
+    ca, cb, cd = c
+    if not cb:
+        if not ca:
+            return _held([], [], 1)
+        return _form_poly([a * ca for a in fa], [b * ca for b in fb], d * cd)
+    return _form_poly([a * ca - b * cb for a, b in zip(fa, fb)],
+                      [a * cb + b * ca for a, b in zip(fa, fb)], d * cd)
 
 
 def star_product(f: Poly, g: Poly, tau) -> Poly:
@@ -226,8 +357,11 @@ def _star_product_loop(f: Poly, g: Poly, tau) -> Poly:
     return out
 
 
-def _deriv(v: list) -> list:
-    return [i * c for i, c in enumerate(v[1:], 1)]
+def _deriv(v: list, order: int = 1) -> list:
+    """The numerators of the order-th derivative: c_i i!/(i - order)! at i - order."""
+    if order == 1:
+        return [i * c for i, c in enumerate(v[1:], 1)]
+    return [perm(i, order) * c for i, c in enumerate(v[order:], order)]
 
 
 def _star_product_gaussian(f_form: tuple, g_form: tuple, tau: tuple) -> Poly:
@@ -352,25 +486,35 @@ def w_star_power(n: int, tau) -> Poly:
 
         P_n(w, tau) = sum_{k <= n/2} n!/(4^k k! (n-2k)!) tau^k w^(n-2k),
 
-    over QC for an exact tau.
+    over QC for an exact tau = T/t_d: with K = floor(n/2), the numerator of
+    w^(n-2k) is n!/(k! (n-2k)!) T^k (4 t_d)^(K-k) over (4 t_d)^K, and the
+    result holds that form, reduced by one gcd.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    tau = as_qc(tau)
-    exact = is_exact(tau)
-    coeffs = [QC(0) if exact else 0] * (n + 1)
     c = 1                                           # n!/(k! (n-2k)!)
-    tpow = QC(1) if exact else 1
-    for k in range(n // 2 + 1):
+    if not is_exact(tau):
+        coeffs = [0] * (n + 1)
+        tpow = 1
+        for k in range(n // 2 + 1):
+            if k > 0:
+                c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // k
+                tpow = tpow * tau
+            coeffs[n - 2 * k] = c / 4 ** k * tpow
+        return Poly(coeffs)
+    ta, tb, td = gaussian_parts(tau)
+    K = n // 2
+    re, im = [0] * (n + 1), [0] * (n + 1)
+    pa, pb = 1, 0                                   # T^k
+    for k in range(K + 1):
         if k > 0:
             c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // k
-            tpow = tpow * tau
-        coeffs[n - 2 * k] = (from_gaussian(c, 0, 4 ** k) if exact else c / 4 ** k) * tpow
-    return Poly(coeffs)
+            pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
+        r = c * (4 * td) ** (K - k)
+        re[n - 2 * k], im[n - 2 * k] = pa * r, pb * r
+    return _form_poly(re, im, (4 * td) ** K)
 
 
 def infinitesimal_intertwiner(f: Poly) -> Poly:
     """Quarter of the second derivative: the generator of the intertwiner flow."""
-    if all_exact(f.coeffs):
-        return f.deriv(2).map_coeffs(lambda c: as_qc(c) / 4)
-    return f.deriv(2).scale(0.25)
+    return f.deriv(2).scale(Fraction(1, 4) if _form(f) else 0.25)

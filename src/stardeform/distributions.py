@@ -22,9 +22,10 @@ import numpy as np
 
 from . import theta
 from .core import Poly, intertwine
-from .errors import DomainError
+from .errors import DomainError, QuadratureFailure
 from .numeric import as_grid, worst_of
-from .quadrature import integrate_gaussian_window, integrate_segment_refined, x_window
+from .quadrature import (WINDOW_PANEL_BUDGET, integrate_gaussian_window, integrate_segment_refined,
+                         x_window)
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 from .theta import check_tau
 
@@ -45,8 +46,26 @@ def delta_annihilation(a, tau) -> GaussPoly:
 
 
 def delta_mass(a, tau):
-    """integral over real w of the delta expression (1 for real a, tau)."""
-    return integrate_segment_refined(delta_tau(a, tau), *x_window(-complex(a), tau))
+    """integral over real w of the delta expression (1 for real a, tau).
+
+    The window x_window(-a, tau) has half-width L, where the chirp of
+    e^{-(w + a)^2/tau} turns at up to k = 2 |Im(1/tau)| L + 2 |Im a| Re(1/tau)
+    rad per unit w; as integrate_gaussian_window counts its waves,
+    waves = 2 k L/pi, and integrate_segment_refined starts from
+    int(waves / 8) + 2 panels, rounded down to 8 2^j so that every pass stays
+    on its default ladder 8, 16, 32, ...  (where that start is 8 the value is
+    the one its defaults give).  It refines up to WINDOW_PANEL_BUDGET, and a
+    start whose doubling exceeds that budget raises QuadratureFailure."""
+    a_c, inv = complex(a), 1 / complex(tau)
+    lo, hi = x_window(-a_c, tau)
+    L = (hi - lo) / 2
+    waves = 2 * (2 * abs(inv.imag) * L + 2 * abs(a_c.imag) * inv.real) * L / math.pi
+    need = int(waves / 8) + 2 if waves < 8 * WINDOW_PANEL_BUDGET else WINDOW_PANEL_BUDGET
+    start = 8 << max(0, (need // 8).bit_length() - 1)
+    if 2 * start > WINDOW_PANEL_BUDGET:
+        raise QuadratureFailure(f"delta mass window needs {2 * start} panels at tau={tau}, more "
+                                f"than WINDOW_PANEL_BUDGET = {WINDOW_PANEL_BUDGET}")
+    return integrate_segment_refined(delta_tau(a, tau), lo, hi, 1e-12, start, WINDOW_PANEL_BUDGET)
 
 
 # ----------------------------------------------------------- sided inverses

@@ -18,8 +18,10 @@ subclasses vertex.CoeffRing and vertex.VertexElem (the rational span, which
 adds a grade cap); restrict is the one grade filter of both, which keep
 their u-grade as the last exponent.  gaussian_parts gives the parts of one
 exact scalar, such as a tau.  pack and unpack multiply integer polynomials as
-single ints (Kronecker substitution).  This module is the only one that reads
-a QC's fields.
+single ints (Kronecker substitution), and gaussian_product is the one product
+of two Gaussian-integer polynomials built on them, which core.Poly's * and
+halfseries.hs_mul share.  This module is the only one that reads a QC's
+fields.
 """
 
 from __future__ import annotations
@@ -156,10 +158,7 @@ class QC:
 
     def to_complex(self) -> complex:
         """Nearest float complex; raises DomainError beyond the float range."""
-        try:
-            return complex(self._a / self._d) + 1j * complex(self._b / self._d)
-        except OverflowError:
-            raise DomainError("exact value is outside the float range") from None
+        return gaussian_to_complex(self._a, self._b, self._d)
 
     __complex__ = to_complex
 
@@ -187,6 +186,7 @@ def _new(a: int, b: int, d: int) -> QC:
 
 
 _EXACT = frozenset((int, Fraction, QC))
+_INT = frozenset((int,))
 
 
 def is_exact(x) -> bool:
@@ -211,12 +211,14 @@ def as_qc(x):
 
 def to_gaussian(values) -> tuple:
     """(re, im, d) for a sequence of exact scalars: d is the lcm of their
-    denominators and values[i] == (re[i] + im[i] i)/d, with int lists re, im."""
-    values = [q if type(q) is QC else as_qc(q) for q in values]
-    d = lcm(*(q._d for q in values))
-    scales = [d // q._d for q in values]
-    return ([q._a * s for q, s in zip(values, scales)],
-            [q._b * s for q, s in zip(values, scales)], d)
+    denominators and values[i] == (re[i] + im[i] i)/d, with int lists re, im.
+    No QC is built for an int or Fraction value."""
+    if _INT.issuperset(map(type, values)):         # ints: numerators over 1
+        return list(values), [0] * len(values), 1
+    parts = [(q._a, q._b, q._d) if type(q) is QC else (q.numerator, 0, q.denominator)
+             for q in values]
+    d = lcm(*[e for _, _, e in parts])
+    return [a * (d // e) for a, _, e in parts], [b * (d // e) for _, b, e in parts], d
 
 
 def gaussian_parts(x) -> tuple:
@@ -227,6 +229,16 @@ def gaussian_parts(x) -> tuple:
     if t is int:
         return x, 0, 1
     return x.numerator, 0, x.denominator
+
+
+def gaussian_to_complex(a: int, b: int, d: int) -> complex:
+    """complex() of (a + b i)/d, bit for bit what QC.to_complex gives for the
+    reduced value (int true division rounds correctly, so a common factor
+    changes no bit); raises DomainError beyond the float range."""
+    try:
+        return complex(a / d) + 1j * complex(b / d)
+    except OverflowError:
+        raise DomainError("exact value is outside the float range") from None
 
 
 def lowest_terms(re: list, im: list, d: int) -> tuple:
@@ -268,6 +280,8 @@ def pack(v: list, bits: int) -> int:
 def unpack(x: int, bits: int, n: int) -> list:
     """The n lowest coefficients of a packed polynomial; each must lie strictly
     between -2^(bits-1) and 2^(bits-1)."""
+    if not x:
+        return [0] * n
     if n > 32:
         h = n // 2
         s = bits * h
@@ -285,6 +299,26 @@ def unpack(x: int, bits: int, n: int) -> list:
         out.append(c)
         x = (x - c) >> bits
     return out
+
+
+def gaussian_product(fa: list, fb: list, ga: list, gb: list, n: int | None = None) -> tuple:
+    """(re, im): the numerators of (fa + fb i)(ga + gb i) for Gaussian-integer
+    polynomials given by their real and imaginary numerator lists, nonempty;
+    its first n coefficients, all of them by default.  Each part is one
+    difference or sum of two packed int products; a factor w^j (one real
+    numerator 1) shifts the other instead."""
+    if n is None:
+        n = len(fa) + len(ga) - 1
+    if len(ga) > len(fa):
+        fa, fb, ga, gb = ga, gb, fa, fb
+    j = len(ga) - 1
+    if ga[j] == 1 and not any(ga[:j]) and not any(gb):
+        return ([0] * j + fa)[:n], ([0] * j + fb)[:n]
+    # |Re|, |Im| of an output numerator: at most len(ga) pairs of 2 |F_i| |G_j|
+    bound = 2 * len(ga) * max(map(abs, fa + fb)) * max(map(abs, ga + gb))
+    bits = bound.bit_length() + 1
+    pfa, pfb, pga, pgb = pack(fa, bits), pack(fb, bits), pack(ga, bits), pack(gb, bits)
+    return unpack(pfa * pga - pfb * pgb, bits, n), unpack(pfa * pgb + pfb * pga, bits, n)
 
 
 def _nonzero(pairs) -> dict:

@@ -9,8 +9,10 @@ bit-exact rational values.
 A HalfSeries holds its coefficients as one Gaussian form, integer numerators
 over one denominator in lowest terms, as core.Poly does.  hs_mul, hs_inverse,
 exp_series, + and scale compute on forms in Python ints (the product as
-Kronecker-packed int products, the inversion recurrence over the running lcm of
-its outputs' denominators) and reduce each result by one gcd; the QC
+exact.gaussian_product, the one Kronecker-packed Gaussian product that the
+Poly product of core shares, cut to the truncation; the inversion recurrence
+over the running lcm of its outputs' denominators) and reduce each result by
+one gcd; the QC
 coefficients are built (exact.from_gaussian) only when .coeffs is read.
 FormalSeries, the replacement-principle twin, is the second route to the same
 coefficients: it inverts by Newton iteration over plain QC arithmetic and
@@ -25,8 +27,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DomainError, NonUnit, TruncationFailure
-from .exact import (QC, as_qc, from_gaussian, gaussian_parts, lowest_terms, pack, to_gaussian,
-                    unpack)
+from .exact import (QC, as_qc, from_gaussian, gaussian_parts, gaussian_product, lowest_terms,
+                    to_gaussian)
 
 DEFAULT_TRUNC = 24
 # Highest truncation order hs_inverse accepts.  `table euler` costs about
@@ -128,17 +130,11 @@ def _form(f: HalfSeries) -> tuple:
 def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
     """Cauchy product; base degrees add; exact.  With f_i = F_i/D_f and
     g_j = G_j/D_g (Gaussian integers F, G), out_n = sum_{i+j=n} F_i G_j / (D_f D_g),
-    taken as packed int products."""
+    taken as one packed Gaussian product (exact.gaussian_product)."""
     K = min(f.trunc, g.trunc)
     fa, fb, df = _form(f)
     ga, gb, dg = _form(g)
-    fa, fb, ga, gb = fa[:K + 1], fb[:K + 1], ga[:K + 1], gb[:K + 1]
-    # |Re|, |Im| of an output numerator: at most K+1 pairs of 2 |F_i| |G_j|
-    bound = 2 * (K + 1) * max(map(abs, fa + fb)) * max(map(abs, ga + gb))
-    bits = bound.bit_length() + 1
-    pfa, pfb, pga, pgb = pack(fa, bits), pack(fb, bits), pack(ga, bits), pack(gb, bits)
-    re = unpack(pfa * pga - pfb * pgb, bits, K + 1)
-    im = unpack(pfa * pgb + pfb * pga, bits, K + 1)
+    re, im = gaussian_product(fa[:K + 1], fb[:K + 1], ga[:K + 1], gb[:K + 1], K + 1)
     return HalfSeries._of_form(f.base_deg + g.base_deg, re, im, df * dg, K)
 
 

@@ -295,7 +295,8 @@ def suite_theta(cfg: RunConfig) -> list:
     out.append(_rec("theta-imaginary-transform", "modular-type relation between expressions",
                     float(theta.imaginary_transform_residual(W[::2], tau).max()), cfg.tol))
     out.append(_rec("theta-special-value-relation", "value identity at w = 0",
-                    theta.jacobi_relation_residual(tau), 1e-12))
+                    theta.jacobi_relation_residual(tau),
+                    max(1e-12, theta.jacobi_relation_rounding(tau))))
     worst = np.abs(theta.delta_sum_representation(W[::2], tau) - theta.theta_eval(3, W[::2], tau))
     out.append(_rec("theta-gaussian-comb", "delta-comb representation", worst.max(), cfg.tol))
     worst = np.abs(theta.theta3_from_inverses(W[::4], tau) - theta.theta_eval(3, W[::4], tau))

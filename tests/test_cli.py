@@ -187,6 +187,12 @@ EXACT_REPORT_SHA256 = {
     "verify vertex": "62cd9dfaf6682f06a66582a9f797617f86fdbe890bdadbd26f68d5793e6a49d9",
     "table hermite 20 --tau=0.5,0.25":
         "d4b5b1210f7ec2815eb51470b6a9aca05bf59b3d5ad5f964a4503207949887ec",
+    "table hermite 60 --tau=0.5,0.25":
+        "685d19af116c9d7c1bb4d0b616e4968c3fa2ccdbce19ca851c023b79b91deb04",
+    "table laguerre 6 --tau=0.6666666666666666,0":
+        "5cb0878a800a6b24d3f220ce33632de79573f5408fbf4f46b1b504aedbe4290c",
+    "table laguerre 12 --tau=0.5,0.25":
+        "62ea892a6602600e99e3b5bb1133cbc5f36b04d7c413d2856054ddc3fc07f034",
     "table legendre 40 --tau=-1,0":
         "db3f06e2cc93407fa916c6571f91d65faebb37961f9c1f17d9304aa5d9bba8f7",
     "table legendre 6 --tau=0.5,0.5":

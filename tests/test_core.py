@@ -293,7 +293,8 @@ def test_equality_by_forms_agrees_with_coefficients(f, g, tau, c):
     floats = a.map_coeffs(complex)
     assert (a == floats) == coefficientwise(a, floats)
     if floats.coeffs:                   # the zero Poly is exact whatever it was made from
-        assert _form(floats) is None and held(floats) is None
+        # never given a form, and remembered as inexact
+        assert _form(floats) is None and held(floats) is False
 
 
 def test_forms_that_differ_only_in_the_denominator_are_unequal():
@@ -390,3 +391,139 @@ def test_mixed_scalars_agree_with_the_complex_call(f, g, tau, tau2):
     if not (all_exact(f.coeffs) and is_exact(tau2)):
         assert close(intertwine(f, tau, tau2),
                      intertwine(as_complex(f), complex(tau), complex(tau2)))
+
+
+# ------------------------------------------- operators on the Gaussian form
+# An exact operand that holds a form or has a QC coefficient sends +, -, *,
+# scale and deriv through the form route; the coefficient loop over QC is its
+# reference.  looped(p) holds p's coefficients as QC values and is marked
+# inexact, so every operator runs the loop on it.
+
+def holding(p):
+    """p after it has taken its form, whatever its exact coefficients."""
+    _form(p)
+    return p
+
+
+def looped(p):
+    q = over_qc(p)
+    q._gauss = False
+    return q
+
+
+def lowest_form_of(got, want):
+    """got holds the one lowest-terms form of want's value."""
+    return held(got) == to_gaussian(want.coeffs)
+
+
+HELD = PADDED_POLYS.map(holding)
+OP_SCALARS = st.one_of(SCALARS, st.sampled_from([0, Fraction(0), QC(0)]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(HELD, PADDED_POLYS, OP_SCALARS, st.integers(0, 3))
+def test_form_route_operators_equal_the_loop_over_qc(f, g, c, order):
+    """+, -, unary -, * by a Poly or a scalar, scale and deriv on a held form
+    equal the loop over QC, hold that value's lowest-terms form, and read
+    degree and is_zero from it; zero results and cancelled tops included."""
+    F, G, cq = looped(f), looped(g), as_qc(c)
+    top = Poly([0] * f.degree + [f.coeffs[-1]]) if f.coeffs else Poly()
+    cases = [(f + g, F + G), (g + f, G + F), (f - g, F - G), (g - f, G - F), (-f, -F),
+             (f * g, F * G), (g * f, G * F), (f * c, F * cq), (c * f, F.scale(cq)),
+             (f.scale(c), F.scale(cq)), (f.deriv(order), F.deriv(order)),
+             (f + c, F + cq), (c - f, cq - F), (f - f, F - F), (f - top, F - looped(top)),
+             (f * g - g * f, F * G - G * F)]
+    for got, want in cases:
+        assert type(got) is core._FormPoly
+        assert lowest_form_of(got, want)
+        assert (got.degree, got.is_zero()) == (want.degree, want.is_zero())
+        assert same_poly(got, want)
+    assert (f == g) == coefficientwise(F, G) and (f == F) and (F == f)
+
+
+@settings(deadline=None)
+@given(PADDED_POLYS, OP_SCALARS)
+def test_a_qc_coefficient_or_scalar_takes_the_form_route(p, c):
+    """A Poly that holds no form takes the route once it has a QC coefficient
+    (and then keeps its form), or for a QC scalar; otherwise int and Fraction
+    coefficients keep the loop."""
+    twin = Poly(list(p.coeffs))
+    has_qc = any(type(v) is QC for v in p.coeffs)
+    got = twin.deriv()
+    assert (type(got) is core._FormPoly) == has_qc
+    assert (held(twin) is not None) == has_qc
+    if has_qc:
+        assert same_poly(got, looped(p).deriv())
+    scaled = Poly(list(p.coeffs)).scale(c)
+    assert (type(scaled) is core._FormPoly) == (has_qc or type(c) is QC)
+    assert scaled == looped(p).scale(as_qc(c))
+
+
+def test_int_and_fraction_polynomials_keep_their_types():
+    x = Poly.x()
+    assert [type(c) for c in (x * x).coeffs] == [int, int, int]
+    assert [type(c) for c in (x + x - Poly.const(3)).coeffs] == [int, int]
+    assert [type(c) for c in x.deriv().coeffs] == [int]
+    half = Poly([Fraction(1, 2), Fraction(1, 3)])
+    assert [type(c) for c in (half * half).coeffs] == [Fraction] * 3
+    assert [type(c) for c in (half + half).scale(Fraction(3)).coeffs] == [Fraction] * 2
+    assert type(x * Poly.const(QC(1))) is core._FormPoly
+
+
+def test_heat_flow_of_int_polynomials_at_complex_parameters():
+    """GaussPoly's default Poly.const(1) and Poly.x() mix with complex
+    polynomials in the float code; they still run, and match the same
+    computation on complex coefficients."""
+    from stardeform.starexp import GaussPoly, gauss_star, heat_apply
+
+    alpha, beta = -0.3 + 0.2j, 0.1 - 0.4j
+    one = heat_apply(0.2 + 0.1j, GaussPoly(Poly.const(1), alpha, beta))
+    assert one.poly.coeffs == (1,)
+    ints = heat_apply(0.2 + 0.1j, GaussPoly(Poly([2, 0, 1]), alpha, beta))
+    floats = heat_apply(0.2 + 0.1j, GaussPoly(Poly([2 + 0j, 0j, 1 + 0j]), alpha, beta))
+    assert all(abs(a - b) < 1e-14 for a, b in zip(ints.poly.coeffs, floats.poly.coeffs))
+    g = gauss_star(GaussPoly(Poly.x(), alpha, 0.0), GaussPoly(Poly.const(1), alpha, beta), 0.5j)
+    assert all(type(c) is complex for c in g.poly.coeffs)
+
+
+def _indexed_add(a, b):
+    out = []
+    for i in range(max(len(a), len(b))):
+        out.append((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0))
+    return out
+
+
+def _indexed_mul(a, b):
+    if not (a and b):
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def bits(values):
+    """The coefficients bit for bit, zeros' signs included, trailing zeros cut."""
+    values = list(values)
+    while values and values[-1] == 0:
+        values.pop()
+    return repr(values)
+
+
+SIGNED = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0]))
+FLOATISH = st.one_of(st.builds(complex, SIGNED, SIGNED), SIGNED, st.integers(-3, 3))
+FLOAT_LISTS = st.lists(FLOATISH, max_size=12)
+
+
+@settings(deadline=None)
+@given(FLOAT_LISTS, FLOAT_LISTS)
+def test_float_products_and_sums_are_bitwise_the_plain_loops(a, b):
+    """Float and mixed operands run the coefficient loops, whose sums start from
+    0 and pad with 0: the signs of zeros come out as those loops give them."""
+    p, q = Poly(a), Poly(b)
+    assert bits((p * q).coeffs) == bits(_indexed_mul(p.coeffs, q.coeffs))
+    assert bits((p + q).coeffs) == bits(_indexed_add(p.coeffs, q.coeffs))
+    assert bits((q + p).coeffs) == bits(_indexed_add(q.coeffs, p.coeffs))
+    if p.coeffs and type(p.coeffs[-1]) in (float, complex):
+        assert held(p) is False         # marked inexact when built

@@ -810,6 +810,29 @@ def test_cli_chirp_beyond_the_panel_budget_refused_with_one_error_line(capsys):
     assert code == 0 and err == "" and len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("tau", [0.05 + 5j, 0.04 + 5j, 0.05 + 6j, 0.02 + 5j])
+def test_delta_mass_sizes_its_start_from_the_chirp(tau):
+    """At these tau integrate_segment_refined's defaults (8 panels, at most
+    512) did not reach 1e-12; the chirp-sized start does, within
+    WINDOW_PANEL_BUDGET."""
+    assert abs(delta_mass(0.3, tau) - 1) < 1e-13
+
+
+def test_delta_mass_beyond_the_panel_budget_is_refused():
+    with pytest.raises(QuadratureFailure, match="WINDOW_PANEL_BUDGET"):
+        delta_mass(0.3, 0.005 + 5j)
+
+
+@pytest.mark.parametrize("tau", ["0.05,5", "0.04,5", "0.05,6"])
+def test_verify_dist_at_a_wide_chirp_is_refused_by_the_sided_inverses(tau, capsys):
+    """delta-mass now passes at these tau; the suite still exits 1, refused with
+    one error line by the Gaussian window of sided-inverse-defect at a = 1j,
+    whose shift widens it past WINDOW_PANEL_BUDGET."""
+    code, out, err = _run(["verify", "dist", f"--tau={tau}"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: Gaussian window needs")
+
+
 
 @pytest.mark.parametrize("grid", ["-10,-9,5", "5,6,2"])
 def test_verify_dist_runs_on_grids_far_from_the_delta_point(grid, capsys):

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from stardeform.cli import main
 from stardeform.errors import DomainError
 from stardeform.theta import (constant_coefficient_kernel, delta_sum_representation,
-                              imaginary_transform_residual, jacobi_relation_residual, lattice,
+                              imaginary_transform_residual, jacobi_relation_residual,
+                              jacobi_relation_rounding, lattice,
                               lattice_sum, quasi_periodicity_residual, theta3_from_inverses,
                               theta_eigen_residual, theta_eval)
 
@@ -108,6 +109,38 @@ def test_jacobi_relation():
         assert jacobi_relation_residual(tau) < 1e-12
     # fixed point tau = pi
     assert jacobi_relation_residual(math.pi) < 1e-13
+
+
+# a draw of test_verify_theta_passes_or_names_one_error: the transformed side
+# sums about 2,000 terms whose phases reach 1e5 rad
+WIDE_PHASE_TAU = 0.011108996538242306 + 36j
+
+
+def test_jacobi_rounding_bound_is_far_below_the_tol_at_moderate_tau():
+    for tau in (1.0, 2.0, 1.0 + 0.5j, 0.5 - 1j, math.pi, 1000.0):
+        assert jacobi_relation_rounding(tau) < 1e-14
+
+
+@pytest.mark.parametrize("tau", [1.0, WIDE_PHASE_TAU])
+def test_jacobi_record_fails_a_flipped_sign_or_a_dropped_prefactor(tau):
+    """The record passes under max(1e-12, rounding bound), and the identity
+    with a flipped sign or without the prefactor sqrt(pi/tau) fails it, at the
+    default tau and where the bound exceeds 1e-12."""
+    tol = max(1e-12, jacobi_relation_rounding(tau))
+    assert jacobi_relation_residual(tau) <= tol
+    lhs = theta_eval(3, 0.0, tau)
+    moved = theta_eval(3, 0.0, math.pi * math.pi / tau)
+    pref = cmath.sqrt(math.pi / tau)
+    assert abs(lhs + pref * moved) > 1e3 * tol
+    assert abs(lhs - moved) > 1e3 * tol
+    assert abs(lhs - cmath.sqrt(-math.pi / tau) * moved) > 1e3 * tol
+
+
+def test_verify_theta_passes_at_a_wide_phase_draw(capsys):
+    assert main(["verify", "theta", f"--tau={WIDE_PHASE_TAU.real!r},{WIDE_PHASE_TAU.imag!r}"]) == 0
+    rec = next(r for r in json.loads(capsys.readouterr().out)["results"]
+               if r["anchor"] == "theta-special-value-relation")
+    assert rec["passed"] and 1e-12 < float(rec["tol"]) < 1e-10
 
 
 def test_delta_sum_equals_theta3():
