@@ -1,7 +1,7 @@
 """stardeform: deformed products on one-variable function algebras.
 
 Library layout:
-    core           exact star product on polynomials, intertwiners, deformed powers
+    core           star product on exact and float polynomials, intertwiners, deformed powers
     starexp        Gaussian-exponential family, sheets/branch tracking, product laws
     specialfn      Hermite / Bessel / Legendre / Laguerre families
     theta          Jacobi theta functions as deformed exponential series
@@ -13,11 +13,12 @@ Library layout:
     cli            `stardeform` command line entry point
 """
 
-from .core import Poly, star_product, intertwine, w_star_power, infinitesimal_intertwiner
+from .core import (ExactPoly, Poly, star_product, intertwine, w_star_power,
+                   infinitesimal_intertwiner)
 from .exact import QC
 
 __all__ = [
-    "Poly", "star_product", "intertwine", "w_star_power",
+    "ExactPoly", "Poly", "star_product", "intertwine", "w_star_power",
     "infinitesimal_intertwiner", "QC",
 ]
 

@@ -24,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .core import Poly, star_product, w_star_power
+from .core import ExactPoly, Poly, star_product, w_star_power
 from .errors import DomainError, StarDeformError
 from .exact import QC
 
@@ -254,7 +254,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _exact_poly_str(p: Poly) -> str:
+def _exact_poly_str(p: ExactPoly) -> str:
     bits = []
     for k in range(p.degree, -1, -1):
         c = p.coeffs[k]
@@ -276,8 +276,8 @@ def cmd_eval(args) -> int:
     if args.rational:
         to_exact = lambda c: QC(Fraction(complex(c).real).limit_denominator(10 ** 9),  # noqa: E731
                                 Fraction(complex(c).imag).limit_denominator(10 ** 9))
-        f = f.map_coeffs(to_exact)
-        g = g.map_coeffs(to_exact)
+        f = ExactPoly([to_exact(c) for c in f.coeffs])
+        g = ExactPoly([to_exact(c) for c in g.coeffs])
         tau = to_exact(tau_c)
         result = star_product(f, g, tau)
         print(_exact_poly_str(result).replace("x", "w"))

@@ -10,8 +10,8 @@ compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 Each QC operation pays one gcd to stay canonical, so no exact container
 computes over QC.  Each holds a form instead: Gaussian-integer numerators over
 one positive denominator, taken from QC values by to_gaussian and read back as
-QC values by from_gaussian only when something reads them.  core.Poly and
-halfseries.HalfSeries keep their form in lowest terms (lowest_terms, one gcd
+QC values by from_gaussian only when something reads them.  core.ExactPoly
+and halfseries.HalfSeries keep their form in lowest terms (lowest_terms, one gcd
 per result), so equal values have equal forms; SparseLaurent (below) leaves
 its denominator unreduced and compares by cross-multiplying, and so do its
 subclasses vertex.CoeffRing and vertex.VertexElem (the rational span, which
@@ -19,8 +19,8 @@ adds a grade cap); restrict is the one grade filter of both, which keep
 their u-grade as the last exponent.  gaussian_parts gives the parts of one
 exact scalar, such as a tau.  pack and unpack multiply integer polynomials as
 single ints (Kronecker substitution), and gaussian_product is the one product
-of two Gaussian-integer polynomials built on them, which core.Poly's * and
-halfseries.hs_mul share.  This module is the only one that reads a QC's
+of two Gaussian-integer polynomials built on them, which core.ExactPoly's *
+and halfseries.hs_mul share.  This module is the only one that reads a QC's
 fields.
 """
 

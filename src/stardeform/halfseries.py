@@ -7,10 +7,10 @@ Euler and Bernoulli numbers drop out of the symmetrized inversions below with
 bit-exact rational values.
 
 A HalfSeries holds its coefficients as one Gaussian form, integer numerators
-over one denominator in lowest terms, as core.Poly does.  hs_mul, hs_inverse,
+over one denominator in lowest terms, as core.ExactPoly does.  hs_mul, hs_inverse,
 exp_series, + and scale compute on forms in Python ints (the product as
 exact.gaussian_product, the one Kronecker-packed Gaussian product that the
-Poly product of core shares, cut to the truncation; the inversion recurrence
+product of core.ExactPoly shares, cut to the truncation; the inversion recurrence
 over the running lcm of its outputs' denominators) and reduce each result by
 one gcd; the QC
 coefficients are built (exact.from_gaussian) only when .coeffs is read.
@@ -43,7 +43,7 @@ class HalfSeries:
     """e_*^{l i w} * sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated
     at n = trunc.
 
-    A series holds its Gaussian form (re, im, d), as core.Poly does: the
+    A series holds its Gaussian form (re, im, d), as core.ExactPoly does: the
     numerators of a_0..a_trunc over d, the lcm of the coefficients' canonical
     denominators.  The form is in lowest terms and unique, so == compares base
     degree, truncation and form.  A series built from coefficients takes its

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Poly, star_product, w_star_power
+from .core import ExactPoly, Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
-from .exact import QC, as_qc, from_gaussian, gaussian_parts
+from .exact import QC, as_qc, from_gaussian, gaussian_parts, is_exact
 from .numeric import as_grid, worst_of
 
 SQRT2 = math.sqrt(2.0)
@@ -40,14 +40,14 @@ SQRT2 = math.sqrt(2.0)
 class HermiteFamily:
     tau: complex
     table: tuple          # H_n as float-coefficient Poly, leading coeff (sqrt2)^n
-    reduced: tuple        # P_n with the (sqrt2)^n factored out; exact if tau exact
+    reduced: tuple        # P_n with the (sqrt2)^n factored out; ExactPoly if tau exact
 
     def __len__(self):
         return len(self.table)
 
 
 def hermite_table(N: int, tau) -> HermiteFamily:
-    """Build H_0..H_N.  With exact tau (QC/Fraction/int) the reduced table is over QC."""
+    """Build H_0..H_N.  With exact tau (QC/Fraction/int) the reduced table is ExactPoly."""
     if N < 0:
         raise ValueError("N must be >= 0")
     tau = as_qc(tau)
@@ -66,17 +66,18 @@ def hermite_checks(fam: HermiteFamily) -> dict:
         ladder      p_n' = n p_{n-1}
     """
     tau = fam.tau
+    w = ExactPoly.x()
     rec_ok = ode_ok = ladder_ok = True
     for n in range(len(fam) - 1):
         p = fam.reduced[n]
-        if Poly.x() * p + p.deriv().scale(tau / 2) != fam.reduced[n + 1]:
+        if w * p + p.deriv().scale(tau / 2) != fam.reduced[n + 1]:
             rec_ok = False
     for n, p in enumerate(fam.reduced):
-        if not (p.deriv(2).scale(tau) + p.deriv().scale(2) * Poly.x() - p.scale(2 * n)).is_zero():
+        if not (p.deriv(2).scale(tau) + p.deriv().scale(2) * w - p.scale(2 * n)).is_zero():
             ode_ok = False
         if n >= 1 and p.deriv() != fam.reduced[n - 1].scale(n):
             ladder_ok = False
-    top_ok = all(fam.reduced[n].deriv(n) == Poly.const(math.factorial(n))
+    top_ok = all(fam.reduced[n].deriv(n) == math.factorial(n)
                  for n in range(len(fam)))
     return {"recurrence": rec_ok, "ode": ode_ok, "ladder": ladder_ok,
             "top_derivative": top_ok}
@@ -88,7 +89,7 @@ def hermite_convolution_scale(n: int, tau) -> int | None:
     Returns the integer log2 of c when the identity holds exactly (the
     exponential law forces c = 2^n); None if neither candidate matches.
     """
-    acc = Poly()
+    acc = ExactPoly()
     for k in range(n + 1):
         term = star_product(w_star_power(k, tau), w_star_power(n - k, tau), tau)
         acc = acc + term.scale(math.comb(n, k))
@@ -345,8 +346,8 @@ def legendre_star(N: int, a, tau, w_grid):
 
 
 def legendre_star_exact(N: int, tau) -> list:
-    """Exact dual route: P_n(., tau) as a polynomial in v = w + a over QC for an
-    exact tau (half-integer moments are rational).
+    """Exact dual route: P_n(., tau) as an ExactPoly in v = w + a for an exact
+    tau (half-integer moments are rational).
 
     The s-integral of the (tau s^2 - s)^j term against s^{n-2j-1/2} e^{-s} is
     a half-integer moment (2k-1)!!/2^k.  With tau = T/t_d (T a Gaussian
@@ -382,38 +383,55 @@ def legendre_star_exact(N: int, tau) -> list:
                 im += c * t_im[i]
             den = (td_pow[j] << (2 * j)) * math.factorial(j) * math.factorial(n - 2 * j)
             coeffs[n - 2 * j] = from_gaussian(re, im, den)
-        out.append(Poly(coeffs))
+        out.append(ExactPoly(coeffs))
     return out
 
 
 # ---------------------------------------------------------------- Laguerre
 
-def _binom_series_coeff(alpha_num: int, m: int) -> Fraction:
-    """[t^m] (1 - t tau)^(-alpha) / tau^m for alpha = alpha_num/2: pochhammer(alpha,m)/m!."""
-    poch = Fraction(1)
-    for i in range(m):
-        poch *= Fraction(alpha_num, 2) + i
-    return poch / math.factorial(m)
-
-
 def laguerre_star(N: int, tau) -> list:
-    """L_n(x, tau) for n = 0..N as degree-n polynomials in x = w^2, over QC for an exact tau:
+    """L_n(x, tau) for n = 0..N as degree-n polynomials in x = w^2:
 
         L_n = sum_k x^k/k! [t^(n-k)] (1 - t tau)^(-(k+1/2)),
 
     t-coefficients of (1-t tau)^{-1/2} exp(t x/(1-t tau)); d^n/dx^n L_n = 1.
+    [t^m] (1 - t tau)^(-(k+1/2)) = c_m tau^m with c_m = (k+1/2)_m/m! =
+    P_m/(2^m m!), and P_{m+1} = P_m (2k+1+2m) is carried across m.  For an
+    exact tau = T/t_d the table is ExactPoly: the numerator of x^k in L_n is
+    C(n,k) P_(n-k) T^(n-k) (2 t_d)^k over 2^n n! t_d^n.  Otherwise it is
+    complex, rounded as complex(1/k!) (complex(c_(n-k)) tau^(n-k)).
     """
     tau = as_qc(tau)
     if tau == 0:
         raise DomainError("tau must be nonzero")
-    # rationals lift to QC for an exact tau and to complex otherwise; the float
-    # route rounds (1/k!) ((poch/m!) tau^m) in this order
-    lift = as_qc if type(tau) is QC else complex
-    tau_pows = [tau ** m for m in range(N + 1)]
-    return [Poly([lift(Fraction(1, math.factorial(k)))
-                  * (lift(_binom_series_coeff(2 * k + 1, n - k)) * tau_pows[n - k])
-                  for k in range(n + 1)])
-            for n in range(N + 1)]
+    poch = []                                       # poch[k][m] = P_m for alpha = k + 1/2
+    for k in range(N + 1):
+        row = [1]
+        for m in range(N - k):
+            row.append(row[-1] * (2 * k + 1 + 2 * m))
+        poch.append(row)
+    if not is_exact(tau):
+        tau_pows = [tau ** m for m in range(N + 1)]
+        return [Poly([complex(Fraction(1, math.factorial(k)))
+                      * (complex(Fraction(poch[k][n - k], 2 ** (n - k) * math.factorial(n - k)))
+                         * tau_pows[n - k])
+                      for k in range(n + 1)])
+                for n in range(N + 1)]
+    ta, tb, td = gaussian_parts(tau)
+    t_re, t_im = [1], [0]                           # T^m
+    for _ in range(N):
+        a, b = t_re[-1], t_im[-1]
+        t_re.append(a * ta - b * tb)
+        t_im.append(a * tb + b * ta)
+    out = []
+    for n in range(N + 1):
+        re, im = [], []
+        for k in range(n + 1):
+            c = math.comb(n, k) * poch[k][n - k] * (2 * td) ** k
+            re.append(c * t_re[n - k])
+            im.append(c * t_im[n - k])
+        out.append(ExactPoly.from_form(re, im, 2 ** n * math.factorial(n) * td ** n))
+    return out
 
 
 def laguerre_from_quad_expansion(N: int, tau, x) -> list:

@@ -66,7 +66,7 @@ def _rand_qc(rng):
 
 
 def _rand_poly(rng, deg):
-    return core.Poly([_rand_qc(rng) for _ in range(deg + 1)])
+    return core.ExactPoly([_rand_qc(rng) for _ in range(deg + 1)])
 
 
 def suite_core(cfg: RunConfig) -> list:
@@ -100,10 +100,10 @@ def suite_core(cfg: RunConfig) -> list:
     out.append(_rec("intertwiner-homomorphism", "parameter change is an algebra map (exact)",
                     worst_hom, 0.0))
     tau = QC(Fraction(2, 3), Fraction(1, 5))
-    p = core.Poly.const(QC(1))
+    p = core.ExactPoly.const(1)
     rec_ok = True
     for n in range(12):
-        nxt = core.Poly.x() * p + p.deriv().scale(tau / 2)
+        nxt = core.ExactPoly.x() * p + p.deriv().scale(tau / 2)
         if nxt != core.w_star_power(n + 1, tau):
             rec_ok = False
         p = nxt
@@ -259,12 +259,12 @@ def suite_special(cfg: RunConfig) -> list:
     grid = np.asarray([-0.5, 0.1, 0.7])
     vals = specialfn.legendre_star(3, 0.0, -1.0, grid)
     exact = specialfn.legendre_star_exact(3, Fraction(-1))
-    worst = worst_of(float(np.abs(vals[n] - exact[n].map_coeffs(float)(grid)).max())
+    worst = worst_of(float(np.abs(vals[n] - exact[n].to_complex()(grid)).max())
                      for n in range(4))
     out.append(_rec("legendre-dual-route", "quadrature vs exact moment table", worst, 1e-9))
 
     tabL = specialfn.laguerre_star(6, Fraction(2, 3))
-    norm_ok = all(p.deriv(n) == core.Poly.const(Fraction(1)) for n, p in enumerate(tabL))
+    norm_ok = all(p.deriv(n) == core.ExactPoly.const(1) for n, p in enumerate(tabL))
     out.append(_bool_rec("laguerre-normalization", "top derivative equals one (exact)", norm_ok))
     x = 0.49
     coef = specialfn.laguerre_from_quad_expansion(6, 0.8 + 0.3j, x)

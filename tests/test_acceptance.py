@@ -36,7 +36,7 @@ def rand_qc(rng, num=6, den=5):
 
 
 def rand_poly(rng, deg):
-    return core.Poly([rand_qc(rng) for _ in range(deg + 1)])
+    return core.ExactPoly([rand_qc(rng) for _ in range(deg + 1)])
 
 
 def test_criterion_01_exact_polynomial_algebra():

@@ -201,6 +201,15 @@ EXACT_REPORT_SHA256 = {
         "8cf5194f971335d7da10092f9aaefbd5daa3148ea452fd7ffa3b01e2edc218f4",
     "eval star --f w^3+2 --g w^2 --tau 1,0.5 --rational":
         "47e148d1589adb8c7d3396bc061c921184ef33fbce21d033a62fd986d91cc62f",
+    # a zero, a constant and int-only operands: prints 0, w^2 + 1, 6, w^4 + w^2 + 1/8
+    "eval star --f 0 --g w^2 --tau 1,0.5 --rational":
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    "eval star --f w --g w --tau 2,0 --rational":
+        "27d070d55efeaccaa3884e2723a5f774ffdf3a06f46368b23fc97fa2f5a6aea0",
+    "eval star --f 2 --g 3 --tau 0,0 --rational":
+        "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+    "eval star --f w^2 --g w^2 --tau 0.5,0 --rational":
+        "6c7821b63f37f8ede6a647848197ea124b3951a15bebe974e2242a58d0b7c7c2",
 }
 
 

@@ -5,16 +5,18 @@ finite sums or frozen from the independent oracles in this file (repeated
 products, term-by-term differentiation, finite differences).
 """
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardeform import (QC, Poly, core, infinitesimal_intertwiner, intertwine, star_product,
-                        verify, w_star_power)
-from stardeform.core import _form, _intertwine_loop, _star_product_loop
-from stardeform.exact import all_exact, as_qc, is_exact, to_gaussian
+from stardeform import (QC, ExactPoly, Poly, core, infinitesimal_intertwiner, intertwine,
+                        star_product, verify, w_star_power)
+from stardeform.core import _intertwine_loop, _star_product_loop
+from stardeform.exact import as_qc, to_gaussian
 from stardeform.specialfn import hermite_table, laguerre_star, legendre_star_exact
 
 RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -23,7 +25,7 @@ SCALARS = st.one_of(st.builds(QC, RATS, RATS), RATS, st.integers(-9, 9))
 
 
 def polys(max_degree):
-    return st.lists(SCALARS, max_size=max_degree + 1).map(Poly)
+    return st.lists(SCALARS, max_size=max_degree + 1).map(ExactPoly)
 
 
 def rand_qc(rng, num=9, den=7):
@@ -32,13 +34,13 @@ def rand_qc(rng, num=9, den=7):
 
 
 def rand_poly(rng, deg):
-    return Poly([rand_qc(rng, 6) for _ in range(deg + 1)])
+    return ExactPoly([rand_qc(rng, 6) for _ in range(deg + 1)])
 
 
 def star_power_oracle(n, tau):
     """Independent route: n-fold product w * (w * (... * w))."""
-    w = Poly.x()
-    out = Poly.const(QC(1) if isinstance(tau, QC) else 1)
+    w = ExactPoly.x()
+    out = ExactPoly.const(1)
     for _ in range(n):
         out = star_product(w, out, tau)
     return out
@@ -46,28 +48,28 @@ def star_power_oracle(n, tau):
 
 def test_star_w_w_tau2():
     # direct evaluation of the k=0,1 terms of the defining sum
-    got = star_product(Poly.x(), Poly.x(), 2)
-    assert got == Poly([1, 0, 1])  # w^2 + 1
+    got = star_product(ExactPoly.x(), ExactPoly.x(), 2)
+    assert got == ExactPoly([1, 0, 1])  # w^2 + 1
 
 
 @settings(deadline=None)
 @given(polys(8), SCALARS)
 def test_star_identity_element(f, tau):
-    assert star_product(Poly.const(1), f, tau) == f
-    assert star_product(f, Poly.const(QC(1)), tau) == f
+    assert star_product(ExactPoly.const(1), f, tau) == f
+    assert star_product(f, ExactPoly.const(QC(1)), tau) == f
 
 
 def test_star_w2_w2():
     # frozen from the finite sum k=0..2 done by hand:
     # w^4 + 2 tau w^2 + tau^2/2
     tau = QC(Fraction(3, 2))
-    got = star_product(Poly([0, 0, QC(1)]), Poly([0, 0, QC(1)]), tau)
-    assert got == Poly([tau * tau / 2, QC(0), 2 * tau, QC(0), QC(1)])
+    got = star_product(ExactPoly([0, 0, QC(1)]), ExactPoly([0, 0, QC(1)]), tau)
+    assert got == ExactPoly([tau * tau / 2, QC(0), 2 * tau, QC(0), QC(1)])
 
 
 def test_intertwine_w2():
     tau = QC(Fraction(5, 3))
-    assert intertwine(Poly([0, 0, QC(1)]), QC(0), tau) == Poly([tau / 2, QC(0), QC(1)])
+    assert intertwine(ExactPoly([0, 0, QC(1)]), QC(0), tau) == ExactPoly([tau / 2, QC(0), QC(1)])
 
 
 def test_intertwine_identity():
@@ -80,8 +82,8 @@ def test_intertwine_identity():
 def test_intertwine_w3():
     # frozen: exp((tau/4) d^2) w^3 = w^3 + (3 tau/2) w
     tau = QC(Fraction(7, 4))
-    got = intertwine(Poly([0, 0, 0, QC(1)]), QC(0), tau)
-    assert got == Poly([QC(0), tau * 3 / 2, QC(0), QC(1)])
+    got = intertwine(ExactPoly([0, 0, 0, QC(1)]), QC(0), tau)
+    assert got == ExactPoly([QC(0), tau * 3 / 2, QC(0), QC(1)])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
@@ -92,10 +94,10 @@ def test_w_star_power_vs_repeated_product(n):
 
 def test_w_star_power_small_values():
     tau = QC(Fraction(1, 2))
-    assert w_star_power(0, tau) == Poly.const(1)
-    assert w_star_power(2, tau) == Poly([tau / 2, QC(0), QC(1)])
+    assert w_star_power(0, tau) == ExactPoly.const(1)
+    assert w_star_power(2, tau) == ExactPoly([tau / 2, QC(0), QC(1)])
     # frozen from the repeated-product oracle: w^5 + 5 tau w^3 + (15/4) tau^2 w
-    assert w_star_power(5, tau) == Poly(
+    assert w_star_power(5, tau) == ExactPoly(
         [QC(0), tau * tau * Fraction(15, 4), QC(0), tau * 5, QC(0), QC(1)])
 
 
@@ -107,9 +109,9 @@ def test_w_star_power_monic():
 
 
 def test_infinitesimal_intertwiner_values():
-    assert infinitesimal_intertwiner(Poly([0, 0, QC(1)])) == Poly.const(Fraction(1, 2))
-    assert infinitesimal_intertwiner(Poly.x()) == Poly()
-    assert infinitesimal_intertwiner(Poly([0, 0, 0, 0, QC(1)])) == Poly([0, 0, QC(3)])
+    assert infinitesimal_intertwiner(ExactPoly([0, 0, QC(1)])) == ExactPoly.const(Fraction(1, 2))
+    assert infinitesimal_intertwiner(ExactPoly.x()) == ExactPoly()
+    assert infinitesimal_intertwiner(ExactPoly([0, 0, 0, 0, QC(1)])) == ExactPoly([0, 0, QC(3)])
 
 
 def test_infinitesimal_intertwiner_finite_difference():
@@ -119,8 +121,6 @@ def test_infinitesimal_intertwiner_finite_difference():
     want = infinitesimal_intertwiner(f)
     for h in (1e-5, 1e-6):
         fd = (intertwine(f, tau, tau + h) - f).scale(1.0 / h)
-        err = max(abs(a - b) for a, b in zip(
-            (fd - want).coeffs or [0], (fd - want).coeffs or [0])) if not (fd - want).is_zero() else 0.0
         diff = fd - want
         resid = max((abs(c) for c in diff.coeffs), default=0.0)
         assert resid < 5e-5
@@ -183,9 +183,9 @@ def test_verify_core_catches_an_intertwiner_that_reads_its_start(monkeypatch):
 def test_pn_recurrence_exact():
     # P_{n+1} = w P_n + (tau/2) P_n'
     tau = QC(Fraction(4, 7), Fraction(2, 3))
-    p = Poly.const(QC(1))
+    p = ExactPoly.const(QC(1))
     for n in range(12):
-        nxt = Poly.x() * p + p.deriv().scale(tau / 2)
+        nxt = ExactPoly.x() * p + p.deriv().scale(tau / 2)
         assert nxt == w_star_power(n + 1, tau)
         p = nxt
 
@@ -202,57 +202,62 @@ def test_float_backend_matches_exact():
         assert max(abs(a - b) for a, b in zip(exact.coeffs, approx.coeffs)) < 1e-12 * scale
 
 
-# Exact inputs take the integer-numerator route; the Poly loop over QC is its reference.
-EXACT_POLYS = st.lists(SCALARS, max_size=11).map(Poly)     # zero, constant, degree <= 10
+# ExactPoly operands take the integer kernels; the Poly loop over QC is their
+# reference.
+EXACT_POLYS = st.lists(SCALARS, max_size=11).map(ExactPoly)  # zero, constant, degree <= 10
 EXACT_TAUS = st.one_of(st.sampled_from([0, Fraction(0), QC(0)]), SCALARS)
 
 
 def over_qc(p):
-    return p.map_coeffs(as_qc)
+    """The Poly over an ExactPoly's QC values, on which every operator loops."""
+    return Poly(p.coeffs)
 
 
-def same_poly(got, want):
-    return got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+def check_form(p):
+    """p's form is the lowest-terms form of its QC coefficients: d > 0, one gcd
+    divided out and no trailing zero."""
+    re, im, d = p.form
+    assert d > 0 and gcd(d, *re, *im) == 1
+    assert not re or re[-1] or im[-1]
+    assert p.form == to_gaussian(p.coeffs)
+    assert all(type(c) is QC for c in p.coeffs)
+
+
+def matches_loop(got, want):
+    """got is the ExactPoly whose lowest-terms form and QC coefficients are
+    those of the loop's result want."""
+    return (type(got) is ExactPoly and got.form == to_gaussian(want.coeffs)
+            and got.coeffs == want.coeffs)
 
 
 @settings(deadline=None)
 @given(EXACT_POLYS, EXACT_POLYS, EXACT_TAUS)
 def test_star_product_integer_route_equals_loop(f, g, tau):
-    assert same_poly(star_product(f, g, tau),
-                     _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
+    assert matches_loop(star_product(f, g, tau),
+                        _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
 
 
 @settings(deadline=None)
 @given(EXACT_POLYS, EXACT_TAUS, EXACT_TAUS, st.booleans())
 def test_intertwine_integer_route_equals_loop(f, tau_from, tau_to, same):
     tau_to = tau_from if same else tau_to
-    assert same_poly(intertwine(f, tau_from, tau_to),
-                     _intertwine_loop(over_qc(f), as_qc(tau_from), as_qc(tau_to)))
+    assert matches_loop(intertwine(f, tau_from, tau_to),
+                        _intertwine_loop(over_qc(f), as_qc(tau_from), as_qc(tau_to)))
 
 
-# ------------------------------------------- the Gaussian form an exact Poly holds
-# Kernel outputs hold only their form until .coeffs is read; a Poly built from
-# exact coefficients takes its form on first exact use.  Inputs below include
-# the zero polynomial and lists that end in exact zeros.
+# ------------------------------------------- the Gaussian form an ExactPoly holds
+# An ExactPoly takes its form when it is built; kernel and operator outputs
+# hold only their form until .coeffs is read.  Inputs below include the zero
+# polynomial and lists that end in exact zeros.
 
 ZEROS = st.lists(st.sampled_from([0, Fraction(0), QC(0)]), max_size=3)
-PADDED_POLYS = st.tuples(st.lists(SCALARS, max_size=8), ZEROS).map(lambda t: Poly(t[0] + t[1]))
+PADDED_LISTS = st.tuples(st.lists(SCALARS, max_size=8), ZEROS).map(lambda t: t[0] + t[1])
+PADDED_POLYS = PADDED_LISTS.map(ExactPoly)
 
 
 def held(p):
-    return getattr(p, "_gauss", None)
-
-
-def coefficientwise(p, q):
-    """Equality as the coefficient tuples give it, without Poly.__eq__."""
-    return len(p.coeffs) == len(q.coeffs) and all(a == b for a, b in zip(p.coeffs, q.coeffs))
-
-
-def check_form(p):
-    """p holds a form equal to to_gaussian of its coefficients, built after it."""
-    form = held(p)
-    assert form is not None
-    assert form == to_gaussian(p.coeffs)
+    """The form p holds: an ExactPoly's, and False for a Poly, which holds none."""
+    return p.form if isinstance(p, ExactPoly) else False
 
 
 @settings(deadline=None, max_examples=60)
@@ -267,9 +272,9 @@ def test_held_forms_through_a_chain_equal_the_loops(f, g, h, t1, t2):
     ref_moved = _intertwine_loop(ref_fg, as_qc(t1), as_qc(t2))
     ref_out = _star_product_loop(ref_moved, over_qc(h), as_qc(t2))
     for got, want in ((fg, ref_fg), (moved, ref_moved), (out, ref_out)):
-        assert same_poly(got, want)
+        assert matches_loop(got, want)
         check_form(got)
-    for p in (f, g, h):                 # inputs keep the form they were given
+    for p in (f, g, h):                 # inputs hold the form of the values they were given
         check_form(p)
 
 
@@ -280,29 +285,28 @@ SCALES = st.sampled_from([1, Fraction(1, 2), 2, Fraction(-3, 4), QC(0, 1), QC(1,
 @given(PADDED_POLYS, PADDED_POLYS, EXACT_TAUS, SCALES)
 def test_equality_by_forms_agrees_with_coefficients(f, g, tau, c):
     """a and b = c a (or an unrelated product) compare by their forms as by
-    their coefficients, also against a Poly of the same QC list, before and
-    after that Poly takes a form, and against a float Poly."""
+    their coefficients, also against an ExactPoly built from a's QC values;
+    equal values hash equal, and to_complex() is complex() of each value."""
     a = star_product(f, g, tau)
-    b = star_product(f, g.scale(as_qc(c)), tau) if g.coeffs else intertwine(f, tau, 0)
-    assert (a == b) == coefficientwise(a, b)
-    twin = Poly(list(a.coeffs))
-    assert held(twin) is None and a == twin
-    _form(twin)
-    assert held(twin) is not None and a == twin and twin == a
-    assert (b == twin) == coefficientwise(b, twin)
-    floats = a.map_coeffs(complex)
-    assert (a == floats) == coefficientwise(a, floats)
-    if floats.coeffs:                   # the zero Poly is exact whatever it was made from
-        # never given a form, and remembered as inexact
-        assert _form(floats) is None and held(floats) is False
+    b = star_product(f, g.scale(c), tau) if not g.is_zero() else intertwine(f, tau, 0)
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+    twin = ExactPoly(list(a.coeffs))
+    assert a == twin and twin == a and hash(a) == hash(twin)
+    assert (b == twin) == (b.coeffs == twin.coeffs)
+    assert a.to_complex().coeffs == tuple(complex(v) for v in a.coeffs)
+    if a.degree <= 0:                   # a constant equals its scalar
+        assert a == (a.coeffs[0] if a.coeffs else 0)
 
 
 def test_forms_that_differ_only_in_the_denominator_are_unequal():
-    one = star_product(Poly([1]), Poly([1]), 0)
-    half = star_product(Poly([Fraction(1, 2)]), Poly([1]), 0)
-    assert held(one)[:2] == held(half)[:2] and held(one) != held(half)
+    one = star_product(ExactPoly([1]), ExactPoly([1]), 0)
+    half = star_product(ExactPoly([Fraction(1, 2)]), ExactPoly([1]), 0)
+    assert one.form[:2] == half.form[:2] and one.form != half.form
     assert one != half
-    assert intertwine(Poly([0, 0, 1]), 0, 1) != intertwine(Poly([0, 0, Fraction(1, 3)]), 0, 3)
+    assert intertwine(ExactPoly([0, 0, 1]), 0, 1) != \
+        intertwine(ExactPoly([0, 0, Fraction(1, 3)]), 0, 3)
 
 
 def test_verify_draws_the_stream_of_randint():
@@ -361,102 +365,78 @@ def test_exact_tau_with_float_coefficients_computes_in_float(f, g, tau, tau2):
     assert close(got, intertwine(f, complex(tau), complex(tau2)))
 
 
-def as_complex(p):
-    return p.map_coeffs(complex)
+def test_every_mix_of_the_two_types_raises_type_error():
+    """An ExactPoly mixes with no Poly, in arithmetic, in == or in a kernel,
+    and takes no float or complex scalar or tau; to_complex() converts it."""
+    e, p, ints = ExactPoly([1, QC(0, 1)]), Poly([0.5, 1.0]), Poly.x()
+    for a, b in ((e, p), (p, e), (e, ints), (ints, e)):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(TypeError):
+                op(a, b)
+        with pytest.raises(TypeError):
+            star_product(a, b, QC(1))
+        with pytest.raises(TypeError):
+            star_product(a, b, 1.0)
+    for x in (0.5, 1j, 1 + 0j):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(TypeError):
+                op(e, x)
+            with pytest.raises(TypeError):
+                op(x, e)
+        with pytest.raises(TypeError):
+            e.scale(x)
+        with pytest.raises(TypeError):
+            ExactPoly([1, x])
+        with pytest.raises(TypeError):
+            star_product(e, e, x)
+        with pytest.raises(TypeError):
+            intertwine(e, x, QC(1))
+        with pytest.raises(TypeError):
+            intertwine(e, QC(1), x)
+    assert star_product(e.to_complex(), p, 1.0) == star_product(Poly([1 + 0j, 1j]), p, 1.0)
+    assert intertwine(e.to_complex(), 0.5, 1.0) == e.to_complex()
 
 
-def test_mixed_exact_and_float_scalars_take_the_float_route():
-    """A QC tau with float coefficients, and a Poly mixing QC and float
-    coefficients, give the float result at complex() of every QC."""
-    f, g = Poly([0.5, 1.0]), Poly([0, 1.0])
-    assert star_product(f, g, QC(1)) == star_product(as_complex(f), as_complex(g), 1 + 0j)
-    h = Poly([0.5, 0, 1.0])
-    assert intertwine(h, QC(1), 2.0) == intertwine(as_complex(h), 1 + 0j, 2 + 0j)
-    m = Poly([QC(Fraction(1, 2), 1), 0.25, QC(3)])
-    assert star_product(m, g, 1.0) == star_product(as_complex(m), as_complex(g), 1 + 0j)
-    assert star_product(m, m, QC(0, 1)) == star_product(as_complex(m), as_complex(m), 1j)
-    assert intertwine(m, 0.5, QC(2)) == intertwine(as_complex(m), 0.5 + 0j, 2 + 0j)
+# ------------------------------------------- ExactPoly operators on the form
+# +, -, unary -, * by an ExactPoly or an exact scalar, scale and deriv compute
+# on the forms; the coefficient loop of Poly over the same QC values is their
+# reference.
 
-
-MIXED_POLYS = st.lists(st.one_of(st.floats(-2, 2), st.builds(QC, RATS, RATS)),
-                       max_size=6).map(Poly)
-
-
-@settings(deadline=None)
-@given(MIXED_POLYS, MIXED_POLYS, SCALARS, st.one_of(SCALARS, st.floats(-2, 2)))
-def test_mixed_scalars_agree_with_the_complex_call(f, g, tau, tau2):
-    if not (all_exact(f.coeffs) and all_exact(g.coeffs)):
-        assert close(star_product(f, g, tau),
-                     star_product(as_complex(f), as_complex(g), complex(tau)))
-    if not (all_exact(f.coeffs) and is_exact(tau2)):
-        assert close(intertwine(f, tau, tau2),
-                     intertwine(as_complex(f), complex(tau), complex(tau2)))
-
-
-# ------------------------------------------- operators on the Gaussian form
-# An exact operand that holds a form or has a QC coefficient sends +, -, *,
-# scale and deriv through the form route; the coefficient loop over QC is its
-# reference.  looped(p) holds p's coefficients as QC values and is marked
-# inexact, so every operator runs the loop on it.
-
-def holding(p):
-    """p after it has taken its form, whatever its exact coefficients."""
-    _form(p)
-    return p
-
-
-def looped(p):
-    q = over_qc(p)
-    q._gauss = False
-    return q
-
-
-def lowest_form_of(got, want):
-    """got holds the one lowest-terms form of want's value."""
-    return held(got) == to_gaussian(want.coeffs)
-
-
-HELD = PADDED_POLYS.map(holding)
 OP_SCALARS = st.one_of(SCALARS, st.sampled_from([0, Fraction(0), QC(0)]))
 
 
 @settings(deadline=None, max_examples=150)
-@given(HELD, PADDED_POLYS, OP_SCALARS, st.integers(0, 3))
+@given(PADDED_POLYS, PADDED_POLYS, OP_SCALARS, st.integers(0, 3))
 def test_form_route_operators_equal_the_loop_over_qc(f, g, c, order):
-    """+, -, unary -, * by a Poly or a scalar, scale and deriv on a held form
-    equal the loop over QC, hold that value's lowest-terms form, and read
-    degree and is_zero from it; zero results and cancelled tops included."""
-    F, G, cq = looped(f), looped(g), as_qc(c)
-    top = Poly([0] * f.degree + [f.coeffs[-1]]) if f.coeffs else Poly()
+    """Each operator equals the loop over QC, holds that value's lowest-terms
+    form, and reads degree and is_zero from it; zero results and cancelled
+    tops included."""
+    F, G, cq = over_qc(f), over_qc(g), as_qc(c)
+    top = ExactPoly([0] * f.degree + [f.coeffs[-1]]) if not f.is_zero() else ExactPoly()
     cases = [(f + g, F + G), (g + f, G + F), (f - g, F - G), (g - f, G - F), (-f, -F),
              (f * g, F * G), (g * f, G * F), (f * c, F * cq), (c * f, F.scale(cq)),
              (f.scale(c), F.scale(cq)), (f.deriv(order), F.deriv(order)),
-             (f + c, F + cq), (c - f, cq - F), (f - f, F - F), (f - top, F - looped(top)),
-             (f * g - g * f, F * G - G * F)]
+             (f + c, F + cq), (c + f, cq + F), (f - c, F - cq), (c - f, cq - F),
+             (f - f, F - F), (f - top, F - over_qc(top)), (f * g - g * f, F * G - G * F)]
     for got, want in cases:
-        assert type(got) is core._FormPoly
-        assert lowest_form_of(got, want)
+        assert matches_loop(got, want)
+        check_form(got)
         assert (got.degree, got.is_zero()) == (want.degree, want.is_zero())
-        assert same_poly(got, want)
-    assert (f == g) == coefficientwise(F, G) and (f == F) and (F == f)
+    assert (f == g) == (F == G) and (f == c) == (F == cq)
 
 
 @settings(deadline=None)
-@given(PADDED_POLYS, OP_SCALARS)
-def test_a_qc_coefficient_or_scalar_takes_the_form_route(p, c):
-    """A Poly that holds no form takes the route once it has a QC coefficient
-    (and then keeps its form), or for a QC scalar; otherwise int and Fraction
-    coefficients keep the loop."""
-    twin = Poly(list(p.coeffs))
-    has_qc = any(type(v) is QC for v in p.coeffs)
-    got = twin.deriv()
-    assert (type(got) is core._FormPoly) == has_qc
-    assert (held(twin) is not None) == has_qc
-    if has_qc:
-        assert same_poly(got, looped(p).deriv())
-    scaled = Poly(list(p.coeffs)).scale(c)
-    assert (type(scaled) is core._FormPoly) == (has_qc or type(c) is QC)
-    assert scaled == looped(p).scale(as_qc(c))
+@given(PADDED_LISTS, OP_SCALARS)
+def test_a_qc_coefficient_or_scalar_takes_the_form_route(values, c):
+    """An ExactPoly takes its form when it is built, whether its values are
+    int, Fraction or QC, and keeps them as QC values; a QC scalar and the equal
+    int or Fraction act alike."""
+    p, qcs = ExactPoly(values), Poly([as_qc(v) for v in values])
+    check_form(p)
+    assert p.form == to_gaussian(qcs.coeffs) and p.coeffs == qcs.coeffs
+    assert p == ExactPoly(qcs.coeffs) and hash(p) == hash(ExactPoly(qcs.coeffs))
+    assert p.scale(c) == p.scale(as_qc(c)) and matches_loop(p.scale(c), qcs.scale(as_qc(c)))
+    assert p + c == p + as_qc(c) and p * c == as_qc(c) * p
 
 
 def test_int_and_fraction_polynomials_keep_their_types():
@@ -467,7 +447,9 @@ def test_int_and_fraction_polynomials_keep_their_types():
     half = Poly([Fraction(1, 2), Fraction(1, 3)])
     assert [type(c) for c in (half * half).coeffs] == [Fraction] * 3
     assert [type(c) for c in (half + half).scale(Fraction(3)).coeffs] == [Fraction] * 2
-    assert type(x * Poly.const(QC(1))) is core._FormPoly
+    # a Poly loops over QC values as over any other; ExactPoly is the exact type
+    assert [type(c) for c in (x * Poly.const(QC(1))).coeffs] == [QC, QC]
+    assert type(ExactPoly.x() * ExactPoly.const(QC(1))) is ExactPoly
 
 
 def test_heat_flow_of_int_polynomials_at_complex_parameters():
