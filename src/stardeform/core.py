@@ -30,8 +30,9 @@ from fractions import Fraction
 from math import factorial, gcd, perm
 from typing import Sequence
 
-from .exact import (all_exact, as_qc, from_gaussian, gaussian_parts, gaussian_product,
-                    gaussian_to_complex, is_exact, lowest_terms, pack, to_gaussian, unpack)
+from .exact import (all_exact, as_qc, from_gaussian, gaussian_parts, gaussian_powers,
+                    gaussian_product, gaussian_to_complex, is_exact, lowest_terms, pack,
+                    to_gaussian, unpack)
 
 
 class Poly:
@@ -340,12 +341,11 @@ def _star_product_gaussian(f_form: tuple, g_form: tuple, tau: tuple) -> ExactPol
     nf, ng = len(fa), len(ga)
     K = min(nf, ng) - 1
     fK = factorial(K)
+    pa, pb = gaussian_powers(ta, tb, K)             # T^k
     cs = []
-    ca, cb = 1, 0                                   # T^k
     for k in range(K + 1):
         r = (2 * td) ** (K - k) * (fK // factorial(k))
-        cs.append((ca * r, cb * r))
-        ca, cb = ca * ta - cb * tb, ca * tb + cb * ta
+        cs.append((pa[k] * r, pb[k] * r))
     # |Re|, |Im| of an output numerator: at most K+1 terms C_k times at most
     # nf ng pairs of 2 |F_i| |G_j| (i)_k (j)_k, and (i)_k <= (max(nf, ng) - 1)!
     bound = ((K + 1) * max(abs(a) + abs(b) for a, b in cs) * nf * ng
@@ -414,13 +414,11 @@ def _intertwine_gaussian(f_form: tuple, theta: tuple) -> ExactPoly:
     N = len(fa)
     J = (N - 1) // 2
     # c_j = Θ^j t_d^(J-j) J!/j!
-    ca, cb = [], []
-    pa, pb = 1, 0
+    ca, cb = gaussian_powers(ta, tb, J)
     for j in range(J + 1):
         r = td ** (J - j) * (factorial(J) // factorial(j))
-        ca.append(pa * r)
-        cb.append(pb * r)
-        pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
+        ca[j] *= r
+        cb[j] *= r
     out_a, out_b = [0] * N, [0] * N
     for n in range(N):
         xa = xb = 0
@@ -460,11 +458,9 @@ def w_star_power(n: int, tau):
     ta, tb, td = gaussian_parts(tau)
     K = n // 2
     re, im = [0] * (n + 1), [0] * (n + 1)
-    pa, pb = 1, 0                                   # T^k
-    for k in range(K + 1):
+    for k, (pa, pb) in enumerate(zip(*gaussian_powers(ta, tb, K))):   # T^k
         if k > 0:
             c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // k
-            pa, pb = pa * ta - pb * tb, pa * tb + pb * ta
         r = c * (4 * td) ** (K - k)
         re[n - 2 * k], im[n - 2 * k] = pa * r, pb * r
     return ExactPoly.from_form(re, im, (4 * td) ** K)

@@ -10,17 +10,19 @@ compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 Each QC operation pays one gcd to stay canonical, so no exact container
 computes over QC.  Each holds a form instead: Gaussian-integer numerators over
 one positive denominator, taken from QC values by to_gaussian and read back as
-QC values by from_gaussian only when something reads them.  core.ExactPoly
-and halfseries.HalfSeries keep their form in lowest terms (lowest_terms, one gcd
-per result), so equal values have equal forms; SparseLaurent (below) leaves
-its denominator unreduced and compares by cross-multiplying, and so do its
+QC values by from_gaussian only when something reads them.  The one dense
+form is core.ExactPoly's, kept in lowest terms (lowest_terms, one gcd per
+result), so equal values have equal forms; a halfseries.HalfSeries is an
+ExactPoly in q cut at its truncation.  SparseLaurent (below) leaves its
+denominator unreduced and compares by cross-multiplying, and so do its
 subclasses vertex.CoeffRing and vertex.VertexElem (the rational span, which
 adds a grade cap); restrict is the one grade filter of both, which keep
 their u-grade as the last exponent.  gaussian_parts gives the parts of one
-exact scalar, such as a tau.  pack and unpack multiply integer polynomials as
-single ints (Kronecker substitution), and gaussian_product is the one product
-of two Gaussian-integer polynomials built on them, which core.ExactPoly's *
-and halfseries.hs_mul share.  This module is the only one that reads a QC's
+exact scalar, such as a tau, and gaussian_powers the numerators of a Gaussian
+integer's powers.  pack and unpack multiply integer polynomials as single
+ints (Kronecker substitution), and gaussian_product is the one product of two
+Gaussian-integer polynomials built on them, which core.ExactPoly's * and
+halfseries.hs_mul share.  This module is the only one that reads a QC's
 fields.
 """
 
@@ -229,6 +231,17 @@ def gaussian_parts(x) -> tuple:
     if t is int:
         return x, 0, 1
     return x.numerator, 0, x.denominator
+
+
+def gaussian_powers(a: int, b: int, n: int) -> tuple:
+    """(re, im): the numerators of T^0..T^n for the Gaussian integer T = a + b i."""
+    re, im = [1], [0]
+    x, y = 1, 0
+    for _ in range(n):
+        x, y = x * a - y * b, x * b + y * a
+        re.append(x)
+        im.append(y)
+    return re, im
 
 
 def gaussian_to_complex(a: int, b: int, d: int) -> complex:

@@ -6,14 +6,14 @@ coefficients; the tau-expression of q^n carries the weight e^{-n^2 tau/4}.
 Euler and Bernoulli numbers drop out of the symmetrized inversions below with
 bit-exact rational values.
 
-A HalfSeries holds its coefficients as one Gaussian form, integer numerators
-over one denominator in lowest terms, as core.ExactPoly does.  hs_mul, hs_inverse,
-exp_series, + and scale compute on forms in Python ints (the product as
-exact.gaussian_product, the one Kronecker-packed Gaussian product that the
-product of core.ExactPoly shares, cut to the truncation; the inversion recurrence
-over the running lcm of its outputs' denominators) and reduce each result by
-one gcd; the QC
-coefficients are built (exact.from_gaussian) only when .coeffs is read.
+A HalfSeries is q^l times a core.ExactPoly in q of degree at most the
+truncation, so its coefficients live in the one dense exact form, Gaussian-
+integer numerators over one denominator in lowest terms; + and scale are the
+ExactPoly operators cut at the truncation.  hs_mul and hs_inverse compute on
+that form in Python ints (the product as exact.gaussian_product, the one
+Kronecker-packed Gaussian product that the product of core.ExactPoly shares,
+cut to the truncation; the inversion recurrence over the running lcm of its
+outputs' denominators) and reduce each result by one gcd.
 FormalSeries, the replacement-principle twin, is the second route to the same
 coefficients: it inverts by Newton iteration over plain QC arithmetic and
 shares no code with these kernels, so a fault in one route shows as a mismatch
@@ -26,9 +26,9 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from .core import ExactPoly
 from .errors import DomainError, NonUnit, TruncationFailure
-from .exact import (QC, as_qc, from_gaussian, gaussian_parts, gaussian_product, lowest_terms,
-                    to_gaussian)
+from .exact import QC, as_qc, gaussian_parts, gaussian_powers, gaussian_product, lowest_terms
 
 DEFAULT_TRUNC = 24
 # Highest truncation order hs_inverse accepts.  `table euler` costs about
@@ -43,50 +43,32 @@ class HalfSeries:
     """e_*^{l i w} * sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated
     at n = trunc.
 
-    A series holds its Gaussian form (re, im, d), as core.ExactPoly does: the
-    numerators of a_0..a_trunc over d, the lcm of the coefficients' canonical
-    denominators.  The form is in lowest terms and unique, so == compares base
-    degree, truncation and form.  A series built from coefficients takes its
-    form (to_gaussian) when a kernel first reads it; a kernel's result holds
-    only its form and builds its QC coefficients when .coeffs is first read."""
+    poly is the core.ExactPoly sum_n a_n q^n, of degree at most trunc; its form
+    is unique, so == compares base degree, truncation and poly."""
 
-    __slots__ = ("base_deg", "trunc", "_coeffs", "_gauss")
+    __slots__ = ("base_deg", "poly", "trunc")
 
-    def __init__(self, base_deg: int, coeffs, trunc: int):
-        self.base_deg, self.trunc = base_deg, trunc
-        self._coeffs, self._gauss = tuple(coeffs), None
-
-    @staticmethod
-    def _of_form(base_deg: int, re: list, im: list, d: int, trunc: int) -> "HalfSeries":
-        """The series over (re + im i)/d, fresh lists of trunc + 1 numerators,
-        with one gcd divided out."""
-        out = object.__new__(HalfSeries)
-        out.base_deg, out.trunc, out._coeffs = base_deg, trunc, None
-        out._gauss = lowest_terms(re, im, d)
-        return out
+    def __init__(self, base_deg: int, poly: ExactPoly, trunc: int):
+        self.base_deg, self.poly, self.trunc = base_deg, poly, trunc
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            re, im, d = self._gauss
-            self._coeffs = tuple([from_gaussian(a, b, d) for a, b in zip(re, im)])
-        return self._coeffs
+        """a_0..a_trunc as QC values: poly's, padded with zeros."""
+        cs = self.poly.coeffs
+        return cs + (QC(0),) * (self.trunc + 1 - len(cs))
 
     @staticmethod
     def from_list(cs, base_deg: int, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
-        cs = [as_qc(c) for c in cs][:trunc + 1]
-        cs += [QC(0)] * (trunc + 1 - len(cs))
-        return HalfSeries(base_deg, tuple(cs), trunc)
+        return HalfSeries(base_deg, ExactPoly(tuple(cs)[:trunc + 1]), trunc)
 
     @staticmethod
     def one(trunc: int) -> "HalfSeries":
-        return HalfSeries._of_form(0, [1] + [0] * trunc, [0] * (trunc + 1), 1, trunc)
+        return HalfSeries(0, ExactPoly.from_form([1], [0], 1), trunc)
 
     def __eq__(self, other):
         if not isinstance(other, HalfSeries):
             return NotImplemented
-        return (self.base_deg == other.base_deg and self.trunc == other.trunc
-                and _form(self) == _form(other))
+        return (self.base_deg, self.trunc, self.poly) == (other.base_deg, other.trunc, other.poly)
 
     def __repr__(self):
         return f"HalfSeries(base_deg={self.base_deg}, coeffs={self.coeffs!r}, trunc={self.trunc})"
@@ -95,36 +77,25 @@ class HalfSeries:
         if self.base_deg != other.base_deg:
             lo = min(self.base_deg, other.base_deg)
             return self.with_base(lo) + other.with_base(lo)
-        ra, ia, da = _form(self)
-        rb, ib, db = _form(other)
-        g = math.gcd(da, db)
-        sa, sb = db // g, da // g
-        # zip stops at the shorter form: min(trunc) + 1 numerators
-        return HalfSeries._of_form(self.base_deg, [a * sa + b * sb for a, b in zip(ra, rb)],
-                                   [a * sa + b * sb for a, b in zip(ia, ib)], da * sa,
-                                   min(self.trunc, other.trunc))
+        K = min(self.trunc, other.trunc)
+        p = self.poly + other.poly
+        if p.degree > K:                            # mod q^(K+1)
+            re, im, d = p.form
+            p = ExactPoly.from_form(re[:K + 1], im[:K + 1], d)
+        return HalfSeries(self.base_deg, p, K)
 
     def with_base(self, new_base: int) -> "HalfSeries":
         """Re-express with a lower base degree (pads leading zeros)."""
         if new_base > self.base_deg:
             raise ValueError("can only lower the base degree")
         pad = [0] * (self.base_deg - new_base)
-        re, im, d = _form(self)
+        re, im, d = self.poly.form
         n = self.trunc + 1
-        return HalfSeries._of_form(new_base, (pad + re)[:n], (pad + im)[:n], d, self.trunc)
+        return HalfSeries(new_base, ExactPoly.from_form((pad + re)[:n], (pad + im)[:n], d),
+                          self.trunc)
 
     def scale(self, c) -> "HalfSeries":
-        ca, cb, cd = gaussian_parts(c)
-        re, im, d = _form(self)
-        return HalfSeries._of_form(self.base_deg, [a * ca - b * cb for a, b in zip(re, im)],
-                                   [a * cb + b * ca for a, b in zip(re, im)], d * cd, self.trunc)
-
-
-def _form(f: HalfSeries) -> tuple:
-    """f's Gaussian form (re, im, d), taken by to_gaussian on first use and kept."""
-    if f._gauss is None:
-        f._gauss = to_gaussian(f._coeffs)
-    return f._gauss
+        return HalfSeries(self.base_deg, self.poly.scale(c), self.trunc)
 
 
 def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
@@ -132,10 +103,12 @@ def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
     g_j = G_j/D_g (Gaussian integers F, G), out_n = sum_{i+j=n} F_i G_j / (D_f D_g),
     taken as one packed Gaussian product (exact.gaussian_product)."""
     K = min(f.trunc, g.trunc)
-    fa, fb, df = _form(f)
-    ga, gb, dg = _form(g)
+    fa, fb, df = f.poly.form
+    ga, gb, dg = g.poly.form
+    if not fa or not ga:
+        return HalfSeries(f.base_deg + g.base_deg, ExactPoly.from_form([], [], 1), K)
     re, im = gaussian_product(fa[:K + 1], fb[:K + 1], ga[:K + 1], gb[:K + 1], K + 1)
-    return HalfSeries._of_form(f.base_deg + g.base_deg, re, im, df * dg, K)
+    return HalfSeries(f.base_deg + g.base_deg, ExactPoly.from_form(re, im, df * dg), K)
 
 
 def hs_inverse(f: HalfSeries) -> HalfSeries:
@@ -148,8 +121,9 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
         b_n = -S conj(A_0) / (L |A_0|^2),   S = sum_{j>=1} A_j B_{n-j},
 
     so each step sums in ints and divides one gcd out of b_n, and L stays the
-    lcm of the outputs' canonical denominators."""
-    A, Ai, D = _form(f)
+    lcm of the outputs' canonical denominators.  The sums stop at A's last
+    nonzero numerator."""
+    A, Ai, D = f.poly.form
     if not A or not (A[0] or Ai[0]):
         raise NonUnit("constant term vanishes; not invertible in the half-series algebra")
     K = f.trunc
@@ -174,22 +148,21 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
         r = L // d
         B.append(qa * r)
         Bi.append(qb * r)
-    return HalfSeries._of_form(-f.base_deg, B, Bi, L, K)
+    return HalfSeries(-f.base_deg, ExactPoly.from_form(B, Bi, L), K)
 
 
 def exp_series(scale, trunc: int) -> HalfSeries:
     """sum_l scale^l / l! q^l  (the exponential of the basis element, scaled):
     with scale = s/s_d, the numerators s^l s_d^(K-l) K!/l! over s_d^K K!."""
     sa, sb, sd = gaussian_parts(scale)
+    pa, pb = gaussian_powers(sa, sb, trunc)         # s^l
     re, im = [], []
-    pa, pb = 1, 0                                   # s^l
     w = den = sd ** trunc * math.factorial(trunc)   # s_d^(K-l) K!/l!
     for l in range(trunc + 1):
-        re.append(pa * w)
-        im.append(pb * w)
+        re.append(pa[l] * w)
+        im.append(pb[l] * w)
         w //= sd * (l + 1)
-        pa, pb = pa * sa - pb * sb, pa * sb + pb * sa
-    return HalfSeries._of_form(0, re, im, den, trunc)
+    return HalfSeries(0, ExactPoly.from_form(re, im, den), trunc)
 
 
 def euler_combination(trunc: int) -> HalfSeries:
@@ -207,14 +180,15 @@ def euler_numbers(N: int) -> list:
     K = max(2 * N + 2, DEFAULT_TRUNC)
     lhs = euler_combination(K)
     assert lhs.base_deg == 0
+    cs = lhs.coeffs
     out = []
     for n in range(N + 1):
-        c = lhs.coeffs[2 * n]
+        c = cs[2 * n]
         if c.im != 0:
             raise ArithmeticError("Euler extraction produced a complex value")
         out.append(c.re * math.factorial(2 * n))
     for n in range(0, min(2 * N + 1, K), 2):
-        if lhs.coeffs[n + 1]:
+        if cs[n + 1]:
             raise ArithmeticError("odd-index Euler coefficient nonzero")
     return out
 
@@ -244,12 +218,13 @@ def bernoulli_numbers(N: int) -> list:
     minus = HalfSeries.from_list([QC(Fraction((-1) ** n, math.factorial(n + 1)))
                                   for n in range(K + 1)], 0, K)
     lhs = hs_inverse(plus).scale(Fraction(1, 2)) + hs_inverse(minus).scale(Fraction(1, 2))
+    cs = lhs.coeffs
     out = []
     for n in range(N + 1):
-        c = lhs.coeffs[2 * n]
+        c = cs[2 * n]
         out.append(c.re * math.factorial(2 * n))
     for n in range(0, min(2 * N + 1, K), 2):
-        if lhs.coeffs[n + 1]:
+        if cs[n + 1]:
             raise ArithmeticError("odd-index Bernoulli coefficient nonzero")
     return out
 
@@ -273,11 +248,11 @@ def hs_to_tau_expression(f: HalfSeries, tau, w_grid):
 
     from .theta import tau_basis
 
-    basis = tau_basis([f.base_deg + n for n in range(len(f.coeffs))], tau, w_grid)
+    basis = tau_basis([f.base_deg + n for n in range(f.trunc + 1)], tau, w_grid)
     acc = np.zeros(len(basis), complex)
-    for n, c in enumerate(f.coeffs):
+    for n, c in enumerate(f.poly.to_complex().coeffs):
         if c:
-            acc = acc + c.to_complex() * basis[:, n]
+            acc = acc + c * basis[:, n]
     return acc
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .core import ExactPoly, Poly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
-from .exact import QC, as_qc, from_gaussian, gaussian_parts, is_exact
+from .exact import QC, as_qc, from_gaussian, gaussian_parts, gaussian_powers, is_exact
 from .numeric import as_grid, worst_of
 
 SQRT2 = math.sqrt(2.0)
@@ -361,12 +361,8 @@ def legendre_star_exact(N: int, tau) -> list:
     if type(tau) is not QC:
         raise DomainError("legendre_star_exact needs an exact tau; legendre_star is the float route")
     ta, tb, td = gaussian_parts(tau)
-    t_re, t_im, td_pow = [1], [0], [1]              # T^i and t_d^i, i <= N/2
-    for _ in range(N // 2):
-        a, b = t_re[-1], t_im[-1]
-        t_re.append(a * ta - b * tb)
-        t_im.append(a * tb + b * ta)
-        td_pow.append(td_pow[-1] * td)
+    t_re, t_im = gaussian_powers(ta, tb, N // 2)    # T^i, i <= N/2
+    td_pow = [td ** i for i in range(N // 2 + 1)]   # t_d^i
     odd_fact = [1]                                  # (2k-1)!!, k <= N
     for k in range(1, N + 1):
         odd_fact.append(odd_fact[-1] * (2 * k - 1))
@@ -418,11 +414,7 @@ def laguerre_star(N: int, tau) -> list:
                       for k in range(n + 1)])
                 for n in range(N + 1)]
     ta, tb, td = gaussian_parts(tau)
-    t_re, t_im = [1], [0]                           # T^m
-    for _ in range(N):
-        a, b = t_re[-1], t_im[-1]
-        t_re.append(a * ta - b * tb)
-        t_im.append(a * tb + b * ta)
+    t_re, t_im = gaussian_powers(ta, tb, N)         # T^m
     out = []
     for n in range(N + 1):
         re, im = [], []

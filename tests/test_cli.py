@@ -210,6 +210,15 @@ EXACT_REPORT_SHA256 = {
         "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
     "eval star --f w^2 --g w^2 --tau 0.5,0 --rational":
         "6c7821b63f37f8ede6a647848197ea124b3951a15bebe974e2242a58d0b7c7c2",
+    # the half-series commands: hs_mul, hs_inverse and the Euler/Bernoulli extraction
+    "table euler 120": "22d426a1ab0e4b0cce79f2fb5d7161b765edfa1ff742f8ada36ba73597cf7aad",
+    "table bernoulli 120": "8156610c75b9ed2420388ae4aad3ce31f94ca9dff29691bb98492890a03e77a3",
+    "numbers --euler 30": "b42cfeb809e48e155fcb37a4aad11daff49b9139ddc8f3255b1e8bbb35f81214",
+    "numbers --bernoulli 30": "3871ad0ad206633b56c5ccd3b33b7df36db499ac520d3be14824661c179c427a",
+    "verify halfseries --seed 1":
+        "b26dfef3e2348e6b431baa0ea8f1026a4d97916aac21e6c726288a0f325b4da7",
+    "verify halfseries --seed 20261018":
+        "38f8e95010f6930c461cf0b75606f24d3e0131cf5259608ec7aa9366cd07bbe1",
 }
 
 
