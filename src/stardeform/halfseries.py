@@ -175,9 +175,10 @@ def euler_combination(trunc: int) -> HalfSeries:
 
 def euler_numbers(N: int) -> list:
     """E_0, E_2, ..., E_{2N} as exact Fractions, the coefficients of
-    euler_combination times (2n)!, truncated at max(2N + 2, DEFAULT_TRUNC).
-    Odd coefficients vanish identically."""
-    K = max(2 * N + 2, DEFAULT_TRUNC)
+    euler_combination times (2n)!, truncated at 2N + 2; no coefficient below
+    the truncation depends on it (the cut is a ring map).  Odd coefficients
+    vanish identically."""
+    K = 2 * N + 2
     lhs = euler_combination(K)
     assert lhs.base_deg == 0
     cs = lhs.coeffs
@@ -187,7 +188,7 @@ def euler_numbers(N: int) -> list:
         if c.im != 0:
             raise ArithmeticError("Euler extraction produced a complex value")
         out.append(c.re * math.factorial(2 * n))
-    for n in range(0, min(2 * N + 1, K), 2):
+    for n in range(0, 2 * N + 1, 2):
         if cs[n + 1]:
             raise ArithmeticError("odd-index Euler coefficient nonzero")
     return out
@@ -206,13 +207,13 @@ def euler_numbers_recurrence(N: int) -> list:
 
 def bernoulli_numbers(N: int) -> list:
     """B_0, B_2, ..., B_{2N} as exact Fractions from the symmetrized inversions,
-    truncated at max(2N + 2, DEFAULT_TRUNC),
+    truncated at 2N + 2 (no coefficient below the truncation depends on it),
 
         (1/2)(sum q^n/(n+1)!)^{-1} + (1/2)(sum (-q)^n/(n+1)!)^{-1}
             = sum B_{2n} q^{2n} / (2n)!
 
     (the symmetrization removes the odd B_1 term)."""
-    K = max(2 * N + 2, DEFAULT_TRUNC)
+    K = 2 * N + 2
     plus = HalfSeries.from_list([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)],
                                 0, K)
     minus = HalfSeries.from_list([QC(Fraction((-1) ** n, math.factorial(n + 1)))
@@ -223,7 +224,7 @@ def bernoulli_numbers(N: int) -> list:
     for n in range(N + 1):
         c = cs[2 * n]
         out.append(c.re * math.factorial(2 * n))
-    for n in range(0, min(2 * N + 1, K), 2):
+    for n in range(0, 2 * N + 1, 2):
         if cs[n + 1]:
             raise ArithmeticError("odd-index Bernoulli coefficient nonzero")
     return out
@@ -336,7 +337,7 @@ def formal_exp(scale, trunc: int) -> FormalSeries:
 
 def euler_numbers_formal(N: int) -> list:
     """Replacement-principle twin of euler_numbers in the formal power basis."""
-    K = max(2 * N + 2, DEFAULT_TRUNC)
+    K = 2 * N + 2
     one = FormalSeries([1], K)
     lhs = formal_exp(1, K) * (one + formal_exp(2, K)).inverse() \
         + formal_exp(-1, K) * (one + formal_exp(-2, K)).inverse()
@@ -344,7 +345,7 @@ def euler_numbers_formal(N: int) -> list:
 
 
 def bernoulli_numbers_formal(N: int) -> list:
-    K = max(2 * N + 2, DEFAULT_TRUNC)
+    K = 2 * N + 2
     plus = FormalSeries([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
     minus = FormalSeries([QC(Fraction((-1) ** n, math.factorial(n + 1)))
                           for n in range(K + 1)], K)

@@ -56,17 +56,27 @@ def _bool_rec(anchor: str, description: str, ok: bool) -> dict:
 _NUMS, _DENS = range(-6, 7), range(1, 6)
 
 
-def _rand_qc(rng):
-    """a/b + (c/d) i with a, c in [-6, 6] and b, d in [1, 5].  choice over a range
-    draws as randint(lo, hi) does (one _randbelow of the width), so every seed
-    draws the values QC(Fraction(randint, randint), Fraction(randint, randint))
-    drew."""
+def _rand_parts(rng) -> tuple:
+    """(a d, c b, b d), the parts of a/b + (c/d) i, with a, c in [-6, 6] and b, d
+    in [1, 5].  choice over a range draws as randint(lo, hi) does (one
+    _randbelow of the width), so every seed draws the values
+    QC(Fraction(randint, randint), Fraction(randint, randint)) drew."""
     a, b, c, d = rng.choice(_NUMS), rng.choice(_DENS), rng.choice(_NUMS), rng.choice(_DENS)
-    return from_gaussian(a * d, c * b, b * d)
+    return a * d, c * b, b * d
+
+
+def _rand_qc(rng):
+    return from_gaussian(*_rand_parts(rng))
 
 
 def _rand_poly(rng, deg):
-    return core.ExactPoly([_rand_qc(rng) for _ in range(deg + 1)])
+    """ExactPoly of deg + 1 values of _rand_qc's stream, built as one form over
+    the lcm of their denominators, with no QC per value; from_form divides out
+    the gcd, so it is the lowest-terms form of those values."""
+    parts = [_rand_parts(rng) for _ in range(deg + 1)]
+    L = math.lcm(*[e for _, _, e in parts])
+    return core.ExactPoly.from_form([x * (L // e) for x, _, e in parts],
+                                    [y * (L // e) for _, y, e in parts], L)
 
 
 def suite_core(cfg: RunConfig) -> list:

@@ -18,7 +18,10 @@ two denominators and equality cross-multiplies, as for every SparseLaurent, so
 no operation on the span pays a gcd per coefficient.  Every action of a probe
 keeps the probe's denominator, so the commutator sweep behind
 witt_identity_check and k_centrality_check compares numerator dicts directly,
-and it checks each unordered pair of operators once.  bracket_elems sums its
+and it checks each unordered pair of operators once.  The action only raises
+u-grades, so grades <= K of an action depend only on grades <= K of its
+input: the sweep cuts each probe at the compared grade K once, and no action
+forms a grade that the comparison would drop.  bracket_elems sums its
 pairs in ints per grade and index into one CoeffRing (also a SparseLaurent)
 over den1 den2; SparseLaurent.restrict cuts either form at a u-grade.
 
@@ -42,9 +45,9 @@ from .exact import QC, SparseLaurent, _lincomb, _nonzero
 # K = 64 and K^2.9 above (49 brackets of K-term generators whose ring values
 # grow with K, each over one denominator that the top grade's factorials set;
 # 0.05, 0.25 and 1.7 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
-# k_centrality_check, which forms 62 actions on each of its 14 probes, takes
-# 0.10-0.12 s at this budget.  witt_identity_check reaches at most grade 2 above its
-# input, so its cost does not grow with K (6 ms at R = 4) and it has no budget.
+# k_centrality_check, which forms 53 actions on each of its 14 probes, takes
+# 0.05-0.08 s at this budget.  witt_identity_check reaches at most grade 2 above its
+# input, so its cost does not grow with K (3-4.5 ms at R = 4) and it has no budget.
 GRADE_BUDGET = 128
 INDEX_MAX = 3        # generator indices |l| of the central, K-centrality, Jacobi checks
 EIGEN_GRADE = 6      # grades y_eigen_defect compares
@@ -156,20 +159,26 @@ def _commutator_sweep(probes: list, R: int, K: int) -> bool:
     """(L_m L_n - L_n L_m) p = (n - m) L_{m+n} p on grades <= K, for every probe
     p and every pair |m|, |n| <= R.
 
-    The (n, m) equation is the (m, n) equation times -1, and at m = n both
-    sides vanish, so each pair m < n is checked once.  L_action is linear and
-    keeps its input's denominator, so every action of one probe shares p.den
-    and the two sides are compared as numerator dicts.  The checks share their
-    actions: each probe's L_j p (|j| <= 2R) and L_a L_b p (|a|, |b| <= R) are
-    formed once."""
+    The action only raises grades, so each probe is cut once to its grades
+    <= min(p.trunc, K), with that as its cap, and no action forms a grade
+    above K.  The (n, m) equation is the (m, n) equation times -1, and at
+    m = n both sides vanish, so each pair m < n is checked once.  L_action is
+    linear and keeps its input's denominator, so every action of one probe
+    shares p.den and the two sides are compared as numerator dicts.  The
+    checks share their actions, and each is formed once: a probe's L_j p for
+    |j| < 2R (j = m + n or a single index) and L_a L_b p for |a|, |b| <= R
+    with a != b."""
     idx = range(-R, R + 1)
     for p in probes:
-        one = {j: L_action(j, p) for j in range(-2 * R, 2 * R + 1)}
-        two = {(a, b): L_action(a, one[b]).restrict(K).re for a in idx for b in idx}
+        cap = min(p.trunc, K)
+        p = p.restrict(cap)
+        p.trunc = cap
+        one = {j: L_action(j, p) for j in range(1 - 2 * R, 2 * R)}
+        two = {(a, b): L_action(a, one[b]).re for a in idx for b in idx if a != b}
         for m in idx:
             for n in range(m + 1, R + 1):
                 s = n - m
-                want = {mk: c * s for mk, c in one[m + n].restrict(K).re.items()}
+                want = {mk: c * s for mk, c in one[m + n].re.items()}
                 if _lincomb(two[(m, n)], 1, two[(n, m)], -1) != want:
                     return False
     return True
@@ -177,9 +186,8 @@ def _commutator_sweep(probes: list, R: int, K: int) -> bool:
 
 def witt_identity_check(R: int, K: int) -> bool:
     """ad(L_m)ad(L_n) - ad(L_n)ad(L_m) = (n - m) ad(L_{m+n}) on every x_l, for
-    |l|, |m|, |n| <= R, compared exactly on grades <= K (computed with
-    headroom K+2)."""
-    return _commutator_sweep([x_elem(ell, K + 2) for ell in range(-R, R + 1)], R, K)
+    |l|, |m|, |n| <= R, compared exactly on grades <= K."""
+    return _commutator_sweep([x_elem(ell, K) for ell in range(-R, R + 1)], R, K)
 
 
 def y_generator(m: int, K: int = 6) -> VertexElem:
@@ -195,11 +203,9 @@ def y_generator(m: int, K: int = 6) -> VertexElem:
 
 
 def y_eigen_defect(n: int, m: int) -> VertexElem:
-    """[L_n, y_m] - m y_{n+m} restricted to grades <= EIGEN_GRADE (headroom inside)."""
-    y = y_generator(m, EIGEN_GRADE + 1)
-    lhs = L_action(n, y).restrict(EIGEN_GRADE)
-    rhs = y_generator(n + m, EIGEN_GRADE + 1).scale(m).restrict(EIGEN_GRADE)
-    return lhs - rhs
+    """[L_n, y_m] - m y_{n+m} on grades <= EIGEN_GRADE, the generators' cap (the
+    action only raises grades, so no higher grade reaches the compared ones)."""
+    return L_action(n, y_generator(m, EIGEN_GRADE)) - y_generator(n + m, EIGEN_GRADE).scale(m)
 
 
 def _central(sums: dict, den: int, cap: int) -> CoeffRing:
@@ -280,10 +286,10 @@ def central_constraint_check(K: int = 6) -> dict:
 def k_centrality_check(K: int) -> bool:
     """K_{m,n} := adcomm(m,n) - (n - m) ad(L_{m+n}) annihilates the span, for
     |m|, |n| <= INDEX_MAX: checked on all y_l and x_l (|l| <= INDEX_MAX) up to
-    grade K (computed with headroom K+2)."""
+    grade K."""
     _check_grade_budget(K)
     probes = [p for ell in range(-INDEX_MAX, INDEX_MAX + 1)
-              for p in (y_generator(ell, K + 2), x_elem(ell, K + 2))]
+              for p in (y_generator(ell, K), x_elem(ell, K))]
     return _commutator_sweep(probes, INDEX_MAX, K)
 
 

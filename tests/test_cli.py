@@ -219,6 +219,14 @@ EXACT_REPORT_SHA256 = {
         "b26dfef3e2348e6b431baa0ea8f1026a4d97916aac21e6c726288a0f325b4da7",
     "verify halfseries --seed 20261018":
         "38f8e95010f6930c461cf0b75606f24d3e0131cf5259608ec7aa9366cd07bbe1",
+    # sizes whose series truncation is 2N + 2 < 24, and a core draw at a second seed
+    "numbers --euler 5": "a43e60510e7b115bbe2f9bfe569ee6834795ec0022f01486cad17c917bfcf8fa",
+    "numbers --bernoulli 5": "d36b86499d016d165a2059b3bb0ecdcbba5ec90af8c5fedee0e181aa53bb190f",
+    "numbers --euler 10": "d64fefb7cdbac858dda5ffbc8f83907ca2f1f92f773f35d0a020ed0985316ef1",
+    "table euler 10": "a43e60510e7b115bbe2f9bfe569ee6834795ec0022f01486cad17c917bfcf8fa",
+    "table bernoulli 21": "80d51e8a77b74358de90ee8ce591ed2b30ffe1c7717d66602564c69410a2c507",
+    "verify core --seed 20261018":
+        "3db18d4cf0c1871e781aafc67188141e0ade4759ecc6d77b42093e9cea101eb2",
 }
 
 
@@ -243,6 +251,16 @@ VERTEX_CHECK_SHA256 = {
         (1, "7fe3efacf59147659d4b7b1ce0d2dae1ceb98732d8a0fba59a967ba01da720d4"),
     "vertex --check kcentral --K 32":
         (0, "cc4f9253deef291c9491fbcb52ec9da1b0ba9ec34684aae9daaed53136ef0797"),
+    # the sweeps cut their probes at K: at K = 0 no grade rises past the
+    # constant term, and K = 6 is the grade verify vertex compares
+    "vertex --check witt --K 0":
+        (0, "ecdc07f35dfafa80832d346629d3d00785ce7fb4bc7230e803e056c35d901301"),
+    "vertex --check witt --K 8":
+        (0, "509876ca36c39c7ee06409be8d793a08aa65aa694edd984c8981a15bb727bb5d"),
+    "vertex --check kcentral --K 0":
+        (0, "8725cc6f6b34ccb27584cb1e9ed4a878c00d8535da0862f28ed228b9fe0af4af"),
+    "vertex --check kcentral --K 6":
+        (0, "a75b9d99076fe3379a57000a4d133272e5b4812c572f2adae00d1eae9be8f03f"),
 }
 
 

@@ -323,6 +323,20 @@ def test_verify_draws_the_stream_of_randint():
         assert mine.getstate() == ref.getstate()
 
 
+def test_verify_draws_polynomials_as_forms_of_the_randint_stream():
+    """_rand_poly builds one form from the draws of _rand_qc: the form of the
+    ExactPoly of those QC values, with the rng left where they leave it."""
+    for seed in (1, 7, 20261018):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2_000):
+            got = verify._rand_poly(mine, mine.randint(0, 8))
+            want = ExactPoly([QC(Fraction(ref.randint(-6, 6), ref.randint(1, 5)),
+                                 Fraction(ref.randint(-6, 6), ref.randint(1, 5)))
+                              for _ in range(ref.randint(0, 8) + 1)])
+            assert got.form == want.form
+        assert mine.getstate() == ref.getstate()
+
+
 def all_qc(p):
     return all(type(c) is QC for c in p.coeffs)
 

@@ -135,6 +135,24 @@ def test_replacement_principle_cross_basis():
     assert bernoulli_numbers(5) == bernoulli_numbers_formal(5)
 
 
+@pytest.mark.parametrize("numbers", [euler_numbers, bernoulli_numbers,
+                                     euler_numbers_formal, bernoulli_numbers_formal])
+def test_numbers_do_not_depend_on_their_truncation(numbers):
+    """Each N truncates at 2N + 2; N = 12 truncates at 26, above every
+    truncation N = 0..11 uses, so its first N + 1 values are read at a
+    higher order."""
+    full = numbers(12)
+    for N in range(12):
+        assert numbers(N) == full[:N + 1], N
+
+
+def test_euler_combination_agrees_below_the_truncation():
+    high = halfseries.euler_combination(24).coeffs
+    for N in range(12):
+        K = 2 * N + 2
+        assert halfseries.euler_combination(K).coeffs[:K] == high[:K], N
+
+
 def test_formal_newton_inverse():
     rng = random.Random(23)
     K = 12

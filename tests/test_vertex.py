@@ -455,3 +455,65 @@ def test_sweeps_fail_under_an_action_not_affine_in_m(monkeypatch):
     monkeypatch.setattr(vx, "L_action", m_squared_action)
     assert not witt_identity_check(3, K=6)
     assert not k_centrality_check(K=6)
+
+
+# ------------------------------------------- the sweeps form no grade above K
+
+def recording_action(real, seen: list):
+    """real, recording (highest grade, cap) of each output."""
+    def action(n, e):
+        out = real(n, e)
+        seen.append((max((k for _, k in out.re), default=-1), out.trunc))
+        return out
+    return action
+
+
+def test_witt_and_k_centrality_sweeps_form_no_grade_above_K(monkeypatch):
+    seen = []
+    monkeypatch.setattr(vx, "L_action", recording_action(vx.L_action, seen))
+    for check in (lambda: witt_identity_check(3, 6), lambda: k_centrality_check(6)):
+        seen.clear()
+        assert check()
+        assert seen and all(g <= 6 and cap == 6 for g, cap in seen)
+
+
+def test_a_probe_below_K_keeps_its_own_cap(monkeypatch):
+    seen = []
+    monkeypatch.setattr(vx, "L_action", recording_action(vx.L_action, seen))
+    probes = [x_elem(1, 2), y_generator(-1, 2)]
+    assert vx._commutator_sweep(probes, 2, 5)
+    assert seen and all(g <= 2 and cap == 2 for g, cap in seen)
+
+
+@settings(deadline=None)
+@given(PROBES, st.integers(1, 3), st.integers(0, TRUNC + 4))
+def test_sweep_on_drawn_probes_forms_no_grade_above_K(probes, R, K):
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vx, "L_action", recording_action(vx.L_action, seen))
+        vx._commutator_sweep(probes, R, K)
+    cap = min(TRUNC + 2, K)
+    assert seen and all(g <= cap and c == cap for g, c in seen)
+
+
+def m_squared_at_grade(K: int):
+    """The Witt action except at u-grade K, where the x-coefficient is c m^2
+    in place of c m; it keeps its input's denominator."""
+    def action(n, e):
+        out: dict = {}
+        for (m, k), c in e.re.items():
+            if m:
+                out[(n + m, k)] = out.get((n + m, k), 0) + c * (m * m if k == K else m)
+            if k < e.trunc:
+                key = (n + m + 2, k + 1)
+                out[key] = out.get(key, 0) + 2 * c
+        return VertexElem(out, e.trunc).scale(Fraction(1, e.den))
+    return action
+
+
+def test_k_centrality_sees_a_fault_at_the_compared_grade_only(monkeypatch):
+    """Wrong only at grade 6, the action fails the check at K = 6, so a sweep
+    capped below K cannot pass it, and passes at K = 5, below the fault."""
+    monkeypatch.setattr(vx, "L_action", m_squared_at_grade(6))
+    assert not k_centrality_check(6)
+    assert k_centrality_check(5)
