@@ -468,4 +468,4 @@ def w_star_power(n: int, tau):
 
 def infinitesimal_intertwiner(f):
     """Quarter of the second derivative: the generator of the intertwiner flow."""
-    return f.deriv(2).scale(Fraction(1, 4) if isinstance(f, ExactPoly) else 0.25)
+    return f.deriv(2).scale(Fraction(1, 4))

@@ -6,14 +6,16 @@ coefficients; the tau-expression of q^n carries the weight e^{-n^2 tau/4}.
 Euler and Bernoulli numbers drop out of the symmetrized inversions below with
 bit-exact rational values.
 
-A HalfSeries is q^l times a core.ExactPoly in q of degree at most the
-truncation, so its coefficients live in the one dense exact form, Gaussian-
-integer numerators over one denominator in lowest terms; + and scale are the
-ExactPoly operators cut at the truncation.  hs_mul and hs_inverse compute on
-that form in Python ints (the product as exact.gaussian_product, the one
-Kronecker-packed Gaussian product that the product of core.ExactPoly shares,
-cut to the truncation; the inversion recurrence over the running lcm of its
-outputs' denominators) and reduce each result by one gcd.
+A HalfSeries is a core.ExactPoly in q of degree at most its truncation, so
+its coefficients live in the one dense exact form, Gaussian-integer numerators
+over one denominator in lowest terms; + and scale are the ExactPoly operators
+cut at the truncation.  Every series here starts at q^0, as in the paper's
+symmetrised one-sided inversions.  hs_mul and hs_inverse compute on that form
+in Python ints (the product as exact.gaussian_product, the one Kronecker-packed
+Gaussian product that the product of core.ExactPoly shares, cut to the
+truncation; the inversion recurrence over the running lcm of its outputs'
+denominators) and reduce each result by one gcd; the Euler and Bernoulli
+numbers are read from the numerators of the combination's form.
 FormalSeries, the replacement-principle twin, is the second route to the same
 coefficients: it inverts by Newton iteration over plain QC arithmetic and
 shares no code with these kernels, so a fault in one route shows as a mismatch
@@ -40,80 +42,60 @@ SERIES_ORDER_BUDGET = 652
 
 
 class HalfSeries:
-    """e_*^{l i w} * sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated
-    at n = trunc.
+    """sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated at n = trunc.
 
     poly is the core.ExactPoly sum_n a_n q^n, of degree at most trunc; its form
-    is unique, so == compares base degree, truncation and poly."""
+    is unique, so == compares truncation and poly."""
 
-    __slots__ = ("base_deg", "poly", "trunc")
+    __slots__ = ("poly", "trunc")
 
-    def __init__(self, base_deg: int, poly: ExactPoly, trunc: int):
-        self.base_deg, self.poly, self.trunc = base_deg, poly, trunc
-
-    @property
-    def coeffs(self) -> tuple:
-        """a_0..a_trunc as QC values: poly's, padded with zeros."""
-        cs = self.poly.coeffs
-        return cs + (QC(0),) * (self.trunc + 1 - len(cs))
+    def __init__(self, poly: ExactPoly, trunc: int):
+        self.poly, self.trunc = poly, trunc
 
     @staticmethod
-    def from_list(cs, base_deg: int, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
-        return HalfSeries(base_deg, ExactPoly(tuple(cs)[:trunc + 1]), trunc)
+    def from_list(cs, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
+        return HalfSeries(ExactPoly(tuple(cs)[:trunc + 1]), trunc)
 
     @staticmethod
     def one(trunc: int) -> "HalfSeries":
-        return HalfSeries(0, ExactPoly.from_form([1], [0], 1), trunc)
+        return HalfSeries(ExactPoly.from_form([1], [0], 1), trunc)
 
     def __eq__(self, other):
         if not isinstance(other, HalfSeries):
             return NotImplemented
-        return (self.base_deg, self.trunc, self.poly) == (other.base_deg, other.trunc, other.poly)
+        return (self.trunc, self.poly) == (other.trunc, other.poly)
 
     def __repr__(self):
-        return f"HalfSeries(base_deg={self.base_deg}, coeffs={self.coeffs!r}, trunc={self.trunc})"
+        return f"HalfSeries(poly={self.poly!r}, trunc={self.trunc})"
 
     def __add__(self, other: "HalfSeries") -> "HalfSeries":
-        if self.base_deg != other.base_deg:
-            lo = min(self.base_deg, other.base_deg)
-            return self.with_base(lo) + other.with_base(lo)
         K = min(self.trunc, other.trunc)
         p = self.poly + other.poly
         if p.degree > K:                            # mod q^(K+1)
             re, im, d = p.form
             p = ExactPoly.from_form(re[:K + 1], im[:K + 1], d)
-        return HalfSeries(self.base_deg, p, K)
-
-    def with_base(self, new_base: int) -> "HalfSeries":
-        """Re-express with a lower base degree (pads leading zeros)."""
-        if new_base > self.base_deg:
-            raise ValueError("can only lower the base degree")
-        pad = [0] * (self.base_deg - new_base)
-        re, im, d = self.poly.form
-        n = self.trunc + 1
-        return HalfSeries(new_base, ExactPoly.from_form((pad + re)[:n], (pad + im)[:n], d),
-                          self.trunc)
+        return HalfSeries(p, K)
 
     def scale(self, c) -> "HalfSeries":
-        return HalfSeries(self.base_deg, self.poly.scale(c), self.trunc)
+        return HalfSeries(self.poly.scale(c), self.trunc)
 
 
 def hs_mul(f: HalfSeries, g: HalfSeries) -> HalfSeries:
-    """Cauchy product; base degrees add; exact.  With f_i = F_i/D_f and
+    """Cauchy product, exact.  With f_i = F_i/D_f and
     g_j = G_j/D_g (Gaussian integers F, G), out_n = sum_{i+j=n} F_i G_j / (D_f D_g),
     taken as one packed Gaussian product (exact.gaussian_product)."""
     K = min(f.trunc, g.trunc)
     fa, fb, df = f.poly.form
     ga, gb, dg = g.poly.form
     if not fa or not ga:
-        return HalfSeries(f.base_deg + g.base_deg, ExactPoly.from_form([], [], 1), K)
+        return HalfSeries(ExactPoly.from_form([], [], 1), K)
     re, im = gaussian_product(fa[:K + 1], fb[:K + 1], ga[:K + 1], gb[:K + 1], K + 1)
-    return HalfSeries(f.base_deg + g.base_deg, ExactPoly.from_form(re, im, df * dg), K)
+    return HalfSeries(ExactPoly.from_form(re, im, df * dg), K)
 
 
 def hs_inverse(f: HalfSeries) -> HalfSeries:
-    """Inverse by indeterminate coefficients: with f = q^l sum a_n q^n, a_0 != 0,
-    solve (sum a q)(sum b q) = 1 order by order; base degree negates.
+    """Inverse by indeterminate coefficients: with f = sum a_n q^n, a_0 != 0,
+    solve (sum a q)(sum b q) = 1 order by order.
 
     With a_j = A_j/D (Gaussian integers A) and b_0..b_{n-1} = B_0..B_{n-1} over
     their lcm L, the recurrence b_n = -(sum_{j>=1} a_j b_{n-j}) / a_0 reads
@@ -148,7 +130,7 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
         r = L // d
         B.append(qa * r)
         Bi.append(qb * r)
-    return HalfSeries(-f.base_deg, ExactPoly.from_form(B, Bi, L), K)
+    return HalfSeries(ExactPoly.from_form(B, Bi, L), K)
 
 
 def exp_series(scale, trunc: int) -> HalfSeries:
@@ -162,7 +144,7 @@ def exp_series(scale, trunc: int) -> HalfSeries:
         re.append(pa[l] * w)
         im.append(pb[l] * w)
         w //= sd * (l + 1)
-    return HalfSeries(0, ExactPoly.from_form(re, im, den), trunc)
+    return HalfSeries(ExactPoly.from_form(re, im, den), trunc)
 
 
 def euler_combination(trunc: int) -> HalfSeries:
@@ -173,25 +155,27 @@ def euler_combination(trunc: int) -> HalfSeries:
         + hs_mul(exp_series(-1, trunc), hs_inverse(one + exp_series(-2, trunc)))
 
 
+def _even_numbers(lhs: HalfSeries, N: int, family: str) -> list:
+    """c_0, c_2, ..., c_{2N} of lhs = sum c_{2n} q^{2n} / (2n)!, read from the
+    numerators of its form (re + im i)/d as Fraction(re[2n] (2n)!, d); raises
+    ArithmeticError where an even numerator has an imaginary part or an odd
+    numerator below 2N + 2 is nonzero."""
+    re, im, d = lhs.poly.form
+    top = 2 * N + 2
+    if any(im[0:top:2]):
+        raise ArithmeticError(f"{family} extraction produced a complex value")
+    if any(re[1:top:2]) or any(im[1:top:2]):
+        raise ArithmeticError(f"odd-index {family} coefficient nonzero")
+    re = re + [0] * (top - len(re))
+    return [Fraction(re[2 * n] * math.factorial(2 * n), d) for n in range(N + 1)]
+
+
 def euler_numbers(N: int) -> list:
     """E_0, E_2, ..., E_{2N} as exact Fractions, the coefficients of
     euler_combination times (2n)!, truncated at 2N + 2; no coefficient below
     the truncation depends on it (the cut is a ring map).  Odd coefficients
     vanish identically."""
-    K = 2 * N + 2
-    lhs = euler_combination(K)
-    assert lhs.base_deg == 0
-    cs = lhs.coeffs
-    out = []
-    for n in range(N + 1):
-        c = cs[2 * n]
-        if c.im != 0:
-            raise ArithmeticError("Euler extraction produced a complex value")
-        out.append(c.re * math.factorial(2 * n))
-    for n in range(0, 2 * N + 1, 2):
-        if cs[n + 1]:
-            raise ArithmeticError("odd-index Euler coefficient nonzero")
-    return out
+    return _even_numbers(euler_combination(2 * N + 2), N, "Euler")
 
 
 def euler_numbers_recurrence(N: int) -> list:
@@ -214,20 +198,12 @@ def bernoulli_numbers(N: int) -> list:
 
     (the symmetrization removes the odd B_1 term)."""
     K = 2 * N + 2
-    plus = HalfSeries.from_list([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)],
-                                0, K)
-    minus = HalfSeries.from_list([QC(Fraction((-1) ** n, math.factorial(n + 1)))
-                                  for n in range(K + 1)], 0, K)
+    plus = HalfSeries.from_list(
+        [QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
+    minus = HalfSeries.from_list(
+        [QC(Fraction((-1) ** n, math.factorial(n + 1))) for n in range(K + 1)], K)
     lhs = hs_inverse(plus).scale(Fraction(1, 2)) + hs_inverse(minus).scale(Fraction(1, 2))
-    cs = lhs.coeffs
-    out = []
-    for n in range(N + 1):
-        c = cs[2 * n]
-        out.append(c.re * math.factorial(2 * n))
-    for n in range(0, 2 * N + 1, 2):
-        if cs[n + 1]:
-            raise ArithmeticError("odd-index Bernoulli coefficient nonzero")
-    return out
+    return _even_numbers(lhs, N, "Bernoulli")
 
 
 def bernoulli_numbers_recurrence(N: int) -> list:
@@ -242,14 +218,14 @@ def bernoulli_numbers_recurrence(N: int) -> list:
 
 
 def hs_to_tau_expression(f: HalfSeries, tau, w_grid):
-    """sum a_n e^{-(l+n)^2 tau/4} e^{i(l+n)w} on the grid (Re tau > 0), over the
+    """sum a_n e^{-n^2 tau/4} e^{inw} on the grid (Re tau > 0), over the
     columns of theta.tau_basis; raises DomainError when a term is outside the
     float range."""
     import numpy as np
 
     from .theta import tau_basis
 
-    basis = tau_basis([f.base_deg + n for n in range(f.trunc + 1)], tau, w_grid)
+    basis = tau_basis(range(f.trunc + 1), tau, w_grid)
     acc = np.zeros(len(basis), complex)
     for n, c in enumerate(f.poly.to_complex().coeffs):
         if c:
@@ -269,7 +245,7 @@ def zero_detection(f: HalfSeries, tau) -> bool:
     K = f.trunc
     probe_points = [0.1 + 2.9 * j / K for j in range(K + 1)]
     vals = hs_to_tau_expression(f, tau, probe_points)
-    M = tau_basis([f.base_deg + n for n in range(K + 1)], tau, probe_points)
+    M = tau_basis(range(K + 1), tau, probe_points)
     rec = np.linalg.solve(M, vals)
     return bool(np.abs(rec).max() < 1e-9)
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ExactPoly, Poly, star_product, w_star_power
+from .core import ExactPoly, star_product, w_star_power
 from .errors import DomainError, QuadratureFailure, TruncationFailure
 from .exact import QC, as_qc, from_gaussian, gaussian_parts, gaussian_powers, is_exact
 from .numeric import as_grid, worst_of
@@ -392,12 +392,12 @@ def laguerre_star(N: int, tau) -> list:
 
     t-coefficients of (1-t tau)^{-1/2} exp(t x/(1-t tau)); d^n/dx^n L_n = 1.
     [t^m] (1 - t tau)^(-(k+1/2)) = c_m tau^m with c_m = (k+1/2)_m/m! =
-    P_m/(2^m m!), and P_{m+1} = P_m (2k+1+2m) is carried across m.  For an
-    exact tau = T/t_d the table is ExactPoly: the numerator of x^k in L_n is
-    C(n,k) P_(n-k) T^(n-k) (2 t_d)^k over 2^n n! t_d^n.  Otherwise it is
-    complex, rounded as complex(1/k!) (complex(c_(n-k)) tau^(n-k)).
+    P_m/(2^m m!), and P_{m+1} = P_m (2k+1+2m) is carried across m.  The table
+    is ExactPoly at tau = T/t_d, a float or complex tau read at its binary
+    value: the numerator of x^k in L_n is C(n,k) P_(n-k) T^(n-k) (2 t_d)^k over
+    2^n n! t_d^n.
     """
-    tau = as_qc(tau)
+    tau = as_qc(tau) if is_exact(tau) else QC(tau.real, tau.imag)
     if tau == 0:
         raise DomainError("tau must be nonzero")
     poch = []                                       # poch[k][m] = P_m for alpha = k + 1/2
@@ -406,13 +406,6 @@ def laguerre_star(N: int, tau) -> list:
         for m in range(N - k):
             row.append(row[-1] * (2 * k + 1 + 2 * m))
         poch.append(row)
-    if not is_exact(tau):
-        tau_pows = [tau ** m for m in range(N + 1)]
-        return [Poly([complex(Fraction(1, math.factorial(k)))
-                      * (complex(Fraction(poch[k][n - k], 2 ** (n - k) * math.factorial(n - k)))
-                         * tau_pows[n - k])
-                      for k in range(n + 1)])
-                for n in range(N + 1)]
     ta, tb, td = gaussian_parts(tau)
     t_re, t_im = gaussian_powers(ta, tb, N)         # T^m
     out = []

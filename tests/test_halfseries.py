@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardeform import halfseries
+from stardeform import halfseries, verify
 from stardeform.core import ExactPoly
 from stardeform.errors import NonUnit, TruncationFailure
 from stardeform.exact import QC
@@ -22,29 +22,35 @@ from stardeform.halfseries import (DEFAULT_TRUNC, SERIES_ORDER_BUDGET, FormalSer
                                    zero_detection)
 
 
-def rand_series(rng, K=12, base=0):
+def rand_series(rng, K=12):
     cs = [QC(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(K + 1)]
     if not cs[0]:
         cs[0] = QC(1)
-    return HalfSeries.from_list(cs, base, K)
+    return HalfSeries.from_list(cs, K)
+
+
+def coeffs(f: HalfSeries) -> tuple:
+    """a_0..a_trunc as QC values: f.poly's, padded with zeros."""
+    cs = f.poly.coeffs
+    return cs + (QC(0),) * (f.trunc + 1 - len(cs))
 
 
 def hs_mul_reference(f, g):
     """The Cauchy product as a loop over QC arithmetic."""
     K = min(f.trunc, g.trunc)
     out = [QC(0)] * (K + 1)
-    for i, a in enumerate(f.coeffs[:K + 1]):
+    for i, a in enumerate(coeffs(f)[:K + 1]):
         if not a:
             continue
-        for j, b in enumerate(g.coeffs[:K + 1 - i]):
+        for j, b in enumerate(coeffs(g)[:K + 1 - i]):
             if b:
                 out[i + j] = out[i + j] + a * b
-    return HalfSeries.from_list(out, f.base_deg + g.base_deg, K)
+    return HalfSeries.from_list(out, K)
 
 
 def hs_inverse_reference(f):
     """The inversion recurrence b_n = -(sum_{j>=1} a_j b_{n-j}) / a_0 over QC."""
-    a, K = f.coeffs, f.trunc
+    a, K = coeffs(f), f.trunc
     b = [QC(0)] * (K + 1)
     b[0] = QC(1) / a[0]
     for n in range(1, K + 1):
@@ -53,7 +59,7 @@ def hs_inverse_reference(f):
             if a[j]:
                 s = s + a[j] * b[n - j]
         b[n] = -s / a[0]
-    return HalfSeries.from_list(b, -f.base_deg, K)
+    return HalfSeries.from_list(b, K)
 
 
 def test_mul_identity_and_oracle():
@@ -61,19 +67,17 @@ def test_mul_identity_and_oracle():
     one = HalfSeries.one(12)
     for _ in range(10):
         f = rand_series(rng)
-        assert hs_mul(f, one).coeffs == f.coeffs
+        assert coeffs(hs_mul(f, one)) == coeffs(f)
         g = rand_series(rng)
-        got = hs_mul(f, g)
-        assert got == hs_mul_reference(f, g)
-        assert got.base_deg == f.base_deg + g.base_deg
+        assert hs_mul(f, g) == hs_mul_reference(f, g)
 
 
 def test_geometric_inverse():
     K = 16
-    one_minus_q = HalfSeries.from_list([1, -1], 0, K)
+    one_minus_q = HalfSeries.from_list([1, -1], K)
     geo = hs_inverse(one_minus_q)
-    assert all(c == QC(1) for c in geo.coeffs)
-    assert list(hs_mul(one_minus_q, geo).coeffs) == [QC(1)] + [QC(0)] * K
+    assert all(c == QC(1) for c in coeffs(geo))
+    assert list(coeffs(hs_mul(one_minus_q, geo))) == [QC(1)] + [QC(0)] * K
 
 
 def test_inverse_unique_and_involution():
@@ -82,22 +86,20 @@ def test_inverse_unique_and_involution():
         f = rand_series(rng)
         inv = hs_inverse(f)
         prod = hs_mul(f, inv)
-        assert list(prod.coeffs) == [QC(1)] + [QC(0)] * f.trunc
-        assert hs_inverse(inv).coeffs == f.coeffs
-        # uniqueness: any g with f*g = 1 equals inv (solve forward)
-        assert prod.base_deg == 0
+        assert list(coeffs(prod)) == [QC(1)] + [QC(0)] * f.trunc
+        assert coeffs(hs_inverse(inv)) == coeffs(f)
 
 
 def test_inverse_of_bernoulli_generator_has_minus_half():
     K = 10
-    f = HalfSeries.from_list([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], 0, K)
+    f = HalfSeries.from_list([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
     inv = hs_inverse(f)
-    assert inv.coeffs[1] == QC(Fraction(-1, 2))
+    assert coeffs(inv)[1] == QC(Fraction(-1, 2))
 
 
 def test_non_unit_raises():
     with pytest.raises(NonUnit):
-        hs_inverse(HalfSeries.from_list([0, 1], 0, 8))
+        hs_inverse(HalfSeries.from_list([0, 1], 8))
 
 
 def test_euler_values():
@@ -120,14 +122,25 @@ def test_spec_reading_of_euler_series():
     K = 16
     one = HalfSeries.one(K)
     k_ge_1 = HalfSeries.from_list(
-        [QC(0)] + [QC(Fraction(2 ** k, math.factorial(k))) for k in range(1, K + 1)], 0, K)
+        [QC(0)] + [QC(Fraction(2 ** k, math.factorial(k))) for k in range(1, K + 1)], K)
     lhs = hs_mul(exp_series(1, K), hs_inverse(one + k_ge_1)) \
         + hs_mul(exp_series(-1, K), hs_inverse(
             one + HalfSeries.from_list(
                 [QC(0)] + [QC(Fraction((-2) ** k, math.factorial(k))) for k in range(1, K + 1)],
-                0, K)))
-    wrong_e2 = lhs.coeffs[2].re * 2
+                K)))
+    wrong_e2 = coeffs(lhs)[2].re * 2
     assert wrong_e2 != Fraction(-1)   # oracle value is -1
+
+
+@pytest.mark.parametrize("numbers", [euler_numbers, bernoulli_numbers])
+def test_numbers_refuse_an_imaginary_even_coefficient(monkeypatch, numbers):
+    """hs_inverse inverts f + i: both combinations stay even in q, so only the
+    imaginary parts of their even coefficients change."""
+    true = halfseries.hs_inverse
+    monkeypatch.setattr(halfseries, "hs_inverse",
+                        lambda f: true(f + HalfSeries.from_list([QC(0, 1)], f.trunc)))
+    with pytest.raises(ArithmeticError, match="complex value"):
+        numbers(3)
 
 
 def test_replacement_principle_cross_basis():
@@ -147,10 +160,28 @@ def test_numbers_do_not_depend_on_their_truncation(numbers):
 
 
 def test_euler_combination_agrees_below_the_truncation():
-    high = halfseries.euler_combination(24).coeffs
+    high = coeffs(halfseries.euler_combination(24))
     for N in range(12):
         K = 2 * N + 2
-        assert halfseries.euler_combination(K).coeffs[:K] == high[:K], N
+        assert coeffs(halfseries.euler_combination(K))[:K] == high[:K], N
+
+
+def conjugate(f: HalfSeries) -> HalfSeries:
+    re, im, d = f.poly.form
+    return HalfSeries(ExactPoly.from_form(list(re), [-b for b in im], d), f.trunc)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20261018])
+def test_verify_sees_a_sign_fault_in_the_imaginary_part_of_the_inverse(monkeypatch, seed):
+    """verify halfseries draws complex series for its inverse check, so an
+    inversion that returns the conjugate of the inverse fails that record;
+    real series are their own conjugates and would hide it."""
+    true = halfseries.hs_inverse
+    monkeypatch.setattr(halfseries, "hs_inverse", lambda f: conjugate(true(f)))
+    records = verify.suite_halfseries(verify.RunConfig(seed=seed))
+    passed = {r["anchor"]: r["passed"] for r in records}
+    assert passed.pop("inverse-unique-involutive") is False
+    assert all(passed.values())
 
 
 def test_formal_newton_inverse():
@@ -172,11 +203,11 @@ def test_tau_expression_constant_and_geometric():
     # geometric series (base grading 2): matches the one-sided inverse values
     from stardeform.theta import geometric_inverse_sum
     K = 20
-    geo = hs_inverse(HalfSeries.from_list([1, -1], 0, K))
+    geo = hs_inverse(HalfSeries.from_list([1, -1], K))
     tau = 1.0
     # q here stands for e_*^{2iw}: evaluate with doubled mode index
     ws = np.asarray(W)
-    acc = sum(geo.coeffs[n].to_complex() * np.exp(-(2 * n) ** 2 * tau / 4 + 2j * n * ws)
+    acc = sum(coeffs(geo)[n].to_complex() * np.exp(-(2 * n) ** 2 * tau / 4 + 2j * n * ws)
               for n in range(K + 1))
     want = geometric_inverse_sum("+", tau, ws)
     assert np.abs(acc - want).max() < 1e-12
@@ -203,10 +234,10 @@ def test_bernoulli_identity_on_grid():
     K = DEFAULT_TRUNC
     tau = 2.0
     W = [-0.8, 0.1, 0.6]
-    plus = HalfSeries.from_list([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)],
-                                0, K)
-    minus = HalfSeries.from_list([QC(Fraction((-1) ** n, math.factorial(n + 1)))
-                                  for n in range(K + 1)], 0, K)
+    plus = HalfSeries.from_list(
+        [QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
+    minus = HalfSeries.from_list(
+        [QC(Fraction((-1) ** n, math.factorial(n + 1))) for n in range(K + 1)], K)
     series = hs_inverse(plus).scale(Fraction(1, 2)) + hs_inverse(minus).scale(Fraction(1, 2))
     lhs = hs_to_tau_expression(series, tau, W)
     B = bernoulli_numbers(K // 2)
@@ -218,9 +249,9 @@ def test_bernoulli_identity_on_grid():
 
 
 def test_zero_detection():
-    zero = HalfSeries.from_list([0] * 9, 0, 8)
+    zero = HalfSeries.from_list([0] * 9, 8)
     assert zero_detection(zero, 1.0)
-    not_zero = HalfSeries.from_list([0, 0, Fraction(1, 7)], 0, 8)
+    not_zero = HalfSeries.from_list([0, 0, Fraction(1, 7)], 8)
     assert not zero_detection(not_zero, 1.0)
 
 
@@ -228,20 +259,20 @@ def test_field_axioms_random():
     rng = random.Random(24)
     for _ in range(8):
         f, g, h = (rand_series(rng, K=10) for _ in range(3))
-        assert hs_mul(f, g).coeffs == hs_mul(g, f).coeffs
-        assert hs_mul(hs_mul(f, g), h).coeffs == hs_mul(f, hs_mul(g, h)).coeffs
-        s = HalfSeries.from_list([a + b for a, b in zip(g.coeffs, h.coeffs)], g.base_deg, 10)
-        assert hs_mul(f, s).coeffs == tuple(
-            a + b for a, b in zip(hs_mul(f, g).coeffs, hs_mul(f, h).coeffs))
+        assert coeffs(hs_mul(f, g)) == coeffs(hs_mul(g, f))
+        assert coeffs(hs_mul(hs_mul(f, g), h)) == coeffs(hs_mul(f, hs_mul(g, h)))
+        s = HalfSeries.from_list([a + b for a, b in zip(coeffs(g), coeffs(h))], 10)
+        assert coeffs(hs_mul(f, s)) == tuple(
+            a + b for a, b in zip(coeffs(hs_mul(f, g)), coeffs(hs_mul(f, h))))
 
 
 def test_inverse_order_budget():
     """Inversion is exact up to SERIES_ORDER_BUDGET and refused above it."""
     K = SERIES_ORDER_BUDGET
-    inv = hs_inverse(HalfSeries.from_list([1, 1], 0, K))
-    assert list(inv.coeffs) == [QC((-1) ** n) for n in range(K + 1)]
+    inv = hs_inverse(HalfSeries.from_list([1, 1], K))
+    assert list(coeffs(inv)) == [QC((-1) ** n) for n in range(K + 1)]
     with pytest.raises(TruncationFailure, match="SERIES_ORDER_BUDGET"):
-        hs_inverse(HalfSeries.from_list([1, 1], 0, K + 1))
+        hs_inverse(HalfSeries.from_list([1, 1], K + 1))
     with pytest.raises(TruncationFailure):
         euler_numbers(K // 2)
 
@@ -252,12 +283,12 @@ QCS = st.builds(QC, RATS, RATS)
 
 @st.composite
 def series(draw, unit: bool):
-    """A HalfSeries over QC with trunc 0..12 and base degree -4..4, whose
-    constant term is nonzero (unit) or zero."""
+    """A HalfSeries over QC with trunc 0..12, whose constant term is nonzero
+    (unit) or zero."""
     K = draw(st.integers(0, 12), label="trunc")
     head = draw(QCS.filter(bool)) if unit else QC(0)
     tail = draw(st.lists(QCS, max_size=K), label="tail")
-    return HalfSeries.from_list([head, *tail], draw(st.integers(-4, 4), label="base"), K)
+    return HalfSeries.from_list([head, *tail], K)
 
 
 @settings(deadline=None)
@@ -266,7 +297,6 @@ def test_inverse_properties(f):
     inv = hs_inverse(f)
     assert hs_mul(f, inv) == HalfSeries.one(f.trunc)
     assert hs_inverse(inv) == f
-    assert inv.base_deg == -f.base_deg
 
 
 @settings(deadline=None)
@@ -285,14 +315,14 @@ COEFFS = st.one_of(st.just(QC(0)), st.builds(QC, WIDE, st.just(0)), st.builds(QC
 
 @st.composite
 def wide_series(draw, unit: bool):
-    """A HalfSeries with trunc 0..40, base degree -4..4, complex coefficients with
-    zero interior entries, and a short list (zero-padded) or a zero tail."""
+    """A HalfSeries with trunc 0..40, complex coefficients with zero interior
+    entries, and a short list (zero-padded) or a zero tail."""
     K = draw(st.integers(0, 40), label="trunc")
     head = draw(COEFFS.filter(bool)) if unit else draw(COEFFS)
     tail = draw(st.lists(COEFFS, max_size=K), label="tail")
     if tail and draw(st.booleans()):
         tail[draw(st.integers(0, len(tail) - 1)):] = []
-    return HalfSeries.from_list([head, *tail], draw(st.integers(-4, 4), label="base"), K)
+    return HalfSeries.from_list([head, *tail], K)
 
 
 @settings(deadline=None)
@@ -311,27 +341,25 @@ def assert_same_series(got: HalfSeries, want: HalfSeries):
     """A kernel's result (holding only its form) and a series built from QC
     coefficients compare equal both ways and read back the same coefficients."""
     assert got == want and want == got
-    assert got.coeffs == want.coeffs
+    assert coeffs(got) == coeffs(want)
 
 
 def hs_add_reference(f, g):
-    """f + g over QC: both lowered to the smaller base degree, each cut at its
-    own truncation, then summed up to the smaller one."""
-    lo = min(f.base_deg, g.base_deg)
-    a, b = ((QC(0),) * (h.base_deg - lo) + h.coeffs for h in (f, g))
+    """f + g over QC: each cut at its own truncation, then summed up to the
+    smaller one."""
     K = min(f.trunc, g.trunc)
-    return HalfSeries.from_list([x + y for x, y in zip(a[:K + 1], b[:K + 1])], lo, K)
+    return HalfSeries.from_list([x + y for x, y in zip(coeffs(f)[:K + 1], coeffs(g)[:K + 1])],
+                                K)
 
 
 @settings(deadline=None)
 @given(wide_series(unit=False), wide_series(unit=False), COEFFS, st.integers(0, 30), QCS)
 def test_form_kernels_equal_their_qc_references(f, g, c, K, s):
     assert_same_series(f + g, hs_add_reference(f, g))
-    assert_same_series(f.scale(c), HalfSeries.from_list([c * a for a in f.coeffs], f.base_deg,
-                                                        f.trunc))
+    assert_same_series(f.scale(c), HalfSeries.from_list([c * a for a in coeffs(f)], f.trunc))
     assert_same_series(exp_series(s, K), HalfSeries.from_list(
-        [s ** n / math.factorial(n) for n in range(K + 1)], 0, K))
-    assert_same_series(HalfSeries.one(K), HalfSeries.from_list([1], 0, K))
+        [s ** n / math.factorial(n) for n in range(K + 1)], K))
+    assert_same_series(HalfSeries.one(K), HalfSeries.from_list([1], K))
 
 
 def cut(p: ExactPoly, K: int) -> ExactPoly:
@@ -339,17 +367,11 @@ def cut(p: ExactPoly, K: int) -> ExactPoly:
     return ExactPoly(p.coeffs[:K + 1])
 
 
-def q_power(n: int) -> ExactPoly:
-    return ExactPoly([0] * n + [1])
-
-
 @settings(deadline=None)
 @given(wide_series(unit=False), wide_series(unit=False), COEFFS)
 def test_series_operations_are_exact_poly_operations_cut_at_the_truncation(f, g, c):
     K = min(f.trunc, g.trunc)
-    lo = min(f.base_deg, g.base_deg)
-    want = f.poly * q_power(f.base_deg - lo) + g.poly * q_power(g.base_deg - lo)
-    assert (f + g).poly == cut(want, K)
+    assert (f + g).poly == cut(f.poly + g.poly, K)
     assert f.scale(c).poly == f.poly.scale(c)
     assert hs_mul(f, g).poly == cut(f.poly * g.poly, K)
 
@@ -397,7 +419,7 @@ def test_formal_inverse_equals_hs_inverse_at_every_order():
                Fraction(rng.randint(-3, 3), rng.randint(1, 5))) for _ in range(41)]
     full[0] = QC(Fraction(2, 3), Fraction(-1, 2))
     for K in range(41):
-        want = hs_inverse(HalfSeries.from_list(full, 0, K)).coeffs
+        want = coeffs(hs_inverse(HalfSeries.from_list(full, K)))
         assert tuple(FormalSeries(full, K).inverse().coeffs) == want, K
 
 
