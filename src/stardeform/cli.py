@@ -371,15 +371,6 @@ def cmd_numbers(args) -> int:
     return 0
 
 
-def cmd_conjecture(args) -> int:
-    from .halfseries import conjecture_coefficients
-
-    coef = conjecture_coefficients(args.tau, args.tau_prime, args.count)
-    emit_csv(["n", "a2n_re", "a2n_im"],
-             [(2 * n, f"{c.real:.15e}", f"{c.imag:.15e}") for n, c in enumerate(coef)])
-    return 0
-
-
 @functools.cache                # parse_args keeps no state on the tree
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="stardeform", description="deformed-product function algebra toolkit")
@@ -448,12 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--euler", type=count, metavar="N")
     which.add_argument("--bernoulli", type=count, metavar="N")
     n.set_defaults(func=cmd_numbers)
-
-    c = sub.add_parser("conjecture", help="exploratory two-parameter coefficients")
-    c.add_argument("--tau", type=scalar, default="3,0")
-    c.add_argument("--tau-prime", type=scalar, default="1,0")
-    c.add_argument("count", type=count)
-    c.set_defaults(func=cmd_conjecture)
 
     return ap
 

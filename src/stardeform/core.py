@@ -16,7 +16,8 @@ divide one gcd out; its .coeffs are QC values, built when first read unless it
 was built from values, which it keeps.  Poly is the coefficient loop over
 whatever numbers it holds: float and complex in the package, ints in Poly.x()
 and Poly.const(1), which float code mixes with complex polynomials, and QC in
-the tests, where the loop is the reference for ExactPoly.  The kernels choose
+the tests, where the loop is the reference for ExactPoly; its +, - and * take
+Poly operands, and scale a scalar.  The kernels choose
 their route by the operand's type: ExactPoly operands at an exact tau (int,
 Fraction or QC, read as its parts by exact.gaussian_parts) take the integer
 kernels and return an ExactPoly, and Poly operands take the loop.  An
@@ -67,7 +68,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(_loop_scalar(other))
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         out = [x + y for x, y in zip(a, b)]
         # the longer operand's top coefficients plus 0, as in a padded sum
@@ -77,20 +78,15 @@ class Poly:
             out += [0 + y for y in b[len(a):]]
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return Poly.const(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return self.scale(_loop_scalar(other))
+            return NotImplemented
         if not (self.coeffs and other.coeffs):
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -98,9 +94,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "Poly":
         return Poly([c * a for a in self.coeffs])
@@ -124,15 +117,6 @@ class Poly:
             acc = acc * w + a
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(_loop_scalar(other))
-        a, b = self.coeffs, other.coeffs
-        return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def to_complex(self) -> "Poly":
         return Poly([complex(c) for c in self.coeffs])
 
@@ -140,18 +124,11 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def _loop_scalar(c):
-    """c as a Poly operand; an ExactPoly raises TypeError."""
-    if isinstance(c, ExactPoly):
-        raise TypeError("a Poly does not mix with an ExactPoly; convert it with to_complex()")
-    return c
-
-
 class ExactPoly:
     """Exact polynomial in w over Q(i): coefficient i is (re[i] + im[i] i)/d for
     form = (re, im, d), with d > 0, gcd(d, *re, *im) == 1 and no trailing zero;
-    the zero polynomial is ([], [], 1).  Operands are ExactPoly values and int,
-    Fraction or QC scalars."""
+    the zero polynomial is ([], [], 1).  +, - and == take an ExactPoly or an
+    int, Fraction or QC scalar, * an ExactPoly, and scale a scalar."""
 
     __slots__ = ("form", "_coeffs")
 
@@ -230,23 +207,14 @@ class ExactPoly:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        return -self._combine(other, -1)
-
-    def __neg__(self):
-        re, im, d = self.form
-        return ExactPoly.from_form([-a for a in re], [-b for b in im], d)
-
     def __mul__(self, other):
         if not isinstance(other, ExactPoly):
-            return self.scale(other)
+            return NotImplemented
         fa, fb, df = self.form
         ga, gb, dg = other.form
         if not fa or not ga:
             return ExactPoly.from_form([], [], 1)
         return ExactPoly.from_form(*gaussian_product(fa, fb, ga, gb), df * dg)
-
-    __rmul__ = __mul__
 
     def scale(self, c) -> "ExactPoly":
         fa, fb, d = self.form
@@ -262,10 +230,6 @@ class ExactPoly:
 
     def __eq__(self, other):
         return self.form == _operand(other)
-
-    def __hash__(self):
-        re, im, d = self.form
-        return hash((tuple(re), tuple(im), d))
 
     def to_complex(self) -> Poly:
         """The float Poly of complex() of each coefficient, without building QC values."""

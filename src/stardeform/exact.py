@@ -1,10 +1,11 @@
 """Exact arithmetic support: rational-complex scalars and sparse Laurent polynomials.
 
 QC is a complex number with rational real and imaginary parts, stored as a
-Gaussian integer over one positive denominator.  It interoperates with int and
-Fraction, so generic code written for +,-,*,/ runs unchanged over QC or float
-complex; it does not mix with float.  complex(), float() and str() treat a QC
-as they treat a Fraction.  is_exact is the one exactness rule: the exact routes
+Gaussian integer over one positive denominator.  It takes an int or Fraction
+operand on either side of + and * and on the right of - and /, so the
+coefficient loops (core.Poly) run unchanged over QC; it does not mix with
+float, and it is not hashable.  complex() and str() treat a QC as they treat
+a Fraction.  is_exact is the one exactness rule: the exact routes
 compute every int, Fraction or QC input as a QC (as_qc), anything else in float.
 
 Each QC operation pays one gcd to stay canonical, so no exact container
@@ -31,11 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Union
 
 from .errors import DomainError
-
-_Rat = Union[int, Fraction]
 
 
 class QC:
@@ -44,12 +42,12 @@ class QC:
     a, b and d are Python ints with d > 0 and gcd(a, b, d) == 1, so every value
     has exactly one representation and equality is equality of the triples;
     zero is (0, 0, 1).  Each result is normalised with one gcd.  re and im are
-    read-only Fractions; a real QC hashes like the equal int or Fraction.
+    read-only Fractions.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: _Rat = 0, im: _Rat = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if not isinstance(re, (int, Fraction)):
             re = Fraction(re)
         if not isinstance(im, (int, Fraction)):
@@ -85,9 +83,6 @@ class QC:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _new(-self._a, -self._b, self._d)
-
     def __sub__(self, other):
         o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
@@ -97,12 +92,6 @@ class QC:
             return from_gaussian(self._a - o._a, self._b - o._b, d)
         od = o._d
         return from_gaussian(self._a * od - o._a * d, self._b * od - o._b * d, d * od)
-
-    def __rsub__(self, other):
-        o = other if type(other) is QC else QC._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = other if type(other) is QC else QC._coerce(other)
@@ -124,36 +113,11 @@ class QC:
         od = o._d
         return from_gaussian((a * c + b * e) * od, (b * c - a * e) * od, self._d * n)
 
-    def __rtruediv__(self, other):
-        o = other if type(other) is QC else QC._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return 1 / (self ** (-n))
-        out = QC(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         o = other if type(other) is QC else QC._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._d == o._d
-
-    def __hash__(self):
-        if self._b:
-            return hash((self._a, self._b, self._d))
-        return hash(self.re)
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -163,12 +127,6 @@ class QC:
         return gaussian_to_complex(self._a, self._b, self._d)
 
     __complex__ = to_complex
-
-    def __float__(self) -> float:
-        """Nearest float of a real value; TypeError otherwise, as for complex."""
-        if self._b:
-            raise TypeError("float() of a QC with a nonzero imaginary part")
-        return self.to_complex().real
 
     def __repr__(self):
         if not self._b:
@@ -481,7 +439,7 @@ class SparseLaurent:
 
     def __eq__(self, other):
         if not isinstance(other, SparseLaurent):
-            return False
+            return NotImplemented
         g = gcd(self.den, other.den)    # cross-multiply by the cofactors only
         d1, d2 = self.den // g, other.den // g
         return _cross_equal(self.re, other.re, d1, d2) and _cross_equal(self.im, other.im, d1, d2)

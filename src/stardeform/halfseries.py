@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from .core import ExactPoly
-from .errors import DomainError, NonUnit, TruncationFailure
+from .errors import NonUnit, TruncationFailure
 from .exact import QC, as_qc, gaussian_parts, gaussian_powers, gaussian_product, lowest_terms
 
 DEFAULT_TRUNC = 24
@@ -328,29 +328,3 @@ def bernoulli_numbers_formal(N: int) -> list:
     lhs = plus.inverse().scale(Fraction(1, 2)) + minus.inverse().scale(Fraction(1, 2))
     return [lhs.coeffs[2 * n].re * math.factorial(2 * n) for n in range(N + 1)]
 
-
-# ---------------------------------------------- two-parameter exploration
-
-def conjecture_coefficients(tau, tau_prime, N: int):
-    """Exploratory only: numeric coefficients a_{2n}(tau, tau') of the
-    re-expansion of the one-sided Euler combination at a second expression
-    parameter, matched at 2N + 1 points evenly spaced on [0.05, 2.85].  No
-    acceptance criterion attaches; emitted by the CLI for exploration."""
-    import numpy as np
-
-    if N < 1:
-        raise DomainError(f"the coefficient count must be >= 1, got {N}")
-    tau_c, tp = complex(tau), complex(tau_prime)
-    if tau_c.real <= 0 or (tau_c - tp).real <= 0 or tp.real <= 0:
-        raise DomainError("need Re tau' > 0 and Re(tau - tau') > 0")
-    comb = euler_combination(max(4 * N + 8, 32))
-    # tau-expression of the combination, sampled, then matched against the
-    # formal-power basis weights at tau'
-    w_points = [0.05 + 2.8 * j / (2 * N) for j in range(2 * N + 1)]
-    vals = hs_to_tau_expression(comb, tau_c, w_points)
-    M = np.empty((len(w_points), N + 1), dtype=complex)
-    for r, w in enumerate(w_points):
-        for n in range(N + 1):
-            M[r, n] = (1j * w) ** (2 * n)
-    coef, *_ = np.linalg.lstsq(M, vals, rcond=None)
-    return coef

@@ -172,12 +172,10 @@ def integrate_segment_refined(f, a, b, tol: float = 1e-12, start_panels: int = 8
         if prev is None:
             err = _truncation_term(passes[0], hi - lo, n)
         else:
-            err = np.abs(val - prev)
+            err = np.atleast_1d(np.abs(val - prev))
             need = err + rounding > bound
-            if need.all():
-                err = np.minimum(_truncation_term(passes[0], hi - lo, n), err)
-            elif need.any():
-                err[need] = np.minimum(_truncation_term(passes[0][need],
+            if need.any():
+                err[need] = np.minimum(_truncation_term(np.atleast_2d(passes[0])[need],
                                                         (hi - lo)[need] if rows else hi - lo, n),
                                        err[need])
         if np.any(rounding > bound):
@@ -205,7 +203,8 @@ def gaussian_halfwidth(rate: float, growth: float = 0.0, power: int = 0) -> floa
 
     For power = 0 (t_p = 0) this is the root of rate T^2 - growth T = log(1e16).
     For power > 0, E is concave, so Newton's method from a point past the root
-    descends onto it.  A rate <= 0 raises QuadratureFailure."""
+    descends onto it.  A rate <= 0, or a descent not converged in 100 steps,
+    raises QuadratureFailure."""
     if not rate > 0:
         raise QuadratureFailure("nonpositive Gaussian decay rate")
     if power == 0:
@@ -225,7 +224,8 @@ def gaussian_halfwidth(rate: float, growth: float = 0.0, power: int = 0) -> floa
         if t - nxt <= 1e-12 * t:
             return nxt
         t = nxt
-    return t
+    raise QuadratureFailure(f"Gaussian window cut did not converge at rate={rate}, "
+                            f"growth={growth}, power={power}")
 
 
 def x_window(centre, tau):

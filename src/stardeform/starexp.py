@@ -97,9 +97,7 @@ def heat_apply(theta, g: GaussPoly) -> GaussPoly:
     pref2 = g.pref / cmath.sqrt(denom)
     base = GaussPoly(Poly.const(1), alpha2, beta2, pref2, logamp2, g.sheet)
     if g.poly.degree <= 0:
-        if g.poly.is_zero():
-            return replace(base, poly=Poly())
-        return replace(base, poly=Poly.const(g.poly.coeffs[0]))
+        return replace(base, poly=g.poly)
 
     # Horner over the operator W = w + 2 theta d acting on poly * base-Gaussian
     def w_op(q: Poly) -> Poly:

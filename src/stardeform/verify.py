@@ -459,6 +459,10 @@ def suite_halfseries(cfg: RunConfig) -> list:
             ok = False
         if halfseries.hs_inverse(inv) != f:
             ok = False
+        # a sum at two truncations is cut at the lower one
+        if inv + halfseries.HalfSeries.one(8) != \
+                halfseries.HalfSeries.from_list((inv.poly + 1).coeffs, 8):
+            ok = False
     out.append(_bool_rec("inverse-unique-involutive", "inversion is exact and involutive", ok))
     K = 24
     lhs = halfseries.hs_to_tau_expression(halfseries.euler_combination(K), 2.0,

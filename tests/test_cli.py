@@ -46,9 +46,9 @@ def test_closed_stdout_is_a_normal_end(args, unbuffered):
 
 def test_parse_poly_round_trip():
     p = parse_poly("w^2")
-    assert p == Poly([0.0, 0.0, 1.0])
+    assert p.coeffs == (0.0, 0.0, 1.0)
     q = parse_poly("2*w^3 - w + 0.5")
-    assert q == Poly([0.5, -1.0, 0.0, 2.0])
+    assert q.coeffs == (0.5, -1.0, 0.0, 2.0)
     r = parse_poly("(1+2i)*w^2 + 3")
     assert r.coeffs[2] == 1 + 2j and r.coeffs[0] == 3
     with pytest.raises(ValueError):
@@ -128,7 +128,6 @@ EVERY_SUBCOMMAND = [
     ["theta", "--w-grid=-1,1,3"],
     ["residue"],
     ["dist", "--w-grid=-1,1,3"],
-    ["conjecture", "2"],
     ["eval", "star", "--f", "w^2", "--g", "w", "--tau", "1,0.5"],
     ["vertex", "--check", "witt", "--K", "4"],
     ["numbers", "--euler", "4"],
@@ -273,7 +272,7 @@ def test_vertex_check_report_bytes(line):
 # sha256 of `stardeform [command] --help` at 80 columns, as printed when the
 # parser was built on every call (Python 3.11 argparse)
 HELP_SHA256 = {
-    "": "e8794a53c1001cef086604f94e57365e1c485bf018b509aadd2c6117d5619b0d",
+    "": "fff7328bdfb454adec9f8dcb60d01725882388558f30c0267ef29651311b81c1",
     "verify": "c95f3fc91042682020a9307d144fae905ed7a1587d0de915593e066013c61a44",
     "table": "e1bce30bc2d83ad6e01326a5d1fb9d13e9b9fc8633842205788f76b912fed3e7",
     "eval": "2191e2f86f96b0d86ce22af292fd311d0a5668258e8cefd803231696671e6ab0",
@@ -283,7 +282,6 @@ HELP_SHA256 = {
     "dist": "bb3b90ffed0e552d7b15e662e1bfd44abf67c16ae281d28cfdf7bc338e5707d6",
     "vertex": "c39077f50548542bf36a6aeb08ae57d62a650740c0631ad96e984cf43e8d78bd",
     "numbers": "bccf10dafcb1c2c01c1c89a8c40afa941ad1f32ce319f969e32d90676b52c4de",
-    "conjecture": "51c2d9e4ce034e47b02dd1d6d27429a92c7707895664a618148d4f60ba1926a9",
 }
 
 
@@ -418,12 +416,6 @@ def test_numbers():
     assert code == 2
 
 
-def test_conjecture_runs():
-    code, out, _ = run_cli(["conjecture", "3", "--tau", "3,0", "--tau-prime", "1,0"])
-    assert code == 0
-    assert out.splitlines()[0] == "n,a2n_re,a2n_im"
-
-
 def test_main_callable_directly():
     assert main(["numbers", "--euler", "2"]) == 0
 
@@ -467,6 +459,7 @@ BAD_INPUTS = [
     "dist --m 0",
     "dist --m -2",
     "dist --side pv --a 1,0",
+    # not a subcommand
     "conjecture 3 --tau abc",
     "conjecture -1",
     "conjecture 0",
@@ -510,7 +503,7 @@ def test_kernel_failure_one_error_line(line, capsys):
     ("residue --k=171", 2),
     ("residue --nu=1,1e308", 2),
     ("theta --w-grid=-1e308,0,2", 2),
-    ("conjecture 2 --tau=10,1e308", 2),
+    ("conjecture 2 --tau=10,1e308", 2),        # not a subcommand
     ("dist --side pv --m 172", 2),
     ("dist --tau=1,1e308", 1),
     ("table bessel 2 --a=1e308", 1),
@@ -588,7 +581,6 @@ COMMANDS = {
     "dist-pv": (["dist", "--side", "pv", "--w-grid=-1,1,5"], {"--tau": SCALAR, "--m": INT}),
     "vertex": (["vertex", "--check", "witt"], {"--K": small_int(-2, 4)}),
     "numbers": (["numbers"], {"--euler": small_int(-3, 30), "--bernoulli": small_int(-3, 30)}),
-    "conjecture": (["conjecture"], {"--tau": SCALAR, "--tau-prime": SCALAR}),
 }
 
 
@@ -605,9 +597,7 @@ def test_any_option_value_gives_a_contract_exit(command, data):
         argv = [*base, name, value]
     else:
         pair = [f"{name}={value}"] if data.draw(st.booleans(), label="joined") else [name, value]
-        count = [str(data.draw(st.integers(0, 4), label="count"))] \
-            if command == "conjecture" else []
-        argv = [*base, *pair, *count]
+        argv = [*base, *pair]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -1,9 +1,10 @@
 """Exact rational-complex scalar QC against a Fraction-pair oracle.
 
 The oracle is the arithmetic QC had when it stored its real and imaginary
-parts as two Fractions.  Operands are generated as int, Fraction or QC on
-either side; every result must equal the oracle's, be in canonical form
-(a + b i)/d with d > 0 and gcd(a, b, d) == 1, and hash like equal values.
+parts as two Fractions.  Operands are generated as int, Fraction or QC, on
+either side of + and * and on the right of - and /; every result must equal
+the oracle's and be in canonical form (a + b i)/d with d > 0 and
+gcd(a, b, d) == 1.  A QC is not hashable.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardeform.core import Poly
+from stardeform.core import ExactPoly, Poly
 from stardeform.errors import DomainError
 from stardeform.exact import QC, as_qc, is_exact
 from stardeform.specialfn import hermite_table
@@ -49,13 +50,6 @@ def o_div(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d)
 
 
-def o_pow(x, n):
-    out = (Fraction(1), Fraction(0))
-    for _ in range(abs(n)):
-        out = o_mul(out, x)
-    return o_div((Fraction(1), Fraction(0)), out) if n < 0 else out
-
-
 def o_repr(x):
     return f"QC({x[0]})" if x[1] == 0 else f"QC({x[0]}, {x[1]})"
 
@@ -82,28 +76,24 @@ def test_ring_operations_match_oracle(xs, ys):
     if not isinstance(x, QC) and not isinstance(y, QC):
         x = QC(x)
     assert_matches(x + y, o_add(px, py))
-    assert_matches(x - y, o_sub(px, py))
     assert_matches(x * y, o_mul(px, py))
+    q = as_qc(x)                # - and / take an int or Fraction on the right
+    assert_matches(q - y, o_sub(px, py))
     if any(py):
-        assert_matches(x / y, o_div(px, py))
+        assert_matches(q / y, o_div(px, py))
     else:
         with pytest.raises(ZeroDivisionError):
-            x / y
+            q / y
 
 
 @settings(deadline=None)
 @given(NONZERO.map(lambda p: (QC(*p), p)), scalars().filter(lambda s: any(s[1])))
 def test_division_matches_oracle_both_sides(xs, ys):
-    """x / y for a nonzero QC x and any nonzero y, and y / x the other way round."""
+    """x / y for a nonzero QC x and any nonzero y, and y / x the other way round
+    with y as a QC."""
     (x, px), (y, py) = xs, ys
     assert_matches(x / y, o_div(px, py))
-    assert_matches(y / x, o_div(py, px))
-
-
-@settings(deadline=None)
-@given(NONZERO, st.integers(-5, 7))
-def test_power_matches_oracle(p, n):
-    assert_matches(QC(*p) ** n, o_pow(p, n))
+    assert_matches(as_qc(y) / x, o_div(py, px))
 
 
 @settings(deadline=None)
@@ -114,42 +104,36 @@ def test_equality_bool_and_hash(xs, ys):
     assert (q == y) == (px == py)
     assert (y == q) == (px == py)
     assert bool(q) == any(px)
-    if px == py:
-        assert hash(q) == hash(y)
+    with pytest.raises(TypeError):
+        hash(q)
 
 
 @settings(deadline=None)
 @given(PAIRS, NONZERO)
-def test_equal_values_hash_equal(p, r):
-    """A value reached by different routes has one representation and one hash."""
+def test_equal_values_share_one_representation(p, r):
+    """A value reached by different routes has one representation."""
     x, y = QC(*p), QC(*r)
     z = (x * y) / y
-    assert (z._a, z._b, z._d) == (x._a, x._b, x._d)
-    assert z == x and hash(z) == hash(x)
+    assert (z._a, z._b, z._d) == (x._a, x._b, x._d) and z == x
     s = (x + y) - y
-    assert s == x and hash(s) == hash(x)
-
-
-@given(RATS)
-def test_real_hash_matches_int_and_fraction(r):
-    assert hash(QC(r)) == hash(r)
-    assert QC(r) == r and r == QC(r)
-    n = r.numerator
-    assert hash(QC(n)) == hash(n)
+    assert (s._a, s._b, s._d) == (x._a, x._b, x._d) and s == x
 
 
 def test_hash_contract_in_containers():
-    assert QC(3) == 3 and hash(QC(3)) == hash(3)
-    assert len({QC(1), 1}) == 1
-    assert len({QC(Fraction(1, 2)), Fraction(1, 2), QC(Fraction(2, 4))}) == 1
-    assert Poly([1]) == Poly([QC(1)]) and hash(Poly([1])) == hash(Poly([QC(1)]))
-    assert {QC(2, 1): "x"}[QC(Fraction(4, 2), Fraction(3, 3))] == "x"
+    """QC and ExactPoly compare by value and hash by nothing, so neither is a
+    set member or a dict key."""
+    assert QC(3) == 3 and QC(Fraction(4, 2), Fraction(3, 3)) == QC(2, 1)
+    for value in (QC(3), ExactPoly([QC(1)])):
+        with pytest.raises(TypeError):
+            {value}
+        with pytest.raises(TypeError):
+            {value: "x"}
 
 
 @given(PAIRS)
 def test_conjugate_and_negation(p):
     q = QC(*p)
-    assert_matches(-q, (-p[0], -p[1]))
+    assert_matches(0 * q - q, (-p[0], -p[1]))
     assert_matches(q * QC(p[0], -p[1]), (p[0] * p[0] + p[1] * p[1], Fraction(0)))
 
 
@@ -165,13 +149,11 @@ def test_canonical_form_examples():
 
 
 def test_division_by_zero_raises():
-    for num in (QC(1), QC(Fraction(2, 3), -1), 1, Fraction(1, 3)):
+    for num in (QC(1), QC(Fraction(2, 3), -1)):
         with pytest.raises(ZeroDivisionError):
             num / QC(0)
     with pytest.raises(ZeroDivisionError):
         QC(1, 1) / 0
-    with pytest.raises(ZeroDivisionError):
-        QC(0) ** -1
 
 
 def test_read_only_parts_and_float_operands_rejected():
@@ -199,30 +181,20 @@ def test_to_complex_beyond_float_range_is_domain_error():
 
 @given(PAIRS)
 def test_conversions_match_fraction(p):
-    """complex(), float() and str() treat a QC as they treat a Fraction pair."""
+    """complex() and str() treat a QC as they treat a Fraction pair."""
     q = QC(*p)
     assert complex(q) == q.to_complex() == o_complex(p)
-    if p[1]:
-        with pytest.raises(TypeError):
-            float(q)
-        assert str(q) == repr(q)
-    else:
-        assert float(q) == float(p[0])
-        assert str(q) == str(p[0])
+    assert str(q) == (repr(q) if p[1] else str(p[0]))
 
 
 def test_conversion_examples():
     assert str(QC(Fraction(-5, 4))) == "-5/4" and str(QC(3)) == "3" and str(QC(0)) == "0"
     assert str(QC(Fraction(1, 2), -1)) == "QC(1/2, -1)"
     assert str(QC(0, Fraction(33, 128))) == "QC(0, 33/128)"
-    assert float(QC(Fraction(-5, 4))) == -1.25 and complex(QC(1, 2)) == 1 + 2j
-    with pytest.raises(TypeError):
-        float(QC(0, 1))
-    with pytest.raises(DomainError):
-        float(QC(10 ** 400))
+    assert complex(QC(Fraction(-5, 4))) == -1.25 and complex(QC(1, 2)) == 1 + 2j
     with pytest.raises(DomainError):
         complex(QC(0, 10 ** 400))
-    assert Poly([QC(1, 2), Fraction(1, 2), 3]).to_complex() == Poly([1 + 2j, 0.5, 3])
+    assert Poly([QC(1, 2), Fraction(1, 2), 3]).to_complex().coeffs == (1 + 2j, 0.5, 3)
 
 
 def test_is_exact_and_as_qc():

@@ -58,7 +58,7 @@ def hs_inverse_reference(f):
         for j in range(1, n + 1):
             if a[j]:
                 s = s + a[j] * b[n - j]
-        b[n] = -s / a[0]
+        b[n] = (QC(0) - s) / a[0]
     return HalfSeries.from_list(b, K)
 
 
@@ -358,7 +358,7 @@ def test_form_kernels_equal_their_qc_references(f, g, c, K, s):
     assert_same_series(f + g, hs_add_reference(f, g))
     assert_same_series(f.scale(c), HalfSeries.from_list([c * a for a in coeffs(f)], f.trunc))
     assert_same_series(exp_series(s, K), HalfSeries.from_list(
-        [s ** n / math.factorial(n) for n in range(K + 1)], K))
+        [math.prod([s] * n, start=QC(1)) / math.factorial(n) for n in range(K + 1)], K))
     assert_same_series(HalfSeries.one(K), HalfSeries.from_list([1], K))
 
 
