@@ -3,8 +3,8 @@ normalized weight-m generators, and what the central brackets actually look
 like under the defined rules."""
 
 from stardeform.vertex import (CoeffRing, bracket_elems, bracket_xx, central_constraint_check,
-                               k_centrality_check, witt_identity_check, y_eigen_defect,
-                               y_generator)
+                               k_centrality_check, laurent_coefficient_ring,
+                               witt_identity_check, y_eigen_defect, y_generator)
 
 print("[x_1, x_-1] at nu=w=0, tau=1:", bracket_xx(1, -1).evaluate(1.0, 0.0, 0.0),
       "(Heisenberg: 2 m / sqrt(-tau))")
@@ -21,9 +21,11 @@ print("  odd-index brackets vanish:", rep["odd_parity_vanishing"])
 print("  diagonal law c_m = m c_1 (exact):", rep["diagonal_proportionality"])
 print("  delta-supported off the diagonal:", rep["delta_support"],
       "-- nonzero pairs:", rep["offdiagonal_nonzero_pairs"][:6], "...")
-# the central part is one CoeffRing over (gamma, nu, w2, zinv, u): its u^1 terms
+# the central part holds the coefficients of a_j (x) u^g at (j, g): its u^1
+# terms, each a_j expanded in the coefficient ring
 C = bracket_elems(y_generator(-3, 6), y_generator(1, 6))
-grade1 = CoeffRing({e[:4] + (0,): v for e, v in C.terms.items() if e[4] == 1})
+grade1 = sum((laurent_coefficient_ring(j, 8).scale(c) for (j, g), c in C.terms.items() if g == 1),
+             CoeffRing())
 val = grade1.evaluate(1.0, 0.0, 0.0)
 print("  e.g. [y_-3, y_1] grade-1 value at nu=w=0:", val)
 

@@ -202,8 +202,6 @@ class ExactPoly:
     def __add__(self, other):
         return self._combine(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._combine(other, -1)
 

@@ -14,16 +14,17 @@ one positive denominator, taken from QC values by to_gaussian and read back as
 QC values by from_gaussian only when something reads them.  The one dense
 form is core.ExactPoly's, kept in lowest terms (lowest_terms, one gcd per
 result), so equal values have equal forms; a halfseries.HalfSeries is an
-ExactPoly in q cut at its truncation.  SparseLaurent (below) leaves its
-denominator unreduced and compares by cross-multiplying, and so do its
-subclasses vertex.CoeffRing and vertex.VertexElem (the rational span, which
-adds a grade cap); restrict is the one grade filter of both, which keep
-their u-grade as the last exponent.  gaussian_parts gives the parts of one
-exact scalar, such as a tau, and gaussian_powers the numerators of a Gaussian
-integer's powers.  pack and unpack multiply integer polynomials as single
-ints (Kronecker substitution), and gaussian_product is the one product of two
-Gaussian-integer polynomials built on them, which core.ExactPoly's * and
-halfseries.hs_mul share.  This module is the only one that reads a QC's
+ExactPoly in q cut at its truncation.  SparseLaurent (below) holds rational
+coefficients as int numerators over one denominator, which it leaves
+unreduced, and compares by cross-multiplying; so do its subclasses
+vertex.CoeffRing and vertex.VertexElem (the span, which adds a grade cap) and
+the central parts of vertex.bracket_elems, whose last exponent is the u-grade
+that restrict, the one grade filter, cuts at.  gaussian_parts gives the parts
+of one exact scalar, such as a tau, and gaussian_powers the numerators of a
+Gaussian integer's powers.  pack and unpack multiply integer polynomials as
+single ints (Kronecker substitution), and gaussian_product is the one product
+of two Gaussian-integer polynomials built on them, which core.ExactPoly's *
+and halfseries.hs_mul share.  This module is the only one that reads a QC's
 fields.
 """
 
@@ -313,10 +314,9 @@ def _lincomb(x: dict, a: int, y: dict, b: int) -> dict:
     return out
 
 
-def _convolve(out: dict, x: dict, y: dict, sign: int) -> dict:
-    """out += sign x y, exponent tuples adding; cancelled sums stay in out."""
+def _convolve(out: dict, x: dict, y: dict) -> dict:
+    """out += x y, exponent tuples adding; cancelled sums stay in out."""
     for k1, c1 in x.items():
-        c1 *= sign
         for k2, c2 in y.items():
             k = tuple(map(add, k1, k2))
             out[k] = out.get(k, 0) + c1 * c2
@@ -350,49 +350,56 @@ def _cross_equal(x: dict, y: dict, dx: int, dy: int) -> bool:
     return x.keys() == y.keys() and all(c * dy == y[k] * dx for k, c in x.items())
 
 
+def _rational_parts(c) -> tuple:
+    """(numerator, denominator) of an int or Fraction; TypeError for any other
+    value, a QC included."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is Fraction:
+        return c.numerator, c.denominator
+    raise TypeError(f"SparseLaurent values are rational (int or Fraction), not {type(c).__name__}")
+
+
 class SparseLaurent:
-    """Exact Laurent polynomial in several symbols with rational-complex
-    coefficients.
+    """Exact Laurent polynomial in several symbols with rational coefficients.
 
     The coefficient of the monomial with exponent tuple k (one integer per
-    symbol, negative allowed) is (re[k] + im[k] i)/den: re and im map exponent
-    tuples to nonzero ints, and the zero element has neither.  den > 0 is not
-    reduced (a product multiplies the two denominators, a sum works over their
-    lcm), so == compares by cross-multiplying; terms is the read-only
-    {exponent: QC} view, built when read.  Arithmetic keeps the class of its
-    left operand, so subclasses that add named evaluation stay closed.
+    symbol, negative allowed) is num[k]/den: num maps exponent tuples to
+    nonzero ints, and the zero element has none.  den > 0 is not reduced (a
+    product multiplies the two denominators, a sum works over their lcm), so
+    == compares by cross-multiplying; terms is the read-only {exponent:
+    Fraction} view, built when read.  Arithmetic keeps the class of its left
+    operand, so subclasses that add named evaluation stay closed.  A value or
+    scalar that is not an int or Fraction raises TypeError.
     """
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        """From {exponent: int, Fraction or QC}."""
-        if not terms:               # the zero element: no values to convert
-            self.re, self.im, self.den = {}, {}, 1
-            return
-        re, im, self.den = to_gaussian(list(terms.values()))
-        self.re = _nonzero(zip(terms, re))
-        self.im = _nonzero(zip(terms, im))
+        """From {exponent: int or Fraction}."""
+        terms = terms or {}
+        parts = [_rational_parts(c) for c in terms.values()]
+        self.den = lcm(*[d for _, d in parts])
+        self.num = _nonzero(zip(terms, [a * (self.den // d) for a, d in parts]))
 
-    def _wrap(self, re: dict, im: dict, den: int):
+    def _wrap(self, num: dict, den: int):
         """An element of self's class over numerators that are already nonzero
         ints; a subclass with slots of its own copies them here."""
         out = object.__new__(type(self))
-        out.re, out.im, out.den = re, im, den
+        out.num, out.den = num, den
         return out
 
     @property
     def terms(self) -> dict:
-        re, im, d = self.re, self.im, self.den
-        return {k: from_gaussian(re.get(k, 0), im.get(k, 0), d) for k in re | im}
+        d = self.den
+        return {k: Fraction(c, d) for k, c in self.num.items()}
 
     def _combine(self, other, sign: int):
         """self + sign other, over the lcm of the two denominators."""
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
-        s1, s2 = d2 // g, d1 // g * sign
-        return self._wrap(_lincomb(self.re, s1, other.re, s2),
-                          _lincomb(self.im, s1, other.im, s2), d1 * s1)
+        s1 = d2 // g
+        return self._wrap(_lincomb(self.num, s1, other.num, d1 // g * sign), d1 * s1)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -402,47 +409,39 @@ class SparseLaurent:
 
     def __mul__(self, other):
         if isinstance(other, SparseLaurent):
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
-            re = _convolve(_convolve({}, ar, br, 1), ai, bi, -1)
-            im = _convolve(_convolve({}, ar, bi, 1), ai, br, 1)
-            return self._wrap(_nonzero(re.items()), _nonzero(im.items()), self.den * other.den)
-        if isinstance(other, (int, Fraction, QC)):
-            return self.scale(other)
-        return NotImplemented
+            return self._wrap(_nonzero(_convolve({}, self.num, other.num).items()),
+                              self.den * other.den)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        ca, cb, cd = gaussian_parts(c)
-        return self._wrap(_lincomb(self.re, ca, self.im, -cb),
-                          _lincomb(self.im, ca, self.re, cb), self.den * cd)
+        ca, cd = _rational_parts(c)
+        return self._wrap(_lincomb(self.num, ca, {}, 0), self.den * cd)
 
     def d(self, axis: int):
         """Partial derivative in symbol `axis`."""
-        return self._wrap(_derivative(self.re, axis), _derivative(self.im, axis), self.den)
+        return self._wrap(_derivative(self.num, axis), self.den)
 
     def restrict(self, grade: int):
         """The terms whose last exponent is <= grade."""
-        return self._wrap({k: c for k, c in self.re.items() if k[-1] <= grade},
-                          {k: c for k, c in self.im.items() if k[-1] <= grade}, self.den)
+        return self._wrap({k: c for k, c in self.num.items() if k[-1] <= grade}, self.den)
 
     def restrict_inverse(self, axis: int, onto: int):
         """Substitute symbol `axis` by the inverse of symbol `onto`; the
         exponent of `axis` becomes 0 (a ring endomorphism)."""
         if axis == onto:
             raise ValueError("a symbol cannot be replaced by its own inverse")
-        return self._wrap(_invert_axis(self.re, axis, onto), _invert_axis(self.im, axis, onto),
-                          self.den)
+        return self._wrap(_invert_axis(self.num, axis, onto), self.den)
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, SparseLaurent):
             return NotImplemented
         g = gcd(self.den, other.den)    # cross-multiply by the cofactors only
-        d1, d2 = self.den // g, other.den // g
-        return _cross_equal(self.re, other.re, d1, d2) and _cross_equal(self.im, other.im, d1, d2)
+        return _cross_equal(self.num, other.num, self.den // g, other.den // g)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"

@@ -196,11 +196,8 @@ def bessel_i(m: int, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class BesselTable:
-    a: complex
-    tau: complex
     n_max: int
-    w_grid: tuple
-    values: dict  # n -> ndarray over w_grid
+    values: dict  # n -> ndarray over the grid, |n| <= n_max
 
 
 def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
@@ -241,8 +238,32 @@ def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
     acc = np.zeros((2 * N + 1, len(z)), complex)
     for m in range(-M, M + 1):              # row n + N gathers J_{n-2m}, n = -N..N
         acc = acc + i_row[abs(m)] * classical[kmax - N - 2 * m:kmax + N - 2 * m + 1]
-    return BesselTable(a_c, tau_c, N, tuple(ws.tolist()),
-                       dict(zip(range(-N, N + 1), np.exp(-a_c * a_c * tau_c / 8) * acc)))
+    return BesselTable(N, dict(zip(range(-N, N + 1), np.exp(-a_c * a_c * tau_c / 8) * acc)))
+
+
+def bessel_table_to_tol(a, tau, n_min: int, tol: float, w_grid) -> BesselTable:
+    """bessel_table at the smallest N >= n_min whose dropped orders sum to
+    below tol on the grid: max_w |sum_{|n| > N} J_n(a w, tau)| < tol.
+
+    The sums are read from one table at twice the order, doubled until some N
+    qualifies, and the result keeps its rows |n| <= N (each row of the
+    ascending series is the same at any table order); past bessel_table's
+    budgets the search ends in its TruncationFailure.  The first dropped
+    order alone does not bound the sum: J_{N+1} and J_{-N-1} cancel for odd
+    N + 1 and add for even N + 1."""
+    import numpy as np
+
+    hi = 2 * n_min
+    while True:
+        v = bessel_table(a, tau, hi, w_grid).values
+        pairs = np.array([v[n] + v[-n] for n in range(n_min + 1, hi + 1)])
+        # tail[i]: the largest |sum| over the grid of the orders past n_min + i
+        tail = np.abs(np.cumsum(pairs[::-1], axis=0)[::-1]).max(axis=1)
+        ok = np.flatnonzero(tail < tol)
+        if ok.size:
+            N = n_min + int(ok[0])
+            return BesselTable(N, {n: v[n] for n in range(-N, N + 1)})
+        hi *= 2
 
 
 def bessel_unit_sum_residual(table: BesselTable) -> float:

@@ -7,23 +7,24 @@ gamma standing for e^{nu/tau} (-tau)^{-1/2} e^{-w^2/tau}); the operators L_n
 act by [L_n, x_m (x) u^k] = m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}, where
 u is the formal star power of the quadratic element.  The action and the
 normalized generators only multiply by rationals, so span elements are
-rational combinations of x_m (x) u^k; ring values appear only in the central
-part returned by bracket_elems, one CoeffRing over (gamma, nu, w2, zinv, u).
+rational combinations of x_m (x) u^k, and central parts are rational
+combinations of a_j (x) u^g.  Ring values, CoeffRing elements over
+(gamma, nu, w2, zinv), appear only in bracket_xx and the gamma dictionary.
 The u-grade cap K is the only approximation; all coefficients are exact.
 
 A span element (VertexElem) is an exact.SparseLaurent over the exponents
-(m, k) with real numerators, plus its grade cap.  The action multiplies
-numerators by ints and keeps the denominator; sums work over the lcm of the
-two denominators and equality cross-multiplies, as for every SparseLaurent, so
-no operation on the span pays a gcd per coefficient.  Every action of a probe
-keeps the probe's denominator, so the commutator sweep behind
-witt_identity_check and k_centrality_check compares numerator dicts directly,
-and it checks each unordered pair of operators once.  The action only raises
-u-grades, so grades <= K of an action depend only on grades <= K of its
-input: the sweep cuts each probe at the compared grade K once, and no action
-forms a grade that the comparison would drop.  bracket_elems sums its
-pairs in ints per grade and index into one CoeffRing (also a SparseLaurent)
-over den1 den2; SparseLaurent.restrict cuts either form at a u-grade.
+(m, k), plus its grade cap.  The action multiplies numerators by ints and
+keeps the denominator; sums work over the lcm of the two denominators and
+equality cross-multiplies, as for every SparseLaurent, so no operation on the
+span pays a gcd per coefficient.  Every action of a probe keeps the probe's
+denominator, so the commutator sweep behind witt_identity_check and
+k_centrality_check compares numerator dicts directly, and it checks each
+unordered pair of operators once.  The action only raises u-grades, so grades
+<= K of an action depend only on grades <= K of its input: the sweep cuts
+each probe at the compared grade K once, and no action forms a grade that the
+comparison would drop.  bracket_elems sums its pairs in ints per index j and
+grade g into one SparseLaurent over (j, g) and den1 den2, the coefficients of
+a_j (x) u^g; SparseLaurent.restrict cuts it, like a span element, at a u-grade.
 
 Composition-order convention: the operator commutator ad(L_n)ad(L_l) -
 ad(L_l)ad(L_n) equals (l - n) ad(L_{n+l}) exactly on the span (the opposite
@@ -38,22 +39,21 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import TruncationFailure
-from .exact import QC, SparseLaurent, _lincomb, _nonzero
+from .exact import SparseLaurent, _lincomb, _nonzero
 
 # Highest u-grade budget K that central_constraint_check and
-# k_centrality_check accept.  The central check costs about K^2.2 up to
-# K = 64 and K^2.9 above (49 brackets of K-term generators whose ring values
-# grow with K, each over one denominator that the top grade's factorials set;
-# 0.05, 0.25 and 1.7 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
+# k_centrality_check accept.  The central check costs about K^2 (49 brackets,
+# each a loop in ints over the pairs of two (K + 1)-term generators; 0.017,
+# 0.068 and 0.23 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
 # k_centrality_check, which forms 53 actions on each of its 14 probes, takes
-# 0.05-0.08 s at this budget.  witt_identity_check reaches at most grade 2 above its
-# input, so its cost does not grow with K (3-4.5 ms at R = 4) and it has no budget.
+# 0.05 s at this budget.  witt_identity_check reaches at most grade 2 above its
+# input, so its cost does not grow with K (2.6 ms at R = 4) and it has no budget.
 GRADE_BUDGET = 128
 INDEX_MAX = 3        # generator indices |l| of the central, K-centrality, Jacobi checks
 EIGEN_GRADE = 6      # grades y_eigen_defect compares
 XX_CAP = 6           # ring cap of bracket_xx
-# truncation_stability: the two u-grade budgets, indices |l| <= 2, ring cap 12
-STABILITY_GRADES, STABILITY_INDEX_MAX, STABILITY_CAP = (6, 8), 2, 12
+# truncation_stability: the two u-grade budgets and indices |l| <= 2
+STABILITY_GRADES, STABILITY_INDEX_MAX = (6, 8), 2
 
 
 def _check_grade_budget(K: int) -> None:
@@ -62,24 +62,20 @@ def _check_grade_budget(K: int) -> None:
 
 
 class CoeffRing(SparseLaurent):
-    """Exact ring element over the exponents (gamma, nu, w2, zinv, u), where
-    zinv stands for 1/tau, gamma for the transcendental envelope unit and u for
-    the formal star power; ring values such as a_j sit at u = 0."""
+    """Exact ring element over the exponents (gamma, nu, w2, zinv), where zinv
+    stands for 1/tau and gamma for the transcendental envelope unit."""
 
     __slots__ = ()
 
     def evaluate(self, tau, nu, w) -> complex:
-        """Numeric substitution; gamma evaluates through the principal branch,
-        and a term with u > 0, which has no numeric value, raises ValueError."""
+        """Numeric substitution; gamma evaluates through the principal branch."""
         from .residue import sqrt_minus_tau
 
         tau_c, nu_c, w_c = complex(tau), complex(nu), complex(w)
         gamma = cmath.exp(nu_c / tau_c - w_c * w_c / tau_c) / sqrt_minus_tau(tau_c)
         acc = 0j
-        for (g, p, q, r, k), v in self.terms.items():
-            if k:
-                raise ValueError(f"a term of u-grade {k} has no numeric value")
-            acc += v.to_complex() * gamma ** g * nu_c ** p * (w_c * w_c) ** q \
+        for (g, p, q, r), v in self.terms.items():
+            acc += complex(v) * gamma ** g * nu_c ** p * (w_c * w_c) ** q \
                 * tau_c ** (-r)
         return acc
 
@@ -98,8 +94,8 @@ def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     k = (j + 1) // 2
     terms = {}
     for q in range(max(0, -k), cap + 1):
-        c = QC(Fraction((-1) ** q, math.factorial(q) * math.factorial(k + q)))
-        terms[(1, k + q, q, 2 * q, 0)] = c
+        terms[(1, k + q, q, 2 * q)] = Fraction((-1) ** q,
+                                               math.factorial(q) * math.factorial(k + q))
     return CoeffRing(terms)
 
 
@@ -110,31 +106,23 @@ def bracket_xx(m: int, n: int) -> CoeffRing:
 
 class VertexElem(SparseLaurent):
     """Finite rational combination of basis symbols x_m (x) u^k with grades
-    k <= trunc: an exact.SparseLaurent over the exponents (m, k) whose
-    numerators are real (im stays empty), so the coefficient of x_m (x) u^k
-    is re[(m, k)] / den.  The action multiplies numerators by ints and keeps
-    den; sums, ==, terms and restrict are SparseLaurent's.  trunc is the
-    grade cap, carried by every result of a left operand."""
+    k <= trunc: an exact.SparseLaurent over the exponents (m, k), so the
+    coefficient of x_m (x) u^k is num[(m, k)] / den.  The action multiplies
+    numerators by ints and keeps den; sums, scale, ==, terms and restrict are
+    SparseLaurent's.  trunc is the grade cap, carried by every result of a
+    left operand."""
 
     __slots__ = ("trunc",)
 
     def __init__(self, terms: dict | None = None, trunc: int = 6):
         """From {(m, k): int or Fraction}; grades above trunc are dropped."""
         super().__init__({mk: c for mk, c in (terms or {}).items() if mk[1] <= trunc})
-        if self.im:
-            raise TypeError("span coefficients are rational")
         self.trunc = trunc
 
-    def _wrap(self, re: dict, im: dict, den: int) -> "VertexElem":
+    def _wrap(self, num: dict, den: int) -> "VertexElem":
         out = object.__new__(VertexElem)
-        out.re, out.im, out.den, out.trunc = re, im, den, self.trunc
+        out.num, out.den, out.trunc = num, den, self.trunc
         return out
-
-    def scale(self, c) -> "VertexElem":
-        """c times the element, for an int or Fraction c."""
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"span elements scale by rationals, not {type(c).__name__}")
-        return super().scale(c)
 
 
 def x_elem(m: int, K: int) -> VertexElem:
@@ -145,14 +133,14 @@ def L_action(n: int, e: VertexElem) -> VertexElem:
     """[L_n, .] on the span: x_m (x) u^k -> m x_{n+m} (x) u^k + 2 x_{n+m+2} (x) u^{k+1}."""
     out: dict = {}
     trunc = e.trunc
-    for (m, k), c in e.re.items():
+    for (m, k), c in e.num.items():
         if m:
             key = (n + m, k)
             out[key] = out.get(key, 0) + c * m
         if k < trunc:
             key = (n + m + 2, k + 1)
             out[key] = out.get(key, 0) + 2 * c
-    return e._wrap(_nonzero(out.items()), {}, e.den)
+    return e._wrap(_nonzero(out.items()), e.den)
 
 
 def _commutator_sweep(probes: list, R: int, K: int) -> bool:
@@ -174,11 +162,11 @@ def _commutator_sweep(probes: list, R: int, K: int) -> bool:
         p = p.restrict(cap)
         p.trunc = cap
         one = {j: L_action(j, p) for j in range(1 - 2 * R, 2 * R)}
-        two = {(a, b): L_action(a, one[b]).re for a in idx for b in idx if a != b}
+        two = {(a, b): L_action(a, one[b]).num for a in idx for b in idx if a != b}
         for m in idx:
             for n in range(m + 1, R + 1):
                 s = n - m
-                want = {mk: c * s for mk, c in one[m + n].re.items()}
+                want = {mk: c * s for mk, c in one[m + n].num.items()}
                 if _lincomb(two[(m, n)], 1, two[(n, m)], -1) != want:
                     return False
     return True
@@ -199,7 +187,7 @@ def y_generator(m: int, K: int = 6) -> VertexElem:
     fK = math.factorial(K)
     # the empty element at cap K wraps the sum's numerators over K!
     return VertexElem({}, K)._wrap({(m + 2 * k, k): (-1) ** k * (fK // math.factorial(k))
-                                    for k in range(K + 1)}, {}, fK)
+                                    for k in range(K + 1)}, fK)
 
 
 def y_eigen_defect(n: int, m: int) -> VertexElem:
@@ -208,39 +196,23 @@ def y_eigen_defect(n: int, m: int) -> VertexElem:
     return L_action(n, y_generator(m, EIGEN_GRADE)) - y_generator(n + m, EIGEN_GRADE).scale(m)
 
 
-def _central(sums: dict, den: int, cap: int) -> CoeffRing:
-    """sum (c/den) a_{s-1} u^g over {(g, s): int c}, a_{s-1} cut at cap, in ints
-    over the lcm of the a_{s-1} denominators; distinct (g, s) give distinct
-    exponents (u^g and nu - w2 = s/2), so no two terms add.  The gcd of den
-    and the c is divided out first, since every numerator grows to about the
-    length of the common denominator, which the top grade's factorials set."""
-    rings = {gs: laurent_coefficient_ring(gs[1] - 1, cap) for gs, c in sums.items() if c}
-    d = math.lcm(*(a.den for a in rings.values()))
-    h = math.gcd(den, *sums.values())
-    out = {}
-    for (g, s), a in rings.items():
-        f = sums[(g, s)] // h * (d // a.den)
-        out.update({(y, p, q, r, g): v * f for (y, p, q, r, _), v in a.re.items()})
-    return CoeffRing()._wrap(out, {}, d * (den // h))
-
-
-def bracket_elems(e1: VertexElem, e2: VertexElem, cap: int | None = None) -> CoeffRing:
-    """Central part [e1, e2] as one CoeffRing, the u-grade its last exponent
-    (x-parts bracket pairwise, u-grades add; grades beyond the common cap are
-    dropped).
+def bracket_elems(e1: VertexElem, e2: VertexElem) -> SparseLaurent:
+    """Central part [e1, e2] in the basis a_j (x) u^g: a SparseLaurent over
+    (j, g) whose entry at (j, g) is the coefficient of a_j (x) u^g (x-parts
+    bracket pairwise, u-grades add; grades beyond the common cap are dropped).
 
     Since [x_m, x_n] = (m - n) a_{m+n-1}, the pairs are summed in ints per
-    grade g and index s = m + n, over den1 den2."""
+    index j = m + n - 1 and grade g, over den1 den2; no a_j is expanded."""
     K = min(e1.trunc, e2.trunc)
     sums: dict = {}
-    for (m, k), c1 in e1.re.items():
-        for (n, j), c2 in e2.re.items():
+    for (m, k), c1 in e1.num.items():
+        for (n, j), c2 in e2.num.items():
             g = k + j
             # a_{m+n-1} vanishes for even m+n-1
             if g <= K and m != n and (m + n) % 2 == 0:
-                key = (g, m + n)
+                key = (m + n - 1, g)
                 sums[key] = sums.get(key, 0) + (m - n) * c1 * c2
-    return _central(sums, e1.den * e2.den, cap if cap is not None else K + 2)
+    return SparseLaurent()._wrap(_nonzero(sums.items()), e1.den * e2.den)
 
 
 def central_constraint_check(K: int = 6) -> dict:
@@ -258,7 +230,14 @@ def central_constraint_check(K: int = 6) -> dict:
     off-diagonal C_{l,m} (l+m != 0, even) vanish -- they do NOT: for l != m
     the index l+m+2g-1 is odd and a_j is nonzero for odd j (e.g.
     [y_{-3}, y_1] = 8 gamma u at nu = w = 0), so delta-support fails; the
-    nonzero off-diagonal pairs are returned."""
+    nonzero off-diagonal pairs are returned.
+
+    Every comparison reads the central parts in the a_j (x) u^g basis.  That
+    decides the comparison of their ring values exactly at any ring cap of
+    K + 2 or more: distinct a_j have disjoint exponent supports (the nu
+    exponent minus the w2 exponent is (j + 1)/2), and no odd a_j vanishes at
+    such a cap except a_{-7} at K = 0, which only the pair l = m = -3 could
+    give, with coefficient l - m = 0."""
     _check_grade_budget(K)
     rng = range(-INDEX_MAX, INDEX_MAX + 1)
     ys = {m: y_generator(m, K) for m in rng}
@@ -266,8 +245,8 @@ def central_constraint_check(K: int = 6) -> dict:
     c1 = C[(-1, 1)]
     # closed form of c_1 for cross-checking, over K!
     fK = math.factorial(K)
-    c1_closed = _central({(g, 2 * g): -2 * (-2) ** g * (fK // math.factorial(g))
-                          for g in range(K + 1)}, fK, K + 2)
+    c1_closed = SparseLaurent()._wrap({(2 * g - 1, g): -2 * (-2) ** g * (fK // math.factorial(g))
+                                       for g in range(K + 1)}, fK)
     offdiag_nonzero = [(l, m) for l in rng for m in rng
                        if l + m != 0 and not C[(l, m)].is_zero()]
     return {
@@ -296,14 +275,13 @@ def k_centrality_check(K: int) -> bool:
 def truncation_stability() -> bool:
     """Raising the u-grade budget from STABILITY_GRADES[0] to [1] does not change
     coefficients at grades <= the low budget, including terms that either budget
-    lacks (the coefficient-ring polynomial cap is separate and held fixed at
-    STABILITY_CAP for the comparison)."""
+    lacks; the central parts are compared in the a_j (x) u^g basis."""
     K_low, K_high = STABILITY_GRADES
     rng = range(-STABILITY_INDEX_MAX, STABILITY_INDEX_MAX + 1)
     for l in rng:
         for m in rng:
-            a = bracket_elems(y_generator(l, K_low), y_generator(m, K_low), cap=STABILITY_CAP)
-            b = bracket_elems(y_generator(l, K_high), y_generator(m, K_high), cap=STABILITY_CAP)
+            a = bracket_elems(y_generator(l, K_low), y_generator(m, K_low))
+            b = bracket_elems(y_generator(l, K_high), y_generator(m, K_high))
             if a != b.restrict(K_low):
                 return False
     return True

@@ -242,8 +242,19 @@ def test_exact_report_bytes(line):
 VERTEX_CHECK_SHA256 = {
     "vertex --check witt --K 4":
         (0, "383cad6e0d7c51550c0493597184813989ae36043fd939eba8c064629f0f4676"),
+    # central at the smallest grades (at K = 0 the ring cap K + 2 zeroes
+    # a_{-7}, whose coefficient l - m is 0), at the verify grade and at
+    # GRADE_BUDGET, as printed when central parts were compared as ring values
+    "vertex --check central --K 0":
+        (1, "7796051f682fc8f263df9200bb379acaec3cea1f280a995a707254954fd56d66"),
+    "vertex --check central --K 1":
+        (1, "636201f3a9b65a2f18440e2f3ab84bb0977d1d48a47bf3758ca85d6d2147cc0f"),
+    "vertex --check central --K 2":
+        (1, "121ac3ca0596ca7fa11aa2c32a6f8d1de29aba10a6ba3eac6551139ffd1c01b9"),
     "vertex --check central --K 6":
         (1, "8fb997e83939cae42b2b0ae87e5d8d6b7f0a5e5fa11d7a3192c011d6a5daf7ad"),
+    "vertex --check central --K 128":
+        (1, "6a03110fc52f8e9577164b11ff2adf72c12d35a81357f78d239a2eaca88c10a0"),
     "vertex --check central --K 8":
         (1, "d7f3316b9a5781964e7175c92340b53b194f7a9d4b9a67bd9ca17538116af84b"),
     "vertex --check central --K 32":

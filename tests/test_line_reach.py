@@ -76,6 +76,7 @@ COMMANDS = [
     ("vertex --check kcentral --K 6", 0),
     ("vertex --check witt --K 0", 0),
     ("vertex --check central --K 6", 1),
+    ("verify special --grid=-5,5,41", 0),
     ("dist --side pv --m 61 --tau=0.6,0.9 --w-grid=0.3,0.6,2", 1),
     ("verify residue --tau=1e308,1e308", 2),
     ("residue --nodes=65537", 2),
@@ -87,6 +88,8 @@ COMMANDS = [
     ("table laguerre 4 --tau=1e308", 0),
     # |a w| = 9 takes the backward recurrence, which rescales past 1e250
     ("table bessel 300 --a=1 --grid=-9,9,3", 0),
+    # the Bessel row sum's order passes the first table's (36) at |w| = 16
+    ("verify special --grid=-16,16,3", 0),
     ("eval star --f w^2 --g w^2 --tau 1,0", 0),
     ("eval star --f (1+2i)w^2-w --g w^3+0.5w --tau 1,0.5", 0),
     ("eval star --f 0 --g w^2 --tau 1,0", 0),
@@ -124,6 +127,8 @@ ALLOWLIST = {
        for line in ("devnull = os.open(os.devnull, os.O_WRONLY)",
                     "os.dup2(devnull, sys.stdout.fileno())", "os.close(devnull)",
                     "return 0")},
+    ("exact", "QC.to_complex", "return gaussian_to_complex(self._a, self._b, self._d)"):
+        (REFERENCE, "test_core.py::test_equality_by_forms_agrees_with_coefficients"),
     ("core", "_intertwine_gaussian", "return ExactPoly.from_form([], [], 1)"):
         (GUARD, "test_core.py::test_intertwine_integer_route_equals_loop"),
     ("halfseries", "hs_mul", "return HalfSeries(ExactPoly.from_form([], [], 1), K)"):

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from stardeform.cli import main
 from stardeform.core import ExactPoly, Poly
-from stardeform.errors import DomainError
+from stardeform.errors import DomainError, TruncationFailure
 from stardeform.exact import QC
 from stardeform.specialfn import (BesselTable, bessel_addition_residual, bessel_generating_fft,
                                   bessel_i, bessel_symmetry_residual, bessel_table,
-                                  bessel_unit_sum_residual, hermite_checks,
+                                  bessel_table_to_tol, bessel_unit_sum_residual, hermite_checks,
                                   hermite_convolution_scale, hermite_orthogonality,
                                   hermite_orthogonality_target, hermite_table,
                                   laguerre_from_quad_expansion, laguerre_orthogonality,
@@ -152,6 +152,40 @@ def test_bessel_unit_sum_and_symmetry():
     tab = bessel_table(1.0, 1.0, 14, W_GRID)
     assert bessel_unit_sum_residual(tab) < 1e-10
     assert bessel_symmetry_residual(tab) < 1e-12
+
+
+def grid(lo: float, hi: float, n: int) -> list:
+    """The points of `--grid=lo,hi,n`, as RunConfig.w_grid spaces them."""
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
+@pytest.mark.parametrize("half, n, want", [(2, 17, 18), (3, 65, 18), (5, 41, 20), (15, 3, 36),
+                                           (16, 3, 36)])
+def test_bessel_order_follows_the_grid(half, n, want):
+    """The least N >= 18 whose dropped orders sum to below the tol: 18 on
+    |w| <= 3, whose rows are bessel_table's at N = 18 bit for bit; 20 on
+    |w| <= 5; 36 at |w| = 15 (the first dropped order alone, J_{+-36}, is
+    below the tol at N = 35, but the two add) and at |w| = 16 (past the
+    first table, of order 36).  The row sum then meets the tol."""
+    ws = grid(-half, half, n)
+    tab = bessel_table_to_tol(1.0, 1.0, 18, 0.5e-10, ws)
+    assert tab.n_max == want and sorted(tab.values) == list(range(-want, want + 1))
+    assert bessel_unit_sum_residual(tab) <= 0.5e-10 + 1e-13
+    if want == 18:
+        direct = bessel_table(1.0, 1.0, 18, ws).values
+        assert all(np.array_equal(tab.values[k], direct[k]) for k in direct)
+
+
+def test_bessel_order_past_the_recurrence_budget_raises():
+    with pytest.raises(TruncationFailure):
+        bessel_table_to_tol(1.0, 1.0, 18, 0.5e-10, [-3e4, 0.0, 3e4])
+
+
+def test_verify_special_passes_on_a_wider_grid(capsys):
+    """On |w| <= 5 the Bessel row sum needs N = 20: with a fixed N = 18 the
+    suite read 8.2e-10 against the tol 1e-10 and exited 1."""
+    assert main(["verify", "special", "--grid=-5,5,41"]) == 0
+    capsys.readouterr()
 
 
 def test_bessel_tau_zero_recovers_classical():

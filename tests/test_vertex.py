@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stardeform.vertex as vx
-from stardeform.exact import QC
+from stardeform.exact import QC, SparseLaurent
 from stardeform.residue import laurent_coeff_closed
 from stardeform.vertex import (INDEX_MAX, XX_CAP, CoeffRing, L_action, VertexElem, bracket_elems,
                                bracket_xx, central_constraint_check, jacobi_x_check,
@@ -29,9 +29,8 @@ def elems(trunc: int = TRUNC):
 
 
 def canonical(e: VertexElem) -> bool:
-    """Real, nonzero QC values, at grades <= trunc only."""
-    return all(type(c) is QC and c and not c.im and k <= e.trunc
-               for (_, k), c in e.terms.items())
+    """Nonzero Fraction values, at grades <= trunc only."""
+    return all(type(c) is Fraction and c and k <= e.trunc for (_, k), c in e.terms.items())
 
 
 def test_bracket_antisymmetry_and_diagonal():
@@ -193,23 +192,16 @@ def test_central_constraints():
 
 
 def test_offdiagonal_counterexample_value():
-    # [y_{-3}, y_1] at nu = w = 0, tau = 1: 8 gamma u at grade 1
+    # [y_{-3}, y_1] at nu = w = 0, tau = 1: 8 gamma u at grade 1, its a_j
+    # expanded at the ring cap K + 2
     C = bracket_elems(y_generator(-3, 6), y_generator(1, 6))
-    grade1 = CoeffRing({e[:4] + (0,): v for e, v in C.terms.items() if e[4] == 1})
+    grade1 = CoeffRing()
+    for (j, g), c in C.terms.items():
+        if g == 1:
+            grade1 = grade1 + laurent_coefficient_ring(j, 8).scale(c)
     val = grade1.evaluate(1.0, 0.0, 0.0)
     gamma0 = 1 / cmath.sqrt(-1 + 0j)
     assert abs(val - 8 * gamma0) < 1e-14
-
-
-def test_evaluate_refuses_a_u_power():
-    """u is formal: a central part with a u^1 term has no numeric value."""
-    C = bracket_elems(y_generator(-3, 6), y_generator(1, 6))
-    with pytest.raises(ValueError):
-        C.evaluate(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        CoeffRing({(0, 0, 0, 0, 1): 1}).evaluate(1.0, 0.0, 0.0)
-    # the u^0 part alone still evaluates
-    assert CoeffRing({(0, 0, 0, 0, 0): 3}).evaluate(1.0, 0.0, 0.0) == 3
 
 
 def test_k_centrality():
@@ -235,11 +227,11 @@ def test_truncation_stability_sees_a_grade_missing_at_the_low_budget(monkeypatch
     high-budget one at a grade it does not carry; the check must see it."""
     real = vx.bracket_elems
 
-    def drop_grade0_at_6(e1, e2, cap=None):
-        out = real(e1, e2, cap)
+    def drop_grade0_at_6(e1, e2):
+        out = real(e1, e2)
         if min(e1.trunc, e2.trunc) != 6:
             return out
-        return CoeffRing({e: v for e, v in out.terms.items() if e[-1] > 0})
+        return SparseLaurent({e: v for e, v in out.terms.items() if e[-1] > 0})
 
     monkeypatch.setattr(vx, "bracket_elems", drop_grade0_at_6)
     assert not truncation_stability()
@@ -268,8 +260,8 @@ def test_sum_with_negative_is_zero(e, r):
 
 
 def test_span_refuses_non_rational_coefficients():
-    """The span's operations read only the real numerators, so a value that
-    would leave an imaginary part is refused."""
+    """Span coefficients are rational: a QC scalar or value is refused, even
+    a real one."""
     e = y_generator(1, 3)
     with pytest.raises(TypeError):
         e.scale(QC(1, 2))
@@ -331,15 +323,16 @@ def ref_L_action(n: int, a: dict, trunc: int) -> dict:
     return ref_clean(out, trunc)
 
 
-def ref_bracket(a: dict, b: dict, K: int, cap: int) -> CoeffRing:
-    out = CoeffRing()
+def ref_bracket(a: dict, b: dict, K: int) -> dict:
+    """{(j, g): coefficient of a_j (x) u^g}, odd j only (a_j = 0 for even j)."""
+    out: dict = {}
     for (m, k), c1 in a.items():
         for (n, j), c2 in b.items():
-            if k + j <= K:
-                # [x_m, x_n] = (m - n) a_{m+n-1}, a cut at cap, times u^{k+j}
-                term = laurent_coefficient_ring(m + n - 1, cap).scale(m - n).scale(c1 * c2)
-                out = out + term * CoeffRing({(0, 0, 0, 0, k + j): 1})
-    return out
+            if k + j <= K and (m + n - 1) % 2:
+                # [x_m, x_n] = (m - n) a_{m+n-1}, times u^{k+j}
+                key = (m + n - 1, k + j)
+                out[key] = out.get(key, 0) + (m - n) * c1 * c2
+    return {jg: c for jg, c in out.items() if c}
 
 
 NONZERO_RATS = RATS.filter(bool)
@@ -363,24 +356,24 @@ def test_span_operations_match_fraction_reference(a, b, r, n, grade):
 
 
 @settings(deadline=None)
-@given(SCALED, SCALED, st.sampled_from([None, 1, 4]))
-def test_bracket_elems_matches_pairwise_reference(a, b, cap):
-    got = bracket_elems(a, b, cap)
-    want = ref_bracket(a.terms, b.terms, TRUNC, TRUNC + 2 if cap is None else cap)
-    assert type(got) is CoeffRing
-    assert got == want and got.terms == want.terms
+@given(SCALED, SCALED)
+def test_bracket_elems_matches_pairwise_reference(a, b):
+    got = bracket_elems(a, b)
+    want = ref_bracket(a.terms, b.terms, TRUNC)
+    assert type(got) is SparseLaurent
+    assert got.terms == want and got == SparseLaurent(want)
 
 
 @settings(deadline=None)
 @given(SCALED, SCALED, st.integers(-1, 2 * TRUNC + 1))
 def test_restrict_matches_dict_filter_on_the_central_part(a, b, grade):
     """SparseLaurent.restrict keeps the terms whose last exponent, the central
-    part's u, is <= grade, over both real and imaginary numerators (the span's
-    restrict is checked in test_span_operations_match_fraction_reference)."""
-    C = bracket_elems(a, b).scale(QC(1, 2))
+    part's u-grade, is <= grade (the span's restrict is checked in
+    test_span_operations_match_fraction_reference)."""
+    C = bracket_elems(a, b).scale(Fraction(1, 2))
     R = C.restrict(grade)
-    assert type(R) is CoeffRing
-    assert R.terms == {e: c for e, c in C.terms.items() if e[4] <= grade}
+    assert type(R) is SparseLaurent
+    assert R.terms == {e: c for e, c in C.terms.items() if e[1] <= grade}
 
 
 def test_y_generator_matches_its_defining_sum():
@@ -414,7 +407,7 @@ def m_squared_action(n: int, e: VertexElem) -> VertexElem:
     the u-raising term, leaves the Witt law true and is no mutation of it.
     Like the Witt action, it keeps its input's denominator."""
     out: dict = {}
-    for (m, k), c in e.re.items():
+    for (m, k), c in e.num.items():
         if m:
             out[(n + m, k)] = out.get((n + m, k), 0) + c * m * m
         if k < e.trunc:
@@ -463,7 +456,7 @@ def recording_action(real, seen: list):
     """real, recording (highest grade, cap) of each output."""
     def action(n, e):
         out = real(n, e)
-        seen.append((max((k for _, k in out.re), default=-1), out.trunc))
+        seen.append((max((k for _, k in out.num), default=-1), out.trunc))
         return out
     return action
 
@@ -501,7 +494,7 @@ def m_squared_at_grade(K: int):
     in place of c m; it keeps its input's denominator."""
     def action(n, e):
         out: dict = {}
-        for (m, k), c in e.re.items():
+        for (m, k), c in e.num.items():
             if m:
                 out[(n + m, k)] = out.get((n + m, k), 0) + c * (m * m if k == K else m)
             if k < e.trunc:
