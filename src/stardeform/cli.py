@@ -186,10 +186,9 @@ def emit_csv(header, rows):
 
 
 def cmd_verify(args) -> int:
-    from .verify import RunConfig, run_suite
+    from .verify import run_suite
 
-    cfg = RunConfig(tau=args.tau, nu=args.nu, tol=args.tol, grid=args.grid, seed=args.seed)
-    records = run_suite(args.suite, cfg)
+    records = run_suite(args.suite, args.tau, args.nu, args.tol, args.grid, args.seed)
     ok = all(r["passed"] for r in records)
     if args.format == "csv":
         emit_csv(["anchor", "description", "residual", "tol", "passed"],
@@ -199,9 +198,9 @@ def cmd_verify(args) -> int:
     else:
         emit_json({
             "suite": args.suite,
-            "config": {"tau": [cfg.tau.real, cfg.tau.imag], "nu": [cfg.nu.real, cfg.nu.imag],
-                       "tol": _fmt_resid(cfg.tol),
-                       "grid": list(cfg.grid), "seed": cfg.seed},
+            "config": {"tau": [args.tau.real, args.tau.imag], "nu": [args.nu.real, args.nu.imag],
+                       "tol": _fmt_resid(args.tol),
+                       "grid": list(args.grid), "seed": args.seed},
             "results": [{"anchor": r["anchor"], "description": r["description"],
                          "residual": _fmt_resid(r["residual"]),
                          "tol": _fmt_resid(r["tol"]), "passed": r["passed"]}
@@ -321,7 +320,7 @@ def cmd_residue(args) -> int:
 def cmd_dist(args) -> int:
     import numpy as np
 
-    from .distributions import principal_value_inverse, sided_inverse, sided_power
+    from .distributions import principal_value_inverse, sided_power
 
     ws = np.linspace(*args.w_grid)
     if args.side == "pv":
@@ -329,12 +328,9 @@ def cmd_dist(args) -> int:
             raise DomainError("--a does not apply to --side pv (v.p./Pf is taken at a = 0)")
         vals = principal_value_inverse(args.m, args.tau, ws)
         label = f"pf_m{args.m}"
-    elif args.m > 1:
-        vals = sided_power(args.a, args.m, args.side, args.tau, ws)
-        label = f"inverse_{args.side}_m{args.m}"
     else:
-        vals = sided_inverse(args.a, args.side, args.tau, ws)
-        label = f"inverse_{args.side}"
+        vals = sided_power(args.a, args.m, args.side, args.tau, ws)
+        label = f"inverse_{args.side}" + (f"_m{args.m}" if args.m > 1 else "")
     emit_csv(["w", f"{label}_re", f"{label}_im"],
              [(f"{w:.12g}", f"{v.real:.15e}", f"{v.imag:.15e}") for w, v in zip(ws, vals)])
     return 0

@@ -194,19 +194,11 @@ def slowly_increasing_transform(f, tau, w_grid, breakpoints):
 # ---------------------------------------------------------------- Y / sgn
 
 def heaviside_y(tau, w_grid, reflected: bool = False):
-    """Y(w) (or Y(-w)) by x-quadrature of the delta kernel over the half line;
-    the grid points are the rows of one refinement."""
-    check_tau(tau)
-    tau_c = complex(tau)
-    ws = as_grid(w_grid)
-    lo, hi = x_window(ws, tau_c)
-    zero = np.zeros(len(ws))
-    lo, hi = (zero, np.maximum(hi, 0.5)) if not reflected else (np.minimum(lo, -0.5), zero)
+    """Y(w) (or Y(-w)): the x-side rule on the indicator of x > 0 (of x < 0)."""
+    def side(x):
+        return (x < 0 if reflected else x > 0).astype(float)
 
-    def g(x, rows):
-        return np.exp(-(x - ws[rows, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
-
-    return integrate_segment_refined(g, lo, hi, tol=1e-13)
+    return slowly_increasing_transform(side, tau, w_grid, breakpoints=(0.0,))
 
 
 def heaviside_y_fourier(tau, w_grid):

@@ -137,6 +137,9 @@ BESSEL_CORRECTION_BUDGET = 60
 # Largest |a w| of bessel_table's ascending series; beyond it the series loses
 # 1e-14..1e-13 to cancellation below |z| = 10, the backward recurrence < 3e-15.
 BESSEL_SERIES_MAX = 6.0
+# Most points in s of bessel_addition_residual's two-parameter transform, which
+# forms one n x n complex array per grid point (16 MiB at 1024).
+BESSEL_ADDITION_FFT_BUDGET = 1024
 
 
 def _bessel_series(kmax: int, z):
@@ -304,8 +307,12 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
     """| J_n((a+b)w, tau) - sum_m J_m(a w, *) * J_{n-m}(b w, *) | on the grid, |n| <= 6.
 
     Left side: 1D table at a+b.  Right side: each individual deformed product
-    is extracted by a 128 x 128 Fourier transform of the two-parameter
-    generating product, then summed along the diagonal m + k = n.  That product,
+    is extracted by an n_s x n_s Fourier transform of the two-parameter
+    generating product, then summed along the diagonal m + k = n over the
+    window m in [-n_s/4, n_s/4).  J_m(x) falls off past m = |x|, so n_s is the
+    least 128 2^j whose window holds the orders up to 2 r + 16, r the largest
+    |a w| or |b w| on the grid: 128 up to r = 8 (a fixed 128 read 4.9e-14 at
+    r = 14 and 1.6e-7 at r = 20, from the orders it dropped).  That product,
     e^{lambda^2 tau/4 + lambda w} at lambda = lambda_a + lambda_b, is the w-free
     e^{lambda_a lambda_b tau/2} times an outer product of the two one-parameter ones.
     Only the read band is transformed along lambda_a, after lambda_b (fft2's order).
@@ -315,11 +322,18 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
     a_c, b_c, tau_c = complex(a), complex(b), complex(tau)
     N, n_s = 6, 128
     ws = as_grid(w_grid)
+    r = max(abs(a_c), abs(b_c)) * float(np.abs(ws).max())
+    while n_s // 4 < 2 * r + 16 and n_s <= BESSEL_ADDITION_FFT_BUDGET:
+        n_s *= 2
+    if n_s > BESSEL_ADDITION_FFT_BUDGET:
+        raise TruncationFailure(f"the addition check at |a w| = {r:.4g} needs {n_s} points "
+                                f"in s, more than BESSEL_ADDITION_FFT_BUDGET = "
+                                f"{BESSEL_ADDITION_FFT_BUDGET}")
     lhs = bessel_table(a_c + b_c, tau_c, N, w_grid)
     want = np.array([lhs.values[n] for n in range(-N, N + 1)])
     (la, ea), (lb, eb) = (_generating_element(c, tau_c, ws, n_s) for c in (a_c, b_c))
     cross = np.exp(np.multiply.outer(la, lb) * tau_c / 2)
-    # terms m in [-n_s/4, n_s/4), k = n - m: |k| <= 38 never reaches |k| > n_s/3, none dropped
+    # terms m in [-n_s/4, n_s/4), k = n - m: |k| <= n_s/4 + 6 stays below n_s/3, none aliased
     m = np.arange(-n_s // 4, n_s // 4)
     rows, cols = m % n_s, (np.arange(-N, N + 1)[:, None] - m) % n_s
     band, at = np.unique(cols, return_inverse=True)     # the columns k read, and where

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Poly
+from .core import Poly, w_star_power
 from .errors import DomainError, SingularPoint, SingularProduct, StarDeformError
 from .numeric import cexp, exp_array
 
@@ -335,8 +335,6 @@ def series_radius_probe(ell: int, tau, n_max: int):
     |P_{n ell}(w, tau)| / n!.  For ell >= 3 and tau != 0 the ratios grow
     without bound (the series has radius 0); ell = 2 gives bounded ratios.
     """
-    from .core import w_star_power
-
     th = 2 * np.pi * np.arange(64) / 64
     circle = np.cos(th) + 1j * np.sin(th)
     cs = []

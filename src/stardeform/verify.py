@@ -3,15 +3,17 @@
 Each check returns a record {anchor, description, residual, tol, passed};
 anchors are stable identity slugs for machine consumption.  Exact checks
 (rational arithmetic) report residual 0.0 on success.  Suites are
-deterministic for a fixed seed.
+deterministic for a fixed seed.  A suite's parameters are the options of
+`stardeform verify` that it reads (`tau`, `nu`, `tol`, `grid` as its points,
+`seed`), and `run_suite` passes each suite those and no others.
 """
 
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,25 +23,6 @@ from .errors import DomainError
 from .exact import QC, from_gaussian
 from .numeric import exp_array, worst_of
 from .quadrature import WINDOW_RTOL
-
-
-@dataclass
-class RunConfig:
-    tau: complex = 1.0 + 0.0j
-    nu: complex = 1.0 + 0.0j
-    tol: float = 1e-10
-    grid: tuple = (-2.0, 2.0, 17)
-    seed: int = 7
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if self.grid[2] < 2:
-            raise DomainError("grid count must be >= 2")
-
-    def w_grid(self):
-        lo, hi, n = self.grid
-        return [lo + (hi - lo) * k / (n - 1) for k in range(int(n))]
 
 
 def _rec(anchor: str, description: str, residual: float, tol: float) -> dict:
@@ -79,8 +62,8 @@ def _rand_poly(rng, deg):
                                     [y * (L // e) for _, y, e in parts], L)
 
 
-def suite_core(cfg: RunConfig) -> list:
-    rng = random.Random(cfg.seed)
+def suite_core(seed) -> list:
+    rng = random.Random(seed)
     out = []
     worst_comm = worst_assoc = worst_cocycle = worst_hom = 0
     for _ in range(50):
@@ -150,8 +133,8 @@ def _gauss_derivative_factors(q0, alpha, beta, w, n: int) -> list:
     return out
 
 
-def suite_starexp(cfg: RunConfig) -> list:
-    rng = random.Random(cfg.seed)
+def suite_starexp(seed) -> list:
+    rng = random.Random(seed)
     out = []
     worst = 0.0
     for _ in range(20):
@@ -235,7 +218,7 @@ def suite_starexp(cfg: RunConfig) -> list:
     return out
 
 
-def suite_special(cfg: RunConfig) -> list:
+def suite_special(grid) -> list:
     out = []
     checks = specialfn.hermite_checks(specialfn.hermite_table(12, QC(-1)))
     out.append(_bool_rec("hermite-recurrence", "three-term recurrence (exact)",
@@ -258,21 +241,21 @@ def suite_special(cfg: RunConfig) -> list:
     # the row sum drops the orders past N: N is the least N >= 18 at which
     # they sum to below half the record's tol on the grid, the other half
     # left to the rounding of the rows
-    tab = specialfn.bessel_table_to_tol(1.0, 1.0, 18, 0.5e-10, cfg.w_grid())
+    tab = specialfn.bessel_table_to_tol(1.0, 1.0, 18, 0.5e-10, grid)
     out.append(_rec("bessel-unit-sum", "deformed Bessel row sums to one",
                     specialfn.bessel_unit_sum_residual(tab), 1e-10))
     out.append(_rec("bessel-reflection", "index reflection with alternating sign",
                     specialfn.bessel_symmetry_residual(tab), 1e-12))
-    fft = specialfn.bessel_generating_fft(1.0, 1.0, tab.n_max, cfg.w_grid())
+    fft = specialfn.bessel_generating_fft(1.0, 1.0, tab.n_max, grid)
     out.append(_rec("bessel-generating-route", "table vs FFT of the generating element",
                     worst_of(float(np.abs(tab.values[n] - fft[n]).max()) for n in fft), 1e-12))
-    resid = specialfn.bessel_addition_residual(1.0, 1.0, 1.0, cfg.w_grid()[::4])
+    resid = specialfn.bessel_addition_residual(1.0, 1.0, 1.0, grid[::4])
     out.append(_rec("bessel-addition", "argument addition via pairwise products", resid, 1e-9))
 
-    grid = np.asarray([-0.5, 0.1, 0.7])
-    vals = specialfn.legendre_star(3, 0.0, -1.0, grid)
+    xs = np.asarray([-0.5, 0.1, 0.7])
+    vals = specialfn.legendre_star(3, 0.0, -1.0, xs)
     exact = specialfn.legendre_star_exact(3, Fraction(-1))
-    worst = worst_of(float(np.abs(vals[n] - exact[n].to_complex()(grid)).max())
+    worst = worst_of(float(np.abs(vals[n] - exact[n].to_complex()(xs)).max())
                      for n in range(4))
     out.append(_rec("legendre-dual-route", "quadrature vs exact moment table", worst, 1e-9))
 
@@ -294,77 +277,76 @@ def suite_special(cfg: RunConfig) -> list:
     return out
 
 
-def suite_theta(cfg: RunConfig) -> list:
-    tau = cfg.tau
-    W = np.asarray(cfg.w_grid())
+def suite_theta(tau, tol, grid) -> list:
     out = []
-    worst = worst_of(float(theta.quasi_periodicity_residual(k, W[::2], tau).max())
+    worst = worst_of(float(theta.quasi_periodicity_residual(k, grid[::2], tau).max())
                      for k in (1, 2, 3, 4))
     out.append(_rec("theta-quasi-periodicity", "lattice shift with exponential factor",
-                    worst, cfg.tol))
-    worst = worst_of(theta.theta_eigen_residual(k, tau, W[::4]) for k in (1, 2, 3, 4))
+                    worst, tol))
+    worst = worst_of(theta.theta_eigen_residual(k, tau, grid[::4]) for k in (1, 2, 3, 4))
     out.append(_rec("theta-eigen-action", "left product with the basic exponential",
-                    worst, cfg.tol))
+                    worst, tol))
     out.append(_rec("theta-imaginary-transform", "modular-type relation between expressions",
-                    float(theta.imaginary_transform_residual(W[::2], tau).max()), cfg.tol))
+                    float(theta.imaginary_transform_residual(grid[::2], tau).max()), tol))
     out.append(_rec("theta-special-value-relation", "value identity at w = 0",
                     theta.jacobi_relation_residual(tau),
                     max(1e-12, theta.jacobi_relation_rounding(tau))))
-    worst = np.abs(theta.delta_sum_representation(W[::2], tau) - theta.theta_eval(3, W[::2], tau))
-    out.append(_rec("theta-gaussian-comb", "delta-comb representation", worst.max(), cfg.tol))
-    worst = np.abs(theta.theta3_from_inverses(W[::4], tau) - theta.theta_eval(3, W[::4], tau))
+    worst = np.abs(theta.delta_sum_representation(grid[::2], tau)
+                   - theta.theta_eval(3, grid[::2], tau))
+    out.append(_rec("theta-gaussian-comb", "delta-comb representation", worst.max(), tol))
+    worst = np.abs(theta.theta3_from_inverses(grid[::4], tau)
+                   - theta.theta_eval(3, grid[::4], tau))
     out.append(_rec("theta-inverse-difference", "difference of one-sided inverses", worst.max(),
-                    cfg.tol))
+                    tol))
     dim, vec = theta.constant_coefficient_kernel(8)
     out.append(_bool_rec("theta-kernel-unique", "eigen-equation kernel is one-dimensional",
                          dim == 1 and np.allclose(vec, np.ones_like(vec))))
     return out
 
 
-def suite_dist(cfg: RunConfig) -> list:
-    tau = cfg.tau
-    W = cfg.w_grid()
+def suite_dist(tau, grid) -> list:
     out = []
     z = distributions.delta_annihilation(0.4, tau)
     resid = worst_of([0.0, *(abs(c) for c in z.poly.coeffs)])
     out.append(_rec("delta-annihilation", "(a+w) kills its delta in closed form", resid, 1e-14))
     out.append(_rec("delta-mass", "delta expression integrates to one",
                     abs(distributions.delta_mass(0.3, tau) - 1), 1e-11))
-    worst = worst_of(distributions.sided_inverse_defect(a, s, tau, W)
+    worst = worst_of(distributions.sided_inverse_defect(a, s, tau, grid)
                      for a in (0.0, 1.0, 1j) for s in "+-")
     out.append(_rec("sided-inverse-defect", "half-line integrals invert (a+w)", worst, 1e-8))
-    worst = worst_of(distributions.delta_difference_residual(a, tau, W[::2]) for a in (0.0, 0.8))
+    worst = worst_of(distributions.delta_difference_residual(a, tau, grid[::2])
+                     for a in (0.0, 0.8))
     out.append(_rec("sided-difference-delta", "inverse difference equals 2 pi i delta",
                     worst, 1e-9))
-    res = distributions.y_sgn_identity_residuals(tau, W)
+    res = distributions.y_sgn_identity_residuals(tau, grid)
     out.append(_rec("heaviside-partition", "Y(w) + Y(-w) = 1", res["sum_to_one"], 1e-10))
     # the density rule makes Y * Y the transform of the indicator again, so it is
     # held against the Fourier route, at the points heaviside-dual-route skips
     yy = distributions.slowly_increasing_transform(lambda x: (x > 0).astype(float), tau,
-                                                   W[1::2], breakpoints=(0.0,))
+                                                   grid[1::2], breakpoints=(0.0,))
     out.append(_rec("heaviside-idempotent", "Y * Y via the density rule vs Fourier-side Y",
-                    float(np.abs(yy - distributions.heaviside_y_fourier(tau, W[1::2])).max()),
+                    float(np.abs(yy - distributions.heaviside_y_fourier(tau, grid[1::2])).max()),
                     1e-9))
     out.append(_rec("sign-involution", "sgn * sgn = 1 via the density rule",
                     res["sgn_star_sgn"], 1e-10))
-    y_x = distributions.heaviside_y(tau, W[::4])
-    y_t = distributions.heaviside_y_fourier(tau, W[::4])
+    y_x = distributions.heaviside_y(tau, grid[::4])
+    y_t = distributions.heaviside_y_fourier(tau, grid[::4])
     out.append(_rec("heaviside-dual-route", "x-side vs Fourier-side Heaviside",
                     float(np.abs(y_x - y_t).max()), 1e-9))
-    vp = distributions.principal_value_inverse(1, tau, W[::4])
-    avg = (distributions.sided_inverse(0.0, "+", tau, W[::4])
-           + distributions.sided_inverse(0.0, "-", tau, W[::4])) / 2
+    vp = distributions.principal_value_inverse(1, tau, grid[::4])
+    avg = (distributions.sided_inverse(0.0, "+", tau, grid[::4])
+           + distributions.sided_inverse(0.0, "-", tau, grid[::4])) / 2
     out.append(_rec("principal-value-average", "v.p. transform is the sided average",
                     float(np.abs(vp - avg).max()), 1e-9))
     out.append(_rec("periodic-comb", "Gaussian comb equals exponential series",
-                    distributions.periodic_comb_residual(0.0, tau, W[::2]), 1e-10))
-    gap = distributions.associativity_break_gap(tau, W[::4])
-    th = theta.theta_eval(3, np.asarray(W[::4]), tau)
+                    distributions.periodic_comb_residual(0.0, tau, grid[::2]), 1e-10))
+    gap = distributions.associativity_break_gap(tau, grid[::4])
+    th = theta.theta_eval(3, np.asarray(grid[::4]), tau)
     out.append(_rec("associativity-break", "grouping gap equals the theta series",
                     float(np.abs(gap["gap"] + th).max()), 1e-8))
     out.append(_rec("constant-variation-inverse", "variation-of-constants inverse",
-                    distributions.constant_variation_defect(0.4, tau, W[::4]), 1e-8))
-    prod = distributions.product_of_inverses_residual(0.3 - 0.6j, -0.2 + 0.5j, tau, W[::4])
+                    distributions.constant_variation_defect(0.4, tau, grid[::4]), 1e-8))
+    prod = distributions.product_of_inverses_residual(0.3 - 0.6j, -0.2 + 0.5j, tau, grid[::4])
     out.append(_rec("inverse-product-law", "resolvent law for sided inverses",
                     prod["product_law"], 1e-8))
     out.append(_rec("delta-pair-product", "product of delta pairs at distinct points vanishes",
@@ -382,9 +364,7 @@ def suite_dist(cfg: RunConfig) -> list:
     return out
 
 
-def suite_residue(cfg: RunConfig) -> list:
-    tau, nu = cfg.tau, cfg.nu
-    W = cfg.w_grid()
+def suite_residue(tau, nu, grid) -> list:
     out = []
     worst = 0.0
     for k, w in ((0, 0.0), (0, 0.5), (1, 0.3), (-1, 0.4)):
@@ -397,14 +377,14 @@ def suite_residue(cfg: RunConfig) -> list:
     b = residue.residue_contour(1, nu, tau, 0.3, radius=1.0)
     out.append(_rec("contour-radius-independence", "Cauchy independence of the radius",
                     abs(a - b), 1e-12))
-    W_unit = [w for w in W if abs(complex(w)) <= 1.0] or [0.0, 0.5]
+    W_unit = [w for w in grid if abs(complex(w)) <= 1.0] or [0.0, 0.5]
     worst = worst_of(residue.ladder_residual(k, nu, tau, W_unit) for k in (-1, 0, 1, 2))
     out.append(_rec("coefficient-ladder", "quadratic element raises the Laurent index",
                     worst, 1e-12))
     out.append(_rec("double-turn-vanishing", "closed double-cover contour vanishes",
                     worst_of(residue.closed_contour_vanishing(nu, tau, w) for w in (0.0, 0.5)),
                     1e-10))
-    worst = worst_of(residue.semigroup_on_delta(t, 0.6, tau, W[::4])
+    worst = worst_of(residue.semigroup_on_delta(t, 0.6, tau, grid[::4])
                      for t in (0.0, 0.5, 1 / complex(tau)))
     out.append(_rec("delta-one-parameter-group", "quadratic flow acts on deltas for all t",
                     worst, 1e-12))
@@ -422,11 +402,11 @@ def suite_residue(cfg: RunConfig) -> list:
     out.append(_bool_rec("covariant-evolution-exact",
                          "Laurent coefficients satisfy the surface equation (symbolic)", ok))
     worst = worst_of(residue.covariant_evolution_residual(core.Poly([0.5, -1.0, 2.0]), nu, z,
-                                                          W[::4])
+                                                          grid[::4])
                      for z in (1.0, 0.8 + 0.4j))
     out.append(_rec("covariant-first-order", "closed family solves the first-order equation",
                     worst, 1e-12))
-    worst = worst_of(residue.phi_group_action_residual(t, 0.6, tau, W[::4])
+    worst = worst_of(residue.phi_group_action_residual(t, 0.6, tau, grid[::4])
                      for t in (0.5, 1 / complex(tau)))
     out.append(_rec("boundary-pair-group-action",
                     "quadratic flow scales the boundary-value pair for all t", worst, 1e-12))
@@ -437,7 +417,7 @@ def suite_residue(cfg: RunConfig) -> list:
     return out
 
 
-def suite_halfseries(cfg: RunConfig) -> list:
+def suite_halfseries(seed, grid) -> list:
     out = []
     E = halfseries.euler_numbers(5)
     out.append(_bool_rec("euler-numbers", "alternating secant numbers (exact)",
@@ -449,7 +429,7 @@ def suite_halfseries(cfg: RunConfig) -> list:
     out.append(_bool_rec("replacement-principle", "formal-basis twin gives identical sequences",
                          E == halfseries.euler_numbers_formal(5)
                          and B == halfseries.bernoulli_numbers_formal(5)))
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     ok = True
     for _ in range(6):
         cs = [QC(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
@@ -469,8 +449,8 @@ def suite_halfseries(cfg: RunConfig) -> list:
     out.append(_bool_rec("inverse-unique-involutive", "inversion is exact and involutive", ok))
     K = 24
     lhs = halfseries.hs_to_tau_expression(halfseries.euler_combination(K), 2.0,
-                                          cfg.w_grid()[::4])
-    basis = theta.tau_basis(2 * np.arange(K // 2 + 1), 2.0, cfg.w_grid()[::4])
+                                          grid[::4])
+    basis = theta.tau_basis(2 * np.arange(K // 2 + 1), 2.0, grid[::4])
     Efull = halfseries.euler_numbers(K // 2)
     rhs = sum(complex(Fraction(Efull[n]) / math.factorial(2 * n)) * basis[:, n]
               for n in range(K // 2 + 1))
@@ -482,7 +462,7 @@ def suite_halfseries(cfg: RunConfig) -> list:
     return out
 
 
-def suite_vertex(cfg: RunConfig) -> list:
+def suite_vertex() -> list:
     out = []
     out.append(_bool_rec("witt-identity", "operator commutators close (exact sweep)",
                          vertex.witt_identity_check(3, K=6)))
@@ -526,12 +506,22 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: RunConfig) -> list:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key, cfg))
-        return out
-    if name not in SUITES:
+def run_suite(name: str, tau, nu, tol, grid, seed) -> list:
+    """The records of suite `name`, or of every suite in turn for 'all'.
+
+    grid is (lo, hi, n); its n evenly spaced points are formed once, and each
+    suite is called with the options its signature names, `grid` as those
+    points."""
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if grid[2] < 2:
+        raise DomainError("grid count must be >= 2")
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](cfg)
+    lo, hi, n = grid
+    options = {"tau": tau, "nu": nu, "tol": tol, "seed": seed,
+               "grid": [lo + (hi - lo) * k / (n - 1) for k in range(int(n))]}
+    out = []
+    for suite in SUITES.values() if name == "all" else [SUITES[name]]:
+        out.extend(suite(**{p: options[p] for p in inspect.signature(suite).parameters}))
+    return out

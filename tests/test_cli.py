@@ -15,7 +15,7 @@ from stardeform.cli import main, parse_poly, poly_to_str
 from stardeform.core import Poly
 from stardeform.errors import DomainError
 from stardeform.residue import CONTOUR_NODE_BUDGET
-from stardeform.verify import RunConfig
+from stardeform.verify import run_suite
 
 
 def run_cli(args):
@@ -538,11 +538,11 @@ def test_exact_hermite_table_at_huge_tau(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith('5,"x^5 + 5')
 
 
-def test_run_config_rejects_nan_tol():
+def test_run_suite_rejects_nan_tol_and_one_point_grid():
     with pytest.raises(DomainError):
-        RunConfig(tol=float("nan"))
+        run_suite("core", 1 + 0j, 1 + 0j, float("nan"), (-2.0, 2.0, 17), 7)
     with pytest.raises(DomainError):
-        RunConfig(grid=(0.0, 1.0, 1))
+        run_suite("core", 1 + 0j, 1 + 0j, 1e-10, (0.0, 1.0, 1), 7)
 
 
 # --------------------------------------------------- generated option values

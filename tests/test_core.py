@@ -162,7 +162,7 @@ CORE_LAWS = ("product-commutativity", "product-associativity", "intertwiner-cocy
 
 
 def core_verdicts(seed: int = 1) -> dict:
-    return {r["anchor"]: r["passed"] for r in verify.suite_core(verify.RunConfig(seed=seed))
+    return {r["anchor"]: r["passed"] for r in verify.suite_core(seed=seed)
             if r["anchor"] in CORE_LAWS}
 
 

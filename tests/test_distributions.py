@@ -295,7 +295,7 @@ def test_inverse_product_law_record_detects_a_perturbed_inverse(monkeypatch):
     """The law compares the 2-D rule against the sided inverses; a relative
     error of 1e-6 in those inverses must fail the record."""
     def record():
-        rec, = [r for r in verify.run_suite("dist", verify.RunConfig())
+        rec, = [r for r in verify.suite_dist(tau=1 + 0j, grid=[-2 + k / 4 for k in range(17)])
                 if r["anchor"] == "inverse-product-law"]
         return rec
 

@@ -155,7 +155,7 @@ def test_bessel_unit_sum_and_symmetry():
 
 
 def grid(lo: float, hi: float, n: int) -> list:
-    """The points of `--grid=lo,hi,n`, as RunConfig.w_grid spaces them."""
+    """The points of `--grid=lo,hi,n`, as verify.run_suite spaces them."""
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
@@ -250,6 +250,26 @@ def test_bessel_rows_near_the_series_switch_match_scipy():
 def test_bessel_addition_formula():
     resid = bessel_addition_residual(1.0, 1.0, 1.0, [-1.0, -0.4, 0.0, 0.3, 1.0])
     assert resid < 1e-9
+
+
+@pytest.mark.parametrize("half", [14, 20, 25, 40])
+def test_bessel_addition_window_follows_the_grid(half):
+    """A fixed 128-point transform drops orders |m| >= 32, which read 4.9e-14
+    at |w| = 14, 1.6e-7 at 20 and 2.1e-2 at 40; the transform sized from
+    max |a w| stays near rounding."""
+    assert bessel_addition_residual(1.0, 1.0, 1.0, [-half, 0.0, half]) < 1e-12
+
+
+def test_bessel_addition_past_the_transform_budget_raises():
+    with pytest.raises(TruncationFailure):
+        bessel_addition_residual(1.0, 1.0, 1.0, [-1e4, 1e4])
+
+
+def test_verify_special_passes_on_a_grid_past_the_addition_window(capsys):
+    """bessel-addition read 1.6e-7 against its tol 1e-9 here, with every other
+    record passing, and the suite exited 1."""
+    assert main(["verify", "special", "--grid=-20,20,5"]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- Legendre
