@@ -5,8 +5,7 @@ sign elements follow from the density calculus."""
 import numpy as np
 
 from stardeform.distributions import (associativity_break_gap, delta_difference_residual,
-                                      delta_tau, heaviside_y, sided_inverse_defect,
-                                      y_sgn_identity_residuals)
+                                      delta_tau, heaviside_pair, sided_inverse_defect)
 from stardeform.theta import theta_eval
 
 tau = 1.0
@@ -19,12 +18,13 @@ print("sided-inverse defect (a=1):",
       max(sided_inverse_defect(1.0, s, tau, grid) for s in "+-"))
 print("difference equals 2 pi i delta:", delta_difference_residual(0.0, tau, grid))
 
-y = heaviside_y(tau, grid)
-sgn = y - heaviside_y(tau, grid, reflected=True)      # sgn(w) = Y(w) - Y(-w)
+# one x-side integral per half of each point's window gives Y(-w) and Y(w)
+y_neg, y = heaviside_pair(tau, grid)
+sgn = y - y_neg                                       # sgn(w) = Y(w) - Y(-w)
 print("\nY values:", np.round(y.real, 4))
 print("sgn values:", np.round(sgn.real, 4))
-print("identity residuals:", {k: float(f"{v:.2e}")
-                              for k, v in y_sgn_identity_residuals(tau, grid).items()})
+# sgn(x)^2 = 1 on both halves, so sgn * sgn = Y(-w) + Y(w) = 1 is one identity
+print("Y(w) + Y(-w) = sgn * sgn = 1, residual:", f"{np.abs(y + y_neg - 1).max():.2e}")
 
 res = associativity_break_gap(tau, grid)
 theta_vals = theta_eval(3, grid, tau)

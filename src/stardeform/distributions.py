@@ -169,36 +169,34 @@ def tempered_transform(f_hat, tau, w_grid):
 
 
 def slowly_increasing_transform(f, tau, w_grid, breakpoints):
-    """x-side route: integral f(x) delta_expr(x - w) dx for slowly increasing f.
-
-    f is elementwise.  breakpoints: x-locations of jumps/kinks of f (empty where
-    f is smooth); panel edges
-    are pinned there so the Gauss-Legendre refinement converges.  The grid points
-    are the rows of one refinement per segment; a breakpoint outside a row's
-    window gives that row a segment of zero length."""
+    """x-side route: integral f(x) delta_expr(x - w) dx for slowly increasing f,
+    per segment of each grid point's x window: shape (segments, n), whose sum over
+    axis 0 is the transform.  f is elementwise.  breakpoints: x-locations of
+    jumps/kinks of f (empty where f is smooth); panel edges are pinned there so
+    the Gauss-Legendre refinement converges.  Segment k of point r is row k n + r
+    of one row-form refinement; a breakpoint outside a row's window gives that
+    row a segment of zero length."""
     check_tau(tau)
     tau_c = complex(tau)
     ws = as_grid(w_grid)
     lo, hi = x_window(ws, tau_c)
-    edges = np.column_stack([lo, np.clip(np.sort(breakpoints), lo[:, None], hi[:, None]), hi])
+    edges = np.column_stack([lo, np.clip(np.sort(breakpoints), lo[:, None], hi[:, None]), hi]).T
 
     def g(x, rows):
-        return f(x) * np.exp(-(x - ws[rows, None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
+        return f(x) * np.exp(-(x - ws[rows % len(ws), None]) ** 2 / tau_c) / np.sqrt(np.pi * tau_c)
 
-    val = 0.0 + 0.0j
-    for k in range(edges.shape[1] - 1):
-        val = val + integrate_segment_refined(g, edges[:, k], edges[:, k + 1], tol=1e-13)
-    return val
+    vals = integrate_segment_refined(g, edges[:-1].ravel(), edges[1:].ravel(), tol=1e-13)
+    return vals.reshape(-1, len(ws))
 
 
 # ---------------------------------------------------------------- Y / sgn
 
-def heaviside_y(tau, w_grid, reflected: bool = False):
-    """Y(w) (or Y(-w)): the x-side rule on the indicator of x > 0 (of x < 0)."""
-    def side(x):
-        return (x < 0 if reflected else x > 0).astype(float)
-
-    return slowly_increasing_transform(side, tau, w_grid, breakpoints=(0.0,))
+def heaviside_pair(tau, w_grid):
+    """(Y(-w), Y(w)): the x-side rule at f = 1 with breakpoint 0.  Its segments
+    [lo, 0] and [0, hi] are where the indicators of x < 0 and x > 0 are 1, so the
+    half-line an indicator zeroes is not integrated; sgn(x)^2 is 1 on both, so
+    sgn * sgn through the density rule is Y(-w) + Y(w)."""
+    return slowly_increasing_transform(np.ones_like, tau, w_grid, breakpoints=(0.0,))
 
 
 def heaviside_y_fourier(tau, w_grid):
@@ -212,20 +210,6 @@ def heaviside_y_fourier(tau, w_grid):
 
     val = integrate_gaussian_window(f, tau, +1, float(np.abs(ws).max()) + 1.0)
     return 0.5 + val / math.pi
-
-
-def y_sgn_identity_residuals(tau, w_grid) -> dict:
-    """Y(w)+Y(-w)=1 and sgn*sgn=1; the product through the underlying-density
-    rule (pointwise multiplication, then transform)."""
-    y = heaviside_y(tau, w_grid)
-    y_ref = heaviside_y(tau, w_grid, reflected=True)
-    sum_res = float(np.abs(y + y_ref - 1.0).max())
-
-    # sgn * sgn = 1
-    ss = slowly_increasing_transform(lambda x: np.sign(x) ** 2, tau, w_grid,
-                                     breakpoints=(0.0,))
-    ss_res = float(np.abs(ss - 1.0).max())
-    return {"sum_to_one": sum_res, "sgn_star_sgn": ss_res}
 
 
 # ------------------------------------------------------------ eval pairing

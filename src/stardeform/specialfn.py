@@ -140,6 +140,7 @@ BESSEL_SERIES_MAX = 6.0
 # Most points in s of bessel_addition_residual's two-parameter transform, which
 # forms one n x n complex array per grid point (16 MiB at 1024).
 BESSEL_ADDITION_FFT_BUDGET = 1024
+BESSEL_GENERATING_FFT_BUDGET = 4096     # most points in s of bessel_generating_fft
 
 
 def _bessel_series(kmax: int, z):
@@ -294,10 +295,21 @@ def _generating_element(a: complex, tau: complex, ws, n_s: int):
 
 def bessel_generating_fft(a, tau, N: int, w_grid) -> dict:
     """Independent route: Fourier coefficients in s of the tau-expression of the
-    generating element exp(lambda(s) w), lambda = i a sin s, at 256 points in s."""
+    generating element exp(lambda(s) w), lambda = i a sin s, at n_s points in s: the
+    least 256 2^j with n_s - N >= N + (N - r)/2, r = max |a w|.  The orders
+    |n| <= N alias onto n_s - N and beyond, and past an N where the orders sum to
+    0.5e-10 (about 8 r^{1/3} past r) they fall below 1e-15 within (N - r)/3 more;
+    a fixed 256 read 1.3e-5 at r = 100.  Past BESSEL_GENERATING_FFT_BUDGET
+    (64 KiB per grid point) it raises TruncationFailure."""
     import numpy as np
 
+    r = abs(complex(a)) * float(np.abs(as_grid(w_grid)).max())
     n_s = 256
+    while n_s - N < N + max(0.0, N - r) / 2:
+        n_s *= 2
+    if n_s > BESSEL_GENERATING_FFT_BUDGET:
+        raise TruncationFailure(f"the generating route at order {N} needs {n_s} points in s, "
+                                f"more than {BESSEL_GENERATING_FFT_BUDGET}")
     _, F = _generating_element(complex(a), complex(tau), as_grid(w_grid), n_s)
     coef = np.fft.fft(F, axis=1) / n_s
     return {n: coef[:, n % n_s] for n in range(-N, N + 1)}

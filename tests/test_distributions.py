@@ -14,12 +14,11 @@ from stardeform import distributions, verify
 from stardeform.core import Poly
 from stardeform.distributions import (associativity_break_gap, constant_variation_defect,
                                       delta_annihilation, delta_difference_residual, delta_mass,
-                                      delta_tau, eval_pairing_residual, heaviside_y,
+                                      delta_tau, eval_pairing_residual, heaviside_pair,
                                       heaviside_y_fourier, periodic_comb_residual,
                                       principal_value_inverse, product_of_inverses_residual,
                                       sided_inverse, sided_inverse_defect, sided_power,
-                                      slowly_increasing_transform, tempered_transform,
-                                      y_sgn_identity_residuals)
+                                      slowly_increasing_transform, tempered_transform)
 from stardeform.cli import main
 from stardeform.errors import DomainError, QuadratureFailure
 from stardeform.quadrature import (MAX_CACHED_NODES, N_NODES, WINDOW_RTOL, _cached_panel_rule,
@@ -90,7 +89,7 @@ def test_tempered_transform_delta():
 
 def test_tempered_transform_constant():
     # f = 1: f_hat = sqrt(2pi) delta(t); realized on the x side instead
-    vals = slowly_increasing_transform(lambda x: np.ones_like(x), 1.0, W_SMALL, ())
+    vals, = slowly_increasing_transform(lambda x: np.ones_like(x), 1.0, W_SMALL, ())
     assert np.abs(vals - 1.0).max() < 1e-12
 
 
@@ -99,34 +98,58 @@ def test_tempered_transform_reciprocal():
     # i integral_{-inf}^0 e^{-t^2 tau/4} e^{it(a-w)} dt, which after t -> -t is
     # -(( -a)+w)^{-1}_{*-} in the (a+w) parameterization
     a, tau = 0.4 - 0.7j, 1.0
-    got = slowly_increasing_transform(lambda x: 1.0 / (a - x), tau, W_SMALL, ())
+    got, = slowly_increasing_transform(lambda x: 1.0 / (a - x), tau, W_SMALL, ())
     want = -sided_inverse(-a, "-", tau, W_SMALL)
     assert np.abs(got - want).max() < 1e-9
 
 
 def test_heaviside_identities():
-    res = y_sgn_identity_residuals(1.0, W_GRID)
-    assert res["sum_to_one"] < 1e-10
-    assert res["sgn_star_sgn"] < 1e-10
+    y_neg, y = heaviside_pair(1.0, W_GRID)
+    assert np.abs(y + y_neg - 1.0).max() < 1e-10
+    # sgn * sgn: the density rule on sgn(x)^2 is the pair's sum bit for bit
+    ss = slowly_increasing_transform(lambda x: np.sign(x) ** 2, 1.0, W_GRID, (0.0,)).sum(axis=0)
+    assert np.array_equal(ss, y_neg + y)
     # Y * Y = Y: the density-rule product against the Fourier route
-    yy = slowly_increasing_transform(lambda x: (x > 0).astype(float), 1.0, W_GRID,
-                                     breakpoints=(0.0,))
-    assert np.abs(yy - heaviside_y_fourier(1.0, W_GRID)).max() < 1e-9
+    assert np.abs(y - heaviside_y_fourier(1.0, W_GRID)).max() < 1e-9
 
 
 def test_heaviside_two_routes_and_erf_oracle():
     tau = 1.3
-    y_x = heaviside_y(tau, W_SMALL)
+    y_neg, y_x = heaviside_pair(tau, W_SMALL)
     y_t = heaviside_y_fourier(tau, W_SMALL)
     assert np.abs(y_x - y_t).max() < 1e-10
-    for yv, w in zip(y_x, W_SMALL):
+    for yv, yn, w in zip(y_x, y_neg, W_SMALL):
         want = complex(mpmath.erfc(-w / mpmath.sqrt(tau))) / 2
         assert abs(yv - want) < 1e-12
+        assert abs(yn - (1 - want)) < 1e-12
 
 
 def test_heaviside_limit_one():
-    y = heaviside_y(1.0, [4.5, 6.0])
+    y = heaviside_pair(1.0, [4.5, 6.0])[1]
     assert abs(y[0] - 1) < 1e-5 and abs(y[1] - 1) < 1e-8
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5 + 1j, 2 - 1j, 0.1])
+def test_heaviside_pair_is_the_indicator_transforms_on_every_sub_grid(tau):
+    """verify dist reads Y at grid[1::2] and grid[::4] from the pair on the
+    full grid: the pair there is the full pair's rows bit for bit, and its
+    rows are the x-side rule on the indicators of x < 0 and x > 0, whose
+    zeroed half-lines add exactly 0."""
+    grid = [-3 + 6 * k / 64 for k in range(65)]
+    full = heaviside_pair(tau, grid)
+    for sub in (slice(1, None, 2), slice(None, None, 4)):
+        assert np.array_equal(heaviside_pair(tau, grid[sub]), full[:, sub])
+    for row, inside in zip(full, (lambda x: x < 0, lambda x: x > 0)):
+        sides = slowly_increasing_transform(lambda x: inside(x).astype(float), tau, grid, (0.0,))
+        assert np.array_equal(sides.sum(axis=0), row)
+
+
+def test_heaviside_pair_where_the_window_misses_zero():
+    """At tau = 0.1 the windows of |w| > 1.92 miss x = 0: the segment on the
+    side away from w has zero length, and that member of the pair is 0."""
+    y_neg, y = heaviside_pair(0.1, [-3.0, -2.0, 2.0, 3.0])
+    assert np.all(y[:2] == 0) and np.all(y_neg[2:] == 0)
+    assert np.abs(y_neg[:2] - 1).max() < 1e-12 and np.abs(y[2:] - 1).max() < 1e-12
 
 
 def test_eval_pairing():
@@ -196,7 +219,7 @@ def test_fourier_series_transport_triangle():
         return np.abs(y)
 
     kinks = [k * math.pi for k in range(-4, 5)]
-    direct = slowly_increasing_transform(tri, tau, W_SMALL, breakpoints=kinks)
+    direct = slowly_increasing_transform(tri, tau, W_SMALL, breakpoints=kinks).sum(axis=0)
     assert np.abs(series - direct).max() < 1e-8
 
 
@@ -421,6 +444,27 @@ def test_segment_rows_match_scalar_calls(tol):
         want = integrate_segment_refined(row(centres[r], widths[r], sizes[r], kinks[r]),
                                          a[r], b[r], tol=tol)
         assert got[r] == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 6.0), st.floats(0.05, 3.0),
+                               st.floats(-2.0, 2.0)), min_size=1, max_size=8),
+       data=st.data())
+def test_segment_rows_of_a_subset_are_the_full_call_s_bit_for_bit(rows, data):
+    """Each row is accepted on its own, so the rows of any subset, integrated
+    alone, are those rows of the call on the whole set bit for bit; the
+    Heaviside pair's sub-grid rows rest on this.  Rows differ in segment,
+    zero length included, peak and chirp, so they settle at different passes."""
+    lo, length, width, chirp = (np.asarray(p) for p in zip(*rows))
+    keep = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+
+    def integrand(r):
+        return lambda x, rows: np.exp(-(x - lo[r][rows, None] - 1) ** 2 / width[r][rows, None]
+                                      + 1j * chirp[r][rows, None] * x * x)
+
+    full = integrate_segment_refined(integrand(slice(None)), lo, lo + length, tol=1e-13)
+    sub = integrate_segment_refined(integrand(keep), lo[keep], lo[keep] + length[keep], tol=1e-13)
+    assert np.array_equal(full[keep], sub)
 
 
 def test_segment_rows_raise_when_any_row_misses_tol():

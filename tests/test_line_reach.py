@@ -90,6 +90,8 @@ COMMANDS = [
     ("table bessel 300 --a=1 --grid=-9,9,3", 0),
     # the Bessel row sum's order passes the first table's (36) at |w| = 16
     ("verify special --grid=-16,16,3", 0),
+    # the generating route's transform passes 256 points in s at |w| = 100
+    ("verify special --grid=-100,100,3", 0),
     ("eval star --f w^2 --g w^2 --tau 1,0", 0),
     ("eval star --f (1+2i)w^2-w --g w^3+0.5w --tau 1,0.5", 0),
     ("eval star --f 0 --g w^2 --tau 1,0", 0),

@@ -23,7 +23,7 @@ from stardeform.specialfn import (BesselTable, bessel_addition_residual, bessel_
                                   hermite_orthogonality_target, hermite_table,
                                   laguerre_from_quad_expansion, laguerre_orthogonality,
                                   laguerre_orthogonality_target, laguerre_star, legendre_star,
-                                  legendre_star_exact)
+                                  legendre_star_exact, _generating_element)
 
 W_GRID = [-1.0 + 0.1 * k for k in range(21)]
 
@@ -148,6 +148,33 @@ def test_bessel_table_vs_fft_route():
         assert np.abs(np.asarray(tab.values[n]) - fft[n]).max() < 1e-12
 
 
+@pytest.mark.parametrize("half", [90, 100, 120])
+def test_bessel_generating_route_follows_the_order(half):
+    """A fixed 256 points in s alias the orders |n| <= N onto orders 256 - N and
+    beyond: at the table's N (126 at |w| = 90, 136 at 100) that read 1.1e-12
+    and 1.3e-5 against bessel-generating-route's tol 1e-12; the transform sized
+    from N and max |a w| stays near rounding."""
+    ws = [-half, 0.0, half]
+    tab = bessel_table_to_tol(1.0, 1.0, 18, 0.5e-10, ws)
+    fft = bessel_generating_fft(1.0, 1.0, tab.n_max, ws)
+    assert max(np.abs(tab.values[n] - fft[n]).max() for n in fft) < 1e-13
+
+
+def test_bessel_generating_route_keeps_256_points_at_order_18():
+    """At N = 18 on |w| <= 3, the default and bench grids, the coefficients
+    are those of a 256-point transform bit for bit."""
+    ws = grid(-3, 3, 65)
+    fft = bessel_generating_fft(1.0, 1.0, 18, ws)
+    coef = np.fft.fft(_generating_element(1.0, 1.0, np.asarray(ws, complex), 256)[1],
+                      axis=1) / 256
+    assert all(np.array_equal(fft[n], coef[:, n % 256]) for n in fft)
+
+
+def test_bessel_generating_route_past_its_budget_raises():
+    with pytest.raises(TruncationFailure, match="needs 8192 points in s"):
+        bessel_generating_fft(1.0, 1.0, 2000, [0.0])
+
+
 def test_bessel_unit_sum_and_symmetry():
     tab = bessel_table(1.0, 1.0, 14, W_GRID)
     assert bessel_unit_sum_residual(tab) < 1e-10
@@ -185,6 +212,13 @@ def test_verify_special_passes_on_a_wider_grid(capsys):
     """On |w| <= 5 the Bessel row sum needs N = 20: with a fixed N = 18 the
     suite read 8.2e-10 against the tol 1e-10 and exited 1."""
     assert main(["verify", "special", "--grid=-5,5,41"]) == 0
+    capsys.readouterr()
+
+
+def test_verify_special_passes_on_a_grid_past_the_generating_transform(capsys):
+    """bessel-generating-route read 1.3e-5 against its tol 1e-12 here, from a
+    fixed 256 points in s, and the suite exited 1."""
+    assert main(["verify", "special", "--grid=-100,100,3"]) == 0
     capsys.readouterr()
 
 
