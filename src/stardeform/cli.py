@@ -7,9 +7,9 @@ is the only place that turns an exception into an exit code.
 Output is CSV (header row; complex values as re,im column pairs) or JSON
 (schema 1, snake_case keys, residuals as decimal strings).  Reports are
 byte-identical for identical configurations including the seed.
-Each handler imports what its command needs: the exact commands (the exact
-tables, `eval star`, `vertex`, `numbers`) do not load numpy, and only
-`verify` loads the suites.
+Each command accepts only the options it reads.  The exact commands (the exact
+tables, `eval star`, `vertex`) read numbers exactly as written (`exact_number`)
+and do not load numpy, and only `verify` loads the suites.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .core import ExactPoly, Poly, star_product, w_star_power
@@ -46,13 +47,26 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+def exact_number(text: str) -> Fraction:
+    """Decimal text read exactly as written.  Its float must be finite, and zero
+    only where the text is, so that no exponent runs past the float range."""
+    try:
+        x, d = float(text), Decimal(text)
+        if math.isfinite(x) and (x == 0) == d.is_zero():
+            return Fraction(d)
+    except ArithmeticError:             # an exponent past Decimal's own range
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number in the float range")
+
+
+def exact_scalar(text: str) -> QC:
+    """Option value 're' or 're,im', each part read by exact_number."""
+    return QC(*map(exact_number, text.split(",")))
+
+
 def scalar(text: str) -> complex:
-    """Option value 're' or 're,im', both parts finite."""
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) > 2 or not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError(
-            f"scalar must be 're' or 're,im' with finite parts, got {text!r}")
-    return complex(*parts)
+    """Option value of a float command: exact_scalar's value to the nearest complex."""
+    return complex(exact_scalar(text))
 
 
 def grid(text: str) -> tuple:
@@ -90,14 +104,16 @@ def positive(text: str) -> float:
     return x
 
 
+_DECIMAL = r"[\d.]+(?:[eE][-+]?\d+)?"
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\((?P<re>[-+]?[\d.]+)(?P<im>[-+][\d.]+)i\)|[-+]?[\d.]+)?"
+    rf"^(?P<coeff>\((?P<re>[-+]?{_DECIMAL})(?P<im>[-+]{_DECIMAL})i\)|[-+]?{_DECIMAL})?"
     r"\*?(?P<var>w(\^(?P<pow>\d+))?)?$")
 
 
-def parse_poly(text: str) -> Poly:
+def parse_poly(text: str) -> ExactPoly:
     """Minimal polynomial grammar: terms 'c', 'c*w^k', 'w^k', 'w' joined by +/-;
-    complex coefficients parenthesized as '(a+bi)'."""
+    complex coefficients parenthesized as '(a+bi)'; numbers ('1e-05' too) are
+    read by exact_number."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -118,7 +134,7 @@ def parse_poly(text: str) -> Poly:
     terms.append(cur)
     coeffs: dict = {}
     for t in terms:
-        sign = 1.0
+        sign = 1
         while t and t[0] in "+-":
             if t[0] == "-":
                 sign = -sign
@@ -126,40 +142,38 @@ def parse_poly(text: str) -> Poly:
         m = _TERM_RE.match(t)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"cannot parse polynomial term {t!r}")
-        c = 1.0 + 0.0j
+        c = 1
         raw = m.group("coeff")
         if raw is not None:
             if raw.startswith("("):
-                c = complex(float(m.group("re")), float(m.group("im")))
+                c = QC(exact_number(m.group("re")), exact_number(m.group("im")))
             else:
-                c = complex(float(raw), 0.0)
+                c = exact_number(raw)
         power = 0
         if m.group("var"):
             power = int(m.group("pow") or 1)
-        coeffs[power] = coeffs.get(power, 0.0) + sign * c
-    if not all(cmath.isfinite(c) for c in coeffs.values()):
-        raise ValueError("polynomial coefficients must be finite")
+        coeffs[power] = coeffs.get(power, 0) + sign * c
     deg = max(coeffs)
-    return Poly([coeffs.get(i, 0.0) for i in range(deg + 1)])
+    return ExactPoly([coeffs.get(i, 0) for i in range(deg + 1)])
+
+
+def _float_str(x: float) -> str:
+    """An integer as one, any other float as its repr, which reads back to it."""
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def poly_to_str(p: Poly) -> str:
+    """The float coefficients without loss: parse_poly reads them back."""
     if p.is_zero():
         return "0"
     bits = []
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+        c = complex(p.coeffs[k])
         if c == 0:
             continue
-        cc = complex(c)
-        if abs(cc.imag) < 1e-15:
-            num = cc.real
-            if abs(num - round(num)) < 1e-12:
-                num_s = str(int(round(num)))
-            else:
-                num_s = repr(num)
-        else:
-            num_s = f"({cc.real:g}{cc.imag:+g}i)"
+        num_s = _float_str(c.real)
+        if c.imag:
+            num_s = f"({num_s}{'+' * (c.imag > 0)}{_float_str(c.imag)}i)"
         if k == 0:
             bits.append(num_s)
         else:
@@ -211,8 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    fam = args.family
-    N = args.count
+    fam, N = args.family, args.count
     if fam in ("euler", "bernoulli"):
         from .halfseries import bernoulli_numbers, euler_numbers
 
@@ -220,23 +233,22 @@ def cmd_table(args) -> int:
         numbers = euler_numbers if fam == "euler" else bernoulli_numbers
         print(", ".join(str(v) for v in numbers(N // 2)))
         return 0
-    tau = QC(Fraction(args.tau.real).limit_denominator(10 ** 6),
-             Fraction(args.tau.imag).limit_denominator(10 ** 6))
     if fam == "hermite":
         emit_csv(["n", "reduced_polynomial(leading (sqrt2)^n factored out)"],
-                 [(n, f"\"{_exact_poly_str(w_star_power(n, tau))}\"") for n in range(N + 1)])
+                 [(n, f"\"{_exact_poly_str(w_star_power(n, args.tau))}\"")
+                  for n in range(N + 1)])
         return 0
     if fam == "laguerre":
         from .specialfn import laguerre_star
 
-        tab = laguerre_star(N, tau)
+        tab = laguerre_star(N, args.tau)
         emit_csv(["n", "polynomial_in_x"],
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
     if fam == "legendre":
         from .specialfn import legendre_star_exact
 
-        tab = legendre_star_exact(N, tau)
+        tab = legendre_star_exact(N, args.tau)
         emit_csv(["n", "polynomial_in_(w+a)"],
                  [(n, f"\"{_exact_poly_str(p)}\"") for n, p in enumerate(tab)])
         return 0
@@ -259,7 +271,10 @@ def _exact_poly_str(p: ExactPoly) -> str:
         c = p.coeffs[k]
         if not c:
             continue
-        cs = str(c)
+        try:
+            cs = str(c)
+        except ValueError as exc:       # an int past sys.get_int_max_str_digits()
+            raise StarDeformError(f"coefficient of x^{k}: {exc}") from None
         var = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
         if var and cs == "1":
             bits.append(var)
@@ -271,17 +286,11 @@ def _exact_poly_str(p: ExactPoly) -> str:
 
 
 def cmd_eval(args) -> int:
-    f, g, tau_c = args.f, args.g, args.tau
     if args.rational:
-        to_exact = lambda c: QC(Fraction(complex(c).real).limit_denominator(10 ** 9),  # noqa: E731
-                                Fraction(complex(c).imag).limit_denominator(10 ** 9))
-        f = ExactPoly([to_exact(c) for c in f.coeffs])
-        g = ExactPoly([to_exact(c) for c in g.coeffs])
-        tau = to_exact(tau_c)
-        result = star_product(f, g, tau)
+        result = star_product(args.f, args.g, args.tau)
         print(_exact_poly_str(result).replace("x", "w"))
         return 0
-    result = star_product(f, g, tau_c)
+    result = star_product(args.f.to_complex(), args.g.to_complex(), complex(args.tau))
     if not all(cmath.isfinite(c) for c in result.coeffs):
         raise DomainError("the float product is not finite; use --rational for exact arithmetic")
     print(poly_to_str(result))
@@ -358,15 +367,6 @@ def cmd_vertex(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_numbers(args) -> int:
-    from .halfseries import bernoulli_numbers, euler_numbers
-
-    vals = euler_numbers(args.euler) if args.euler is not None \
-        else bernoulli_numbers(args.bernoulli)
-    print(", ".join(str(v) for v in vals))
-    return 0
-
-
 @functools.cache                # parse_args keeps no state on the tree
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="stardeform", description="deformed-product function algebra toolkit")
@@ -384,12 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("table", help="emit coefficient tables")
-    t.add_argument("family", choices=["hermite", "laguerre", "legendre", "bessel",
-                                      "euler", "bernoulli"])
-    t.add_argument("count", type=count)
-    t.add_argument("--tau", type=scalar, default="-1,0")
-    t.add_argument("--a", type=scalar, default="1,0")
-    t.add_argument("--grid", type=grid, default="-1,1,11")
+    families = t.add_subparsers(dest="family", required=True)
+    for fam in ("hermite", "laguerre", "legendre", "bessel", "euler", "bernoulli"):
+        f = families.add_parser(fam)
+        f.add_argument("count", type=count)
+        if fam == "bessel":
+            f.add_argument("--tau", type=scalar, default="-1,0")
+            f.add_argument("--a", type=scalar, default="1,0")
+            f.add_argument("--grid", type=grid, default="-1,1,11")
+        elif fam not in ("euler", "bernoulli"):
+            f.add_argument("--tau", type=exact_scalar, default="-1,0")
     t.set_defaults(func=cmd_table)
 
     e = sub.add_parser("eval", help="evaluate expressions")
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = esub.add_parser("star", help="deformed product of two polynomials")
     est.add_argument("--f", type=parse_poly, required=True)
     est.add_argument("--g", type=parse_poly, required=True)
-    est.add_argument("--tau", type=scalar, default="1,0")
+    est.add_argument("--tau", type=exact_scalar, default="1,0")
     est.add_argument("--rational", action="store_true")
     est.set_defaults(func=cmd_eval)
 
@@ -429,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     vx.add_argument("--check", required=True, choices=["witt", "central", "kcentral"])
     vx.add_argument("--K", type=count, default=6)
     vx.set_defaults(func=cmd_vertex)
-
-    n = sub.add_parser("numbers", help="exact Euler/Bernoulli numbers")
-    which = n.add_mutually_exclusive_group(required=True)
-    which.add_argument("--euler", type=count, metavar="N")
-    which.add_argument("--bernoulli", type=count, metavar="N")
-    n.set_defaults(func=cmd_numbers)
 
     return ap
 

@@ -463,8 +463,8 @@ def suite_halfseries(seed, grid) -> list:
 
 def suite_vertex() -> list:
     out = []
-    out.append(_bool_rec("witt-identity", "operator commutators close (exact sweep)",
-                         vertex.witt_identity_check(3, K=6)))
+    witt = vertex.witt_identity_check(vertex.INDEX_MAX, K=6)
+    out.append(_bool_rec("witt-identity", "operator commutators close (exact sweep)", witt))
     ok = all(vertex.y_eigen_defect(n, m).is_zero()
              for n in range(-2, 3) for m in range(-3, 4))
     out.append(_bool_rec("normalized-generator-eigen",
@@ -479,7 +479,7 @@ def suite_vertex() -> list:
                          rep["diagonal_proportionality"] and rep["c1_closed_form_matches"]))
     out.append(_bool_rec("central-remainder-annihilates",
                          "Witt remainder operator annihilates the span (exact)",
-                         vertex.k_centrality_check(K=6)))
+                         vertex.y_centrality_check(K=6) and witt))
     out.append(_bool_rec("gamma-dictionary",
                          "coefficient ring reproduces numeric Laurent values",
                          abs(vertex.laurent_coefficient_ring(-1, 40).evaluate(1 + 0.3j, 0.7, 0.4)

@@ -7,12 +7,14 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stardeform.cli import main, parse_poly, poly_to_str
 from stardeform.core import Poly
+from stardeform.exact import QC
 from stardeform.errors import DomainError
 from stardeform.residue import CONTOUR_NODE_BUDGET
 from stardeform.verify import run_suite
@@ -25,7 +27,7 @@ def run_cli(args):
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("args", [["verify", "core"], ["numbers", "--euler", "3"]],
+@pytest.mark.parametrize("args", [["verify", "core"], ["table", "euler", "6"]],
                          ids=["report", "line"])
 def test_closed_stdout_is_a_normal_end(args, unbuffered):
     """The reader of the pipe exits before the output is written (as with
@@ -45,14 +47,55 @@ def test_closed_stdout_is_a_normal_end(args, unbuffered):
 
 
 def test_parse_poly_round_trip():
+    """Each number is read exactly as the decimal it writes."""
     p = parse_poly("w^2")
-    assert p.coeffs == (0.0, 0.0, 1.0)
+    assert p.coeffs == (0, 0, 1)
     q = parse_poly("2*w^3 - w + 0.5")
-    assert q.coeffs == (0.5, -1.0, 0.0, 2.0)
+    assert q.coeffs == (Fraction(1, 2), -1, 0, 2)
     r = parse_poly("(1+2i)*w^2 + 3")
-    assert r.coeffs[2] == 1 + 2j and r.coeffs[0] == 3
+    assert r.coeffs[2] == QC(1, 2) and r.coeffs[0] == 3
+    assert parse_poly("0.1*w + 1e-05").coeffs == (Fraction(1, 10 ** 5), Fraction(1, 10))
     with pytest.raises(ValueError):
         parse_poly("w**2")
+
+
+FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+COEFF = st.one_of(FLOAT, st.builds(complex, FLOAT, FLOAT), st.integers(-99, 99).map(float))
+
+
+@given(st.lists(COEFF, max_size=6))
+def test_a_printed_float_product_reads_back_to_itself(coeffs):
+    """poly_to_str loses no bit that parse_poly can read: the text of any finite
+    float polynomial parses back to its coefficients (a zero's sign aside)."""
+    p = Poly(coeffs)
+    assert parse_poly(poly_to_str(p)).to_complex().coeffs == p.to_complex().coeffs
+
+
+@pytest.mark.parametrize("argv, out", [
+    # six digits of a complex part
+    ("--f=(0.123456789+1i)*w --g=w --tau=0,0", "(0.123456789+1i)w^2"),
+    # a value near an integer
+    ("--f=3.0000000000001 --g=1 --tau=0,0", "3.0000000000001"),
+    # an imaginary part below 1e-15, and a coefficient below 1e-12
+    ("--f=w^2 --g=w^2 --tau=0.3,1e-17", "w^4 + (0.6+2e-17i)w^2 + (0.045+3.0000000000000002e-18i)"),
+    ("--f=w^2 --g=w^2 --tau=1e-12,0", "w^4 + 2e-12w^2 + 5e-25"),
+], ids=["complex-digits", "near-integer", "tiny-imaginary", "tiny-coefficient"])
+def test_eval_star_prints_the_float_product_without_loss(argv, out, capsys):
+    assert main(["eval", "star", *argv.split()]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
+@pytest.mark.parametrize("argv, last", [
+    ("table hermite 2 --tau=0.1234567,0", '2,"x^2 + 1234567/20000000"'),
+    ("table hermite 2 --tau=1e-300,0", f'2,"x^2 + 1/{2 * 10 ** 300}"'),
+    ("eval star --f=w^2 --g=w^2 --tau=1e-12,0 --rational",
+     "w^4 + 1/500000000000w^2 + 1/2000000000000000000000000"),
+    ("eval star --f=0.12345678901*w --g=1 --tau=0,0 --rational", "12345678901/100000000000w"),
+], ids=["table-tau", "table-tiny-tau", "rational-tau", "rational-coefficient"])
+def test_exact_commands_read_numbers_as_written(argv, last, capsys):
+    """No exact command rounds its τ or coefficients to a nearby fraction."""
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 def test_poly_to_str_style():
@@ -130,7 +173,6 @@ EVERY_SUBCOMMAND = [
     ["dist", "--w-grid=-1,1,3"],
     ["eval", "star", "--f", "w^2", "--g", "w", "--tau", "1,0.5"],
     ["vertex", "--check", "witt", "--K", "4"],
-    ["numbers", "--euler", "4"],
 ]
 
 
@@ -188,8 +230,9 @@ EXACT_REPORT_SHA256 = {
         "d4b5b1210f7ec2815eb51470b6a9aca05bf59b3d5ad5f964a4503207949887ec",
     "table hermite 60 --tau=0.5,0.25":
         "685d19af116c9d7c1bb4d0b616e4968c3fa2ccdbce19ca851c023b79b91deb04",
+    # tau read exactly as 3333333333333333/5000000000000000, not rounded to 2/3
     "table laguerre 6 --tau=0.6666666666666666,0":
-        "5cb0878a800a6b24d3f220ce33632de79573f5408fbf4f46b1b504aedbe4290c",
+        "f7865a7656e39f295e32d4ebc5a8305f0c8b5fae79dbe98fb67f1f99025813e5",
     "table laguerre 12 --tau=0.5,0.25":
         "62ea892a6602600e99e3b5bb1133cbc5f36b04d7c413d2856054ddc3fc07f034",
     "table legendre 40 --tau=-1,0":
@@ -212,17 +255,18 @@ EXACT_REPORT_SHA256 = {
     # the half-series commands: hs_mul, hs_inverse and the Euler/Bernoulli extraction
     "table euler 120": "22d426a1ab0e4b0cce79f2fb5d7161b765edfa1ff742f8ada36ba73597cf7aad",
     "table bernoulli 120": "8156610c75b9ed2420388ae4aad3ce31f94ca9dff29691bb98492890a03e77a3",
-    "numbers --euler 30": "b42cfeb809e48e155fcb37a4aad11daff49b9139ddc8f3255b1e8bbb35f81214",
-    "numbers --bernoulli 30": "3871ad0ad206633b56c5ccd3b33b7df36db499ac520d3be14824661c179c427a",
+    "table euler 60": "b42cfeb809e48e155fcb37a4aad11daff49b9139ddc8f3255b1e8bbb35f81214",
+    "table bernoulli 60": "3871ad0ad206633b56c5ccd3b33b7df36db499ac520d3be14824661c179c427a",
     "verify halfseries --seed 1":
         "b26dfef3e2348e6b431baa0ea8f1026a4d97916aac21e6c726288a0f325b4da7",
     "verify halfseries --seed 20261018":
         "38f8e95010f6930c461cf0b75606f24d3e0131cf5259608ec7aa9366cd07bbe1",
     # sizes whose series truncation is 2N + 2 < 24, and a core draw at a second seed
-    "numbers --euler 5": "a43e60510e7b115bbe2f9bfe569ee6834795ec0022f01486cad17c917bfcf8fa",
-    "numbers --bernoulli 5": "d36b86499d016d165a2059b3bb0ecdcbba5ec90af8c5fedee0e181aa53bb190f",
-    "numbers --euler 10": "d64fefb7cdbac858dda5ffbc8f83907ca2f1f92f773f35d0a020ed0985316ef1",
+    "table bernoulli 10": "d36b86499d016d165a2059b3bb0ecdcbba5ec90af8c5fedee0e181aa53bb190f",
+    "table euler 20": "d64fefb7cdbac858dda5ffbc8f83907ca2f1f92f773f35d0a020ed0985316ef1",
     "table euler 10": "a43e60510e7b115bbe2f9bfe569ee6834795ec0022f01486cad17c917bfcf8fa",
+    # an odd count prints the even count below it: the odd Euler numbers are 0
+    "table euler 11": "a43e60510e7b115bbe2f9bfe569ee6834795ec0022f01486cad17c917bfcf8fa",
     "table bernoulli 21": "80d51e8a77b74358de90ee8ce591ed2b30ffe1c7717d66602564c69410a2c507",
     "verify core --seed 20261018":
         "3db18d4cf0c1871e781aafc67188141e0ade4759ecc6d77b42093e9cea101eb2",
@@ -281,18 +325,21 @@ def test_vertex_check_report_bytes(line):
 
 
 # sha256 of `stardeform [command] --help` at 80 columns, as printed when the
-# parser was built on every call (Python 3.11 argparse)
+# parser was built on every call (Python 3.11 argparse); the top level and the
+# table pins as printed once each table family took only the options it reads
 HELP_SHA256 = {
-    "": "fff7328bdfb454adec9f8dcb60d01725882388558f30c0267ef29651311b81c1",
+    "": "cb54e25bdc86d5002af9ab0a40ceec89b1ce1190744808f13597e6aac411b067",
     "verify": "c95f3fc91042682020a9307d144fae905ed7a1587d0de915593e066013c61a44",
-    "table": "e1bce30bc2d83ad6e01326a5d1fb9d13e9b9fc8633842205788f76b912fed3e7",
+    "table": "6a8a72f8a3d6d7c3fdf05596b4f6321951c8b811536a3b2a8409f284a7e75d85",
+    "table euler": "d0173ca380d004a4881f5b0b4c9ccd24525ee82198405468867a6ae550559004",
+    "table hermite": "57f440ad85f7a89bba58b9e49d4fb57c5b5642b0c55c546eba02e43f62d4785b",
+    "table bessel": "1a7da089cf7aa36e9fdf1a2b49b702a147b8286e72216a9ec2ed1b7e3ef08cd6",
     "eval": "2191e2f86f96b0d86ce22af292fd311d0a5668258e8cefd803231696671e6ab0",
     "eval star": "cf209edef299ffc70e6ddf9df4ec47f1e928b0ddb23ce302b4411ee8037934ff",
     "theta": "8fd0ba2d31b957a4559404ba3631ec8e09d6c47a919a819319da33dc5d77181c",
     "residue": "bdfce3e08f2c12b5b291333bbf7e3fc211e22b219ceb9424ed801259de9dc430",
     "dist": "bb3b90ffed0e552d7b15e662e1bfd44abf67c16ae281d28cfdf7bc338e5707d6",
     "vertex": "c39077f50548542bf36a6aeb08ae57d62a650740c0631ad96e984cf43e8d78bd",
-    "numbers": "bccf10dafcb1c2c01c1c89a8c40afa941ad1f32ce319f969e32d90676b52c4de",
 }
 
 
@@ -421,14 +468,14 @@ def test_vertex_checks():
 
 
 def test_numbers():
-    code, out, _ = run_cli(["numbers", "--euler", "5"])
+    code, out, _ = run_cli(["table", "euler", "10"])
     assert code == 0 and out.strip().endswith("-50521")
-    code, *_ = run_cli(["numbers"])
+    code, *_ = run_cli(["table", "euler"])
     assert code == 2
 
 
 def test_main_callable_directly():
-    assert main(["numbers", "--euler", "2"]) == 0
+    assert main(["table", "euler", "4"]) == 0
 
 
 def assert_config_error(capsys, code):
@@ -479,6 +526,17 @@ BAD_INPUTS = [
     "eval star --f w^2 --g w^2 --tau 1e308,0",
     "verify core --tol nan",
     "vertex --check witt --K -1",
+    "table euler -3",
+    "table euler",
+    # options that the family does not read
+    "table euler 12 --tau=0.5,0",
+    "table hermite 6 --a=2",
+    # a nonzero number below the float range, which an exact command would
+    # otherwise read at any exponent
+    "table hermite 3 --tau=1e-400",
+    "table hermite 3 --tau=0e99999999999999999999",
+    "eval star --f=1e-400*w --g=w --rational",
+    # not subcommands since the tables took the numbers
     "numbers --euler -3",
     "numbers",
 ]
@@ -494,7 +552,9 @@ def test_bad_input_one_config_line(line, capsys):
     "theta --tau 1e-300,0 --w-grid=-1,1,3",
     "dist --tau 1e-300,0",
     "table euler 2000",
-    "numbers --bernoulli 1000",
+    "table bernoulli 2000",
+    # a coefficient past the interpreter's integer-to-text limit
+    "table hermite 60 --tau=1e308",
 ])
 def test_kernel_failure_one_error_line(line, capsys):
     """A contour sum that overflows, a theta series past its term budget, a
@@ -549,7 +609,8 @@ def test_run_suite_rejects_nan_tol_and_one_point_grid():
 
 FINITE = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "3", "1e-3", "7.25"]) \
     | st.floats(-10, 10).map(repr)
-EXTREME = st.sampled_from(["1e-300", "-1e-300", "1e308", "-1e308"])
+EXTREME = st.sampled_from(["1e-300", "-1e-300", "1e308", "-1e308", "1e-400",
+                           "0e99999999999999999999"])
 NONFINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "+inf"])
 MALFORMED = st.sampled_from(["", "abc", ",", "1,", ",1", "1,2,3,4", "1e", "--", "0x10", "w"]) \
     | st.text(max_size=6)
@@ -576,9 +637,9 @@ COMMANDS = {
                                      "--grid": GRID, "--seed": INT, "--format": MALFORMED}),
     "verify-residue": (["verify", "residue"], {"--tau": SCALAR, "--nu": SCALAR}),
     "table": (["table", "bessel", "2"], {"--tau": SCALAR, "--a": SCALAR, "--grid": GRID}),
+    "table-exact": (["table", "hermite", "3"], {"--tau": SCALAR}),
     "table-count": (["table"], {"hermite": small_int(-3, 12), "laguerre": small_int(-3, 12),
-                                "legendre": small_int(-3, 12), "euler": small_int(-3, 40),
-                                "fourier": small_int(0, 3)}),
+                                "legendre": small_int(-3, 12), "fourier": small_int(0, 3)}),
     "eval": (["eval", "star", "--f", "w^2", "--g", "w"],
              {"--tau": SCALAR, "--f": POLY, "--g": POLY}),
     "eval-rational": (["eval", "star", "--rational", "--f", "w^2", "--g", "w"],
@@ -591,7 +652,8 @@ COMMANDS = {
                                            "--w-grid": GRID, "--side": MALFORMED}),
     "dist-pv": (["dist", "--side", "pv", "--w-grid=-1,1,5"], {"--tau": SCALAR, "--m": INT}),
     "vertex": (["vertex", "--check", "witt"], {"--K": small_int(-2, 4)}),
-    "numbers": (["numbers"], {"--euler": small_int(-3, 30), "--bernoulli": small_int(-3, 30)}),
+    # the Euler and Bernoulli number tables
+    "numbers": (["table"], {"euler": small_int(-3, 60), "bernoulli": small_int(-3, 60)}),
 }
 
 
@@ -604,7 +666,7 @@ def test_any_option_value_gives_a_contract_exit(command, data):
     base, options = COMMANDS[command]
     name = data.draw(st.sampled_from(sorted(options)), label="option")
     value = data.draw(options[name], label="value")
-    if command == "table-count":
+    if not name.startswith("-"):        # a table family and its count
         argv = [*base, name, value]
     else:
         pair = [f"{name}={value}"] if data.draw(st.booleans(), label="joined") else [name, value]
