@@ -17,6 +17,7 @@ which makes the delta law  transform(delta(x-a)) = delta_*(a-w)  hold.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -408,20 +409,19 @@ def product_of_inverses_residual(a, b, tau, w_grid) -> dict:
 
 # ------------------------------------- associativity-breaking demonstration
 
-def associativity_break_gap(tau, w_grid) -> dict:
-    """Associativity failure for the one-sided geometric inverses of
-    B = 1 - e_*^{2iw}:  with A the plus inverse and C the minus inverse
-    (theta.geometric_inverse_sum over the even lattice's cut n <= N),
+def associativity_break(tau, w_grid) -> dict:
+    """The one-sided geometric inverses of B = 1 - e_*^{2iw} on the grid, A the
+    plus inverse and C the minus inverse (theta.geometric_inverse_sum over the
+    even lattice's cut), and their products with B.
 
-        A*B = 1 - e_*^{2(N+1)iw} and B*C = 1 - e_*^{-2Niw}   (telescoped),
-        so (A*B)*C = C while A*(B*C) = A, and the gap C - A is -theta3.
-
-    Returns both inverse residuals (the largest telescoped boundary term on the
-    grid) and the gap values on the grid."""
+    The product with e_*^{2iw} is the translation action at s = i, so
+    B*X = X - translate_action(1j, X, tau), with X taken at w and at w + i tau.
+    Both products are 1, yet C != A: (A*B)*C = C while A*(B*C) = A, and the gap
+    C - A is -theta3.  Returns {"A", "C", "B*A", "B*C"} on the grid."""
     ws = as_grid(w_grid)
-    A = theta.geometric_inverse_sum("+", tau, ws)
-    C = theta.geometric_inverse_sum("-", tau, ws)
-    N = int(theta.lattice(tau, ws, 2).max()) // 2
-    boundary = np.abs(theta.tau_basis([2 * (N + 1), -2 * N], tau, ws)).max(axis=0)
-    return {"plus_inverse_residual": float(boundary[0]),
-            "minus_inverse_residual": float(boundary[1]), "gap": C - A}
+    out = {}
+    for side, name in (("+", "A"), ("-", "C")):
+        X = partial(theta.geometric_inverse_sum, side, tau)
+        out[name] = X(ws)
+        out["B*" + name] = out[name] - translate_action(1j, X, tau)(ws)
+    return out

@@ -276,17 +276,19 @@ def y_centrality_check(K: int) -> bool:
                              INDEX_MAX, K)
 
 
-def truncation_stability() -> bool:
+def truncation_stability(low: dict) -> bool:
     """Raising the u-grade budget from STABILITY_GRADES[0] to [1] does not change
     coefficients at grades <= the low budget, including terms that either budget
-    lacks; the central parts are compared in the a_j (x) u^g basis."""
+    lacks; the central parts are compared in the a_j (x) u^g basis.
+
+    low holds the brackets [y_l, y_m] at the low budget by (l, m), as
+    central_constraint_check(STABILITY_GRADES[0])["C"] forms them."""
     K_low, K_high = STABILITY_GRADES
     rng = range(-STABILITY_INDEX_MAX, STABILITY_INDEX_MAX + 1)
+    ys = {m: y_generator(m, K_high) for m in rng}
     for l in rng:
         for m in rng:
-            a = bracket_elems(y_generator(l, K_low), y_generator(m, K_low))
-            b = bracket_elems(y_generator(l, K_high), y_generator(m, K_high))
-            if a != b.restrict(K_low):
+            if low[(l, m)] != bracket_elems(ys[l], ys[m]).restrict(K_low):
                 return False
     return True
 

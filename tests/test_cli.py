@@ -224,7 +224,7 @@ EXACT_REPORT_SHA256 = {
     "verify core --seed 1": "b318dde4cb170878990a0e32d5f8f80c46e762a95607873c687b0ffd5a34591c",
     "verify core --seed 2": "3b276fb028a371f097ab4035a603a27f4c5db16c2dfbff367142b115158089da",
     "verify core --seed 3": "c052f38348802223f0e2bffb48837f4ed996d9fa8a48b793d20df7d98c3d5c4f",
-    "verify halfseries": "482f9d758716bf0eaab936f8884a423d99a48a12a29723074a3b195c2ca3df5f",
+    "verify halfseries": "6ec63a4fbbdd02da9562642fc9797d9a4bf5665382ef4ddc4daba129ee709d3d",
     "verify vertex": "62cd9dfaf6682f06a66582a9f797617f86fdbe890bdadbd26f68d5793e6a49d9",
     "table hermite 20 --tau=0.5,0.25":
         "d4b5b1210f7ec2815eb51470b6a9aca05bf59b3d5ad5f964a4503207949887ec",
@@ -258,9 +258,9 @@ EXACT_REPORT_SHA256 = {
     "table euler 60": "b42cfeb809e48e155fcb37a4aad11daff49b9139ddc8f3255b1e8bbb35f81214",
     "table bernoulli 60": "3871ad0ad206633b56c5ccd3b33b7df36db499ac520d3be14824661c179c427a",
     "verify halfseries --seed 1":
-        "b26dfef3e2348e6b431baa0ea8f1026a4d97916aac21e6c726288a0f325b4da7",
+        "97ad66b09f945bab15eb96076a723702b768fd5e5b899724c762b16332a770f4",
     "verify halfseries --seed 20261018":
-        "38f8e95010f6930c461cf0b75606f24d3e0131cf5259608ec7aa9366cd07bbe1",
+        "a49b0f2cf3f3a82d9ab5bdd5ab06a3df44c280dfbead246d6822a02d29bd74fd",
     # sizes whose series truncation is 2N + 2 < 24, and a core draw at a second seed
     "table bernoulli 10": "d36b86499d016d165a2059b3bb0ecdcbba5ec90af8c5fedee0e181aa53bb190f",
     "table euler 20": "d64fefb7cdbac858dda5ffbc8f83907ca2f1f92f773f35d0a020ed0985316ef1",

@@ -8,6 +8,11 @@ each suite reads, and, for the float suites, against the reports.
 
 Every other option of every command, read from the parser, must move the
 command's exit code or stdout at one alternative value.
+
+Every float record (tol > 0) must read a number of its own: across a sweep of
+configurations, no record may read one residual at every configuration
+unless CONSTANT_RECORDS names the fixed point it runs at, and no two records
+may read equal residuals at every configuration.
 """
 
 import argparse
@@ -15,6 +20,7 @@ import ast
 import contextlib
 import inspect
 import io
+import itertools
 import re
 import textwrap
 from pathlib import Path
@@ -105,6 +111,41 @@ def test_a_float_suite_report_moves_with_each_declared_option(name, option):
     moved = {**base, option: ALTERNATIVE[option]}
     assert verify.run_suite(name, **base) != verify.run_suite(name, **moved)
 
+
+# The sweep spans the bench's draw (Re tau in [0.5, 2], Im tau in [-1, 1], grids
+# of +-2 and +-3 at 17 to 65 points), with a real tau below it, two nu and two
+# seeds.
+SWEEP_TAUS = (1, 0.7 + 0.4j, 1.5 - 0.8j, 0.5 + 1j, 2 - 1j, 0.3, 1.2 + 0.5j)
+SWEEP_GRIDS = ((-2.0, 2.0, 17), (-3.0, 3.0, 33), (-3.0, 3.0, 65), (-2.0, 2.0, 33))
+SWEEP = [{"tau": complex(tau), "nu": (1 + 0j, 0.5 + 0.2j)[i % 2], "tol": 1e-10,
+          "grid": SWEEP_GRIDS[i % 4], "seed": (1, 7)[i // 2 % 2]}
+         for i, tau in enumerate(SWEEP_TAUS)]
+
+# record: the fixed point it runs at, whatever the configuration
+CONSTANT_RECORDS = {
+    "infinitesimal-intertwiner": "a fixed f at tau = 0.4",
+    "intertwiner-consistency": "fixed linear exponentials taken from tau = 0.6 to 1.4 + 0.2i",
+    "hermite-orthogonality": "tau = -1",
+    "legendre-dual-route": "tau = -1, at x = -0.5, 0.1 and 0.7",
+    "laguerre-cauchy-route": "tau = 0.8 + 0.3i, at x = 0.49",
+    "laguerre-orthogonality": "tau = -1",
+    "quadratic-inverse-path": "nu = tau = 1, where the path's tail decays",
+    "euler-grid-identity": "tau = 2, and its two sides sum the same float terms",
+}
+
+
+def test_every_float_record_reads_a_number_of_its_own_across_the_sweep():
+    reads = {}
+    for config in SWEEP:
+        for rec in verify.run_suite("all", **config):
+            if rec["tol"] > 0:
+                reads.setdefault(rec["anchor"], []).append(rec["residual"])
+    constant = {anchor for anchor, residuals in reads.items() if len(set(residuals)) == 1}
+    assert not constant - set(CONSTANT_RECORDS), "records that read one residual everywhere"
+    assert not set(CONSTANT_RECORDS) - constant, "stale CONSTANT_RECORDS entries"
+    equal = [(a, b) for a, b in itertools.combinations(sorted(set(reads) - constant), 2)
+             if reads[a] == reads[b]]
+    assert not equal, "records that read another's residuals"
 
 
 def commands(parser=None, path=()) -> dict:

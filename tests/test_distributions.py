@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stardeform import distributions, verify
+from stardeform import distributions, theta as theta_module, verify
 from stardeform.core import Poly
-from stardeform.distributions import (associativity_break_gap, constant_variation_defect,
+from stardeform.distributions import (associativity_break, constant_variation_defect,
                                       delta_annihilation, delta_difference_residual, delta_mass,
                                       delta_tau, eval_pairing_residual, heaviside_pair,
                                       heaviside_y_fourier, periodic_comb_residual,
@@ -331,14 +331,44 @@ def test_inverse_product_law_record_detects_a_perturbed_inverse(monkeypatch):
 
 def test_associativity_break_matches_theta():
     tau = 1.0
-    res = associativity_break_gap(tau, W_SMALL)
-    # both one-sided series are inverses up to their telescoped boundary terms,
-    # e^{-49} and e^{-36} at the cut n <= 6 ...
-    assert res["plus_inverse_residual"] < 1e-21
-    assert res["minus_inverse_residual"] < 1e-15
+    res = associativity_break(tau, W_SMALL)
+    # both one-sided series are inverses of B = 1 - e_*^{2iw}, formed as products ...
+    assert np.abs(res["B*A"] - 1).max() < 1e-14
+    assert np.abs(res["B*C"] - 1).max() < 1e-14
     # ... so the two groupings collapse to C and A, and the gap is -theta3
     theta = theta_eval(3, np.asarray(W_SMALL), tau)
-    assert np.abs(res["gap"] + theta).max() < 1e-8
+    assert np.abs(res["C"] - res["A"] + theta).max() < 1e-8
+
+
+# name: (module, attribute, wrapper of the true function)
+ASSOCIATIVITY_MUTANTS = {
+    "A-without-n0": (theta_module, "geometric_inverse_sum",
+                     lambda true: lambda side, tau, w: true(side, tau, w) - (side == "+")),
+    "translation-by-minus-i": (distributions, "translate_action",
+                               lambda true: lambda s, f, tau: true(-s, f, tau)),
+    # adds back the n = 1 term e_*^{-2iw}, whose tau-expression is e^{-tau - 2iw}
+    "C-from-n2": (theta_module, "geometric_inverse_sum",
+                  lambda true: lambda side, tau, w:
+                  true(side, tau, w) + (side == "-") * np.exp(-tau - 2j * np.asarray(w))),
+    "C-is-A": (theta_module, "geometric_inverse_sum",
+               lambda true: lambda side, tau, w: true("+", tau, w)),
+}
+
+
+@pytest.mark.parametrize("mutant", list(ASSOCIATIVITY_MUTANTS))
+def test_associativity_break_fails_on_a_mutant(monkeypatch, mutant):
+    """A without its n = 0 term, the product with e_*^{-2iw} in place of
+    e_*^{2iw}, and C starting at n = 2 each leave B*A or B*C away from 1; a C
+    equal to A is an inverse, but the groupings then do not break."""
+    def record():
+        rec, = [r for r in verify.suite_dist(tau=0.7 + 0.4j, grid=W_SMALL)
+                if r["anchor"] == "associativity-break"]
+        return rec
+
+    assert record()["passed"] is True
+    target, name, wrap = ASSOCIATIVITY_MUTANTS[mutant]
+    monkeypatch.setattr(target, name, wrap(getattr(target, name)))
+    assert record()["passed"] is False
 
 
 @pytest.mark.parametrize("m", [0, 172, 200])

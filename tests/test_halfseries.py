@@ -255,6 +255,21 @@ def test_zero_detection():
     assert not zero_detection(not_zero, 1.0)
 
 
+def test_zero_detection_record_fails_when_the_expression_is_zeroed(monkeypatch):
+    """A zeroed tau-expression makes every series look like zero, and zero
+    detection then answers True for any of them; the record probes two nonzero
+    series, so it fails."""
+    def record():
+        rec, = [r for r in verify.suite_halfseries(seed=7, grid=[-2 + k / 4 for k in range(17)])
+                if r["anchor"] == "zero-detection"]
+        return rec
+
+    assert record()["passed"] is True
+    monkeypatch.setattr(halfseries, "hs_to_tau_expression",
+                        lambda f, tau, w: np.zeros(len(w), complex))
+    assert record()["passed"] is False
+
+
 def test_field_axioms_random():
     rng = random.Random(24)
     for _ in range(8):

@@ -74,6 +74,7 @@ COMMANDS = [
     ("table hermite 2 --tau=0.1234567,0", 0),
     ("verify residue --tau=0.5,1 --nu=-1,-1 --grid=-3,3,65", 0),
     ("verify residue --tau=2,-1 --nu=1,1", 0),
+    ("verify residue --tau=1e6,0", 0),
     ("table bessel 12 --a=1.3,0.4 --grid=-9,9,7 --tau=0.5,0.2", 0),
     ("vertex --check witt --K 8", 0),
     ("vertex --check kcentral --K 6", 0),
@@ -152,6 +153,7 @@ ALLOWLIST = {
     ("verify", "suite_core", "rec_ok = False"): (FAILURE, "deformed-power-recurrence"),
     ("verify", "suite_halfseries", "ok = False"): (FAILURE, "inverse-unique-involutive"),
     ("verify", "suite_starexp", "worst = math.inf"): (FAILURE, "quadratic-exponential-law"),
+    ("verify", "suite_dist", "worst = math.inf"): (FAILURE, "associativity-break"),
     **{("specialfn", "hermite_checks", f"{name} = False"): (FAILURE, anchor)
        for name, anchor in (("rec_ok", "hermite-recurrence"), ("ode_ok", "hermite-ode"),
                             ("ladder_ok", "hermite-derivative-ladder"))},

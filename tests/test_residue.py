@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from stardeform import residue, verify
 from stardeform.core import Poly
 from stardeform.errors import DegenerateBoundary, DomainError, NodeCountError
 from stardeform.exact import QC, SparseLaurent
@@ -148,6 +149,22 @@ def test_orphan_annihilation():
     res0 = orphan_annihilation(0.5, 0, 0.0, tau, [0.0, 0.5])
     assert res0["annihilation"] < 1e-12
     assert np.abs(res0["t_zero_values"]).max() < 1e-16
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e6])
+def test_ladder_discontinuity_fails_on_a_zeroed_t_zero_value(monkeypatch, tau):
+    """The t = 0 bracket falls like |tau|^(-1/2), to 5.0e-4 at tau = 1e6, and
+    the record still sees it as nonzero; zeroed, it fails the record."""
+    def record():
+        rec, = [r for r in verify.suite_residue(tau=complex(tau), nu=1 + 0j, grid=W_GRID)
+                if r["anchor"] == "ladder-discontinuity"]
+        return rec
+
+    assert record()["passed"] is True
+    true = residue.orphan_annihilation
+    monkeypatch.setattr(residue, "orphan_annihilation",
+                        lambda *args: {**true(*args), "t_zero_values": np.zeros(2)})
+    assert record()["passed"] is False
 
 
 TAU_C = 0.9 + 0.3j

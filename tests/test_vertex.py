@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import stardeform.vertex as vx
 from stardeform.exact import QC, SparseLaurent
 from stardeform.residue import laurent_coeff_closed
-from stardeform.vertex import (INDEX_MAX, XX_CAP, CoeffRing, L_action, VertexElem, bracket_elems,
-                               bracket_xx, central_constraint_check, jacobi_x_check,
+from stardeform.vertex import (INDEX_MAX, STABILITY_GRADES, XX_CAP, CoeffRing, L_action,
+                               VertexElem, bracket_elems, bracket_xx, central_constraint_check,
+                               jacobi_x_check,
                                k_centrality_check, laurent_coefficient_ring,
                                truncation_stability, witt_identity_check, x_elem, y_eigen_defect,
                                y_generator)
@@ -219,7 +220,7 @@ def test_even_subalgebra_closes():
 
 
 def test_truncation_stability():
-    assert truncation_stability()
+    assert truncation_stability(central_constraint_check(STABILITY_GRADES[0])["C"])
 
 
 def test_truncation_stability_sees_a_grade_missing_at_the_low_budget(monkeypatch):
@@ -234,7 +235,7 @@ def test_truncation_stability_sees_a_grade_missing_at_the_low_budget(monkeypatch
         return SparseLaurent({e: v for e, v in out.terms.items() if e[-1] > 0})
 
     monkeypatch.setattr(vx, "bracket_elems", drop_grade0_at_6)
-    assert not truncation_stability()
+    assert not truncation_stability(central_constraint_check(STABILITY_GRADES[0])["C"])
 
 
 def test_jacobi_x():
