@@ -5,7 +5,8 @@ sign elements follow from the density calculus."""
 import numpy as np
 
 from stardeform.distributions import (associativity_break, delta_difference_residual, delta_tau,
-                                      heaviside_pair, sided_inverse_defect)
+                                      heaviside_pair, sided_inverse, sided_inverse_defect,
+                                      sided_power)
 
 tau = 1.0
 grid = np.linspace(-2, 2, 9)
@@ -16,6 +17,11 @@ print("delta expression at w=0:", d(0.0), "(= 1/sqrt(pi))")
 print("sided-inverse defect (a=1):",
       max(sided_inverse_defect(1.0, s, tau, grid) for s in "+-"))
 print("difference equals 2 pi i delta:", delta_difference_residual(0.0, tau, grid))
+# the inverses come from their closed form (the Faddeeva function); a Gaussian
+# window over the half-line is the second route
+agreement = max(np.abs(sided_power(1.0, 1, s, tau, grid) / sided_inverse(1.0, s, tau, grid) - 1).max()
+                for s in "+-")
+print("window vs closed form (a=1), relative:", f"{agreement:.1e}")
 
 # one x-side integral per half of each point's window gives Y(-w) and Y(w)
 y_neg, y = heaviside_pair(tau, grid)

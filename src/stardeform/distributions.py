@@ -16,17 +16,18 @@ which makes the delta law  transform(delta(x-a)) = delta_*(a-w)  hold.
 
 from __future__ import annotations
 
+import cmath
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import theta
 from .core import Poly, intertwine
 from .errors import DomainError, QuadratureFailure
-from .numeric import as_grid, worst_of
-from .quadrature import (WINDOW_PANEL_BUDGET, integrate_gaussian_window, integrate_segment_refined,
-                         x_window)
+from .numeric import as_grid, exp_array, worst_of
+from .quadrature import (WINDOW_PANEL_BUDGET, _read_only, integrate_gaussian_window,
+                         integrate_segment_refined, x_window)
 from .starexp import GaussPoly, star_poly_gauss, translate_action
 from .theta import check_tau
 
@@ -71,9 +72,121 @@ def delta_mass(a, tau):
 
 # ----------------------------------------------------------- sided inverses
 
-def _halfline_integrand(a, w_grid, t_weight=None):
-    """(f, osc) with f(t) = w(t) e^{it(a+w)} over the grid, and the oscillation
-    rate the window must resolve: Im a adds growth e^{|Im a| |t|} to it."""
+# Terms of Weideman's rational expansion of the Faddeeva function.
+WEIDEMAN_N = 40
+_RSQRT_PI = 1 / math.sqrt(math.pi)
+
+
+@lru_cache(maxsize=1)
+def _weideman_rule():
+    """(L, p, p') of Weideman's expansion (SIAM J. Numer. Anal. 31, 1994) with
+    N = WEIDEMAN_N: for Im z >= 0 and Z = (L + iz)/(L - iz),
+
+        w_F(z) = 2 p(Z)/(L - iz)^2 + pi^{-1/2}/(L - iz),
+
+    where L = (N/sqrt 2)^{1/2} and p's N coefficients (highest degree first, as
+    np.vander's columns run) are the FFT of e^{-t^2}(L^2 + t^2) at
+    t = L tan(k pi/2M), M = 2N; p' is p differentiated."""
+    n = WEIDEMAN_N
+    m = 2 * n
+    L = math.sqrt(n / math.sqrt(2))
+    t = L * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    p = np.fft.fft(np.fft.fftshift(f)).real[n:0:-1] / (2 * m)
+    return L, *_read_only(p, np.polyder(p))
+
+
+def _faddeeva(z):
+    """(w_F(z), w_F'(z)) of the Faddeeva function w_F(z) = e^{-z^2} erfc(-iz) over
+    an array.  On Im z >= 0 both come from the rational form of _weideman_rule,
+    w_F' by differentiating it (not by w_F' = -2z w_F + 2i/sqrt(pi), which would
+    make the inverse property that sided_inverse_defect checks hold by
+    construction); below, w_F(z) = 2 e^{-z^2} - w_F(-z), and a value outside
+    the float range raises DomainError."""
+    L, p, dp = _weideman_rule()
+    lower = z.imag < 0
+    up = np.where(lower, -z, z)
+    d = L - 1j * up
+    Z = (L + 1j * up) / d
+    powers = np.vander(Z, WEIDEMAN_N)
+    pz = powers @ p
+    val = (2 * pz / d + _RSQRT_PI) / d
+    der = (4j * (L * (powers[:, 1:] @ dp) / d + pz) / d + 1j * _RSQRT_PI) / d / d
+    if lower.any():
+        zl = z[lower]
+        # one e^{-z^2} serves w_F and w_F', so that its rounding, a multiple of
+        # e^{-z^2}, cancels in (a+w) f + (tau/2) f'
+        e = exp_array(lambda: -zl * zl)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val[lower] = 2 * e - val[lower]
+            der[lower] -= 4 * zl * e
+        if not (np.isfinite(val).all() and np.isfinite(der).all()):
+            raise DomainError("the Faddeeva function is outside the float range")
+    return val, der
+
+
+def _sided_closed_form(a, side: str, tau, w_grid):
+    """(f, f') over the grid, f the side's inverse of (a + w) and f' its
+    w-derivative, with zeta = (a + w)/sqrt(tau):
+
+        f_+ = i sqrt(pi/tau) w_F(-zeta),    f_- = -i sqrt(pi/tau) w_F(zeta)."""
+    check_tau(tau)
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    root = cmath.sqrt(complex(tau))
+    zeta = (complex(a) + as_grid(w_grid)) / root
+    sgn = +1 if side == "+" else -1
+    val, der = _faddeeva(-sgn * zeta)
+    pref = sgn * 1j * math.sqrt(math.pi) / root
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, fp = pref * val, -sgn * pref / root * der
+    if not (np.isfinite(f).all() and np.isfinite(fp).all()):
+        raise DomainError(f"a sided inverse at tau={tau} is outside the float range")
+    return f, fp
+
+
+def sided_inverse(a, side: str, tau, w_grid):
+    """Two inverses of (a + w):  '+': i * integral_{-inf}^0,  '-': -i * integral_0^inf
+    of e^{-t^2 tau/4} e^{it(a+w)} dt, the linear exponential's tau-expression, for
+    each w in the grid.
+
+    The integrals are read from their closed form through the Faddeeva function
+    (_sided_closed_form), within max(1e-12, 8 eps |zeta|^2) relative: zeta^2 is
+    rounded, and e^{-zeta^2} moves by eps |zeta|^2 relative with it.  A value
+    outside the float range raises DomainError.  sided_power at m = 1 integrates
+    the same half-lines over a Gaussian window: the second route, which the
+    `verify dist` record sided-route-agreement compares with this one."""
+    return _sided_closed_form(a, side, tau, w_grid)[0]
+
+
+def sided_inverse_defect(a, side: str, tau, w_grid) -> float:
+    """max over the grid of |(a+w) f + (tau/2) f' - 1| (the inverse property) for
+    the closed form's f and f': the residual of the rational approximant in the
+    equation.  It cannot see a multiple of e^{-(a+w)^2/tau}, which (a+w) + (tau/2) d/dw
+    kills; sided-difference-delta checks that part."""
+    f, fp = _sided_closed_form(a, side, tau, w_grid)
+    resid = (complex(a) + as_grid(w_grid)) * f + complex(tau) / 2 * fp - 1.0
+    return float(np.abs(resid).max())
+
+
+def sided_power(a, m: int, side: str, tau, w_grid):
+    """(a+w)^{-m}_{*(side)} from the (m-1)-th a-derivative of the inverse:
+    the derivative pulls (it)^{m-1} into the integrand, and a Gaussian window
+    integrates it for every m (at m = 1 it is the second route to sided_inverse).
+
+    Im a shifts the Gaussian peak off t=0, so the window widens by it; the panels
+    resolve both the e^{itw} oscillation and the growth from Im a.  m is at most
+    171, so that (m-1)! stays below the float maximum.  The window follows the
+    weight's mass near |t| = sqrt(2(m-1)/Re tau).  A window whose error
+    estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
+    """
+    check_tau(tau)
+    if side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    if not 1 <= m <= 171:
+        raise DomainError(f"m must be in 1..171, got {m}")
+    sgn = +1 if side == "+" else -1
+    pref = (1j if side == "+" else -1j) * (-1) ** (m - 1) / math.factorial(m - 1)
     a_c = complex(a)
     ws = as_grid(w_grid)
     osc = max(float(np.abs(ws + a_c).max()), abs(a_c.imag) + 1.0)
@@ -84,65 +197,10 @@ def _halfline_integrand(a, w_grid, t_weight=None):
         base = np.multiply.outer(ws + a_c, t)
         base *= 1j
         np.exp(base, out=base)
-        if t_weight is not None:
-            base *= t_weight(t)
+        base *= (1j * t) ** (m - 1)
         return base
 
-    return f, osc
-
-
-def sided_inverse(a, side: str, tau, w_grid):
-    """Two inverses of (a + w):  '+': i * integral_{-inf}^0,  '-': -i * integral_0^inf
-    of e^{-t^2 tau/4} e^{it(a+w)} dt, the linear exponential's tau-expression, for
-    each w in the grid.
-
-    Im a shifts the Gaussian peak off t=0, so the window widens by it; the
-    panels resolve both the e^{itw} oscillation and the growth from Im a.  It is
-    sided_power at m = 1."""
-    return sided_power(a, 1, side, tau, w_grid)
-
-
-def sided_inverse_defect(a, side: str, tau, w_grid) -> float:
-    """max over the grid of |(a+w) f + (tau/2) f' - 1| (the inverse property).
-
-    Differentiating in w brings a factor it into f's integrand, so one window
-    integrates both: each pass builds e^{it(a+w)} once and stacks it with its
-    product by it."""
-    check_tau(tau)
-    tau_c, a_c = complex(tau), complex(a)
-    sgn = +1 if side == "+" else -1
-    f_t, osc = _halfline_integrand(a, w_grid)
-
-    def both(t):
-        base = f_t(t)
-        vals = np.empty((2,) + base.shape, complex)
-        vals[0] = base
-        np.multiply(vals[0], 1j * t, out=vals[1])
-        return vals
-
-    f, fp = (1j if sgn > 0 else -1j) * integrate_gaussian_window(both, tau, -sgn, osc,
-                                                                 shift=a_c.imag)
-    resid = (a_c + as_grid(w_grid)) * f + tau_c / 2 * fp - 1.0
-    return float(np.abs(resid).max())
-
-
-def sided_power(a, m: int, side: str, tau, w_grid):
-    """(a+w)^{-m}_{*(side)} from the (m-1)-th a-derivative of the inverse:
-    the derivative pulls (it)^{m-1} into the integrand.
-
-    m is at most 171, so that (m-1)! stays below the float maximum.  The window
-    follows the weight's mass near |t| = sqrt(2(m-1)/Re tau).  A window whose error
-    estimate misses WINDOW_RTOL times its largest value raises QuadratureFailure.
-    """
-    check_tau(tau)
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    if not 1 <= m <= 171:
-        raise DomainError(f"m must be in 1..171, got {m}")
-    sgn = +1 if side == "+" else -1
-    pref = (1j if side == "+" else -1j) * (-1) ** (m - 1) / math.factorial(m - 1)
-    f, osc = _halfline_integrand(a, w_grid, t_weight=lambda t: (1j * t) ** (m - 1))
-    return pref * integrate_gaussian_window(f, tau, -sgn, osc, complex(a).imag, m - 1)
+    return pref * integrate_gaussian_window(f, tau, -sgn, osc, a_c.imag, m - 1)
 
 
 def delta_difference_residual(a, tau, w_grid) -> float:

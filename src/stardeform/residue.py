@@ -217,7 +217,8 @@ def phi_psi(alpha, tau) -> PhiPsi:
     v = np.array([dp(0.0), dm(0.0)])
     d = np.array([dp.diff()(0.0), dm.diff()(0.0)])
     M = np.array([v, d])
-    if abs(np.linalg.det(M)) < 1e-14 * max(1.0, float(np.abs(M).max()) ** 2):
+    # Hadamard's bound |det M| <= |row 1| |row 2| gives the scale
+    if abs(np.linalg.det(M)) <= 1e-14 * float(np.prod(np.linalg.norm(M, axis=1))):
         raise DegenerateBoundary(f"boundary system singular at alpha={alpha}")
     ab_phi = np.linalg.solve(M, np.array([1.0, 0.0]))
     return PhiPsi(alpha_c, tau_c, complex(ab_phi[0]), complex(ab_phi[1]),

@@ -311,12 +311,23 @@ def suite_dist(tau, grid) -> list:
     out.append(_rec("delta-annihilation", "(a+w) kills its delta in closed form", resid, 1e-14))
     out.append(_rec("delta-mass", "delta expression integrates to one",
                     abs(distributions.delta_mass(0.3, tau) - 1), 1e-11))
+    # the sided inverses are read from their closed form; only
+    # sided-route-agreement integrates their Gaussian windows
     worst = worst_of(distributions.sided_inverse_defect(a, s, tau, grid)
                      for a in (0.0, 1.0, 1j) for s in "+-")
-    out.append(_rec("sided-inverse-defect", "half-line integrals invert (a+w)", worst, 1e-8))
+    out.append(_rec("sided-inverse-defect", "closed-form sided inverses invert (a+w)", worst,
+                    1e-8))
+    # at real tau, a and w every zeta is real; a = 0.3i sends one side through
+    # the reflection w_F(z) = 2 e^{-z^2} - w_F(-z)
     worst = worst_of(distributions.delta_difference_residual(a, tau, grid[::2])
-                     for a in (0.0, 0.8))
+                     for a in (0.0, 0.8, 0.3j))
     out.append(_rec("sided-difference-delta", "inverse difference equals 2 pi i delta",
+                    worst, 1e-9))
+    worst = worst_of(float(np.abs(distributions.sided_power(a, 1, s, tau, grid[::4])
+                                  / distributions.sided_inverse(a, s, tau, grid[::4]) - 1).max())
+                     for a in (0.0, 1.0, 1j) for s in "+-")
+    out.append(_rec("sided-route-agreement",
+                    "Gaussian window vs closed form of the sided inverses (relative per point)",
                     worst, 1e-9))
     # one refinement gives the pair that the next two records read
     y_neg, y = distributions.heaviside_pair(tau, grid)

@@ -97,6 +97,26 @@ def test_the_readme_table_equals_the_signatures():
     assert readme_table(README.read_text()) == table_of_signatures()
 
 
+def readme_dist_records(text: str) -> list:
+    """The first cells of the rows under '| Record of `verify dist` | Route |'."""
+    lines = [line.strip() for line in text.splitlines()]
+    start = lines.index("| Record of `verify dist` | Route |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.strip("|").split("|")[0].strip().strip("`"))
+    return rows
+
+
+def test_the_readme_names_the_route_of_every_dist_record():
+    """README's table of `verify dist` records lists each record once, in
+    report order, with the route it reads."""
+    args = vars(verify_parser().parse_args(["dist"]))
+    records = verify.run_suite("dist", **{opt: args[opt] for opt in options()})
+    assert readme_dist_records(README.read_text()) == [r["anchor"] for r in records]
+
+
 def test_the_parser_offers_every_suite():
     """The parser lists the suites by hand, so that it need not import numpy."""
     suite, = (a for a in verify_parser()._actions if a.dest == "suite")

@@ -2,8 +2,10 @@
 Gaussian half-line integrals."""
 
 import cmath
+import inspect
 import json
 import math
+import textwrap
 
 import mpmath
 import numpy as np
@@ -327,6 +329,62 @@ def test_inverse_product_law_record_detects_a_perturbed_inverse(monkeypatch):
     monkeypatch.setattr(distributions, "sided_inverse",
                         lambda *args: sided_inverse_(*args) * (1 + 1e-6))
     assert record()["passed"] is False
+
+
+def _mutated(func, old, new):
+    """func recompiled from its source with the one occurrence of old replaced by
+    new, in a copy of its module's namespace."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+def _weideman_l_off_by_one_percent():
+    L, p, dp = distributions._weideman_rule()
+    return lambda: (1.01 * L, p, dp)
+
+
+# name: (attribute of distributions, its replacement, records that must fail)
+CLOSED_FORM_MUTANTS = {
+    "f-plus-at-plus-zeta": (
+        "_sided_closed_form",
+        lambda: _mutated(distributions._sided_closed_form, "_faddeeva(-sgn * zeta)",
+                         "_faddeeva(zeta)"),
+        ("sided-inverse-defect",)),
+    "reflection-without-2exp": (
+        "_faddeeva",
+        lambda: _mutated(distributions._faddeeva, "e = exp_array", "e = 0 * exp_array"),
+        ("sided-difference-delta",)),
+    "weideman-l-off-by-1-percent": (
+        "_weideman_rule", _weideman_l_off_by_one_percent,
+        ("sided-inverse-defect", "sided-route-agreement")),
+    "window-scaled-by-1e-6": (
+        "sided_power",
+        lambda: (lambda *args, true=distributions.sided_power: true(*args) * (1 + 1e-6)),
+        ("sided-route-agreement",)),
+}
+
+
+@pytest.mark.parametrize("tau", [1 + 0j, 0.7 + 0.4j])
+@pytest.mark.parametrize("mutant", list(CLOSED_FORM_MUTANTS))
+def test_sided_inverse_records_fail_on_a_mutant(monkeypatch, mutant, tau):
+    """f_+ read at +zeta, the reflection without its 2 e^{-z^2}, Weideman's L
+    off by 1 % where the rational form is evaluated, and the m = 1 window
+    scaled by 1 + 1e-6 each fail the records named, at a real and a complex
+    tau; unmutated, all three records pass."""
+    anchors = ("sided-inverse-defect", "sided-difference-delta", "sided-route-agreement")
+
+    def passed():
+        return {r["anchor"]: r["passed"] for r in verify.suite_dist(tau=tau, grid=W_SMALL)
+                if r["anchor"] in anchors}
+
+    assert passed() == dict.fromkeys(anchors, True)
+    name, make, failing = CLOSED_FORM_MUTANTS[mutant]
+    monkeypatch.setattr(distributions, name, make())
+    got = passed()
+    assert [a for a in failing if got[a]] == []
 
 
 def test_associativity_break_matches_theta():
@@ -799,9 +857,9 @@ def test_window_panels_follow_the_chirp():
     WINDOW_PANEL_BUDGET panels."""
     for tau in (0.1 + 4j, 0.05 + 5j):
         want = _mp_sided_power(0.0, 1, "+", tau, 0.3)
-        assert abs(sided_inverse(0.0, "+", tau, [0.3])[0] - want) <= 1e-13 * abs(want)
+        assert abs(sided_power(0.0, 1, "+", tau, [0.3])[0] - want) <= 1e-13 * abs(want)
     with pytest.raises(QuadratureFailure, match="WINDOW_PANEL_BUDGET"):
-        sided_inverse(0.0, "+", 0.01 + 5j, [0.3])
+        sided_power(0.0, 1, "+", 0.01 + 5j, [0.3])
 
 
 def test_unresolved_large_order_transform_raises():
@@ -826,9 +884,15 @@ def test_first_order_windows_are_unchanged():
                    - integrate_gaussian_window(f, 1.5 + 0.5j, -1, osc))
     assert principal_value_inverse(1, 1.5 + 0.5j, W_GRID).tobytes() == want.tobytes()
     for a in (0.0, 0.5 - 0.4j):
-        for side in "+-":
-            assert sided_power(a, 1, side, 1.0, W_GRID).tobytes() == \
-                sided_inverse(a, side, 1.0, W_GRID).tobytes()
+        u = ws + a
+        osc = max(float(np.abs(u).max()), abs(a.imag) + 1.0)
+
+        def g(t):
+            return np.exp(1j * np.multiply.outer(u, t))
+
+        for side, sgn in (("+", 1), ("-", -1)):
+            want = sgn * 1j * integrate_gaussian_window(g, 1.0, -sgn, osc, a.imag)
+            assert sided_power(a, 1, side, 1.0, W_GRID).tobytes() == want.tobytes()
 
 
 def test_power_window_error_estimate_has_both_terms():
@@ -899,9 +963,10 @@ def test_delta_mass_beyond_the_panel_budget_is_refused():
 
 @pytest.mark.parametrize("tau", ["0.05,5", "0.04,5", "0.05,6"])
 def test_verify_dist_at_a_wide_chirp_is_refused_by_the_sided_inverses(tau, capsys):
-    """delta-mass now passes at these tau; the suite still exits 1, refused with
-    one error line by the Gaussian window of sided-inverse-defect at a = 1j,
-    whose shift widens it past WINDOW_PANEL_BUDGET."""
+    """delta-mass passes at these tau, and sided-inverse-defect reads the closed
+    form; the suite still exits 1, refused with one error line by the Gaussian
+    window of sided-route-agreement at a = 1j, whose shift widens it past
+    WINDOW_PANEL_BUDGET."""
     code, out, err = _run(["verify", "dist", f"--tau={tau}"], capsys)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: Gaussian window needs")

@@ -58,6 +58,7 @@ COMMANDS = [
     ("verify dist --tau=0.5,-1 --grid=-3,3,65", 0),
     ("verify dist --tau=2,1", 0),
     ("verify dist --tau=0.05,5", 1),
+    ("verify dist --tau=0.02,0", 1),
     *((f"verify {suite} --seed {seed}", 0) for seed in (1, 20261018)
       for suite in ("core", "halfseries", "special", "starexp")),
     ("eval star --f w^3+2 --g w^2 --tau 1,0.5 --rational", 0),
@@ -75,6 +76,7 @@ COMMANDS = [
     ("verify residue --tau=0.5,1 --nu=-1,-1 --grid=-3,3,65", 0),
     ("verify residue --tau=2,-1 --nu=1,1", 0),
     ("verify residue --tau=1e6,0", 0),
+    ("verify residue --tau=1e7,0", 0),
     ("table bessel 12 --a=1.3,0.4 --grid=-9,9,7 --tau=0.5,0.2", 0),
     ("vertex --check witt --K 8", 0),
     ("vertex --check kcentral --K 6", 0),

@@ -112,6 +112,16 @@ def test_phi_psi_degenerate():
         phi_psi(0.0, 1.0)
 
 
+@pytest.mark.parametrize("tau", [1e7, 1e12])
+def test_phi_psi_judges_singularity_against_its_rows(tau):
+    """At tau = 1e7 det M is 7.6e-15, below an absolute 1e-14, as the delta
+    values fall like (pi tau)^{-1/2}; scaled by Hadamard's bound
+    |row 1| |row 2| the system is as well conditioned as at tau = 1."""
+    pp = phi_psi(0.6, tau)
+    assert abs(pp.phi(0.0) - 1) < 1e-12
+    assert pp.phi(0.3) == pytest.approx(pp.phi(-0.3), rel=1e-12)
+
+
 def test_eigen_equation_exact():
     # (alpha^2 - quad-element) * delta-member: polynomial prefactor cancels exactly
     from stardeform.distributions import delta_tau
