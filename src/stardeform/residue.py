@@ -177,17 +177,17 @@ def closed_contour_vanishing(nu, tau, w):
     return abs(4j * np.pi * _contour_mean(1, nu, tau, w, CONTOUR_RADIUS, CONTOUR_NODES))
 
 
-def ladder_residual(k: int, nu, tau, w_grid) -> float:
-    """|(nu + w-element^2) * a_{2k-1} - (k + 1/2) a_{2k+1}| on the grid.
-
-    The left product is the finite polynomial product rule applied to the
-    GaussPoly form (tau-expression of the quadratic element is nu + w^2 + tau/2)."""
+def ladder_residual(k: int, nu, tau, w_grid) -> tuple:
+    """(max |(nu + w-element^2) * a_{2k-1} - (k + 1/2) a_{2k+1}| on the grid, the left
+    product by the finite product rule on the GaussPoly form; its rounding bound
+    eps max (|(nu + tau/2) a_{2k-1}| + |w^2 * a_{2k-1}| + |rhs|), Higham ch. 3)."""
     tau_c, nu_c = complex(tau), complex(nu)
-    a_lo = laurent_gausspoly(k, nu, tau)
-    a_hi = laurent_gausspoly(k + 1, nu, tau)
+    a_lo, a_hi = laurent_gausspoly(k, nu, tau), laurent_gausspoly(k + 1, nu, tau)
     lhs = star_poly_gauss(Poly([nu_c + tau_c / 2, 0.0, 1.0]), a_lo, tau_c)
     ws = as_grid(w_grid)
-    return float(np.abs(lhs(ws) - (k + 0.5) * a_hi(ws)).max())
+    left, rhs, first = lhs(ws), (k + 0.5) * a_hi(ws), (nu_c + tau_c / 2) * a_lo(ws)
+    sizes = np.abs(first) + np.abs(left - first) + np.abs(rhs)
+    return float(np.abs(left - rhs).max()), sys.float_info.epsilon * float(sizes.max())
 
 
 # ----------------------------------------------------- boundary-value pair
@@ -326,8 +326,7 @@ def diffeqevol_exact_defect(k: int) -> SparseLaurent:
     lhs = dg * S + dS_z + quarter_zinv2 * (gww * S + 2 * gw * dS_w + d2S_w)
 
     # product side: (nu + w^2 + tau/2) A + tau w A' + (tau^2/4) A'' with tau = 1/z
-    tau_half = half_zinv
-    rhs = (nu + w2 + tau_half) * S \
+    rhs = (nu + w2 + half_zinv) * S \
         + SparseLaurent({(-1, 1, 0): 1}) * (gw * S + dS_w) \
         + quarter_zinv2 * (gww * S + 2 * gw * dS_w + d2S_w)
     return lhs - rhs

@@ -428,8 +428,8 @@ def test_form_route_operators_equal_the_loop_over_qc(f, g, c, order):
     top = ExactPoly([0] * f.degree + [f.coeffs[-1]]) if not f.is_zero() else ExactPoly()
     cases = [(f + g, F + G), (g + f, G + F), (f - g, minus(F, G)), (g - f, minus(G, F)),
              (f * g, F * G), (g * f, G * F), (f.scale(c), F.scale(as_qc(c))),
-             (f.deriv(order), F.deriv(order)), (f + c, F + C), (f + c, C + F),
-             (f - c, minus(F, C)), (f - f, minus(F, F)), (f - top, minus(F, over_qc(top))),
+             (f.deriv(order), F.deriv(order)), (f + c, F + C), (f - c, minus(F, C)),
+             (f - f, minus(F, F)), (f - top, minus(F, over_qc(top))),
              (f * g - g * f, minus(F * G, G * F))]
     for got, want in cases:
         assert matches_loop(got, want)

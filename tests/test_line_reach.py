@@ -1,10 +1,11 @@
 """Every line of the package runs under some `stardeform` command.
 
-COMMANDS is a committed list of (argv, exit code).  The test runs each one
-in-process through `cli.main`, with stdout and stderr captured, under a
-`sys.settrace` line trace of the package's frames (the trace in place before
-is restored after).  It asserts each command's exit code, so a command that
-starts failing early fails here rather than shrinking what the trace sees.
+The test runs every entry of the command table (`tests/commands.py`)
+in-process through `cli.main`, with stdout and stderr captured and COLUMNS=80,
+under a `sys.settrace` line trace of the package's frames (the trace in place
+before is restored after).  It checks each entry's exit code, stdout sha256
+and stderr line as the table's runner does, so a command that starts failing
+early fails here rather than shrinking what the trace sees.
 
 It then fails on any statement in a function body of the package that no
 command ran.  Three kinds of statement are exempt: a `raise`, a
@@ -22,8 +23,14 @@ statement) with exactly one of these reasons:
 - PENDING: the polynomial prefactor of the Gaussian heat flow, which no
   verify record multiplies yet.
 
-An entry that names no statement fails, and so does one (PLATFORM aside, as
-those run on some interpreters only) that names a statement a command runs.
+An alias such as `__radd__ = __add__` shares its original's lines, so while
+the commands run each one records its calls (`recorded_aliases`); an alias that
+no command calls fails unless ALLOWLIST names it by (module, "Class.name",
+"name = original").
+
+An entry that names no statement or alias fails, and so does one (PLATFORM
+aside, as those run on some interpreters only) that names a statement a
+command runs or an alias a command calls.
 
 Module-level tables and constants leave no line of their own, so the test also
 fails on a module-level assigned name or class that no traced line reads.  A
@@ -38,88 +45,18 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import io
+import importlib
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
 import stardeform
+from commands import TABLE, failures, run_in_process
 from stardeform import cli
 
 PACKAGE = Path(stardeform.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-
-COMMANDS = [
-    # the runtime-deps CI job's commands
-    ("verify all", 0),
-    ("table euler 40", 0),
-    ("verify theta --tau=0.01,0", 0),
-    ("verify dist --tau=0.5,1 --grid=-3,3,65", 0),
-    ("verify dist --tau=2,-1", 0),
-    ("verify dist --tau=0.5,-1 --grid=-3,3,65", 0),
-    ("verify dist --tau=2,1", 0),
-    ("verify dist --tau=0.05,5", 1),
-    ("verify dist --tau=0.02,0", 1),
-    *((f"verify {suite} --seed {seed}", 0) for seed in (1, 20261018)
-      for suite in ("core", "halfseries", "special", "starexp")),
-    ("eval star --f w^3+2 --g w^2 --tau 1,0.5 --rational", 0),
-    ("table legendre 40 --tau=-1,0", 0),
-    ("table laguerre 12 --tau=0.5,0.25", 0),
-    ("table bernoulli 120", 0),
-    ("table euler 60", 0),
-    ("table euler 10", 0),
-    ("table bernoulli 10", 0),
-    ("table euler 0", 0),
-    ("table bernoulli 0", 0),
-    ("table euler 12 --tau=0.5,0", 2),
-    ("table hermite 3 --tau=0e99999999999999999999", 2),
-    ("table hermite 2 --tau=0.1234567,0", 0),
-    ("verify residue --tau=0.5,1 --nu=-1,-1 --grid=-3,3,65", 0),
-    ("verify residue --tau=2,-1 --nu=1,1", 0),
-    ("verify residue --tau=1e6,0", 0),
-    ("verify residue --tau=1e7,0", 0),
-    ("table bessel 12 --a=1.3,0.4 --grid=-9,9,7 --tau=0.5,0.2", 0),
-    ("vertex --check witt --K 8", 0),
-    ("vertex --check kcentral --K 6", 0),
-    ("vertex --check witt --K 0", 0),
-    ("vertex --check central --K 6", 1),
-    ("verify special --grid=-5,5,41", 0),
-    ("dist --side pv --m 61 --tau=0.6,0.9 --w-grid=0.3,0.6,2", 1),
-    ("verify residue --tau=1e308,1e308", 2),
-    ("residue --nodes=65537", 2),
-    # the CSV report; seed 22 draws a series with a zero constant term in
-    # verify halfseries
-    ("verify all --format csv --seed 22", 0),
-    # each table family, evaluator and side once more
-    ("table hermite 6 --tau=-1,0", 0),
-    ("table laguerre 4 --tau=1e308", 0),
-    # |a w| = 9 takes the backward recurrence, which rescales past 1e250
-    ("table bessel 300 --a=1 --grid=-9,9,3", 0),
-    # the Bessel row sum's order passes the first table's (36) at |w| = 16
-    ("verify special --grid=-16,16,3", 0),
-    # the generating route's transform passes 256 points in s at |w| = 100
-    ("verify special --grid=-100,100,3", 0),
-    ("eval star --f w^2 --g w^2 --tau 1,0", 0),
-    ("eval star --f (1+2i)w^2-w --g w^3+0.5w --tau 1,0.5", 0),
-    ("eval star --f 0 --g w^2 --tau 1,0", 0),
-    ("eval star --f 0 --g w^2 --tau 1,0 --rational", 0),
-    ("eval star --f=-w --g w^2 --tau 1,0 --rational", 0),
-    ("theta --tau 1,0.5 --kind 1 --w-grid=-1,1,5", 0),
-    ("residue --k 1 --nu 0.5,0.1 --tau 1,1", 0),
-    ("residue --tol 1e-9 --radius 0.5", 0),
-    ("dist --a 1,0 --side + --w-grid=-1,1,3", 0),
-    ("dist --a 1,0 --side - --w-grid=-1,1,3", 0),
-    ("dist --side + --m 2 --w-grid=-1,1,3", 0),
-    ("dist --side pv --m 2 --w-grid=-1,1,3", 0),
-    # bad input and kernel failures, one error line each
-    ("verify core --tau=--", 2),
-    ("verify core --tol=-1", 2),
-    ("theta --tau=-2,0", 2),
-    ("eval star --f w^2 --g w^2 --tau 1e308,0", 2),
-    ("residue --k 170 --nu=600,0", 2),
-    ("table bessel 2 --tau=1e308", 1),
-    ("table euler 2000", 1),
-    ("vertex --check central --K 129", 1),
-]
 
 FAILURE, GUARD, PLATFORM, REFERENCE, PENDING = \
     "failure", "guard", "platform", "reference", "pending"
@@ -198,20 +135,52 @@ def traced_lines(root: Path, run) -> set:
     return hit
 
 
-def run_commands(commands) -> list:
-    """[(argv, exit code)] of cli.main over the commands, output captured.
-    The package's functools caches are emptied first, so that a cached body
-    runs here whatever ran before in the process."""
+def run_table() -> list:
+    """[(argv, what it got wrong)] for each TABLE entry that fails its checks,
+    run in-process through cli.main.  The package's functools caches are
+    emptied first, so that a cached body runs here whatever ran before in the
+    process."""
     for name, module in list(sys.modules.items()):
         if name.startswith("stardeform."):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-    out = []
-    for line, _ in commands:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            out.append((line, cli.main(line.split())))
-    return out
+    return [(entry.argv, wrong) for entry in TABLE
+            if (wrong := failures(entry, *run_in_process(cli.main, entry.argv)))]
+
+
+@contextlib.contextmanager
+def recorded_aliases(prefix: str):
+    """Yield ({key: (class, name, function)}, the keys called) for each
+    attribute of a class in the modules under prefix that is the same function
+    as another attribute of its class, as `__radd__ = __add__` is, with key
+    (module, "Class.name", "name = original").  Each is swapped for a wrapper
+    that records its call while the block runs, and restored after."""
+    found, called = {}, set()
+    for name, module in list(sys.modules.items()):
+        if not name.startswith(prefix):
+            continue
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == name:
+                for attr, value in vars(cls).items():
+                    if inspect.isfunction(value) and attr != value.__name__ \
+                            and vars(cls).get(value.__name__) is value:
+                        found[(name[len(prefix):], f"{cls.__name__}.{attr}",
+                               f"{attr} = {value.__name__}")] = (cls, attr, value)
+
+    def recorder(key, func):
+        def wrapper(*args, **kwargs):
+            called.add(key)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for key, (cls, attr, func) in found.items():
+        setattr(cls, attr, recorder(key, func))
+    try:
+        yield found, called
+    finally:
+        for cls, attr, func in found.values():
+            setattr(cls, attr, func)
 
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -361,17 +330,23 @@ class Package:
         return missed, sorted(self.names - used), ran
 
 
-def test_every_statement_and_name_is_reached_by_a_listed_command():
+def test_every_statement_and_name_is_reached_by_a_listed_command(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")             # the width of the help pins
     package = Package(PACKAGE)
-    codes = []
-    hit = traced_lines(PACKAGE, lambda: codes.extend(run_commands(COMMANDS)))
-    assert codes == COMMANDS
+    for module in pkgutil.iter_modules([str(PACKAGE)]):
+        importlib.import_module(f"stardeform.{module.name}")
+    wrong = []
+    with recorded_aliases("stardeform.") as (found, called):
+        hit = traced_lines(PACKAGE, lambda: wrong.extend(run_table()))
+    assert wrong == []
     missed, unused, ran = package.unreached(hit, ALLOWLIST)
     assert sorted({s.key for s in missed}) == []
     assert unused == []
-    # each allowlist entry names a statement that no command runs, PLATFORM aside
-    assert sorted(set(ALLOWLIST) - {s.key for s in package.statements}) == []
-    never = {s.key for s in package.statements if s not in ran}
+    assert sorted(k for k in found if k not in called and k not in ALLOWLIST) == []
+    # each allowlist entry names a statement or an alias that no command runs,
+    # PLATFORM aside
+    assert sorted(set(ALLOWLIST) - {s.key for s in package.statements} - set(found)) == []
+    never = {s.key for s in package.statements if s not in ran} | (set(found) - called)
     assert sorted(k for k, (reason, _) in ALLOWLIST.items()
                   if reason != PLATFORM and k not in never) == []
 
@@ -412,13 +387,23 @@ class Box:
     def never(self):
         return ONLY_UNRUN
 
+    def __add__(self, y):
+        return Box(self.x + y)
+
+    __radd__ = __add__
+
+    def __mul__(self, k):
+        return Box(self.x * k)
+
+    __rmul__ = __mul__
+
 
 def main(x):
     if x > 5:
         x = 5
     while True:
         break
-    return Box(x).twice() + TABLE[0] + VIA_MODULE + other.via_attribute()
+    return (2 * Box(x) + 0).twice() + TABLE[0] + VIA_MODULE + other.via_attribute()
 
 
 def unrun():
@@ -437,8 +422,8 @@ def via_attribute():
 
 
 def _trace_control(tmp_path):
-    """The control package ctlpkg (main.py and other.py) and the lines that a
-    call of main.main(1) runs in it."""
+    """The control package ctlpkg (main.py and other.py), the lines that a
+    call of main.main(1) runs in it, its aliases and those the call called."""
     pkg = tmp_path / "ctlpkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
@@ -447,19 +432,20 @@ def _trace_control(tmp_path):
     sys.path.insert(0, str(tmp_path))
     try:
         from ctlpkg import main
-        hit = traced_lines(pkg, lambda: main.main(1))
+        with recorded_aliases("ctlpkg.") as (found, called):
+            hit = traced_lines(pkg, lambda: main.main(1))
     finally:
         sys.path.remove(str(tmp_path))
         for name in [m for m in sys.modules if m.startswith("ctlpkg")]:
             del sys.modules[name]
-    return Package(pkg), hit
+    return Package(pkg), hit, found, called
 
 
 def test_the_trace_sees_branches_and_methods(tmp_path):
     """Control: an untaken branch and an unrun method are reported, a method
     run through an attribute and a raise are not, and an allowlisted statement
     is not reported."""
-    package, hit = _trace_control(tmp_path)
+    package, hit, _, _ = _trace_control(tmp_path)
     missed, _, _ = package.unreached(hit, {})
     assert sorted(s.key for s in missed) == [("main", "Box.never", "return ONLY_UNRUN"),
                                              ("main", "main", "x = 5")]
@@ -471,6 +457,16 @@ def test_the_trace_sees_reads_through_tables_and_imports(tmp_path):
     """Control: names read only in unrun code or in an unread table are
     reported; names read through a table, an import, a module attribute or a
     raise are not."""
-    package, hit = _trace_control(tmp_path)
+    package, hit, _, _ = _trace_control(tmp_path)
     _, unused, _ = package.unreached(hit, {})
     assert unused == [("main", "ONLY_UNRUN"), ("other", "DEAD")]
+
+
+def test_the_trace_sees_which_aliases_are_called(tmp_path):
+    """Control: an alias reached through its reflected operator is recorded;
+    one whose original alone is called is not, and both are restored after."""
+    _, _, found, called = _trace_control(tmp_path)
+    assert sorted(found) == [("main", "Box.__radd__", "__radd__ = __add__"),
+                             ("main", "Box.__rmul__", "__rmul__ = __mul__")]
+    assert sorted(called) == [("main", "Box.__rmul__", "__rmul__ = __mul__")]
+    assert all(vars(cls)[attr] is func for cls, attr, func in found.values())

@@ -78,9 +78,17 @@ def test_gausspoly_form_matches_closed():
 
 
 def test_ladder():
-    assert ladder_residual(0, 0.0, 1.0, W_GRID) < 1e-14   # both sides vanish
+    assert ladder_residual(0, 0.0, 1.0, W_GRID)[0] < 1e-14   # both sides vanish
     for k, nu, tau in ((0, 1.0, 1.0), (1, 0.6, 1 + 1j), (-1, 1.2, 2.0), (2, 0.9, 1.0)):
-        assert ladder_residual(k, nu, tau, W_GRID) < 1e-12
+        residual, bound = ladder_residual(k, nu, tau, W_GRID)
+        assert residual < 1e-12 and bound < 1e-14
+
+
+def test_ladder_rounding_bound_covers_the_cancelled_terms():
+    """At tau = 1e12 the residual is eps-sized against terms |tau/2 a| ~ 5e5 that
+    cancel: above an absolute 1e-12, within the bound carried with it."""
+    residual, bound = ladder_residual(2, 1.0, 1e12, [0.0, 0.5])
+    assert 1e-12 < residual <= bound < 1e-9
 
 
 def test_closed_contour_vanishing():
@@ -181,7 +189,7 @@ TAU_C = 0.9 + 0.3j
 
 
 @pytest.mark.parametrize("residual", [
-    lambda ws: ladder_residual(1, 0.7 - 0.2j, TAU_C, ws),
+    lambda ws: ladder_residual(1, 0.7 - 0.2j, TAU_C, ws)[0],
     lambda ws: semigroup_on_delta(0.5, 0.6, TAU_C, ws),
     lambda ws: phi_group_action_residual(1 / TAU_C, 0.6, TAU_C, ws),
     lambda ws: orphan_annihilation(0.1, 0, 0.7, TAU_C, ws)["annihilation"],
