@@ -434,35 +434,24 @@ def _double_osc(tau, a, b, w_grid, side_a: int, side_b: int):
     return pref * total
 
 
-def product_of_inverses_residual(a, b, tau, w_grid) -> dict:
-    """Checks around the product law for sided inverses at distinct a != b
-    (Im a < 0 < Im b so three of the four sign pairs converge absolutely):
+def product_of_inverses_residual(a, b, tau, w_grid) -> float:
+    """The product law for sided inverses at distinct a != b,
 
-        (a+w)^{-1}_{*s} * (b+w)^{-1}_{*s'} = ((a+w)^{-1}_{*s} - (b+w)^{-1}_{*s'})/(b-a)
+        (a+w)^{-1}_{*s} * (b+w)^{-1}_{*s'} = ((a+w)^{-1}_{*s} - (b+w)^{-1}_{*s'})/(b-a),
 
-    verified by 2D quadrature for (+,+), (-,-), (+,-); the (-,+) pairing is the
-    law's defining case and is taken from the right side.  The vanishing of
-    (plus - minus at a) * (plus - minus at b) then follows from the four-term
-    expansion and is reported as computed."""
+    as its worst residual on the grid over the three sign pairs (+,+), (-,-) and
+    (+,-), whose products _double_osc forms by 2D quadrature.  With
+    Im a < 0 < Im b those three converge absolutely; the (-,+) quadrant does not
+    (see _double_osc), and the law is that product's definition."""
     a_c, b_c = complex(a), complex(b)
-    inv = {("a", "+"): sided_inverse(a, "+", tau, w_grid),
-           ("a", "-"): sided_inverse(a, "-", tau, w_grid),
-           ("b", "+"): sided_inverse(b, "+", tau, w_grid),
-           ("b", "-"): sided_inverse(b, "-", tau, w_grid)}
-
-    def law(sa, sb):
-        return (inv[("a", sa)] - inv[("b", sb)]) / (b_c - a_c)
-
-    prods = {}
+    inv = {(c, s): sided_inverse(x, s, tau, w_grid) for c, x in (("a", a), ("b", b))
+           for s in "+-"}
     worst = 0.0
     for sa, sb in (("+", "+"), ("-", "-"), ("+", "-")):
-        lhs = _double_osc(tau, a, b, w_grid,
-                          +1 if sa == "+" else -1, +1 if sb == "+" else -1)
-        prods[(sa, sb)] = lhs
-        worst = worst_of((worst, float(np.abs(lhs - law(sa, sb)).max())))
-    prods[("-", "+")] = law("-", "+")
-    vanish = prods[("+", "+")] - prods[("+", "-")] - prods[("-", "+")] + prods[("-", "-")]
-    return {"product_law": worst, "delta_pair_product": float(np.abs(vanish).max())}
+        lhs = _double_osc(tau, a, b, w_grid, +1 if sa == "+" else -1, +1 if sb == "+" else -1)
+        law = (inv[("a", sa)] - inv[("b", sb)]) / (b_c - a_c)
+        worst = worst_of((worst, float(np.abs(lhs - law).max())))
+    return worst
 
 
 # ------------------------------------- associativity-breaking demonstration

@@ -41,6 +41,15 @@ DEFAULT_TRUNC = 24
 SERIES_ORDER_BUDGET = 652
 
 
+def _require_order(K: int):
+    """TruncationFailure where an inversion to order K would pass
+    SERIES_ORDER_BUDGET; euler_numbers and bernoulli_numbers call it before they
+    build a series."""
+    if K > SERIES_ORDER_BUDGET:
+        raise TruncationFailure(f"half-series inversion to order {K} exceeds "
+                                f"SERIES_ORDER_BUDGET = {SERIES_ORDER_BUDGET}")
+
+
 class HalfSeries:
     """sum_{n>=0} a_n e_*^{n i w}, coefficients exact, truncated at n = trunc.
 
@@ -109,9 +118,7 @@ def hs_inverse(f: HalfSeries) -> HalfSeries:
     if not A or not (A[0] or Ai[0]):
         raise NonUnit("constant term vanishes; not invertible in the half-series algebra")
     K = f.trunc
-    if K > SERIES_ORDER_BUDGET:
-        raise TruncationFailure(f"half-series inversion to order {K} exceeds "
-                                f"SERIES_ORDER_BUDGET = {SERIES_ORDER_BUDGET}")
+    _require_order(K)
     a0, a0i = A[0], Ai[0]
     norm = a0 * a0 + a0i * a0i
     B, Bi, L = lowest_terms([D * a0], [-D * a0i], norm)
@@ -175,6 +182,7 @@ def euler_numbers(N: int) -> list:
     euler_combination times (2n)!, truncated at 2N + 2; no coefficient below
     the truncation depends on it (the cut is a ring map).  Odd coefficients
     vanish identically."""
+    _require_order(2 * N + 2)
     return _even_numbers(euler_combination(2 * N + 2), N, "Euler")
 
 
@@ -198,6 +206,7 @@ def bernoulli_numbers(N: int) -> list:
 
     (the symmetrization removes the odd B_1 term)."""
     K = 2 * N + 2
+    _require_order(K)
     plus = HalfSeries.from_list(
         [QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
     minus = HalfSeries.from_list(

@@ -241,14 +241,18 @@ def semigroup_on_delta(t, alpha, tau, w_grid) -> float:
 
 def phi_group_action_residual(t, alpha, tau, w_grid) -> float:
     """quad-exponential(t) * Phi_alpha = e^{t alpha^2} Phi_alpha, all t
-    (including t = 1/tau: the delta pair removes the singularity)."""
+    (including t = 1/tau: the delta pair removes the singularity), and the pins
+    Phi(0) = 1, Phi'(0) = 0: the action scales any combination of the pair, so
+    only the pins see the boundary solve."""
     pp = phi_psi(alpha, tau)
     t_c, tau_c = complex(t), complex(tau)
     scale = cexp(t_c * complex(alpha) ** 2)
     ws = as_grid(w_grid)
     acted = quadexp_star(t_c, tau_c, pp.phi_parts[0])(ws) \
         + quadexp_star(t_c, tau_c, pp.phi_parts[1])(ws)
-    return float(np.abs(acted - scale * pp.phi(ws)).max())
+    slope = pp.phi_parts[0].diff()(0.0) + pp.phi_parts[1].diff()(0.0)
+    return worst_of((float(np.abs(acted - scale * pp.phi(ws)).max()),
+                     abs(pp.phi(0.0) - 1), abs(slope)))
 
 
 # ------------------------------------------------------ orphan annihilation

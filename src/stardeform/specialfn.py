@@ -277,13 +277,6 @@ def bessel_unit_sum_residual(table: BesselTable) -> float:
     return float(np.abs(total - 1.0).max())
 
 
-def bessel_symmetry_residual(table: BesselTable) -> float:
-    import numpy as np
-
-    return max((float(np.abs(table.values[n] - (-1) ** n * table.values[-n]).max())
-                for n in range(1, table.n_max + 1)), default=0.0)
-
-
 def _generating_element(a: complex, tau: complex, ws, n_s: int):
     """lambda = i a sin s at s = 2 pi j / n_s, and the tau-expression
     e^{lambda^2 tau/4 + lambda w} of e^{lambda w}, a row per w (any tau)."""

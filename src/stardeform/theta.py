@@ -14,8 +14,9 @@ With q = exp(-tau):
     theta3 =       sum        q^{n^2}       e^{2niw}
     theta4 =       sum (-1)^n q^{n^2}       e^{2niw}
 
-theta3 is also a Gaussian comb (delta_sum_representation) and a difference of
-one-sided geometric inverses (theta3_from_inverses).  Every evaluator takes a
+theta3 is also a Gaussian comb (delta_sum_representation).  The one-sided
+geometric inverses of 1 - e_*^{2iw} (geometric_inverse_sum) split theta3's own
+series at k = 0, so their difference is theta3.  Every evaluator takes a
 scalar w, complex allowed, or a 1-D grid of them.
 """
 
@@ -157,17 +158,6 @@ def delta_sum_representation(w, tau):
     return gaussian_comb(math.pi, tau, w) * cmath.sqrt(math.pi / tau)
 
 
-def theta_eigen_residual(kind: int, tau, w_grid) -> float:
-    """Left product with e_*^{2iw} fixes theta2/theta3 and negates theta1/theta4, through
-    the translation action (s = i): e_*^{2iw} * f = e^{2iw - tau} f(w + i tau)."""
-    from .starexp import translate_action
-
-    sign = 1 if kind in (2, 3) else -1
-    f = lambda z: theta_eval(kind, z, tau)  # noqa: E731
-    w = np.asarray(w_grid, complex)
-    return float(np.abs(translate_action(1j, f, tau)(w) - sign * f(w)).max())
-
-
 def geometric_inverse_sum(side: str, tau, w):
     """One-sided geometric inverses of 1 - e_*^{2iw} in tau-expression, on a
     scalar w or a grid, over the even lattice's cut.
@@ -177,11 +167,6 @@ def geometric_inverse_sum(side: str, tau, w):
     k = lattice(tau, w, 2)
     k = k[k >= 0] if side == "+" else k[k < 0]
     return lattice_sum(k, np.full(len(k), 1.0 if side == "+" else -1.0), tau, w)
-
-
-def theta3_from_inverses(w, tau):
-    """theta3 = (1 - e_*^{2iw})^{-1}_{*+} - (1 - e_*^{2iw})^{-1}_{*-}."""
-    return geometric_inverse_sum("+", tau, w) - geometric_inverse_sum("-", tau, w)
 
 
 def constant_coefficient_kernel(n_modes: int):

@@ -234,10 +234,17 @@ def test_constant_variation_inverse():
 
 
 def test_product_of_inverses_and_vanishing():
+    """The product law holds, and the product of the delta pairs (plus - minus
+    at a) * (plus - minus at b), expanded in the three quadrant products and the
+    law's (-,+) term, vanishes."""
     a, b, tau = 0.3 - 0.6j, -0.2 + 0.5j, 1.0
-    res = product_of_inverses_residual(a, b, tau, W_SMALL)
-    assert res["product_law"] < 1e-8
-    assert res["delta_pair_product"] < 1e-8
+    assert product_of_inverses_residual(a, b, tau, W_SMALL) < 1e-8
+    prods = {sides: distributions._double_osc(tau, a, b, W_SMALL, *sides)
+             for sides in ((1, 1), (-1, -1), (1, -1))}
+    prods[(-1, 1)] = (sided_inverse(a, "-", tau, W_SMALL)
+                      - sided_inverse(b, "+", tau, W_SMALL)) / (b - a)
+    vanish = prods[(1, 1)] - prods[(1, -1)] - prods[(-1, 1)] + prods[(-1, -1)]
+    assert np.abs(vanish).max() < 1e-8
 
 
 def _double_osc_per_point(tau, a, b, w_grid, side_a, side_b, panel_width=2.0):

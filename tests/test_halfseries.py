@@ -292,6 +292,19 @@ def test_inverse_order_budget():
         euler_numbers(K // 2)
 
 
+@pytest.mark.parametrize("numbers", [euler_numbers, bernoulli_numbers])
+def test_number_tables_check_the_order_before_building_a_series(monkeypatch, numbers):
+    """Past the budget, the Euler and Bernoulli tables raise the inversion's own
+    message before they build any series."""
+    def refuse(*args):
+        raise AssertionError("a series was built past the order budget")
+
+    monkeypatch.setattr(HalfSeries, "__init__", refuse)
+    with pytest.raises(TruncationFailure, match=r"^half-series inversion to order 2002 exceeds "
+                                                r"SERIES_ORDER_BUDGET = 652$"):
+        numbers(1000)
+
+
 RATS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 QCS = st.builds(QC, RATS, RATS)
 

@@ -157,6 +157,31 @@ def test_phi_group_action_including_singular_t():
         assert phi_group_action_residual(t, 0.6, tau, W_GRID) < 1e-12
 
 
+def _phi_psi_solving_for_2_and_0_3(alpha, tau):
+    """phi_psi with the boundary system solved for value 2 and slope 0.3."""
+    from stardeform.distributions import delta_tau
+
+    dp, dm = delta_tau(alpha, tau), delta_tau(-alpha, tau)
+    M = [[dp(0.0), dm(0.0)], [dp.diff()(0.0), dm.diff()(0.0)]]
+    a, b = np.linalg.solve(M, [2.0, 0.3])
+    return residue.PhiPsi(complex(alpha), complex(tau), complex(a), complex(b),
+                          (dp.scaled(a), dm.scaled(b)))
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.7 + 0.4j, 1.5 - 0.8j, 0.3])
+def test_boundary_pair_group_action_fails_on_a_wrong_boundary_solve(monkeypatch, tau):
+    """The flow scales every combination of the delta pair alike, so only the
+    pins Phi(0) = 1 and Phi'(0) = 0 see the boundary solve."""
+    def record():
+        rec, = [r for r in verify.suite_residue(tau=complex(tau), nu=1 + 0j, grid=W_GRID)
+                if r["anchor"] == "boundary-pair-group-action"]
+        return rec
+
+    assert record()["passed"] is True
+    monkeypatch.setattr(residue, "phi_psi", _phi_psi_solving_for_2_and_0_3)
+    assert record()["passed"] is False
+
+
 def test_orphan_annihilation():
     nu, tau, k = 1.0, 1.0, 0
     for t in (0.1, 1.0):

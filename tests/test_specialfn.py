@@ -17,7 +17,7 @@ from stardeform.core import ExactPoly, Poly
 from stardeform.errors import DomainError, TruncationFailure
 from stardeform.exact import QC
 from stardeform.specialfn import (BesselTable, bessel_addition_residual, bessel_generating_fft,
-                                  bessel_i, bessel_symmetry_residual, bessel_table,
+                                  bessel_i, bessel_table,
                                   bessel_table_to_tol, bessel_unit_sum_residual, hermite_checks,
                                   hermite_convolution_scale, hermite_orthogonality,
                                   hermite_orthogonality_target, hermite_table,
@@ -178,7 +178,16 @@ def test_bessel_generating_route_past_its_budget_raises():
 def test_bessel_unit_sum_and_symmetry():
     tab = bessel_table(1.0, 1.0, 14, W_GRID)
     assert bessel_unit_sum_residual(tab) < 1e-10
-    assert bessel_symmetry_residual(tab) < 1e-12
+    assert all(np.abs(tab.values[n] - (-1) ** n * tab.values[-n]).max() < 1e-12
+               for n in range(1, 15))
+
+
+def test_bessel_unit_sum_fails_without_the_reflection_sign():
+    """J_{-n} = (-1)^n J_n makes the odd orders cancel in the row sum; a table
+    whose negative orders lack the sign sums to 1 + 2 sum_{n odd} J_n."""
+    tab = bessel_table(1.0, 1.0, 14, W_GRID)
+    unsigned = BesselTable(14, {n: tab.values[abs(n)] for n in tab.values})
+    assert bessel_unit_sum_residual(unsigned) > 0.1
 
 
 def grid(lo: float, hi: float, n: int) -> list:

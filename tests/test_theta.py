@@ -13,13 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from stardeform.cli import main
 from stardeform.errors import DomainError
+from stardeform.starexp import translate_action
 from stardeform.theta import (constant_coefficient_kernel, delta_sum_representation,
-                              imaginary_transform_residual, jacobi_relation_residual,
-                              jacobi_relation_rounding, lattice,
-                              lattice_sum, quasi_periodicity_residual, theta3_from_inverses,
-                              theta_eigen_residual, theta_eval)
+                              geometric_inverse_sum, imaginary_transform_residual,
+                              jacobi_relation_residual, jacobi_relation_rounding, lattice,
+                              lattice_sum, quasi_periodicity_residual, theta_eval)
 
 W_GRID = [-1.0 + 0.1 * k for k in range(21)]
+
+
+def theta3_from_inverses(w, tau):
+    """theta3 = (1 - e_*^{2iw})^{-1}_{*+} - (1 - e_*^{2iw})^{-1}_{*-}."""
+    return geometric_inverse_sum("+", tau, w) - geometric_inverse_sum("-", tau, w)
 
 
 def theta4_from_inverses(w, tau):
@@ -177,13 +182,16 @@ def test_delta_sum_periodicity():
 
 @pytest.mark.parametrize("kind,sign", [(1, -1), (2, 1), (3, 1), (4, -1)])
 def test_eigen_action(kind, sign):
+    """Left product with e_*^{2iw}, the translation action at s = i, fixes theta2
+    and theta3 and negates theta1 and theta4."""
     tau = 1.0
-    assert theta_eigen_residual(kind, tau, W_GRID[::2]) < 1e-10
+    theta_k = lambda z: theta_eval(kind, z, tau)  # noqa: E731
+    w = np.asarray(W_GRID[::2], complex)
+    assert np.abs(translate_action(1j, theta_k, tau)(w) - sign * theta_k(w)).max() < 1e-10
 
 
 def test_eigen_negative_control():
     # a constant function is not fixed by the action
-    from stardeform.starexp import translate_action
     tau = 1.0
     acted = translate_action(1j, lambda z: 1.0, tau)
     assert abs(acted(0.3) - 1.0) > 0.1
