@@ -12,18 +12,20 @@ pushforward between parameter values and hence the product of two Gaussians.
 The quadratic exponential element E(t) = (1-tau t)^{-1/2} exp(t w^2/(1-tau t))
 is double valued in t with branch point at t = 1/tau; the sheet tag is fixed by
 continuing sqrt(1 - tau t) from +1 at t = 0 along a caller-supplied polygonal path,
-64 samples per segment, each root on the branch nearer the previous one (an exact
-tie takes the principal root).  The slit of the principal branch runs from 1/tau
+one decision per segment: its end root is the one nearer its start root (an exact
+tie takes the principal root), as 1 - tau t maps a segment that misses 1/tau to one
+that subtends less than pi at 0.  The slit of the principal branch runs from 1/tau
 to infinity along arg = arg(1/tau), so "sheet" = (continued value) / (principal value).
 continue_sqrt continues a batch of paths in one array pass: the values 1 - c t are
 formed on real and imaginary float arrays, which round as CPython's complex
 arithmetic does (numpy's complex product does not), and each root is cmath.sqrt.
+The tests check it against 64 nodes per segment and against an exact crossing route.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +35,6 @@ from .errors import DomainError, SingularPoint, SingularProduct, StarDeformError
 from .numeric import cexp, exp_array
 
 SINGULAR_MARGIN = 1e-6
-STEPS_PER_SEGMENT = 64
 LEG_MARGIN = 0.15   # leg_path detours around branch points nearer its segment than this
 LAW_GRID = -2.0 + 0.2 * np.arange(21)   # quad_exponential_law's w points
 
@@ -67,19 +68,16 @@ class GaussPoly:
 
     def diff(self) -> "GaussPoly":
         q = self.poly.deriv() + self.poly * Poly([self.beta, 2 * self.alpha])
-        return replace(self, poly=q)
+        return GaussPoly(q, self.alpha, self.beta, self.pref, self.logamp, self.sheet)
 
     def scaled(self, c) -> "GaussPoly":
-        return replace(self, pref=self.pref * c)
+        return GaussPoly(self.poly, self.alpha, self.beta, self.pref * c, self.logamp, self.sheet)
 
     def shift_arg(self, c) -> "GaussPoly":
         """Replace w by w + c."""
-        return replace(
-            self,
-            poly=self.poly.shift(c),
-            beta=self.beta + 2 * self.alpha * c,
-            logamp=self.logamp + self.alpha * c * c + self.beta * c,
-        )
+        return GaussPoly(self.poly.shift(c), self.alpha, self.beta + 2 * self.alpha * c,
+                         self.pref, self.logamp + self.alpha * c * c + self.beta * c,
+                         self.sheet)
 
 
 def heat_apply(theta, g: GaussPoly) -> GaussPoly:
@@ -95,9 +93,8 @@ def heat_apply(theta, g: GaussPoly) -> GaussPoly:
     beta2 = g.beta / denom
     logamp2 = g.logamp + theta * g.beta * g.beta / denom
     pref2 = g.pref / cmath.sqrt(denom)
-    base = GaussPoly(Poly.const(1), alpha2, beta2, pref2, logamp2, g.sheet)
     if g.poly.degree <= 0:
-        return replace(base, poly=g.poly)
+        return GaussPoly(g.poly, alpha2, beta2, pref2, logamp2, g.sheet)
 
     # Horner over the operator W = w + 2 theta d acting on poly * base-Gaussian
     def w_op(q: Poly) -> Poly:
@@ -107,7 +104,7 @@ def heat_apply(theta, g: GaussPoly) -> GaussPoly:
     q = Poly.const(cs[-1])
     for c in reversed(cs[:-1]):
         q = w_op(q) + Poly.const(c)
-    return replace(base, poly=q)
+    return GaussPoly(q, alpha2, beta2, pref2, logamp2, g.sheet)
 
 
 def multiply_pointwise(f: GaussPoly, g: GaussPoly) -> GaussPoly:
@@ -185,19 +182,19 @@ def nearest_branch_sqrt(vals, prev) -> np.ndarray:
 
 def continue_sqrt(c, paths) -> list:
     """End roots of sqrt(1 - c t) continued along each path of a batch (c one
-    value or one per path) from the principal root at its first waypoint, through
-    the nodes a + (b - a) (j / STEPS_PER_SEGMENT), j >= 1, of each segment; the
-    per-node loop's roots bit for bit.  A shorter path is padded at its start
-    with its first waypoint, whose root the padding keeps."""
+    value or one per path) from the principal root at its first waypoint, with
+    one node per segment a -> b, its end a + (b - a); the per-segment loop's
+    roots bit for bit.  A shorter path is padded at its start with its first
+    waypoint, whose root the padding keeps."""
     if not paths:
         return []
     width = max(len(p.waypoints) for p in paths)
     w = np.array([p.waypoints[:1] * (width - len(p.waypoints)) + p.waypoints for p in paths])
-    frac = np.arange(1, STEPS_PER_SEGMENT + 1) / STEPS_PER_SEGMENT
-    # each path's first waypoint, then its segments' nodes; a node's parts are
-    # CPython's up to the signs of zeros, which 1 - c t drops
-    tr, ti = [np.concatenate((x[:, :1], (x[:, :-1, None] + np.diff(x)[..., None] * frac)
-                              .reshape(len(x), -1)), axis=1) for x in (w.real, w.imag)]
+    # each path's first waypoint, then its segments' ends a + (b - a), which
+    # need not round to b; a node's parts are CPython's up to the signs of
+    # zeros, which 1 - c t drops
+    tr, ti = [np.concatenate((x[:, :1], x[:, :-1] + np.diff(x)), axis=1)
+              for x in (w.real, w.imag)]
     c = np.asarray(c, complex).reshape(-1, 1)
     vals = np.empty(tr.shape, complex)
     vals.real, vals.imag = 1.0 - (c.real * tr - c.imag * ti), 0.0 - (c.real * ti + c.imag * tr)
@@ -249,7 +246,7 @@ def translate_action(s, f, tau):
     """
     if isinstance(f, GaussPoly):
         g = f.shift_arg(s * tau)
-        return replace(g, beta=g.beta + 2 * s, logamp=g.logamp + s * s * tau)
+        return GaussPoly(g.poly, g.alpha, g.beta + 2 * s, g.pref, g.logamp + s * s * tau, g.sheet)
 
     def acted(w):
         return exp_array(lambda: 2 * s * w + s * s * tau) * f(w + s * tau)
@@ -298,7 +295,7 @@ def star_poly_gauss(p: Poly, g: GaussPoly, tau) -> GaussPoly:
         qk = qk.deriv() + qk * chain
         scale = scale * tau / (2 * k)
         acc = acc + (pk * qk).scale(scale)
-    return replace(g, poly=acc)
+    return GaussPoly(acc, g.alpha, g.beta, g.pref, g.logamp, g.sheet)
 
 
 def quad_exponential_law(cases) -> list:

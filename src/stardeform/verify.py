@@ -314,9 +314,10 @@ def suite_dist(tau, grid) -> list:
                      for a in (0.0, 0.8, 0.3j))
     out.append(_rec("sided-difference-delta", "inverse difference equals 2 pi i delta",
                     worst, 1e-9))
-    worst = worst_of(float(np.abs(distributions.sided_power(a, 1, s, tau, grid[::4])
-                                  / distributions.sided_inverse(a, s, tau, grid[::4]) - 1).max())
-                     for a in (0.0, 1.0, 1j) for s in "+-")
+    inverses = {(a, s): distributions.sided_inverse(a, s, tau, grid[::4])
+                for a in (0.0, 1.0, 1j) for s in "+-"}
+    worst = worst_of(float(np.abs(distributions.sided_power(a, 1, s, tau, grid[::4]) / inv
+                                  - 1).max()) for (a, s), inv in inverses.items())
     out.append(_rec("sided-route-agreement",
                     "Gaussian window vs closed form of the sided inverses (relative per point)",
                     worst, 1e-9))
@@ -327,8 +328,7 @@ def suite_dist(tau, grid) -> list:
     out.append(_rec("heaviside-dual-route", "x-side vs Fourier-side Heaviside",
                     float(np.abs(y - distributions.heaviside_y_fourier(tau, grid)).max()), 1e-9))
     vp = distributions.principal_value_inverse(1, tau, grid[::4])
-    avg = (distributions.sided_inverse(0.0, "+", tau, grid[::4])
-           + distributions.sided_inverse(0.0, "-", tau, grid[::4])) / 2
+    avg = (inverses[0.0, "+"] + inverses[0.0, "-"]) / 2
     out.append(_rec("principal-value-average", "v.p. transform is the sided average",
                     float(np.abs(vp - avg).max()), 1e-9))
     out.append(_rec("periodic-comb", "Gaussian comb equals exponential series",

@@ -105,7 +105,7 @@ ALLOWLIST = {
     **{("starexp", "heat_apply", line): (PENDING, _HEAT_FLOW_PREFACTOR) for line in (
         "def w_op(q: Poly) -> Poly:", "cs = g.poly.coeffs", "q = Poly.const(cs[-1])",
         "for c in reversed(cs[:-1]):", "q = w_op(q) + Poly.const(c)",
-        "return replace(base, poly=q)")},
+        "return GaussPoly(q, alpha2, beta2, pref2, logamp2, g.sheet)")},
     ("starexp", "heat_apply.w_op",
      "return Poly.x() * q + (q.deriv() + q * Poly([beta2, 2 * alpha2])).scale(2 * theta)"):
         (PENDING, _HEAT_FLOW_PREFACTOR),

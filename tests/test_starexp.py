@@ -10,16 +10,18 @@ import cmath
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from stardeform import starexp, verify
+from commands import SEEDS, run_in_process
+from stardeform import cli, starexp, verify
 from stardeform.core import Poly
 from stardeform.errors import DomainError, SingularPoint, SingularProduct
 from stardeform.numeric import worst_of
-from stardeform.starexp import (STEPS_PER_SEGMENT, GaussPoly, PathParam, continue_sqrt, gauss_star,
+from stardeform.starexp import (GaussPoly, PathParam, continue_sqrt, gauss_star,
                                 heat_apply, leg_path, nearest_branch_sqrt,
                                 quad_exponential_law, quadexp_star, series_radius_probe,
                                 sheet_transport, star_exp_linear, star_exp_quadratic,
@@ -305,19 +307,73 @@ def nearest_branch_sqrt_reference(vals, prev):
     return out
 
 
-def continue_sqrt_reference(c, paths):
-    """continue_sqrt as a per-node loop over the reference, path by path, each
-    node and value formed in Python's complex arithmetic."""
+def continue_sqrt_reference(c, paths, steps):
+    """continue_sqrt as a per-node loop over the reference, path by path,
+    through the nodes a + (b - a) (j / steps), j = 1..steps, of each segment a -> b,
+    each node and value formed in Python's complex arithmetic.  With steps = 1 it
+    is continue_sqrt's own route; the last node of a segment is the same float
+    for every steps."""
     out = []
     for k, path in enumerate(paths):
         ck = c[k] if isinstance(c, (list, tuple)) else c
         val = cmath.sqrt(1 - ck * path.waypoints[0])
         for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
-            for j in range(1, STEPS_PER_SEGMENT + 1):
-                t = a + (b - a) * (j / STEPS_PER_SEGMENT)
+            for j in range(1, steps + 1):
+                t = a + (b - a) * (j / steps)
                 val, = nearest_branch_sqrt_reference([1 - ck * t], val)
         out.append(val)
     return out
+
+
+def continue_sqrt_sampled(c, paths):
+    """The continuation through 64 nodes per segment: the route that
+    continue_sqrt's one decision per segment must agree with."""
+    return continue_sqrt_reference(c, paths, 64)
+
+
+def _upper(u: complex) -> bool:
+    """Whether u lies on the upper side of the cut u <= 0 as cmath.sqrt sees it:
+    a zero imaginary part counts by its sign."""
+    return math.copysign(1.0, u.imag) > 0
+
+
+def continued_sheet_exact(c, path) -> int:
+    """The sheet (+1 principal, -1 its negative) of sqrt(1 - c t) at the end of
+    the path, continued from the principal root at its first waypoint, decided
+    exactly.  The values u = 1 - c t are formed at continue_sqrt's nodes (the
+    first waypoint, then each segment's end a + (b - a)), part by part as it forms
+    them.  The root flips where the straight image of a segment, between two such
+    floats, crosses the cut u <= 0: where the two ends lie on opposite sides and
+    the crossing of the real axis is left of 0.  That crossing is left of 0 when
+    the cross product u_a x u_b, formed in Fractions on the floats' exact values,
+    has the sign of the start's side; a segment along the axis (both imaginary
+    parts zero, of opposite signs) flips where it lies on the cut."""
+    c = complex(c)
+    ws = path.waypoints
+    ts = [ws[0]] + [a + (b - a) for a, b in zip(ws[:-1], ws[1:])]
+    us = [complex(1.0 - (c.real * t.real - c.imag * t.imag),
+                  0.0 - (c.real * t.imag + c.imag * t.real)) for t in ts]
+    sheet = 1
+    for ua, ub in zip(us, us[1:]):
+        if _upper(ua) == _upper(ub):
+            continue
+        if ua.imag == ub.imag == 0:
+            flip = ua.real < 0
+        else:
+            cross = Fraction(ua.real) * Fraction(ub.imag) - Fraction(ua.imag) * Fraction(ub.real)
+            assert cross != 0, "the segment's image passes through the branch point"
+            flip = (cross > 0) == _upper(ua)
+        sheet = -sheet if flip else sheet
+    return sheet
+
+
+def sheet_of(root: complex, c, path) -> int:
+    """+1 where root is the principal root at the path's end node, -1 where it
+    is that root's negative, bit for bit."""
+    a, b = path.waypoints[-2:]
+    principal = cmath.sqrt(1 - complex(c) * (a + (b - a)))
+    assert same_bits(root, principal) or same_bits(root, -principal)
+    return 1 if same_bits(root, principal) else -1
 
 
 def same_bits(got, want) -> bool:
@@ -437,7 +493,7 @@ def test_quadratic_sheet_matches_the_reference_continuation(t, tau, detour):
     except SingularPoint:
         assume(False)
     root, = continue_sqrt(tau, [path])
-    want, = continue_sqrt_reference(tau, [path])
+    want, = continue_sqrt_sampled(tau, [path])
     assert same_bits(root, want)
     principal = cmath.sqrt(1 - tau * t)
     assert g.sheet == (1 if abs(want - principal) <= abs(want + principal) else -1)
@@ -448,7 +504,7 @@ def test_quadratic_sheet_matches_the_reference_continuation(t, tau, detour):
 def test_triple_transport_sign_matches_the_reference_continuation(t, taus):
     got = triple_transport_sign(t, taus)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(starexp, "continue_sqrt", continue_sqrt_reference)
+        mp.setattr(starexp, "continue_sqrt", continue_sqrt_sampled)
         assert triple_transport_sign(t, taus) == got
 
 
@@ -470,9 +526,79 @@ C = st.one_of(st.sampled_from([1, -1, 1j, 0.5, 64, 2 + 2j, 0.25j]).map(complex),
          per_path=False)
 def test_continue_sqrt_batch_matches_the_loop_bit_for_bit(paths, cs, per_path):
     """A batch of 1-8 paths of 1-4 segments, with c one value or one per path,
-    ends each path on the per-node loop's root."""
+    ends each path on the per-segment loop's root, also where a path runs
+    through a branch point."""
     c = cs[:len(paths)] if per_path else cs[0]
-    assert same_bits(continue_sqrt(c, paths), continue_sqrt_reference(c, paths))
+    assert same_bits(continue_sqrt(c, paths), continue_sqrt_reference(c, paths, 1))
+
+
+@st.composite
+def admitted_paths(draw):
+    """(c, path): c in [-3, 3]^2 on a grid of 0.001, and a path from 0 through
+    1-7 more waypoints, each within 10^-5.9 to 10^0.5 of the branch point 1/c
+    or, as often, in a +-50 box, that validate_avoids admits."""
+    c = draw(POINT)
+    assume(c != 0)
+    bp = 1 / c
+    ws = [0j]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            r, phi = 10 ** draw(st.floats(-5.9, 0.5)), draw(st.floats(0.0, 2 * math.pi))
+            ws.append(bp + r * cmath.exp(1j * phi))
+        else:
+            ws.append(complex(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))))
+    path = PathParam(ws)
+    try:
+        path.validate_avoids(bp)
+    except SingularPoint:
+        assume(False)
+    return c, path
+
+
+# 300 examples take about 0.8 s (2-core x86-64 VM, Python 3.11)
+@settings(deadline=None, max_examples=300)
+@given(admitted_paths())
+@example((1 + 0j, PathParam([0, 1 - 1j, 2, 1 + 1j, 0.5])))
+@example((1j, PathParam([0, -1j + 1e-5, -1j + 1e-5 + 1e3j])))
+def test_one_decision_per_segment_is_the_sampled_and_the_exact_sheet(case):
+    """On a path that validate_avoids admits, the end root of continue_sqrt is
+    the 64-node loop's bit for bit, and its sheet is the exact route's."""
+    c, path = case
+    root, = continue_sqrt(c, [path])
+    assert same_bits(root, continue_sqrt_sampled(c, [path]))
+    assert sheet_of(root, c, path) == continued_sheet_exact(c, path)
+
+
+@pytest.mark.parametrize("c", [1.0, 1j, -0.7 + 2.1j])
+def test_a_segment_grazing_the_branch_point_raises_or_decides_right(c):
+    """A segment of length L whose nearest point lies 1e-9 L from 1/c, on
+    either side: star_exp_quadratic raises SingularPoint where that is within
+    the margin (L = 1e-3, 1), and elsewhere (L = 1e4, 1e7) puts each side on the
+    exact route's sheet, the two sides on opposite sheets."""
+    bp, d = 1 / c, cmath.exp(0.3j)
+    for length, admitted in ((1e-3, False), (1.0, False), (1e4, True), (1e7, True)):
+        sheets = []
+        for side in (1, -1):
+            mid = bp + side * 1e-9 * length * 1j * d
+            a, b = mid - 0.5 * length * d, mid + 0.5 * length * d
+            path = PathParam([0, a, b])
+            if not admitted:
+                with pytest.raises(SingularPoint):
+                    star_exp_quadratic(b, c, path)
+                continue
+            sheets.append(star_exp_quadratic(b, c, path).sheet)
+            assert sheets[-1] == continued_sheet_exact(c, path)
+        assert sheets in ([], [1, -1], [-1, 1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_starexp_reports_as_the_sampled_continuation_does(seed, monkeypatch):
+    """`verify starexp` prints the same report with continue_sqrt as with the
+    64-node continuation in its place."""
+    argv = f"verify starexp --seed {seed}"
+    got = run_in_process(cli.main, argv)
+    monkeypatch.setattr(starexp, "continue_sqrt", continue_sqrt_sampled)
+    assert run_in_process(cli.main, argv) == got
 
 
 def test_quadratic_family_maps_parameter_to_parameter():
