@@ -36,6 +36,16 @@ from .exact import (all_exact, as_qc, from_gaussian, gaussian_parts, gaussian_po
                     to_gaussian, unpack)
 
 
+def horner(coeffs, w):
+    """sum_j coeffs[j] w^j by Horner's rule from the top coefficient, the loop of
+    Poly.__call__; each coefficient may be a value or an array, as the
+    coefficient columns of starexp's batches are."""
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * w + a
+    return acc
+
+
 class Poly:
     """Dense polynomial in w; zero polynomial has an empty coefficient tuple."""
 
@@ -112,10 +122,7 @@ class Poly:
         return out
 
     def __call__(self, w):
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = acc * w + a
-        return acc
+        return horner(self.coeffs, w)
 
     def to_complex(self) -> "Poly":
         return Poly([complex(c) for c in self.coeffs])

@@ -26,7 +26,7 @@ from .errors import DegenerateBoundary, DomainError, NodeCountError, SingularPoi
 from .exact import SparseLaurent
 from .numeric import as_grid, cexp, worst_of
 from .quadrature import integrate_segment_refined
-from .starexp import GaussPoly, nearest_branch_sqrt, quadexp_star, star_poly_gauss
+from .starexp import GaussPoly, gauss_values, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
 SERIES_TOL = 1e-18           # the Laurent series stop on a term below this
 GAUSSPOLY_Q_MAX = 40         # laurent_gausspoly keeps the terms q <= 40
@@ -177,17 +177,24 @@ def closed_contour_vanishing(nu, tau, w):
     return abs(4j * np.pi * _contour_mean(1, nu, tau, w, CONTOUR_RADIUS, CONTOUR_NODES))
 
 
-def ladder_residual(k: int, nu, tau, w_grid) -> tuple:
-    """(max |(nu + w-element^2) * a_{2k-1} - (k + 1/2) a_{2k+1}| on the grid, the left
-    product by the finite product rule on the GaussPoly form; its rounding bound
-    eps max (|(nu + tau/2) a_{2k-1}| + |w^2 * a_{2k-1}| + |rhs|), Higham ch. 3)."""
+def ladder_residual(ks, nu, tau, w_grid) -> tuple:
+    """(the worst over k in ks of max |(nu + w-element^2) * a_{2k-1} - (k + 1/2) a_{2k+1}|
+    on the grid, the left product by the finite product rule on the GaussPoly form;
+    the largest of their rounding bounds eps max (|(nu + tau/2) a_{2k-1}| +
+    |w^2 * a_{2k-1}| + |rhs|), Higham ch. 3).  Each coefficient is formed once,
+    and the products and coefficients are evaluated in one pass."""
     tau_c, nu_c = complex(tau), complex(nu)
-    a_lo, a_hi = laurent_gausspoly(k, nu, tau), laurent_gausspoly(k + 1, nu, tau)
-    lhs = star_poly_gauss(Poly([nu_c + tau_c / 2, 0.0, 1.0]), a_lo, tau_c)
-    ws = as_grid(w_grid)
-    left, rhs, first = lhs(ws), (k + 0.5) * a_hi(ws), (nu_c + tau_c / 2) * a_lo(ws)
-    sizes = np.abs(first) + np.abs(left - first) + np.abs(rhs)
-    return float(np.abs(left - rhs).max()), sys.float_info.epsilon * float(sizes.max())
+    coeffs = {j: laurent_gausspoly(j, nu, tau) for j in sorted({*ks, *(k + 1 for k in ks)})}
+    lhs = [star_poly_gauss(Poly([nu_c + tau_c / 2, 0.0, 1.0]), coeffs[k], tau_c) for k in ks]
+    rows = gauss_values(lhs + list(coeffs.values()), as_grid(w_grid))
+    at = dict(zip(coeffs, rows[len(lhs):]))
+    residuals, bounds = [], []
+    for k, left in zip(ks, rows):
+        rhs, first = (k + 0.5) * at[k + 1], (nu_c + tau_c / 2) * at[k]
+        sizes = np.abs(first) + np.abs(left - first) + np.abs(rhs)
+        residuals.append(float(np.abs(left - rhs).max()))
+        bounds.append(sys.float_info.epsilon * float(sizes.max()))
+    return worst_of(residuals), max(bounds)
 
 
 # ----------------------------------------------------- boundary-value pair
@@ -234,25 +241,30 @@ def semigroup_on_delta(t, alpha, tau, w_grid) -> float:
 
     alpha_c, tau_c, t_c = complex(alpha), complex(tau), complex(t)
     d = delta_tau(alpha_c, tau_c)
-    prod = quadexp_star(t_c, tau_c, d)
-    ws = as_grid(w_grid)
-    return float(np.abs(prod(ws) - cexp(t_c * alpha_c * alpha_c) * d(ws)).max())
+    acted, plain = gauss_values([quadexp_star(t_c, tau_c, d), d], as_grid(w_grid))
+    return float(np.abs(acted - cexp(t_c * alpha_c * alpha_c) * plain).max())
 
 
-def phi_group_action_residual(t, alpha, tau, w_grid) -> float:
-    """quad-exponential(t) * Phi_alpha = e^{t alpha^2} Phi_alpha, all t
-    (including t = 1/tau: the delta pair removes the singularity), and the pins
+def phi_group_action_residual(ts, alpha, tau, w_grid) -> float:
+    """quad-exponential(t) * Phi_alpha = e^{t alpha^2} Phi_alpha at each t of ts, all
+    t (including t = 1/tau: the delta pair removes the singularity), and the pins
     Phi(0) = 1, Phi'(0) = 0: the action scales any combination of the pair, so
-    only the pins see the boundary solve."""
+    only the pins see the boundary solve.  The pair is solved once; the products
+    of every t and the two parts of Phi are evaluated in one pass over the grid,
+    the two slopes in one at w = 0."""
     pp = phi_psi(alpha, tau)
-    t_c, tau_c = complex(t), complex(tau)
-    scale = cexp(t_c * complex(alpha) ** 2)
-    ws = as_grid(w_grid)
-    acted = quadexp_star(t_c, tau_c, pp.phi_parts[0])(ws) \
-        + quadexp_star(t_c, tau_c, pp.phi_parts[1])(ws)
-    slope = pp.phi_parts[0].diff()(0.0) + pp.phi_parts[1].diff()(0.0)
-    return worst_of((float(np.abs(acted - scale * pp.phi(ws)).max()),
-                     abs(pp.phi(0.0) - 1), abs(slope)))
+    tau_c = complex(tau)
+    scales, acted = [], []
+    for t in ts:
+        t_c = complex(t)
+        scales.append(cexp(t_c * complex(alpha) ** 2))
+        acted += [quadexp_star(t_c, tau_c, part) for part in pp.phi_parts]
+    *rows, phi_lo, phi_hi = gauss_values(acted + list(pp.phi_parts), as_grid(w_grid))
+    slope_lo, slope_hi = gauss_values([part.diff() for part in pp.phi_parts], [0.0])[:, 0]
+    phi = phi_lo + phi_hi
+    return worst_of([*(float(np.abs(lo + hi - scale * phi).max())
+                       for scale, lo, hi in zip(scales, rows[::2], rows[1::2])),
+                     abs(pp.phi(0.0) - 1), abs(slope_lo + slope_hi)])
 
 
 # ------------------------------------------------------ orphan annihilation
@@ -367,16 +379,16 @@ def covariant_evolution_residual(H: Poly, nu, z, w_grid) -> float:
 
         d_z F = tau w d_w F + (w^2 + nu + tau/2) F,   tau = 1/z,
 
-    for the closed family; derivatives analytic."""
+    for the closed family; derivatives analytic.  F, F' and d_z F are evaluated
+    in one pass."""
     F, dF = evolution_family(H, nu)
     z = complex(z)
     tau = 1 / z
     f0 = F(z)
-    lhs = dF(z)
     ws = as_grid(w_grid)
-    vals = f0(ws)
-    rhs = tau * ws * f0.diff()(ws) + (ws * ws + complex(nu) + tau / 2) * vals
-    return float(np.abs(lhs(ws) - rhs).max()) / max(float(np.abs(vals).max()), 1e-300)
+    vals, slope, lhs = gauss_values([f0, f0.diff(), dF(z)], ws)
+    rhs = tau * ws * slope + (ws * ws + complex(nu) + tau / 2) * vals
+    return float(np.abs(lhs - rhs).max()) / max(float(np.abs(vals).max()), 1e-300)
 
 
 # ----------------------------------------------------- non-compact integrals

@@ -1,9 +1,15 @@
 """Gaussian-exponential family under the deformed product, with sheet tracking.
 
 A GaussPoly represents   sheet * pref * exp(logamp) * p(w) * exp(alpha w^2 + beta w).
-One checked formula evaluates it, at a scalar w or over an array of them: where
-the exponential or the whole product leaves the float range it raises
-DomainError, never inf.
+One checked formula evaluates it, at a scalar w, over an array of them, or for a
+batch of elements over one grid (gauss_batch): a GaussPoly's call is the batch of
+one, with its parameters as scalars, and in a batch they are columns of arrays and
+the prefactors one block of coefficients, padded at the top with +0, that one
+Horner pass evaluates.  On a finite grid each row of a batch is its element's call
+bit for bit.  Where the exponential or the whole product leaves the float range a
+call raises DomainError, never inf, and a batch flags the row (gauss_values raises
+the first flagged row's error).  Only evaluation is batched: the parameters are
+still formed in Python's scalar arithmetic, as numpy's complex product rounds apart.
 
 The family is closed under the deformed product, differentiation, argument
 shifts, and the heat flow exp(theta d^2/dw^2); that flow implements pullback /
@@ -30,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Poly, w_star_power
+from .core import Poly, horner, w_star_power
 from .errors import DomainError, SingularPoint, SingularProduct, StarDeformError
 from .numeric import cexp, exp_array
 
@@ -49,17 +55,19 @@ class GaussPoly:
     sheet: int = 1
 
     def __call__(self, w):
-        """The value at a scalar w, or over an array of them, in one checked
-        formula: both raise DomainError where the exponential or its product
-        with the prefactors leaves the float range.  A scalar goes through the
-        same array loops as a grid, so it rounds as its grid entry does (numpy's
-        complex products round apart from Python's)."""
+        """The value at a scalar w, or over an array of them, by the one checked
+        formula that gauss_batch applies to many elements: both raise
+        DomainError where the exponential or its product with the prefactors
+        leaves the float range.  A scalar goes through the same array loops as a
+        grid, so it rounds as its grid entry does (numpy's complex products round
+        apart from Python's)."""
         ws = np.atleast_1d(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = self.sheet * self.pref * exp_array(
-                lambda: self.logamp + self.alpha * ws * ws + self.beta * ws) * self.poly(ws)
-        if not np.isfinite(vals).all():
-            raise DomainError("a Gaussian's value is outside the float range")
+        z, e, vals = _gauss_formula(self.sheet * self.pref, self.logamp, self.alpha,
+                                    self.beta, self.poly.coeffs, ws)
+        # where z and the values are finite, so is exp(z): an infinite factor
+        # leaves a product inf or nan
+        if not (np.isfinite(z).all() and np.isfinite(vals).all()):
+            raise _range_error(_fails(z, e, vals))
         return vals if np.ndim(w) else vals[0]
 
     def amp(self):
@@ -78,6 +86,89 @@ class GaussPoly:
         return GaussPoly(self.poly.shift(c), self.alpha, self.beta + 2 * self.alpha * c,
                          self.pref, self.logamp + self.alpha * c * c + self.beta * c,
                          self.sheet)
+
+
+def _coefficient_block(polys) -> np.ndarray:
+    """The polys' coefficients as columns, low degree first: entry [j, i, 0] is
+    the w^j coefficient of polys[i], padded at the top with +0 to the widest.
+    On a finite grid a pad leaves Horner's running sum at +0, as it starts, so
+    each row keeps its own sum's bits."""
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys]).T[..., None]
+
+
+def _gauss_formula(amp, logamp, alpha, beta, coeffs, ws):
+    """The exponent logamp + alpha w^2 + beta w over the grid ws, its exponential
+    and the values amp * exp(...) * p(ws), with amp = sheet * pref and coeffs
+    p's coefficients; each parameter and coefficient is one value or a column
+    of them.  Formed with overflow warnings off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = logamp + alpha * ws * ws + beta * ws
+        e = np.exp(z)
+        return z, e, amp * e * horner(coeffs, ws)
+
+
+def _fails(z, e, vals):
+    """Per row (the grid is the last axis): 0 where the values are finite, 1
+    where the exponent or its exponential is not, and 2 where only the values
+    are not."""
+    exp_ok = np.isfinite(z).all(axis=-1) & np.isfinite(e).all(axis=-1)
+    return np.where(exp_ok, 2 * ~np.isfinite(vals).all(axis=-1), 1)
+
+
+def _range_error(fail) -> DomainError:
+    return DomainError("a tau-expression is outside the float range" if fail == 1
+                       else "a Gaussian's value is outside the float range")
+
+
+def gauss_batch(gs, ws) -> tuple:
+    """(values, fails) of the GaussPolys gs over one finite grid ws: fails[i] is 0
+    where gs[i](ws) returns, and row i of values is then that call's values bit
+    for bit; it is 1 where the call raises for the exponent or its exponential
+    and 2 where it raises for their product.  A failing row is flagged, not
+    raised, and nothing warns.
+
+    Elements go through the formula in one pass where each of sheet * pref,
+    logamp, alpha, beta and the prefactor's coefficients is of one kind, real
+    or complex, across them: a real parameter in a complex column would be
+    computed in complex arithmetic, where numpy's exp rounds apart from its
+    real exp and a zero's sign can differ."""
+    ws = np.atleast_1d(ws)
+    groups = {}
+    for i, g in enumerate(gs):
+        member = (g.sheet * g.pref, g.logamp, g.alpha, g.beta)
+        kind = (*[isinstance(x, complex) for x in member],
+                any(isinstance(c, complex) for c in g.poly.coeffs))
+        groups.setdefault(kind, []).append((i, member))
+    parts = []
+    for members in groups.values():
+        rows = [i for i, _ in members]
+        if len(rows) == 1:
+            # a lone element keeps its call's scalars: numpy's complex product
+            # of a (1, 1) column and a one-point grid rounds apart from theirs
+            z, e, vals = (x[None] for x in _gauss_formula(*members[0][1],
+                                                          gs[rows[0]].poly.coeffs, ws))
+        else:
+            columns = [np.array(col)[:, None] for col in zip(*(m for _, m in members))]
+            block = _coefficient_block([gs[i].poly for i in rows])
+            z, e, vals = _gauss_formula(*columns, block, ws)
+        parts.append((rows, vals, _fails(z, e, vals)))
+    if len(parts) == 1:
+        return parts[0][1:]
+    values = np.empty((len(gs), ws.size), np.result_type(float, *(v for _, v, _ in parts)))
+    fails = np.zeros(len(gs), int)
+    for rows, vals, fail in parts:
+        values[rows], fails[rows] = vals, fail
+    return values, fails
+
+
+def gauss_values(gs, ws) -> np.ndarray:
+    """The values of gauss_batch; the first failing row raises the DomainError
+    that its own call raises."""
+    values, fails = gauss_batch(gs, ws)
+    if fails.any():
+        raise _range_error(fails[np.flatnonzero(fails)[0]])
+    return values
 
 
 def heat_apply(theta, g: GaussPoly) -> GaussPoly:
@@ -143,7 +234,12 @@ class PathParam:
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
     d = b - a
-    L2 = abs(d) ** 2
+    try:
+        L2 = abs(d) ** 2
+    except OverflowError:
+        # |d| is past 1.3e154: measured on a copy scaled by 2^-600 (exact for
+        # parts above 1e-143) and scaled back
+        return _segment_distance(p * 2.0 ** -600, a * 2.0 ** -600, b * 2.0 ** -600) * 2.0 ** 600
     if L2 == 0:
         return abs(p - a)
     t = max(0.0, min(1.0, ((p - a).real * d.real + (p - a).imag * d.imag) / L2))
@@ -302,7 +398,8 @@ def quad_exponential_law(cases) -> list:
     """For each case (s, t, tau): the max-modulus residual of E(s) * E(t) = E(s+t)
     on LAW_GRID over max |E(s+t)|, sheets aligned by one continue_sqrt call along
     every case's straight paths from 0; None where the case raises a
-    StarDeformError (a point near 1/tau, a singular product, an overflow)."""
+    StarDeformError (a point near 1/tau, a singular product) or a value leaves
+    the float range."""
     paths = []
     for s, t, tau in cases:
         try:
@@ -311,17 +408,24 @@ def quad_exponential_law(cases) -> list:
             paths.append([])
     cs = [complex(tau) for (_, _, tau), legs in zip(cases, paths) for _ in legs]
     roots = iter(continue_sqrt(cs, [leg for legs in paths for leg in legs]))
-    out = []
-    for (s, t, tau), legs in zip(cases, paths):
-        out.append(None)
+    pairs, at = [], []
+    for i, ((s, t, tau), legs) in enumerate(zip(cases, paths)):
         if legs:
             es, et, est = [_quadratic_on_sheet(p, tau, next(roots)) for p in (s, t, s + t)]
             try:
-                target = est(LAW_GRID)
-                scale = max(float(np.abs(target).max()), 1e-300)
-                out[-1] = float(np.abs(gauss_star(es, et, tau)(LAW_GRID) - target).max()) / scale
+                pairs += [est, gauss_star(es, et, tau)]
             except StarDeformError:
-                pass
+                continue
+            at.append(i)
+    # every case's target and product in one batch; a case with a flagged row is None
+    vals, fails = gauss_batch(pairs, LAW_GRID)
+    ok = (fails[::2] | fails[1::2]) == 0
+    targets, prods = vals[::2][ok], vals[1::2][ok]
+    scales = np.maximum(np.abs(targets).max(axis=1), 1e-300)
+    out = [None] * len(cases)
+    for i, resid, scale in zip([i for i, good in zip(at, ok) if good],
+                               np.abs(prods - targets).max(axis=1).tolist(), scales.tolist()):
+        out[i] = resid / scale
     return out
 
 
@@ -334,13 +438,14 @@ def series_radius_probe(ell: int, tau, n_max: int):
     """
     th = 2 * np.pi * np.arange(64) / 64
     circle = np.cos(th) + 1j * np.sin(th)
+    polys = [w_star_power(n * ell, tau).to_complex() for n in range(n_max + 1)]
+    sups = np.abs(horner(_coefficient_block(polys), circle)).max(axis=1)   # one Horner pass
     cs = []
     fact = 1.0
-    for n in range(n_max + 1):
+    for n, sup in enumerate(sups.tolist()):
         if n > 0:
             fact *= n
-        p = w_star_power(n * ell, tau).to_complex()
-        cs.append(float(np.abs(p(circle)).max()) / fact)
+        cs.append(sup / fact)
     return [cs[n + 1] / cs[n] for n in range(n_max)]
 
 

@@ -170,8 +170,9 @@ def suite_starexp(seed) -> list:
         tau = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         f = starexp.GaussPoly(core.Poly.const(1), a1, 0.0)
         g = starexp.GaussPoly(core.Poly.const(1), a2, 0.0)
-        prods.append(starexp.gauss_star(f, g, tau)(ORACLE_W))
+        prods.append(starexp.gauss_star(f, g, tau))
         draws.append((a1, a2, tau))
+    prods = starexp.gauss_values(prods, ORACLE_W)     # the 30 products in one pass
     # the defining sum  sum_k tau^k / (2^k k!) f^(k) g^(k),  truncated at k = 59,
     # over a (draws x w) array; f and g have the constant prefactor 1 that
     # _gauss_derivative_factors needs and no linear term
@@ -183,7 +184,7 @@ def suite_starexp(seed) -> list:
         scls.append(scls[-1] * tau / (2 * k))
     acc = sum(scl * a * b for scl, a, b in zip(scls, qf, qg))
     acc *= exp_array(lambda: a1 * ORACLE_W * ORACLE_W) * exp_array(lambda: a2 * ORACLE_W * ORACLE_W)
-    worst = np.max(np.abs(np.asarray(prods) - acc) / np.maximum(1.0, np.abs(acc)))
+    worst = np.max(np.abs(prods - acc) / np.maximum(1.0, np.abs(acc)))
     out.append(_rec("gaussian-product-series-oracle",
                     "closed Gaussian product vs truncated defining sum", worst, 1e-10))
 
@@ -372,9 +373,9 @@ def suite_residue(tau, nu, grid) -> list:
     out.append(_rec("contour-radius-independence", "Cauchy independence of the radius",
                     abs(a - b), 1e-12))
     W_unit = [w for w in grid if abs(complex(w)) <= 1.0] or [0.0, 0.5]
-    ladder = [residue.ladder_residual(k, nu, tau, W_unit) for k in (-1, 0, 1, 2)]
+    worst, bound = residue.ladder_residual((-1, 0, 1, 2), nu, tau, W_unit)
     out.append(_rec("coefficient-ladder", "quadratic element raises the Laurent index",
-                    worst_of(r for r, _ in ladder), max(1e-12, *(b for _, b in ladder))))
+                    worst, max(1e-12, bound)))
     out.append(_rec("double-turn-vanishing", "closed double-cover contour vanishes",
                     worst_of(residue.closed_contour_vanishing(nu, tau, w) for w in (0.0, 0.5)),
                     1e-10))
@@ -400,8 +401,7 @@ def suite_residue(tau, nu, grid) -> list:
                      for z in (1.0, 0.8 + 0.4j))
     out.append(_rec("covariant-first-order", "closed family solves the first-order equation",
                     worst, 1e-12))
-    worst = worst_of(residue.phi_group_action_residual(t, 0.6, tau, grid[::4])
-                     for t in (0.5, 1 / complex(tau)))
+    worst = residue.phi_group_action_residual((0.5, 1 / complex(tau)), 0.6, tau, grid[::4])
     out.append(_rec("boundary-pair-group-action",
                     "quadratic flow scales the boundary-value pair for all t; Phi(0) = 1, "
                     "Phi'(0) = 0", worst, 1e-12))

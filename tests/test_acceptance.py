@@ -170,7 +170,7 @@ def test_criterion_08_residue():
             worst = max(worst, abs(got - want))
     vanish = max(residue.closed_contour_vanishing(1.0, tau, w)
                  for tau in (1.0, 1 + 1j) for w in (0.0, 0.5))
-    ladder = max(residue.ladder_residual(k, 1.0, 1 + 1j, W21[::4])[0] for k in (-1, 0, 1))
+    ladder = residue.ladder_residual((-1, 0, 1), 1.0, 1 + 1j, W21[::4])[0]
     ok = worst <= 1e-10 and vanish <= 1e-10 and ladder <= 1e-12
     assert report(8, ok, f"contour vs closed {worst:.2e}, double-turn {vanish:.2e}, "
                          f"ladder {ladder:.2e}")

@@ -82,8 +82,17 @@ ALLOWLIST = {
         (GUARD, "test_starexp.py::test_quad_exponential_law_samples"),
     ("starexp", "quad_exponential_law", "paths.append([])"):
         (GUARD, "test_starexp.py::test_quad_exponential_law_samples"),
-    ("starexp", "quad_exponential_law", "pass"):
+    ("starexp", "quad_exponential_law", "continue"):
         (GUARD, "test_starexp.py::test_quad_exponential_law_samples"),
+    ("starexp", "_segment_distance",
+     "return _segment_distance(p * 2.0 ** -600, a * 2.0 ** -600, b * 2.0 ** -600) * 2.0 ** 600"):
+        (GUARD, "test_starexp.py::test_a_long_segment_gives_its_distance"),
+    **{("starexp", name, line):
+       (GUARD, "test_starexp.py::test_a_batch_row_is_its_element_call_bit_for_bit")
+       for name, line in (
+           ("_range_error", 'return DomainError("a tau-expression is outside the float range" '
+                            'if fail == 1'),
+           ("gauss_batch", "z, e, vals = (x[None] for x in _gauss_formula(*members[0][1],"))},
     ("starexp", "leg_path", "return PathParam([p for _, p in pts])"):
         (GUARD, "test_starexp.py::test_triple_transport_sign_matches_the_reference_continuation"),
     **{("verify", "suite_core", f"{name} = 1"): (FAILURE, anchor) for name, anchor in (

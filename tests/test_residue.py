@@ -3,14 +3,18 @@ annihilation discontinuity, covariant flow."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from stardeform import residue, verify
+from commands import TABLE, run_in_process
+from stardeform import cli, residue, verify
 from stardeform.core import Poly
+from stardeform.distributions import delta_tau
 from stardeform.errors import DegenerateBoundary, DomainError, NodeCountError
 from stardeform.exact import QC, SparseLaurent
+from stardeform.numeric import worst_of
 from stardeform.residue import (_contour_mean, _density_on_nodes, closed_contour_vanishing,
                                 covariant_evolution_residual, diffeqevol_exact_defect,
                                 evolution_family, gamma_inverse_residual, gamma_path_integral,
@@ -78,16 +82,16 @@ def test_gausspoly_form_matches_closed():
 
 
 def test_ladder():
-    assert ladder_residual(0, 0.0, 1.0, W_GRID)[0] < 1e-14   # both sides vanish
+    assert ladder_residual([0], 0.0, 1.0, W_GRID)[0] < 1e-14   # both sides vanish
     for k, nu, tau in ((0, 1.0, 1.0), (1, 0.6, 1 + 1j), (-1, 1.2, 2.0), (2, 0.9, 1.0)):
-        residual, bound = ladder_residual(k, nu, tau, W_GRID)
+        residual, bound = ladder_residual([k], nu, tau, W_GRID)
         assert residual < 1e-12 and bound < 1e-14
 
 
 def test_ladder_rounding_bound_covers_the_cancelled_terms():
     """At tau = 1e12 the residual is eps-sized against terms |tau/2 a| ~ 5e5 that
     cancel: above an absolute 1e-12, within the bound carried with it."""
-    residual, bound = ladder_residual(2, 1.0, 1e12, [0.0, 0.5])
+    residual, bound = ladder_residual([2], 1.0, 1e12, [0.0, 0.5])
     assert 1e-12 < residual <= bound < 1e-9
 
 
@@ -154,7 +158,7 @@ def test_semigroup_on_delta():
 def test_phi_group_action_including_singular_t():
     tau = 1.5
     for t in (0.3, 1 / tau, 2.0):
-        assert phi_group_action_residual(t, 0.6, tau, W_GRID) < 1e-12
+        assert phi_group_action_residual([t], 0.6, tau, W_GRID) < 1e-12
 
 
 def _phi_psi_solving_for_2_and_0_3(alpha, tau):
@@ -214,9 +218,9 @@ TAU_C = 0.9 + 0.3j
 
 
 @pytest.mark.parametrize("residual", [
-    lambda ws: ladder_residual(1, 0.7 - 0.2j, TAU_C, ws)[0],
+    lambda ws: ladder_residual([1], 0.7 - 0.2j, TAU_C, ws)[0],
     lambda ws: semigroup_on_delta(0.5, 0.6, TAU_C, ws),
-    lambda ws: phi_group_action_residual(1 / TAU_C, 0.6, TAU_C, ws),
+    lambda ws: phi_group_action_residual([1 / TAU_C], 0.6, TAU_C, ws),
     lambda ws: orphan_annihilation(0.1, 0, 0.7, TAU_C, ws)["annihilation"],
 ], ids=["ladder", "semigroup", "phi-group", "annihilation"])
 def test_grid_residual_is_the_largest_of_its_points(residual):
@@ -326,3 +330,84 @@ def test_gamma_path_inverse_and_difference():
     lhs = (nu + ws ** 2 + tau / 2) * ch[0] + tau * ws * ch[1] + tau ** 2 / 4 * ch[2]
     assert np.abs(lhs).max() < 1e-8
     assert np.abs(ch[0]).max() > 1e-3
+
+
+# ---------------------------------------------------------------- references
+# The per-element evaluations that residue batches, each GaussPoly by its own
+# call: verify residue must print the same with them in place.
+
+def ladder_residual_reference(ks, nu, tau, w_grid) -> tuple:
+    """The three-call ladder at each k, both coefficients formed for each k."""
+    def at(k):
+        tau_c, nu_c = complex(tau), complex(nu)
+        a_lo = residue.laurent_gausspoly(k, nu, tau)
+        a_hi = residue.laurent_gausspoly(k + 1, nu, tau)
+        lhs = residue.star_poly_gauss(Poly([nu_c + tau_c / 2, 0.0, 1.0]), a_lo, tau_c)
+        ws = residue.as_grid(w_grid)
+        left, rhs, first = lhs(ws), (k + 0.5) * a_hi(ws), (nu_c + tau_c / 2) * a_lo(ws)
+        sizes = np.abs(first) + np.abs(left - first) + np.abs(rhs)
+        return float(np.abs(left - rhs).max()), sys.float_info.epsilon * float(sizes.max())
+
+    ladder = [at(k) for k in ks]
+    return worst_of(r for r, _ in ladder), max(b for _, b in ladder)
+
+
+def semigroup_on_delta_reference(t, alpha, tau, w_grid) -> float:
+    alpha_c, tau_c, t_c = complex(alpha), complex(tau), complex(t)
+    d = delta_tau(alpha_c, tau_c)
+    prod = residue.quadexp_star(t_c, tau_c, d)
+    ws = residue.as_grid(w_grid)
+    return float(np.abs(prod(ws) - residue.cexp(t_c * alpha_c * alpha_c) * d(ws)).max())
+
+
+def phi_group_action_reference(ts, alpha, tau, w_grid) -> float:
+    """The boundary pair solved again for each t, as the record did."""
+    def at(t):
+        pp = residue.phi_psi(alpha, tau)
+        t_c, tau_c = complex(t), complex(tau)
+        scale = residue.cexp(t_c * complex(alpha) ** 2)
+        ws = residue.as_grid(w_grid)
+        acted = residue.quadexp_star(t_c, tau_c, pp.phi_parts[0])(ws) \
+            + residue.quadexp_star(t_c, tau_c, pp.phi_parts[1])(ws)
+        slope = pp.phi_parts[0].diff()(0.0) + pp.phi_parts[1].diff()(0.0)
+        return worst_of((float(np.abs(acted - scale * pp.phi(ws)).max()),
+                         abs(pp.phi(0.0) - 1), abs(slope)))
+
+    return worst_of(at(t) for t in ts)
+
+
+def covariant_evolution_reference(H, nu, z, w_grid) -> float:
+    F, dF = residue.evolution_family(H, nu)
+    z = complex(z)
+    tau = 1 / z
+    f0 = F(z)
+    lhs = dF(z)
+    ws = residue.as_grid(w_grid)
+    vals = f0(ws)
+    rhs = tau * ws * f0.diff()(ws) + (ws * ws + complex(nu) + tau / 2) * vals
+    return float(np.abs(lhs(ws) - rhs).max()) / max(float(np.abs(vals).max()), 1e-300)
+
+
+REFERENCES = {"ladder_residual": ladder_residual_reference,
+              "semigroup_on_delta": semigroup_on_delta_reference,
+              "phi_group_action_residual": phi_group_action_reference,
+              "covariant_evolution_residual": covariant_evolution_reference}
+
+
+@pytest.mark.parametrize("argv", [e.argv for e in TABLE if e.argv.startswith("verify residue")])
+def test_verify_residue_reports_as_the_per_element_references_do(argv, monkeypatch):
+    got = run_in_process(cli.main, argv)
+    for name, reference in REFERENCES.items():
+        monkeypatch.setattr(residue, name, reference)
+    assert run_in_process(cli.main, argv) == got
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_batched_residuals_are_their_references(name):
+    """Bit for bit at a complex tau on a grid with a complex point."""
+    ws = [-1.0, -0.3, 0.0, 0.45, 1.0 + 0.2j]
+    args = {"ladder_residual": ((-1, 0, 1, 2), 0.7 - 0.2j, TAU_C, ws),
+            "semigroup_on_delta": (1 / TAU_C, 0.6, TAU_C, ws),
+            "phi_group_action_residual": ((0.5, 1 / TAU_C), 0.6, TAU_C, ws),
+            "covariant_evolution_residual": (Poly([0.5, -1.0, 2.0]), 0.7, 0.8 + 0.4j, ws)}[name]
+    assert getattr(residue, name)(*args) == REFERENCES[name](*args)

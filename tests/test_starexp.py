@@ -18,11 +18,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from commands import SEEDS, run_in_process
 from stardeform import cli, starexp, verify
-from stardeform.core import Poly
-from stardeform.errors import DomainError, SingularPoint, SingularProduct
+from stardeform.core import Poly, w_star_power
+from stardeform.errors import DomainError, SingularPoint, SingularProduct, StarDeformError
 from stardeform.numeric import worst_of
-from stardeform.starexp import (GaussPoly, PathParam, continue_sqrt, gauss_star,
-                                heat_apply, leg_path, nearest_branch_sqrt,
+from stardeform.starexp import (GaussPoly, PathParam, continue_sqrt, gauss_batch, gauss_star,
+                                gauss_values, heat_apply, leg_path, nearest_branch_sqrt,
                                 quad_exponential_law, quadexp_star, series_radius_probe,
                                 sheet_transport, star_exp_linear, star_exp_quadratic,
                                 star_poly_gauss, translate_action, triple_transport_sign)
@@ -231,6 +231,94 @@ def test_quad_exponential_law_samples():
     # the straight paths keep off 1/tau = 1, but E(0.999) at tau = 1 is
     # outside the float range on LAW_GRID
     assert quad_exponential_law([(0.999, 0.0, 1.0)]) == [None]
+
+
+def quad_exponential_law_reference(cases) -> list:
+    """The per-case loop that quad_exponential_law batches: each case's target
+    and product evaluated by its own GaussPoly call, None where a case raises."""
+    paths = []
+    for s, t, tau in cases:
+        try:
+            paths.append([starexp._quadratic_path(p, tau, None) for p in (s, t, s + t)])
+        except SingularPoint:
+            paths.append([])
+    cs = [complex(tau) for (_, _, tau), legs in zip(cases, paths) for _ in legs]
+    roots = iter(continue_sqrt(cs, [leg for legs in paths for leg in legs]))
+    out = []
+    for (s, t, tau), legs in zip(cases, paths):
+        out.append(None)
+        if legs:
+            es, et, est = [starexp._quadratic_on_sheet(p, tau, next(roots)) for p in (s, t, s + t)]
+            try:
+                target = est(starexp.LAW_GRID)
+                scale = max(float(np.abs(target).max()), 1e-300)
+                prod = gauss_star(es, et, tau)(starexp.LAW_GRID)
+                out[-1] = float(np.abs(prod - target).max()) / scale
+            except StarDeformError:
+                pass
+    return out
+
+
+def series_radius_probe_reference(ell: int, tau, n_max: int):
+    """The per-polynomial loop that series_radius_probe batches: each deformed
+    power evaluated on the circle by its own Poly call."""
+    th = 2 * np.pi * np.arange(64) / 64
+    circle = np.cos(th) + 1j * np.sin(th)
+    cs = []
+    fact = 1.0
+    for n in range(n_max + 1):
+        if n > 0:
+            fact *= n
+        p = w_star_power(n * ell, tau).to_complex()
+        cs.append(float(np.abs(p(circle)).max()) / fact)
+    return [cs[n + 1] / cs[n] for n in range(n_max)]
+
+
+def gauss_values_reference(gs, ws):
+    """Each element evaluated by its own call, the rows stacked."""
+    return np.asarray([g(ws) for g in gs])
+
+
+def test_quad_exponential_law_is_its_per_case_loop():
+    rng = random.Random(5)
+    cases = [(0.0, 0.0, 0.9), (0.6, 0.6, 0.9), (0.1, 0.1, 0.9), (0.999, 0.0, 1.0)]
+    for _ in range(100):
+        s, t = (0.5 * cmath.exp(2j * math.pi * rng.random()) * rng.random() for _ in "st")
+        cases.append((s, t, 1.2 * cmath.exp(2j * math.pi * rng.random()) * rng.random()))
+    want = quad_exponential_law_reference(cases)
+    assert None in want and quad_exponential_law(cases) == want
+    assert quad_exponential_law([]) == []
+
+
+@pytest.mark.parametrize("ell, tau", [(3, 1.0), (2, 1.0), (3, 0.0), (4, 0.3 + 0.8j)])
+def test_series_radius_probe_is_its_per_polynomial_loop(ell, tau):
+    assert same_bits(series_radius_probe(ell, tau, 16), series_radius_probe_reference(ell, tau, 16))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_starexp_reports_as_the_per_element_references_do(seed, monkeypatch):
+    """`verify starexp` prints the same report with the quadratic law, the
+    series oracle's products and the radius probe evaluated one element at a
+    time."""
+    argv = f"verify starexp --seed {seed}"
+    got = run_in_process(cli.main, argv)
+    monkeypatch.setattr(starexp, "quad_exponential_law", quad_exponential_law_reference)
+    monkeypatch.setattr(starexp, "gauss_values", gauss_values_reference)
+    monkeypatch.setattr(starexp, "series_radius_probe", series_radius_probe_reference)
+    assert run_in_process(cli.main, argv) == got
+
+
+def test_a_long_segment_gives_its_distance():
+    """|d|^2 overflows past |d| = 1.3e154; such a segment is measured on a copy
+    scaled by 2^-600, so star_exp_quadratic(1e200, 1e-201) keeps its path off
+    1/tau = 1e201 and returns where it raised OverflowError."""
+    assert starexp._segment_distance(1e201, 0j, 1e200 + 0j) == pytest.approx(9e200)
+    assert starexp._segment_distance(1e200 + 3e199j, 0j, 2e200 + 0j) == pytest.approx(3e199)
+    g = star_exp_quadratic(1e200, 1e-201)
+    assert g.sheet == 1 and g.alpha == pytest.approx(1e200 / 0.9)
+    with pytest.raises(SingularPoint):
+        PathParam([0, 2e200]).validate_avoids(1e200)
+    assert starexp._segment_distance(1 + 1j, 0j, 3 + 0j) == 1.0
 
 
 def test_quad_law_sheet_mismatch_doubles():
@@ -450,6 +538,51 @@ def test_overflow_raises_for_a_scalar_and_a_grid_alike(g, ws, lift):
             g(ws)
     else:
         assert same_bits(g(ws), entries)
+
+
+REAL = st.floats(-2.0, 2.0)
+COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+SCALAR = st.one_of(REAL, COMPLEX)
+# degrees 0 to 4 (less where the top coefficient is 0), all real or all complex
+PREFACTOR = st.one_of(st.lists(REAL, min_size=1, max_size=5),
+                      st.lists(COMPLEX, min_size=1, max_size=5)).map(Poly)
+# Re logamp lifted by 660 to 760 takes some points, all or none past the
+# float range, for the exponential (past 709.78) or the product alone
+ELEMENT = st.builds(
+    lambda poly, alpha, beta, pref, logamp, lift, sheet:
+        GaussPoly(poly, alpha, beta, pref, logamp + lift, sheet),
+    PREFACTOR, SCALAR, SCALAR, SCALAR, SCALAR,
+    st.one_of(st.just(0.0), st.floats(660.0, 760.0)), st.sampled_from([1, -1]))
+RANGE_ERRORS = {1: "a tau-expression is outside the float range",
+                2: "a Gaussian's value is outside the float range"}
+
+
+@settings(deadline=None, max_examples=150)
+@given(gs=st.lists(ELEMENT, min_size=1, max_size=6),
+       ws=st.one_of(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=20), GRID))
+def test_a_batch_row_is_its_element_call_bit_for_bit(gs, ws):
+    """Each row of a batch, real and complex parameters mixed, is its element's
+    call on the grid bit for bit; a row whose call raises is flagged with the
+    kind of its error, with no RuntimeWarning, and gauss_values raises the
+    first flagged row's error."""
+    ws = np.asarray(ws)
+    values, fails = gauss_batch(gs, ws)
+    assert values.shape == (len(gs), len(ws))
+    first = None
+    for g, row, fail in zip(gs, values, fails):
+        try:
+            want = g(ws)
+        except DomainError as exc:
+            assert str(exc) == RANGE_ERRORS[fail]
+            first = first or str(exc)
+            continue
+        assert fail == 0 and same_bits(row, want)
+    if first is None:
+        assert same_bits(gauss_values(gs, ws), values)
+    else:
+        with pytest.raises(DomainError) as raised:
+            gauss_values(gs, ws)
+        assert str(raised.value) == first
 
 
 def test_overflow_raises_on_a_grid_as_at_a_point():
