@@ -5,18 +5,16 @@ derivative along the surface tau = 1/z."""
 import numpy as np
 
 from stardeform.core import Poly
-from stardeform.residue import (closed_contour_vanishing, covariant_evolution_residual,
-                                diffeqevol_exact_defect, laurent_coeff_closed,
-                                orphan_annihilation, parallel_polynomial, phi_psi,
-                                residue_contour, semigroup_on_delta, surface_derivative_exact)
+from stardeform.residue import (covariant_evolution_residual, diffeqevol_exact_defect,
+                                laurent_coeff_closed, orphan_annihilation, parallel_polynomial,
+                                phi_psi, residue_contour, semigroup_on_delta,
+                                surface_derivative_exact)
 
 nu, tau = 1.0, 1.0 + 1.0j
 
 print("Laurent coefficient a_{-1}, two routes:")
 print("  closed form:", laurent_coeff_closed(0, nu, tau, 0.3))
 print("  contour    :", residue_contour(0, nu, tau, 0.3))
-
-print("double-turn contour vanishes:", closed_contour_vanishing(nu, tau, 0.4))
 
 res = orphan_annihilation(0.1, 0, 1.0, 1.0, [0.0, 0.5])
 print("\nflow at t=0.1 annihilates the residue:", res["annihilation"])

@@ -46,11 +46,15 @@ def sqrt_minus_tau(tau):
 
 
 def laurent_series_coefficient(k: int, nu, tau, w):
-    """c_{2k-1}: the s^{2k-1} coefficient of (1/s) e^{nu s^2 - (w/tau)^2/s^2},
+    """c_{2k-1} within 64 eps sum_q |term_q| + 2 SERIES_TOL (the terms may cancel)
+    where |2 sqrt(nu) w/tau| <= specialfn.BESSEL_SERIES_MAX: the s^{2k-1}
+    coefficient of (1/s) e^{nu s^2 - (w/tau)^2/s^2},
 
-        sum_{q >= max(0,-k)} nu^{k+q} (-1)^q (w/tau)^{2q} / (q! (k+q)!).
+        sum_{q >= max(0,-k)} term_q,  term_q = nu^{k+q} (-1)^q (w/tau)^{2q} / (q! (k+q)!).
 
-    |k| is at most 170, the largest n with n! below the float maximum.
+    After the stop on a term below SERIES_TOL max(1, |sum|) each term is at most
+    9/16 of the one before.  |k| is at most 170, the largest n with n! below the
+    float maximum.
     """
     if abs(k) > 170:
         raise DomainError(f"|k| must be at most 170, got {k}")
@@ -133,6 +137,10 @@ def _contour_mean(p: int, nu, tau, w, radius: float, n_nodes: int):
     """mean over the nodes of E(s) s^p s, which is (1/2pi i) contour-integral
     s^p E(s) ds on |s| = radius, checked against twice the nodes.
 
+    With odd p it is the would-be even coefficient a_{-p-1}, which vanishes by
+    symmetry for any density of E's form: E is 1/s times functions of s^2, and
+    the nodes are symmetric under s -> -s.
+
     A sum that overflows to inf or nan (e.g. a radius so small that
     e^{w^2/(tau^2 s^2)} overflows), or that moves under node doubling, raises
     NodeCountError."""
@@ -166,15 +174,6 @@ def residue_contour(k: int, nu, tau, w, radius=CONTOUR_RADIUS, n_nodes=CONTOUR_N
     1 - z tau = -s^2 tau, which is single valued in s (the double cover
     trivializes the cut); sqrt(-tau) is principal."""
     return _contour_mean(-2 * k, nu, tau, w, radius, n_nodes)
-
-
-def closed_contour_vanishing(nu, tau, w):
-    """|contour-integral of :e_*^{z(nu+w-element)}: dz| around the branch point on
-    the double cover (z = 1/tau + s^2, s once around; dz = 2s ds): the secondary
-    residue is absent, so the integral vanishes.  It is 4 pi i times the would-be
-    even coefficient a_{-2}, and every even coefficient a_{2j} (the mean with
-    p = -2j - 1) vanishes in the same way."""
-    return abs(4j * np.pi * _contour_mean(1, nu, tau, w, CONTOUR_RADIUS, CONTOUR_NODES))
 
 
 def ladder_residual(ks, nu, tau, w_grid) -> tuple:

@@ -168,7 +168,8 @@ def test_criterion_08_residue():
             got = residue.residue_contour(0, 0.0, tau, w, radius=1.0, n_nodes=256)
             want = residue.sqrt_minus_tau(tau) ** -1 * cmath.exp(-w * w / complex(tau))
             worst = max(worst, abs(got - want))
-    vanish = max(residue.closed_contour_vanishing(1.0, tau, w)
+    vanish = max(abs(4j * np.pi * residue._contour_mean(1, 1.0, tau, w, residue.CONTOUR_RADIUS,
+                                                        residue.CONTOUR_NODES))
                  for tau in (1.0, 1 + 1j) for w in (0.0, 0.5))
     ladder = residue.ladder_residual((-1, 0, 1), 1.0, 1 + 1j, W21[::4])[0]
     ok = worst <= 1e-10 and vanish <= 1e-10 and ladder <= 1e-12

@@ -15,7 +15,7 @@ from stardeform.distributions import delta_tau
 from stardeform.errors import DegenerateBoundary, DomainError, NodeCountError
 from stardeform.exact import QC, SparseLaurent
 from stardeform.numeric import worst_of
-from stardeform.residue import (_contour_mean, _density_on_nodes, closed_contour_vanishing,
+from stardeform.residue import (CONTOUR_NODES, CONTOUR_RADIUS, _contour_mean, _density_on_nodes,
                                 covariant_evolution_residual, diffeqevol_exact_defect,
                                 evolution_family, gamma_inverse_residual, gamma_path_integral,
                                 laurent_coeff_closed, laurent_gausspoly, orphan_annihilation,
@@ -95,11 +95,17 @@ def test_ladder_rounding_bound_covers_the_cancelled_terms():
     assert 1e-12 < residual <= bound < 1e-9
 
 
+def _double_turn(nu, tau, w):
+    """|contour integral of :e_*^{z(nu+w-element)}: dz| once around the branch
+    point on the double cover: 4 pi i times the mean with p = 1."""
+    return abs(4j * np.pi * _contour_mean(1, nu, tau, w, CONTOUR_RADIUS, CONTOUR_NODES))
+
+
 def test_closed_contour_vanishing():
-    assert closed_contour_vanishing(1.0, 1.0, 0.0) < 1e-10
-    assert closed_contour_vanishing(0.0, 1.0, 0.5) < 1e-12
+    assert _double_turn(1.0, 1.0, 0.0) < 1e-10
+    assert _double_turn(0.0, 1.0, 0.5) < 1e-12
     for w in (0.0, 0.4, 0.9):
-        assert closed_contour_vanishing(0.8, 1 + 0.5j, w) < 1e-10
+        assert _double_turn(0.8, 1 + 0.5j, w) < 1e-10
 
 
 def test_closed_contour_unresolved_raises():
@@ -107,7 +113,7 @@ def test_closed_contour_unresolved_raises():
     # 256 nodes do not resolve: the sum read 0.31 (and nan at tau = 0.01) unchecked
     for tau in (0.1, 0.01):
         with pytest.raises(NodeCountError):
-            closed_contour_vanishing(1.0, tau, 0.5)
+            _double_turn(1.0, tau, 0.5)
 
 
 def test_phi_psi_parity_and_boundary():
