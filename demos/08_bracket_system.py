@@ -2,11 +2,13 @@
 normalized weight-m generators, and what the central brackets actually look
 like under the defined rules."""
 
-from stardeform.vertex import (CoeffRing, bracket_elems, bracket_xx, central_constraint_check,
+from stardeform.vertex import (CoeffRing, bracket_elems, central_constraint_check,
                                k_centrality_check, laurent_coefficient_ring,
                                witt_identity_check, y_eigen_defect, y_generator)
 
-print("[x_1, x_-1] at nu=w=0, tau=1:", bracket_xx(1, -1).evaluate(1.0, 0.0, 0.0),
+# [x_1, x_-1] = 2 a_-1
+print("[x_1, x_-1] at nu=w=0, tau=1:",
+      laurent_coefficient_ring(-1, 6).scale(2).evaluate(1.0, 0.0, 0.0),
       "(Heisenberg: 2 m / sqrt(-tau))")
 
 print("Witt identity exact on a sweep (|l|, |m|, |n| <= 3):", witt_identity_check(3, K=6))

@@ -32,7 +32,6 @@ from .core import ExactPoly
 from .errors import NonUnit, TruncationFailure
 from .exact import QC, as_qc, gaussian_parts, gaussian_powers, gaussian_product, lowest_terms
 
-DEFAULT_TRUNC = 24
 # Highest truncation order hs_inverse accepts.  `table euler` costs about
 # K^3.5: K^2/2 int products in the inversion recurrence, and one packed product,
 # over numerators whose size grows with K.  This admits
@@ -62,7 +61,7 @@ class HalfSeries:
         self.poly, self.trunc = poly, trunc
 
     @staticmethod
-    def from_list(cs, trunc: int = DEFAULT_TRUNC) -> "HalfSeries":
+    def from_list(cs, trunc: int) -> "HalfSeries":
         return HalfSeries(ExactPoly(tuple(cs)[:trunc + 1]), trunc)
 
     @staticmethod
@@ -268,7 +267,7 @@ class FormalSeries:
     the same indeterminate-constant computations run in the formal power basis
     and must produce identical coefficient sequences."""
 
-    def __init__(self, coeffs, trunc: int = DEFAULT_TRUNC):
+    def __init__(self, coeffs, trunc: int):
         cs = [as_qc(c) for c in coeffs][:trunc + 1]
         cs += [QC(0)] * (trunc + 1 - len(cs))
         self.coeffs = cs

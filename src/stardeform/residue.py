@@ -28,7 +28,7 @@ from .numeric import as_grid, cexp, worst_of
 from .quadrature import integrate_segment_refined
 from .starexp import GaussPoly, gauss_values, nearest_branch_sqrt, quadexp_star, star_poly_gauss
 
-SERIES_TOL = 1e-18           # the Laurent series stop on a term below this
+SERIES_TOL = 1e-18           # the Laurent series stop on a term below this times the sum
 GAUSSPOLY_Q_MAX = 40         # laurent_gausspoly keeps the terms q <= 40
 DEFECT_Q_MAX = 8             # and diffeqevol_exact_defect the terms q <= 8
 CONTOUR_RADIUS, CONTOUR_NODES = 1.0, 256     # trapezoid contours, rechecked at 2x nodes
@@ -46,15 +46,16 @@ def sqrt_minus_tau(tau):
 
 
 def laurent_series_coefficient(k: int, nu, tau, w):
-    """c_{2k-1} within 64 eps sum_q |term_q| + 2 SERIES_TOL (the terms may cancel)
-    where |2 sqrt(nu) w/tau| <= specialfn.BESSEL_SERIES_MAX: the s^{2k-1}
-    coefficient of (1/s) e^{nu s^2 - (w/tau)^2/s^2},
+    """c_{2k-1} within 64 eps sum_q |term_q| + 2 SERIES_TOL max(1e-300, |c_{2k-1}|)
+    (the terms may cancel) where |2 sqrt(nu) w/tau| <= specialfn.BESSEL_SERIES_MAX:
+    the s^{2k-1} coefficient of (1/s) e^{nu s^2 - (w/tau)^2/s^2},
 
         sum_{q >= max(0,-k)} term_q,  term_q = nu^{k+q} (-1)^q (w/tau)^{2q} / (q! (k+q)!).
 
-    After the stop on a term below SERIES_TOL max(1, |sum|) each term is at most
-    9/16 of the one before.  |k| is at most 170, the largest n with n! below the
-    float maximum.
+    The stop is relative, as in specialfn's series: after a term below
+    SERIES_TOL max(1e-300, |sum|) each term is at most 9/16 of the one before,
+    so a sum far below 1 keeps its digits.  |k| is at most 170, the largest n
+    with n! below the float maximum.
     """
     if abs(k) > 170:
         raise DomainError(f"|k| must be at most 170, got {k}")
@@ -68,7 +69,7 @@ def laurent_series_coefficient(k: int, nu, tau, w):
         term = term_scale * nu_c ** (k + q) * x2 ** q \
             / (math.factorial(q) * math.factorial(k + q))
         acc += term
-        if q > max(2, -k + 2) and abs(term) < SERIES_TOL * max(1.0, abs(acc)):
+        if q > max(2, -k + 2) and abs(term) < SERIES_TOL * max(1e-300, abs(acc)):
             break
         q += 1
         term_scale = -term_scale

@@ -9,7 +9,8 @@ u is the formal star power of the quadratic element.  The action and the
 normalized generators only multiply by rationals, so span elements are
 rational combinations of x_m (x) u^k, and central parts are rational
 combinations of a_j (x) u^g.  Ring values, CoeffRing elements over
-(gamma, nu, w2, zinv), appear only in bracket_xx and the gamma dictionary.
+(gamma, nu, w2, zinv), appear only in the gamma dictionary, which evaluates
+laurent_coefficient_ring against the closed-form Laurent coefficients.
 The u-grade cap K is the only approximation; all coefficients are exact.
 
 A span element (VertexElem) is an exact.SparseLaurent over the exponents
@@ -49,9 +50,8 @@ from .exact import SparseLaurent, _lincomb, _nonzero
 # 0.05 s at this budget.  witt_identity_check reaches at most grade 2 above its
 # input, so its cost does not grow with K (2.6 ms at R = 4) and it has no budget.
 GRADE_BUDGET = 128
-INDEX_MAX = 3        # generator indices |l| of the central, K-centrality, Jacobi checks
+INDEX_MAX = 3        # generator indices |l| of the central and K-centrality checks
 EIGEN_GRADE = 6      # grades y_eigen_defect compares
-XX_CAP = 6           # ring cap of bracket_xx
 # truncation_stability: the two u-grade budgets and indices |l| <= 2
 STABILITY_GRADES, STABILITY_INDEX_MAX = (6, 8), 2
 
@@ -99,11 +99,6 @@ def laurent_coefficient_ring(j: int, cap: int) -> CoeffRing:
     return CoeffRing(terms)
 
 
-def bracket_xx(m: int, n: int) -> CoeffRing:
-    """[x_m, x_n] = (m - n) a_{m+n-1}, a cut at XX_CAP."""
-    return laurent_coefficient_ring(m + n - 1, XX_CAP).scale(m - n)
-
-
 class VertexElem(SparseLaurent):
     """Finite rational combination of basis symbols x_m (x) u^k with grades
     k <= trunc: an exact.SparseLaurent over the exponents (m, k), so the
@@ -114,9 +109,9 @@ class VertexElem(SparseLaurent):
 
     __slots__ = ("trunc",)
 
-    def __init__(self, terms: dict | None = None, trunc: int = 6):
+    def __init__(self, terms: dict, trunc: int):
         """From {(m, k): int or Fraction}; grades above trunc are dropped."""
-        super().__init__({mk: c for mk, c in (terms or {}).items() if mk[1] <= trunc})
+        super().__init__({mk: c for mk, c in terms.items() if mk[1] <= trunc})
         self.trunc = trunc
 
     def _wrap(self, num: dict, den: int) -> "VertexElem":
@@ -178,7 +173,7 @@ def witt_identity_check(R: int, K: int) -> bool:
     return _commutator_sweep([x_elem(ell, K) for ell in range(-R, R + 1)], R, K)
 
 
-def y_generator(m: int, K: int = 6) -> VertexElem:
+def y_generator(m: int, K: int) -> VertexElem:
     """Normalized generator: sum_{k<=K} (-1)^k/k! x_{m+2k} (x) u^k, over the
     denominator K!.
 
@@ -215,7 +210,7 @@ def bracket_elems(e1: VertexElem, e2: VertexElem) -> SparseLaurent:
     return SparseLaurent()._wrap(_nonzero(sums.items()), e1.den * e2.den)
 
 
-def central_constraint_check(K: int = 6) -> dict:
+def central_constraint_check(K: int) -> dict:
     """Structure of C_{l,m} = [y_l, y_m] up to grade K, |l|, |m| <= INDEX_MAX.
 
     Verified exactly: antisymmetry; vanishing for odd l+m; the diagonal law
@@ -292,26 +287,3 @@ def truncation_stability(low: dict) -> bool:
                 return False
     return True
 
-
-def jacobi_x_check() -> bool:
-    """Antisymmetry and Jacobi on the x-generators, |a|, |b| <= INDEX_MAX.
-
-    [x_b, x_c] lands in the coefficient ring, which is central by construction
-    (brackets of x with ring elements are zero), so every cyclic Jacobi term
-    [x_a, [x_b, x_c]] vanishes identically; the content checked here is
-    antisymmetry of the structure map and the Heisenberg specialization."""
-    for a in range(-INDEX_MAX, INDEX_MAX + 1):
-        for b in range(-INDEX_MAX, INDEX_MAX + 1):
-            lhs = bracket_xx(a, b)
-            rhs = bracket_xx(b, a).scale(-1)
-            if not (lhs - rhs).is_zero():
-                return False
-            if a == b and not lhs.is_zero():
-                return False
-            # nu = w = 0 specialization: 2a delta_{a+b,0} / sqrt(-tau);
-            # at tau = 1 the envelope unit evaluates to 1/i
-            val = lhs.evaluate(1.0, 0.0, 0.0)
-            want = 2 * a * (1 / 1j) if a + b == 0 else 0.0
-            if abs(val - want) > 1e-14 * max(1.0, 2 * abs(a)):
-                return False
-    return True

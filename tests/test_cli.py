@@ -20,7 +20,7 @@ from stardeform.cli import build_parser, main, parse_poly, poly_to_str
 from stardeform.core import Poly
 from stardeform.exact import QC
 from stardeform.errors import DomainError
-from stardeform.residue import CONTOUR_NODE_BUDGET
+from stardeform.residue import CONTOUR_NODE_BUDGET, CONTOUR_NODES, CONTOUR_RADIUS
 from stardeform.verify import run_suite
 
 
@@ -353,6 +353,13 @@ def test_residue_json():
     payload = json.loads(out)
     assert float(payload["abs_err"]) <= 1e-10
     assert payload["schema"] == 1
+
+
+def test_residue_parser_defaults_are_the_contour_constants():
+    """The parser keeps its own copies of the contour radius and node count, so
+    that building it loads no numpy; they equal the residue module's."""
+    args = build_parser().parse_args(["residue"])
+    assert (args.radius, args.nodes) == (CONTOUR_RADIUS, CONTOUR_NODES)
 
 
 def test_dist_csv():

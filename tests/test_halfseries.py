@@ -14,7 +14,7 @@ from stardeform import halfseries, verify
 from stardeform.core import ExactPoly
 from stardeform.errors import NonUnit, TruncationFailure
 from stardeform.exact import QC
-from stardeform.halfseries import (DEFAULT_TRUNC, SERIES_ORDER_BUDGET, FormalSeries, HalfSeries,
+from stardeform.halfseries import (SERIES_ORDER_BUDGET, FormalSeries, HalfSeries,
                                    bernoulli_numbers, bernoulli_numbers_formal,
                                    bernoulli_numbers_recurrence,
                                    euler_numbers, euler_numbers_formal, euler_numbers_recurrence,
@@ -215,7 +215,7 @@ def test_tau_expression_constant_and_geometric():
 
 def test_euler_identity_on_grid():
     # both sides of the Euler generating identity as tau-expressions, Re tau = 2
-    K = DEFAULT_TRUNC
+    K = 24
     tau = 2.0
     W = [-1.0, -0.3, 0.2, 0.9]
     one = HalfSeries.one(K)
@@ -231,7 +231,7 @@ def test_euler_identity_on_grid():
 
 
 def test_bernoulli_identity_on_grid():
-    K = DEFAULT_TRUNC
+    K = 24
     tau = 2.0
     W = [-0.8, 0.1, 0.6]
     plus = HalfSeries.from_list(

@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stardeform import distributions, residue, specialfn
 from stardeform.errors import StarDeformError
@@ -110,21 +110,25 @@ def test_faddeeva_helper_meets_its_tolerance_or_raises(r, theta):
                                st.floats(-math.pi, math.pi))),
        w=st.one_of(st.builds(complex, st.floats(-3.0, 3.0)),
                    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+# sums far below 1, where a stop on an absolute 1e-18 kept 5 digits
+@example(k=4, nu=1e-5 + 0j, tau=0.01 + 0j, w=3 + 0j)
+@example(k=4, nu=1e-5 + 0j, tau=1e-4 + 0j, w=0.0316 + 0j)
 def test_laurent_series_meets_its_tolerance(k, nu, tau, w):
-    """The ascending series is within 64 eps sum_q |term_q| + 2 SERIES_TOL of a
-    50-digit sum, as its docstring states, where |2 sqrt(nu) w/tau| <=
-    specialfn.BESSEL_SERIES_MAX: a w beyond that is scaled onto the edge, where
-    the terms cancel most.  Beyond the edge the cancellation grows like
-    e^{|2 sqrt(nu) w/tau|}, and reading J_k through specialfn's backward
-    recurrence there is the open Bessel route of the residue calculus down the
-    real tau axis (ROADMAP).  Over 4,000 such draws the error reached 1/8 of
-    this tolerance (8 eps sum_q |term_q|).  200 draws take about 0.9 s."""
+    """The ascending series is within 64 eps sum_q |term_q| + 2 SERIES_TOL
+    max(1e-300, |c|) of a 50-digit sum c, as its docstring states, where
+    |2 sqrt(nu) w/tau| <= specialfn.BESSEL_SERIES_MAX: a w beyond that is
+    scaled onto the edge, where the terms cancel most.  Beyond the edge the
+    cancellation grows like e^{|2 sqrt(nu) w/tau|}, and reading J_k through
+    specialfn's backward recurrence there is the open Bessel route of the
+    residue calculus down the real tau axis (ROADMAP).  Over 4,000 such draws
+    the error reached 1/8 of this tolerance (8 eps sum_q |term_q|).  200 draws
+    take about 0.9 s."""
     arg = abs(2 * cmath.sqrt(nu) * w / tau)
     if arg > specialfn.BESSEL_SERIES_MAX:
         w *= specialfn.BESSEL_SERIES_MAX / arg
     got = residue.laurent_series_coefficient(k, nu, tau, w)
     want, scale = _mp_laurent_series(k, nu, tau, w)
-    assert abs(got - want) <= 64 * EPS * scale + 2 * residue.SERIES_TOL
+    assert abs(got - want) <= 64 * EPS * scale + 2 * residue.SERIES_TOL * max(1e-300, abs(want))
 
 
 @pytest.mark.parametrize("z", [0j, 3.5, -3.5, 2j, 1e3j, 1e3, 0.5 - 0.5j, -4 - 4.5j,

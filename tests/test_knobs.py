@@ -1,5 +1,5 @@
 """No knob without a caller: every keyword default of the package is varied by
-the package's own calls.
+the package's own calls, and some package call uses it.
 
 For each `def` in `src/stardeform` (methods included, constructors excepted)
 and each of its parameters that has a default, the test collects the calls in
@@ -8,8 +8,10 @@ the package that name the function, by bare name (`f(...)`) or as an attribute
 argument, or the default's text where it leaves the argument out.  Those calls
 must give the parameter at least two distinct values; otherwise the default is a
 fixed numerical choice and belongs in a module constant, or, where the argument
-is data, in a required parameter.  Tests, demos and `bench/` are not callers:
-a value that only they pass does not make a knob.
+is data, in a required parameter.  At least one of them must also leave the
+argument out; otherwise no package call reads the default, and the parameter
+is required.  Tests, demos and `bench/` are not callers: a value that only they
+pass, or a default that only they read, does not make a knob.
 """
 
 import ast
@@ -75,9 +77,9 @@ def _calls(trees):
     return calls
 
 
-def _value(call, param, index, default):
-    """The source text a call gives a parameter; a starred argument that could
-    reach it is a value of its own."""
+def _value(call, param, index):
+    """The source text a call gives a parameter, or None where it leaves the
+    argument out; a starred argument that could reach it is a value of its own."""
     for kw in call.keywords:
         if kw.arg == param:
             return ast.unparse(kw.value)
@@ -89,12 +91,13 @@ def _value(call, param, index, default):
                 return ast.unparse(arg)
     if any(kw.arg is None for kw in call.keywords):
         return "**"
-    return default
+    return None
 
 
 def unvaried(trees: dict) -> list:
     """'module.function(parameter)' for every defaulted parameter that the
-    package's calls give fewer than two distinct values."""
+    package's calls give fewer than two distinct values, or that every one of
+    them passes."""
     calls = _calls(trees)
     out = []
     for mod, tree in trees.items():
@@ -102,9 +105,9 @@ def unvaried(trees: dict) -> list:
             for param, (index, default) in _defaulted(node, implicit).items():
                 if (f"{mod}.{qualname}", param) in EXEMPT:
                     continue
-                values = {_value(call, param, index, default)
-                          for call in calls.get(node.name, [])}
-                if len(values) < 2:
+                given = [_value(call, param, index) for call in calls.get(node.name, [])]
+                values = {default if v is None else v for v in given}
+                if len(values) < 2 or None not in given:
                     out.append(f"{mod}.{qualname}({param})")
     return out
 
@@ -112,8 +115,8 @@ def unvaried(trees: dict) -> list:
 def test_every_keyword_default_is_varied_by_a_package_call():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     fixed = unvaried(trees)
-    assert not fixed, f"{len(fixed)} keyword defaults that no package call varies: " \
-        + ", ".join(fixed)
+    assert not fixed, f"{len(fixed)} keyword defaults that no package call both varies " \
+        "and leaves out: " + ", ".join(fixed)
 
 
 def test_the_exemptions_name_live_parameters():
@@ -125,7 +128,8 @@ def test_the_exemptions_name_live_parameters():
 
 
 def test_a_knob_needs_two_values_from_the_package():
-    """Negative and positive controls on a two-module package."""
+    """Negative and positive controls on a two-module package: Box.grow is
+    varied, but every call passes k, so its default has no caller."""
     lib = ast.parse("def varied(x, n=4):\n    pass\n"
                     "def fixed(x, n=4):\n    pass\n"
                     "def never_called(x, n=4):\n    pass\n"
@@ -138,4 +142,4 @@ def test_a_knob_needs_two_values_from_the_package():
                     "    lib.fixed(1, n=4)\n    lib.fixed(2)\n"
                     "    b = lib.Box()\n    b.grow(3)\n    b.grow(k=5)\n")
     assert sorted(unvaried({"cli": cli, "lib": lib})) == \
-        ["lib.fixed(n)", "lib.never_called(n)"]
+        ["lib.Box.grow(k)", "lib.fixed(n)", "lib.never_called(n)"]

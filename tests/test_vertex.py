@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stardeform.residue as rs
 import stardeform.vertex as vx
+from stardeform import verify
 from stardeform.exact import QC, SparseLaurent
 from stardeform.residue import laurent_coeff_closed
-from stardeform.vertex import (INDEX_MAX, STABILITY_GRADES, XX_CAP, CoeffRing, L_action,
-                               VertexElem, bracket_elems, bracket_xx, central_constraint_check,
-                               jacobi_x_check,
+from stardeform.vertex import (INDEX_MAX, STABILITY_GRADES, CoeffRing, L_action,
+                               VertexElem, bracket_elems, central_constraint_check,
                                k_centrality_check, laurent_coefficient_ring,
                                truncation_stability, witt_identity_check, x_elem, y_eigen_defect,
                                y_generator)
@@ -34,10 +35,18 @@ def canonical(e: VertexElem) -> bool:
     return all(type(c) is Fraction and c and k <= e.trunc for (_, k), c in e.terms.items())
 
 
+def ring_value(C: SparseLaurent) -> CoeffRing:
+    """A central part of grade 0 as a ring element, each a_j cut at 6."""
+    assert all(g == 0 for _, g in C.terms)
+    return sum((laurent_coefficient_ring(j, 6).scale(c) for (j, _), c in C.terms.items()),
+               CoeffRing())
+
+
 def test_bracket_antisymmetry_and_diagonal():
-    assert bracket_xx(2, 2).is_zero()
-    b = bracket_xx(3, 1)
-    assert (b - bracket_xx(1, 3).scale(-1)).is_zero()
+    assert bracket_elems(x_elem(2, 6), x_elem(2, 6)).is_zero()
+    b = bracket_elems(x_elem(3, 6), x_elem(1, 6))
+    assert (b + bracket_elems(x_elem(1, 6), x_elem(3, 6))).is_zero()
+    assert b == SparseLaurent({(3, 0): 2})
 
 
 def test_bracket_heisenberg_specialization():
@@ -45,16 +54,16 @@ def test_bracket_heisenberg_specialization():
     gamma0 = 1 / cmath.sqrt(-1 + 0j)  # tau = 1, principal
     for m in range(-3, 4):
         for n in range(-3, 4):
-            val = bracket_xx(m, n).evaluate(1.0, 0.0, 0.0)
+            val = ring_value(bracket_elems(x_elem(m, 6), x_elem(n, 6))).evaluate(1.0, 0.0, 0.0)
             want = 2 * m * gamma0 if m + n == 0 else 0.0
             assert abs(val - want) < 1e-14 * max(1.0, abs(want))
 
 
 def test_bracket_is_2_a_minus1():
-    # [x_1, x_{-1}] = 2 a_{-1}
-    b = bracket_xx(1, -1)
-    a = laurent_coefficient_ring(-1, XX_CAP).scale(2)
-    assert (b - a).is_zero()
+    # [x_1, x_{-1}] = 2 a_{-1} (x) u^0
+    b = bracket_elems(x_elem(1, 6), x_elem(-1, 6))
+    assert b == SparseLaurent({(-1, 0): 2})
+    assert (ring_value(b) - laurent_coefficient_ring(-1, 6).scale(2)).is_zero()
 
 
 def test_gamma_dictionary_consistency():
@@ -239,7 +248,43 @@ def test_truncation_stability_sees_a_grade_missing_at_the_low_budget(monkeypatch
 
 
 def test_jacobi_x():
-    assert jacobi_x_check()
+    """[x_a, x_b] = (a - b) a_{a+b-1} (x) u^0 for |a|, |b| <= INDEX_MAX: the
+    brackets are antisymmetric and land in the central ring, so every cyclic
+    Jacobi term [x_a, [x_b, x_c]] vanishes."""
+    rng = range(-INDEX_MAX, INDEX_MAX + 1)
+    for a in rng:
+        for b in rng:
+            C = bracket_elems(x_elem(a, 6), x_elem(b, 6))
+            assert (C + bracket_elems(x_elem(b, 6), x_elem(a, 6))).is_zero()
+            want = {(a + b - 1, 0): a - b} if a != b and (a + b) % 2 == 0 else {}
+            assert C == SparseLaurent(want)
+
+
+def _gamma_dictionary_passes() -> bool:
+    return next(r for r in verify.suite_vertex() if r["anchor"] == "gamma-dictionary")["passed"]
+
+
+def test_gamma_dictionary_sees_the_sqrt_off_the_principal_branch(monkeypatch):
+    """sqrt(-tau) without the signed-zero normalization puts real positive tau
+    below the cut: a_{-1} at tau = 1, nu = w = 0 reads +i, not -i."""
+    assert _gamma_dictionary_passes()
+    monkeypatch.setattr(rs, "sqrt_minus_tau", lambda tau: cmath.sqrt(-complex(tau)))
+    assert not _gamma_dictionary_passes()
+
+
+def test_gamma_dictionary_sees_the_nu_exponent_of_the_ring(monkeypatch):
+    """A ring built with nu^q in place of nu^{k+q} agrees at j = -1 only."""
+    def nu_q(j, cap):
+        if j % 2 == 0:
+            return CoeffRing()
+        k = (j + 1) // 2
+        return CoeffRing({(1, q, q, 2 * q): Fraction((-1) ** q,
+                                                     math.factorial(q) * math.factorial(k + q))
+                          for q in range(max(0, -k), cap + 1)})
+
+    assert _gamma_dictionary_passes()
+    monkeypatch.setattr(vx, "laurent_coefficient_ring", nu_q)
+    assert not _gamma_dictionary_passes()
 
 
 @settings(deadline=None)
