@@ -6,9 +6,8 @@ import numpy as np
 
 from stardeform.core import Poly
 from stardeform.residue import (covariant_evolution_residual, diffeqevol_exact_defect,
-                                laurent_coeff_closed, orphan_annihilation, parallel_polynomial,
-                                phi_psi, residue_contour, semigroup_on_delta,
-                                surface_derivative_exact)
+                                laurent_coeff_closed, orphan_annihilation, phi_psi,
+                                residue_contour, semigroup_on_delta)
 
 nu, tau = 1.0, 1.0 + 1.0j
 
@@ -26,10 +25,7 @@ pp = phi_psi(0.8, 1.0)
 print("even boundary solution: Phi(0) =", pp.phi(0.0),
       " Phi(0.3) - Phi(-0.3) =", pp.phi(0.3) - pp.phi(-0.3))
 
-print("\nparallel polynomials lie in the surface-derivative kernel (exact):",
-      all(surface_derivative_exact(parallel_polynomial(k, m)) == {}
-          for k in range(-3, 4) for m in range(-3, 4)))
-print("evolution identity, symbolic defect empty:",
+print("\nevolution identity, symbolic defect empty:",
       all(diffeqevol_exact_defect(k).is_zero() for k in range(-2, 3)))
 print("closed family solves the first-order equation:",
       covariant_evolution_residual(Poly([0.5, -1.0, 2.0]), nu, 1.2, np.linspace(-1, 1, 7)))

@@ -332,17 +332,6 @@ def _derivative(x: dict, axis: int) -> dict:
     return out
 
 
-def _invert_axis(x: dict, axis: int, onto: int) -> dict:
-    out = {}
-    for k, c in x.items():
-        nk = list(k)
-        nk[onto] -= nk[axis]
-        nk[axis] = 0
-        nk = tuple(nk)
-        out[nk] = out.get(nk, 0) + c
-    return _nonzero(out.items())
-
-
 def _cross_equal(x: dict, y: dict, dx: int, dy: int) -> bool:
     """x/dx == y/dy for dicts of nonzero int numerators."""
     if dx == dy:
@@ -426,13 +415,6 @@ class SparseLaurent:
     def restrict(self, grade: int):
         """The terms whose last exponent is <= grade."""
         return self._wrap({k: c for k, c in self.num.items() if k[-1] <= grade}, self.den)
-
-    def restrict_inverse(self, axis: int, onto: int):
-        """Substitute symbol `axis` by the inverse of symbol `onto`; the
-        exponent of `axis` becomes 0 (a ring endomorphism)."""
-        if axis == onto:
-            raise ValueError("a symbol cannot be replaced by its own inverse")
-        return self._wrap(_invert_axis(self.num, axis, onto), self.den)
 
     def is_zero(self) -> bool:
         return not self.num

@@ -302,17 +302,6 @@ def orphan_annihilation(t, k: int, nu, tau, w_grid) -> dict:
 
 # -------------------------------------------------------- covariant calculus
 
-def parallel_polynomial(k: int, m: int) -> SparseLaurent:
-    """f_{k,m}(z, tau) = (m+k) z^m - m tau^k z^{m+k}; in the kernel of the
-    surface derivative (z-slot partial restricted to tau = 1/z).  Axes: (z, tau)."""
-    return SparseLaurent({(m, 0): m + k}) - SparseLaurent({(m + k, k): m})
-
-
-def surface_derivative_exact(f: SparseLaurent) -> dict:
-    """d/dz in the z slot, then restrict tau = 1/z; exact Laurent dict in z."""
-    return {e: v for (e, _), v in f.d(0).restrict_inverse(1, 0).terms.items()}
-
-
 def diffeqevol_exact_defect(k: int) -> SparseLaurent:
     """Exact symbolic defect of the covariant evolution equation for a_{2k-1}.
 

@@ -167,26 +167,3 @@ def geometric_inverse_sum(side: str, tau, w):
     k = lattice(tau, w, 2)
     k = k[k >= 0] if side == "+" else k[k < 0]
     return lattice_sum(k, np.full(len(k), 1.0 if side == "+" else -1.0), tau, w)
-
-
-def constant_coefficient_kernel(n_modes: int):
-    """Kernel of the truncated operator f -> (e_*^{2iw} - 1) * f on coefficient
-    vectors (c_{-N}, ..., c_N): interior constraints force c_{m-1} = c_m, so the
-    kernel is one-dimensional and spanned by the constant vector.
-
-    Returns (kernel dimension, normalized kernel vector)."""
-    N = n_modes
-    dim = 2 * N + 1
-    rows = []
-    for m in range(-N + 1, N + 1):
-        r = np.zeros(dim)
-        r[m - 1 + N] = 1.0
-        r[m + N] = -1.0
-        rows.append(r)
-    A = np.array(rows)
-    _, s, vt = np.linalg.svd(A)
-    null_mask = np.concatenate([s, np.zeros(dim - len(s))]) < 1e-12
-    kernel = vt[null_mask.nonzero()[0]]
-    vec = kernel[0] if len(kernel) else np.zeros(dim)
-    vec = vec / vec[N]
-    return len(kernel), vec

@@ -290,9 +290,6 @@ def suite_theta(tau, tol, grid) -> list:
     worst = np.abs(theta.delta_sum_representation(grid[::2], tau)
                    - theta.theta_eval(3, grid[::2], tau))
     out.append(_rec("theta-gaussian-comb", "delta-comb representation", worst.max(), tol))
-    dim, vec = theta.constant_coefficient_kernel(8)
-    out.append(_bool_rec("theta-kernel-unique", "eigen-equation kernel is one-dimensional",
-                         dim == 1 and np.allclose(vec, np.ones_like(vec))))
     return out
 
 
@@ -386,10 +383,6 @@ def suite_residue(tau, nu, grid) -> list:
     # a_{2k+1} falls like |tau|^(-1/2): nonzero against the same contours' t != 0 residual
     out.append(_bool_rec("ladder-discontinuity", "t = 0 bracket is nonzero (discontinuity)",
                          float(np.abs(res["t_zero_values"]).max()) > res["annihilation"]))
-    ok = all(residue.surface_derivative_exact(residue.parallel_polynomial(k, m)) == {}
-             for k in range(-3, 4) for m in range(-3, 4))
-    out.append(_bool_rec("parallel-polynomials", "two-index family lies in the kernel (exact)",
-                         ok))
     ok = all(residue.diffeqevol_exact_defect(k).is_zero() for k in range(-2, 3))
     out.append(_bool_rec("covariant-evolution-exact",
                          "Laurent coefficients satisfy the surface equation (symbolic)", ok))

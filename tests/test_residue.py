@@ -19,9 +19,8 @@ from stardeform.residue import (CONTOUR_NODES, CONTOUR_RADIUS, _contour_mean, _d
                                 covariant_evolution_residual, diffeqevol_exact_defect,
                                 evolution_family, gamma_inverse_residual, gamma_path_integral,
                                 laurent_coeff_closed, laurent_gausspoly, orphan_annihilation,
-                                parallel_polynomial, phi_group_action_residual, phi_psi,
-                                residue_contour, semigroup_on_delta, surface_derivative_exact,
-                                ladder_residual)
+                                phi_group_action_residual, phi_psi, residue_contour,
+                                semigroup_on_delta, ladder_residual)
 
 W_GRID = [-1.5 + 0.25 * k for k in range(13)]
 
@@ -243,7 +242,21 @@ def test_orphan_ladder_values_are_their_points():
     assert got.tobytes() == np.asarray(want).tobytes()
 
 
+def parallel_polynomial(k: int, m: int) -> SparseLaurent:
+    """f_{k,m}(z, tau) = (m+k) z^m - m tau^k z^{m+k}.  Axes: (z, tau)."""
+    return SparseLaurent({(m, 0): m + k}) - SparseLaurent({(m + k, k): m})
+
+
+def surface_derivative_exact(f: SparseLaurent) -> dict:
+    """d/dz in the z slot, then tau = 1/z: {z exponent: Fraction}, zeros dropped."""
+    out: dict = {}
+    for (a, b), c in f.d(0).terms.items():
+        out[a - b] = out.get(a - b, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def test_parallel_polynomials_exact_kernel():
+    """d_z f_{k,m} = m(m+k) z^{m-1} (1 - (z tau)^k) vanishes on tau = 1/z."""
     for k in range(-3, 4):
         for m in range(-3, 4):
             f = parallel_polynomial(k, m)

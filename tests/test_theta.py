@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from stardeform.cli import main
 from stardeform.errors import DomainError
 from stardeform.starexp import translate_action
-from stardeform.theta import (constant_coefficient_kernel, delta_sum_representation,
-                              geometric_inverse_sum, imaginary_transform_residual,
-                              jacobi_relation_residual, jacobi_relation_rounding, lattice,
-                              lattice_sum, quasi_periodicity_residual, theta_eval)
+from stardeform.theta import (delta_sum_representation, geometric_inverse_sum,
+                              imaginary_transform_residual, jacobi_relation_residual,
+                              jacobi_relation_rounding, lattice, lattice_sum,
+                              quasi_periodicity_residual, theta_eval)
 
 W_GRID = [-1.0 + 0.1 * k for k in range(21)]
 
@@ -206,9 +206,15 @@ def test_theta_from_sided_inverses():
 
 
 def test_constant_kernel_is_one_dimensional():
-    dim, vec = constant_coefficient_kernel(8)
-    assert dim == 1
-    assert np.allclose(vec, np.ones_like(vec))
+    """On coefficient vectors (c_{-N}, ..., c_N) of the e_*^{2imw}, the interior
+    constraints of f -> (e_*^{2iw} - 1) * f read c_{m-1} - c_m = 0 (m = -N+1..N):
+    the kernel is spanned by the constant vector."""
+    N = 8
+    A = np.eye(2 * N, 2 * N + 1) - np.eye(2 * N, 2 * N + 1, k=1)
+    _, s, vt = np.linalg.svd(A)
+    kernel = vt[np.count_nonzero(s > 1e-12):]
+    assert len(kernel) == 1
+    assert np.allclose(kernel[0] / kernel[0][N], 1.0)
 
 
 def _scale(kind, w, tau):
