@@ -21,9 +21,9 @@ print("but the t=0 bracket is the ladder value:", np.abs(res['t_zero_values']).m
 
 print("\ndelta elements see no singularity at t = 1/tau:",
       semigroup_on_delta(1.0, 0.6, 1.0, np.linspace(-1, 1, 5)))
-pp = phi_psi(0.8, 1.0)
-print("even boundary solution: Phi(0) =", pp.phi(0.0),
-      " Phi(0.3) - Phi(-0.3) =", pp.phi(0.3) - pp.phi(-0.3))
+lo, hi = phi_psi(0.8, 1.0)
+print("even boundary solution: Phi(0) =", lo(0.0) + hi(0.0),
+      " Phi(0.3) - Phi(-0.3) =", lo(0.3) + hi(0.3) - (lo(-0.3) + hi(-0.3)))
 
 print("\nevolution identity, symbolic defect empty:",
       all(diffeqevol_exact_defect(k).is_zero() for k in range(-2, 3)))

@@ -108,12 +108,18 @@ _DECIMAL = r"[\d.]+(?:[eE][-+]?\d+)?"
 _TERM_RE = re.compile(
     rf"^(?P<coeff>\((?P<re>[-+]?{_DECIMAL})(?P<im>[-+]{_DECIMAL})i\)|[-+]?{_DECIMAL})?"
     r"\*?(?P<var>w(\^(?P<pow>\d+))?)?$")
+# Highest degree parse_poly reads.  `eval star --f=w^D --g=w^D --tau=1,0
+# --rational` took 1.7 s at D = 300, 2.1 s at 320 and 4.3 s at 400 in a fresh
+# process (2-core x86-64 host, Python 3.11), and the float route forms its
+# whole sum before it can refuse an overflow.
+POLY_DEGREE_BUDGET = 300
 
 
 def parse_poly(text: str) -> ExactPoly:
     """Minimal polynomial grammar: terms 'c', 'c*w^k', 'w^k', 'w' joined by +/-;
     complex coefficients parenthesized as '(a+bi)'; numbers ('1e-05' too) are
-    read by exact_number."""
+    read by exact_number.  A degree past POLY_DEGREE_BUDGET is refused before
+    any coefficient list is built."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -152,6 +158,9 @@ def parse_poly(text: str) -> ExactPoly:
         power = 0
         if m.group("var"):
             power = int(m.group("pow") or 1)
+            if power > POLY_DEGREE_BUDGET:
+                raise argparse.ArgumentTypeError(
+                    f"degree {power} exceeds POLY_DEGREE_BUDGET = {POLY_DEGREE_BUDGET}")
         coeffs[power] = coeffs.get(power, 0) + sign * c
     deg = max(coeffs)
     return ExactPoly([coeffs.get(i, 0) for i in range(deg + 1)])
@@ -258,7 +267,7 @@ def cmd_table(args) -> int:
 
     ws = list(np.linspace(*args.grid))
     tab = bessel_table(args.a, args.tau, N, ws)
-    cols = [tab.values[n] for n in range(-N, N + 1)]
+    cols = list(tab.values())
     emit_csv(["w"] + [f"J{n}_re,J{n}_im" for n in range(-N, N + 1)],
              [[f"{w:.12g}"] + [f"{c[i].real:.12e},{c[i].imag:.12e}" for c in cols]
               for i, w in enumerate(ws)])
@@ -350,7 +359,7 @@ def cmd_vertex(args) -> int:
 
     K = args.K
     if args.check == "witt":
-        ok = vx.witt_identity_check(4, K=K)
+        ok = vx.witt_identity_check(vx.WITT_INDEX_MAX, K=K)
         emit_json({"check": "witt", "k": K, "passed": ok})
         return 0 if ok else 1
     if args.check == "central":

@@ -254,7 +254,13 @@ def heaviside_pair(tau, w_grid):
     """(Y(-w), Y(w)): the x-side rule at f = 1 with breakpoint 0.  Its segments
     [lo, 0] and [0, hi] are where the indicators of x < 0 and x > 0 are 1, so the
     half-line an indicator zeroes is not integrated; sgn(x)^2 is 1 on both, so
-    sgn * sgn through the density rule is Y(-w) + Y(w)."""
+    sgn * sgn through the density rule is Y(-w) + Y(w).
+
+    Each of Y(-w) = erfc(w/sqrt(tau))/2 and Y(w) = erfc(-w/sqrt(tau))/2 is
+    within 1e-13 max(1, |Y|), the tolerance integrate_segment_refined meets
+    per segment, or the call raises QuadratureFailure, as at tau = 0.01 + 2i
+    where the density's chirp outruns 512 panels.  No relative tolerance
+    holds: Y underflows toward 0 on the far side of the step at a small tau."""
     return slowly_increasing_transform(np.ones_like, tau, w_grid, breakpoints=(0.0,))
 
 

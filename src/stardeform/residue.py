@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -199,23 +198,11 @@ def ladder_residual(ks, nu, tau, w_grid) -> tuple:
 
 # ----------------------------------------------------- boundary-value pair
 
-@dataclass(frozen=True)
-class PhiPsi:
-    """The even solution Phi of the quadratic eigen-equation built from the
-    delta pair at +-alpha, pinned by value 1 and slope 0 at w = 0."""
-    alpha: complex
-    tau: complex
-    a: complex          # coefficient of delta at +alpha (argument w + alpha)
-    b: complex          # coefficient of delta at -alpha
-    phi_parts: tuple    # (GaussPoly, GaussPoly) for Phi
-
-    def phi(self, w):
-        return self.phi_parts[0](w) + self.phi_parts[1](w)
-
-
-def phi_psi(alpha, tau) -> PhiPsi:
-    """Solve the 2x2 boundary system for Phi (value 1, slope 0) as a
-    combination of the two shifted deltas."""
+def phi_psi(alpha, tau) -> tuple:
+    """The two GaussPoly parts of the even solution Phi of the quadratic
+    eigen-equation, Phi = parts[0] + parts[1]: the deltas at +alpha (argument
+    w + alpha) and -alpha, scaled by the solution of the 2x2 boundary system
+    Phi(0) = 1, Phi'(0) = 0."""
     from .distributions import delta_tau
 
     alpha_c, tau_c = complex(alpha), complex(tau)
@@ -228,8 +215,7 @@ def phi_psi(alpha, tau) -> PhiPsi:
     if abs(np.linalg.det(M)) <= 1e-14 * float(np.prod(np.linalg.norm(M, axis=1))):
         raise DegenerateBoundary(f"boundary system singular at alpha={alpha}")
     ab_phi = np.linalg.solve(M, np.array([1.0, 0.0]))
-    return PhiPsi(alpha_c, tau_c, complex(ab_phi[0]), complex(ab_phi[1]),
-                  (dp.scaled(ab_phi[0]), dm.scaled(ab_phi[1])))
+    return dp.scaled(ab_phi[0]), dm.scaled(ab_phi[1])
 
 
 def semigroup_on_delta(t, alpha, tau, w_grid) -> float:
@@ -252,19 +238,19 @@ def phi_group_action_residual(ts, alpha, tau, w_grid) -> float:
     only the pins see the boundary solve.  The pair is solved once; the products
     of every t and the two parts of Phi are evaluated in one pass over the grid,
     the two slopes in one at w = 0."""
-    pp = phi_psi(alpha, tau)
+    parts = phi_psi(alpha, tau)
     tau_c = complex(tau)
     scales, acted = [], []
     for t in ts:
         t_c = complex(t)
         scales.append(cexp(t_c * complex(alpha) ** 2))
-        acted += [quadexp_star(t_c, tau_c, part) for part in pp.phi_parts]
-    *rows, phi_lo, phi_hi = gauss_values(acted + list(pp.phi_parts), as_grid(w_grid))
-    slope_lo, slope_hi = gauss_values([part.diff() for part in pp.phi_parts], [0.0])[:, 0]
+        acted += [quadexp_star(t_c, tau_c, part) for part in parts]
+    *rows, phi_lo, phi_hi = gauss_values(acted + list(parts), as_grid(w_grid))
+    slope_lo, slope_hi = gauss_values([part.diff() for part in parts], [0.0])[:, 0]
     phi = phi_lo + phi_hi
     return worst_of([*(float(np.abs(lo + hi - scale * phi).max())
                        for scale, lo, hi in zip(scales, rows[::2], rows[1::2])),
-                     abs(pp.phi(0.0) - 1), abs(slope_lo + slope_hi)])
+                     abs(parts[0](0.0) + parts[1](0.0) - 1), abs(slope_lo + slope_hi)])
 
 
 # ------------------------------------------------------ orphan annihilation

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ExactPoly, star_product, w_star_power
@@ -36,49 +35,38 @@ SQRT2 = math.sqrt(2.0)
 
 # ----------------------------------------------------------------- Hermite
 
-@dataclass(frozen=True)
-class HermiteFamily:
-    tau: complex
-    table: tuple          # H_n as float-coefficient Poly, leading coeff (sqrt2)^n
-    reduced: tuple        # P_n with the (sqrt2)^n factored out; ExactPoly if tau exact
-
-    def __len__(self):
-        return len(self.table)
-
-
-def hermite_table(N: int, tau) -> HermiteFamily:
-    """Build H_0..H_N.  With exact tau (QC/Fraction/int) the reduced table is ExactPoly."""
+def hermite_table(N: int, tau) -> tuple:
+    """H_0..H_N as float-coefficient Polys, H_n with leading coefficient (sqrt2)^n."""
     if N < 0:
         raise ValueError("N must be >= 0")
     tau = as_qc(tau)
-    reduced = tuple(w_star_power(n, tau) for n in range(N + 1))
-    table = tuple(p.to_complex().scale(SQRT2 ** n) for n, p in enumerate(reduced))
-    return HermiteFamily(tau, table, reduced)
+    return tuple(w_star_power(n, tau).to_complex().scale(SQRT2 ** n) for n in range(N + 1))
 
 
-def hermite_checks(fam: HermiteFamily) -> dict:
-    """Recurrence, differential equation, derivative ladder; exact on the reduced
-    table: zero residual means the polynomials cancel identically.
+def hermite_checks(N: int, tau) -> dict:
+    """Recurrence, differential equation, derivative ladder of P_0..P_N, the
+    table with the (sqrt2)^n factored out (ExactPoly for an exact tau): exact,
+    so a zero residual means the polynomials cancel identically.
 
     reduced identities (the global (sqrt2)^n scales away):
         recurrence  w p_n + (tau/2) p_n' = p_{n+1}
         ODE         tau p_n'' + 2 w p_n' - 2n p_n = 0
         ladder      p_n' = n p_{n-1}
     """
-    tau = fam.tau
+    tau = as_qc(tau)
+    reduced = [w_star_power(n, tau) for n in range(N + 1)]
     w = ExactPoly.x()
     rec_ok = ode_ok = ladder_ok = True
-    for n in range(len(fam) - 1):
-        p = fam.reduced[n]
-        if w * p + p.deriv().scale(tau / 2) != fam.reduced[n + 1]:
+    for n in range(N):
+        p = reduced[n]
+        if w * p + p.deriv().scale(tau / 2) != reduced[n + 1]:
             rec_ok = False
-    for n, p in enumerate(fam.reduced):
+    for n, p in enumerate(reduced):
         if not (p.deriv(2).scale(tau) + p.deriv().scale(2) * w - p.scale(2 * n)).is_zero():
             ode_ok = False
-        if n >= 1 and p.deriv() != fam.reduced[n - 1].scale(n):
+        if n >= 1 and p.deriv() != reduced[n - 1].scale(n):
             ladder_ok = False
-    top_ok = all(fam.reduced[n].deriv(n) == math.factorial(n)
-                 for n in range(len(fam)))
+    top_ok = all(p.deriv(n) == math.factorial(n) for n, p in enumerate(reduced))
     return {"recurrence": rec_ok, "ode": ode_ok, "ladder": ladder_ok,
             "top_derivative": top_ok}
 
@@ -114,7 +102,7 @@ def hermite_orthogonality(n: int, m: int, tau):
     if tau_c.real >= 0:
         raise QuadratureFailure("Re tau must be negative for the weight to decay")
     L = gaussian_halfwidth(-(1 / tau_c).real, power=n + m)
-    hn = hermite_table(max(n, m), tau_c).table
+    hn = hermite_table(max(n, m), tau_c)
     pn, pm = hn[n], hn[m]
 
     def f(w):
@@ -198,14 +186,9 @@ def bessel_i(m: int, z: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class BesselTable:
-    n_max: int
-    values: dict  # n -> ndarray over the grid, |n| <= n_max
-
-
-def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
-    """J_n(a w, tau) for |n| <= N via the correction-factor convolution
+def bessel_table(a, tau, N: int, w_grid) -> dict:
+    """{n: J_n(a w, tau) over the grid} for n = -N..N, in that order, via the
+    correction-factor convolution
 
         J_n(a w, tau) = e^{-a^2 tau/8} sum_m I_m(a^2 tau/8) J_{n-2m}(a w),
 
@@ -242,10 +225,10 @@ def bessel_table(a, tau, N: int, w_grid) -> BesselTable:
     acc = np.zeros((2 * N + 1, len(z)), complex)
     for m in range(-M, M + 1):              # row n + N gathers J_{n-2m}, n = -N..N
         acc = acc + i_row[abs(m)] * classical[kmax - N - 2 * m:kmax + N - 2 * m + 1]
-    return BesselTable(N, dict(zip(range(-N, N + 1), np.exp(-a_c * a_c * tau_c / 8) * acc)))
+    return dict(zip(range(-N, N + 1), np.exp(-a_c * a_c * tau_c / 8) * acc))
 
 
-def bessel_table_to_tol(a, tau, n_min: int, tol: float, w_grid) -> BesselTable:
+def bessel_table_to_tol(a, tau, n_min: int, tol: float, w_grid) -> dict:
     """bessel_table at the smallest N >= n_min whose dropped orders sum to
     below tol on the grid: max_w |sum_{|n| > N} J_n(a w, tau)| < tol.
 
@@ -259,21 +242,23 @@ def bessel_table_to_tol(a, tau, n_min: int, tol: float, w_grid) -> BesselTable:
 
     hi = 2 * n_min
     while True:
-        v = bessel_table(a, tau, hi, w_grid).values
+        v = bessel_table(a, tau, hi, w_grid)
         pairs = np.array([v[n] + v[-n] for n in range(n_min + 1, hi + 1)])
         # tail[i]: the largest |sum| over the grid of the orders past n_min + i
         tail = np.abs(np.cumsum(pairs[::-1], axis=0)[::-1]).max(axis=1)
         ok = np.flatnonzero(tail < tol)
         if ok.size:
             N = n_min + int(ok[0])
-            return BesselTable(N, {n: v[n] for n in range(-N, N + 1)})
+            return {n: v[n] for n in range(-N, N + 1)}
         hi *= 2
 
 
-def bessel_unit_sum_residual(table: BesselTable) -> float:
+def bessel_unit_sum_residual(table: dict) -> float:
+    """max over the grid of |sum_n J_n - 1|, summed over the table's rows in
+    their order, -N..N."""
     import numpy as np
 
-    total = sum(table.values[n] for n in range(-table.n_max, table.n_max + 1))
+    total = sum(table.values())
     return float(np.abs(total - 1.0).max())
 
 
@@ -335,7 +320,7 @@ def bessel_addition_residual(a, b, tau, w_grid) -> float:
                                 f"in s, more than BESSEL_ADDITION_FFT_BUDGET = "
                                 f"{BESSEL_ADDITION_FFT_BUDGET}")
     lhs = bessel_table(a_c + b_c, tau_c, N, w_grid)
-    want = np.array([lhs.values[n] for n in range(-N, N + 1)])
+    want = np.array(list(lhs.values()))
     (la, ea), (lb, eb) = (_generating_element(c, tau_c, ws, n_s) for c in (a_c, b_c))
     cross = np.exp(np.multiply.outer(la, lb) * tau_c / 2)
     # terms m in [-n_s/4, n_s/4), k = n - m: |k| <= n_s/4 + 6 stays below n_s/3, none aliased

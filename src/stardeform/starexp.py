@@ -31,7 +31,6 @@ The tests check it against 64 nodes per segment and against an exact crossing ro
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,14 +44,14 @@ LEG_MARGIN = 0.15   # leg_path detours around branch points nearer its segment t
 LAW_GRID = -2.0 + 0.2 * np.arange(21)   # quad_exponential_law's w points
 
 
-@dataclass(frozen=True)
 class GaussPoly:
-    poly: Poly = field(default_factory=lambda: Poly.const(1))
-    alpha: complex = 0.0
-    beta: complex = 0.0
-    pref: complex = 1.0
-    logamp: complex = 0.0
-    sheet: int = 1
+    """sheet * pref * exp(logamp) * poly(w) * exp(alpha w^2 + beta w)."""
+
+    __slots__ = ("poly", "alpha", "beta", "pref", "logamp", "sheet")
+
+    def __init__(self, poly: Poly, alpha, beta, pref, logamp, sheet: int):
+        self.poly, self.alpha, self.beta = poly, alpha, beta
+        self.pref, self.logamp, self.sheet = pref, logamp, sheet
 
     def __call__(self, w):
         """The value at a scalar w, or over an array of them, by the one checked
@@ -216,14 +215,13 @@ def star_exp_linear(s, tau) -> GaussPoly:
     return GaussPoly(Poly.const(1), 0 * tau, s, 1.0, s * s * tau / 4, 1)
 
 
-@dataclass(frozen=True)
 class PathParam:
     """Polygonal path of waypoints in the t-plane, starting at 0 by convention."""
 
-    waypoints: tuple
+    __slots__ = ("waypoints",)
 
     def __init__(self, waypoints: Sequence[complex]):
-        object.__setattr__(self, "waypoints", tuple(complex(w) for w in waypoints))
+        self.waypoints = tuple(complex(w) for w in waypoints)
 
     def validate_avoids(self, point: complex):
         for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):

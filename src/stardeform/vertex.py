@@ -48,9 +48,11 @@ from .exact import SparseLaurent, _lincomb, _nonzero
 # 0.068 and 0.23 s at K = 32, 64, 128 on a 2-core x86-64 host, Python 3.11), and
 # k_centrality_check, which forms 53 actions on each of its 14 probes, takes
 # 0.05 s at this budget.  witt_identity_check reaches at most grade 2 above its
-# input, so its cost does not grow with K (2.6 ms at R = 4) and it has no budget.
+# input, so its cost does not grow with K (2.6 ms at R = WITT_INDEX_MAX) and it
+# has no budget.
 GRADE_BUDGET = 128
 INDEX_MAX = 3        # generator indices |l| of the central and K-centrality checks
+WITT_INDEX_MAX = 4   # indices |l|, |m|, |n| of `vertex --check witt`
 EIGEN_GRADE = 6      # grades y_eigen_defect compares
 # truncation_stability: the two u-grade budgets and indices |l| <= 2
 STABILITY_GRADES, STABILITY_INDEX_MAX = (6, 8), 2

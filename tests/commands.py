@@ -194,6 +194,12 @@ TABLE = [
           "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
     Entry("eval star --f w^2 --g w^2 --tau 0.5,0 --rational", 0,
           "6c7821b63f37f8ede6a647848197ea124b3951a15bebe974e2242a58d0b7c7c2"),
+    # cli.POLY_DEGREE_BUDGET = 300: the highest degree parse_poly reads, here
+    # with a sparse operand (prints w^301 + 150w^299), and the first it refuses
+    Entry("eval star --f=w^300 --g=w --tau 1,0 --rational", 0,
+          "a82b58a6c93fa2b4474c7082885413b5824fdbb48589add682bea1890a7ce7ca"),
+    Entry("eval star --f=w^301 --g=w --tau 1,0 --rational", 2,
+          stderr=CONFIG + "argument --f: degree 301 exceeds POLY_DEGREE_BUDGET = 300"),
 
     # ---- vertex: witt and kcentral pass at these grades (kcentral at
     # vertex.GRADE_BUDGET = 128); the sweeps cut their probes at K, so at K = 0

@@ -68,8 +68,8 @@ def test_criterion_02_gaussian_product_oracle():
         a1 = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         a2 = 0.3 * cmath.exp(2j * math.pi * rng.random()) * rng.random()
         tau = cmath.exp(2j * math.pi * rng.random()) * rng.random()
-        f = starexp.GaussPoly(core.Poly.const(1), a1, 0.0)
-        g = starexp.GaussPoly(core.Poly.const(1), a2, 0.0)
+        f = starexp.GaussPoly(core.Poly.const(1), a1, 0.0, 1.0, 0.0, 1)
+        g = starexp.GaussPoly(core.Poly.const(1), a2, 0.0, 1.0, 0.0, 1)
         prod = starexp.gauss_star(f, g, tau)
         for w in (-0.7, 0.4):
             qf, qg = f.poly, g.poly
@@ -138,7 +138,7 @@ def test_criterion_05_imaginary_transform():
 
 
 def test_criterion_06_hermite():
-    checks = specialfn.hermite_checks(specialfn.hermite_table(12, QC(-1)))
+    checks = specialfn.hermite_checks(12, QC(-1))
     exact_ok = all(checks.values())
     worst = 0.0
     for n in range(9):

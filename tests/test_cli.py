@@ -16,7 +16,7 @@ import pytest
 from commands import TABLE, failures, run_in_process
 from hypothesis import given, settings, strategies as st
 
-from stardeform.cli import build_parser, main, parse_poly, poly_to_str
+from stardeform.cli import POLY_DEGREE_BUDGET, build_parser, main, parse_poly, poly_to_str
 from stardeform.core import Poly
 from stardeform.exact import QC
 from stardeform.errors import DomainError
@@ -61,6 +61,18 @@ def test_parse_poly_round_trip():
     assert parse_poly("0.1*w + 1e-05").coeffs == (Fraction(1, 10 ** 5), Fraction(1, 10))
     with pytest.raises(ValueError):
         parse_poly("w**2")
+
+
+@pytest.mark.parametrize("text", [f"w^{POLY_DEGREE_BUDGET + 1}", "1 + 2*w^1000000000000",
+                                  f"w^{POLY_DEGREE_BUDGET} - w^{POLY_DEGREE_BUDGET + 1}"])
+def test_parse_poly_refuses_a_degree_past_its_budget(text):
+    """Refused as the term is read, before any coefficient list is built: a
+    list for w^(10^12) would not fit in memory."""
+    t0 = time.perf_counter()
+    with pytest.raises(argparse.ArgumentTypeError, match="POLY_DEGREE_BUDGET = 300"):
+        parse_poly(text)
+    assert time.perf_counter() - t0 < 0.1
+    assert parse_poly(f"w^{POLY_DEGREE_BUDGET}").degree == POLY_DEGREE_BUDGET
 
 
 FLOAT = st.floats(allow_nan=False, allow_infinity=False)

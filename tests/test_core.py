@@ -17,7 +17,7 @@ from stardeform import (QC, ExactPoly, Poly, core, infinitesimal_intertwiner, in
                         star_product, verify, w_star_power)
 from stardeform.core import _intertwine_loop, _star_product_loop
 from stardeform.exact import as_qc, to_gaussian
-from stardeform.specialfn import hermite_table, laguerre_star, legendre_star_exact
+from stardeform.specialfn import laguerre_star, legendre_star_exact
 
 RATS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 # exact scalars as a QC, a Fraction or an int; they serve as coefficients and tau
@@ -347,7 +347,7 @@ def test_exact_entry_points_return_qc(f, g, tau, tau2):
     assert all_qc(intertwine(f, tau, tau2))
     assert all_qc(infinitesimal_intertwiner(f))
     assert all_qc(w_star_power(5, tau))
-    tables = [hermite_table(4, tau).reduced, legendre_star_exact(4, tau)]
+    tables = [[w_star_power(n, tau) for n in range(5)], legendre_star_exact(4, tau)]
     if tau:
         tables.append(laguerre_star(4, tau))
     for table in tables:
@@ -477,12 +477,13 @@ def test_heat_flow_of_int_polynomials_at_complex_parameters():
     from stardeform.starexp import GaussPoly, gauss_star, heat_apply
 
     alpha, beta = -0.3 + 0.2j, 0.1 - 0.4j
-    one = heat_apply(0.2 + 0.1j, GaussPoly(Poly.const(1), alpha, beta))
+    one = heat_apply(0.2 + 0.1j, GaussPoly(Poly.const(1), alpha, beta, 1.0, 0.0, 1))
     assert one.poly.coeffs == (1,)
-    ints = heat_apply(0.2 + 0.1j, GaussPoly(Poly([2, 0, 1]), alpha, beta))
-    floats = heat_apply(0.2 + 0.1j, GaussPoly(Poly([2 + 0j, 0j, 1 + 0j]), alpha, beta))
+    ints = heat_apply(0.2 + 0.1j, GaussPoly(Poly([2, 0, 1]), alpha, beta, 1.0, 0.0, 1))
+    floats = heat_apply(0.2 + 0.1j, GaussPoly(Poly([2 + 0j, 0j, 1 + 0j]), alpha, beta, 1.0, 0.0, 1))
     assert all(abs(a - b) < 1e-14 for a, b in zip(ints.poly.coeffs, floats.poly.coeffs))
-    g = gauss_star(GaussPoly(Poly.x(), alpha, 0.0), GaussPoly(Poly.const(1), alpha, beta), 0.5j)
+    g = gauss_star(GaussPoly(Poly.x(), alpha, 0.0, 1.0, 0.0, 1),
+                   GaussPoly(Poly.const(1), alpha, beta, 1.0, 0.0, 1), 0.5j)
     assert all(type(c) is complex for c in g.poly.coeffs)
 
 

@@ -2,8 +2,10 @@
 mpmath oracle over the domain the CLI accepts, or raises a StarDeformError.
 
 The sided-inverse properties draw tau with Re tau from 0.005 to 2 and
-|Im tau| <= 6, the CLI's domain rather than the bench's; the Laurent series
-property draws within the range where its ascending series is trusted.
+|Im tau| <= 6, the CLI's domain rather than the bench's; the Heaviside pair
+property draws real tau up to 100 and complex tau with |Im tau| <= 10; the
+Laurent series property draws within the range where its ascending series is
+trusted.
 `max_examples` is pinned; each property takes under 2 s.
 """
 
@@ -58,6 +60,13 @@ def _mp_laurent_series(k, nu, tau, w):
             q += 1
 
 
+def _mp_heaviside(tau, w):
+    """(Y(-w), Y(w)) = (erfc(w/sqrt(tau))/2, erfc(-w/sqrt(tau))/2) at 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(w) / mpmath.sqrt(mpmath.mpc(tau))
+        return complex(mpmath.erfc(z) / 2), complex(mpmath.erfc(-z) / 2)
+
+
 def _relative_error(got, want):
     return abs(got - want) / abs(want)
 
@@ -82,6 +91,29 @@ def test_sided_inverse_meets_its_tolerance_or_raises(tau, a, w, side):
         return
     tol = max(1e-12, 8 * EPS * abs(a + w) ** 2 / abs(tau))
     assert _relative_error(got, _mp_sided_inverse(a, side, tau, w)) <= tol
+
+
+@settings(deadline=None, max_examples=200)
+@given(tau=st.one_of(st.floats(-2.5, 2.0).map(lambda e: complex(10 ** e)),
+                     st.builds(complex, st.floats(-2.5, 1.0).map(lambda e: 10 ** e),
+                               st.floats(-10.0, 10.0))),
+       w=st.floats(-3.0, 3.0))
+@example(tau=0.003 + 0j, w=-3.0)
+@example(tau=1 + 10j, w=2.5)
+@example(tau=0.01 + 2j, w=1.0)      # raises QuadratureFailure
+def test_heaviside_pair_meets_its_tolerance_or_raises(tau, w):
+    """Y(-w) and Y(w) are each within 1e-13 max(1, |Y|) of erfc(+-w/sqrt(tau))/2,
+    as heaviside_pair's docstring states, or the pair raises.  tau is real
+    from 0.003 to 100, or has Re tau from 0.003 to 10 and |Im tau| <= 10; over
+    10,000 such draws the error reached 2.2e-14, and about 12 % raised
+    QuadratureFailure, each where |Im tau| exceeds 180 Re tau (Re tau below
+    0.06).  200 draws take about 0.4 s."""
+    try:
+        got = distributions.heaviside_pair(tau, [w])[:, 0]
+    except StarDeformError:
+        return
+    for y, want in zip(got, _mp_heaviside(tau, w)):
+        assert abs(y - want) <= 1e-13 * max(1.0, abs(want))
 
 
 @settings(deadline=None, max_examples=80)

@@ -115,13 +115,18 @@ def test_closed_contour_unresolved_raises():
             _double_turn(1.0, tau, 0.5)
 
 
+def phi(parts, w):
+    """Phi = parts[0] + parts[1], the boundary solution phi_psi returns in parts."""
+    return parts[0](w) + parts[1](w)
+
+
 def test_phi_psi_parity_and_boundary():
-    pp = phi_psi(0.8, 1.0)
-    assert abs(pp.phi(0.0) - 1) < 1e-13
+    parts = phi_psi(0.8, 1.0)
+    assert abs(phi(parts, 0.0) - 1) < 1e-13
     for w in (0.3, 1.1):
-        assert abs(pp.phi(w) - pp.phi(-w)) < 1e-13     # even
+        assert abs(phi(parts, w) - phi(parts, -w)) < 1e-13     # even
     h = 1e-6
-    assert abs((pp.phi(h) - pp.phi(-h)) / (2 * h)) < 1e-7
+    assert abs((phi(parts, h) - phi(parts, -h)) / (2 * h)) < 1e-7
 
 
 def test_phi_psi_degenerate():
@@ -134,9 +139,9 @@ def test_phi_psi_judges_singularity_against_its_rows(tau):
     """At tau = 1e7 det M is 7.6e-15, below an absolute 1e-14, as the delta
     values fall like (pi tau)^{-1/2}; scaled by Hadamard's bound
     |row 1| |row 2| the system is as well conditioned as at tau = 1."""
-    pp = phi_psi(0.6, tau)
-    assert abs(pp.phi(0.0) - 1) < 1e-12
-    assert pp.phi(0.3) == pytest.approx(pp.phi(-0.3), rel=1e-12)
+    parts = phi_psi(0.6, tau)
+    assert abs(phi(parts, 0.0) - 1) < 1e-12
+    assert phi(parts, 0.3) == pytest.approx(phi(parts, -0.3), rel=1e-12)
 
 
 def test_eigen_equation_exact():
@@ -173,8 +178,7 @@ def _phi_psi_solving_for_2_and_0_3(alpha, tau):
     dp, dm = delta_tau(alpha, tau), delta_tau(-alpha, tau)
     M = [[dp(0.0), dm(0.0)], [dp.diff()(0.0), dm.diff()(0.0)]]
     a, b = np.linalg.solve(M, [2.0, 0.3])
-    return residue.PhiPsi(complex(alpha), complex(tau), complex(a), complex(b),
-                          (dp.scaled(a), dm.scaled(b)))
+    return dp.scaled(a), dm.scaled(b)
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.7 + 0.4j, 1.5 - 0.8j, 0.3])
@@ -382,15 +386,15 @@ def semigroup_on_delta_reference(t, alpha, tau, w_grid) -> float:
 def phi_group_action_reference(ts, alpha, tau, w_grid) -> float:
     """The boundary pair solved again for each t, as the record did."""
     def at(t):
-        pp = residue.phi_psi(alpha, tau)
+        parts = residue.phi_psi(alpha, tau)
         t_c, tau_c = complex(t), complex(tau)
         scale = residue.cexp(t_c * complex(alpha) ** 2)
         ws = residue.as_grid(w_grid)
-        acted = residue.quadexp_star(t_c, tau_c, pp.phi_parts[0])(ws) \
-            + residue.quadexp_star(t_c, tau_c, pp.phi_parts[1])(ws)
-        slope = pp.phi_parts[0].diff()(0.0) + pp.phi_parts[1].diff()(0.0)
-        return worst_of((float(np.abs(acted - scale * pp.phi(ws)).max()),
-                         abs(pp.phi(0.0) - 1), abs(slope)))
+        acted = residue.quadexp_star(t_c, tau_c, parts[0])(ws) \
+            + residue.quadexp_star(t_c, tau_c, parts[1])(ws)
+        slope = parts[0].diff()(0.0) + parts[1].diff()(0.0)
+        return worst_of((float(np.abs(acted - scale * phi(parts, ws)).max()),
+                         abs(phi(parts, 0.0) - 1), abs(slope)))
 
     return worst_of(at(t) for t in ts)
 
