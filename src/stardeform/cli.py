@@ -108,10 +108,11 @@ _DECIMAL = r"[\d.]+(?:[eE][-+]?\d+)?"
 _TERM_RE = re.compile(
     rf"^(?P<coeff>\((?P<re>[-+]?{_DECIMAL})(?P<im>[-+]{_DECIMAL})i\)|[-+]?{_DECIMAL})?"
     r"\*?(?P<var>w(\^(?P<pow>\d+))?)?$")
-# Highest degree parse_poly reads.  `eval star --f=w^D --g=w^D --tau=1,0
-# --rational` took 1.7 s at D = 300, 2.1 s at 320 and 4.3 s at 400 in a fresh
-# process (2-core x86-64 host, Python 3.11), and the float route forms its
-# whole sum before it can refuse an overflow.
+# Highest degree parse_poly reads, so that a dense rational product ends in
+# about 2 s: `eval star --f=w^D --g=w^D --tau=1,0 --rational` took 1.7-2.0 s
+# at D = 300 in a fresh process (2-core x86-64 host, Python 3.11).  The float
+# route refuses the same operands in 0.05-0.07 s, before its loop, because
+# their top term overflows (_top_term_overflows).
 POLY_DEGREE_BUDGET = 300
 
 
@@ -299,11 +300,35 @@ def cmd_eval(args) -> int:
         result = star_product(args.f, args.g, args.tau)
         print(_exact_poly_str(result).replace("x", "w"))
         return 0
-    result = star_product(args.f.to_complex(), args.g.to_complex(), complex(args.tau))
+    f, g, tau = args.f.to_complex(), args.g.to_complex(), complex(args.tau)
+    if _top_term_overflows(f, g):
+        raise DomainError(_NOT_FINITE)
+    result = star_product(f, g, tau)
     if not all(cmath.isfinite(c) for c in result.coeffs):
-        raise DomainError("the float product is not finite; use --rational for exact arithmetic")
+        raise DomainError(_NOT_FINITE)
     print(poly_to_str(result))
     return 0
+
+
+_NOT_FINITE = "the float product is not finite; use --rational for exact arithmetic"
+
+
+def _top_term_overflows(f: Poly, g: Poly) -> bool:
+    """True where star_product's float loop is certain to give a non-finite
+    coefficient, so eval star refuses before the loop.  With K = min(deg f,
+    deg g), the top coefficient of f^(K) g^(K) is one float product, of
+    lead(f) m!/(m-K)! and lead(g) n!/(n-K)! (m, n the degrees); each factor
+    grows with the order, so it is the largest such product over k <= K.
+    When its modulus, from log-factorials and max(|Re|, |Im|) of each lead,
+    exceeds 4x the float maximum, the product is inf or nan however the
+    loop's float steps round, and so is every sum and scaling of it."""
+    if f.is_zero() or g.is_zero():
+        return False
+    m, n = f.degree, g.degree
+    K = min(m, n)
+    log_top = sum(math.log(max(abs(c.real), abs(c.imag))) + math.lgamma(d + 1)
+                  - math.lgamma(d - K + 1) for c, d in ((f.coeffs[-1], m), (g.coeffs[-1], n)))
+    return log_top > math.log(4) + math.log(sys.float_info.max)
 
 
 def cmd_theta(args) -> int:

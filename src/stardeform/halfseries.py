@@ -35,8 +35,8 @@ from .exact import QC, as_qc, gaussian_parts, gaussian_powers, gaussian_product,
 # Highest truncation order hs_inverse accepts.  `table euler` costs about
 # K^3.5: K^2/2 int products in the inversion recurrence, and one packed product,
 # over numerators whose size grows with K.  This admits
-# `table euler|bernoulli 651` (K = 652: about 10 s and 4.5 s on a 2-core
-# x86-64 host, Python 3.11).
+# `table euler|bernoulli 651` (K = 652: 5.6-5.7 s and 2.1-2.5 s in a fresh
+# process on a 2-core x86-64 host, Python 3.11).
 SERIES_ORDER_BUDGET = 652
 
 

@@ -36,16 +36,29 @@ def _bool_rec(anchor: str, description: str, ok: bool) -> dict:
             "residual": 0.0 if ok else 1.0, "tol": 0.0, "passed": bool(ok)}
 
 
-_NUMS, _DENS = range(-6, 7), range(1, 6)
-
-
 def _rand_parts(rng) -> tuple:
     """(a d, c b, b d), the parts of a/b + (c/d) i, with a, c in [-6, 6] and b, d
-    in [1, 5].  choice over a range draws as randint(lo, hi) does (one
-    _randbelow of the width), so every seed draws the values
+    in [1, 5].  Each value is drawn as randint(lo, hi) draws it, by
+    Random._randbelow's rejection: getrandbits of the width's bit length (4
+    for 13 values, 3 for 5), drawn again while it is not below the width, but
+    with no Python call per value.  So every seed draws the values
     QC(Fraction(randint, randint), Fraction(randint, randint)) drew."""
-    a, b, c, d = rng.choice(_NUMS), rng.choice(_DENS), rng.choice(_NUMS), rng.choice(_DENS)
-    return a * d, c * b, b * d
+    draw = rng.getrandbits
+    a = draw(4)
+    while a > 12:
+        a = draw(4)
+    b = draw(3)
+    while b > 4:
+        b = draw(3)
+    c = draw(4)
+    while c > 12:
+        c = draw(4)
+    d = draw(3)
+    while d > 4:
+        d = draw(3)
+    b += 1
+    d += 1
+    return (a - 6) * d, (c - 6) * b, b * d
 
 
 def _rand_qc(rng):

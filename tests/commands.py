@@ -200,6 +200,18 @@ TABLE = [
           "a82b58a6c93fa2b4474c7082885413b5824fdbb48589add682bea1890a7ce7ca"),
     Entry("eval star --f=w^301 --g=w --tau 1,0 --rational", 2,
           stderr=CONFIG + "argument --f: degree 301 exceeds POLY_DEGREE_BUDGET = 300"),
+    # core.TAYLOR_ROUTE_LENGTH = 32: operands of 32 coefficients take the
+    # synthetic-division route and of 33 the per-order packs; both pins were
+    # taken when every product took the packs
+    Entry("eval star --f=w^31-2w^17+(1+2i)w^3+0.5 --g=(0.5-1i)w^31+3w^30-w+2 --tau 1,0.5 "
+          "--rational", 0, "71dfd15bb66b5db221e066e15d52e6e62bade622c235e8ca1a53b512953b2613"),
+    Entry("eval star --f=w^32-2w^17+(1+2i)w^3+0.5 --g=(0.5-1i)w^32+3w^31-w+2 --tau 1,0.5 "
+          "--rational", 0, "b36c62ce3d5a5fb958a70d2d06dc8a82d19f70509b99175c06bd4ed2f99f78b5"),
+    # the float top term of f^(K) g^(K) overflows, so the product is refused
+    # before the loop forms its sum
+    *(Entry(f"eval star --f=w^{d} --g=w^{d} --tau 1,0", 2,
+            stderr=CONFIG + "the float product is not finite")
+      for d in (150, 300)),
 
     # ---- vertex: witt and kcentral pass at these grades (kcentral at
     # vertex.GRADE_BUDGET = 128); the sweeps cut their probes at K, so at K = 0

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import cmath
 import contextlib
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 from commands import TABLE, failures, run_in_process
 from hypothesis import given, settings, strategies as st
 
+from stardeform import cli
 from stardeform.cli import POLY_DEGREE_BUDGET, build_parser, main, parse_poly, poly_to_str
 from stardeform.core import Poly
 from stardeform.exact import QC
@@ -112,6 +114,31 @@ def test_exact_commands_read_numbers_as_written(argv, last, capsys):
     """No exact command rounds its τ or coefficients to a nearby fraction."""
     assert main(argv.split()) == 0
     assert capsys.readouterr().out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("d", [99, 150, 300])
+def test_float_eval_refuses_an_overflowing_top_term_before_the_loop(d, monkeypatch, capsys):
+    """(d!)^2, the top coefficient of f^(d) g^(d) for f = g = w^d, passes 4x
+    the float maximum from d = 99 on; the refusal is today's message."""
+    monkeypatch.setattr(cli, "star_product", lambda *args: pytest.fail("the loop ran"))
+    assert main(["eval", "star", f"--f=w^{d}", f"--g=w^{d}", "--tau=1,0"]) == 2
+    assert capsys.readouterr().err == ("configuration error: the float product is not "
+                                       "finite; use --rational for exact arithmetic\n")
+
+
+LEAD = st.builds(lambda r, phase, e: complex(*phase) * r * 10.0 ** e,
+                 st.floats(1, 9.99), st.sampled_from([(1, 0), (0, 1), (-0.6, 0.8)]),
+                 st.integers(-300, 300))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(COEFF, max_size=12), LEAD, st.lists(COEFF, max_size=12), LEAD, COEFF)
+def test_an_early_float_refusal_is_one_the_loop_makes(f, lead_f, g, lead_g, tau):
+    """Where the top-term test refuses, the loop's own result is not finite."""
+    f, g = Poly([*f, lead_f]), Poly([*g, lead_g])
+    if cli._top_term_overflows(f, g):
+        result = cli.star_product(f, g, tau)
+        assert not all(cmath.isfinite(c) for c in result.coeffs)
 
 
 def test_poly_to_str_style():

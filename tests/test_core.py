@@ -5,10 +5,12 @@ finite sums or frozen from the independent oracles in this file (repeated
 products, term-by-term differentiation, finite differences).
 """
 
+import inspect
 import operator
 import random
+import textwrap
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,39 @@ def test_verify_core_catches_an_intertwiner_that_reads_its_start(monkeypatch):
     assert not got["intertwiner-cocycle"] and not got["intertwiner-homomorphism"]
 
 
+def kernel_mutant(old, new):
+    """core._star_product_gaussian with its one occurrence of the source
+    snippet old replaced by new, compiled over a copy of core's globals."""
+    src = textwrap.dedent(inspect.getsource(core._star_product_gaussian))
+    assert src.count(old) == 1
+    namespace = dict(vars(core))
+    exec(src.replace(old, new), namespace)
+    return namespace["_star_product_gaussian"]
+
+
+# Mutants of the synthetic-division route, which every product of verify core
+# takes, and the records that fail under each at seed 1.  Each mutant is
+# symmetric in f and g, or (bits) errs only on operands far apart in size, so
+# product-commutativity passes under all four.
+@pytest.mark.parametrize("old, new, failing", [
+    # the weight C_k k! in place of C_k k!^2
+    ("factorial(k) ** 2", "factorial(k)",
+     {"product-associativity", "intertwiner-homomorphism"}),
+    # the Taylor values of order k + 1 paired with the weight of order k
+    ("_taylor_values(v, bits, terms) for", "_taylor_values(v, bits, terms)[1:] + [0] for",
+     {"product-associativity", "intertwiner-homomorphism"}),
+    # the k = K term dropped when K >= 3
+    ("zip(cs[:terms], values)", "zip(cs[:terms] if K < 3 else cs[:K], values)",
+     {"product-associativity", "intertwiner-homomorphism"}),
+    # bits sized from f's coefficients alone
+    ("max(map(abs, ga + gb))", "max(map(abs, fa + fb))",
+     {"intertwiner-homomorphism"}),
+])
+def test_verify_core_catches_a_taylor_route_mutant(monkeypatch, old, new, failing):
+    monkeypatch.setattr(core, "_star_product_gaussian", kernel_mutant(old, new))
+    assert {anchor for anchor, ok in core_verdicts().items() if not ok} == failing
+
+
 def test_pn_recurrence_exact():
     # P_{n+1} = w P_n + (tau/2) P_n'
     tau = QC(Fraction(4, 7), Fraction(2, 3))
@@ -230,11 +265,43 @@ def matches_loop(got, want):
             and got.coeffs == want.coeffs)
 
 
+# real, imaginary and complex exact taus
+STAR_TAUS = st.one_of(EXACT_TAUS, RATS.map(lambda y: QC(0, y)))
+CUT = core.TAYLOR_ROUTE_LENGTH
+
+
 @settings(deadline=None)
-@given(EXACT_POLYS, EXACT_POLYS, EXACT_TAUS)
+@given(EXACT_POLYS, EXACT_POLYS, STAR_TAUS)
 def test_star_product_integer_route_equals_loop(f, g, tau):
     assert matches_loop(star_product(f, g, tau),
                         _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
+
+
+# Operand lengths on both sides of the route cut, and K = 0 on each route.
+@pytest.mark.parametrize("nf, ng", [(CUT - 1, CUT - 1), (CUT, CUT), (CUT + 1, CUT + 1),
+                                    (CUT, CUT + 1), (1, CUT), (CUT + 1, 1)])
+@pytest.mark.parametrize("tau", [Fraction(-3, 7), QC(0, Fraction(5, 2)),
+                                 QC(Fraction(2, 3), Fraction(-1, 5))])
+def test_star_product_integer_route_equals_loop_at_the_cut(nf, ng, tau):
+    rng = random.Random(100 * nf + ng)
+    f, g = rand_poly(rng, nf - 1), rand_poly(rng, ng - 1)
+    assert matches_loop(star_product(f, g, tau),
+                        _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
+
+
+# 21 coefficients take the synthetic division, 41 the per-order packs
+@pytest.mark.parametrize("m, n", [(20, 20), (40, 40)])
+def test_star_product_of_monomials_closed_form(m, n):
+    """w^m *_tau w^n = sum_k tau^k/(2^k k!) m!/(m-k)! n!/(n-k)! w^(m+n-2k), the
+    defining sum with each derivative of a monomial written out."""
+    tau = QC(Fraction(3, 4), Fraction(-2, 5))
+    want = [0] * (m + n + 1)
+    tau_k = QC(1)
+    for k in range(min(m, n) + 1):
+        want[m + n - 2 * k] = tau_k * Fraction(perm(m, k) * perm(n, k), 2 ** k * factorial(k))
+        tau_k = tau_k * tau
+    assert star_product(ExactPoly([0] * m + [1]), ExactPoly([0] * n + [1]), tau) == \
+        ExactPoly(want)
 
 
 @settings(deadline=None)
