@@ -16,10 +16,6 @@ Gaussian product that the product of core.ExactPoly shares, cut to the
 truncation; the inversion recurrence over the running lcm of its outputs'
 denominators) and reduce each result by one gcd; the Euler and Bernoulli
 numbers are read from the numerators of the combination's form.
-FormalSeries, the replacement-principle twin, is the second route to the same
-coefficients: it inverts by Newton iteration over plain QC arithmetic and
-shares no code with these kernels, so a fault in one route shows as a mismatch
-rather than repeating in both.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from operator import mul
 
 from .core import ExactPoly
 from .errors import NonUnit, TruncationFailure
-from .exact import QC, as_qc, gaussian_parts, gaussian_powers, gaussian_product, lowest_terms
+from .exact import gaussian_parts, gaussian_powers, gaussian_product, lowest_terms
 
 # Highest truncation order hs_inverse accepts.  `table euler` costs about
 # K^3.5: K^2/2 int products in the inversion recurrence, and one packed product,
@@ -196,6 +192,14 @@ def euler_numbers_recurrence(N: int) -> list:
     return out
 
 
+def _exp_quotient(s: int, trunc: int) -> HalfSeries:
+    """(e^{sq} - 1)/(sq) = sum s^n q^n/(n+1)! for s = +-1: the numerators of
+    exp_series(s, trunc + 1) without q^0, times s, over its denominator."""
+    re, im, d = exp_series(s, trunc + 1).poly.form
+    return HalfSeries(ExactPoly.from_form([s * a for a in re[1:]], [s * b for b in im[1:]], d),
+                      trunc)
+
+
 def bernoulli_numbers(N: int) -> list:
     """B_0, B_2, ..., B_{2N} as exact Fractions from the symmetrized inversions,
     truncated at 2N + 2 (no coefficient below the truncation depends on it),
@@ -206,10 +210,7 @@ def bernoulli_numbers(N: int) -> list:
     (the symmetrization removes the odd B_1 term)."""
     K = 2 * N + 2
     _require_order(K)
-    plus = HalfSeries.from_list(
-        [QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
-    minus = HalfSeries.from_list(
-        [QC(Fraction((-1) ** n, math.factorial(n + 1))) for n in range(K + 1)], K)
+    plus, minus = (_exp_quotient(s, K) for s in (1, -1))
     lhs = hs_inverse(plus).scale(Fraction(1, 2)) + hs_inverse(minus).scale(Fraction(1, 2))
     return _even_numbers(lhs, N, "Bernoulli")
 
@@ -256,83 +257,3 @@ def zero_detection(f: HalfSeries, tau) -> bool:
     M = tau_basis(range(K + 1), tau, probe_points)
     rec = np.linalg.solve(M, vals)
     return bool(np.abs(rec).max() < 1e-9)
-
-
-# ----------------------------- independent formal-basis twin (replacement)
-
-class FormalSeries:
-    """Truncated formal power series over exact rational-complex coefficients.
-
-    Distinct implementation used for the replacement-principle cross-check:
-    the same indeterminate-constant computations run in the formal power basis
-    and must produce identical coefficient sequences."""
-
-    def __init__(self, coeffs, trunc: int):
-        cs = [as_qc(c) for c in coeffs][:trunc + 1]
-        cs += [QC(0)] * (trunc + 1 - len(cs))
-        self.coeffs = cs
-        self.trunc = trunc
-
-    def __add__(self, other):
-        return FormalSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.trunc)
-
-    def __mul__(self, other):
-        K = self.trunc
-        out = [QC(0)] * (K + 1)
-        for n in range(K + 1):
-            acc = QC(0)
-            for i in range(n + 1):
-                a, b = self.coeffs[i], other.coeffs[n - i]
-                if a and b:
-                    acc = acc + a * b
-            out[n] = acc
-        return FormalSeries(out, K)
-
-    def inverse(self):
-        """Newton iteration b <- b(2 - f b): each step doubles the number of
-        correct terms, so it works on truncations to that many terms."""
-        if not self.coeffs[0]:
-            raise NonUnit("constant term vanishes")
-        K = self.trunc
-        b = FormalSeries([QC(1) / self.coeffs[0]], 0)
-        while b.trunc < K:
-            m = min(2 * b.trunc + 1, K)
-            b = FormalSeries(b.coeffs, m)
-            b = b * (FormalSeries([2], m) + (FormalSeries(self.coeffs, m) * b).negate())
-        return b
-
-    def negate(self):
-        return FormalSeries([QC(0) - c for c in self.coeffs], self.trunc)
-
-    def scale(self, c):
-        c = as_qc(c)
-        return FormalSeries([c * a for a in self.coeffs], self.trunc)
-
-
-def formal_exp(scale, trunc: int) -> FormalSeries:
-    cs = []
-    c = QC(1)
-    for l in range(trunc + 1):
-        if l:
-            c = c * as_qc(scale) / l
-        cs.append(c)
-    return FormalSeries(cs, trunc)
-
-
-def euler_numbers_formal(N: int) -> list:
-    """Replacement-principle twin of euler_numbers in the formal power basis."""
-    K = 2 * N + 2
-    one = FormalSeries([1], K)
-    lhs = formal_exp(1, K) * (one + formal_exp(2, K)).inverse() \
-        + formal_exp(-1, K) * (one + formal_exp(-2, K)).inverse()
-    return [lhs.coeffs[2 * n].re * math.factorial(2 * n) for n in range(N + 1)]
-
-
-def bernoulli_numbers_formal(N: int) -> list:
-    K = 2 * N + 2
-    plus = FormalSeries([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
-    minus = FormalSeries([QC(Fraction((-1) ** n, math.factorial(n + 1)))
-                          for n in range(K + 1)], K)
-    lhs = plus.inverse().scale(Fraction(1, 2)) + minus.inverse().scale(Fraction(1, 2))
-    return [lhs.coeffs[2 * n].re * math.factorial(2 * n) for n in range(N + 1)]
-

@@ -118,7 +118,8 @@ def hermite_orthogonality_target(n: int, tau) -> complex:
 
 # ------------------------------------------------------------------ Bessel
 
-# Highest start index of the backward recurrence, i.e. |z| up to about 2e4.
+# Highest start index of the backward recurrence, i.e. |z| up to about 2e4;
+# bessel_table checks it once, from its order and the grid's largest |a w|.
 BESSEL_RECURRENCE_BUDGET = 20_000
 # Most correction-factor terms I_m(a^2 tau/8) bessel_table sums (to |I_{M+1}| <= 1e-14).
 BESSEL_CORRECTION_BUDGET = 60
@@ -151,12 +152,15 @@ def _bessel_series(kmax: int, z):
     return acc
 
 
+def _miller_start(kmax: int, r: float) -> float:
+    """Start index of the backward recurrence for J_0..J_kmax at |z| <= r."""
+    big = max(kmax, r)
+    return big + 20 + 2 * math.sqrt(big + 1)
+
+
 def _bessel_miller(kmax: int, z: complex) -> list:
     """J_0..J_kmax at one point z: one backward sweep, normalised by J_0 + 2 sum J_2k = 1."""
-    start = max(kmax, abs(z)) + 20 + 2 * math.sqrt(max(kmax, abs(z)) + 1)
-    if not start <= BESSEL_RECURRENCE_BUDGET:
-        raise TruncationFailure(f"J_0..J_{kmax}({z}) needs a recurrence from {start:.3g}, more "
-                                f"than BESSEL_RECURRENCE_BUDGET = {BESSEL_RECURRENCE_BUDGET}")
+    start = _miller_start(kmax, abs(z))
     jp, jc, norm = 0j, 1e-30 + 0j, 0j
     out = [0j] * (kmax + 1)
     for k in range(int(start) + int(start) % 2, 0, -1):
@@ -215,7 +219,16 @@ def bessel_table(a, tau, N: int, w_grid) -> dict:
     kmax = N + 2 * M + 8
     ws = as_grid(w_grid)
     z = a_c * ws
-    small = np.abs(z) <= BESSEL_SERIES_MAX
+    size = np.abs(z)
+    r = float(size.max(initial=0.0))
+    # refused before any table array is built, whichever route each point
+    # takes; the first test keeps a huge order out of the float start
+    if not (max(kmax, r) <= BESSEL_RECURRENCE_BUDGET
+            and _miller_start(kmax, r) <= BESSEL_RECURRENCE_BUDGET):
+        raise TruncationFailure(f"a table of order {N} at |a w| up to {r:.4g} needs a backward "
+                                f"recurrence past BESSEL_RECURRENCE_BUDGET = "
+                                f"{BESSEL_RECURRENCE_BUDGET}")
+    small = size <= BESSEL_SERIES_MAX
     pos = np.empty((kmax + 1, len(z)), complex)
     pos[:, small] = _bessel_series(kmax, z[small])
     for i in np.flatnonzero(~small):

@@ -1,8 +1,11 @@
-"""Half-series algebra: exact arithmetic, Euler/Bernoulli extraction."""
+"""Half-series algebra: exact arithmetic, Euler/Bernoulli extraction, and a
+formal-basis twin over QC as a test-local reference."""
 
 import ast
+import inspect
 import math
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,13 +16,11 @@ from hypothesis import given, settings, strategies as st
 from stardeform import halfseries, verify
 from stardeform.core import ExactPoly
 from stardeform.errors import NonUnit, TruncationFailure
-from stardeform.exact import QC
-from stardeform.halfseries import (SERIES_ORDER_BUDGET, FormalSeries, HalfSeries,
-                                   bernoulli_numbers, bernoulli_numbers_formal,
-                                   bernoulli_numbers_recurrence,
-                                   euler_numbers, euler_numbers_formal, euler_numbers_recurrence,
-                                   exp_series, hs_inverse, hs_mul, hs_to_tau_expression,
-                                   zero_detection)
+from stardeform.exact import QC, as_qc
+from stardeform.halfseries import (SERIES_ORDER_BUDGET, HalfSeries, bernoulli_numbers,
+                                   bernoulli_numbers_recurrence, euler_numbers,
+                                   euler_numbers_recurrence, exp_series, hs_inverse, hs_mul,
+                                   hs_to_tau_expression, zero_detection)
 
 
 def rand_series(rng, K=12):
@@ -60,6 +61,83 @@ def hs_inverse_reference(f):
                 s = s + a[j] * b[n - j]
         b[n] = (QC(0) - s) / a[0]
     return HalfSeries.from_list(b, K)
+
+
+# ----------------------------- the formal-basis twin
+# A second route to the inverse and to the Euler and Bernoulli numbers:
+# truncated formal power series over plain QC arithmetic, inverted by Newton
+# iteration, sharing no code with the form kernels (see the AST check below).
+
+class FormalSeries:
+    """Truncated formal power series over exact rational-complex coefficients."""
+
+    def __init__(self, terms, trunc: int):
+        cs = [as_qc(c) for c in terms][:trunc + 1]
+        cs += [QC(0)] * (trunc + 1 - len(cs))
+        self.terms = cs
+        self.trunc = trunc
+
+    def __add__(self, other):
+        return FormalSeries([a + b for a, b in zip(self.terms, other.terms)], self.trunc)
+
+    def __mul__(self, other):
+        K = self.trunc
+        out = [QC(0)] * (K + 1)
+        for n in range(K + 1):
+            acc = QC(0)
+            for i in range(n + 1):
+                a, b = self.terms[i], other.terms[n - i]
+                if a and b:
+                    acc = acc + a * b
+            out[n] = acc
+        return FormalSeries(out, K)
+
+    def inverse(self):
+        """Newton iteration b <- b(2 - f b): each step doubles the number of
+        correct terms, so it works on truncations to that many terms."""
+        K = self.trunc
+        b = FormalSeries([QC(1) / self.terms[0]], 0)
+        while b.trunc < K:
+            m = min(2 * b.trunc + 1, K)
+            b = FormalSeries(b.terms, m)
+            b = b * (FormalSeries([2], m) + (FormalSeries(self.terms, m) * b).negate())
+        return b
+
+    def negate(self):
+        return FormalSeries([QC(0) - c for c in self.terms], self.trunc)
+
+    def scale(self, c):
+        c = as_qc(c)
+        return FormalSeries([c * a for a in self.terms], self.trunc)
+
+
+def formal_exp(scale, trunc: int) -> FormalSeries:
+    cs = []
+    c = QC(1)
+    for l in range(trunc + 1):
+        if l:
+            c = c * as_qc(scale) / l
+        cs.append(c)
+    return FormalSeries(cs, trunc)
+
+
+def euler_numbers_formal(N: int) -> list:
+    """euler_numbers in the formal power basis."""
+    K = 2 * N + 2
+    one = FormalSeries([1], K)
+    lhs = formal_exp(1, K) * (one + formal_exp(2, K)).inverse() \
+        + formal_exp(-1, K) * (one + formal_exp(-2, K)).inverse()
+    return [lhs.terms[2 * n].re * math.factorial(2 * n) for n in range(N + 1)]
+
+
+def bernoulli_numbers_formal(N: int) -> list:
+    """bernoulli_numbers in the formal power basis."""
+    K = 2 * N + 2
+    plus = FormalSeries([QC(Fraction(1, math.factorial(n + 1))) for n in range(K + 1)], K)
+    minus = FormalSeries([QC(Fraction((-1) ** n, math.factorial(n + 1)))
+                          for n in range(K + 1)], K)
+    lhs = plus.inverse().scale(Fraction(1, 2)) + minus.inverse().scale(Fraction(1, 2))
+    return [lhs.terms[2 * n].re * math.factorial(2 * n) for n in range(N + 1)]
 
 
 def test_mul_identity_and_oracle():
@@ -184,6 +262,41 @@ def test_verify_sees_a_sign_fault_in_the_imaginary_part_of_the_inverse(monkeypat
     assert all(passed.values())
 
 
+def kernel_mutant(name, old, new):
+    """halfseries.<name> with its one occurrence of the source snippet old
+    replaced by new, compiled over a copy of the module's globals."""
+    src = textwrap.dedent(inspect.getsource(getattr(halfseries, name)))
+    assert src.count(old) == 1
+    namespace = dict(vars(halfseries))
+    exec(src.replace(old, new), namespace)
+    return namespace[name]
+
+
+# Mutants of the kernels behind the Euler and Bernoulli numbers, and the
+# records of verify halfseries that fail under each at seed 1.  Both number
+# tables read exp_series, so its mutant fails both; euler-grid-identity reads
+# the Euler combination on both of its sides, so only the extraction moves it.
+@pytest.mark.parametrize("name, old, new, failing", [
+    pytest.param("hs_inverse", "[-(s * a0 + si * a0i)], [s * a0i - si * a0]",
+                 "[s * a0 + si * a0i], [si * a0 - s * a0i]",
+                 {"bernoulli-numbers", "euler-numbers", "inverse-unique-involutive"},
+                 id="inverse-recurrence-sign"),
+    pytest.param("hs_inverse", "ra, rb = A[1:n + 1], Ai[1:n + 1]",
+                 "ra, rb = [0] + A[2:n + 1], [0] + Ai[2:n + 1]",
+                 {"bernoulli-numbers", "euler-numbers", "inverse-unique-involutive"},
+                 id="inverse-sum-from-j-2"),
+    pytest.param("exp_series", "w //= sd * (l + 1)", "w //= sd * (l + 2)",
+                 {"bernoulli-numbers", "euler-numbers"}, id="exp-series-l-plus-2"),
+    pytest.param("_even_numbers", "math.factorial(2 * n), d)", "math.factorial(2 * n + 1), d)",
+                 {"bernoulli-numbers", "euler-grid-identity", "euler-numbers"},
+                 id="extraction-odd-factorial"),
+])
+def test_verify_halfseries_catches_a_kernel_mutant(monkeypatch, name, old, new, failing):
+    monkeypatch.setattr(halfseries, name, kernel_mutant(name, old, new))
+    records = verify.suite_halfseries(seed=1, grid=[-2 + k / 4 for k in range(17)])
+    assert {r["anchor"] for r in records if not r["passed"]} == failing
+
+
 def test_formal_newton_inverse():
     rng = random.Random(23)
     K = 12
@@ -191,7 +304,7 @@ def test_formal_newton_inverse():
     cs[0] = QC(Fraction(3, 2))
     f = FormalSeries(cs, K)
     prod = f * f.inverse()
-    assert [c for c in prod.coeffs] == [QC(1)] + [QC(0)] * K
+    assert prod.terms == [QC(1)] + [QC(0)] * K
 
 
 def test_tau_expression_constant_and_geometric():
@@ -404,10 +517,10 @@ def test_series_operations_are_exact_poly_operations_cut_at_the_truncation(f, g,
     assert hs_mul(f, g).poly == cut(f.poly * g.poly, K)
 
 
-# The replacement-principle twin and the names of the form kernels it must not reach
+# The formal-basis twin and the names of the form kernels it must not reach
 TWIN = ("FormalSeries", "formal_exp", "euler_numbers_formal", "bernoulli_numbers_formal")
 KERNEL_NAMES = {"ExactPoly", "HalfSeries", "hs_mul", "hs_inverse", "exp_series",
-                "gaussian_product", "lowest_terms"}
+                "gaussian_product", "lowest_terms", "halfseries"}
 
 
 def names_reached(defs: dict, roots) -> set:
@@ -429,7 +542,7 @@ def names_reached(defs: dict, roots) -> set:
 
 
 def test_the_formal_twin_shares_nothing_with_the_form_kernels():
-    tree = ast.parse(Path(halfseries.__file__).read_text())
+    tree = ast.parse(Path(__file__).read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not names_reached(defs, TWIN) & KERNEL_NAMES
@@ -448,7 +561,7 @@ def test_formal_inverse_equals_hs_inverse_at_every_order():
     full[0] = QC(Fraction(2, 3), Fraction(-1, 2))
     for K in range(41):
         want = coeffs(hs_inverse(HalfSeries.from_list(full, K)))
-        assert tuple(FormalSeries(full, K).inverse().coeffs) == want, K
+        assert tuple(FormalSeries(full, K).inverse().terms) == want, K
 
 
 def test_euler_and_bernoulli_to_100_match_recurrences():

@@ -216,6 +216,19 @@ def test_bessel_order_past_the_recurrence_budget_raises():
         bessel_table_to_tol(1.0, 1.0, 18, 0.5e-10, [-3e4, 0.0, 3e4])
 
 
+def test_bessel_table_order_at_the_recurrence_budget(monkeypatch):
+    """At a = 1, tau = -1 the correction series takes M = 7, so order N needs
+    J_0..J_{N+22}, whose recurrence would start at 19999.7 for N = 19677 and
+    20000.7 for N = 19678.  The budget holds though every point here takes the
+    ascending series, and a refused table reaches neither route: at N = 10^12
+    its rows J_0..J_kmax alone would be 48 TB."""
+    assert len(bessel_table(1.0, -1.0, 19677, [-1.0, 0.0, 1.0])) == 2 * 19677 + 1
+    monkeypatch.setattr("stardeform.specialfn._bessel_series", None)
+    for N in (19678, 10 ** 12, 10 ** 400):
+        with pytest.raises(TruncationFailure, match="BESSEL_RECURRENCE_BUDGET"):
+            bessel_table(1.0, -1.0, N, [-1.0, 0.0, 1.0])
+
+
 def test_verify_special_passes_on_a_wider_grid(capsys):
     """On |w| <= 5 the Bessel row sum needs N = 20: with a fixed N = 18 the
     suite read 8.2e-10 against the tol 1e-10 and exited 1."""
