@@ -69,14 +69,25 @@ def scalar(text: str) -> complex:
     return complex(exact_scalar(text))
 
 
+# Most points grid reads, so that a larger grid is refused before any array or
+# list of it is built.  At 100,000 points, in a fresh process (2-core x86-64
+# host, Python 3.11), `verify all` took 22 s and peaked at 1.26 GB, `dist
+# --side=pv` 4.4 s and 551 MB, `table bessel 6` 3.8 s and 218 MB, and `theta`
+# 1.5 s and 74 MB.
+GRID_POINT_BUDGET = 100_000
+
+
 def grid(text: str) -> tuple:
     """Option value 'lo,hi,n': a finite span hi - lo (so finite ends) and
-    n >= 2 points."""
+    2 <= n <= GRID_POINT_BUDGET points."""
     lo, hi, n = text.split(",")
     lo, hi, n = float(lo), float(hi), int(n)
     if not (math.isfinite(hi - lo) and n >= 2):
         raise argparse.ArgumentTypeError(
             f"grid must be 'lo,hi,n' with a finite span hi - lo and n >= 2, got {text!r}")
+    if n > GRID_POINT_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"{n} grid points exceed GRID_POINT_BUDGET = {GRID_POINT_BUDGET}")
     return (lo, hi, n)
 
 
@@ -108,11 +119,13 @@ _DECIMAL = r"[\d.]+(?:[eE][-+]?\d+)?"
 _TERM_RE = re.compile(
     rf"^(?P<coeff>\((?P<re>[-+]?{_DECIMAL})(?P<im>[-+]{_DECIMAL})i\)|[-+]?{_DECIMAL})?"
     r"\*?(?P<var>w(\^(?P<pow>\d+))?)?$")
-# Highest degree parse_poly reads, so that a dense rational product ends in
-# about 2 s: `eval star --f=w^D --g=w^D --tau=1,0 --rational` took 1.7-2.0 s
-# at D = 300 in a fresh process (2-core x86-64 host, Python 3.11).  The float
-# route refuses the same operands in 0.05-0.07 s, before its loop, because
-# their top term overflows (_top_term_overflows).
+# Highest degree parse_poly reads.  It bounds the operands, not the cost: in a
+# fresh process (2-core x86-64 host, Python 3.11), at D = 300, `eval star
+# --f=w^D --g=w^D --tau=1,0 --rational` took 5.0 s and peaked at 150 MB, and a
+# dense degree-D operand (coefficients in -9..9) against itself took 29 s at
+# --tau=1,0 and 35 s at --tau=0.25,-0.75, peaking at 150-170 MB.  The float
+# route refuses such operands in 0.07-0.10 s, before its loop, because their
+# top term overflows (_top_term_overflows).
 POLY_DEGREE_BUDGET = 300
 
 

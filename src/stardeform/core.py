@@ -25,13 +25,8 @@ ExactPoly mixed with a Poly, or with a float or complex scalar or tau, raises
 TypeError; to_complex() converts it.
 
 The integer star product sums the packed products pack(F^(k)) pack(G^(k)),
-and it reads those packed derivatives by one of two routes chosen by the
-operands' length.  Operands of at most TAYLOR_ROUTE_LENGTH coefficients take
-them all from repeated synthetic division at the packing point, which costs
-less Python work per coefficient than forming and packing each derivative;
-longer operands form and pack each derivative, because the division's
-accumulators grow to the whole packed length on every pass.  Both routes
-sum the same integer.
+and it reads every packed derivative from repeated synthetic division at the
+packing point, which forms no derivative list.
 """
 
 from __future__ import annotations
@@ -41,15 +36,8 @@ from math import factorial, gcd, perm
 from typing import Sequence
 
 from .exact import (all_exact, as_qc, from_gaussian, gaussian_parts, gaussian_powers,
-                    gaussian_product, gaussian_to_complex, is_exact, lowest_terms, pack,
+                    gaussian_product, gaussian_to_complex, is_exact, lowest_terms,
                     to_gaussian, unpack)
-
-# Longest operand (in coefficients) whose star product reads its packed
-# derivatives from synthetic division (_star_product_gaussian); it is
-# exact.pack's split length.  On a 2-core x86-64 host (Python 3.11) the
-# division took 52 against 72 us at 9 coefficients, 4.6 against 4.8 ms at 32,
-# the same at 41, and 216 against 207 ms at 80.
-TAYLOR_ROUTE_LENGTH = 32
 
 
 def horner(coeffs, w):
@@ -277,10 +265,8 @@ def _operand(x) -> tuple:
     return ([a], [b], d) if a or b else ([], [], 1)
 
 
-def _deriv(v: list, order: int = 1) -> list:
+def _deriv(v: list, order: int) -> list:
     """The numerators of the order-th derivative: c_i i!/(i - order)! at i - order."""
-    if order == 1:
-        return [i * c for i, c in enumerate(v[1:], 1)]
     return [perm(i, order) * c for i, c in enumerate(v[order:], order)]
 
 
@@ -317,16 +303,10 @@ def _star_product_gaussian(f_form: tuple, g_form: tuple, tau: tuple) -> ExactPol
 
     Each product F^(k) G^(k) is the Gaussian product of the packed values
     pack(F^(k)) = F^(k)(X), X = 2^bits, and the sum over k is taken in packed
-    form, so only the result is unpacked.  Two routes give the packed values.
-    For operands of at most TAYLOR_ROUTE_LENGTH coefficients, K + 1 passes of
-    synthetic division by w - X read every F^(k)(X)/k! at once
-    (_taylor_values), and the weight C_k k!^2 puts back the two k!; this saves
-    the per-order derivative lists and packs that bound a short product.
-    Longer operands form each F^(k) and pack it: a division pass carries
-    accumulators as long as the whole packed operand, while pack splits its
-    input, so past that length the passes cost more than they save.  Both
-    routes form the same packed sum.  The result is reduced by one gcd; no
-    coefficient is built."""
+    form, so only the result is unpacked.  K + 1 passes of synthetic division
+    by w - X read every F^(k)(X)/k! at once (_taylor_values), and the weight
+    C_k k!^2 puts back the two k!, so no derivative list is formed.  The
+    result is reduced by one gcd; no coefficient is built."""
     fa, fb, df = f_form
     ga, gb, dg = g_form
     if not fa or not ga:
@@ -335,14 +315,12 @@ def _star_product_gaussian(f_form: tuple, g_form: tuple, tau: tuple) -> ExactPol
     nf, ng = len(fa), len(ga)
     K = min(nf, ng) - 1
     fK = factorial(K)
-    short = max(nf, ng) <= TAYLOR_ROUTE_LENGTH
     pa, pb = gaussian_powers(ta, tb, K)             # T^k
     cs, top = [], 0
     for k in range(K + 1):
         r = (2 * td) ** (K - k) * (fK // factorial(k))     # C_k = T^k r
         top = max(top, (abs(pa[k]) + abs(pb[k])) * r)
-        if short:                                   # t_k = pack(F^(k))/k!, so C_k k!^2
-            r *= factorial(k) ** 2
+        r *= factorial(k) ** 2                      # t_k = pack(F^(k))/k!, so C_k k!^2
         cs.append((pa[k] * r, pb[k] * r))
     # |Re|, |Im| of an output numerator: at most K+1 terms C_k times at most
     # nf ng pairs of 2 |F_i| |G_j| (i)_k (j)_k, and (i)_k <= (max(nf, ng) - 1)!
@@ -351,10 +329,7 @@ def _star_product_gaussian(f_form: tuple, g_form: tuple, tau: tuple) -> ExactPol
              * factorial(max(nf, ng) - 1) ** 2)
     bits = bound.bit_length() + 2
     terms = K + 1 if ta or tb else 1                # at tau = 0 only the k = 0 term
-    if short:
-        values = zip(*[_taylor_values(v, bits, terms) for v in (fa, fb, ga, gb)])
-    else:
-        values = _packed_derivatives(fa, fb, ga, gb, bits)
+    values = zip(*[_taylor_values(v, bits, terms) for v in (fa, fb, ga, gb)])
     re = im = 0
     for (ra, rb), (pfa, pfb, pga, pgb) in zip(cs[:terms], values):
         xr, xx = pfa * pga, pfb * pgb
@@ -388,13 +363,6 @@ def _taylor_values(v: list, bits: int, terms: int) -> list:
         out.append(rest.pop())                      # P(X); rest is P's quotient by w - X
         q = rest
     return out
-
-
-def _packed_derivatives(fa: list, fb: list, ga: list, gb: list, bits: int):
-    """The packed numerators pack(F^(k)) of each list, for k = 0, 1, ..."""
-    while True:
-        yield pack(fa, bits), pack(fb, bits), pack(ga, bits), pack(gb, bits)
-        fa, fb, ga, gb = _deriv(fa), _deriv(fb), _deriv(ga), _deriv(gb)
 
 
 def intertwine(f, tau_from, tau_to):

@@ -200,9 +200,9 @@ TABLE = [
           "a82b58a6c93fa2b4474c7082885413b5824fdbb48589add682bea1890a7ce7ca"),
     Entry("eval star --f=w^301 --g=w --tau 1,0 --rational", 2,
           stderr=CONFIG + "argument --f: degree 301 exceeds POLY_DEGREE_BUDGET = 300"),
-    # core.TAYLOR_ROUTE_LENGTH = 32: operands of 32 coefficients take the
-    # synthetic-division route and of 33 the per-order packs; both pins were
-    # taken when every product took the packs
+    # operands of 32 and 33 coefficients; both pins were taken when the star
+    # product formed and packed each derivative, so they hold its synthetic
+    # division to that independent route
     Entry("eval star --f=w^31-2w^17+(1+2i)w^3+0.5 --g=(0.5-1i)w^31+3w^30-w+2 --tau 1,0.5 "
           "--rational", 0, "71dfd15bb66b5db221e066e15d52e6e62bade622c235e8ca1a53b512953b2613"),
     Entry("eval star --f=w^32-2w^17+(1+2i)w^3+0.5 --g=(0.5-1i)w^32+3w^31-w+2 --tau 1,0.5 "
@@ -293,6 +293,10 @@ TABLE = [
         "residue --k 170 --nu=600,0", "table euler -3", "table euler",
         # residue.CONTOUR_NODE_BUDGET + 1, refused before any node array is built
         "residue --nodes=65537",
+        # grids of 10^13 points, past cli.GRID_POINT_BUDGET: refused as the
+        # option is read, before any grid array or list is built
+        "verify all --grid=-1,1,10000000000000", "theta --w-grid=-1,1,10000000000000",
+        "dist --w-grid=-1,1,10000000000000", "table bessel 3 --grid=-1,1,10000000000000",
         # options that the family does not read: euler reads no --tau
         "table euler 12 --tau=0.5,0", "table hermite 6 --a=2",
         # a nonzero number below the float range, which an exact command would

@@ -18,7 +18,8 @@ from commands import TABLE, failures, run_in_process
 from hypothesis import given, settings, strategies as st
 
 from stardeform import cli
-from stardeform.cli import POLY_DEGREE_BUDGET, build_parser, main, parse_poly, poly_to_str
+from stardeform.cli import (GRID_POINT_BUDGET, POLY_DEGREE_BUDGET, build_parser, grid, main,
+                            parse_poly, poly_to_str)
 from stardeform.core import Poly
 from stardeform.exact import QC
 from stardeform.errors import DomainError
@@ -75,6 +76,14 @@ def test_parse_poly_refuses_a_degree_past_its_budget(text):
         parse_poly(text)
     assert time.perf_counter() - t0 < 0.1
     assert parse_poly(f"w^{POLY_DEGREE_BUDGET}").degree == POLY_DEGREE_BUDGET
+
+
+def test_grid_refuses_a_count_past_its_budget():
+    """The last count admitted and the first refused; the command table holds
+    the refusal of 10^13 points by each grid option."""
+    assert grid(f"-1,1,{GRID_POINT_BUDGET}") == (-1.0, 1.0, GRID_POINT_BUDGET)
+    with pytest.raises(argparse.ArgumentTypeError, match="GRID_POINT_BUDGET = 100000"):
+        grid(f"-1,1,{GRID_POINT_BUDGET + 1}")
 
 
 FLOAT = st.floats(allow_nan=False, allow_infinity=False)

@@ -5,15 +5,14 @@ finite sums or frozen from the independent oracles in this file (repeated
 products, term-by-term differentiation, finite differences).
 """
 
-import inspect
 import operator
 import random
-import textwrap
 from fractions import Fraction
 from math import factorial, gcd, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mutants import kernel_mutant
 
 from stardeform import (QC, ExactPoly, Poly, core, infinitesimal_intertwiner, intertwine,
                         star_product, verify, w_star_power)
@@ -182,18 +181,8 @@ def test_verify_core_catches_an_intertwiner_that_reads_its_start(monkeypatch):
     assert not got["intertwiner-cocycle"] and not got["intertwiner-homomorphism"]
 
 
-def kernel_mutant(old, new):
-    """core._star_product_gaussian with its one occurrence of the source
-    snippet old replaced by new, compiled over a copy of core's globals."""
-    src = textwrap.dedent(inspect.getsource(core._star_product_gaussian))
-    assert src.count(old) == 1
-    namespace = dict(vars(core))
-    exec(src.replace(old, new), namespace)
-    return namespace["_star_product_gaussian"]
-
-
-# Mutants of the synthetic-division route, which every product of verify core
-# takes, and the records that fail under each at seed 1.  Each mutant is
+# Mutants of the synthetic-division route, which every exact product takes,
+# and the records of verify core that fail under each at seed 1.  Each mutant is
 # symmetric in f and g, or (bits) errs only on operands far apart in size, so
 # product-commutativity passes under all four.
 @pytest.mark.parametrize("old, new, failing", [
@@ -211,7 +200,8 @@ def kernel_mutant(old, new):
      {"intertwiner-homomorphism"}),
 ])
 def test_verify_core_catches_a_taylor_route_mutant(monkeypatch, old, new, failing):
-    monkeypatch.setattr(core, "_star_product_gaussian", kernel_mutant(old, new))
+    monkeypatch.setattr(core, "_star_product_gaussian",
+                        kernel_mutant(core, "_star_product_gaussian", old, new))
     assert {anchor for anchor, ok in core_verdicts().items() if not ok} == failing
 
 
@@ -267,7 +257,7 @@ def matches_loop(got, want):
 
 # real, imaginary and complex exact taus
 STAR_TAUS = st.one_of(EXACT_TAUS, RATS.map(lambda y: QC(0, y)))
-CUT = core.TAYLOR_ROUTE_LENGTH
+CUT = 32
 
 
 @settings(deadline=None)
@@ -277,9 +267,11 @@ def test_star_product_integer_route_equals_loop(f, g, tau):
                         _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
 
 
-# Operand lengths on both sides of the route cut, and K = 0 on each route.
+# Operand lengths on both sides of 32 coefficients and well past it, with
+# K = 0 and K = 2 against a long operand.
 @pytest.mark.parametrize("nf, ng", [(CUT - 1, CUT - 1), (CUT, CUT), (CUT + 1, CUT + 1),
-                                    (CUT, CUT + 1), (1, CUT), (CUT + 1, 1)])
+                                    (CUT, CUT + 1), (1, CUT), (CUT + 1, 1), (64, 64),
+                                    (80, 3)])
 @pytest.mark.parametrize("tau", [Fraction(-3, 7), QC(0, Fraction(5, 2)),
                                  QC(Fraction(2, 3), Fraction(-1, 5))])
 def test_star_product_integer_route_equals_loop_at_the_cut(nf, ng, tau):
@@ -289,8 +281,8 @@ def test_star_product_integer_route_equals_loop_at_the_cut(nf, ng, tau):
                         _star_product_loop(over_qc(f), over_qc(g), as_qc(tau)))
 
 
-# 21 coefficients take the synthetic division, 41 the per-order packs
-@pytest.mark.parametrize("m, n", [(20, 20), (40, 40)])
+# 21, 41 and 101 coefficients
+@pytest.mark.parametrize("m, n", [(20, 20), (40, 40), (100, 100)])
 def test_star_product_of_monomials_closed_form(m, n):
     """w^m *_tau w^n = sum_k tau^k/(2^k k!) m!/(m-k)! n!/(n-k)! w^(m+n-2k), the
     defining sum with each derivative of a monomial written out."""

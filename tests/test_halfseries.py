@@ -2,16 +2,15 @@
 formal-basis twin over QC as a test-local reference."""
 
 import ast
-import inspect
 import math
 import random
-import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mutants import kernel_mutant
 
 from stardeform import halfseries, verify
 from stardeform.core import ExactPoly
@@ -262,16 +261,6 @@ def test_verify_sees_a_sign_fault_in_the_imaginary_part_of_the_inverse(monkeypat
     assert all(passed.values())
 
 
-def kernel_mutant(name, old, new):
-    """halfseries.<name> with its one occurrence of the source snippet old
-    replaced by new, compiled over a copy of the module's globals."""
-    src = textwrap.dedent(inspect.getsource(getattr(halfseries, name)))
-    assert src.count(old) == 1
-    namespace = dict(vars(halfseries))
-    exec(src.replace(old, new), namespace)
-    return namespace[name]
-
-
 # Mutants of the kernels behind the Euler and Bernoulli numbers, and the
 # records of verify halfseries that fail under each at seed 1.  Both number
 # tables read exp_series, so its mutant fails both; euler-grid-identity reads
@@ -292,7 +281,7 @@ def kernel_mutant(name, old, new):
                  id="extraction-odd-factorial"),
 ])
 def test_verify_halfseries_catches_a_kernel_mutant(monkeypatch, name, old, new, failing):
-    monkeypatch.setattr(halfseries, name, kernel_mutant(name, old, new))
+    monkeypatch.setattr(halfseries, name, kernel_mutant(halfseries, name, old, new))
     records = verify.suite_halfseries(seed=1, grid=[-2 + k / 4 for k in range(17)])
     assert {r["anchor"] for r in records if not r["passed"]} == failing
 
